@@ -226,11 +226,14 @@ class Site:
 class ScenarioResult:
     """Run outputs: metrics, resource samples, capture, commit logs.
 
-    A live run holds the assembled :class:`Site` objects; a result
-    reconstructed with :meth:`from_dict` (runner artifacts, results sent
-    back from worker processes) holds ``sites=[]`` but answers every
-    metric, commit-log and safety question identically — the commit logs
-    and resource samples are captured by value at construction.
+    The result of a ``Scenario(config).run()`` you call yourself is
+    *live*: ``sites`` holds the assembled :class:`Site` objects, and
+    with them the whole simulation graph.  A result reconstructed with
+    :meth:`from_dict` — every ``run_campaign`` cell, whether it ran
+    in-process, in a worker or was loaded from an artifact — is a
+    *value*: ``sites == []``, but it answers every metric, commit-log
+    and safety question identically, because the commit logs and
+    resource samples are captured by value at construction.
     """
 
     def __init__(
@@ -680,10 +683,16 @@ class Scenario:
             if site.gcs is not None:
                 site.gcs.start()
         self.sim.call(self.config.probe_interval, self._probe)
-        # The event loop allocates millions of short-lived objects whose
-        # lifetimes reference counting alone fully handles; the cyclic
-        # collector's periodic scans are pure overhead (~10 % of a cell's
-        # wall-clock), so pause it for the run and sweep once after.
+        # Collector policy: the event loop's garbage is acyclic, so the
+        # cyclic collector's periodic scans are pure overhead and it is
+        # paused for the run; whoever owns the graph's lifetime reclaims
+        # it afterwards.  Called directly that is this method — the
+        # caller keeps the live result, and one full sweep clears what
+        # earlier runs dropped.  A caller that has paused the collector
+        # itself (the campaign runner, which drops the graph as soon as
+        # it holds the payload) has taken that job over: nothing is
+        # swept here, because a full sweep per campaign cell walks the
+        # whole process heap each time — quadratic in the cells.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()

@@ -92,6 +92,11 @@ class BufferPool:
         self.share = share
         self._messages: Dict[Tuple[int, int], bytes] = {}
         self._per_origin: Dict[int, int] = {}
+        #: Per origin, a lower bound on its lowest buffered sequence
+        #: number: possibly stale-low (``purge_origin_above`` and
+        #: duplicates never raise it), never high.  Lets :meth:`collect`
+        #: prove there is nothing to drop without scanning.
+        self._lowest: Dict[int, int] = {}
         self.stats = {"stored": 0, "collected": 0, "peak_occupancy": 0}
 
     def occupancy(self, origin: int) -> int:
@@ -106,6 +111,8 @@ class BufferPool:
         if key in self._messages:
             return
         self._messages[key] = payload
+        if seq < self._lowest.get(origin, seq + 1):
+            self._lowest[origin] = seq
         count = self._per_origin.get(origin, 0) + 1
         self._per_origin[origin] = count
         self.stats["stored"] += 1
@@ -130,14 +137,24 @@ class BufferPool:
 
     def collect(self, stable: Dict[int, int]) -> int:
         """Drop every buffered (origin, seq) with seq <= stable[origin]."""
-        doomed = [
-            key
-            for key in self._messages
-            if key[1] <= stable.get(key[0], 0)
-        ]
-        for origin, seq in doomed:
-            del self._messages[(origin, seq)]
-            self._per_origin[origin] -= 1
+        get = stable.get
+        for origin, bound in self._lowest.items():
+            if get(origin, 0) >= bound:
+                break
+        else:
+            return 0  # every watermark is below everything buffered
+        doomed = []
+        lowest: Dict[int, int] = {}
+        for key in self._messages:
+            origin, seq = key
+            if seq <= get(origin, 0):
+                doomed.append(key)
+            elif seq < lowest.get(origin, seq + 1):
+                lowest[origin] = seq
+        for key in doomed:
+            del self._messages[key]
+            self._per_origin[key[0]] -= 1
+        self._lowest = lowest
         self.stats["collected"] += len(doomed)
         return len(doomed)
 

@@ -70,8 +70,9 @@ PINNED_TRANSACTIONS = 600
 PINNED_SEED = 42
 
 #: Campaigns the harness measures by default: the small ``smoke`` case
-#: (fast, CI-friendly) and the full ``fig5`` performance sweep (the
-#: number the ROADMAP's ≥3× target is judged against).
+#: (fast, CI-friendly) and the full ``fig5`` performance sweep.  Both
+#: are frozen history (``BENCH_7/9/10.json``); performance claims are
+#: made with ``BENCHMARK.json`` and ``bench/`` instead.
 PERF_CAMPAIGNS: Tuple[str, ...] = ("smoke", "fig5")
 
 ProgressFn = Callable[[str], None]

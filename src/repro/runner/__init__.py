@@ -12,14 +12,23 @@ aborting the campaign.
 
 **Invariants.**
 
-* *Execution-path equivalence* — a cell's result is identical whether
-  run directly, with ``workers=1``, in a pool, or resumed from an
-  artifact (results serialize losslessly for everything the figures
+* *Results are values* — on every source a cell's result is its
+  ``ScenarioResult.to_dict()`` payload rebuilt with ``from_dict``:
+  ``result.sites == []``, and the live simulation graph is reclaimed
+  before the next cell starts (campaign time linear in cells, memory
+  flat).  Live ``sites`` exist only on a ``Scenario`` you run yourself;
+* *Execution-path equivalence* — that payload is identical whether the
+  cell ran directly, with ``workers=1``, in a pool, or was resumed from
+  an artifact (results serialize losslessly for everything the figures
   read);
 * *Resume safety* — an artifact is only reused when its stored config
   matches the requested one exactly;
 * *Crash isolation* — a worker crash (or a cell raising) marks that
   cell failed with its traceback; the rest of the campaign completes.
+  ``KeyboardInterrupt``/``SystemExit`` inside an in-process cell abort
+  the campaign instead;
+* *Collector neutrality* — ``run_campaign`` pauses the cyclic collector
+  per cell and leaves ``gc.isenabled()`` as it found it.
 
 Quick start::
 

@@ -7,11 +7,19 @@
 * **artifact** — a matching result already sits in the artifact store
   (resume): the cell is loaded, not run;
 * **in-process** — ``workers=1``: cells run sequentially in this
-  process, bit-identical to calling ``Scenario(config).run()`` yourself
-  (the legacy ``run_grid`` behavior);
+  process;
 * **worker** — ``workers>1``: cells are farmed to a
-  ``ProcessPoolExecutor``; results cross the process boundary as
-  ``ScenarioResult.to_dict()`` payloads.
+  ``ProcessPoolExecutor``.
+
+A campaign result is a *value* on every source: the cell's
+``ScenarioResult.to_dict()`` payload, rebuilt with
+``ScenarioResult.from_dict`` — the same payload ``Scenario(config).run()``
+produces when you call it yourself, answering every metric, commit-log
+and safety question identically, but with ``result.sites == []``.  The
+live simulation graph (sites, kernel, client generators) is dropped and
+reclaimed as soon as the payload exists, so a campaign's time is linear
+in its cells and its memory flat; to inspect live ``sites``, run the
+``Scenario`` directly.
 
 Determinism: every scenario is seeded solely by its config, and
 :class:`~repro.core.experiment.Scenario` restarts the transaction-id
@@ -27,6 +35,7 @@ still completes.
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 import traceback
@@ -132,33 +141,55 @@ def _resolve_store(
     return ArtifactStore(artifact_dir)
 
 
-def _execute_cell(
-    label: str, config: ScenarioConfig
-) -> Tuple[str, Optional[dict], Optional[str], float, int]:
-    """Worker-side entry point: run one cell, never raise.
+#: What one executed cell hands back, by value:
+#: ``(label, payload, error, duration, pid)`` — exactly one of
+#: ``payload`` (``ScenarioResult.to_dict()``) and ``error`` (traceback
+#: text) is set; ``pid`` attributes the cell to the process that ran it.
+CellOutcome = Tuple[str, Optional[dict], Optional[str], float, int]
 
-    Results return as ``to_dict()`` payloads — live results hold
-    simulator entities that must not cross the process boundary.  The
-    trailing pid attributes the cell to the worker that ran it.
+
+def _execute_cell(label: str, config: ScenarioConfig) -> CellOutcome:
+    """Run one cell and hand its outcome back by value — the one
+    cell-execution path, for the in-process loop and pool workers alike.
+
+    Live results hold simulator entities that must neither cross a
+    process boundary nor outlive the cell, so only the ``to_dict()``
+    payload leaves this function.  That makes the runner the owner of
+    the graph's lifetime, hence of the collector: it is paused while the
+    cell is assembled, run and serialised (so ``Scenario.run`` sees it
+    disabled and sweeps nothing), then restored, and the graph — dead by
+    now, and wholly in the young generation because nothing was
+    collected since it was built — is reclaimed by a young-generation
+    collection whose cost is the cell's size, not the process heap's.
+
+    An exception becomes a failed outcome carrying its traceback.
+    ``KeyboardInterrupt`` and ``SystemExit`` propagate, so an in-process
+    campaign aborts; inside a pool worker the executor ships them back
+    as the future's exception, which ``_run_in_pool`` records as a
+    failed cell.
     """
     started = time.perf_counter()
+    payload = error = None
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        result = Scenario(config).run()
-        return (
-            label,
-            result.to_dict(),
-            None,
-            time.perf_counter() - started,
-            os.getpid(),
-        )
-    except BaseException:
-        return (
-            label,
-            None,
-            traceback.format_exc(),
-            time.perf_counter() - started,
-            os.getpid(),
-        )
+        payload = Scenario(config).run().to_dict()
+    except Exception:
+        error = traceback.format_exc()
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+        gc.collect(0)
+    return label, payload, error, time.perf_counter() - started, os.getpid()
+
+
+def _cell_from(outcome: CellOutcome, source: str) -> "CampaignCell":
+    """The :class:`CampaignCell` of an :func:`_execute_cell` outcome."""
+    label, payload, error, duration, pid = outcome
+    if payload is None:
+        return CampaignCell(label, "failed", None, error, duration, source, pid)
+    result = ScenarioResult.from_dict(payload)
+    return CampaignCell(label, "ok", result, None, duration, source, pid)
 
 
 def _resolve_journal(
@@ -318,39 +349,12 @@ def _run_in_process(
     finish: Callable[[CampaignCell], None],
     on_start: Optional[Callable[[str], None]] = None,
 ) -> None:
-    """Sequential path: identical to the legacy ``run_grid`` loop, with
-    per-cell failure isolation."""
-    pid = os.getpid()
+    """Sequential path: each cell executes exactly as a pool worker
+    would run it, only in this process."""
     for label, config in pending:
         if on_start is not None:
             on_start(label)
-        started = time.perf_counter()
-        try:
-            result = Scenario(config).run()
-        except Exception:
-            finish(
-                CampaignCell(
-                    label,
-                    "failed",
-                    None,
-                    traceback.format_exc(),
-                    time.perf_counter() - started,
-                    "in-process",
-                    pid,
-                )
-            )
-        else:
-            finish(
-                CampaignCell(
-                    label,
-                    "ok",
-                    result,
-                    None,
-                    time.perf_counter() - started,
-                    "in-process",
-                    pid,
-                )
-            )
+        finish(_cell_from(_execute_cell(label, config), "in-process"))
 
 
 def _run_in_pool(
@@ -367,11 +371,13 @@ def _run_in_pool(
     cell actually begins executing, instead of firing for the whole grid
     up front.
 
-    ``_execute_cell`` catches everything that happens *inside* a worker;
-    the except branches here additionally absorb pool-level failures (a
-    worker process dying takes the executor down — every outstanding
-    future, and every not-yet-submitted cell, then resolves to a failed
-    cell instead of killing the campaign)."""
+    ``_execute_cell`` turns an exception *inside* a cell into a failed
+    outcome; the except branches here additionally absorb what comes
+    back as a future's exception — an interrupt or exit raised inside a
+    worker's cell, and pool-level failures (a worker process dying takes
+    the executor down — every outstanding future, and every
+    not-yet-submitted cell, then resolves to a failed cell instead of
+    killing the campaign)."""
     if not pending:
         return
     queue: Iterator[Tuple[str, ScenarioConfig]] = iter(pending)
@@ -400,7 +406,7 @@ def _run_in_pool(
             for future in done:
                 label = futures.pop(future)
                 try:
-                    _, payload, error, duration, pid = future.result()
+                    outcome = future.result()
                 except BaseException as exc:  # BrokenProcessPool and kin
                     finish(
                         CampaignCell(
@@ -408,28 +414,5 @@ def _run_in_pool(
                         )
                     )
                 else:
-                    if error is not None:
-                        finish(
-                            CampaignCell(
-                                label,
-                                "failed",
-                                None,
-                                error,
-                                duration,
-                                "worker",
-                                pid,
-                            )
-                        )
-                    else:
-                        finish(
-                            CampaignCell(
-                                label,
-                                "ok",
-                                ScenarioResult.from_dict(payload),
-                                None,
-                                duration,
-                                "worker",
-                                pid,
-                            )
-                        )
+                    finish(_cell_from(outcome, "worker"))
                 submit_next()

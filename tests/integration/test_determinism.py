@@ -50,22 +50,28 @@ class TestDeterminism:
         b = run(seed=4)
         assert a.throughput_tpm() != b.throughput_tpm()
 
-    def test_sequential_workers1_and_pool_identical(self):
+    def test_sequential_workers1_and_pool_identical(self, tmp_path):
         """The same config + seed yields identical metrics whether run
-        directly, through the runner in-process (workers=1), or in a
-        worker process pool — the property every parallel campaign
-        rests on."""
+        directly, through the runner in-process (workers=1), in a
+        worker process pool, or resumed from an artifact — the property
+        every parallel campaign rests on.  Campaign results are values
+        on every source; only the direct run keeps its live sites."""
         config = config_for(seed=3, transactions=150)
+        grid = [("cell", config)]
         direct = Scenario(config).run()
-        (_, in_process), = run_campaign(
-            [("cell", config)], workers=1
-        ).pairs()
-        (_, pooled), = run_campaign(
-            [("cell", config)], workers=2
-        ).pairs()
+        in_process, = run_campaign(grid, workers=1, artifact_dir=tmp_path).cells
+        pooled, = run_campaign(grid, workers=2).cells
+        resumed, = run_campaign(grid, workers=1, artifact_dir=tmp_path).cells
         expect = self._observables(direct)
-        assert self._observables(in_process) == expect
-        assert self._observables(pooled) == expect
+        assert len(direct.sites) == config.sites
+        for cell, source in (
+            (in_process, "in-process"),
+            (pooled, "worker"),
+            (resumed, "artifact"),
+        ):
+            assert cell.source == source
+            assert self._observables(cell.result) == expect, source
+            assert cell.result.sites == [], source
 
     @staticmethod
     def _observables(result):

@@ -58,18 +58,23 @@ def observables(result):
 
 
 class TestPoolMatchesSequential:
-    def test_pool_grid_identical_to_sequential(self):
+    def test_pool_grid_identical_to_sequential(self, tmp_path):
         grid = grid_configs()
         sequential = [
             (label, Scenario(config).run()) for label, config in grid
         ]
-        in_process = run_campaign(grid, workers=1).pairs()
-        pooled = run_campaign(grid, workers=2).pairs()
-        for (label, direct), (_, single), (_, parallel) in zip(
-            sequential, in_process, pooled
-        ):
-            assert observables(single) == observables(direct), label
-            assert observables(parallel) == observables(direct), label
+        campaigns = {
+            "in-process": run_campaign(grid, workers=1, artifact_dir=tmp_path),
+            "worker": run_campaign(grid, workers=2),
+            "artifact": run_campaign(grid, workers=1, artifact_dir=tmp_path),
+        }
+        for source, campaign in campaigns.items():
+            for (label, direct), cell in zip(sequential, campaign.cells):
+                assert cell.source == source, label
+                assert observables(cell.result) == observables(direct), label
+                # campaign results are values; only a direct run is live
+                assert cell.result.sites == [], (source, label)
+                assert len(direct.sites) == direct.config.sites
 
     def test_run_grid_rewired_through_runner(self):
         grid = grid_configs()[:2]

@@ -53,18 +53,23 @@ class TestPartialDeterminism:
         b = Scenario(partial_config()).run()
         assert observables(a) == observables(b)
 
-    def test_sequential_workers1_and_pool_identical(self):
+    def test_sequential_workers1_and_pool_identical(self, tmp_path):
         config = partial_config(transactions=150)
+        grid = [("cell", config)]
         direct = Scenario(config).run()
-        (_, in_process), = run_campaign(
-            [("cell", config)], workers=1
-        ).pairs()
-        (_, pooled), = run_campaign(
-            [("cell", config)], workers=2
-        ).pairs()
+        in_process, = run_campaign(grid, workers=1, artifact_dir=tmp_path).cells
+        pooled, = run_campaign(grid, workers=2).cells
+        resumed, = run_campaign(grid, workers=1, artifact_dir=tmp_path).cells
         expect = observables(direct)
-        assert observables(in_process) == expect
-        assert observables(pooled) == expect
+        assert len(direct.sites) == config.sites
+        for cell, source in (
+            (in_process, "in-process"),
+            (pooled, "worker"),
+            (resumed, "artifact"),
+        ):
+            assert cell.source == source
+            assert observables(cell.result) == expect, source
+            assert cell.result.sites == [], source
 
     def test_placement_changes_the_execution(self):
         ranged = Scenario(partial_config()).run()

@@ -68,3 +68,50 @@ def test_pool_collect_never_leaves_stale_entries(stores, stable):
             s for o, s in stores if o == origin and s > stable.get(origin, 0)
         }
         assert pool.occupancy(origin) == len(live)
+
+
+_ORIGINS = st.integers(min_value=0, max_value=3)
+_SEQS = st.integers(min_value=1, max_value=40)
+_POOL_OPS = st.one_of(
+    st.tuples(st.just("store"), _ORIGINS, _SEQS),
+    st.tuples(st.just("purge"), _ORIGINS, st.integers(min_value=0, max_value=40)),
+    st.tuples(
+        st.just("collect"),
+        st.dictionaries(_ORIGINS, st.integers(min_value=0, max_value=40)),
+    ),
+)
+
+
+@given(st.lists(_POOL_OPS, max_size=120))
+@settings(max_examples=300)
+def test_pool_collect_skip_matches_plain_scan(ops):
+    """``collect`` may return early only when the plain scan over every
+    buffered message would have found nothing: any interleaving of
+    store / collect / purge_origin_above leaves the same messages, the
+    same return values and the same counters as a reference set."""
+    pool = BufferPool(share=1000)
+    reference = set()
+    collected = 0
+    for op in ops:
+        if op[0] == "store":
+            _, origin, seq = op
+            pool.store(origin, seq, b"x")
+            reference.add((origin, seq))
+        elif op[0] == "purge":
+            _, origin, seq = op
+            doomed = {k for k in reference if k[0] == origin and k[1] > seq}
+            assert pool.purge_origin_above(origin, seq) == len(doomed)
+            reference -= doomed
+        else:
+            stable = op[1]
+            doomed = {k for k in reference if k[1] <= stable.get(k[0], 0)}
+            assert pool.collect(stable) == len(doomed)
+            reference -= doomed
+            collected += len(doomed)
+        assert pool.total_buffered() == len(reference)
+    assert pool.stats["collected"] == collected
+    for origin in range(4):
+        mine = {seq for o, seq in reference if o == origin}
+        assert pool.occupancy(origin) == len(mine)
+        for seq in range(1, 41):
+            assert (pool.get(origin, seq) is not None) == (seq in mine)

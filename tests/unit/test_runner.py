@@ -1,10 +1,13 @@
 """Unit tests for the campaign runner: store, progress, plumbing."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
 from repro.core.experiment import Scenario, ScenarioConfig
+from repro.core.kernel import Simulator
 from repro.runner import (
     ETA_WINDOW,
     ArtifactCollisionError,
@@ -226,3 +229,107 @@ class TestRunCampaignInProcess:
         assert [c.source for c in campaign.cells] == ["in-process"] * 3
         assert len(events) == 3
         assert events[-1].done == 3 and events[-1].total == 3
+
+
+def _raising_run(exc_type, poison_seed=4):
+    """A ``Scenario.run`` that raises ``exc_type`` on the cell seeded
+    ``poison_seed`` (``cell1`` of the grids below) and runs every other
+    cell for real."""
+    real_run = Scenario.run
+
+    def run(self):
+        if self.config.seed == poison_seed:
+            raise exc_type("raised inside the cell")
+        return real_run(self)
+
+    return run
+
+
+class TestInProcessInterrupts:
+    GRID = [(f"cell{i}", tiny_config(seed=3 + i)) for i in range(3)]
+
+    def test_keyboard_interrupt_aborts_the_campaign(self, monkeypatch):
+        monkeypatch.setattr(Scenario, "run", _raising_run(KeyboardInterrupt))
+        events = []
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(self.GRID, workers=1, progress=events.append)
+        assert [e.label for e in events] == ["cell0"]
+
+    def test_interrupt_closes_the_journal(self, monkeypatch, tmp_path):
+        from repro.dashboard.journal import (
+            JournalWriter,
+            journal_path,
+            read_journal,
+        )
+
+        closed = []
+        real_close = JournalWriter.close
+
+        def close(self):
+            closed.append(self)
+            real_close(self)
+
+        monkeypatch.setattr(JournalWriter, "close", close)
+        monkeypatch.setattr(Scenario, "run", _raising_run(SystemExit))
+        with pytest.raises(SystemExit):
+            run_campaign(self.GRID, workers=1, artifact_dir=tmp_path)
+        assert len(closed) == 1
+        kinds = [e["kind"] for e in read_journal(journal_path(tmp_path))]
+        assert kinds == ["campaign-start", "cell-start", "cell-finish",
+                         "cell-start"]
+
+    def test_other_exceptions_become_one_failed_cell(self, monkeypatch):
+        monkeypatch.setattr(Scenario, "run", _raising_run(RuntimeError))
+        campaign = run_campaign(self.GRID, workers=1)
+        assert [c.status for c in campaign.cells] == ["ok", "failed", "ok"]
+        error = campaign.get("cell1").error
+        assert "Traceback" in error
+        assert "RuntimeError: raised inside the cell" in error
+
+
+class TestCollectorOwnership:
+    """The runner pauses the collector per cell and hands it back as it
+    found it; each cell's simulation graph is gone before the next."""
+
+    GRID = [(f"cell{i}", tiny_config(seed=3 + i)) for i in range(4)]
+
+    @pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
+    def collector(self, request):
+        was_enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was_enabled else gc.disable)()
+
+    @pytest.mark.parametrize("raised", [None, RuntimeError, KeyboardInterrupt])
+    def test_collector_state_restored(self, collector, raised, monkeypatch):
+        if raised is not None:
+            monkeypatch.setattr(Scenario, "run", _raising_run(raised))
+        try:
+            run_campaign(self.GRID, workers=1)
+        except KeyboardInterrupt:
+            assert raised is KeyboardInterrupt
+        assert gc.isenabled() == collector
+
+    def test_graph_reclaimed_before_each_progress_event(self, monkeypatch):
+        alive = weakref.WeakSet()
+        real_init = Simulator.__init__
+
+        def tracking_init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            alive.add(self)
+
+        monkeypatch.setattr(Simulator, "__init__", tracking_init)
+        # cell1's Scenario assembles (building its Simulator), then
+        # fails inside run()
+        monkeypatch.setattr(Scenario, "run", _raising_run(RuntimeError))
+        reclaimed = []
+        seen = []
+
+        def on_event(event):
+            reclaimed.append(len(alive) == 0)
+            seen.append(event.status)
+
+        campaign = run_campaign(self.GRID, workers=1, progress=on_event)
+        assert seen == ["ok", "failed", "ok", "ok"]
+        assert reclaimed == [True] * 4
+        assert all(c.result.sites == [] for c in campaign.cells if c.result)
