@@ -36,7 +36,9 @@ class ProfilingTimer:
     of :meth:`elapsed` is the job duration *excluding* paused intervals.
     """
 
-    def start(self) -> None:
+    def start(self, charged: float = 0.0) -> None:
+        """Begin measuring a job, ``charged`` seconds already declared
+        (the entry cost: a :meth:`charge` folded into the start)."""
         raise NotImplementedError
 
     def pause(self) -> None:
@@ -78,7 +80,8 @@ class WallClockTimer(ProfilingTimer):
         self._started_at: Optional[int] = None
         self._running = False
 
-    def start(self) -> None:
+    def start(self, charged: float = 0.0) -> None:
+        # Work is measured by the clock: a declared charge is ignored.
         self._accumulated_ns = 0
         self._started_at = time.perf_counter_ns()
         self._running = True
@@ -126,8 +129,8 @@ class CostModelTimer(ProfilingTimer):
         self._running = False
         self._paused = False
 
-    def start(self) -> None:
-        self._accumulated = 0.0
+    def start(self, charged: float = 0.0) -> None:
+        self._accumulated = charged
         self._running = True
         self._paused = False
 

@@ -8,6 +8,28 @@ Real jobs have priority: a running simulated job is preempted — its
 remaining duration is put back at the head of the queue — so protocol code
 is never delayed behind modeled transaction work (§3.1).
 
+**The life of a real job**, continued from :mod:`repro.core.csrt`:
+
+* *inline or queued* — an idle CPU runs ``execute(*args)`` inside the
+  submitting call, with no :class:`Job` and no queue round-trip; a busy
+  one queues a :class:`Job` (a pool places it by ``_choose`` first);
+* *lazy or eager completion* — the CPU is busy for the returned duration
+  and takes the next kernel sequence number for its completion event.
+  The event is pushed (eager) only if somebody waits for it: an
+  ``on_complete``, or work queued behind.  Otherwise the CPU merely
+  remembers ``(end, reserved_seq)``;
+* *settle* — whoever next looks at the CPU first retires a lazy job whose
+  end has passed (``busy_time``, ``jobs_completed``, idle).  Work that
+  arrives before the end queues, and pushes the event late **under the
+  reserved key**.
+
+Simulated results cannot tell: the heap orders by ``(time, seq)``, the
+number is taken where the eager push took it, and at a late push every
+key already popped is below the reserved one.  Only an arrival at exactly
+``end`` needs care — the elided event has run iff its number is below that
+of the event executing now, hence ``Simulator._exec_seq`` — and a draining
+``run()`` still ends at the last job's end (``Simulator._horizon``).
+
 Per-kind busy-time accounting feeds the resource-usage results of
 Figures 6(a) and 7(c).
 """
@@ -16,7 +38,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappush as _heappush
-from typing import Callable, Deque, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from .kernel import Entity, Event, Simulator
 
@@ -29,23 +51,27 @@ REAL_JOB = "real"
 
 
 class Job:
-    """A unit of CPU work.
+    """A unit of CPU work waiting in a queue.
 
     For ``SIM_JOB`` the ``duration`` is fixed up front and ``on_complete``
-    fires when it has been fully served.  For ``REAL_JOB`` the ``execute``
-    callable runs the real code and returns the measured duration; the CPU
-    is then held busy for that long before ``on_complete`` fires.
+    fires when it has been fully served.  For ``REAL_JOB``
+    ``execute(*args)`` runs the real code and returns the measured
+    duration; the CPU is then held busy for that long before
+    ``on_complete`` fires.
     """
 
-    __slots__ = ("kind", "duration", "execute", "on_complete", "tag", "preemptions")
+    __slots__ = (
+        "kind", "duration", "execute", "args", "on_complete", "tag", "preemptions"
+    )
 
     def __init__(
         self,
         kind: str,
         duration: float = 0.0,
-        execute: Optional[Callable[[], float]] = None,
+        execute: Optional[Callable[..., float]] = None,
         on_complete: Optional[Callable[[], None]] = None,
         tag: str = "",
+        args: tuple = (),
     ):
         if kind not in (SIM_JOB, REAL_JOB):
             raise ValueError(f"unknown job kind {kind!r}")
@@ -56,6 +82,7 @@ class Job:
         self.kind = kind
         self.duration = duration
         self.execute = execute
+        self.args = args
         self.on_complete = on_complete
         self.tag = tag
         self.preemptions = 0
@@ -76,108 +103,181 @@ class SimulatedCpu(Entity):
         self.speed_scale = speed_scale
         self._real_queue: Deque[Job] = deque()
         self._sim_queue: Deque[Job] = deque()
-        self._current: Optional[Job] = None
+        #: Kind of the running job, ``None`` when idle — stale until
+        #: :meth:`_settle` has run, so private to this class.
+        self._current: Optional[str] = None
         self._current_started = 0.0
+        #: The running modeled job and its cancellable end (preemption).
+        self._sim_job: Optional[Job] = None
         self._end_event: Optional[Event] = None
-        #: Cumulative busy seconds by job kind, for utilization reports.
-        self.busy_time = {SIM_JOB: 0.0, REAL_JOB: 0.0}
-        self.jobs_completed = {SIM_JOB: 0, REAL_JOB: 0}
+        #: End and reserved sequence number of a running real job whose
+        #: completion event was not pushed (0: none; numbering starts at 1).
+        self._lazy_end = 0.0
+        self._lazy_seq = 0
+        self._busy_time = {SIM_JOB: 0.0, REAL_JOB: 0.0}
+        self._jobs_completed = {SIM_JOB: 0, REAL_JOB: 0}
 
     # ------------------------------------------------------------------
     # public interface
     # ------------------------------------------------------------------
     @property
     def busy(self) -> bool:
+        if self._lazy_seq:
+            self._settle()
         return self._current is not None
 
     @property
     def current_kind(self) -> Optional[str]:
-        return self._current.kind if self._current else None
+        if self._lazy_seq:
+            self._settle()
+        return self._current
+
+    @property
+    def busy_time(self) -> Dict[str, float]:
+        """Cumulative busy seconds of *completed* service by job kind."""
+        self._settle()
+        return self._busy_time
+
+    @property
+    def jobs_completed(self) -> Dict[str, int]:
+        self._settle()
+        return self._jobs_completed
 
     def queue_length(self) -> int:
+        # No settle: a lazily-completing job has, by construction,
+        # nothing queued behind it.
         return len(self._real_queue) + len(self._sim_queue)
+
+    def busy_seconds(self) -> Tuple[float, float]:
+        """``(sim, real)`` cumulative busy seconds, including the served
+        slice of the running job so sampling mid-run does not
+        under-report.  The one accessor samplers and reports use."""
+        self._settle()
+        sim_part = self._busy_time[SIM_JOB]
+        real_part = self._busy_time[REAL_JOB]
+        if self._current == SIM_JOB:
+            sim_part = sim_part + (self.sim._now - self._current_started)
+        elif self._current is not None:
+            real_part = real_part + (self.sim._now - self._current_started)
+        return sim_part, real_part
 
     def submit(self, job: Job) -> None:
         """Enqueue ``job`` and dispatch, preempting a simulated job if the
         newcomer is real code and the CPU is busy with modeled work."""
+        if self._lazy_seq:
+            self._settle()
         if job.kind == REAL_JOB:
             self._real_queue.append(job)
-            if self._current is not None and self._current.kind == SIM_JOB:
+            if self._current == SIM_JOB:
                 self._preempt_current()
         else:
             self._sim_queue.append(job)
+        if self._lazy_seq:
+            # Work now waits behind the lazily-completing job: it needs
+            # its wake-up after all, under the key reserved for it.
+            _heappush(
+                self.sim._queue,
+                (self._lazy_end, self._lazy_seq, self._complete, (REAL_JOB, None)),
+            )
+            self._lazy_seq = 0
         self._dispatch()
 
-    def utilization(self, elapsed: float) -> dict:
-        """Fraction of ``elapsed`` spent busy, split by job kind.
+    def submit_real(
+        self,
+        execute: Callable[..., float],
+        args: tuple = (),
+        on_complete: Optional[Callable[[], None]] = None,
+    ) -> None:
+        """The real-job fast lane: run ``execute(*args)`` in this call if
+        the CPU is idle, queue it as a :class:`Job` otherwise."""
+        if self._lazy_seq:
+            self._settle()
+        if self._current is None and not self._real_queue:
+            self._start_real(execute, args, on_complete)
+        else:
+            self.submit(Job(REAL_JOB, execute=execute, args=args, on_complete=on_complete))
 
-        Includes the in-progress slice of the currently running job so
-        sampling mid-run does not under-report.
-        """
-        busy = dict(self.busy_time)
-        if self._current is not None:
-            busy[self._current.kind] += self.now - self._current_started
+    def utilization(self, elapsed: float) -> dict:
+        """Fraction of ``elapsed`` spent busy, split by job kind."""
         if elapsed <= 0:
             return {SIM_JOB: 0.0, REAL_JOB: 0.0, "total": 0.0}
-        sim_frac = busy[SIM_JOB] / elapsed
-        real_frac = busy[REAL_JOB] / elapsed
+        sim_busy, real_busy = self.busy_seconds()
+        sim_frac = sim_busy / elapsed
+        real_frac = real_busy / elapsed
         return {SIM_JOB: sim_frac, REAL_JOB: real_frac, "total": sim_frac + real_frac}
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+    def _settle(self) -> None:
+        """Retire the lazily-completing job, if there is one and its
+        elided completion event would have run by now.  Hot callers test
+        ``_lazy_seq`` themselves: modeled-only sites never pay the call."""
+        seq = self._lazy_seq
+        if seq:
+            sim = self.sim
+            end = self._lazy_end
+            if end < sim._now or (end == sim._now and seq <= sim._exec_seq):
+                self._lazy_seq = 0
+                self._busy_time[REAL_JOB] += end - self._current_started
+                self._jobs_completed[REAL_JOB] += 1
+                self._current = None
+
     def _preempt_current(self) -> None:
         """Push the running simulated job back with its remaining duration."""
-        job = self._current
-        assert job is not None and job.kind == SIM_JOB
-        assert self._end_event is not None
-        self._end_event.cancel()
-        served = self.now - self._current_started
-        self.busy_time[SIM_JOB] += served
-        remaining = max(0.0, (self._end_event.time - self.now)) * self.speed_scale
-        job.duration = remaining
+        job, event = self._sim_job, self._end_event
+        assert job is not None and event is not None
+        event.cancel()
+        now = self.sim._now
+        self._busy_time[SIM_JOB] += now - self._current_started
+        job.duration = max(0.0, event.time - now) * self.speed_scale
         job.preemptions += 1
         self._sim_queue.appendleft(job)
-        self._current = None
-        self._end_event = None
+        self._current = self._sim_job = self._end_event = None
 
     def _dispatch(self) -> None:
         if self._current is not None:
             return
         if self._real_queue:
             job = self._real_queue.popleft()
+            self._start_real(job.execute, job.args, job.on_complete)
         elif self._sim_queue:
-            job = self._sim_queue.popleft()
-        else:
-            return
-        self._current = job
-        self._current_started = self.sim._now
-        if job.kind == REAL_JOB:
-            assert job.execute is not None
-            duration = job.execute()
-            if duration < 0:
-                raise ValueError("measured duration must be non-negative")
-            # Real jobs are never preempted (only modeled work is), so
-            # their completion needs no cancellable handle.  Inlined
-            # fire-and-forget schedule (see Simulator.call): job
-            # completions are the single largest event population.
-            sim = self.sim
-            sim._seq += 1
-            _heappush(
-                sim._queue, (sim._now + duration, sim._seq, self._complete, (job,))
+            job = self._sim_job = self._sim_queue.popleft()
+            self._current = SIM_JOB
+            self._current_started = self.sim._now
+            self._end_event = self.schedule(
+                job.duration / self.speed_scale, self._complete, SIM_JOB, job.on_complete
             )
-        else:
-            duration = job.duration / self.speed_scale
-            self._end_event = self.schedule(duration, self._complete, job)
 
-    def _complete(self, job: Job) -> None:
-        assert self._current is job
-        self.busy_time[job.kind] += self.sim._now - self._current_started
-        self.jobs_completed[job.kind] += 1
-        self._current = None
-        self._end_event = None
-        if job.on_complete is not None:
-            job.on_complete()
+    def _start_real(self, execute, args: tuple, on_complete) -> None:
+        sim = self.sim
+        self._current = REAL_JOB
+        self._current_started = sim._now
+        duration = execute(*args)
+        if duration < 0:
+            raise ValueError("measured duration must be non-negative")
+        # Real jobs are never preempted (only modeled work is), so their
+        # completion needs no cancellable handle: an inlined
+        # fire-and-forget schedule (see Simulator.call) — or, when nobody
+        # waits for it, only the sequence number that schedule would take.
+        end = sim._now + duration
+        sim._seq += 1
+        if on_complete is None and not self._real_queue and not self._sim_queue:
+            self._lazy_end = end
+            self._lazy_seq = sim._seq
+            if end > sim._horizon:
+                sim._horizon = end
+        else:
+            _heappush(
+                sim._queue, (end, sim._seq, self._complete, (REAL_JOB, on_complete))
+            )
+
+    def _complete(self, kind: str, on_complete: Optional[Callable[[], None]]) -> None:
+        self._busy_time[kind] += self.sim._now - self._current_started
+        self._jobs_completed[kind] += 1
+        self._current = self._sim_job = self._end_event = None
+        if on_complete is not None:
+            on_complete()
         self._dispatch()
 
 
@@ -209,11 +309,21 @@ class CpuPool(Entity):
 
     def submit(self, job: Job) -> SimulatedCpu:
         """Place ``job`` on a CPU and return the chosen CPU."""
-        cpu = self._choose(job)
+        cpu = self._choose(job.kind)
         cpu.submit(job)
         return cpu
 
-    def _choose(self, job: Job) -> SimulatedCpu:
+    def submit_real(
+        self,
+        execute: Callable[..., float],
+        args: tuple = (),
+        on_complete: Optional[Callable[[], None]] = None,
+    ) -> None:
+        """Place real code and run it at once where the placement is an
+        idle CPU (see :meth:`SimulatedCpu.submit_real`)."""
+        self._choose(REAL_JOB).submit_real(execute, args, on_complete)
+
+    def _choose(self, kind: str) -> SimulatedCpu:
         n = len(self.cpus)
         if n == 1:
             # Single-CPU pool (the common configuration): every branch
@@ -226,7 +336,7 @@ class CpuPool(Entity):
             if not cpu.busy and cpu.queue_length() == 0:
                 self._rr = (self._rr + offset + 1) % n
                 return cpu
-        if job.kind == REAL_JOB:
+        if kind == REAL_JOB:
             # Prefer a CPU running modeled work (it will be preempted)
             # over one already running real code.
             for offset in range(n):

@@ -3,16 +3,34 @@
 Real protocol code (group communication, certification) executes inside
 the discrete-event simulation.  Its duration is obtained from a profiling
 timer and charged to a simulated CPU, so real jobs compete with modeled
-transaction-processing jobs for the same processor.  The two hazards of
-Figure 1(b) are handled exactly as the paper prescribes:
+transaction-processing jobs for the same processor.
+
+**The life of a real job.**  Every datagram and every protocol timer is
+one.  There is one representation — ``(fn, args, entry_cost,
+on_complete)`` — and one runner, :meth:`SiteRuntime._run`:
+
+* *arrival* — :meth:`SiteRuntime.deliver` (a datagram that passed the
+  crash and loss checks), an expiring :meth:`SiteRuntime.rt_schedule`
+  timer or :meth:`SiteRuntime.submit_real` prices the entry cost and
+  hands ``_run, (fn, args, entry_cost)`` to the site's CPU — in one
+  call, with no closure and no per-job object;
+* *inline or queued, lazy or eager completion, settle* — the CPU's half
+  of the story, told in :mod:`repro.core.cpu`;
+* *run* — ``_run`` starts the profiling timer with the entry cost on it,
+  runs ``fn(*args)`` and returns the duration (measured or modeled,
+  after the fault injector's clock drift).  A crashed site skips the
+  code and holds the CPU for zero seconds.
+
+While the code runs, the two hazards of Figure 1(b) are handled exactly
+as the paper prescribes:
 
 * an event scheduled *by real code* with delay δq is entered into the
   simulation with delay δ′q = Δ1 + δq, where Δ1 is the real time already
   consumed by the running job — otherwise the event could land in the
   simulation past;
 * the profiling timer is **paused** whenever real code re-enters the
-  runtime (to schedule, send, or read the clock), so runtime overhead is
-  never billed to the job, and resumed on return.
+  runtime (to schedule or send), so runtime overhead is never billed to
+  the job, and resumed on return.
 
 Fault injection (§5.3) intercepts calls in and out of this runtime via a
 :class:`RuntimeInterceptor`; the concrete fault models live in
@@ -24,8 +42,8 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from .clock import CostModelTimer, CpuCostModel, ProfilingTimer, WallClockTimer
-from .cpu import CpuPool, Job, REAL_JOB
-from .kernel import Entity, Event, Simulator
+from .cpu import CpuPool
+from .kernel import Entity, Simulator
 
 __all__ = ["SiteRuntime", "RuntimeInterceptor", "ScheduledCallback", "MEASURED", "MODELED"]
 
@@ -63,18 +81,18 @@ class RuntimeInterceptor:
 
 
 class ScheduledCallback:
-    """Cancellable handle for a callback scheduled by protocol code."""
+    """Cancellable handle for a callback scheduled by protocol code.
 
-    __slots__ = ("_event", "cancelled")
+    The kernel entry is fire-and-forget; a cancelled callback stays in
+    the heap and no-ops when it fires (see :meth:`SiteRuntime._fire`)."""
+
+    __slots__ = ("cancelled",)
 
     def __init__(self) -> None:
-        self._event: Optional[Event] = None
         self.cancelled = False
 
     def cancel(self) -> None:
         self.cancelled = True
-        if self._event is not None:
-            self._event.cancel()
 
 
 class SiteRuntime(Entity):
@@ -99,6 +117,9 @@ class SiteRuntime(Entity):
         if mode not in (MEASURED, MODELED):
             raise ValueError(f"unknown clock mode {mode!r}")
         self.cpus = cpus
+        #: Where real jobs go: the pool's placement — or, on a single-CPU
+        #: site, where there is no placement to make, that CPU itself.
+        self._submit = cpus.cpus[0].submit_real if len(cpus) == 1 else cpus.submit_real
         self.mode = mode
         self.cost_model = cost_model or CpuCostModel()
         self.cpu_scale = cpu_scale
@@ -109,10 +130,10 @@ class SiteRuntime(Entity):
         #: Handler installed by protocol code for incoming datagrams.
         self.receiver: Optional[Callable[[Any, bytes], None]] = None
         self._active_timer: Optional[ProfilingTimer] = None
-        #: One reusable cost-model timer: jobs never nest (``execute``
-        #: runs each real job to completion on the single-threaded
-        #: kernel), and ``start()`` resets the accumulator, so allocating
-        #: a fresh timer per job is pure garbage-collector churn.
+        #: One reusable cost-model timer: jobs never nest (each real job
+        #: runs to completion on the single-threaded kernel), and
+        #: ``start()`` resets the accumulator, so allocating a fresh
+        #: timer per job is pure garbage-collector churn.
         self._model_timer = CostModelTimer()
         #: Counters surfaced in experiment reports.
         self.stats = {
@@ -126,59 +147,47 @@ class SiteRuntime(Entity):
     # ------------------------------------------------------------------
     # executing real code
     # ------------------------------------------------------------------
-    def _new_timer(self) -> ProfilingTimer:
-        if self.mode == MEASURED:
-            return WallClockTimer(scale=self.cpu_scale)
-        return self._model_timer
-
     def submit_real(
         self,
-        fn: Callable[[], None],
+        fn: Callable[..., None],
         tag: str = CpuCostModel.TIMER,
         nbytes: int = 0,
         delay: float = 0.0,
         on_complete: Optional[Callable[[], None]] = None,
+        args: tuple = (),
     ) -> None:
-        """Queue real code for execution ``delay`` seconds from now.
+        """Run real code ``fn(*args)`` as a job ``delay`` seconds from now.
 
-        The code runs when a CPU dequeues it; its measured (or modeled)
-        duration then occupies that CPU, during which modeled jobs wait.
+        The code runs when a CPU takes it — at once if one is idle; its
+        measured (or modeled) duration then occupies that CPU, during
+        which modeled jobs wait.
         """
-        job = Job(
-            REAL_JOB,
-            execute=self._make_executor(fn, tag, nbytes),
-            on_complete=on_complete,
-            tag=tag,
-        )
+        job = (fn, args, self.cost_model.cost(tag, nbytes))
         if delay <= 0:
-            self.cpus.submit(job)
+            self._submit(self._run, job, on_complete)
         else:
-            self.call(delay, self.cpus.submit, job)
+            self.call(delay, self._submit, self._run, job, on_complete)
 
-    def _make_executor(self, fn: Callable[[], None], tag: str, nbytes: int):
-        # The entry cost is a pure function of (tag, nbytes) — price it
-        # when the job is created, not when it runs: one lookup instead
-        # of one per execution, and the closure stays a cheap cell load.
-        entry_cost = self.cost_model.cost(tag, nbytes)
-
-        def execute() -> float:
-            interceptor = self.interceptor
-            if interceptor.crashed:
-                self.stats["jobs_skipped_crashed"] += 1
-                return 0.0
-            timer = self._new_timer()
-            self._active_timer = timer
-            timer.start()
-            timer.charge(entry_cost)
-            try:
-                fn()
-            finally:
-                elapsed = timer.stop()
-                self._active_timer = None
-            self.stats["real_jobs"] += 1
-            return interceptor.transform_elapsed(elapsed)
-
-        return execute
+    def _run(self, fn: Callable[..., None], args: tuple, entry_cost: float) -> float:
+        """The one runner of real jobs (both clock modes): execute
+        ``fn(*args)`` under the profiling timer, return its duration."""
+        interceptor = self.interceptor
+        if interceptor.crashed:
+            self.stats["jobs_skipped_crashed"] += 1
+            return 0.0
+        if self.mode == MEASURED:
+            timer = WallClockTimer(scale=self.cpu_scale)
+        else:
+            timer = self._model_timer
+        self._active_timer = timer
+        timer.start(entry_cost)
+        try:
+            fn(*args)
+        finally:
+            elapsed = timer.stop()
+            self._active_timer = None
+        self.stats["real_jobs"] += 1
+        return interceptor.transform_elapsed(elapsed)
 
     # ------------------------------------------------------------------
     # services callable *by running real code*
@@ -216,27 +225,23 @@ class SiteRuntime(Entity):
         timer = self._active_timer
         if timer is not None:
             timer.pause()
-            delta1 = timer.elapsed()
-        else:
-            delta1 = 0.0
+            delay += timer.elapsed()  # δ′q = Δ1 + δq
         try:
-
-            def fire() -> None:
-                if handle.cancelled or self.interceptor.crashed:
-                    return
-                self.submit_real(lambda: fn(*args), tag=tag, nbytes=nbytes)
-
-            # Handle-free schedule: ``fire`` re-checks ``handle.cancelled``
-            # itself, so the cancellable Event (and its allocation — one
-            # per protocol timer) is redundant.  Cancelled timers no-op at
-            # fire time instead of being dropped from the heap; protocol
-            # timers are short and rarely cancelled, so the heap stays
-            # small either way.
-            self.sim.call(delta1 + delay, fire)
+            self.sim.call(delay, self._fire, handle, fn, args, tag, nbytes)
         finally:
             if timer is not None:
                 timer.resume()
         return handle
+
+    def _fire(
+        self, handle: ScheduledCallback, fn: Callable[..., None], args: tuple,
+        tag: str, nbytes: int,
+    ) -> None:
+        """A protocol timer expires: unless cancelled meanwhile (or the
+        site crashed), its callback becomes a real job."""
+        if handle.cancelled or self.interceptor.crashed:
+            return
+        self._submit(self._run, (fn, args, self.cost_model.cost(tag, nbytes)))
 
     def rt_send(self, dest: Any, payload: bytes) -> None:
         """Hand a datagram to the simulated network.
@@ -275,20 +280,18 @@ class SiteRuntime(Entity):
         Reception is where the paper injects message loss ("each message
         is discarded upon reception with the specified probability").
         """
-        if self.interceptor.crashed:
+        interceptor = self.interceptor
+        if interceptor.crashed:
             return
-        if self.interceptor.drop_incoming(source, payload):
+        if interceptor.drop_incoming(source, payload):
             self.stats["drops_injected"] += 1
             return
-        if self.receiver is None:
+        handler = self.receiver
+        if handler is None:
             return
         self.stats["datagrams_in"] += 1
-        handler = self.receiver
-        self.submit_real(
-            lambda: handler(source, payload),
-            tag=CpuCostModel.RECV,
-            nbytes=len(payload),
-        )
+        entry_cost = self.cost_model.cost(CpuCostModel.RECV, len(payload))
+        self._submit(self._run, (handler, (source, payload), entry_cost))
 
     # ------------------------------------------------------------------
     # fault control

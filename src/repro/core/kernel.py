@@ -118,6 +118,16 @@ class Simulator:
         self._queue: list[tuple] = []
         self._now = 0.0
         self._seq = 0
+        #: Sequence number of the event being executed (of the last one
+        #: executed, between events).  A lazily-completing CPU compares
+        #: it with the number it reserved for a completion event it
+        #: never pushed, to tell whether that event would already have
+        #: run at this very instant (see :mod:`repro.core.cpu`).
+        self._exec_seq = 0
+        #: Latest end of work whose completion event was elided: a
+        #: draining run still ends there, as it did when the event
+        #: existed.
+        self._horizon = 0.0
         self._running = False
         self._stopped = False
         #: Cancelled events still sitting in the heap (lazy deletion).
@@ -234,6 +244,7 @@ class Simulator:
                         # Fire-and-forget entry from :meth:`call` — nothing
                         # to check for cancellation, just dispatch.
                         self._now = time
+                        self._exec_seq = entry[1]
                         entry[2](*entry[3])
                     else:
                         event = entry[2]
@@ -241,6 +252,7 @@ class Simulator:
                             self._cancelled -= 1
                             continue
                         self._now = time
+                        self._exec_seq = entry[1]
                         event.fn(*event.args)
                     executed += 1
             else:
@@ -254,6 +266,7 @@ class Simulator:
                     heappop(queue)
                     if len(entry) == 4:
                         self._now = time
+                        self._exec_seq = entry[1]
                         entry[2](*entry[3])
                     else:
                         event = entry[2]
@@ -261,11 +274,18 @@ class Simulator:
                             self._cancelled -= 1
                             continue
                         self._now = time
+                        self._exec_seq = entry[1]
                         event.fn(*event.args)
                     executed += 1
         finally:
             self._running = False
             self.events_executed += executed
+        if not self._stopped and executed != budget:
+            # Drained, or everything up to ``until`` has run: no event at
+            # the final instant is still to come, an elided one included.
+            self._exec_seq = self._seq
+            if not queue and self._now < self._horizon <= limit:
+                self._now = self._horizon
         if until is not None and self._now < until and not self._stopped:
             self._now = until
         return self._now

@@ -375,22 +375,10 @@ class ResourceSampler(Entity):
 
     def _pool_busy(self, pool) -> Tuple[float, float]:
         """(sim, real) cumulative busy seconds over a pool's CPUs,
-        including the running slice of in-progress jobs.
-
-        Reads the counters directly — no ``dict`` copy per CPU per tick;
-        sampling must stay invisible next to the work it observes."""
+        including the running slice of in-progress jobs."""
         sim_busy = real_busy = 0.0
-        now = self.now
         for cpu in pool.cpus:
-            counters = cpu.busy_time
-            sim_part = counters["sim"]
-            real_part = counters["real"]
-            current = cpu._current
-            if current is not None:
-                if current.kind == "sim":
-                    sim_part = sim_part + (now - cpu._current_started)
-                else:
-                    real_part = real_part + (now - cpu._current_started)
+            sim_part, real_part = cpu.busy_seconds()
             sim_busy += sim_part
             real_busy += real_part
         return sim_busy, real_busy

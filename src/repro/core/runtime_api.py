@@ -27,7 +27,7 @@ import threading
 import time
 from typing import Any, Callable, List, Optional, Tuple
 
-from .csrt import ScheduledCallback, SiteRuntime
+from .csrt import SiteRuntime
 
 __all__ = [
     "ProtocolRuntime",
@@ -72,39 +72,31 @@ class ProtocolRuntime:
 
 
 class SimulatedProtocolRuntime(ProtocolRuntime):
-    """Bridge to the CSRT and the simulated network stack."""
+    """Bridge to the CSRT and the simulated network stack.
+
+    The clock, timer, send and charge services *are* the site runtime's
+    bound methods — a forwarding frame per call would be the whole
+    bridge — and the receive handler is installed on the site runtime
+    itself, which runs it as a real job per datagram.
+    """
 
     def __init__(self, site_runtime: SiteRuntime, address: Any, seed: int = 0):
         self._rt = site_runtime
         self._address = address
         self._rng = random.Random(seed)
-        site_runtime.receiver = self._on_datagram
-        self._handler: Optional[ReceiveHandler] = None
-
-    def now(self) -> float:
-        return self._rt.rt_now()
-
-    def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> ScheduledCallback:
-        return self._rt.rt_schedule(delay, fn, *args)
-
-    def send(self, dest: Any, payload: bytes) -> None:
-        self._rt.rt_send(dest, payload)
+        self.now = site_runtime.rt_now
+        self.schedule = site_runtime.rt_schedule
+        self.send = site_runtime.rt_send
+        self.charge = site_runtime.rt_charge
 
     def set_receiver(self, handler: ReceiveHandler) -> None:
-        self._handler = handler
+        self._rt.receiver = handler
 
     def local_address(self) -> Any:
         return self._address
 
-    def charge(self, seconds: float) -> None:
-        self._rt.rt_charge(seconds)
-
     def rng(self) -> random.Random:
         return self._rng
-
-    def _on_datagram(self, source: Any, payload: bytes) -> None:
-        if self._handler is not None:
-            self._handler(source, payload)
 
 
 class NativeProtocolRuntime(ProtocolRuntime):

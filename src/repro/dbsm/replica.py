@@ -73,9 +73,7 @@ def broadcast_commit_request(
     protocol._pending[tx.tx_id] = (tx, outcome)
     payload = marshal_request(request)
     protocol.runtime.submit_real(
-        lambda: protocol.gcs.multicast(payload),
-        tag="marshal",
-        nbytes=len(payload),
+        protocol.gcs.multicast, tag="marshal", nbytes=len(payload), args=(payload,)
     )
     return outcome, len(payload)
 

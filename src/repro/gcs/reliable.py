@@ -296,6 +296,10 @@ class ReliableMulticast:
                 vector[origin] = top
         return vector
 
+    def departed_top(self, origin: int) -> int:
+        """Final flush target of ``origin`` if it departed, else 0."""
+        return self._departed_tops.get(origin, 0)
+
     def collect_stable(self, stable: Dict[int, int]) -> int:
         """Garbage-collect messages stable at all members; unblocks
         senders waiting on their buffer share."""

@@ -38,93 +38,92 @@ _INFINITY = (1 << 62)
 
 
 class StabilityState:
-    """One member's view of the current stability round."""
+    """One member's view of the current stability round.
+
+    Wire vectors are indexed by member *rank* (slot in the sorted
+    membership) and fold in with one ``zip`` each.  A peer vector of
+    another length (mid view change) needs no padding: missing slots are
+    the fold's neutral element, extra ones are members this view lacks.
+    """
 
     def __init__(self, member_id: int, members: Sequence[int]):
         if member_id not in members:
             raise ValueError("member_id must be one of members")
         self.member_id = member_id
-        self.members: Tuple[int, ...] = tuple(sorted(members))
         self.round_id = 1
-        self.stable: Dict[int, int] = {m: 0 for m in self.members}
-        self.voted: set = set()
-        self.mins: Dict[int, int] = {m: _INFINITY for m in self.members}
+        self.stable: Dict[int, int] = {}
         self.rounds_completed = 0
+        self._install(members)
 
     # ------------------------------------------------------------------
     def reset_membership(self, members: Sequence[int]) -> None:
         """Install a new view: departed members leave the vectors, new
         rounds restart, accumulated stability survives."""
-        self.members = tuple(sorted(members))
-        self.stable = {m: self.stable.get(m, 0) for m in self.members}
+        self._install(members)
         self.round_id += 1
-        self._new_round()
 
     def vote(self, contiguous: Dict[int, int]) -> None:
         """Add the local vote: our contiguous reception prefix per origin."""
         self.voted.add(self.member_id)
+        mins = self.mins
         for origin in self.members:
             own = contiguous.get(origin, 0)
-            if own < self.mins[origin]:
-                self.mins[origin] = own
-        self._maybe_complete()
+            if own < mins[origin]:
+                mins[origin] = own
+        if self._everyone <= self.voted:
+            self._complete_round()
 
     def merge(self, msg: StabilityMsg) -> None:
         """Fold a peer's gossip into the local state (semilattice join)."""
+        members = self.members
         if msg.round_id > self.round_id:
             # The peer is ahead: adopt its round wholesale, then re-vote.
             self.round_id = msg.round_id
-            self.voted = set(msg.voted) & set(self.members)
-            self.mins = self._vector_from(msg.mins, default=_INFINITY)
+            self.voted = set(msg.voted) & self._everyone
+            self.mins = dict.fromkeys(members, _INFINITY)
+            self.mins.update(zip(members, msg.mins))
         elif msg.round_id == self.round_id:
-            self.voted.update(m for m in msg.voted if m in self.members)
-            incoming = self._vector_from(msg.mins, default=_INFINITY)
-            for origin in self.members:
-                if incoming[origin] < self.mins[origin]:
-                    self.mins[origin] = incoming[origin]
+            self.voted |= self._everyone.intersection(msg.voted)
+            mins = self.mins
+            for origin, floor in zip(members, msg.mins):
+                if floor < mins[origin]:
+                    mins[origin] = floor
         # Stability knowledge is monotonic: take the max regardless of round.
-        incoming_stable = self._vector_from(msg.stable, default=0)
-        for origin in self.members:
-            if incoming_stable[origin] > self.stable[origin]:
-                self.stable[origin] = incoming_stable[origin]
-        self._maybe_complete()
+        stable = self.stable
+        for origin, known in zip(members, msg.stable):
+            if known > stable[origin]:
+                stable[origin] = known
+        if self._everyone <= self.voted:
+            self._complete_round()
 
-    def snapshot(self) -> StabilityMsg:
+    def snapshot(self, view_id: int = 0) -> StabilityMsg:
         """The gossip message describing the local state."""
+        members = self.members
         return StabilityMsg(
             sender=self.member_id,
-            view_id=0,  # stamped by the stack on send
+            view_id=view_id,
             round_id=self.round_id,
-            stable=tuple(self.stable[m] for m in self.members),
+            stable=tuple(map(self.stable.__getitem__, members)),
             voted=tuple(sorted(self.voted)),
-            mins=tuple(
-                self.mins[m] if self.mins[m] < _INFINITY else _INFINITY
-                for m in self.members
-            ),
+            mins=tuple([min(self.mins[m], _INFINITY) for m in members]),
         )
 
     # ------------------------------------------------------------------
-    def _maybe_complete(self) -> None:
-        if not set(self.members) <= self.voted:
-            return
-        for origin in self.members:
-            floor = self.mins[origin]
-            if floor < _INFINITY and floor > self.stable[origin]:
-                self.stable[origin] = floor
+    def _install(self, members: Sequence[int]) -> None:
+        self.members: Tuple[int, ...] = tuple(sorted(members))
+        self._everyone = frozenset(self.members)
+        self.stable = {m: self.stable.get(m, 0) for m in self.members}
+        self._new_round()
+
+    def _complete_round(self) -> None:
+        stable = self.stable
+        for origin, floor in self.mins.items():
+            if floor < _INFINITY and floor > stable[origin]:
+                stable[origin] = floor
         self.rounds_completed += 1
         self.round_id += 1
         self._new_round()
 
     def _new_round(self) -> None:
         self.voted = set()
-        self.mins = {m: _INFINITY for m in self.members}
-
-    def _vector_from(self, values: Tuple[int, ...], default: int) -> Dict[int, int]:
-        """Map a wire vector (indexed by sorted member slot) to a dict.
-
-        Vectors from peers with a different member count (mid view
-        change) are padded with the neutral element."""
-        out = {}
-        for slot, origin in enumerate(self.members):
-            out[origin] = values[slot] if slot < len(values) else default
-        return out
+        self.mins = dict.fromkeys(self.members, _INFINITY)

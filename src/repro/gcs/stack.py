@@ -318,16 +318,10 @@ class GroupCommunication:
             return  # outsiders have no reception state to gossip
         self.stability.vote(self.reliable.contiguous_vector())
         self._collect()
-        snapshot = self.stability.snapshot()
-        stamped = type(snapshot)(
-            sender=snapshot.sender,
-            view_id=self.views.view_id,
-            round_id=snapshot.round_id,
-            stable=snapshot.stable,
-            voted=snapshot.voted,
-            mins=snapshot.mins,
+        self.runtime.send(
+            self.reliable.group_dest,
+            marshal(self.stability.snapshot(self.views.view_id)),
         )
-        self.runtime.send(self.reliable.group_dest, marshal(stamped))
 
     def _collect(self) -> None:
         self.reliable.collect_stable(self.stability.stable)
@@ -339,16 +333,16 @@ class GroupCommunication:
         origin are lost there is no later arrival, and this — learning
         reception state from the stability rounds — is what recovers
         them (Guo's protocol uses its gossip the same way)."""
-        members = self.stability.members
-        own = self.reliable.contiguous_vector()
-        for slot, origin in enumerate(members):
-            if slot >= len(msg.mins):
-                break
-            peer_has = msg.mins[slot]
-            if peer_has >= (1 << 62):  # neutral element: peer not voted
-                continue
-            if peer_has > own.get(origin, 0):
-                self.reliable.request_catchup(origin, peer_has)
+        reliable = self.reliable
+        windows = reliable.windows
+        for origin, peer_has in zip(self.stability.members, msg.mins):
+            window = windows.get(origin)
+            if (
+                (window is None or peer_has > window.contiguous)
+                and peer_has < (1 << 62)  # neutral element: peer not voted
+                and peer_has > reliable.departed_top(origin)
+            ):
+                reliable.request_catchup(origin, peer_has)
 
     # ------------------------------------------------------------------
     def _view_installed(

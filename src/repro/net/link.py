@@ -41,9 +41,9 @@ class LinkStats:
 class RateLimitedLink(Entity):
     """Serializes packets at ``bandwidth_bps`` with propagation ``latency``.
 
-    ``deliver(size, on_delivered)`` charges the transmission time of
-    ``size`` bytes (payload + wire overhead), queues behind in-flight
-    packets, and invokes ``on_delivered`` at the instant the last bit
+    ``deliver(size, on_delivered, args)`` charges the transmission time
+    of ``size`` bytes (payload + wire overhead), queues behind in-flight
+    packets, and invokes ``on_delivered(*args)`` at the instant the last bit
     plus the propagation delay arrive.  The queue holds at most
     ``queue_bytes`` of not-yet-transmitted data; beyond that, tail drop.
 
@@ -81,13 +81,15 @@ class RateLimitedLink(Entity):
     def transmission_time(self, size: int) -> float:
         return (size + WIRE_OVERHEAD_BYTES) * 8.0 / self.bandwidth_bps
 
-    def deliver(self, size: int, on_delivered: Callable[[], None]) -> bool:
+    def deliver(
+        self, size: int, on_delivered: Callable[..., None], args: tuple = ()
+    ) -> bool:
         """Queue a packet of ``size`` payload bytes.  Returns False and
         counts a drop if the buffer is full."""
-        return self.deliver_at(self.sim._now, size, on_delivered)
+        return self.deliver_at(self.sim._now, size, on_delivered, args)
 
     def deliver_at(
-        self, now: float, size: int, on_delivered: Callable[[], None]
+        self, now: float, size: int, on_delivered: Callable[..., None], args: tuple = ()
     ) -> bool:
         """:meth:`deliver` for a packet arriving at future instant
         ``now``.
@@ -123,7 +125,7 @@ class RateLimitedLink(Entity):
                 # Grouped as now + (tx + latency): the exact float the
                 # per-slot event scheme produced, keeping delivery
                 # timestamps bit-identical across the two models.
-                (now + (tx_time + self.latency), sim._seq, on_delivered, ()),
+                (now + (tx_time + self.latency), sim._seq, on_delivered, args),
             )
         else:
             # Busy link: the packet queues.  Its delivery event must be
@@ -134,18 +136,21 @@ class RateLimitedLink(Entity):
             backlog.append((start, size))
             self._backlog_bytes += size
             _heappush(
-                sim._queue, (start, sim._seq, self._begin, (tx_time, on_delivered))
+                sim._queue,
+                (start, sim._seq, self._begin, (tx_time, on_delivered, args)),
             )
         return True
 
-    def _begin(self, tx_time: float, on_delivered: Callable[[], None]) -> None:
+    def _begin(
+        self, tx_time: float, on_delivered: Callable[..., None], args: tuple
+    ) -> None:
         """Transmission start of a packet that queued behind the backlog:
         schedule its delivery at last-bit + propagation."""
         sim = self.sim
         sim._seq += 1
         _heappush(
             sim._queue,
-            (sim._now + (tx_time + self.latency), sim._seq, on_delivered, ()),
+            (sim._now + (tx_time + self.latency), sim._seq, on_delivered, args),
         )
 
     def queue_depth(self) -> int:

@@ -54,9 +54,10 @@ class Host(Entity):
         self.ingress = RateLimitedLink(
             sim, f"{name}.rx", bandwidth_bps, link_latency / 2.0
         )
-        self._ports: Dict[int, ReceiveCallback] = {}
+        self._ports: Dict[int, Optional[ReceiveCallback]] = {}
 
-    def bind(self, port: int, callback: ReceiveCallback) -> None:
+    def bind(self, port: int, callback: Optional[ReceiveCallback]) -> None:
+        """Claim ``port``; ``None`` claims it without a receiver yet."""
         if port in self._ports:
             raise ValueError(f"{self.name}: port {port} already bound")
         self._ports[port] = callback
@@ -256,13 +257,12 @@ class Network(Entity):
         if kind == "multicast":
             # One copy on the sender's egress; the fabric replicates.
             src_host.egress.deliver(
-                size, lambda: self._fan_out(source, remote, payload, size)
+                size, self._fan_out, (source, remote, payload, size)
             )
         else:
             for target in remote:
                 src_host.egress.deliver(
-                    size,
-                    lambda t=target: self._fan_out(source, [t], payload, size),
+                    size, self._fan_out, (source, [target], payload, size)
                 )
 
     # ------------------------------------------------------------------
@@ -293,11 +293,7 @@ class Network(Entity):
                 # link directly — one event per packet instead of two.
                 arrival = sim._now + self.switch_latency
                 accepted = host.ingress.deliver_at(
-                    arrival,
-                    size,
-                    lambda host=host, port=target.port: host.receive(
-                        source, port, payload
-                    ),
+                    arrival, size, host.receive, (source, target.port, payload)
                 )
                 if not accepted and self.capture.keep_entries:
                     self.capture.record(
@@ -324,7 +320,7 @@ class Network(Entity):
         self, host: Host, source: Endpoint, target: Endpoint, payload: bytes, size: int
     ) -> None:
         accepted = host.ingress.deliver(
-            size, lambda: host.receive(source, target.port, payload)
+            size, host.receive, (source, target.port, payload)
         )
         if not accepted:
             if self.capture.keep_entries:

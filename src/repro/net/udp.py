@@ -8,7 +8,7 @@ receive callback is invoked per arriving datagram.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from .address import Endpoint, GroupAddress
 from .network import Destination, Host
@@ -24,16 +24,19 @@ class UdpSocket:
     def __init__(self, host: Host, port: int):
         self.host = host
         self.port = port
-        self._receiver: Optional[ReceiveCallback] = None
         self._closed = False
-        host.bind(port, self._on_datagram)
+        host.bind(port, None)  # the port is taken; datagrams are dropped
 
     @property
     def address(self) -> Endpoint:
         return Endpoint(self.host.name, self.port)
 
     def set_receiver(self, callback: ReceiveCallback) -> None:
-        self._receiver = callback
+        """Bind ``callback`` to the port itself: the host hands it every
+        arriving datagram directly, until :meth:`close` unbinds the port."""
+        if not self._closed:
+            self.host.unbind(self.port)
+            self.host.bind(self.port, callback)
 
     def send(self, dest: Destination, payload: bytes) -> None:
         if self._closed:
@@ -51,7 +54,3 @@ class UdpSocket:
         if not self._closed:
             self.host.unbind(self.port)
             self._closed = True
-
-    def _on_datagram(self, source: Endpoint, payload: bytes) -> None:
-        if self._receiver is not None and not self._closed:
-            self._receiver(source, payload)

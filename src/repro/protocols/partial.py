@@ -200,11 +200,7 @@ class PartialReplica(ReplicationProtocol):
         if decision.fragments == (self.fragment,):
             # Single-fragment fast path: this group's total order alone.
             self.stats["single_fragment"] += 1
-            self.runtime.submit_real(
-                lambda: self.gcs.multicast(payload),
-                tag="marshal",
-                nbytes=len(payload),
-            )
+            self._multicast(payload)
             return outcome
         # Genuine atomic multicast: exactly the touched groups see it.
         self.stats["cross_fragment"] += 1
@@ -214,11 +210,7 @@ class PartialReplica(ReplicationProtocol):
         }
         for fragment in decision.fragments:
             if fragment == self.fragment:
-                self.runtime.submit_real(
-                    lambda: self.gcs.multicast(payload),
-                    tag="marshal",
-                    nbytes=len(payload),
-                )
+                self._multicast(payload)
             else:
                 self.server.sim.schedule(
                     self.link_latency, self._inject, fragment, payload
@@ -227,6 +219,13 @@ class PartialReplica(ReplicationProtocol):
 
     def applied_watermark(self) -> int:
         return self._watermark.watermark
+
+    def _multicast(self, payload: bytes) -> None:
+        """Multicast ``payload`` in this site's group, as a marshal job
+        on this site's CPU."""
+        self.runtime.submit_real(
+            self.gcs.multicast, tag="marshal", nbytes=len(payload), args=(payload,)
+        )
 
     # ------------------------------------------------------------------
     # cross-group transport (the inter-group links of the fabric)
@@ -239,11 +238,7 @@ class PartialReplica(ReplicationProtocol):
         relay = self._first_operational(fragment)
         if relay is None:
             return
-        relay.runtime.submit_real(
-            lambda: relay.gcs.multicast(payload),
-            tag="marshal",
-            nbytes=len(payload),
-        )
+        relay._multicast(payload)
 
     def _first_operational(self, fragment: int) -> Optional["PartialReplica"]:
         for site_id in self._group_sites[fragment]:
@@ -376,11 +371,7 @@ class PartialReplica(ReplicationProtocol):
         payload = _DECIDE_PREFIX + _DECIDE_BODY.pack(tx_id, 1 if commit else 0)
         for target in sorted(entry["needed"]):
             if target == self.fragment:
-                self.runtime.submit_real(
-                    lambda: self.gcs.multicast(payload),
-                    tag="marshal",
-                    nbytes=len(payload),
-                )
+                self._multicast(payload)
             else:
                 self.server.sim.schedule(
                     self.link_latency, self._inject, target, payload

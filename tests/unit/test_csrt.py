@@ -93,6 +93,126 @@ class TestRealJobExecution:
         sim.run()
         assert fired == []
 
+    def test_callback_cancelled_while_its_fire_event_waits_does_not_run(self):
+        """The kernel entry of a protocol timer is fire-and-forget: a
+        cancel that comes later — from another event, or from inside a
+        running real job — finds it in the heap, and it must no-op."""
+        sim, pool, runtime = make_runtime()
+        fired = []
+        by_event = runtime.rt_schedule(0.5, fired.append, "event")
+        by_job = runtime.rt_schedule(0.5, fired.append, "job")
+        kept = runtime.rt_schedule(0.5, fired.append, "kept")
+        sim.schedule(0.3, by_event.cancel)
+        runtime.submit_real(by_job.cancel, delay=0.4)
+        sim.run()
+        assert fired == ["kept"]
+        # The cancelled timers never became jobs: the canceller and the
+        # survivor are the only real code that ran.
+        assert runtime.stats["real_jobs"] == 2
+        assert pool.cpus[0].jobs_completed[REAL_JOB] == 2
+
+    def test_args_reach_the_job_without_a_closure(self):
+        sim, _, runtime = make_runtime()
+        got = []
+        runtime.submit_real(lambda a, b: got.append((a, b)), args=(1, "x"))
+        sim.run()
+        assert got == [(1, "x")]
+
+
+def spin(iterations=20000):
+    total = 0
+    for i in range(iterations):
+        total += i
+    return total
+
+
+class TestMeasuredModeThroughTheFastLane:
+    """MEASURED jobs take the same inline lane and the same ``_run``."""
+
+    def test_delta1_correction_on_send_and_schedule(self):
+        sim, pool, runtime = make_runtime(mode=MEASURED)
+        sent, fired = [], []
+        runtime.network_send = lambda dest, payload: sent.append(sim.now)
+
+        def job():
+            spin()  # Δ1 > 0, measured
+            runtime.rt_send("dest", b"x")
+            runtime.rt_schedule(1e-3, lambda: fired.append(sim.now))
+
+        runtime.submit_real(job)  # idle CPU: runs inline, right here
+        assert runtime.stats["real_jobs"] == 1
+        assert sent == [] and fired == []  # both deferred by Δ1
+        sim.run()
+        assert 0.0 < sent[0] < fired[0]
+        assert fired[0] >= 1e-3 + sent[0]
+        # The CPU was busy for the whole measured duration, which
+        # includes the work after the send.
+        assert pool.cpus[0].busy_time[REAL_JOB] >= sent[0]
+
+    def test_timer_is_paused_while_real_code_is_inside_the_runtime(self):
+        """``rt_send`` and ``rt_schedule`` both reach ``sim.call`` with
+        the profiling timer paused: host time spent there is not billed."""
+        sim, _, runtime = make_runtime(mode=MEASURED)
+        runtime.network_send = lambda dest, payload: None
+        readings = []
+        kernel_call = sim.call
+
+        def slow_call(delay, fn, *args):
+            readings.append(runtime.rt_now())
+            spin()
+            readings.append(runtime.rt_now())
+            kernel_call(delay, fn, *args)
+
+        def job():
+            spin()
+            sim.call = slow_call
+            try:
+                runtime.rt_send("dest", b"x")
+                runtime.rt_schedule(1e-3, lambda: None)
+            finally:
+                sim.call = kernel_call
+            before = runtime.rt_now()
+            spin()
+            assert runtime.rt_now() > before  # resumed on return
+
+        runtime.submit_real(job)
+        sim.run()
+        assert len(readings) == 4
+        assert readings[0] == readings[1]  # paused inside rt_send
+        assert readings[2] == readings[3]  # paused inside rt_schedule
+
+
+class TestCrashDuringALazilyCompletedJob:
+    def test_skipped_jobs_and_busy_time(self):
+        """The first job runs inline on the idle CPU and pushes no
+        completion event.  The site crashes while it is 'running': later
+        jobs are skipped at zero cost, and the accounting is that of the
+        one job that ran — however often, and whenever, it is read."""
+        sim, pool, runtime = make_runtime()
+        cpu = pool.cpus[0]
+        ran = []
+        duration = 1e-3 + runtime.cost_model.cost(CpuCostModel.TIMER)
+
+        def crash_and_submit():
+            assert cpu.busy  # still inside the lazy job
+            runtime.crash()
+            runtime.submit_real(lambda: ran.append("queued"))
+
+        runtime.submit_real(lambda: (ran.append("first"), runtime.rt_charge(1e-3)))
+        sim.schedule(0.5e-3, crash_and_submit)
+        sim.schedule(5e-3, lambda: runtime.submit_real(lambda: ran.append("late")))
+        readings = []
+        for t in (0.9e-3, duration, 2e-3, 6e-3):
+            sim.schedule_at(t, lambda: readings.append(cpu.busy_seconds()[1]))
+        sim.run()
+        assert ran == ["first"]
+        assert runtime.stats["jobs_skipped_crashed"] == 2
+        assert runtime.stats["real_jobs"] == 1
+        assert readings == [0.9e-3, duration, duration, duration]
+        assert cpu.busy_time[REAL_JOB] == duration
+        assert cpu.jobs_completed[REAL_JOB] == 3
+        assert not cpu.busy
+
 
 class TestNetworkBoundary:
     def test_send_charges_cost_and_delays_injection(self):

@@ -1,0 +1,71 @@
+"""Pinned simulated results: "bit-identical" as an assertion.
+
+``test_event_budget.py`` pins the *work* a cell costs; this file pins
+what the cell *produces*: the sha256 of the canonical
+``ScenarioResult.to_dict()`` JSON (the benchmark's ``result_digest``)
+of six small cells covering the centralized baseline, all three
+registered protocols and two fault-loads with every monitor armed.  An
+optimisation must leave every digest alone; a change that legitimately
+moves simulated results re-baselines them and says why in the PR.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.core.experiment import Scenario, ScenarioConfig
+from repro.core.scenarios import safety_fault_plans
+
+GOLDEN = Path(__file__).resolve().parent.parent / "golden" / "result_digests.json"
+DIGESTS = json.loads(GOLDEN.read_text())
+
+
+def build_config(entry) -> ScenarioConfig:
+    kwargs = dict(entry["config"])
+    if "monitors" in kwargs:
+        kwargs["monitors"] = tuple(kwargs["monitors"])
+    if "fault" in entry:
+        kwargs["faults"] = safety_fault_plans(sites=kwargs["sites"])[entry["fault"]]
+    return ScenarioConfig(**kwargs)
+
+
+def result_digest(result) -> str:
+    canonical = json.dumps(result.to_dict(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("cell", sorted(DIGESTS))
+def test_result_digest_matches_golden(cell):
+    entry = DIGESTS[cell]
+    new = result_digest(Scenario(build_config(entry)).run())
+    old = entry["sha256"]
+    assert new == old, (
+        f"{cell}: simulated result changed (sha256 {old[:12]}… -> {new[:12]}…).  "
+        f"A performance change must not move it.  If the change is intended — "
+        f"the model itself changed and the PR says how — re-baseline by setting "
+        f"\"sha256\": \"{new}\" for \"{cell}\" in tests/golden/result_digests.json."
+    )
+
+
+def test_cpu_accounting_when_the_run_stops_inside_a_real_job():
+    """The drain time is chosen so that ``sim.stop`` fires in the middle
+    of the receive job of one multicast at all three sites: the CPUs end
+    the run busy, their last job unfinished.  Utilization — the served
+    slice of that job included — and the sampled CPU usage are pinned to
+    the values of the commit before completion events became lazy."""
+    scenario = Scenario(ScenarioConfig(
+        sites=3, protocol="dbsm", clients=30, transactions=60, seed=42,
+        drain_time=5.003658420999894,
+    ))
+    result = scenario.run()
+    assert scenario.sim.now == 28.003658420999894
+    cpus = [site.cpus.cpus[0] for site in scenario.sites]
+    assert [cpu.current_kind for cpu in cpus] == ["real"] * 3
+    assert [site.cpus.utilization(scenario.sim.now) for site in scenario.sites] == [
+        {"sim": 0.016397320185505875, "real": 0.0009490730318207971, "total": 0.017346393217326672},
+        {"sim": 0.00921050556870909, "real": 0.0009197102968659192, "total": 0.010130215865575009},
+        {"sim": 0.01382912917761457, "real": 0.0009222814252132842, "total": 0.014751410602827853},
+    ]
+    assert result.cpu_usage() == (0.017193059662412066, 0.0009663239999946191)

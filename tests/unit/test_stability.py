@@ -3,7 +3,7 @@
 import pytest
 
 from repro.gcs.messages import StabilityMsg
-from repro.gcs.stability import StabilityState
+from repro.gcs.stability import _INFINITY as INFINITY, StabilityState
 
 
 def gossip_between(a: StabilityState, b: StabilityState) -> None:
@@ -92,6 +92,43 @@ class TestMerge:
         )
         a.merge(msg)  # must not raise
         assert a.stable[0] == 3
+
+    def test_shorter_peer_vector_leaves_the_missing_slots_alone(self):
+        """Mid view change a peer's vectors cover fewer members: the
+        slots it lacks are the neutral element of every fold — for the
+        same round (min), for stability (max) and when its round is
+        adopted wholesale."""
+        a = StabilityState(0, (0, 1, 2))
+        a.vote({0: 9, 1: 8, 2: 7})
+        a.stable = {0: 1, 1: 1, 2: 6}
+        a.merge(StabilityMsg(
+            sender=1, view_id=0, round_id=1, stable=(4, 5), voted=(1,), mins=(3, 9)
+        ))
+        assert a.mins == {0: 3, 1: 8, 2: 7}
+        assert a.stable == {0: 4, 1: 5, 2: 6}
+        assert a.voted == {0, 1}
+        a.merge(StabilityMsg(
+            sender=1, view_id=0, round_id=5, stable=(), voted=(1, 7), mins=(2,)
+        ))
+        assert a.round_id == 5
+        assert a.mins == {0: 2, 1: INFINITY, 2: INFINITY}
+        assert a.voted == {1}  # member 7 is not in this view
+        assert a.stable == {0: 4, 1: 5, 2: 6}
+
+    def test_longer_peer_vector_ignores_the_extra_slots(self):
+        a = StabilityState(0, (0, 1))
+        a.vote({0: 9, 1: 9})
+        a.merge(StabilityMsg(
+            sender=1, view_id=0, round_id=1,
+            stable=(2, 3, 99), voted=(1, 2), mins=(5, 6, 0),
+        ))
+        # Everyone in *this* view voted: the round completes on (5, 6).
+        assert a.rounds_completed == 1
+        assert a.stable == {0: 5, 1: 6}
+        assert a.snapshot(view_id=3) == StabilityMsg(
+            sender=0, view_id=3, round_id=2, stable=(5, 6), voted=(),
+            mins=(INFINITY, INFINITY),
+        )
 
 
 class TestMembership:
