@@ -13,12 +13,14 @@ models layered on it:
 
 Simulated time is a ``float`` number of seconds.  Ties are broken by a
 monotonically increasing sequence number so the execution order is fully
-deterministic for a given schedule of calls.
+deterministic for a given schedule of calls: events run in ``(time,
+seq)`` order, whichever of the two containers below holds them.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -116,6 +118,13 @@ class Simulator:
         #: calls per cell).  ``(time, seq)`` is unique, so comparison
         #: never reaches the mixed third element.
         self._queue: list[tuple] = []
+        #: The same-instant lane: handle-free ``(time, seq, fn, args)``
+        #: entries scheduled with zero delay — signal wake-ups, lock and
+        #: storage notifications, process starts: most events of a
+        #: transaction.  All are at ``now`` and arrive in ``seq`` order,
+        #: so a FIFO keeps them sorted and spares each a trip through
+        #: the heap.  The clock never passes a non-empty lane.
+        self._lane: deque[tuple] = deque()
         self._now = 0.0
         self._seq = 0
         #: Sequence number of the event being executed (of the last one
@@ -178,15 +187,19 @@ class Simulator:
         link transmissions, storage sector completions, lock wake-ups,
         process steps — yet :meth:`schedule` pays for an :class:`Event`
         allocation each time.  This variant pushes a bare
-        ``(time, seq, fn, args)`` entry instead.  Ordering is identical:
-        the entry consumes the same sequence number a handle-bearing event
-        would have, and heap comparison never reaches the third element
-        because ``(time, seq)`` keys are unique.
+        ``(time, seq, fn, args)`` entry instead — onto the same-instant
+        lane when ``delay`` is zero.  Ordering is identical: the entry
+        consumes the same sequence number a handle-bearing event would
+        have, and comparison never reaches the third element because
+        ``(time, seq)`` keys are unique.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay!r}s in the past")
         self._seq += 1
-        _heappush(self._queue, (self._now + delay, self._seq, fn, args))
+        if delay:
+            _heappush(self._queue, (self._now + delay, self._seq, fn, args))
+        else:
+            self._lane.append((self._now, self._seq, fn, args))
 
     def _note_cancelled(self) -> None:
         """Lazy-deletion bookkeeping: compact the heap once cancelled
@@ -215,7 +228,9 @@ class Simulator:
         ``max_events`` have run.  Returns the final simulated time.
 
         When ``until`` is given the clock is advanced to exactly ``until``
-        even if the queue drained earlier, mirroring SSF's bounded runs.
+        even if the queue drained earlier, mirroring SSF's bounded runs —
+        unless :meth:`stop` or ``max_events`` cut the run short: the
+        clock never passes an event still to run.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
@@ -223,18 +238,26 @@ class Simulator:
         self._stopped = False
         executed = 0
         # The hottest loop in the repository: locals for the queue (its
-        # identity is stable — compaction filters in place) and heappop,
-        # tuple unpacking instead of attribute loads.
+        # identity is stable — compaction filters in place), the lane
+        # and the pops, tuple unpacking instead of attribute loads.
         queue = self._queue
         heappop = heapq.heappop
         budget = -1 if max_events is None else max_events
         limit = float("inf") if until is None else until
+        # Lane entries are all at ``now``: a bound already in the past
+        # runs none of them (nor anything else).
+        lane = self._lane if self._now <= limit else ()
+        popleft = self._lane.popleft
         try:
-            # Two copies of the dispatch loop: the budget comparison is
-            # dead weight on the (overwhelmingly common) unbounded path,
-            # and this loop runs once per event in the whole simulator.
-            if budget < 0:
-                while queue and not self._stopped:
+            while not self._stopped and executed != budget:
+                # Whichever of heap top and lane head has the smaller
+                # (time, seq) runs: one total order over two containers.
+                # A heap entry at ``now`` can precede the lane's head —
+                # pushed earlier, or under a CPU's reserved lower seq.
+                if lane and not (queue and queue[0] < lane[0]):
+                    _, self._exec_seq, fn, args = popleft()
+                    fn(*args)
+                elif queue:
                     entry = queue[0]
                     time = entry[0]
                     if time > limit:
@@ -254,29 +277,9 @@ class Simulator:
                         self._now = time
                         self._exec_seq = entry[1]
                         event.fn(*event.args)
-                    executed += 1
-            else:
-                while queue and not self._stopped:
-                    if executed == budget:
-                        break
-                    entry = queue[0]
-                    time = entry[0]
-                    if time > limit:
-                        break
-                    heappop(queue)
-                    if len(entry) == 4:
-                        self._now = time
-                        self._exec_seq = entry[1]
-                        entry[2](*entry[3])
-                    else:
-                        event = entry[2]
-                        if event.cancelled:
-                            self._cancelled -= 1
-                            continue
-                        self._now = time
-                        self._exec_seq = entry[1]
-                        event.fn(*event.args)
-                    executed += 1
+                else:
+                    break
+                executed += 1
         finally:
             self._running = False
             self.events_executed += executed
@@ -284,10 +287,10 @@ class Simulator:
             # Drained, or everything up to ``until`` has run: no event at
             # the final instant is still to come, an elided one included.
             self._exec_seq = self._seq
-            if not queue and self._now < self._horizon <= limit:
+            if not (queue or lane) and self._now < self._horizon <= limit:
                 self._now = self._horizon
-        if until is not None and self._now < until and not self._stopped:
-            self._now = until
+            if until is not None and self._now < until:
+                self._now = until
         return self._now
 
     def stop(self) -> None:
@@ -296,7 +299,7 @@ class Simulator:
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
-        return sum(
+        return len(self._lane) + sum(
             1 for entry in self._queue if len(entry) == 4 or not entry[2].cancelled
         )
 
@@ -356,7 +359,7 @@ class Signal:
         for waiter in waiters:
             # Inlined zero-delay Simulator.call.
             sim._seq += 1
-            _heappush(sim._queue, (sim._now, sim._seq, waiter, (value,)))
+            sim._lane.append((sim._now, sim._seq, waiter, (value,)))
 
     def _add_waiter(self, resume: Callable[[Any], None]) -> None:
         if self.latch and self._fired:

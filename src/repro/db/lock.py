@@ -18,11 +18,36 @@ The locking policy modeled here is the one the paper configures (§3.1):
 Notifications run on fresh simulation events (never re-entrantly inside
 the caller's stack frame), so server processes observe lock grants,
 aborts and preemptions as ordinary asynchronous wake-ups.
+
+**The wait queue is an index, not a list.**  A waiting request sits in
+``_index[item]`` for every item it names and carries a *ticket*
+``(band, arrival)`` — band 0 for remote requests, 1 for local ones — so
+ticket order is queue order: remote requests first, arrival order inside
+a band.  A release looks up the waiters that name a freed item, sorts
+those by ticket and tests only them: its cost follows the contention on
+the freed items, not the length of the queue, which on a saturated
+server is hundreds of requests on a few hot rows.
+
+One pass over those candidates grants what re-scanning the whole queue
+from its head after every grant would.  A waiter was queued because an
+item was held, so it can only have become eligible through an item
+freed since the last pass: every eligible waiter is a candidate.  And a
+grant only takes items: the waiters a re-scan would meet again ahead of
+it are still blocked.
+
+**Known quirk, kept on purpose.**  Preempting a local holder frees *all*
+its items, and no regrant pass follows: with a victim holding ``{x, y}``
+and a remote request for ``{x}``, a local waiter on ``{y}`` stays queued
+though ``y`` is free, until the next release — of anything — runs a
+pass.  Granting it at once would change simulated results, so
+``_unswept`` remembers such items and the next pass visits their
+waiters too, as the full scan did.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.kernel import Entity, Simulator
 from .transactions import Transaction, TxStatus
@@ -34,11 +59,13 @@ GRANTED = "granted"
 WW_ABORTED = "ww-aborted"  # a conflicting holder committed while we waited
 PREEMPTED = "preempted"  # a remotely certified transaction took our locks
 
+_TICKET = attrgetter("ticket")
+
 
 class LockRequest:
     """Book-keeping for one transaction's atomic lock acquisition."""
 
-    __slots__ = ("tx", "items", "on_event", "granted", "remote")
+    __slots__ = ("tx", "items", "on_event", "granted", "remote", "ticket")
 
     def __init__(
         self,
@@ -52,6 +79,8 @@ class LockRequest:
         self.on_event = on_event
         self.granted = False
         self.remote = remote
+        #: Queue position while waiting: ``(band, arrival)``.
+        self.ticket: Tuple[int, int] = (0, 0)
 
 
 class LockManager(Entity):
@@ -60,7 +89,12 @@ class LockManager(Entity):
     def __init__(self, sim: Simulator, name: str = "locks"):
         super().__init__(sim, name)
         self._holders: Dict[int, LockRequest] = {}
-        self._waiting: List[LockRequest] = []
+        #: item -> requests waiting that name it; empty entries are
+        #: deleted, so the dict is falsy exactly when nobody waits.
+        self._index: Dict[int, Set[LockRequest]] = {}
+        self._arrivals = 0
+        #: Items freed by a preemption since the last regrant pass.
+        self._unswept: Set[int] = set()
         self.stats = {
             "granted_immediate": 0,
             "granted_after_wait": 0,
@@ -88,7 +122,7 @@ class LockManager(Entity):
         if self._all_free(request.items):
             self._grant(request, immediate=True)
         else:
-            self._waiting.append(request)
+            self._enqueue(request)
         return request
 
     def acquire_remote(
@@ -109,8 +143,7 @@ class LockManager(Entity):
         if self._all_free(request.items):
             self._grant(request, immediate=True)
         else:
-            insert_at = sum(1 for r in self._waiting if r.remote)
-            self._waiting.insert(insert_at, request)
+            self._enqueue(request)
         return request
 
     # ------------------------------------------------------------------
@@ -122,27 +155,18 @@ class LockManager(Entity):
             self._remove_waiter(request)
             return
         released = self._release_items(request)
-        if self._waiting:
-            released_set = set(released)
-            victims = [
-                waiter
-                for waiter in self._waiting
-                if not waiter.remote and not released_set.isdisjoint(waiter.items)
-            ]
-            for victim in victims:
-                self._waiting.remove(victim)
-                self.stats["ww_aborts"] += 1
-                self._notify(victim, WW_ABORTED)
-            self._regrant()
+        if self._index:
+            self._abort_local_waiters(released)
+            self._regrant(released)
 
     def release_abort(self, request: LockRequest) -> None:
         """Release on abort: locks pass to the next eligible waiters."""
         if not request.granted:
             self._remove_waiter(request)
             return
-        self._release_items(request)
-        if self._waiting:
-            self._regrant()
+        released = self._release_items(request)
+        if self._index:
+            self._regrant(released)
 
     # ------------------------------------------------------------------
     # introspection
@@ -152,7 +176,7 @@ class LockManager(Entity):
         return request.tx if request else None
 
     def waiting_count(self) -> int:
-        return len(self._waiting)
+        return len(set().union(*self._index.values()))
 
     def held_count(self) -> int:
         return len(self._holders)
@@ -162,8 +186,8 @@ class LockManager(Entity):
     # ------------------------------------------------------------------
     def _all_free(self, items: Tuple[int, ...]) -> bool:
         # Plain loop, not ``all(genexpr)``: this runs once per acquisition
-        # and once per waiter per regrant pass, and the generator frame is
-        # measurable at that rate.
+        # and once per candidate of a regrant pass, and the generator
+        # frame is measurable at that rate.
         holders = self._holders
         for item in items:
             if item in holders:
@@ -189,22 +213,55 @@ class LockManager(Entity):
         request.granted = False
         return tuple(released)
 
-    def _remove_waiter(self, request: LockRequest) -> None:
-        if request in self._waiting:
-            self._waiting.remove(request)
+    def _enqueue(self, request: LockRequest) -> None:
+        self._arrivals += 1
+        request.ticket = (0 if request.remote else 1, self._arrivals)
+        index = self._index
+        for item in request.items:
+            index.setdefault(item, set()).add(request)
 
-    def _regrant(self) -> None:
+    def _dequeue(self, request: LockRequest) -> None:
+        index = self._index
+        for item in request.items:
+            waiters = index[item]
+            waiters.remove(request)
+            if not waiters:
+                del index[item]
+
+    def _remove_waiter(self, request: LockRequest) -> None:
+        # A queued request names at least one item (an empty write set
+        # is granted on the spot) and sits under every item it names.
+        if request.items and request in self._index.get(request.items[0], ()):
+            self._dequeue(request)
+
+    def _waiters_on(self, items: Iterable[int]) -> List[LockRequest]:
+        """The requests waiting on any of ``items``, in queue order."""
+        index = self._index
+        found: Set[LockRequest] = set()
+        for item in items:
+            if item in index:
+                found.update(index[item])
+        return sorted(found, key=_TICKET)
+
+    def _abort_local_waiters(self, items: Iterable[int]) -> None:
+        """First-updater-wins: local waiters on ``items`` lose."""
+        for waiter in self._waiters_on(items):
+            if not waiter.remote:
+                self._dequeue(waiter)
+                self.stats["ww_aborts"] += 1
+                self._notify(waiter, WW_ABORTED)
+
+    def _regrant(self, freed: Iterable[int]) -> None:
         """Grant queued requests whose whole item set became free, in
-        queue order (remote requests sit at the head)."""
-        progress = True
-        while progress:
-            progress = False
-            for waiter in list(self._waiting):
-                if self._all_free(waiter.items):
-                    self._waiting.remove(waiter)
-                    self._grant(waiter, immediate=False)
-                    progress = True
-                    break
+        queue order (remote requests sit at the head).  Only waiters on
+        ``freed`` or on a preemption's leftovers can have become so."""
+        if self._unswept:
+            freed = (*freed, *self._unswept)
+            self._unswept.clear()
+        for waiter in self._waiters_on(freed):
+            if self._all_free(waiter.items):
+                self._dequeue(waiter)
+                self._grant(waiter, immediate=False)
 
     def _preempt_conflicting_locals(self, items: Tuple[int, ...]) -> None:
         victims: List[LockRequest] = []
@@ -216,20 +273,15 @@ class LockManager(Entity):
                 continue  # certified work is awaited, never preempted
             victims.append(holder)
         for victim in victims:
-            self._release_items(victim)
+            freed = self._release_items(victim)
+            if self._index:
+                self._unswept.update(freed)  # no regrant pass: see module docstring
             self.stats["preemptions"] += 1
             self._notify(victim, PREEMPTED)
         # Local waiters on these items are also doomed: the remote write
         # will commit, which is exactly the first-updater-wins conflict.
-        doomed = [
-            waiter
-            for waiter in self._waiting
-            if not waiter.remote and any(item in items for item in waiter.items)
-        ]
-        for waiter in doomed:
-            self._waiting.remove(waiter)
-            self.stats["ww_aborts"] += 1
-            self._notify(waiter, WW_ABORTED)
+        if self._index:
+            self._abort_local_waiters(items)
 
     def _notify(self, request: LockRequest, event: str) -> None:
         self.call(0.0, request.on_event, event)

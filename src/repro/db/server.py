@@ -82,7 +82,8 @@ class LocalTermination(TerminationProtocol):
     def applied_watermark(self) -> int:
         return self._watermark_tracker.watermark
 
-    def mark_applied(self, global_seq: int) -> None:
+    def on_applied(self, tx: Transaction, global_seq: int) -> None:
+        """The server's ``on_applied`` hook of a centralized site."""
         self._watermark_tracker.mark(global_seq)
 
 
@@ -135,8 +136,7 @@ class DatabaseServer(Entity):
         #: advance the applied watermark and the commit log.
         self.on_applied: Optional[Callable[[Transaction, int], None]] = None
         if isinstance(self.termination, LocalTermination):
-            local = self.termination
-            self.on_applied = lambda tx, seq: local.mark_applied(seq)
+            self.on_applied = self.termination.on_applied
 
     # ------------------------------------------------------------------
     # local transactions (issued by clients attached to this site)
@@ -167,7 +167,7 @@ class DatabaseServer(Entity):
         tx.status = TxStatus.EXECUTING
         tx.start_seq = self.termination.applied_watermark()
 
-        preempted = {"flag": False}
+        preempted = False
         request: Optional[LockRequest] = None
 
         # -- atomic lock acquisition over the (pre-known) write set -----
@@ -175,10 +175,11 @@ class DatabaseServer(Entity):
             acquire_signal = Signal(self.sim, latch=True)
 
             def on_lock_event(event: str) -> None:
+                nonlocal preempted
                 if not acquire_signal.fired:
                     acquire_signal.fire(event)
                 elif event == PREEMPTED:
-                    preempted["flag"] = True
+                    preempted = True
 
             request = self.locks.acquire(tx, on_lock_event)
             event = yield acquire_signal
@@ -189,7 +190,7 @@ class DatabaseServer(Entity):
 
         # -- execute the operation sequence ------------------------------
         for op in spec.operations:
-            if preempted["flag"]:
+            if preempted:
                 self._finish_abort(tx, request, "preempted", on_done)
                 return
             if op.kind is OpKind.FETCH:
@@ -198,7 +199,7 @@ class DatabaseServer(Entity):
                 yield self._cpu_job(op.cpu_time, spec.tx_class)
             else:  # WRITE: private version, applied at commit
                 continue
-        if preempted["flag"]:
+        if preempted:
             self._finish_abort(tx, request, "preempted", on_done)
             return
         if spec.intrinsic_abort:
@@ -224,10 +225,10 @@ class DatabaseServer(Entity):
         tx.certify_end_time = self.now
 
         if outcome is not Outcome.COMMIT:
-            reason = "preempted" if preempted["flag"] else "certification"
+            reason = "preempted" if preempted else "certification"
             self._finish_abort(tx, request, reason, on_done)
             return
-        assert not preempted["flag"], (
+        assert not preempted, (
             "a preempted transaction certified COMMIT — write sets must "
             "be covered by read sets for conflicting classes"
         )
@@ -289,7 +290,7 @@ class DatabaseServer(Entity):
         job = Job(
             SIM_JOB,
             duration=duration,
-            on_complete=lambda: signal.fire(None),
+            on_complete=signal.fire,
             tag=tag,
         )
         self.cpus.submit(job)

@@ -45,9 +45,7 @@ class Client(Entity):
         self.workload = workload
         self.max_transactions = max_transactions
         self.think_first = think_first
-        self._submit: SubmitFn = submit or (
-            lambda spec, on_done: server.submit(spec, on_done=on_done)
-        )
+        self._submit: SubmitFn = submit or server.submit
         self.issued = 0
         self.completed = 0
         self._stopped = False
@@ -71,7 +69,7 @@ class Client(Entity):
             spec = self.workload.next_transaction(self.client_id)
             done = Signal(self.sim, latch=True)
             self.issued += 1
-            self._submit(spec, lambda tx: done.fire(tx))
+            self._submit(spec, done.fire)
             yield done
             self.completed += 1
             yield self.workload.think_time()

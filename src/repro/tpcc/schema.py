@@ -40,6 +40,7 @@ __all__ = [
     "CLIENTS_PER_WAREHOUSE",
     "SETTLED_ROW_BASE",
     "NOHEAD_ROW_BASE",
+    "STOCK_BASE",
     "warehouse_of_tuple",
     "warehouses_for_clients",
 ]
@@ -100,6 +101,13 @@ SETTLED_ROW_BASE = 1 << 40
 NOHEAD_ROW_BASE = 1 << 39
 
 
+#: Identifier of stock key (0, 0).  :meth:`TpccLayout.stock` is linear
+#: in its key, so ``STOCK_BASE + w * STOCK_PER_WAREHOUSE + item`` is what
+#: it returns for an in-range key — the transaction generator, which
+#: needs ten of them per neworder, adds in-range offsets directly.
+STOCK_BASE = make_tuple_id(STOCK.table_id, 1)
+
+
 class TpccLayout:
     """Maps logical TPC-C keys to 64-bit tuple identifiers.
 
@@ -152,9 +160,19 @@ class TpccLayout:
     # -- fresh rows (inserts) --------------------------------------------
     def fresh_row(self, table: Table) -> int:
         """A globally unique row id for an insert into ``table``."""
-        self._insert_counter += 1
-        row = self._insert_counter * self.site_count + self.site_index + 1
-        return make_tuple_id(table.table_id, row)
+        return make_tuple_id(table.table_id, self.fresh_rows(1)[0])
+
+    def fresh_rows(self, count: int) -> range:
+        """The *row numbers* of the next ``count`` inserts: consecutive
+        counter values, striped by site."""
+        first = self._insert_counter + 1
+        self._insert_counter += count
+        stride = self.site_count
+        return range(
+            first * stride + self.site_index + 1,
+            (first + count) * stride + self.site_index + 1,
+            stride,
+        )
 
     # -- sizes ------------------------------------------------------------
     def approx_tuple_count(self) -> int:

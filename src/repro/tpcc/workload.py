@@ -27,8 +27,9 @@ Conflict structure (calibrated against the paper's Tables 1 and 2):
 
 from __future__ import annotations
 
+import functools
 import random
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..db.transactions import Operation, OpKind, TransactionSpec
 from ..db.tuples import make_tuple_id, table_lock_id
@@ -63,6 +64,26 @@ REMOTE_SUPPLY_PROB = 0.01
 #: warehouse (see :func:`repro.tpcc.schema.warehouse_of_tuple`).
 _SETTLED_BASE = schema.SETTLED_ROW_BASE
 _NOHEAD_BASE = schema.NOHEAD_ROW_BASE
+
+#: Row 0 of the order tables: ``base + row`` is the tuple id.  The
+#: builders below validate their (warehouse, district) through
+#: ``TpccLayout`` and compute the ids they need by the dozen — stock,
+#: fresh and settled order rows — by addition, for keys in range by
+#: construction (``sample(range(ITEM_COUNT))``, ``_other_warehouse``,
+#: ``fresh_rows``); tests/property/test_prop_workload.py holds the sums
+#: equal to what the validating constructors return.
+_NEWORDER, _ORDER, _ORDERLINE = (
+    table_lock_id(table.table_id)
+    for table in (schema.NEWORDER, schema.ORDER, schema.ORDERLINE)
+)
+_DPW = schema.DISTRICTS_PER_WAREHOUSE
+_CPD = schema.CUSTOMERS_PER_DISTRICT
+
+
+@functools.lru_cache(maxsize=None)
+def _fetch(nbytes: int) -> Operation:
+    """The frozen, shared batched fetch of ``nbytes`` (a few dozen sizes)."""
+    return Operation(OpKind.FETCH, item=0, nbytes=nbytes)
 
 
 class TpccWorkload:
@@ -122,29 +143,27 @@ class TpccWorkload:
     # ------------------------------------------------------------------
     def neworder(self, w: int, d: int) -> TransactionSpec:
         rng = self.rng
-        layout = self.layout
+        random = rng.random
         ol_cnt = rng.randint(5, 15)
-        customer = layout.customer(w, d, rng.randrange(schema.CUSTOMERS_PER_DISTRICT))
-        items = rng.sample(range(schema.ITEM_COUNT), ol_cnt)
-        supplies = [
-            self._other_warehouse(w)
-            if rng.random() < REMOTE_SUPPLY_PROB
-            else w
-            for _ in items
-        ]
+        rng.randrange(_CPD)  # the customer: a plain read, only its draw matters
         # Certification read set = update-intent reads only (rows read
         # FOR UPDATE).  Plain reads (warehouse tax rate, item catalog,
         # customer discount) are never shipped: the paper's Table 1 shows
         # neworder unaffected by replication, which is only possible if
         # its plain read of the hot Warehouse row is not certified.
-        reads = {layout.district(w, d)}
-        reads.update(layout.stock(sw, i) for sw, i in zip(supplies, items))
-        writes = {layout.district(w, d)}
-        writes.update(layout.stock(sw, i) for sw, i in zip(supplies, items))
-        inserts = [layout.fresh_row(schema.ORDER), layout.fresh_row(schema.NEWORDER)]
-        inserts += [layout.fresh_row(schema.ORDERLINE) for _ in range(ol_cnt)]
-        writes.update(inserts)
-        write_sizes = self._sizes(writes)
+        # ``sizes`` collects the written rows; until the inserts join it
+        # holds exactly the rows read FOR UPDATE.
+        sizes = {self.layout.district(w, d): schema.DISTRICT.row_bytes}
+        for item in rng.sample(range(schema.ITEM_COUNT), ol_cnt):
+            supply = self._other_warehouse(w) if random() < REMOTE_SUPPLY_PROB else w
+            stock = schema.STOCK_BASE + supply * schema.STOCK_PER_WAREHOUSE + item
+            sizes[stock] = schema.STOCK.row_bytes
+        read_set = self._finalize_reads(sizes)
+        order, neworder, *lines = self.layout.fresh_rows(ol_cnt + 2)
+        sizes[_ORDER + order] = schema.ORDER.row_bytes
+        sizes[_NEWORDER + neworder] = schema.NEWORDER.row_bytes
+        for line in lines:
+            sizes[_ORDERLINE + line] = schema.ORDERLINE.row_bytes
         cpu = self.profiles.sample_cpu("neworder", rng)
         ops = self._ops(
             fetch_groups=[
@@ -157,12 +176,12 @@ class TpccWorkload:
         return TransactionSpec(
             tx_class="neworder",
             operations=ops,
-            read_set=self._finalize_reads(reads),
-            write_set=tuple(sorted(writes)),
-            write_sizes=write_sizes,
+            read_set=read_set,
+            write_set=tuple(sorted(sizes)),
+            write_sizes=sizes,
             commit_cpu=self.profiles.commit_cpu,
             commit_sectors=self.profiles.sectors("neworder"),
-            intrinsic_abort=rng.random() < NEWORDER_ROLLBACK_PROB,
+            intrinsic_abort=random() < NEWORDER_ROLLBACK_PROB,
         )
 
     def payment(self, w: int, d: int) -> TransactionSpec:
@@ -178,14 +197,15 @@ class TpccWorkload:
         else:
             cw, cd = w, d
         customer = layout.customer(cw, cd, rng.randrange(schema.CUSTOMERS_PER_DISTRICT))
-        # All three rows are read FOR UPDATE, so they are certified.
-        reads = {layout.warehouse(w), layout.district(w, d), customer}
-        writes = {
-            layout.warehouse(w),  # the W_YTD hotspot (§5.2)
-            layout.district(w, d),
-            customer,
-            layout.fresh_row(schema.HISTORY),
+        # All three rows are read FOR UPDATE, so they are certified;
+        # ``sizes`` is the read set until the history insert joins it.
+        sizes = {
+            layout.warehouse(w): schema.WAREHOUSE.row_bytes,  # W_YTD hotspot (§5.2)
+            layout.district(w, d): schema.DISTRICT.row_bytes,
+            customer: schema.CUSTOMER.row_bytes,
         }
+        read_set = self._finalize_reads(sizes)
+        sizes[layout.fresh_row(schema.HISTORY)] = schema.HISTORY.row_bytes
         cpu = self.profiles.sample_cpu(tx_class, rng)
         customer_bytes = schema.CUSTOMER.row_bytes * (3 if by_name else 1)
         ops = self._ops(
@@ -198,9 +218,9 @@ class TpccWorkload:
         return TransactionSpec(
             tx_class=tx_class,
             operations=ops,
-            read_set=self._finalize_reads(reads),
-            write_set=tuple(sorted(writes)),
-            write_sizes=self._sizes(writes),
+            read_set=read_set,
+            write_set=tuple(sorted(sizes)),
+            write_sizes=sizes,
             commit_cpu=self.profiles.commit_cpu,
             commit_sectors=self.profiles.sectors(tx_class),
             intrinsic_abort=by_name and rng.random() < PAYMENT_LONG_INTRINSIC,
@@ -233,40 +253,35 @@ class TpccWorkload:
 
     def delivery(self, w: int) -> TransactionSpec:
         rng = self.rng
-        layout = self.layout
-        reads: Set[int] = set()
-        writes: Set[int] = set()
+        randrange = rng.randrange
         # One oldest new-order per district: read + rewrite the queue
-        # head, deliver the order, update the customer balance.
-        for d in range(schema.DISTRICTS_PER_WAREHOUSE):
-            head = self._nohead(w, d)
-            order = self._settled_row(schema.ORDER, w, d, rng.randrange(64))
-            customer = layout.customer(
-                w, d, rng.randrange(schema.CUSTOMERS_PER_DISTRICT)
-            )
-            reads.update((head, order, customer))
-            writes.update((head, order, customer))
-            lines = [
-                self._settled_row(schema.ORDERLINE, w, d, rng.randrange(64) * 16 + i)
-                for i in range(10)
-            ]
-            reads.update(lines)
-            writes.update(lines)
+        # head, deliver the order, update the customer balance.  Every
+        # row is read FOR UPDATE and written: one set serves as both.
+        sizes: Dict[int, int] = {}
+        for d in range(_DPW):
+            settled = _SETTLED_BASE + ((w * _DPW + d) << 16)  # + slot: settled row
+            sizes[self._nohead(w, d)] = schema.NEWORDER.row_bytes
+            sizes[_ORDER + settled + randrange(64)] = schema.ORDER.row_bytes
+            customer = self.layout.customer(w, d, randrange(_CPD))
+            sizes[customer] = schema.CUSTOMER.row_bytes
+            lines = _ORDERLINE + settled
+            for i in range(10):
+                sizes[lines + randrange(64) * 16 + i] = schema.ORDERLINE.row_bytes
         cpu = self.profiles.sample_cpu("delivery", rng)
         per_district = schema.ORDER.row_bytes + 10 * schema.ORDERLINE.row_bytes
         ops = self._ops(
             fetch_groups=[
-                (schema.DISTRICTS_PER_WAREHOUSE * per_district, 0.5),
-                (schema.DISTRICTS_PER_WAREHOUSE * schema.CUSTOMER.row_bytes, 0.5),
+                (_DPW * per_district, 0.5),
+                (_DPW * schema.CUSTOMER.row_bytes, 0.5),
             ],
             total_cpu=cpu,
         )
         return TransactionSpec(
             tx_class="delivery",
             operations=ops,
-            read_set=self._finalize_reads(reads),
-            write_set=tuple(sorted(writes)),
-            write_sizes=self._sizes(writes),
+            read_set=self._finalize_reads(sizes),
+            write_set=tuple(sorted(sizes)),
+            write_sizes=sizes,
             commit_cpu=self.profiles.commit_cpu,
             commit_sectors=self.profiles.sectors("delivery"),
         )
@@ -323,18 +338,12 @@ class TpccWorkload:
         """
         ops: List[Operation] = []
         for nbytes, fraction in fetch_groups:
-            ops.append(Operation(OpKind.FETCH, item=0, nbytes=nbytes))
+            ops.append(_fetch(nbytes))
             if fraction > 0:
                 ops.append(Operation(OpKind.PROCESS, cpu_time=total_cpu * fraction))
         return tuple(ops)
 
-    def _sizes(self, writes: Set[int]) -> Dict[int, int]:
-        return {
-            item: schema.TABLES[item >> 48].row_bytes
-            for item in writes
-        }
-
-    def _finalize_reads(self, reads: Set[int]) -> Tuple[int, ...]:
+    def _finalize_reads(self, reads: Iterable[int]) -> Tuple[int, ...]:
         """Sort the read set, applying table-lock escalation if enabled."""
         threshold = self.readset_escalation_threshold
         if threshold is None:
@@ -349,10 +358,6 @@ class TpccWorkload:
             else:
                 final.update(items)
         return tuple(sorted(final))
-
-    def _settled_row(self, table: schema.Table, w: int, d: int, slot: int) -> int:
-        row = _SETTLED_BASE + ((w * schema.DISTRICTS_PER_WAREHOUSE + d) << 16) + slot
-        return make_tuple_id(table.table_id, row)
 
     def _nohead(self, w: int, d: int) -> int:
         """The new-order queue-head pseudo-row of (warehouse, district):

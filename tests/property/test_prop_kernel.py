@@ -1,9 +1,11 @@
 """Property tests: the event kernel's ordering guarantees."""
 
+import heapq
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.kernel import Simulator
+from repro.core.kernel import Signal, Simulator
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6, allow_nan=False), max_size=50))
@@ -52,3 +54,146 @@ def test_cancellation_removes_exactly_one(cancel_index, count):
     sim.run()
     expected = [i for i in range(count) if events[i] is not victim]
     assert fired == expected
+
+
+# ----------------------------------------------------------------------
+# the same-instant lane: (time, seq) order over two containers
+# ----------------------------------------------------------------------
+class HeapLane:
+    """Stands in for the lane deque: everything goes to the heap."""
+
+    def __init__(self, queue):
+        self.queue = queue
+
+    def append(self, entry):
+        heapq.heappush(self.queue, entry)
+
+    def __len__(self):
+        return 0
+
+
+class HeapOnlySimulator(Simulator):
+    """Reference: one heap, popped in (time, seq) order, nothing else."""
+
+    def __init__(self):
+        super().__init__()
+        self._lane = HeapLane(self._queue)
+
+    def run(self, until=None, max_events=None):
+        self._stopped, executed, queue = False, 0, self._queue
+        limit = float("inf") if until is None else until
+        while queue and not self._stopped and executed != max_events:
+            if queue[0][0] > limit:
+                break
+            time, seq, *rest = heapq.heappop(queue)
+            fn, args = rest if len(rest) == 2 else (rest[0].fn, rest[0].args)
+            if len(rest) == 1 and rest[0].cancelled:
+                continue
+            self._now, self._exec_seq = time, seq
+            fn(*args)
+            executed += 1
+        self.events_executed += executed
+        if not self._stopped and executed != max_events:
+            self._exec_seq = self._seq
+            if not queue and self._now < self._horizon <= limit:
+                self._now = self._horizon
+            if until is not None and self._now < until:
+                self._now = until
+        return self._now
+
+
+#: 0 and a delay that underflows to ``now``, plus a grid coarse enough
+#: that independent chains land on the same instant.
+delays = st.sampled_from([0.0, 0.0, 1e-300, 0.25, 0.5, 1.0])
+small = st.integers(min_value=0, max_value=7)
+actions = st.recursive(
+    st.one_of(
+        st.tuples(st.just("cancel"), small),
+        st.tuples(st.just("fire"), small),
+        st.tuples(st.just("stop"), small),
+        st.tuples(st.just("reserve"), delays),
+        st.tuples(st.just("materialise"), small),
+    ),
+    lambda children: st.tuples(
+        st.sampled_from(["call", "schedule", "schedule_at"]),
+        delays,
+        st.lists(children, max_size=3),
+    ),
+    max_leaves=25,
+)
+process_steps = st.lists(st.one_of(delays, small), max_size=6)
+run_bounds = st.one_of(
+    st.none(),
+    st.tuples(st.just("until"), st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0])),
+    st.tuples(st.just("max_events"), st.integers(min_value=0, max_value=6)),
+)
+
+
+def execute(sim_class, roots, processes, bounds):
+    """Run the program on ``sim_class``; return everything observable."""
+    sim = sim_class()
+    signals = [Signal(sim) for _ in range(8)]
+    handles, reserved, trace, observed = [], [], [], []
+
+    def perform(action):
+        kind, arg, *rest = action
+        if kind == "cancel":
+            if handles:
+                handles[arg % len(handles)].cancel()
+        elif kind == "fire":
+            signals[arg].fire(arg)
+        elif kind == "stop":
+            sim.stop()
+        elif kind == "reserve":  # what a lazily-completing CPU does
+            sim._seq += 1
+            reserved.append((sim.now + arg, sim._seq))
+            sim._horizon = max(sim._horizon, sim.now + arg)
+        elif kind == "materialise":  # ...and when work queues behind it
+            if reserved:
+                key = reserved.pop(arg % len(reserved))
+                if key > (sim.now, sim._exec_seq):
+                    heapq.heappush(sim._queue, (*key, fired, ((),)))
+        elif kind == "call":
+            sim.call(arg, fired, rest[0])
+        elif kind == "schedule":
+            handles.append(sim.schedule(arg, fired, rest[0]))
+        else:
+            handles.append(sim.schedule_at(sim.now + arg, fired, rest[0]))
+
+    def fired(children):
+        trace.append((sim.now, sim._exec_seq))
+        for child in children:
+            perform(child)
+
+    def process(steps):
+        for step in steps:
+            trace.append((sim.now, sim._exec_seq))
+            yield signals[step] if isinstance(step, int) else step
+        trace.append((sim.now, sim._exec_seq))
+
+    for steps in processes:
+        sim.process(process(steps))
+    for action in roots:
+        perform(action)
+    for bound in bounds:
+        sim.run(**({} if bound is None else {bound[0]: bound[1]}))
+        observed.append((sim.now, sim._seq, sim._exec_seq, sim.pending(), len(trace)))
+    sim.run()
+    return trace, observed, sim.now, sim.events_executed, sim.pending()
+
+
+@given(
+    st.lists(actions, max_size=6),
+    st.lists(process_steps, max_size=4),
+    st.lists(run_bounds, max_size=4),
+)
+@settings(max_examples=500, deadline=None)
+def test_lane_and_heap_execute_in_heap_only_order(roots, processes, bounds):
+    """Random programs of call / schedule / schedule_at / Signal.fire /
+    process sleeps with zero, underflowing and tying delays, cancels,
+    nested scheduling, stop() mid-instant and bounded runs cut inside an
+    instant: the executed (time, seq) sequence, the clock, the sequence
+    counters and pending() after every run equal the reference's."""
+    assert execute(Simulator, roots, processes, bounds) == execute(
+        HeapOnlySimulator, roots, processes, bounds
+    )

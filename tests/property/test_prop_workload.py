@@ -12,7 +12,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db.tuples import row_of, table_of
+from repro.db.tuples import make_tuple_id, row_of, table_of
 from repro.tpcc import schema
 from repro.tpcc.workload import TpccWorkload, _NOHEAD_BASE
 
@@ -98,3 +98,65 @@ def test_items_stay_inside_schema_bounds(seed, warehouses):
         for item in (*spec.read_set, *spec.write_set):
             assert table_of(item) in valid_tables
             assert row_of(item) >= 1
+
+
+@given(
+    seeds,
+    warehouse_counts,
+    st.integers(min_value=1, max_value=6),
+    st.sampled_from([None, 2, 8]),
+    st.data(),
+)
+@settings(max_examples=100)
+def test_generated_ids_are_what_the_validating_constructors_build(
+    seed, warehouses, site_count, threshold, data
+):
+    """The builders compute ids by addition; every one of them must
+    still decode through ``table_of`` / ``row_of`` /
+    ``warehouse_of_tuple`` to a key the public ``TpccLayout`` methods
+    accept, and re-encode through them to the same id."""
+    site_index = data.draw(st.integers(min_value=0, max_value=site_count - 1))
+    workload = TpccWorkload(
+        warehouses,
+        rng=random.Random(seed),
+        site_index=site_index,
+        site_count=site_count,
+        readset_escalation_threshold=threshold,
+    )
+    layout = schema.TpccLayout(warehouses, site_index, site_count)
+    dpw, cpd = schema.DISTRICTS_PER_WAREHOUSE, schema.CUSTOMERS_PER_DISTRICT
+    fresh_rows = []
+    for i in range(40):
+        spec = workload.next_transaction(i)
+        for item in sorted({*spec.read_set, *spec.write_set}):
+            table, row = table_of(item), row_of(item)
+            owner = schema.warehouse_of_tuple(item)
+            assert owner is None or 0 <= owner < warehouses
+            if row == 0:  # escalated: a whole-table lock, reads only
+                assert threshold is not None and item not in spec.write_set
+            elif table == schema.WAREHOUSE.table_id:
+                assert layout.warehouse(row - 1) == item and owner == row - 1
+            elif table == schema.DISTRICT.table_id:
+                w, d = divmod(row - 1, dpw)
+                assert layout.district(w, d) == item and owner == w
+            elif table == schema.CUSTOMER.table_id:
+                wd, c = divmod(row - 1, cpd)
+                assert layout.customer(*divmod(wd, dpw), c) == item
+                assert owner == wd // dpw
+            elif table == schema.STOCK.table_id:
+                w, stock_item = divmod(row - 1, schema.STOCK_PER_WAREHOUSE)
+                assert layout.stock(w, stock_item) == item and owner == w
+            elif row >= schema.SETTLED_ROW_BASE:
+                assert table in (schema.ORDER.table_id, schema.ORDERLINE.table_id)
+                assert make_tuple_id(table, row) == item and owner is not None
+            elif row >= _NOHEAD_BASE:
+                assert table == schema.NEWORDER.table_id
+                assert item == workload._nohead(*divmod(row - _NOHEAD_BASE - 1, dpw))
+            else:  # a fresh insert: striped by site, owned by no warehouse
+                assert is_insert(item) and owner is None
+                assert item in spec.write_set and item not in spec.read_set
+                fresh_rows.append((table, row))
+    # Fresh rows are what fresh_row() would have numbered, in order.
+    assert sorted(row for _, row in fresh_rows) == [
+        row_of(layout.fresh_row(schema.TABLES[table])) for table, _ in fresh_rows
+    ]

@@ -154,6 +154,72 @@ class TestRunControl:
         assert sim.events_executed == 3
 
 
+class TestSameInstantLane:
+    """Zero-delay handle-free events wait in a FIFO beside the heap;
+    nothing observable may tell the two apart."""
+
+    def test_pending_counts_the_lane(self):
+        sim = Simulator()
+        sim.call(0.0, lambda: None)
+        sim.call(1.0, lambda: None)
+        sim.schedule(0.0, lambda: None).cancel()
+        assert sim.pending() == 2
+
+    def test_heap_entry_at_now_with_lower_seq_runs_first(self):
+        sim = Simulator()
+        order = []
+
+        def root():
+            sim.call(1e-300, order.append, "underflowed")  # now + 1e-300 == now
+            sim.schedule(0.0, order.append, "handle")
+            sim.call(0.0, order.append, "lane")
+
+        sim.schedule(1.0, root)
+        sim.run()
+        assert order == ["underflowed", "handle", "lane"]
+        assert sim.now == 1.0
+
+    def test_stop_mid_instant_leaves_the_lane_for_the_next_run(self):
+        sim = Simulator()
+        order = []
+
+        def root():
+            sim.call(0.0, order.append, "a")
+            sim.call(0.0, order.append, "b")
+            sim.stop()
+
+        sim.call(0.5, root)
+        sim._horizon = 2.0  # elided work ends later (see repro.core.cpu)
+        sim.run(until=3.0)
+        assert order == [] and sim.pending() == 2
+        assert sim.now == 0.5  # stopped: not drained, not advanced
+        sim.run()
+        assert order == ["a", "b"]
+        assert sim.now == 2.0  # drained now: the horizon rule applies
+
+    def test_budget_cut_inside_an_instant_holds_the_clock(self):
+        sim = Simulator()
+        order = []
+        for tag in "abc":
+            sim.call(0.0, order.append, tag)
+        sim.run(until=5.0, max_events=2)
+        assert order == ["a", "b"] and sim.pending() == 1
+        assert sim.now == 0.0  # an event at t=0 is still to run
+        sim.run(until=5.0)
+        assert order == ["a", "b", "c"] and sim.now == 5.0
+
+    def test_bound_in_the_past_runs_nothing(self):
+        sim = Simulator()
+        order = []
+        sim.call(1.0, sim.call, 0.0, order.append, "late")
+        sim.run(max_events=1)
+        assert sim.now == 1.0 and sim.pending() == 1
+        sim.run(until=0.5)
+        assert order == [] and sim.now == 1.0
+        sim.run()
+        assert order == ["late"]
+
+
 class TestProcesses:
     def test_sleep_yields_advance_time(self):
         sim = Simulator()

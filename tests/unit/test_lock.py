@@ -217,3 +217,29 @@ class TestRemotePreemption:
         sim.run()
         assert r1.events == [GRANTED]
         assert r2.events == []
+
+    def test_preemption_leftovers_wait_for_the_next_release(self):
+        """Pins a known quirk (see the module docstring of db/lock.py):
+        preempting a holder of {x, y} for a remote {x} frees y without a
+        regrant pass, so a local waiter on {y} is granted only when the
+        next release — of anything — runs one.  Granting it at once
+        changes simulated results; that is a re-baselining PR's job."""
+        sim = Simulator()
+        locks = LockManager(sim)
+        victim, waiter, bystander, remote = (Recorder() for _ in range(4))
+        x, y, z = 1, 2, 3
+        locks.acquire(make_tx([x, y]), victim)
+        locks.acquire(make_tx([y]), waiter)
+        unrelated = locks.acquire(make_tx([z]), bystander)
+        sim.run()
+        locks.acquire_remote(make_tx([x], remote=True), remote)
+        sim.run()
+        assert victim.events == [GRANTED, PREEMPTED]
+        assert remote.events == [GRANTED]
+        assert locks.holder_of(y) is None
+        assert waiter.events == []  # y is free, the waiter still queued
+        assert locks.waiting_count() == 1
+        locks.release_abort(unrelated)
+        sim.run()
+        assert waiter.events == [GRANTED]
+        assert locks.waiting_count() == 0
