@@ -184,7 +184,7 @@ class Simulator:
         the callback cannot be cancelled.
 
         Most scheduling in the simulator never uses the returned handle —
-        link transmissions, storage sector completions, lock wake-ups,
+        link transmissions, storage request completions, lock wake-ups,
         process steps — yet :meth:`schedule` pays for an :class:`Event`
         allocation each time.  This variant pushes a bare
         ``(time, seq, fn, args)`` entry instead — onto the same-instant
@@ -461,9 +461,9 @@ class Entity:
         self.sim = sim
         self.name = name or type(self).__name__
         # Bind the simulator's schedule directly on the instance: entity
-        # scheduling is hot-path (every link transmission, storage sector
-        # and CPU completion goes through it) and the extra delegation
-        # frame of the class-level helper below is measurable.  The
+        # scheduling is hot-path (every link transmission, cache-hit
+        # notification and CPU completion goes through it) and the extra
+        # delegation frame of the class-level helper below is measurable.  The
         # method definition stays as documentation and for subclasses
         # that look it up on the class.
         self.schedule = sim.schedule

@@ -20,7 +20,7 @@ import math
 import random
 from collections import deque
 from heapq import heappush as _heappush
-from typing import Callable, Deque, Optional, Tuple
+from typing import Deque, Optional
 
 from ..core.kernel import Entity, Signal, Simulator
 
@@ -47,7 +47,37 @@ class StorageStats:
 
 
 class Storage(Entity):
-    """Fixed-latency, bounded-concurrency sector store."""
+    """Fixed-latency, bounded-concurrency sector store, in closed form.
+
+    With ``concurrency`` interchangeable slots, FIFO service and one
+    constant service time, the *i*-th sector ever submitted starts at
+    ``max(submission instant, finish of sector i - concurrency)``: the
+    slot it gets is the one the sector ``concurrency`` places ahead of it
+    frees.  So a request is served by arithmetic at submission — a walk
+    over the ring of the last ``concurrency`` finish instants, one
+    ``start + sector_latency`` per sector — and costs the kernel **one**
+    event, at its last sector's finish, that fires the ``done`` signal.
+    What the device has done *by now* (``stats``, ``utilization()``,
+    ``queue_depth()``) is settled on read: a sector counts once its
+    start instant has been reached.
+
+    **Order at equal instants.**  Replicas applying the same commits
+    keep their disks in lock-step, so completions of *different*
+    devices at the same float instant are routine, and the kernel breaks
+    the tie by sequence number.  In a chain of per-sector events each
+    completion schedules the next one of its slot, so two busy slots
+    keep, tie after tie, the order in which they were last taken idle.
+    The closed form keeps that order explicitly: a sector that finds its
+    slot idle draws a fresh sequence number, one that queues inherits
+    its slot's, and the request's event is pushed under the number of
+    its last sector's slot (:mod:`repro.core.cpu` pushes late under a
+    reserved number the same way).  A number drawn at submission instead
+    would let the request submitted first win the tie, which is a
+    different simulated result.  (What is not kept: two chains whose
+    instants differed by an ulp and were rounded together by a later
+    addition; equal instants computed by the same additions, as
+    replicas compute them, are.)
+    """
 
     def __init__(
         self,
@@ -69,12 +99,18 @@ class Storage(Entity):
         self.sector_bytes = sector_bytes
         self.cache_hit_ratio = cache_hit_ratio
         self.rng = rng or random.Random(0)
-        self.stats = StorageStats()
-        self._busy_slots = 0
-        #: Not-yet-started sectors as ``(kind, count, on_sector_done)``
-        #: batches in FIFO order — sectors of one request stay contiguous,
-        #: so batching preserves per-sector service order exactly.
-        self._queue: Deque[Tuple[str, int, Callable[[], None]]] = deque()
+        self._stats = StorageStats()
+        #: Finish instants of the last ``concurrency`` sectors submitted,
+        #: oldest first: ``_finish[0]`` is when the next sector's slot
+        #: frees (0.0: never used).
+        self._finish: Deque[float] = deque([0.0] * concurrency, maxlen=concurrency)
+        #: Per slot, in the same order, the sequence number its
+        #: completions run under (see "Order at equal instants").
+        self._order: Deque[int] = deque([0] * concurrency, maxlen=concurrency)
+        #: Start instants of the read and written sectors not yet counted
+        #: in ``_stats``; each ascending, because service is FIFO.
+        self._reads: Deque[float] = deque()
+        self._writes: Deque[float] = deque()
 
     # ------------------------------------------------------------------
     # derived configuration
@@ -97,10 +133,10 @@ class Storage(Entity):
         """
         done = Signal(self.sim, latch=True)
         if nbytes <= 0 or self.rng.random() < self.cache_hit_ratio:
-            self.stats.cache_hits += 1
+            self._stats.cache_hits += 1
             self.call(0.0, done.fire, None)
             return done
-        self._submit_sectors(self._sectors_for(nbytes), "read", done)
+        self._submit_sectors(self._sectors_for(nbytes), self._reads, done)
         return done
 
     def write(self, nbytes: int) -> Signal:
@@ -110,7 +146,7 @@ class Storage(Entity):
         if nbytes <= 0:
             self.call(0.0, done.fire, None)
             return done
-        self._submit_sectors(self._sectors_for(nbytes), "write", done)
+        self._submit_sectors(self._sectors_for(nbytes), self._writes, done)
         return done
 
     def write_sectors(self, sectors: int) -> Signal:
@@ -119,8 +155,18 @@ class Storage(Entity):
         if sectors <= 0:
             self.call(0.0, done.fire, None)
             return done
-        self._submit_sectors(sectors, "write", done)
+        self._submit_sectors(sectors, self._writes, done)
         return done
+
+    # ------------------------------------------------------------------
+    # observation
+    # ------------------------------------------------------------------
+    @property
+    def stats(self) -> StorageStats:
+        """The counters as of now (read them through this attribute:
+        a reference kept across simulated time goes stale)."""
+        self._settle()
+        return self._stats
 
     def utilization(self, elapsed: float) -> float:
         """Fraction of the device's total slot-time spent busy."""
@@ -130,7 +176,8 @@ class Storage(Entity):
 
     def queue_depth(self) -> int:
         """Sectors waiting for a free slot."""
-        return sum(count for _, count, _ in self._queue)
+        self._settle()
+        return len(self._reads) + len(self._writes)
 
     # ------------------------------------------------------------------
     # internals
@@ -138,68 +185,58 @@ class Storage(Entity):
     def _sectors_for(self, nbytes: int) -> int:
         return max(1, math.ceil(nbytes / self.sector_bytes))
 
-    def _submit_sectors(self, sectors: int, kind: str, done: Signal) -> None:
-        remaining = {"count": sectors}
-
-        def on_sector_done() -> None:
-            remaining["count"] -= 1
-            if remaining["count"] == 0:
-                done.fire(None)
-
-        free = self.concurrency - self._busy_slots
-        if free > 0:
-            started = sectors if sectors < free else free
-            self._start_batch(kind, started, on_sector_done)
-            sectors -= started
-        if sectors:
-            self._queue.append((kind, sectors, on_sector_done))
-
-    def _start_batch(self, kind: str, count: int, on_done: Callable[[], None]) -> None:
-        """Occupy ``count`` free slots with same-kind sectors.
-
-        All ``count`` sectors start now and finish together at
-        ``now + sector_latency``, so they share **one** completion event
-        instead of one per sector — under commit-flush load (requests of
-        tens of sectors) this is the single largest event population.
-        Per-sector service order is unchanged: slots are interchangeable,
-        service times are identical, and the batch covers exactly the
-        sectors the per-sector scheme would have started at this instant.
-        """
-        self._busy_slots += count
-        stats = self.stats
-        # Accumulated one sector at a time on purpose: ``busy_time`` is
-        # reported in resource samples, and ``lat * count`` rounds
-        # differently from ``count`` repeated additions — the batch must
-        # be bit-identical to the per-sector scheme it replaces.
-        busy = stats.busy_time
-        lat = self.sector_latency
-        for _ in range(count):
-            busy += lat
-        stats.busy_time = busy
-        stats.bytes_transferred += self.sector_bytes * count
-        if kind == "read":
-            stats.sectors_read += count
-        else:
-            stats.sectors_written += count
-        # Inlined fire-and-forget schedule (see Simulator.call).
+    def _submit_sectors(
+        self, sectors: int, uncounted: Deque[float], done: Signal
+    ) -> None:
+        self._settle()  # keeps the uncounted no longer than the queue
         sim = self.sim
-        sim._seq += 1
-        _heappush(
-            sim._queue,
-            (sim._now + self.sector_latency, sim._seq, self._finish_batch, (count, on_done)),
-        )
+        now = sim._now
+        lat = self.sector_latency
+        finish, order = self._finish, self._order
+        for _ in range(sectors):
+            start = finish[0]
+            if start > now:
+                seq = order[0]
+            else:
+                start = now
+                sim._seq += 1
+                seq = sim._seq
+            uncounted.append(start)
+            # ``start + lat`` per sector, never ``now + n * lat``: these
+            # are the additions a chain of per-sector events performs,
+            # and completion instants must not move by an ulp.
+            end = start + lat
+            finish.append(end)
+            order.append(seq)
+        # Inlined fire-and-forget schedule (see Simulator.call), under the
+        # number of the last sector's slot.
+        _heappush(sim._queue, (end, seq, done.fire, (None,)))
 
-    def _finish_batch(self, count: int, on_done: Callable[[], None]) -> None:
-        self._busy_slots -= count
-        for _ in range(count):
-            on_done()
-        queue = self._queue
-        concurrency = self.concurrency
-        while queue and self._busy_slots < concurrency:
-            kind, waiting, queued_on_done = queue.popleft()
-            free = concurrency - self._busy_slots
-            started = waiting if waiting < free else free
-            self._start_batch(kind, started, queued_on_done)
-            if waiting > started:
-                queue.appendleft((kind, waiting - started, queued_on_done))
-                break
+    def _settle(self) -> None:
+        """Count the sectors whose start instant has been reached."""
+        now = self.sim._now
+        stats = self._stats
+        read = _pop_until(self._reads, now)
+        written = _pop_until(self._writes, now)
+        started = read + written
+        if started:
+            stats.sectors_read += read
+            stats.sectors_written += written
+            stats.bytes_transferred += self.sector_bytes * started
+            # One latency at a time on purpose: ``busy_time`` is reported
+            # in resource samples, and ``lat * started`` rounds
+            # differently from ``started`` repeated additions.
+            busy = stats.busy_time
+            lat = self.sector_latency
+            for _ in range(started):
+                busy += lat
+            stats.busy_time = busy
+
+
+def _pop_until(instants: Deque[float], now: float) -> int:
+    """Drop the leading instants that are not in the future; how many."""
+    count = 0
+    while instants and instants[0] <= now:
+        instants.popleft()
+        count += 1
+    return count

@@ -18,7 +18,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import FrozenSet, Tuple
+from typing import Dict, FrozenSet, Tuple
 
 from ..db.transactions import TransactionSpec
 from ..db.tuples import ROW_BITS
@@ -53,38 +53,43 @@ class CommitRequest:
     commit_sectors: int
 
     @cached_property
-    def read_footprint(
-        self,
-    ) -> Tuple[FrozenSet[int], FrozenSet[int], FrozenSet[int]]:
-        """``(ids, tables, whole-table-locked tables)`` of the read set
-        as frozensets.
+    def read_footprint(self) -> Tuple[FrozenSet[int], FrozenSet[int]]:
+        """``(tables, whole-table-locked tables)`` of the read set.
 
-        Certification probes these against every concurrent committed
-        write set; caching them here means they are computed once per
-        transaction and shared by all replicas' certifiers (the decode
-        memo hands every replica the same instance).
+        Certification probes its table indexes with these; caching them
+        here means they are computed once per transaction and shared by
+        all replicas' certifiers (the decode memo hands every replica
+        the same instance).
         """
         reads = self.read_set
         return (
-            frozenset(reads),
             frozenset(r >> ROW_BITS for r in reads),
             frozenset(r >> ROW_BITS for r in reads if not r & _ROW_MASK),
         )
+
+    @cached_property
+    def _remote_specs(self) -> Dict[float, TransactionSpec]:
+        return {}
 
     def remote_spec(self, cpu_factor: float) -> TransactionSpec:
         """The apply-side reconstruction every replication protocol
         performs on delivery: install the already-computed writes and
         run the commit record — no parsing, planning or execution, so
-        only ``cpu_factor`` of the profiled commit cost is charged."""
-        return TransactionSpec(
-            tx_class=self.tx_class,
-            operations=(),
-            read_set=self.read_set,
-            write_set=self.write_set,
-            write_sizes={},
-            commit_cpu=self.commit_cpu * cpu_factor,
-            commit_sectors=self.commit_sectors,
-        )
+        only ``cpu_factor`` of the profiled commit cost is charged.
+        Built once per request and factor: the spec is frozen, and every
+        remote replica is handed the same request instance."""
+        spec = self._remote_specs.get(cpu_factor)
+        if spec is None:
+            spec = self._remote_specs[cpu_factor] = TransactionSpec(
+                tx_class=self.tx_class,
+                operations=(),
+                read_set=self.read_set,
+                write_set=self.write_set,
+                write_sizes={},
+                commit_cpu=self.commit_cpu * cpu_factor,
+                commit_sectors=self.commit_sectors,
+            )
+        return spec
 
 
 def marshal_request(req: CommitRequest) -> bytes:

@@ -224,7 +224,7 @@ class TestCertifierEdgeCases:
             certifier.certify(
                 request(reads=(100 + i,), writes=(100 + i,), start_seq=i)
             )
-        horizon = certifier._log[0][0]
+        horizon = certifier.log_horizon()
         committed, _ = certifier.certify(
             request(reads=(999,), writes=(), start_seq=horizon - 1)
         )
@@ -233,6 +233,16 @@ class TestCertifierEdgeCases:
             certifier.certify(
                 request(reads=(999,), writes=(), start_seq=horizon - 2)
             )
+
+    def test_log_horizon_follows_the_oldest_live_write_set(self):
+        certifier = Certifier(log_limit=2)
+        assert certifier.log_horizon() is None
+        certifier.certify(request(reads=(), writes=()))  # seq 1, no entry
+        assert certifier.log_horizon() is None
+        for i in range(3):
+            certifier.certify(request(reads=(), writes=(10 + i,), start_seq=i))
+        assert certifier.log_size() == 2
+        assert certifier.log_horizon() == 3  # seqs 2, 3, 4; 2 was pruned
 
     def test_table_lock_readset_vs_unrelated_writes(self):
         """A whole-table read lock conflicts with any concurrent write

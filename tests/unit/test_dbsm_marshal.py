@@ -70,3 +70,22 @@ class TestErrors:
     def test_overlong_class_name(self):
         with pytest.raises(ValueError):
             marshal_request(request(tx_class="x" * 70000))
+
+
+class TestRemoteSpec:
+    def test_built_once_per_request_and_factor(self):
+        """Every remote replica is handed the same decoded request, so
+        the apply-side spec is shared too (it is frozen)."""
+        req = request(commit_cpu=2e-3, commit_sectors=3)
+        spec = req.remote_spec(0.5)
+        assert req.remote_spec(0.5) is spec
+        assert spec.commit_cpu == 1e-3 and spec.commit_sectors == 3
+        assert (spec.read_set, spec.write_set) == (req.read_set, req.write_set)
+        assert spec.operations == ()
+        assert req.remote_spec(0.25).commit_cpu == 0.5e-3
+
+    def test_memo_is_not_part_of_the_value(self):
+        a, b = request(), request()
+        a.remote_spec(0.5)
+        assert a == b and hash(a) == hash(b)
+        assert marshal_request(a) == marshal_request(b)

@@ -4,7 +4,9 @@
 what the cell *produces*: the sha256 of the canonical
 ``ScenarioResult.to_dict()`` JSON (the benchmark's ``result_digest``)
 of six small cells covering the centralized baseline, all three
-registered protocols and two fault-loads with every monitor armed.  An
+registered protocols and two fault-loads with every monitor armed, and
+of two saturated 6-site cells (2 000 clients: a deep disk queue and a
+30-entry certification window, which 30 clients never build).  An
 optimisation must leave every digest alone; a change that legitimately
 moves simulated results re-baselines them and says why in the PR.
 """

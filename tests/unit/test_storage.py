@@ -112,3 +112,22 @@ class TestConfiguration:
         storage.write(10)
         storage.write(10)
         assert storage.queue_depth() == 1
+
+    def test_counters_follow_the_clock_not_the_submission(self):
+        """A sector counts — busy time, bytes, queue — from the instant
+        it starts, whoever looks and whenever."""
+        sim = Simulator()
+        storage = make_storage(sim, latency=1e-3, concurrency=2)
+        storage.write_sectors(5)  # starts at 0, 0, 1 ms, 1 ms, 2 ms
+        assert storage.stats.sectors_written == 2
+        assert storage.queue_depth() == 3
+        sim.run(until=1.5e-3)
+        assert storage.stats.sectors_written == 4
+        assert storage.stats.bytes_transferred == 4 * 4096
+        assert storage.queue_depth() == 1
+        assert storage.utilization(2e-3) == pytest.approx(1.0)
+        assert storage.utilization(4e-3) == pytest.approx(0.5)
+        sim.run()
+        assert sim.now == pytest.approx(3e-3)
+        assert storage.stats.sectors_written == 5
+        assert storage.stats.busy_time == pytest.approx(5e-3)
