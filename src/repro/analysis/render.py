@@ -27,6 +27,7 @@ if TYPE_CHECKING:  # Comparison lives with ResultSet; avoid a cycle
 __all__ = [
     "NO_DATA",
     "format_table",
+    "nan_to_none",
     "render_csv",
     "render_markdown",
     "render_text",
@@ -184,8 +185,13 @@ def render_csv(
     return "\n".join(lines)
 
 
-def _json_value(value: float) -> Optional[float]:
-    return None if math.isnan(value) else value
+def nan_to_none(value: object) -> object:
+    """NaN is unrepresentable in JSON — serve ``null``, never a fake 0.
+    The one rule behind every JSON payload (tables, ``report --format
+    json``, the HTML report, ``repro.dashboard/1``)."""
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    return value
 
 
 def table_payload(table: Table) -> Dict[str, object]:
@@ -197,11 +203,11 @@ def table_payload(table: Table) -> Dict[str, object]:
         "rows": list(table.rows),
         "cols": list(table.cols),
         "values": [
-            [_json_value(table.value(row, col)) for col in table.cols]
+            [nan_to_none(table.value(row, col)) for col in table.cols]
             for row in table.rows
         ],
         "ci95": [
-            [_json_value(table.stat(row, col).ci95) for col in table.cols]
+            [nan_to_none(table.stat(row, col).ci95) for col in table.cols]
             for row in table.rows
         ],
         "n": [
@@ -266,9 +272,9 @@ def comparison_payload(comparison: "Comparison") -> Dict[str, object]:
                 "cell": label,
                 "deltas": {
                     metric: {
-                        "baseline": _json_value(delta.baseline),
-                        "candidate": _json_value(delta.candidate),
-                        "percent": _json_value(delta.percent),
+                        "baseline": nan_to_none(delta.baseline),
+                        "candidate": nan_to_none(delta.candidate),
+                        "percent": nan_to_none(delta.percent),
                     }
                     for metric, delta in deltas.items()
                 },

@@ -22,7 +22,6 @@ renders one view:
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -31,6 +30,7 @@ from .figures import FIGURES, figure_table, render_figure
 from .metrics import HEADLINE_METRICS, available_metrics
 from .render import (
     comparison_payload,
+    nan_to_none,
     render_comparison,
     render_csv,
     render_markdown,
@@ -70,9 +70,6 @@ def _parse_value(raw: str) -> object:
 
 
 def _cells_payload(rs: ResultSet, metrics: Sequence[str]) -> Dict[str, object]:
-    def sanitize(value: float) -> Optional[float]:
-        return None if isinstance(value, float) and math.isnan(value) else value
-
     return {
         "campaign": rs.name,
         "spec_hash": rs.spec_hash,
@@ -83,7 +80,7 @@ def _cells_payload(rs: ResultSet, metrics: Sequence[str]) -> Dict[str, object]:
                 "source": cell.source,
                 "axes": dict(cell.axes),
                 "metrics": {
-                    name: sanitize(cell.value(name)) for name in metrics
+                    name: nan_to_none(cell.value(name)) for name in metrics
                 },
             }
             for cell in rs.cells

@@ -2,9 +2,9 @@
 
 Mirrors the replication-protocol registry (:mod:`repro.protocols.base`):
 campaigns resolve by name everywhere — the runner CLI (``run smoke``),
-``run_grid``, the benchmark grid — and registering a spec is all it
-takes to make a new grid runnable, listable, describable and
-exportable from the command line.
+the benchmark grid — and registering a spec is all it takes to make a
+new grid runnable, listable, describable and exportable from the
+command line.
 
 Built-in campaigns (:mod:`repro.campaigns.builtins`) register lazily on
 first lookup.  Registration is per-process, like protocols: a custom

@@ -11,11 +11,12 @@ the run, tolerating only a *prefix* relationship for sites that crashed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 __all__ = [
     "CommitLog",
     "SafetyViolation",
+    "agreement_divergences",
     "check_consistency",
     "describe_divergence",
 ]
@@ -61,34 +62,53 @@ class SafetyViolation(AssertionError):
     """Raised when replicas disagree on the committed sequence."""
 
 
-def check_consistency(logs: Sequence[CommitLog]) -> Dict[str, int]:
-    """Verify all operational sites committed the same sequence.
+#: One site's committed ``(global sequence number, transaction id)`` run.
+CommitSequence = Tuple[Tuple[int, int], ...]
 
-    Crashed sites must have committed a *prefix* of the agreed sequence
-    (they stopped mid-stream, which is fine); operational sites must
-    match exactly.  Returns ``{site: committed_count}`` on success and
-    raises :class:`SafetyViolation` otherwise.
-    """
-    operational = [log for log in logs if not log.crashed]
+
+def agreement_divergences(
+    logs: Iterable[Tuple[Any, CommitSequence, bool]],
+) -> Iterator[Tuple[Any, CommitSequence, bool, Any, CommitSequence]]:
+    """The §5.3 agreement rule, stated once for the post-hoc check below
+    and the streaming ``one-copy-sr`` monitor.
+
+    ``logs`` are ``(site, committed sequence, operational)`` triples.
+    Every operational sequence must equal the reference (the first
+    operational one); a non-operational site (crashed, or mid-rejoin)
+    stopped mid-stream, so its sequence need only be a *prefix* of it.
+    Yields ``(site, sequence, operational, reference site, expected
+    sequence)`` for each log that breaks the rule — operational sites
+    first — and nothing when no site is operational."""
+    logs = list(logs)
+    operational = [entry for entry in logs if entry[2]]
     if not operational:
-        return {log.site: len(log.entries) for log in logs}
+        return
+    ref_site, reference, _ = operational[0]
+    for site, seq, _ in operational[1:]:
+        if seq != reference:
+            yield site, seq, True, ref_site, reference
+    for site, seq, is_operational in logs:
+        if not is_operational and seq != reference[: len(seq)]:
+            yield site, seq, False, ref_site, reference[: len(seq)]
 
-    reference = operational[0].sequence()
-    for log in operational[1:]:
-        if log.sequence() != reference:
+
+def check_consistency(logs: Sequence[CommitLog]) -> Dict[str, int]:
+    """Verify all operational sites committed the same sequence
+    (:func:`agreement_divergences`).  Returns ``{site: committed_count}``
+    on success and raises :class:`SafetyViolation` on the first
+    divergence otherwise.
+    """
+    for site, seq, operational, ref_site, expected in agreement_divergences(
+        (log.site, log.sequence(), not log.crashed) for log in logs
+    ):
+        diff = describe_divergence(expected, seq)
+        if operational:
             raise SafetyViolation(
-                f"{log.site} and {operational[0].site} committed different "
-                f"sequences: {_diff(reference, log.sequence())}"
+                f"{site} and {ref_site} committed different sequences: {diff}"
             )
-    for log in logs:
-        if not log.crashed:
-            continue
-        seq = log.sequence()
-        if seq != reference[: len(seq)]:
-            raise SafetyViolation(
-                f"crashed site {log.site} is not a prefix of the agreed "
-                f"sequence: {_diff(reference[:len(seq)], seq)}"
-            )
+        raise SafetyViolation(
+            f"crashed site {site} is not a prefix of the agreed sequence: {diff}"
+        )
     return {log.site: len(log.entries) for log in logs}
 
 
@@ -104,6 +124,3 @@ def describe_divergence(
         if ea != eb:
             return f"first divergence at index {i}: {ea} vs {eb}"
     return f"length mismatch: {len(a)} vs {len(b)}"
-
-
-_diff = describe_divergence

@@ -19,7 +19,7 @@ full benchmark suite in laptop territory while preserving every shape.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 from ..gcs.config import GcsConfig
 from .env import env_float
@@ -32,7 +32,7 @@ from .faults import (
     random_loss,
     scheduling_latency,
 )
-from .experiment import ScenarioConfig, ScenarioResult
+from .experiment import ScenarioConfig
 from .rng import derive_seed
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "fault_config",
     "prototype_gcs_config",
     "safety_fault_plans",
-    "run_grid",
 ]
 
 #: The paper's per-run transaction count (§5.1).
@@ -197,42 +196,3 @@ def safety_fault_plans(sites: int = 3, seed: int = 5) -> Dict[str, Dict[int, Fau
         "partition-heal-member": {sites - 1: partition_heal(20.0, 40.0, seed=seed)},
         "partition-heal-sequencer": {0: partition_heal(20.0, 40.0, seed=seed)},
     }
-
-
-def run_grid(
-    configs: Union["CampaignSpec", Iterable[Tuple[str, ScenarioConfig]]],
-    workers: Optional[int] = None,
-    artifact_dir: Optional[str] = None,
-    campaign: Optional[str] = None,
-    progress: object = False,
-) -> List[Tuple[str, ScenarioResult]]:
-    """Run a campaign spec or labelled configurations through the runner.
-
-    ``configs`` may be a :class:`repro.campaigns.CampaignSpec` — it is
-    expanded into its labelled cells, the campaign name defaults to the
-    spec's, and the spec hash is recorded in the artifact store for
-    provenance — or the legacy list of ``(label, config)`` pairs.
-
-    The default (``workers=None`` with ``REPRO_WORKERS`` unset) keeps
-    the historical behavior: every scenario runs sequentially in this
-    process.  ``workers>1`` farms cells to a process pool; an artifact
-    directory makes the grid resumable.  Raises
-    :class:`repro.runner.CampaignError` if any cell failed.
-    """
-    from ..campaigns import CampaignSpec  # local: keeps core import-light
-    from ..runner import run_campaign
-
-    manifest = None
-    if isinstance(configs, CampaignSpec):
-        spec = configs
-        campaign = campaign if campaign is not None else spec.name
-        manifest = spec.manifest()
-        configs = spec.expand()
-    return run_campaign(
-        configs,
-        workers=workers,
-        artifact_dir=artifact_dir,
-        campaign=campaign,
-        progress=progress,
-        manifest=manifest,
-    ).pairs()

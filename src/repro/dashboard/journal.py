@@ -1,10 +1,9 @@
 """The campaign event journal: append-only ``events.jsonl``.
 
-The runner (and the perf harness, when asked) appends one JSON line per
-campaign event into the artifact directory, so a running campaign can
-be observed — by ``python -m repro.runner serve``, by ``tail -f``, by
-anything that can read JSON lines — without touching the execution
-path.  The journal is *observability output only*: simulation results
+The runner appends one JSON line per campaign event into the artifact
+directory, so a running campaign can be observed — by ``python -m
+repro.runner serve``, by ``tail -f``, by anything that can read JSON
+lines — without touching the execution path.  The journal is *observability output only*: simulation results
 are seeded solely by their configs, so a run with the journal disabled
 is bit-identical to one with it enabled.
 

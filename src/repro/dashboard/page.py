@@ -24,12 +24,11 @@ title names the series.
 from __future__ import annotations
 
 import json
-import math
 from typing import Dict, List
 
 from ..analysis.figures import FIGURES
 from ..analysis.metrics import HEADLINE_METRICS
-from ..analysis.render import summary_text, table_grid
+from ..analysis.render import nan_to_none, summary_text, table_grid
 from ..analysis.resultset import AnalysisError, ResultSet
 from .state import DASHBOARD_SCHEMA
 
@@ -40,12 +39,6 @@ def _json_for_html(payload: object) -> str:
     """JSON safe to inline in a ``<script>`` block (no ``</script>``
     breakout), with deterministic key order."""
     return json.dumps(payload, sort_keys=True).replace("</", "<\\/")
-
-
-def _nan_to_none(value: object) -> object:
-    if isinstance(value, float) and math.isnan(value):
-        return None
-    return value
 
 
 def _report_data(rs: ResultSet) -> Dict[str, object]:
@@ -63,7 +56,7 @@ def _report_data(rs: ResultSet) -> Dict[str, object]:
                 "worker": None,
                 "violations": len(cell.result.violations),
                 "metrics": {
-                    name: _nan_to_none(cell.value(name))
+                    name: nan_to_none(cell.value(name))
                     for name in HEADLINE_METRICS
                 },
                 "axes": dict(cell.axes),

@@ -21,12 +21,12 @@ the CI smoke job) can pin the shape they parse.
 
 from __future__ import annotations
 
-import math
 import threading
 from pathlib import Path
 from typing import Dict, List, Union
 
 from ..analysis.metrics import HEADLINE_METRICS, available_metrics, metric_value
+from ..analysis.render import nan_to_none
 from ..campaigns.spec import CampaignSpec
 from ..core.experiment import ScenarioResult
 from ..runner.store import ArtifactStore
@@ -41,13 +41,6 @@ DASHBOARD_SCHEMA = "repro.dashboard/1"
 #: terminal states.  ``cached`` is an ``ok`` cell that resumed from an
 #: artifact instead of executing.
 CELL_STATUSES = ("pending", "running", "ok", "failed", "cached")
-
-
-def _sanitize(value: object) -> object:
-    """NaN is unrepresentable in JSON — serve ``null``, never a fake 0."""
-    if isinstance(value, float) and math.isnan(value):
-        return None
-    return value
 
 
 class CampaignView:
@@ -160,7 +153,7 @@ class CampaignView:
             if cell["status"] in ("pending", "running"):
                 cell["status"] = "ok"  # no journal: artifact is terminal
             cell["metrics"] = {
-                name: _sanitize(metric_value(result, name))
+                name: nan_to_none(metric_value(result, name))
                 for name in HEADLINE_METRICS
             }
             cell["axes"] = {
@@ -269,7 +262,7 @@ class CampaignView:
             except (KeyError, TypeError, ValueError):
                 continue
             label = str(payload.get("label", path.stem))
-            out[label] = _sanitize(metric_value(result, name))
+            out[label] = nan_to_none(metric_value(result, name))
         return out
 
     def violations_payload(self) -> Dict[str, object]:

@@ -14,18 +14,19 @@ legitimately commit a short divergent window before the group excludes
 it, and those entries are wiped (and counted as *orphaned commits* by
 the recovery metrics) when the site rejoins via state transfer — the
 post-hoc check never sees them, and neither does this monitor's
-verdict.  At end of run the recorded logs are checked with exactly the
-:func:`check_consistency` rules, so the two certifiers agree verdict
-for verdict (the property suite asserts this on randomized
-interleavings); confirmed violations are stamped with the earliest
-detection instant involving the offending site.
+verdict.  At end of run the recorded logs go through the same
+:func:`~repro.core.safety.agreement_divergences` rule the post-hoc check
+applies, so the two certifiers agree verdict for verdict whenever the
+streamed mirror equals the real logs (the property suite asserts this
+on randomized interleavings); confirmed violations are stamped with the
+earliest detection instant involving the offending site.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Set, Tuple
 
-from ..core.safety import describe_divergence
+from ..core.safety import agreement_divergences, describe_divergence
 from .base import Monitor, register_monitor
 
 __all__ = ["OneCopySerializability"]
@@ -95,36 +96,27 @@ class OneCopySerializability(Monitor):
             self._finalize_group(groups[group])
 
     def _finalize_group(self, sites: List[int]) -> None:
-        """The :func:`check_consistency` rules over one replica group."""
-        logs = {site: tuple(self._logs.get(site, ())) for site in sites}
-        operational = [site for site in sites if site not in self._crashed]
-        if not operational:
-            return
-        ref_site = operational[0]
-        reference = logs[ref_site]
-        for site in operational[1:]:
-            if logs[site] != reference:
-                self._emit_divergence(
-                    site,
+        """One violation per divergence of the recorded logs from the
+        :func:`~repro.core.safety.agreement_divergences` rule."""
+        logs = [
+            (site, tuple(self._logs.get(site, ())), site not in self._crashed)
+            for site in sites
+        ]
+        for site, seq, operational, ref_site, expected in agreement_divergences(
+            logs
+        ):
+            diff = describe_divergence(expected, seq)
+            if operational:
+                detail = (
                     f"committed a different sequence than "
-                    f"{self.site_name(ref_site)}: "
-                    f"{describe_divergence(reference, logs[site])}",
-                    reference,
-                    logs[site],
+                    f"{self.site_name(ref_site)}: {diff}"
                 )
-        for site in sites:
-            if site not in self._crashed:
-                continue
-            seq = logs[site]
-            if seq != reference[: len(seq)]:
-                self._emit_divergence(
-                    site,
+            else:
+                detail = (
                     f"non-operational log is not a prefix of the agreed "
-                    f"sequence: "
-                    f"{describe_divergence(reference[: len(seq)], seq)}",
-                    reference,
-                    seq,
+                    f"sequence: {diff}"
                 )
+            self._emit_divergence(site, detail, expected, seq)
 
     def _emit_divergence(
         self,

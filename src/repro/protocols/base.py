@@ -12,14 +12,20 @@ any registered protocol and compare side by side.
 Adding a protocol:
 
 1. subclass :class:`ReplicationProtocol` — implement the server-facing
-   ``submit``/``applied_watermark`` (inherited from
-   :class:`~repro.db.server.TerminationProtocol`), ``crash`` and
-   ``protocol_stats``, and override ``client_submit`` if client requests
-   need routing (see ``primary_copy``);
+   ``submit`` (inherited from
+   :class:`~repro.db.server.TerminationProtocol`), the total-order
+   delivery handler ``_on_deliver`` and ``protocol_stats``, and
+   override ``client_submit`` if client requests need routing (see
+   ``primary_copy``).  The *termination core* is inherited: the
+   constructor wires server and GCS, ``_resolve_local`` wakes the
+   waiting origin transaction, ``_apply_remote`` schedules a delivered
+   write-set, and ``_on_applied`` / ``applied_watermark`` track what
+   has finished applying — a protocol only decides *what* commits and
+   in which sequence;
 2. implement the **state-transfer hook** — ``protocol_snapshot`` /
    ``install_protocol_snapshot`` (the protocol metadata a donor ships
-   to a rejoining replica: certification position, apply watermark,
-   commit counters); the base class handles the commit log, the
+   to a rejoining replica: certification position, commit counters);
+   the base class handles the commit log, the apply watermark, the
    ``live`` gate and orphan accounting;
 3. register a builder: ``register_protocol("my-proto", build_fn)`` where
    ``build_fn(ctx: ProtocolContext)`` returns the per-site instance;
@@ -43,13 +49,18 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Tuple
 
+from ..core.kernel import Signal
 from ..core.safety import CommitLog
-from ..db.server import DatabaseServer, TerminationProtocol
-from ..db.transactions import Transaction, TransactionSpec
+from ..db.server import DatabaseServer, TerminationProtocol, WatermarkTracker
+from ..db.transactions import Outcome, Transaction, TransactionSpec
+
+if TYPE_CHECKING:  # a module-level import would cycle through repro.dbsm
+    from ..dbsm.marshal import CommitRequest
 
 __all__ = [
+    "REMOTE_APPLY_CPU_FACTOR",
     "ReplicationProtocol",
     "ProtocolContext",
     "ProtocolGroup",
@@ -60,6 +71,13 @@ __all__ = [
 ]
 
 OnDone = Callable[[Transaction], None]
+
+#: CPU fraction of the profiled commit cost charged when applying a
+#: remote transaction: the apply path only installs already-computed
+#: write values and runs the commit record — no parsing, planning or
+#: execution.  Calibrated so 6-site CPU usage tracks the 6-CPU
+#: centralized curve as in Figure 6(a).
+REMOTE_APPLY_CPU_FACTOR = 0.4
 
 
 class ReplicationProtocol(TerminationProtocol):
@@ -81,8 +99,10 @@ class ReplicationProtocol(TerminationProtocol):
     live: bool = True
     #: The site's database server.
     server: DatabaseServer
-    #: The site's :class:`~repro.core.csrt.SiteRuntime` (typed loosely
-    #: to keep this module import-light).
+    #: The site's :class:`~repro.gcs.stack.GroupCommunication` and
+    #: :class:`~repro.core.csrt.SiteRuntime` (typed loosely to keep this
+    #: module import-light).
+    gcs: Any
     runtime: Any
     #: The site's :class:`~repro.monitors.base.SiteProbe` when runtime
     #: invariant monitoring is enabled, else None.  Every protocol gets
@@ -91,6 +111,25 @@ class ReplicationProtocol(TerminationProtocol):
     #: events (crash / rejoin / snapshot install) itself, so a new
     #: protocol is covered without writing any monitor code.
     monitor: Any = None
+
+    def __init__(
+        self, site_id: int, server: DatabaseServer, gcs: Any, site_runtime: Any
+    ):
+        self.site_id = site_id
+        self.server = server
+        self.gcs = gcs
+        self.runtime = site_runtime
+        self.commit_log = CommitLog(site=server.name)
+        self.crashed = False
+        self._watermark = WatermarkTracker()
+        #: tx_id -> (transaction, outcome signal) of the local
+        #: transactions whose termination is in flight.
+        self._pending: Dict[int, Tuple[Transaction, Signal]] = {}
+        server.termination = self
+        server.on_applied = self._on_applied
+        gcs.on_deliver = self._on_deliver
+        gcs.snapshot_provider = self.state_snapshot
+        gcs.snapshot_installer = self.install_snapshot
 
     # ------------------------------------------------------------------
     def client_submit(self, spec: TransactionSpec, on_done: OnDone) -> None:
@@ -129,6 +168,59 @@ class ReplicationProtocol(TerminationProtocol):
         raise NotImplementedError
 
     # ------------------------------------------------------------------
+    # termination core: what every protocol does around its decision
+    # ------------------------------------------------------------------
+    def multicast(self, payload: bytes) -> None:
+        """Atomically multicast ``payload`` in this site's group, as a
+        marshal job charged to this site's CPU."""
+        self.runtime.submit_real(
+            self.gcs.multicast, tag="marshal", nbytes=len(payload), args=(payload,)
+        )
+
+    def _on_deliver(self, global_seq: int, origin: int, payload: bytes) -> None:
+        """Total-order delivery of one multicast payload: decide, then
+        :meth:`log_commit` and :meth:`_resolve_local` (own transaction)
+        or :meth:`_apply_remote` (someone else's)."""
+        raise NotImplementedError
+
+    def _resolve_local(
+        self, request: CommitRequest, committed: bool, commit_seq: int
+    ) -> bool:
+        """Wake the local transaction waiting on ``request`` with the
+        decision.  False when nothing is waiting — a request delivered
+        after a rejoin dropped the pending table — so callers count only
+        resolutions that happened."""
+        entry = self._pending.pop(request.tx_id, None)
+        if entry is None:
+            return False
+        tx, outcome_signal = entry
+        if committed:
+            tx.global_seq = commit_seq
+            value = Outcome.COMMIT
+        else:
+            value = Outcome.ABORT
+        # Fire through the runtime so the wake-up lands after the CPU
+        # time consumed so far by this delivery job (Figure 1(b)).
+        self.runtime.rt_schedule(0.0, outcome_signal.fire, value)
+        return True
+
+    def _apply_remote(self, request: CommitRequest, commit_seq: int) -> None:
+        """Schedule another site's committed write-set on the local
+        server (locks acquired before writing, local holders preempted)."""
+        spec = request.remote_spec(REMOTE_APPLY_CPU_FACTOR)
+        tx = Transaction(spec, self.server.name, remote=True)
+        tx.global_seq = commit_seq
+        tx.submit_time = self.runtime.rt_now()
+        self.runtime.rt_schedule(0.0, self.server.apply_remote, tx)
+
+    def _on_applied(self, tx: Transaction, global_seq: int) -> None:
+        if global_seq > 0:
+            self._watermark.mark(global_seq)
+
+    def applied_watermark(self) -> int:
+        return self._watermark.watermark
+
+    # ------------------------------------------------------------------
     # state transfer (recovery §ARCHITECTURE.md; hooks for gcs/statetransfer)
     # ------------------------------------------------------------------
     def begin_rejoin(self) -> None:
@@ -151,6 +243,7 @@ class ReplicationProtocol(TerminationProtocol):
         have.  ``was_crashed`` is False for a partition-heal rejoin: the
         process survived, so client requests parked inside it may be
         preserved and re-routed once live."""
+        self._pending.clear()
 
     def state_snapshot(self) -> Dict[str, object]:
         """The protocol metadata a donor ships to a rejoining replica:
@@ -179,6 +272,10 @@ class ReplicationProtocol(TerminationProtocol):
         orphans = len(old) - common
         self.commit_log.entries[:] = adopted
         self.commit_log.crashed = False
+        # Everything in the adopted commit log counts as applied: the
+        # snapshot *is* the applied state.
+        self._watermark = WatermarkTracker()
+        self._watermark.watermark = adopted[-1][0] if adopted else 0
         self.install_protocol_snapshot(snap)
         self.live = True
         if self.monitor is not None:

@@ -46,8 +46,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.csrt import SiteRuntime
 from ..core.kernel import Signal
-from ..core.safety import CommitLog
-from ..db.server import DatabaseServer, WatermarkTracker
+from ..db.server import DatabaseServer
 from ..db.transactions import Outcome, Transaction
 from ..dbsm.certification import PER_ITEM_COST, Certifier, sets_conflict
 from ..dbsm.marshal import (
@@ -55,7 +54,7 @@ from ..dbsm.marshal import (
     marshal_request,
     unmarshal_request_cached,
 )
-from ..dbsm.replica import REMOTE_APPLY_CPU_FACTOR
+from ..dbsm.replica import open_commit_request
 from ..gcs.stack import GroupCommunication
 from ..placement import (
     FragmentMap,
@@ -93,12 +92,8 @@ class PartialReplica(ReplicationProtocol):
         site_runtime: SiteRuntime,
         group: ProtocolGroup,
         config,
-        commit_log: Optional[CommitLog] = None,
     ):
-        self.site_id = site_id
-        self.server = server
-        self.gcs = gcs
-        self.runtime = site_runtime
+        super().__init__(site_id, server, gcs, site_runtime)
         self.group = group
         self.sites = config.sites
         self.fragments = config.fragments
@@ -114,12 +109,7 @@ class PartialReplica(ReplicationProtocol):
             for f in range(self.fragments)
         }
         self.certifier = Certifier(charge=site_runtime.rt_charge)
-        self.commit_log = commit_log or CommitLog(site=server.name)
-        self.crashed = False
-        self._watermark = WatermarkTracker()
         self._view_members: Tuple[int, ...] = tuple(gcs.members)
-        #: tx_id -> (transaction, outcome signal) awaiting a decision.
-        self._pending: Dict[int, Tuple[Transaction, Signal]] = {}
         #: Reservations: tx_id -> (request, vote) for every cross
         #: transaction delivered in this group and not yet decided, in
         #: delivery order.  Vote-yes entries block conflicting commits.
@@ -135,18 +125,13 @@ class PartialReplica(ReplicationProtocol):
             "reserved_aborts": 0,
             "remote_applies": 0,
         }
-        server.termination = self
-        server.on_applied = self._on_applied
-        gcs.on_deliver = self._on_deliver
         gcs.on_view_change = self._on_view_change
-        gcs.snapshot_provider = self.state_snapshot
-        gcs.snapshot_installer = self.install_snapshot
 
     # ------------------------------------------------------------------
     # state transfer (recovery/rejoin)
     # ------------------------------------------------------------------
     def reset_protocol_state(self, was_crashed: bool) -> None:
-        self._pending.clear()
+        super().reset_protocol_state(was_crashed)
         self._await.clear()
         # Reservations are re-adopted from the donor's snapshot — they
         # are group-replicated state, not this process's volatile state.
@@ -170,37 +155,23 @@ class PartialReplica(ReplicationProtocol):
         for payload, vote in snap["cross"]:
             request = unmarshal_request_cached(bytes(payload))
             self._cross[request.tx_id] = (request, bool(vote))
-        self._watermark = WatermarkTracker()
-        self._watermark.watermark = self.certifier.next_commit_seq
 
     # ------------------------------------------------------------------
     # TerminationProtocol (called from server transaction processes)
     # ------------------------------------------------------------------
     def submit(self, tx: Transaction) -> Signal:
         """Route the committing transaction to the groups it touches."""
-        outcome = Signal(self.server.sim, latch=True)
-        if self.crashed or not self.live:
-            return outcome
         spec = tx.spec
-        request = CommitRequest(
-            origin=self.site_id,
-            tx_id=tx.tx_id,
-            start_seq=tx.start_seq,
-            tx_class=spec.tx_class,
-            read_set=spec.read_set,
-            write_set=spec.write_set,
-            write_bytes=spec.write_bytes(),
-            commit_cpu=spec.commit_cpu,
-            commit_sectors=spec.commit_sectors,
-        )
+        outcome, body = open_commit_request(self, tx, spec.read_set)
+        if not body:
+            return outcome
         decision = self.router.route(spec.read_set, spec.write_set, self.fragment)
-        self._pending[tx.tx_id] = (tx, outcome)
-        payload = _REQUEST_PREFIX + marshal_request(request)
+        payload = _REQUEST_PREFIX + body
         self.stats["submitted"] += 1
         if decision.fragments == (self.fragment,):
             # Single-fragment fast path: this group's total order alone.
             self.stats["single_fragment"] += 1
-            self._multicast(payload)
+            self.multicast(payload)
             return outcome
         # Genuine atomic multicast: exactly the touched groups see it.
         self.stats["cross_fragment"] += 1
@@ -210,22 +181,12 @@ class PartialReplica(ReplicationProtocol):
         }
         for fragment in decision.fragments:
             if fragment == self.fragment:
-                self._multicast(payload)
+                self.multicast(payload)
             else:
                 self.server.sim.schedule(
                     self.link_latency, self._inject, fragment, payload
                 )
         return outcome
-
-    def applied_watermark(self) -> int:
-        return self._watermark.watermark
-
-    def _multicast(self, payload: bytes) -> None:
-        """Multicast ``payload`` in this site's group, as a marshal job
-        on this site's CPU."""
-        self.runtime.submit_real(
-            self.gcs.multicast, tag="marshal", nbytes=len(payload), args=(payload,)
-        )
 
     # ------------------------------------------------------------------
     # cross-group transport (the inter-group links of the fabric)
@@ -238,7 +199,7 @@ class PartialReplica(ReplicationProtocol):
         relay = self._first_operational(fragment)
         if relay is None:
             return
-        relay._multicast(payload)
+        relay.multicast(payload)
 
     def _first_operational(self, fragment: int) -> Optional["PartialReplica"]:
         for site_id in self._group_sites[fragment]:
@@ -283,6 +244,7 @@ class PartialReplica(ReplicationProtocol):
         if request.origin == self.site_id:
             self._resolve_local(request, committed, commit_seq)
         elif committed:
+            self.stats["remote_applies"] += 1
             self._apply_remote(request, commit_seq)
 
     def _vote(self, request: CommitRequest, home: int) -> None:
@@ -317,6 +279,7 @@ class PartialReplica(ReplicationProtocol):
             if request.origin == self.site_id:
                 self._resolve_local(request, True, commit_seq)
             else:
+                self.stats["remote_applies"] += 1
                 self._apply_remote(request, commit_seq)
         else:
             if vote:
@@ -371,7 +334,7 @@ class PartialReplica(ReplicationProtocol):
         payload = _DECIDE_PREFIX + _DECIDE_BODY.pack(tx_id, 1 if commit else 0)
         for target in sorted(entry["needed"]):
             if target == self.fragment:
-                self._multicast(payload)
+                self.multicast(payload)
             else:
                 self.server.sim.schedule(
                     self.link_latency, self._inject, target, payload
@@ -428,38 +391,6 @@ class PartialReplica(ReplicationProtocol):
         if visited:
             self.runtime.rt_charge(visited * PER_ITEM_COST)
         return conflict
-
-    # ------------------------------------------------------------------
-    # local resolution & remote apply (the DBSM idiom)
-    # ------------------------------------------------------------------
-    def _resolve_local(
-        self, request: CommitRequest, committed: bool, commit_seq: int
-    ) -> None:
-        entry = self._pending.pop(request.tx_id, None)
-        if entry is None:
-            return
-        tx, outcome_signal = entry
-        if committed:
-            tx.global_seq = commit_seq
-            value = Outcome.COMMIT
-        else:
-            value = Outcome.ABORT
-        # Fire through the runtime so the wake-up lands after the CPU
-        # time consumed so far by this delivery job.
-        self.runtime.rt_schedule(0.0, outcome_signal.fire, value)
-
-    def _apply_remote(self, request: CommitRequest, commit_seq: int) -> None:
-        spec = request.remote_spec(REMOTE_APPLY_CPU_FACTOR)
-        tx = Transaction(spec, self.server.name, remote=True)
-        tx.global_seq = commit_seq
-        tx.submit_time = self.runtime.rt_now()
-        self.stats["remote_applies"] += 1
-        self.runtime.rt_schedule(0.0, self.server.apply_remote, tx)
-
-    # ------------------------------------------------------------------
-    def _on_applied(self, tx: Transaction, global_seq: int) -> None:
-        if global_seq > 0:
-            self._watermark.mark(global_seq)
 
     def protocol_stats(self) -> Dict[str, int]:
         return {**self.certifier.stats, **self.stats}

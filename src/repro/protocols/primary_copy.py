@@ -38,15 +38,14 @@ breakdowns work per protocol.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..core.csrt import SiteRuntime
 from ..core.kernel import Signal
-from ..core.safety import CommitLog
-from ..db.server import DatabaseServer, WatermarkTracker
-from ..db.transactions import Outcome, Transaction, TransactionSpec
-from ..dbsm.marshal import CommitRequest, unmarshal_request_cached
-from ..dbsm.replica import REMOTE_APPLY_CPU_FACTOR, broadcast_commit_request
+from ..db.server import DatabaseServer
+from ..db.transactions import Transaction, TransactionSpec
+from ..dbsm.marshal import unmarshal_request_cached
+from ..dbsm.replica import open_commit_request
 from ..gcs.stack import GroupCommunication
 from .base import (
     OnDone,
@@ -77,25 +76,15 @@ class PrimaryCopyReplica(ReplicationProtocol):
         site_runtime: SiteRuntime,
         group: ProtocolGroup,
         link_latency: float = 0.0,
-        commit_log: Optional[CommitLog] = None,
     ):
-        self.site_id = site_id
-        self.server = server
-        self.gcs = gcs
-        self.runtime = site_runtime
+        super().__init__(site_id, server, gcs, site_runtime)
         self.group = group
         #: One-way client<->primary network latency charged per routed
         #: request and per reply (the JDBC hop a middleware router adds).
         self.link_latency = link_latency
-        self.commit_log = commit_log or CommitLog(site=server.name)
-        self.crashed = False
         #: Lowest-id member of the currently installed view.
         self.primary_id = min(gcs.members)
         self._next_commit_seq = 0
-        self._watermark = WatermarkTracker()
-        #: tx_id -> (transaction, outcome signal) awaiting the write-set
-        #: broadcast to come back in total order (primary role only).
-        self._pending: Dict[int, Tuple[Transaction, Signal]] = {}
         #: (spec, on_done, issued_at) requests held while no usable
         #: primary exists (failover in progress).
         self._parked: List[Tuple[TransactionSpec, OnDone, float]] = []
@@ -118,18 +107,13 @@ class PrimaryCopyReplica(ReplicationProtocol):
             "failovers": 0,
             "ws_bytes_broadcast": 0,
         }
-        server.termination = self
-        server.on_applied = self._on_applied
-        gcs.on_deliver = self._on_deliver
         gcs.on_view_change = self._on_view_change
-        gcs.snapshot_provider = self.state_snapshot
-        gcs.snapshot_installer = self.install_snapshot
 
     # ------------------------------------------------------------------
     # state transfer (recovery/rejoin)
     # ------------------------------------------------------------------
     def reset_protocol_state(self, was_crashed: bool) -> None:
-        self._pending.clear()
+        super().reset_protocol_state(was_crashed)
         self._held.clear()
         self._applies_in_flight = 0
         if was_crashed:
@@ -143,8 +127,6 @@ class PrimaryCopyReplica(ReplicationProtocol):
 
     def install_protocol_snapshot(self, snap: Dict[str, object]) -> None:
         self._next_commit_seq = int(snap["next_commit_seq"])
-        self._watermark = WatermarkTracker()
-        self._watermark.watermark = self._next_commit_seq
         if self._parked:
             self._schedule_park_retry()
 
@@ -254,14 +236,12 @@ class PrimaryCopyReplica(ReplicationProtocol):
         Marshaling and the multicast run as a real protocol job charged
         to this site's CPU — the passive protocol's Figure 6(a) share.
         Passive replication ships no read sets."""
-        outcome, nbytes = broadcast_commit_request(self, tx, ())
-        if nbytes:
+        outcome, payload = open_commit_request(self, tx, ())
+        if payload:
             self.stats["submitted"] += 1
-            self.stats["ws_bytes_broadcast"] += nbytes
+            self.stats["ws_bytes_broadcast"] += len(payload)
+            self.multicast(payload)
         return outcome
-
-    def applied_watermark(self) -> int:
-        return self._watermark.watermark
 
     # ------------------------------------------------------------------
     # total-order delivery (runs inside the real receive job)
@@ -277,28 +257,11 @@ class PrimaryCopyReplica(ReplicationProtocol):
         self.stats["sequenced"] += 1
         self.log_commit(commit_seq, request.tx_id)
         if request.origin == self.site_id:
-            self._resolve_local(request, commit_seq)
+            self._resolve_local(request, True, commit_seq)
         else:
-            self._apply_backup(request, commit_seq)
-
-    def _resolve_local(self, request: CommitRequest, commit_seq: int) -> None:
-        entry = self._pending.pop(request.tx_id, None)
-        if entry is None:
-            return
-        tx, outcome_signal = entry
-        tx.global_seq = commit_seq
-        # Fire through the runtime so the wake-up lands after the CPU
-        # time consumed so far by this delivery job (Figure 1(b)).
-        self.runtime.rt_schedule(0.0, outcome_signal.fire, Outcome.COMMIT)
-
-    def _apply_backup(self, request: CommitRequest, commit_seq: int) -> None:
-        spec = request.remote_spec(REMOTE_APPLY_CPU_FACTOR)
-        tx = Transaction(spec, self.server.name, remote=True)
-        tx.global_seq = commit_seq
-        tx.submit_time = self.runtime.rt_now()
-        self.stats["backup_applies"] += 1
-        self._applies_in_flight += 1
-        self.runtime.rt_schedule(0.0, self.server.apply_remote, tx)
+            self.stats["backup_applies"] += 1
+            self._applies_in_flight += 1
+            self._apply_remote(request, commit_seq)
 
     # ------------------------------------------------------------------
     # failover
@@ -313,8 +276,7 @@ class PrimaryCopyReplica(ReplicationProtocol):
 
     # ------------------------------------------------------------------
     def _on_applied(self, tx: Transaction, global_seq: int) -> None:
-        if global_seq > 0:
-            self._watermark.mark(global_seq)
+        super()._on_applied(tx, global_seq)
         if tx.remote:
             self._applies_in_flight -= 1
             if self._applies_in_flight == 0 and self._held:

@@ -31,9 +31,6 @@ parallel runner with a paper-style summary table.  Subcommands::
     python -m repro.runner report results/fig5 --metric throughput_tpm --by clients
     python -m repro.runner report results/smoke --compare protocol=dbsm,primary-copy
     python -m repro.runner report results/smoke --format json
-
-The legacy ``--grid NAME`` flag form is still accepted and translated
-to ``run NAME`` with a deprecation note.
 """
 
 from __future__ import annotations
@@ -67,9 +64,6 @@ axis overrides compose left to right: --set protocol=dbsm,primary-copy
 --set clients=100,500 --set transactions=600.  --protocol and
 --transactions are sugar for the matching --set.
 """
-
-_SUBCOMMANDS = ("run", "list", "describe", "export", "report", "serve", "perf")
-
 
 def _print_summary(campaign: CampaignResult) -> None:
     """The per-cell summary table (rendered by :mod:`repro.analysis`,
@@ -239,49 +233,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
     serve_campaign(target, host=args.host, port=args.port)
-    return 0
-
-
-def _cmd_perf(args: argparse.Namespace) -> int:
-    # heavy path, load on use
-    from ..perf import PERF_CAMPAIGNS, PINNED_SEED, PINNED_TRANSACTIONS, run_perf
-
-    progress = None if args.quiet else (lambda line: print(line, file=sys.stderr))
-    try:
-        payload, path = run_perf(
-            campaigns=tuple(args.campaign) if args.campaign else PERF_CAMPAIGNS,
-            transactions=(
-                args.transactions
-                if args.transactions is not None
-                else PINNED_TRANSACTIONS
-            ),
-            seed=args.seed if args.seed is not None else PINNED_SEED,
-            bench_id=args.bench_id,
-            output=args.output,
-            baseline=args.baseline,
-            artifact_root=args.artifact_dir,
-            force=args.force,
-            progress=progress,
-            workers=args.workers,
-            journal=args.journal,
-        )
-    except FileExistsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    for name, entry in payload["campaigns"].items():
-        print(
-            f"{name}: {entry['cells']} cells in {entry['wall_seconds']:.1f}s "
-            f"= {entry['cells_per_sec']:.3f} cells/s, "
-            f"{entry['tx_per_sec']:.0f} tx/s, "
-            f"{entry['events_per_sec']:.0f} events/s, "
-            f"peak RSS {entry['peak_rss_kb']} KB"
-        )
-    for name, ratios in (payload.get("speedup") or {}).items():
-        cells_ratio = ratios.get("cells_per_sec")
-        if cells_ratio is not None:
-            print(f"{name}: {cells_ratio:.2f}x cells/s vs baseline")
-    if path is not None:
-        print(f"wrote {path}", file=sys.stderr)
     return 0
 
 
@@ -482,119 +433,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8035, help="bind port (default: 8035)"
     )
     serve_p.set_defaults(func=_cmd_serve)
-
-    perf_p = sub.add_parser(
-        "perf",
-        help="measure the simulator over pinned campaigns and record a "
-        "BENCH_<n>.json perf-trajectory file",
-    )
-    perf_p.add_argument(
-        "--campaign",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="registered campaign to measure (repeatable; "
-        "default: smoke and fig5)",
-    )
-    perf_p.add_argument(
-        "--transactions",
-        type=int,
-        default=None,
-        help="pinned per-cell transaction count (default: 600)",
-    )
-    perf_p.add_argument(
-        "--seed", type=int, default=None, help="pinned seed (default: 42)"
-    )
-    perf_p.add_argument(
-        "--bench-id",
-        type=int,
-        default=None,
-        metavar="N",
-        help="id for BENCH_<N>.json (default: next unused in the "
-        "output directory, PR-number convention)",
-    )
-    perf_p.add_argument(
-        "-o",
-        "--output",
-        default=None,
-        metavar="FILE",
-        help="bench file path (default: BENCH_<id>.json in the current "
-        "directory)",
-    )
-    perf_p.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="prior bench file to embed and compute speedups against",
-    )
-    perf_p.add_argument(
-        "--artifact-dir",
-        default=None,
-        metavar="DIR",
-        help="also save the measured cell results as campaign artifacts "
-        "under DIR/perf-<campaign> (report-able; never loaded back)",
-    )
-    perf_p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes per campaign (default: REPRO_WORKERS, "
-        "else 1); recorded in the bench file's pinned section",
-    )
-    perf_p.add_argument(
-        "--journal",
-        action="store_true",
-        help="write the events.jsonl journal inside the timed region "
-        "(into --artifact-dir when given, else a scratch directory); "
-        "disclosed as pinned.journal",
-    )
-    perf_p.add_argument(
-        "--force",
-        action="store_true",
-        help="overwrite an existing bench file",
-    )
-    perf_p.add_argument(
-        "--quiet", action="store_true", help="no per-cell progress lines"
-    )
-    perf_p.set_defaults(func=_cmd_perf)
     return parser
 
 
-def _translate_legacy(argv: List[str]) -> List[str]:
-    """Map the pre-subcommand flag CLI onto ``run`` (deprecated)."""
-    if not argv:
-        return ["run", "smoke"]  # the historical default grid
-    if argv[0] in _SUBCOMMANDS or not argv[0].startswith("-"):
-        return argv
-    if argv[0] in ("-h", "--help"):
-        return argv
-    grid = "smoke"
-    passthrough: List[str] = []
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg == "--grid" and i + 1 < len(argv):
-            grid = argv[i + 1]
-            i += 2
-        elif arg.startswith("--grid="):
-            grid = arg.split("=", 1)[1]
-            i += 1
-        else:
-            passthrough.append(arg)
-            i += 1
-    print(
-        "note: the '--grid NAME' flag form is deprecated; "
-        f"use 'python -m repro.runner run {grid}'",
-        file=sys.stderr,
-    )
-    return ["run", grid] + passthrough
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    args = parser.parse_args(_translate_legacy(argv))
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:  # CampaignSpecError, unknown campaign, …

@@ -156,18 +156,7 @@ class ArtifactStore:
                 "one artifact file stem; rename one of the labels"
             )
         try:
-            stored_config = data.get("config")
-            if isinstance(stored_config, dict):
-                # Artifacts recorded before the protocol field existed
-                # implicitly ran the then-only "dbsm" protocol; fill the
-                # key so they keep matching instead of being recomputed.
-                stored_config = dict(stored_config)
-                stored_config.setdefault("protocol", "dbsm")
-                # Likewise for the monitors field: older artifacts ran
-                # with monitoring off (and off is bit-identical, so the
-                # stored result is still the right answer).
-                stored_config.setdefault("monitors", [])
-            if stored_config != config.to_dict():
+            if data.get("config") != config.to_dict():
                 return None
             return ScenarioResult.from_dict(data["result"])
         except (ValueError, KeyError, TypeError, OSError):

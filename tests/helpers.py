@@ -2,16 +2,20 @@
 
 Builds small protocol groups (network + CSRT + GCS) without the database
 layers, so reliable-multicast / total-order / view tests run against the
-same wiring the experiments use.
+same wiring the experiments use — and, the other way round, one
+replication-protocol site over recording stubs (no network, no CPU, no
+server), so the termination core is driven one call at a time.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.clock import CpuCostModel
 from repro.core.cpu import CpuPool
 from repro.core.csrt import SiteRuntime
+from repro.core.experiment import ScenarioConfig
 from repro.core.faults import FaultInjector, FaultPlan
 from repro.core.kernel import Simulator
 from repro.core.runtime_api import SimulatedProtocolRuntime
@@ -20,8 +24,9 @@ from repro.gcs.stack import GroupCommunication
 from repro.net.address import Endpoint, GroupAddress
 from repro.net.network import Network
 from repro.net.udp import UdpSocket
+from repro.protocols import ProtocolContext, ProtocolGroup, build_protocol
 
-__all__ = ["GroupHarness", "make_group"]
+__all__ = ["GroupHarness", "make_group", "StubRuntime", "make_stub_site"]
 
 
 class GroupHarness:
@@ -108,3 +113,52 @@ def make_group(
         stacks.append(stack)
         runtimes.append(runtime)
     return GroupHarness(sim, network, stacks, runtimes, injectors)
+
+
+class StubRuntime:
+    """Records what a protocol asks of its ``SiteRuntime`` instead of
+    running it: queued real jobs and ``rt_schedule`` calls."""
+
+    def __init__(self) -> None:
+        self.real_jobs: List[Tuple[object, str, int, tuple]] = []
+        self.scheduled: List[Tuple[float, object, tuple]] = []
+        self.crashed = False
+
+    def submit_real(self, fn, tag="", nbytes=0, args=()) -> None:
+        self.real_jobs.append((fn, tag, nbytes, args))
+
+    def rt_schedule(self, delay, fn, *args) -> None:
+        self.scheduled.append((delay, fn, args))
+
+    def rt_now(self) -> float:
+        return 0.0
+
+    def rt_charge(self, seconds: float) -> None:
+        pass
+
+    def crash(self) -> None:
+        self.crashed = True
+
+
+def make_stub_site(
+    protocol: str, site_id: int = 0, group: Optional[ProtocolGroup] = None
+):
+    """Build ``protocol``'s instance for one site of two through its
+    registered builder, over a :class:`StubRuntime`, a stub GCS
+    (``members`` plus the callback slots the protocol fills in) and a
+    stub server."""
+    server = SimpleNamespace(
+        sim=Simulator(), name=f"site{site_id}", apply_remote=lambda tx: None
+    )
+    gcs = SimpleNamespace(members=(0, 1), multicast=lambda payload: None)
+    return build_protocol(
+        protocol,
+        ProtocolContext(
+            site_id=site_id,
+            server=server,
+            gcs=gcs,
+            runtime=StubRuntime(),
+            config=ScenarioConfig(sites=2, clients=10, protocol=protocol),
+            group=group or ProtocolGroup(),
+        ),
+    )

@@ -11,7 +11,6 @@ import pytest
 
 from repro.core.experiment import Scenario, ScenarioConfig
 from repro.core.faults import FaultPlan
-from repro.core.scenarios import run_grid
 from repro.runner import CampaignError, run_campaign
 
 
@@ -76,13 +75,13 @@ class TestPoolMatchesSequential:
                 assert cell.result.sites == [], (source, label)
                 assert len(direct.sites) == direct.config.sites
 
-    def test_run_grid_rewired_through_runner(self):
+    def test_pairs_keep_grid_order_and_match_direct_runs(self):
         grid = grid_configs()[:2]
-        old_style = [(label, Scenario(c).run()) for label, c in grid]
+        direct = [(label, Scenario(c).run()) for label, c in grid]
         for workers in (1, 2):
-            rewired = run_grid(grid, workers=workers)
-            assert [label for label, _ in rewired] == [l for l, _ in grid]
-            for (_, a), (_, b) in zip(old_style, rewired):
+            pairs = run_campaign(grid, workers=workers).pairs()
+            assert [label for label, _ in pairs] == [l for l, _ in grid]
+            for (_, a), (_, b) in zip(direct, pairs):
                 assert observables(a) == observables(b)
 
 

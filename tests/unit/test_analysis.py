@@ -34,7 +34,7 @@ from repro.core.experiment import (
     ScenarioResult,
 )
 from repro.core.metrics import TX_RECORD_FIELDS, MetricsCollector, TxRecord
-from repro.core.scenarios import run_grid
+from repro.runner import run_campaign
 
 
 # ----------------------------------------------------------------------
@@ -334,7 +334,13 @@ def _tiny_spec() -> CampaignSpec:
 @pytest.fixture(scope="module")
 def artifact_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("analysis-artifacts") / "store"
-    run_grid(_tiny_spec(), artifact_dir=root)
+    spec = _tiny_spec()
+    run_campaign(
+        spec.expand(),
+        artifact_dir=root,
+        campaign=spec.name,
+        manifest=spec.manifest(),
+    )
     return root
 
 

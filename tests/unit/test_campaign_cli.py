@@ -10,7 +10,7 @@ import json
 import pytest
 
 from repro.campaigns import CampaignSpec, get_campaign
-from repro.runner.__main__ import _translate_legacy, main
+from repro.runner.__main__ import main
 
 
 class TestList:
@@ -243,35 +243,19 @@ class TestReport:
         assert json.loads(capsys.readouterr().out)["campaign"] == "fig7"
 
 
-class TestLegacyTranslation:
-    def test_flag_form_maps_to_run(self, capsys):
-        assert _translate_legacy(
-            ["--grid", "fig7", "--protocol", "all", "--workers", "2"]
-        ) == ["run", "fig7", "--protocol", "all", "--workers", "2"]
-        assert "deprecated" in capsys.readouterr().err
+class TestRemovedForms:
+    """The pre-subcommand flag CLI, the bare-invocation ``smoke`` default
+    and the ``perf`` subcommand are gone: argparse's usage error, not a
+    silent translation."""
 
-    def test_grid_equals_form(self):
-        assert _translate_legacy(["--grid=recovery", "--quiet"]) == [
-            "run",
-            "recovery",
-            "--quiet",
-        ]
-
-    def test_no_arguments_runs_the_smoke_default(self):
-        assert _translate_legacy([]) == ["run", "smoke"]
-
-    def test_subcommands_pass_through_untouched(self):
-        assert _translate_legacy(["list"]) == ["list"]
-        assert _translate_legacy(["run", "smoke"]) == ["run", "smoke"]
-
-    def test_legacy_run_end_to_end(self, capsys):
-        """The old CI incantation still works (translated to `run`)."""
-        code = main(
-            ["--grid", "fig7", "--set", "fault=none", "--set", "clients=8",
-             "--transactions", "60", "--quiet"]
-        )
-        assert code == 0
-        assert "none" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "argv", [[], ["--grid", "smoke"], ["perf"]], ids=["bare", "grid", "perf"]
+    )
+    def test_exits_2_with_usage(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage: python -m repro.runner" in capsys.readouterr().err
 
 
 class TestProtocolSugar:

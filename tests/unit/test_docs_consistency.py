@@ -69,7 +69,7 @@ class TestReadme:
 
     def test_subcommand_cli_documented(self):
         for subcommand in ("run", "list", "describe", "export", "report",
-                           "serve", "perf"):
+                           "serve"):
             assert f"repro.runner {subcommand}" in README, (
                 f"CLI subcommand {subcommand!r} missing from README.md"
             )

@@ -138,16 +138,17 @@ class TestStorePersistence:
         assert loaded.violations == result.violations
         assert loaded.config.monitors == ("all",)
 
-    def test_store_backfills_missing_monitors_key(self, tmp_path):
-        """Artifacts written before the monitors field existed ran with
-        monitoring off; they must keep matching a monitors=() config."""
+    def test_artifact_missing_monitors_key_is_rerun(self, tmp_path):
+        """No backfill of keys an old artifact lacks: its config no
+        longer matches, so ``load`` answers None (no exception) and the
+        runner re-runs the cell — the safe direction."""
         store = ArtifactStore(tmp_path)
         result = small_result()
         path = store.save("cell", result)
         data = json.loads(path.read_text())
         del data["config"]["monitors"]
         path.write_text(json.dumps(data))
-        assert store.load("cell", result.config) is not None
+        assert store.load("cell", result.config) is None
 
     def test_monitored_config_does_not_match_unmonitored_artifact(
         self, tmp_path

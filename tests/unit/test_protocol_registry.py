@@ -1,6 +1,12 @@
 """Unit: the replication-protocol registry and its scenario threading."""
 
+import sys
+from pathlib import Path
+
 import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from helpers import make_stub_site
 
 from repro.core.experiment import Scenario, ScenarioConfig
 from repro.protocols import base as protocol_base
@@ -46,6 +52,21 @@ class TestRegistry:
             assert get_protocol("test-noop") is builder
         finally:
             protocol_base._REGISTRY.pop("test-noop")
+
+    @pytest.mark.parametrize("name", available_protocols())
+    def test_termination_core_is_inherited_not_reforked(self, name):
+        """The plumbing lives once, in ``ReplicationProtocol``; a
+        protocol class that defines its own copy has forked it (extend
+        ``_on_applied`` / ``reset_protocol_state`` via ``super()``)."""
+        cls = type(make_stub_site(name))
+        assert issubclass(cls, protocol_base.ReplicationProtocol)
+        forked = {
+            "_resolve_local",
+            "_apply_remote",
+            "_apply_backup",
+            "applied_watermark",
+        } & set(vars(cls))
+        assert not forked, f"{cls.__name__} re-implements {sorted(forked)}"
 
     def test_group_directory(self):
         group = ProtocolGroup()
