@@ -3,9 +3,9 @@
 Each ``test_fig*`` / ``test_table*`` module regenerates one figure or
 table of the paper's evaluation (§4.2, §5).  The heavy client sweeps are
 computed once per pytest session and shared across figures (Figures 5
-and 6 and Table 1 read the same grid, exactly like the paper); the
-``benchmark`` fixture times one representative scenario per figure so
-``--benchmark-only`` reports the simulator's own cost.
+and 6 and Table 1 read the same grid, exactly like the paper).  These
+tests check shapes and print tables; the simulator's own cost is
+measured by ``bench/run.py`` (``BENCHMARK.json``), nowhere else.
 
 The grid is executed through the campaign runner, so the standard knobs
 apply: ``REPRO_SCALE`` (default 0.3) scales per-run transaction counts
@@ -32,16 +32,10 @@ import pytest
 from repro.analysis import ResultSet, format_table
 from repro.campaigns import get_campaign
 from repro.core.env import env_choice
-from repro.core.experiment import Scenario, ScenarioConfig, ScenarioResult
-from repro.core.scenarios import (
-    CLIENT_LEVELS,
-    SYSTEM_CONFIGS,
-    performance_config,
-)
+from repro.core.experiment import ScenarioResult
+from repro.core.scenarios import CLIENT_LEVELS, SYSTEM_CONFIGS
 from repro.protocols import available_protocols
 from repro.runner import run_campaign
-
-_grid_cache: Dict[Tuple[str, int], ScenarioResult] = {}
 
 
 def bench_protocol() -> str:
@@ -62,30 +56,6 @@ def assert_paper_shapes() -> bool:
     return bench_protocol() == "dbsm"
 
 
-def point_config(sites: int, cpus: int, clients: int) -> ScenarioConfig:
-    """One Figure 5/6 grid point: the canonical config plus the bench
-    suite's tighter sampling/drain windows.  Centralized cells stay
-    protocol-free — they are identical under every protocol, so their
-    (expensive) artifacts are shared across REPRO_PROTOCOL values."""
-    return performance_config(
-        sites,
-        cpus,
-        clients,
-        seed=42 + clients,
-        protocol=bench_protocol() if sites > 1 else "dbsm",
-        sample_interval=2.0,
-        drain_time=5.0,
-    )
-
-
-def run_point(label: str, sites: int, cpus: int, clients: int) -> ScenarioResult:
-    """One point of the Figure 5/6 grid, cached for the session."""
-    key = (label, clients)
-    if key not in _grid_cache:
-        _grid_cache[key] = Scenario(point_config(sites, cpus, clients)).run()
-    return _grid_cache[key]
-
-
 @pytest.fixture(scope="session")
 def performance_grid():
     """All (system config, client level) points of Figures 5/6, expanded
@@ -101,26 +71,22 @@ def performance_grid():
     spec = (
         get_campaign("fig5")
         .with_axis("protocol", (bench_protocol(),))
-        # the bench suite's tighter sampling/drain windows (point_config)
+        # the bench suite's tighter sampling/drain windows
         .with_axis("sample_interval", (2.0,))
         .with_axis("drain_time", (5.0,))
     )
     system_label = {
         (sites, cpus): label for label, sites, cpus in SYSTEM_CONFIGS
     }
-    labelled, keys = [], []
-    for label, config in spec.expand():
-        key = (system_label[(config.sites, config.cpus_per_site)], config.clients)
-        if key in _grid_cache:
-            continue
-        labelled.append((label, config))
-        keys.append(key)
+    labelled = spec.expand()
     campaign = run_campaign(
         labelled, campaign="fig5-grid", progress=True, manifest=spec.manifest()
     )
-    for key, (_, result) in zip(keys, campaign.pairs()):
-        _grid_cache[key] = result
-    return dict(_grid_cache)
+    grid: Dict[Tuple[str, int], ScenarioResult] = {}
+    for (_, config), (_, result) in zip(labelled, campaign.pairs()):
+        key = (system_label[(config.sites, config.cpus_per_site)], config.clients)
+        grid[key] = result
+    return grid
 
 
 def grid_resultset(performance_grid) -> ResultSet:

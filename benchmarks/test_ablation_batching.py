@@ -39,18 +39,14 @@ def batching_sweep():
     return results
 
 
-def test_ablation_sequence_batching(benchmark, batching_sweep):
-    stats = benchmark.pedantic(
-        lambda: {
-            window: (
-                result.sites[0].gcs.total_order.stats["sequence_msgs"],
-                statistics.median(result.metrics.certification_latencies()),
-            )
-            for window, result in batching_sweep.items()
-        },
-        rounds=1,
-        iterations=1,
-    )
+def test_ablation_sequence_batching(batching_sweep):
+    stats = {
+        window: (
+            result.sites[0].gcs.total_order.stats["sequence_msgs"],
+            statistics.median(result.metrics.certification_latencies()),
+        )
+        for window, result in batching_sweep.items()
+    }
     rows = [
         (f"{window*1000:.0f} ms", stats[window][0], f"{stats[window][1]*1000:6.2f}")
         for window in WINDOWS

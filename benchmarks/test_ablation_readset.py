@@ -67,12 +67,8 @@ def _delivery_message_bytes(threshold):
     return sum(sizes) / len(sizes)
 
 
-def test_ablation_escalation_tradeoff(benchmark, escalation_sweep):
-    message_bytes = benchmark.pedantic(
-        lambda: {t: _delivery_message_bytes(t) for t in THRESHOLDS},
-        rounds=1,
-        iterations=1,
-    )
+def test_ablation_escalation_tradeoff(escalation_sweep):
+    message_bytes = {t: _delivery_message_bytes(t) for t in THRESHOLDS}
     aborts = {
         threshold: (
             r.metrics.abort_rate("delivery"),

@@ -39,19 +39,15 @@ def share_sweep():
     return results
 
 
-def test_ablation_buffer_share_mitigates_blocking(benchmark, share_sweep):
-    stats = benchmark.pedantic(
-        lambda: {
-            share: (
-                sum(s.gcs.reliable.stats["blocked_time"] for s in r.sites),
-                sum(s.gcs.reliable.stats["blocked_events"] for s in r.sites),
-                r.mean_latency() * 1000,
-            )
-            for share, r in share_sweep.items()
-        },
-        rounds=1,
-        iterations=1,
-    )
+def test_ablation_buffer_share_mitigates_blocking(share_sweep):
+    stats = {
+        share: (
+            sum(s.gcs.reliable.stats["blocked_time"] for s in r.sites),
+            sum(s.gcs.reliable.stats["blocked_events"] for s in r.sites),
+            r.mean_latency() * 1000,
+        )
+        for share, r in share_sweep.items()
+    }
     rows = [
         (share, f"{stats[share][0]:7.2f}", stats[share][1], f"{stats[share][2]:7.1f}")
         for share in SHARES

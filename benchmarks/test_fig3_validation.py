@@ -23,18 +23,11 @@ from repro.core.validation import (
 SIZES = (64, 256, 512, 1024, 2048, 4096)
 
 
-def test_fig3a_bandwidth_written(benchmark):
+def test_fig3a_bandwidth_written():
     """Fig 3(a): socket write bandwidth; real dips past the 4 KB page
     boundary, the simulated stack (no VM model) does not — the paper's
     documented, harmless divergence."""
-    csrt = {
-        size: benchmark.pedantic(
-            csrt_send_bandwidth_bps, args=(size, 0.05), rounds=1, iterations=1
-        )
-        if size == SIZES[0]
-        else csrt_send_bandwidth_bps(size, duration=0.05)
-        for size in SIZES
-    }
+    csrt = {size: csrt_send_bandwidth_bps(size, duration=0.05) for size in SIZES}
     rows = []
     for size in SIZES:
         real = real_send_bandwidth_bps(size)
@@ -52,16 +45,9 @@ def test_fig3a_bandwidth_written(benchmark):
     )
 
 
-def test_fig3b_bandwidth_ethernet(benchmark):
+def test_fig3b_bandwidth_ethernet():
     """Fig 3(b): receiver goodput capped by the Ethernet 100 wire."""
-    csrt = {
-        size: benchmark.pedantic(
-            csrt_recv_bandwidth_bps, args=(size, 0.05), rounds=1, iterations=1
-        )
-        if size == SIZES[0]
-        else csrt_recv_bandwidth_bps(size, duration=0.05)
-        for size in SIZES
-    }
+    csrt = {size: csrt_recv_bandwidth_bps(size, duration=0.05) for size in SIZES}
     rows = []
     for size in SIZES:
         real = real_recv_bandwidth_bps(size)
@@ -75,18 +61,11 @@ def test_fig3b_bandwidth_ethernet(benchmark):
     )
 
 
-def test_fig3c_round_trip(benchmark):
+def test_fig3c_round_trip():
     """Fig 3(c): average round-trip; above ~1 KB the simulated stack
     diverges when the MTU is not enforced (SSFNet's behaviour), so the
     protocol restricts packets to a safe size (§4.2)."""
-    csrt = {
-        size: benchmark.pedantic(
-            csrt_round_trip, args=(size, 20), rounds=1, iterations=1
-        )
-        if size == SIZES[0]
-        else csrt_round_trip(size, rounds=20)
-        for size in SIZES
-    }
+    csrt = {size: csrt_round_trip(size, rounds=20) for size in SIZES}
     rows = []
     for size in SIZES:
         real = real_round_trip(size)

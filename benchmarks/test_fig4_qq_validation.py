@@ -95,23 +95,19 @@ def _qq_check_per_class(result, classes, tolerance):
             )
 
 
-def test_fig4a_readonly_latency_qq(benchmark, validation_run):
+def test_fig4a_readonly_latency_qq(validation_run):
     simulated = _simulated(validation_run, READONLY)
     assert len(simulated) > 30
     composition = _composition(validation_run, READONLY)
-    reference = benchmark.pedantic(
-        _reference, args=(composition, len(simulated)), rounds=1, iterations=1
-    )
+    reference = _reference(composition, len(simulated))
     _qq_print(simulated, reference, "read-only")
     _qq_check_per_class(validation_run, READONLY, tolerance=0.35)
 
 
-def test_fig4b_update_latency_qq(benchmark, validation_run):
+def test_fig4b_update_latency_qq(validation_run):
     simulated = _simulated(validation_run, UPDATE)
     assert len(simulated) > 200
     composition = _composition(validation_run, UPDATE)
-    reference = benchmark.pedantic(
-        _reference, args=(composition, len(simulated)), rounds=1, iterations=1
-    )
+    reference = _reference(composition, len(simulated))
     _qq_print(simulated, reference, "update")
     _qq_check_per_class(validation_run, UPDATE, tolerance=0.35)

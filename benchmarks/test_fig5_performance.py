@@ -15,16 +15,13 @@ are byte-identical to ``python -m repro.runner report --figure``.
 
 import pytest
 
-from conftest import assert_paper_shapes, figure_series, run_point
+from conftest import assert_paper_shapes, figure_series
 
 from repro.core.scenarios import CLIENT_LEVELS, SYSTEM_CONFIGS
 
 
-def test_fig5a_throughput(benchmark, performance_grid):
+def test_fig5a_throughput(performance_grid):
     series = figure_series(performance_grid, "fig5a")
-    benchmark.pedantic(
-        lambda: run_point("3 Sites", 3, 1, 500), rounds=1, iterations=1
-    )
     if not assert_paper_shapes():
         return  # shapes below are calibrated against the paper's dbsm runs
     # replication does not limit throughput: same-CPU centralized vs
@@ -54,11 +51,8 @@ def test_fig5a_throughput(benchmark, performance_grid):
     assert series["3 Sites"][3] == pytest.approx(7000, rel=0.25)
 
 
-def test_fig5b_latency(benchmark, performance_grid):
+def test_fig5b_latency(performance_grid):
     series = figure_series(performance_grid, "fig5b")
-    benchmark.pedantic(
-        lambda: run_point("1 CPU", 1, 1, 500), rounds=1, iterations=1
-    )
     if not assert_paper_shapes():
         return  # shapes below are calibrated against the paper's dbsm runs
     # saturation shows as sharply growing latency on the 1 CPU curve
@@ -71,11 +65,8 @@ def test_fig5b_latency(benchmark, performance_grid):
     assert series["3 Sites"][2] > series["3 CPU"][2]
 
 
-def test_fig5c_abort_rate(benchmark, performance_grid):
+def test_fig5c_abort_rate(performance_grid):
     series = figure_series(performance_grid, "fig5c")
-    benchmark.pedantic(
-        lambda: run_point("3 CPU", 1, 3, 500), rounds=1, iterations=1
-    )
     if not assert_paper_shapes():
         return  # shapes below are calibrated against the paper's dbsm runs
     # aborts grow with load on the saturated 1 CPU curve

@@ -14,24 +14,16 @@ Series derivation and printing go through :mod:`repro.analysis` (the
 
 import pytest
 
-from conftest import (
-    assert_paper_shapes,
-    figure_series,
-    grid_resultset,
-    run_point,
-)
+from conftest import assert_paper_shapes, figure_series, grid_resultset
 
 from repro.core.scenarios import CLIENT_LEVELS, SYSTEM_CONFIGS
 
 
-def test_fig6a_cpu_usage(benchmark, performance_grid):
+def test_fig6a_cpu_usage(performance_grid):
     total = figure_series(performance_grid, "fig6a")
     protocol = grid_resultset(performance_grid).pivot(
         "clients", "system", "cpu_protocol"
     ).columns()
-    benchmark.pedantic(
-        lambda: run_point("1 CPU", 1, 1, 100), rounds=1, iterations=1
-    )
     if not assert_paper_shapes():
         return  # shapes below are calibrated against the paper's dbsm runs
     # one CPU approaches saturation by 500 clients
@@ -47,11 +39,8 @@ def test_fig6a_cpu_usage(benchmark, performance_grid):
     assert 0.0 < protocol["3 Sites"][2] < 0.10
 
 
-def test_fig6b_disk_usage(benchmark, performance_grid):
+def test_fig6b_disk_usage(performance_grid):
     series = figure_series(performance_grid, "fig6b")
-    benchmark.pedantic(
-        lambda: run_point("6 CPU", 1, 6, 2000), rounds=1, iterations=1
-    )
     if not assert_paper_shapes():
         return  # shapes below are calibrated against the paper's dbsm runs
     # with 6 CPUs, centralized or 6 sites, the disk becomes the
@@ -66,11 +55,8 @@ def test_fig6b_disk_usage(benchmark, performance_grid):
     assert series["6 Sites"][-1] == pytest.approx(series["6 CPU"][-1], abs=0.2)
 
 
-def test_fig6c_network(benchmark, performance_grid):
+def test_fig6c_network(performance_grid):
     series = figure_series(performance_grid, "fig6c")
-    benchmark.pedantic(
-        lambda: run_point("3 Sites", 3, 1, 100), rounds=1, iterations=1
-    )
     if not assert_paper_shapes():
         return  # shapes below are calibrated against the paper's dbsm runs
     # centralized configurations produce no protocol traffic at all

@@ -50,10 +50,8 @@ def fault_rs(fault_runs):
     )
 
 
-def test_fig7a_latency_ecdf(benchmark, fault_rs):
-    table = benchmark.pedantic(
-        lambda: figure_table(fault_rs, "fig7a"), rounds=1, iterations=1
-    )
+def test_fig7a_latency_ecdf(fault_rs):
+    table = figure_table(fault_rs, "fig7a")
     print(render_figure(table, "fig7a"))
     if not assert_paper_shapes():
         return  # shapes below are calibrated against the paper's dbsm runs
@@ -69,10 +67,8 @@ def test_fig7a_latency_ecdf(benchmark, fault_rs):
     assert p50["random"] < 4.0 * p50["none"]
 
 
-def test_fig7b_certification_ecdf(benchmark, fault_rs, fault_runs):
-    table = benchmark.pedantic(
-        lambda: figure_table(fault_rs, "fig7b"), rounds=1, iterations=1
-    )
+def test_fig7b_certification_ecdf(fault_rs, fault_runs):
+    table = figure_table(fault_rs, "fig7b")
     print(render_figure(table, "fig7b"))
     if not assert_paper_shapes():
         return  # shapes below are calibrated against the paper's dbsm runs
@@ -95,10 +91,8 @@ def test_fig7b_certification_ecdf(benchmark, fault_rs, fault_runs):
     assert delayed_fraction("bursty") < delayed_fraction("random")
 
 
-def test_fig7c_protocol_cpu(benchmark, fault_rs):
-    table = benchmark.pedantic(
-        lambda: figure_table(fault_rs, "fig7c"), rounds=1, iterations=1
-    )
+def test_fig7c_protocol_cpu(fault_rs):
+    table = figure_table(fault_rs, "fig7c")
     print(render_figure(table, "fig7c"))
     usage = {
         kind: table.value(kind, "cpu_protocol") * 100.0
@@ -115,7 +109,7 @@ def test_fig7c_protocol_cpu(benchmark, fault_rs):
     assert usage["random"] < 10.0
 
 
-def test_fig7_stability_backlog_diagnosis(benchmark, fault_runs):
+def test_fig7_stability_backlog_diagnosis(fault_runs):
     """§5.3's diagnosis: loss injected independently at each participant
     shortens the stable common prefix, so garbage collection lags and
     unstable-message backlogs grow toward the buffer shares — the
@@ -123,16 +117,10 @@ def test_fig7_stability_backlog_diagnosis(benchmark, fault_runs):
     mitigation, a larger share, is the ablation bench)."""
     if not assert_paper_shapes():
         pytest.skip("stability-backlog diagnosis characterizes the dbsm prototype")
-    peaks = benchmark.pedantic(
-        lambda: {
-            kind: max(
-                s.gcs.reliable.pool.stats["peak_occupancy"] for s in run.sites
-            )
-            for kind, run in fault_runs.items()
-        },
-        rounds=1,
-        iterations=1,
-    )
+    peaks = {
+        kind: max(s.gcs.reliable.pool.stats["peak_occupancy"] for s in run.sites)
+        for kind, run in fault_runs.items()
+    }
     assert peaks["random"] > 1.3 * peaks["none"]
     assert peaks["bursty"] > peaks["none"]
     # blocking time under loss is at least never better than fault-free

@@ -29,8 +29,7 @@ def table(performance_grid):
     return figure_table(grid_resultset(performance_grid), "table1")
 
 
-def test_table1_abort_rates(benchmark, table):
-    benchmark.pedantic(lambda: table.columns(), rounds=1, iterations=1)
+def test_table1_abort_rates(table):
     print(render_figure(table, "table1"))
     if not assert_paper_shapes():
         return  # shapes below are calibrated against the paper's dbsm runs

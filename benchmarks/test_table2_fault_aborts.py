@@ -37,10 +37,7 @@ def fault_table():
     return figure_table(ResultSet.from_results(items), "table2")
 
 
-def test_table2_abort_rates_with_faults(benchmark, fault_table):
-    benchmark.pedantic(
-        lambda: fault_table.columns(), rounds=1, iterations=1
-    )
+def test_table2_abort_rates_with_faults(fault_table):
     print(render_figure(fault_table, "table2"))
 
     value = fault_table.value

@@ -61,7 +61,7 @@ from .render import (
     summary_text,
     table_payload,
 )
-from .report import load_resultset, run_report
+from .report import run_report
 from .resultset import AnalysisError, Comparison, ResultCell, ResultSet
 
 __all__ = [
@@ -90,7 +90,6 @@ __all__ = [
     "render_comparison",
     "table_payload",
     "get_metric",
-    "load_resultset",
     "metric_value",
     "register_metric",
     "register_metric_family",

@@ -134,9 +134,6 @@ class Table:
         """Column means in row order (the figure-series view)."""
         return [self.value(row, col) for row in self.rows]
 
-    def row_values(self, row: object) -> List[float]:
-        return [self.value(row, col) for col in self.cols]
-
     def columns(self) -> Dict[object, List[float]]:
         return {col: self.column(col) for col in self.cols}
 

@@ -293,24 +293,17 @@ def render_figure(
 ) -> str:
     """Render a figure table in its canonical presentation."""
     figure = FIGURES[key]
-    if fmt == "text":
-        return render_text(
-            table,
-            title=figure.title,
-            fmt=figure.fmt,
-            row_header=figure.row_header,
-            col_names=figure.col_names,
-        )
-    if fmt == "markdown":
-        return render_markdown(
-            table,
-            title=figure.title,
-            fmt=figure.fmt,
-            row_header=figure.row_header,
-            col_names=figure.col_names,
-        )
     if fmt == "csv":
         return render_csv(
             table, row_header=figure.row_header, col_names=figure.col_names
         )
-    raise AnalysisError(f"unknown figure format {fmt!r}")
+    if fmt not in ("text", "markdown"):
+        raise AnalysisError(f"unknown figure format {fmt!r}")
+    render = render_markdown if fmt == "markdown" else render_text
+    return render(
+        table,
+        title=figure.title,
+        fmt=figure.fmt,
+        row_header=figure.row_header,
+        col_names=figure.col_names,
+    )

@@ -72,14 +72,16 @@ def format_table(title: str, headers: Sequence, rows: Iterable[Sequence]) -> str
     return "\n".join(lines)
 
 
-def _table_grid(
+def table_grid(
     table: Table,
-    fmt: Optional[Formatter],
-    row_header: Optional[str],
-    col_names: Optional[Dict[object, str]],
-    ci: bool,
+    fmt: Optional[Formatter] = None,
+    row_header: Optional[str] = None,
+    col_names: Optional[Dict[object, str]] = None,
+    ci: bool = False,
 ) -> tuple:
-    """(headers, rows) shared by the text/markdown/CSV renderers.
+    """``(headers, rows)`` with every value already display-formatted —
+    the grid the text/markdown renderers share, public for consumers
+    that lay the table out themselves (the HTML report).
 
     Multi-metric tables (``col_axis == "metric"``) format each column
     with its own registered format unless ``fmt`` overrides.
@@ -109,19 +111,6 @@ def _table_grid(
     return headers, rows
 
 
-def table_grid(
-    table: Table,
-    fmt: Optional[Formatter] = None,
-    row_header: Optional[str] = None,
-    col_names: Optional[Dict[object, str]] = None,
-    ci: bool = False,
-) -> tuple:
-    """``(headers, rows)`` with every value already display-formatted —
-    the grid the text/markdown/CSV renderers share, exposed for
-    consumers that lay the table out themselves (the HTML report)."""
-    return _table_grid(table, fmt, row_header, col_names, ci)
-
-
 def render_text(
     table: Table,
     title: Optional[str] = None,
@@ -134,7 +123,7 @@ def render_text(
 
     ``ci=True`` appends ``±halfwidth`` wherever a group has seed
     replicates (n > 1)."""
-    headers, rows = _table_grid(table, fmt, row_header, col_names, ci)
+    headers, rows = table_grid(table, fmt, row_header, col_names, ci)
     return format_table(title or "", headers, rows)
 
 
@@ -146,7 +135,7 @@ def render_markdown(
     col_names: Optional[Dict[object, str]] = None,
     ci: bool = False,
 ) -> str:
-    headers, rows = _table_grid(table, fmt, row_header, col_names, ci)
+    headers, rows = table_grid(table, fmt, row_header, col_names, ci)
     lines = [f"### {title}", ""] if title else []
     lines.append("| " + " | ".join(str(h) for h in headers) + " |")
     lines.append("|" + "|".join(" --- " for _ in headers) + "|")

@@ -13,24 +13,29 @@ renders one view:
   (with seed-replicate 95 % CIs where there are replicates);
 * ``--metric M --pivot ROW,COL`` — one metric over two axes;
 * ``--compare AXIS=BASE,CAND`` — delta table between two slices;
-* ``--format text|markdown|csv|json`` — the output encoding.  JSON is
-  the machine view: the per-cell metrics/axis-tags payload (plus the
+* ``--format text|markdown|csv|json|html`` — the output encoding.  JSON
+  is the machine view: the per-cell metrics/axis-tags payload (plus the
   requested table when a view was selected); CI asserts its schema so
-  the artifact -> report path cannot silently rot.
+  the artifact -> report path cannot silently rot.  HTML is the
+  self-contained report page (:mod:`repro.dashboard.page`).
+
+The subcommand's flags (:func:`add_arguments`), their validation
+(:func:`run_report`) and its handler (:func:`command`) all live here;
+``python -m repro.runner`` only mounts them.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from ..core.env import env_str
+from ..runner.store import campaign_dir
 from .figures import FIGURES, figure_table, render_figure
 from .metrics import HEADLINE_METRICS, available_metrics
 from .render import (
     comparison_payload,
-    nan_to_none,
     render_comparison,
     render_csv,
     render_markdown,
@@ -40,26 +45,10 @@ from .render import (
 )
 from .resultset import AnalysisError, ResultSet
 
-__all__ = ["load_resultset", "run_report"]
+if TYPE_CHECKING:  # `import repro` must not pay for argparse
+    import argparse
 
-
-def load_resultset(target: str) -> ResultSet:
-    """Resolve ``target`` — an artifact directory, or a campaign name
-    under ``REPRO_ARTIFACT_DIR`` — and load it."""
-    path = Path(target)
-    if path.is_dir():
-        return ResultSet.from_artifacts(path)
-    root = env_str("REPRO_ARTIFACT_DIR")
-    if root is not None and (Path(root) / target).is_dir():
-        return ResultSet.from_artifacts(Path(root) / target)
-    hint = (
-        f"no directory {root}/{target}"
-        if root is not None
-        else "REPRO_ARTIFACT_DIR is not set"
-    )
-    raise AnalysisError(
-        f"cannot locate results for {target!r}: not a directory, and {hint}"
-    )
+__all__ = ["add_arguments", "command", "run_report"]
 
 
 def _parse_value(raw: str) -> object:
@@ -69,8 +58,10 @@ def _parse_value(raw: str) -> object:
         return raw
 
 
-def _cells_payload(rs: ResultSet, metrics: Sequence[str]) -> Dict[str, object]:
-    return {
+def _json(rs: ResultSet, metrics: Sequence[str], **view: object) -> str:
+    """The machine view: every cell's axis tags and ``metrics``, then
+    the selected view's own payload (``table=``, ``comparison=``...)."""
+    payload = {
         "campaign": rs.name,
         "spec_hash": rs.spec_hash,
         "metrics": list(metrics),
@@ -79,14 +70,14 @@ def _cells_payload(rs: ResultSet, metrics: Sequence[str]) -> Dict[str, object]:
                 "label": cell.label,
                 "source": cell.source,
                 "axes": dict(cell.axes),
-                "metrics": {
-                    name: nan_to_none(cell.value(name)) for name in metrics
-                },
+                "metrics": cell.metrics_payload(metrics),
             }
             for cell in rs.cells
         ],
         "missing": list(rs.missing),
+        **view,
     }
+    return json.dumps(payload, indent=2)
 
 
 def run_report(
@@ -100,43 +91,31 @@ def run_report(
 ) -> str:
     """Execute one report invocation; returns the text to print."""
     selected = sum(x is not None for x in (by, pivot, compare, figure))
+    if fmt == "html" and selected:
+        raise AnalysisError(
+            "--html renders the full report page; it cannot be "
+            "combined with --by/--pivot/--compare/--figure"
+        )
     if selected > 1:
         raise AnalysisError(
             "--by, --pivot, --compare and --figure are mutually exclusive"
         )
-    rs = load_resultset(target)
+    rs = ResultSet.from_artifacts(campaign_dir(target))
+    if fmt == "html":
+        # dashboard.state imports analysis: load the page on use
+        from ..dashboard.page import render_report_html
+
+        return render_report_html(rs)
     chosen = tuple(metrics) if metrics else HEADLINE_METRICS
+    title = None
 
     if figure is not None:
         table = figure_table(rs, figure)
         if fmt == "json":
-            payload = _cells_payload(rs, chosen)
-            payload["figure"] = figure
-            payload["table"] = table_payload(table)
-            return json.dumps(payload, indent=2)
+            return _json(rs, chosen, figure=figure, table=table_payload(table))
         # text output keeps the historical leading blank line, so it is
         # byte-identical to what the benchmark suite prints
         return render_figure(table, figure, fmt=fmt)
-
-    if pivot is not None:
-        row_axis, sep, col_axis = pivot.partition(",")
-        if not sep or not row_axis.strip() or not col_axis.strip():
-            raise AnalysisError(f"expected --pivot ROW,COL, got {pivot!r}")
-        if len(chosen) != 1:
-            raise AnalysisError(
-                "--pivot needs exactly one --metric to tabulate"
-            )
-        table = rs.pivot(row_axis.strip(), col_axis.strip(), chosen[0])
-        if fmt == "json":
-            payload = _cells_payload(rs, chosen)
-            payload["table"] = table_payload(table)
-            return json.dumps(payload, indent=2)
-        if fmt == "markdown":
-            return render_markdown(table, title=chosen[0], ci=True)
-        if fmt == "csv":
-            return render_csv(table)
-        return render_text(table, title=chosen[0], ci=True)
-
     if compare is not None:
         axis, sep, values = compare.partition("=")
         pair = values.split(",") if sep else []
@@ -150,37 +129,122 @@ def run_report(
             chosen,
         )
         if fmt == "json":
-            payload = _cells_payload(rs, chosen)
-            payload["comparison"] = comparison_payload(comparison)
-            return json.dumps(payload, indent=2)
+            return _json(rs, chosen, comparison=comparison_payload(comparison))
         return render_comparison(comparison, markdown=(fmt == "markdown"))
-
-    if by is not None:
+    if pivot is not None:
+        row_axis, sep, col_axis = pivot.partition(",")
+        if not sep or not row_axis.strip() or not col_axis.strip():
+            raise AnalysisError(f"expected --pivot ROW,COL, got {pivot!r}")
+        if len(chosen) != 1:
+            raise AnalysisError(
+                "--pivot needs exactly one --metric to tabulate"
+            )
+        table = rs.pivot(row_axis.strip(), col_axis.strip(), chosen[0])
+        title = chosen[0]
+    elif by is not None:
         table = rs.table(chosen, by=by)
-        if fmt == "json":
-            payload = _cells_payload(rs, chosen)
-            payload["table"] = table_payload(table)
-            return json.dumps(payload, indent=2)
-        if fmt == "markdown":
-            return render_markdown(table, ci=True)
-        if fmt == "csv":
-            return render_csv(table)
-        return render_text(table, ci=True)
-
-    # default view
-    if fmt == "json":
-        return json.dumps(
-            _cells_payload(rs, metrics or available_metrics()), indent=2
-        )
-    if fmt in ("markdown", "csv"):
-        table = rs.table(chosen)
-        return (
-            render_markdown(table, ci=False)
-            if fmt == "markdown"
-            else render_csv(table)
-        )
-    if metrics:
+    elif fmt == "json":
+        return _json(rs, metrics or available_metrics())
+    elif fmt == "text" and not metrics:
+        return summary_text(rs.cells)
+    else:
         # an explicit metric selection must not be silently dropped:
-        # render the per-cell metrics table instead of the fixed summary
-        return render_text(rs.table(chosen))
-    return summary_text(rs.cells)
+        # the per-cell metrics table instead of the fixed summary
+        table = rs.table(chosen)
+
+    # the view is a table: one switch over the encodings (±CI shows
+    # only where a group has seed replicates, so never on per-cell rows)
+    if fmt == "json":
+        return _json(rs, chosen, table=table_payload(table))
+    if fmt == "csv":
+        return render_csv(table)
+    render = render_markdown if fmt == "markdown" else render_text
+    return render(table, title=title, ci=True)
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare ``report``'s command line on its subparser."""
+    parser.add_argument(
+        "target",
+        help="artifact directory, or a campaign name resolved under "
+        "REPRO_ARTIFACT_DIR",
+    )
+    parser.add_argument(
+        "--metric",
+        action="append",
+        default=None,
+        metavar="NAME",
+        help="registered metric name (repeatable; families like "
+        "'abort_rate[payment-long]' work too); default: the headline set",
+    )
+    parser.add_argument(
+        "--by",
+        default=None,
+        metavar="AXIS",
+        help="aggregate the metrics along one campaign axis "
+        "(mean, with 95%% CI over seed replicates)",
+    )
+    parser.add_argument(
+        "--pivot",
+        default=None,
+        metavar="ROW,COL",
+        help="pivot one --metric over two campaign axes",
+    )
+    parser.add_argument(
+        "--compare",
+        default=None,
+        metavar="AXIS=BASE,CAND",
+        help="delta table between two slices, paired on the other axes "
+        "(e.g. protocol=dbsm,primary-copy)",
+    )
+    parser.add_argument(
+        "--figure",
+        choices=sorted(FIGURES),
+        default=None,
+        help="render one paper figure/table from the artifacts",
+    )
+    parser.add_argument(
+        "--format",
+        choices=("text", "markdown", "csv", "json", "html"),
+        default="text",
+        help="output encoding (default: text); 'html' renders the "
+        "self-contained report page",
+    )
+    parser.add_argument(
+        "--html",
+        action="store_true",
+        help="render one self-contained HTML report file "
+        "(sugar for --format html; byte-deterministic for fixed artifacts)",
+    )
+    parser.add_argument(
+        "-o",
+        "--output",
+        default=None,
+        metavar="FILE",
+        help="write the --html report to FILE instead of stdout",
+    )
+    parser.set_defaults(func=command)
+
+
+def command(args: argparse.Namespace) -> int:
+    """The ``report`` handler: run the invocation, deliver the text."""
+    fmt = "html" if args.html else args.format
+    if args.output and fmt != "html":
+        raise AnalysisError("-o/--output only applies to --html reports")
+    text = run_report(
+        args.target,
+        metrics=args.metric,
+        by=args.by,
+        pivot=args.pivot,
+        compare=args.compare,
+        figure=args.figure,
+        fmt=fmt,
+    )
+    if args.output:
+        Path(args.output).write_text(text)
+        print(f"wrote {args.output}", file=sys.stderr)
+    elif fmt == "html":
+        sys.stdout.write(text)  # the page, byte for byte: no newline added
+    else:
+        print(text)
+    return 0

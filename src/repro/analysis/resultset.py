@@ -14,23 +14,38 @@ instead of silently mixing campaign revisions into one report.
 Artifact directories without a manifest (hand-labelled ``run_campaign``
 output) still load — cells then carry only the axis tags derivable
 from their stored configuration.
+
+Files are opened and decoded by :mod:`repro.runner.store` alone;
+:func:`manifest_cells` and :func:`artifact_cell` are the two steps this
+loader shares with the dashboard's ``CampaignView``.
 """
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..campaigns.spec import CampaignSpec
 from ..core.experiment import ScenarioConfig, ScenarioResult
-from ..runner.store import MANIFEST_NAME, ArtifactStore
+from ..runner.store import (
+    MANIFEST_NAME,
+    ArtifactCollisionError,
+    ArtifactError,
+    ArtifactStore,
+)
 from .aggregate import Delta, Series, Stat, Table, summarize
 from .metrics import metric_value
+from .render import nan_to_none
 
-__all__ = ["AnalysisError", "Comparison", "ResultCell", "ResultSet"]
+__all__ = [
+    "AnalysisError",
+    "Comparison",
+    "ResultCell",
+    "ResultSet",
+    "artifact_cell",
+    "manifest_cells",
+]
 
 
 class AnalysisError(ValueError):
@@ -65,6 +80,51 @@ class ResultCell:
 
     def value(self, metric: str) -> float:
         return metric_value(self.result, metric)
+
+    def metrics_payload(self, metrics: Iterable[str]) -> Dict[str, object]:
+        """``{metric: value}``, JSON-ready (NaN -> ``None``): the one
+        dict ``report --format json`` and the dashboard cell record
+        both serve."""
+        return {name: nan_to_none(self.value(name)) for name in metrics}
+
+
+def artifact_cell(
+    path: Path, payload: dict, spec_axes: Dict[str, Dict[str, object]]
+) -> ResultCell:
+    """The :class:`ResultCell` of one artifact envelope: the label the
+    file records, its decoded result, and the campaign's axis bindings
+    for that label (``spec_axes``, from :func:`manifest_cells`; empty
+    without a manifest) under the config-derived tags.  An undecodable
+    result raises :class:`~repro.runner.store.ArtifactError`."""
+    label = str(payload.get("label", path.stem))
+    result = ArtifactStore.decode(path, payload)
+    axes = {**spec_axes.get(label, {}), **_config_axes(result.config)}
+    return ResultCell(label, result, axes, source="artifact")
+
+
+def manifest_cells(
+    manifest: dict, path: Path
+) -> Tuple[str, Optional[str], List[Tuple[str, Dict[str, object]]]]:
+    """Decode a campaign manifest into ``(campaign name, spec hash,
+    [(label, axes)])``, the cells in spec-expansion order.  A manifest
+    without a usable spec, or whose recorded hash does not match its own
+    spec, raises :class:`AnalysisError` naming ``path``."""
+    try:
+        spec = CampaignSpec.from_dict(manifest["spec"])
+        expected = [(label, axes) for label, _, axes in spec.expand_cells()]
+    except (KeyError, ValueError) as exc:
+        raise AnalysisError(
+            f"{path}: unusable campaign manifest ({exc})"
+        ) from exc
+    recorded = manifest.get("spec_hash")
+    if recorded != spec.spec_hash():
+        raise AnalysisError(
+            f"{path}: recorded spec hash {recorded!r} "
+            f"does not match the manifest's own spec "
+            f"({spec.spec_hash()!r}) — the manifest was edited or "
+            "corrupted; re-run the campaign to refresh provenance"
+        )
+    return str(manifest.get("campaign", spec.name)), recorded, expected
 
 
 @dataclass
@@ -123,17 +183,6 @@ class ResultSet:
         return cls(cells, name=name)
 
     @classmethod
-    def from_pairs(
-        cls,
-        pairs: Iterable[Tuple[str, ScenarioResult]],
-        name: str = "",
-    ) -> "ResultSet":
-        """Wrap plain ``(label, result)`` pairs (config-derived tags only)."""
-        return cls.from_results(
-            ((label, result, {}) for label, result in pairs), name=name
-        )
-
-    @classmethod
     def from_campaign(
         cls,
         campaign,
@@ -180,41 +229,45 @@ class ResultSet:
         """Load a campaign artifact directory.
 
         With a ``campaign.json`` manifest, cells load in spec-expansion
-        order and carry the spec's axis bindings; without one, every
-        ``*.json`` cell artifact loads in filename order with
-        config-derived tags only.  Spec-hash mismatches — a manifest
-        whose hash does not match its own spec, or a cell stamped under
-        a different hash than the manifest — raise loudly.
+        order and carry the spec's axis bindings, and anything wrong
+        with an expected cell's file raises: an unusable artifact
+        (:class:`~repro.runner.store.ArtifactError`), a file recorded
+        for another label, or a cell stamped under a different spec
+        hash than the manifest.  Without one, every usable cell
+        artifact loads in filename order with config-derived tags only;
+        stray or unusable files (notes, redirected reports, a cell
+        still being written) are skipped.
         """
         root = Path(root)
         if not root.is_dir():
             raise AnalysisError(f"no artifact directory at {root}")
         store = ArtifactStore(root)
         manifest = store.load_manifest()
-        if manifest is None:
-            return cls._from_unmanifested(root)
-        try:
-            spec = CampaignSpec.from_dict(manifest["spec"])
-        except (KeyError, ValueError) as exc:
-            raise AnalysisError(
-                f"{root / MANIFEST_NAME}: unusable campaign manifest ({exc})"
-            ) from exc
-        recorded = manifest.get("spec_hash")
-        if recorded != spec.spec_hash():
-            raise AnalysisError(
-                f"{root / MANIFEST_NAME}: recorded spec hash {recorded!r} "
-                f"does not match the manifest's own spec "
-                f"({spec.spec_hash()!r}) — the manifest was edited or "
-                "corrupted; re-run the campaign to refresh provenance"
-            )
         cells: List[ResultCell] = []
+        if manifest is None:
+            for path, _mtime, _size in store.list_cells():
+                try:
+                    cells.append(artifact_cell(path, store.read_cell(path), {}))
+                except ArtifactError:
+                    continue
+            if not cells:
+                raise AnalysisError(
+                    f"{root} holds no readable cell artifacts "
+                    f"(and no {MANIFEST_NAME} manifest)"
+                )
+            return cls(cells, name=root.name)
+        name, recorded, expected = manifest_cells(manifest, root / MANIFEST_NAME)
+        spec_axes = dict(expected)
         missing: List[str] = []
-        for label, _config, axes in spec.expand_cells():
-            data = cls._read_cell(store.path_for(label))
-            if data is None:
+        for label, _axes in expected:
+            try:
+                payload = store.read(label)
+            except ArtifactCollisionError as exc:
+                raise AnalysisError(str(exc)) from exc
+            if payload is None:
                 missing.append(label)
                 continue
-            cell_hash = data.get("spec_hash")
+            cell_hash = payload.get("spec_hash")
             if cell_hash is not None and cell_hash != recorded:
                 raise AnalysisError(
                     f"cell {label!r} in {root} was recorded under spec "
@@ -222,68 +275,15 @@ class ResultSet:
                     f"{recorded!r} — artifacts from different campaign "
                     "revisions are mixed; re-run the campaign"
                 )
-            result = ScenarioResult.from_dict(data["result"])
-            cells.append(
-                ResultCell(
-                    label,
-                    result,
-                    {**axes, **_config_axes(result.config)},
-                    source="artifact",
-                )
-            )
+            cells.append(artifact_cell(store.path_for(label), payload, spec_axes))
         if not cells:
             raise AnalysisError(
                 f"{root} holds no completed cell artifacts for campaign "
-                f"{spec.name!r} ({len(missing)} cell(s) missing)"
+                f"{name!r} ({len(missing)} cell(s) missing)"
             )
-        out = cls(cells, name=str(manifest.get("campaign", spec.name)),
-                  spec_hash=recorded)
+        out = cls(cells, name=name, spec_hash=recorded)
         out.missing = missing
         return out
-
-    @classmethod
-    def _from_unmanifested(cls, root: Path) -> "ResultSet":
-        """Manifest-less store: load every readable cell artifact in
-        filename order; stray non-cell JSON files (notes, redirected
-        reports, ...) are skipped, mirroring ``ArtifactStore.load``'s
-        tolerance."""
-        cells = []
-        for path in sorted(root.glob("*.json")):
-            if path.name == MANIFEST_NAME:
-                continue
-            try:
-                data = cls._read_cell(path)
-                if data is None:
-                    continue
-                result = ScenarioResult.from_dict(data["result"])
-            except (AnalysisError, ValueError, KeyError, TypeError):
-                continue
-            cells.append(
-                ResultCell(
-                    str(data.get("label", path.stem)),
-                    result,
-                    _config_axes(result.config),
-                    source="artifact",
-                )
-            )
-        if not cells:
-            raise AnalysisError(
-                f"{root} holds no readable cell artifacts "
-                f"(and no {MANIFEST_NAME} manifest)"
-            )
-        return cls(cells, name=root.name)
-
-    @staticmethod
-    def _read_cell(path: Path) -> Optional[dict]:
-        if not path.exists():
-            return None
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, ValueError) as exc:
-            raise AnalysisError(f"{path}: unreadable cell artifact ({exc})")
-        if not isinstance(data, dict) or "result" not in data:
-            raise AnalysisError(f"{path}: not a cell artifact")
-        return data
 
     # ------------------------------------------------------------------
     # basics

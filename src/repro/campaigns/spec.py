@@ -400,15 +400,6 @@ class CampaignSpec:
             ),
         )
 
-    def _drop_template_key(self, name) -> "CampaignSpec":
-        return replace(
-            self,
-            template={k: v for k, v in self.template.items() if k != name},
-            children=tuple(
-                c._drop_template_key(name) for c in self.children
-            ),
-        )
-
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------

@@ -288,9 +288,6 @@ class ScenarioResult:
         times = [e.time_to_rejoin() for e in self.completed_rejoins()]
         return sum(times) / len(times) if times else 0.0
 
-    def total_backlog_replayed(self) -> int:
-        return sum(e.backlog_replayed for e in self.completed_rejoins())
-
     def total_orphaned_commits(self) -> int:
         return sum(e.orphaned_commits for e in self.completed_rejoins())
 

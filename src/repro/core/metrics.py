@@ -11,7 +11,6 @@ are produced.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -200,12 +199,6 @@ def ecdf(values: Sequence[float]) -> Tuple[List[float], List[float]]:
     n = len(ordered)
     ratios = [(i + 1) / n for i in range(n)]
     return ordered, ratios
-
-
-def ecdf_at(values: Sequence[float], x: float) -> float:
-    """Fraction of ``values`` less than or equal to ``x``."""
-    ordered = sorted(values)
-    return bisect.bisect_right(ordered, x) / len(ordered) if ordered else 0.0
 
 
 def quantiles(values: Sequence[float], probs: Iterable[float]) -> List[float]:

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import math
 
-from .experiment import Scenario, ScenarioConfig, ScenarioResult
+from .experiment import ScenarioConfig, ScenarioResult
 from .safety import SafetyViolation
 
 __all__ = ["RegressionSuite", "Regression", "ScenarioBaseline"]
@@ -156,11 +156,6 @@ class RegressionSuite:
             metrics=metrics,
             completed=len(result.metrics.records),
         )
-
-    def run_scenario(self, name: str) -> Tuple[ScenarioBaseline, ScenarioResult]:
-        config = self.scenarios[name]
-        result = Scenario(config).run()
-        return self.baseline_from(name, result), result
 
     def _run_all(
         self, names: Optional[List[str]] = None

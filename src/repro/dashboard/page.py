@@ -24,13 +24,19 @@ title names the series.
 from __future__ import annotations
 
 import json
-from typing import Dict, List
+from typing import Dict
 
 from ..analysis.figures import FIGURES
-from ..analysis.metrics import HEADLINE_METRICS
-from ..analysis.render import nan_to_none, summary_text, table_grid
+from ..analysis.render import summary_text, table_grid
 from ..analysis.resultset import AnalysisError, ResultSet
-from .state import DASHBOARD_SCHEMA
+from .state import (
+    DASHBOARD_SCHEMA,
+    absorb_result,
+    cell_record,
+    cells_shape,
+    status_summary,
+    violations_feed,
+)
 
 __all__ = ["render_live_html", "render_report_html"]
 
@@ -42,29 +48,16 @@ def _json_for_html(payload: object) -> str:
 
 
 def _report_data(rs: ResultSet) -> Dict[str, object]:
-    """The embedded data object for report mode — the same shapes the
-    live page assembles from the JSON API, plus the figure tables."""
-    cells = []
-    violations: List[Dict[str, object]] = []
+    """The embedded data object for report mode: the shapes the live
+    page fetches from the JSON API (:mod:`~repro.dashboard.state` builds
+    both), plus the figure tables."""
+    records = []
     for cell in rs.cells:
-        cells.append(
-            {
-                "label": cell.label,
-                "status": "ok",
-                "source": cell.source,
-                "duration": None,
-                "worker": None,
-                "violations": len(cell.result.violations),
-                "metrics": {
-                    name: nan_to_none(cell.value(name))
-                    for name in HEADLINE_METRICS
-                },
-                "axes": dict(cell.axes),
-            }
-        )
-        violations.extend(
-            v.tagged(cell.label) for v in cell.result.violations
-        )
+        record = cell_record(cell.label)
+        record["source"] = cell.source
+        absorb_result(record, cell)
+        records.append(record)
+    pending = [cell_record(label) for label in rs.missing]
     figures = []
     for key in sorted(FIGURES):
         fig = FIGURES[key]
@@ -85,30 +78,21 @@ def _report_data(rs: ResultSet) -> Dict[str, object]:
                 "rows": [[str(c) for c in row] for row in rows],
             }
         )
-    total = len(rs.cells) + len(rs.missing)
     return {
         "schema": DASHBOARD_SCHEMA,
         "mode": "report",
         "campaign": {
             "campaign": rs.name,
             "spec_hash": rs.spec_hash,
-            "total": total,
-            "done": len(rs.cells),
+            "total": len(records) + len(pending),
             "finished": True,
             "eta": None,
             "elapsed": None,
             "workers": None,
-            "counts": {
-                "pending": len(rs.missing),
-                "running": 0,
-                "ok": len(rs.cells),
-                "failed": 0,
-                "cached": 0,
-            },
-            "violations": len(violations),
+            **status_summary(records + pending),
         },
-        "cells": {"metrics": list(HEADLINE_METRICS), "cells": cells},
-        "violations": {"total": len(violations), "violations": violations},
+        "cells": cells_shape(records),
+        "violations": violations_feed(records),
         "figures": figures,
         "summary": summary_text(rs.cells),
         "missing": list(rs.missing),

@@ -15,11 +15,13 @@ from it, so the two cannot drift apart.
 from __future__ import annotations
 
 import json
+import sys
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Dict, Union
 from urllib.parse import parse_qs, urlparse
 
+from ..runner.store import ArtifactError, campaign_dir
 from .page import render_live_html
 from .state import CampaignView
 
@@ -117,10 +119,20 @@ class DashboardServer(ThreadingHTTPServer):
         return f"http://{host}:{port}/"
 
 
-def serve_campaign(
-    root: Union[str, Path], host: str = "127.0.0.1", port: int = 8035
-) -> None:
-    """Serve ``root`` until interrupted (the ``serve`` subcommand)."""
+def serve_campaign(target: str, host: str, port: int) -> None:
+    """The ``serve`` subcommand: serve ``target`` — an artifact
+    directory, or a campaign name under ``REPRO_ARTIFACT_DIR`` — until
+    interrupted.  A target that does not exist yet is served as a
+    directory-to-be, so ``serve`` can start before ``run``."""
+    try:
+        root = campaign_dir(target)
+    except ArtifactError:
+        root = Path(target)
+        print(
+            f"note: {root} does not exist yet — serving anyway and "
+            "waiting for a campaign to write artifacts there",
+            file=sys.stderr,
+        )
     server = DashboardServer(root, host=host, port=port)
     print(f"dashboard: watching {root}")
     print(f"dashboard: serving on {server.url}  (Ctrl-C to stop)")

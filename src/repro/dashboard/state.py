@@ -16,23 +16,39 @@ still serves cells and metrics (every artifact-backed cell reads
 statuses from the journal while metrics fill in cell by cell.
 
 Every payload carries :data:`DASHBOARD_SCHEMA` so API consumers (and
-the CI smoke job) can pin the shape they parse.
+the CI smoke job) can pin the shape they parse.  The shapes — cell
+record, status summary, violations feed — are the module-level
+functions below, shared with the ``report --html`` exporter
+(:mod:`~repro.dashboard.page`) so the two pages cannot drift apart.
+Artifacts become cells exactly as ``report`` reads them; an unusable
+file is skipped until its ``(mtime, size)`` changes.
 """
 
 from __future__ import annotations
 
 import threading
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, Iterable, List, Optional, Union
 
-from ..analysis.metrics import HEADLINE_METRICS, available_metrics, metric_value
-from ..analysis.render import nan_to_none
-from ..campaigns.spec import CampaignSpec
-from ..core.experiment import ScenarioResult
-from ..runner.store import ArtifactStore
+from ..analysis.metrics import HEADLINE_METRICS, available_metrics
+from ..analysis.resultset import (
+    AnalysisError,
+    ResultCell,
+    artifact_cell,
+    manifest_cells,
+)
+from ..runner.store import MANIFEST_NAME, ArtifactError, ArtifactStore
 from .journal import JournalReader, journal_path
 
-__all__ = ["DASHBOARD_SCHEMA", "CampaignView"]
+__all__ = [
+    "DASHBOARD_SCHEMA",
+    "CampaignView",
+    "absorb_result",
+    "cell_record",
+    "cells_shape",
+    "status_summary",
+    "violations_feed",
+]
 
 #: Schema tag stamped on every JSON payload the dashboard serves.
 DASHBOARD_SCHEMA = "repro.dashboard/1"
@@ -41,6 +57,61 @@ DASHBOARD_SCHEMA = "repro.dashboard/1"
 #: terminal states.  ``cached`` is an ``ok`` cell that resumed from an
 #: artifact instead of executing.
 CELL_STATUSES = ("pending", "running", "ok", "failed", "cached")
+
+
+def cell_record(label: str) -> Dict[str, object]:
+    """The record of a cell nothing is known about yet."""
+    return {
+        "label": label,
+        "status": "pending",
+        "source": None,
+        "duration": None,
+        "worker": None,
+        "violations": 0,
+        "metrics": None,
+        "axes": {},
+    }
+
+
+def absorb_result(record: Dict[str, object], cell: ResultCell) -> None:
+    """Fill ``record`` from a decoded cell: headline metrics, axis tags
+    and violations.  Only values are kept, never the result itself, so
+    a view's memory does not grow with the size of its cells."""
+    if record["status"] in ("pending", "running"):
+        record["status"] = "ok"  # no journal: a result is terminal
+    record["metrics"] = cell.metrics_payload(HEADLINE_METRICS)
+    record["axes"] = dict(cell.axes)
+    tagged = [v.tagged(cell.label) for v in cell.result.violations]
+    record["violations"] = len(tagged)
+    record["_violations"] = tagged  # private: served by the feed only
+
+
+def cells_shape(records: Iterable[Dict[str, object]]) -> Dict[str, object]:
+    return {
+        "metrics": list(HEADLINE_METRICS),
+        "cells": [
+            {k: v for k, v in record.items() if not k.startswith("_")}
+            for record in records
+        ],
+    }
+
+
+def status_summary(records: Iterable[Dict[str, object]]) -> Dict[str, object]:
+    """Cells per status, how many are terminal, violations in total."""
+    counts = {status: 0 for status in CELL_STATUSES}
+    violations = 0
+    for record in records:
+        counts[str(record["status"])] += 1
+        violations += int(record["violations"] or 0)
+    done = sum(counts[s] for s in ("ok", "failed", "cached"))
+    return {"counts": counts, "done": done, "violations": violations}
+
+
+def violations_feed(records: Iterable[Dict[str, object]]) -> Dict[str, object]:
+    violations: List[Dict[str, object]] = []
+    for record in records:
+        violations.extend(record.get("_violations", []))
+    return {"total": len(violations), "violations": violations}
 
 
 class CampaignView:
@@ -53,37 +124,28 @@ class CampaignView:
         self._lock = threading.Lock()
         #: Every journal event seen so far, in sequence order.
         self._events: List[Dict[str, object]] = []
-        #: label -> mutable cell record (see ``_cell``).
+        #: label -> mutable cell record (see :func:`cell_record`), in
+        #: display order: spec-expansion order, then first-seen extras.
         self._cells: Dict[str, Dict[str, object]] = {}
-        #: Display order: spec-expansion order, then first-seen extras.
-        self._order: List[str] = []
         #: artifact path -> (mtime_ns, size) of the last read.
         self._scanned: Dict[Path, tuple] = {}
         self._campaign: Dict[str, object] = {}
         self._finished = False
         self._progress: Dict[str, object] = {}
         self._manifest_loaded = False
+        #: label -> the campaign spec's axis bindings (from the manifest).
+        self._spec_axes: Dict[str, Dict[str, object]] = {}
 
     # ------------------------------------------------------------------
     def _cell(self, label: str) -> Dict[str, object]:
         if label not in self._cells:
-            self._cells[label] = {
-                "label": label,
-                "status": "pending",
-                "source": None,
-                "duration": None,
-                "worker": None,
-                "violations": 0,
-                "metrics": None,
-                "axes": {},
-            }
-            self._order.append(label)
+            self._cells[label] = cell_record(label)
         return self._cells[label]
 
     def _load_manifest(self) -> None:
-        """Seed campaign identity and the expected cell list from the
-        store manifest (retried until one appears — ``serve`` may start
-        before ``run`` writes it)."""
+        """Seed campaign identity, the expected cell list and the spec's
+        axis tags from the store manifest (retried until one appears —
+        ``serve`` may start before ``run`` writes it)."""
         if self._manifest_loaded:
             return
         manifest = self._store.load_manifest()
@@ -93,11 +155,23 @@ class CampaignView:
         self._campaign.setdefault("campaign", manifest.get("campaign", ""))
         self._campaign.setdefault("spec_hash", manifest.get("spec_hash"))
         try:
-            spec = CampaignSpec.from_dict(manifest["spec"])
-            for label, _config, _axes in spec.expand_cells():
-                self._cell(label)
-        except (KeyError, TypeError, ValueError):
-            pass  # manifest without a usable spec: cells appear as seen
+            _name, _hash, expected = manifest_cells(
+                manifest, self.root / MANIFEST_NAME
+            )
+        except AnalysisError:
+            return  # the view is tolerant: cells appear as seen
+        for label, _axes in expected:
+            self._cell(label)
+        self._spec_axes = dict(expected)
+
+    def _read(self, path: Path) -> Optional[ResultCell]:
+        """One artifact as a cell, or None when it is unusable."""
+        try:
+            return artifact_cell(
+                path, self._store.read_cell(path), self._spec_axes
+            )
+        except ArtifactError:
+            return None
 
     def _apply_event(self, event: Dict[str, object]) -> None:
         kind = event.get("kind")
@@ -140,30 +214,10 @@ class CampaignView:
         for path, mtime_ns, size in self._store.list_cells():
             if self._scanned.get(path) == (mtime_ns, size):
                 continue
-            payload = ArtifactStore.read_payload(path)
-            if payload is None:
-                continue  # mid-write or stray file: retry next refresh
             self._scanned[path] = (mtime_ns, size)
-            label = str(payload.get("label", path.stem))
-            try:
-                result = ScenarioResult.from_dict(payload["result"])
-            except (KeyError, TypeError, ValueError):
-                continue
-            cell = self._cell(label)
-            if cell["status"] in ("pending", "running"):
-                cell["status"] = "ok"  # no journal: artifact is terminal
-            cell["metrics"] = {
-                name: nan_to_none(metric_value(result, name))
-                for name in HEADLINE_METRICS
-            }
-            cell["axes"] = {
-                name: getattr(result.config, name)
-                for name in ("protocol", "sites", "clients", "transactions", "seed")
-            }
-            cell["violations"] = len(result.violations)
-            cell["_violations"] = [
-                v.tagged(label) for v in result.violations
-            ]
+            cell = self._read(path)
+            if cell is not None:
+                absorb_result(self._cell(cell.label), cell)
 
     def refresh(self) -> None:
         """Bring the view up to date (cheap when nothing changed)."""
@@ -180,14 +234,8 @@ class CampaignView:
     def campaign_payload(self) -> Dict[str, object]:
         self.refresh()
         with self._lock:
-            counts = {status: 0 for status in CELL_STATUSES}
-            violations = 0
-            for label in self._order:
-                cell = self._cells[label]
-                counts[str(cell["status"])] += 1
-                violations += int(cell["violations"] or 0)
-            total = self._campaign.get("total") or len(self._order)
-            done = sum(counts[s] for s in ("ok", "failed", "cached"))
+            summary = status_summary(self._cells.values())
+            total = self._campaign.get("total") or len(self._cells)
             return {
                 "schema": DASHBOARD_SCHEMA,
                 "campaign": self._campaign.get("campaign", ""),
@@ -195,12 +243,11 @@ class CampaignView:
                 "root": str(self.root),
                 "total": total,
                 "workers": self._campaign.get("workers"),
-                "counts": counts,
-                "done": done,
-                "finished": self._finished or (total > 0 and done >= total),
+                **summary,
+                "finished": self._finished
+                or (total > 0 and summary["done"] >= total),
                 "eta": self._progress.get("eta"),
                 "elapsed": self._progress.get("elapsed"),
-                "violations": violations,
                 "journal": {
                     "events": len(self._events),
                     "skipped": self._reader.skipped,
@@ -213,15 +260,7 @@ class CampaignView:
         with self._lock:
             return {
                 "schema": DASHBOARD_SCHEMA,
-                "metrics": list(HEADLINE_METRICS),
-                "cells": [
-                    {
-                        key: value
-                        for key, value in self._cells[label].items()
-                        if not key.startswith("_")
-                    }
-                    for label in self._order
-                ],
+                **cells_shape(self._cells.values()),
             }
 
     def metrics_payload(self, name: str) -> Dict[str, object]:
@@ -234,8 +273,8 @@ class CampaignView:
         with self._lock:
             if name in HEADLINE_METRICS:
                 values = {
-                    label: (self._cells[label]["metrics"] or {}).get(name)
-                    for label in self._order
+                    label: (record["metrics"] or {}).get(name)
+                    for label, record in self._cells.items()
                 }
             else:
                 # non-headline metrics are not cached on the cell
@@ -243,7 +282,7 @@ class CampaignView:
                 values = self._metric_values(name)
             points = [
                 {"label": label, "value": values.get(label)}
-                for label in self._order
+                for label in self._cells
             ]
             return {
                 "schema": DASHBOARD_SCHEMA,
@@ -254,27 +293,17 @@ class CampaignView:
     def _metric_values(self, name: str) -> Dict[str, object]:
         out: Dict[str, object] = {}
         for path, _mtime, _size in self._store.list_cells():
-            payload = ArtifactStore.read_payload(path)
-            if payload is None:
-                continue
-            try:
-                result = ScenarioResult.from_dict(payload["result"])
-            except (KeyError, TypeError, ValueError):
-                continue
-            label = str(payload.get("label", path.stem))
-            out[label] = nan_to_none(metric_value(result, name))
+            cell = self._read(path)
+            if cell is not None:
+                out[cell.label] = cell.metrics_payload((name,))[name]
         return out
 
     def violations_payload(self) -> Dict[str, object]:
         self.refresh()
         with self._lock:
-            violations: List[Dict[str, object]] = []
-            for label in self._order:
-                violations.extend(self._cells[label].get("_violations", []))
             return {
                 "schema": DASHBOARD_SCHEMA,
-                "total": len(violations),
-                "violations": violations,
+                **violations_feed(self._cells.values()),
             }
 
     def events_payload(self, since: int = 0) -> Dict[str, object]:

@@ -90,9 +90,6 @@ class TotalOrder:
         """Atomically multicast ``payload``: reliable + totally ordered."""
         self.reliable.multicast(bytes([TAG_APP]) + payload)
 
-    def delivered_up_to(self) -> int:
-        return self._next_deliver - 1
-
     # ------------------------------------------------------------------
     # FIFO stream from the reliable layer
     # ------------------------------------------------------------------

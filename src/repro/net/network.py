@@ -65,9 +65,6 @@ class Host(Entity):
     def unbind(self, port: int) -> None:
         self._ports.pop(port, None)
 
-    def bound_ports(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._ports))
-
     def send(self, src_port: int, dest: Destination, payload: bytes) -> None:
         self.network.route(self, src_port, dest, payload)
 

@@ -46,7 +46,6 @@ Quick start::
 
 from .progress import ETA_WINDOW, CampaignProgress, ProgressEvent
 from .runner import (
-    ARTIFACT_DIR_ENV,
     WORKERS_ENV,
     CampaignCell,
     CampaignError,
@@ -54,7 +53,13 @@ from .runner import (
     resolve_workers,
     run_campaign,
 )
-from .store import MANIFEST_NAME, ArtifactCollisionError, ArtifactStore
+from .store import (
+    ARTIFACT_DIR_ENV,
+    MANIFEST_NAME,
+    ArtifactCollisionError,
+    ArtifactError,
+    ArtifactStore,
+)
 
 __all__ = [
     "ARTIFACT_DIR_ENV",
@@ -62,6 +67,7 @@ __all__ = [
     "MANIFEST_NAME",
     "WORKERS_ENV",
     "ArtifactCollisionError",
+    "ArtifactError",
     "ArtifactStore",
     "CampaignCell",
     "CampaignError",

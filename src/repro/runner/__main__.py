@@ -41,7 +41,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from ..analysis import FIGURES, summary_text
+from ..analysis import report, summary_text
 from ..campaigns import (
     CampaignSpec,
     CampaignSpecError,
@@ -50,7 +50,7 @@ from ..campaigns import (
     parse_axis_override,
 )
 from ..protocols import available_protocols
-from . import CampaignResult, run_campaign
+from . import run_campaign
 
 _EPILOG = """\
 environment knobs (every campaign honours them; see README "Fault model &
@@ -64,14 +64,6 @@ axis overrides compose left to right: --set protocol=dbsm,primary-copy
 --set clients=100,500 --set transactions=600.  --protocol and
 --transactions are sugar for the matching --set.
 """
-
-def _print_summary(campaign: CampaignResult) -> None:
-    """The per-cell summary table (rendered by :mod:`repro.analysis`,
-    byte-identical to the historical formatter) plus failure dumps."""
-    print(summary_text(campaign.cells))
-    for cell in campaign.failures:
-        print(f"\n--- {cell.label} ---\n{cell.error}", file=sys.stderr)
-
 
 # ----------------------------------------------------------------------
 # spec resolution
@@ -130,7 +122,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         manifest=spec.manifest(),
         journal=False if args.no_journal else "auto",
     )
-    _print_summary(campaign)
+    # the per-cell summary table (byte-identical to the historical
+    # formatter), then the failure dumps
+    print(summary_text(campaign.cells))
+    for cell in campaign.failures:
+        print(f"\n--- {cell.label} ---\n{cell.error}", file=sys.stderr)
     return 0 if campaign.ok else 1
 
 
@@ -179,60 +175,12 @@ def _describe_value(name: str, value: object) -> str:
     return str(value)
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    from ..analysis.report import run_report  # heavy path, load on use
-
-    if args.html or args.format == "html":
-        if any(
-            x is not None
-            for x in (args.by, args.pivot, args.compare, args.figure)
-        ):
-            raise ValueError(
-                "--html renders the full report page; it cannot be "
-                "combined with --by/--pivot/--compare/--figure"
-            )
-        from ..analysis.report import load_resultset
-        from ..dashboard.page import render_report_html
-
-        html = render_report_html(load_resultset(args.target))
-        if args.output:
-            Path(args.output).write_text(html)
-            print(f"wrote {args.output}", file=sys.stderr)
-        else:
-            sys.stdout.write(html)
-        return 0
-    if args.output:
-        raise ValueError("-o/--output only applies to --html reports")
-    print(
-        run_report(
-            args.target,
-            metrics=args.metric,
-            by=args.by,
-            pivot=args.pivot,
-            compare=args.compare,
-            figure=args.figure,
-            fmt=args.format,
-        )
-    )
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from ..core.env import env_str
-    from ..dashboard.server import serve_campaign  # heavy path, load on use
+    # load on use: http.server (and the email package behind it) would
+    # otherwise be imported by every `run` and `list`
+    from ..dashboard.server import serve_campaign
 
-    target = Path(args.target)
-    if not target.is_dir():
-        root = env_str("REPRO_ARTIFACT_DIR")
-        if root is not None and (Path(root) / args.target).is_dir():
-            target = Path(root) / args.target
-        else:
-            print(
-                f"note: {target} does not exist yet — serving anyway and "
-                "waiting for a campaign to write artifacts there",
-                file=sys.stderr,
-            )
-    serve_campaign(target, host=args.host, port=args.port)
+    serve_campaign(args.target, host=args.host, port=args.port)
     return 0
 
 
@@ -352,70 +300,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     export_p.set_defaults(func=_cmd_export)
 
-    report_p = sub.add_parser(
-        "report",
-        help="analyze a campaign's stored artifacts (see repro.analysis)",
+    report.add_arguments(
+        sub.add_parser(
+            "report",
+            help="analyze a campaign's stored artifacts (see repro.analysis)",
+        )
     )
-    report_p.add_argument(
-        "target",
-        help="artifact directory, or a campaign name resolved under "
-        "REPRO_ARTIFACT_DIR",
-    )
-    report_p.add_argument(
-        "--metric",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="registered metric name (repeatable; families like "
-        "'abort_rate[payment-long]' work too); default: the headline set",
-    )
-    report_p.add_argument(
-        "--by",
-        default=None,
-        metavar="AXIS",
-        help="aggregate the metrics along one campaign axis "
-        "(mean, with 95%% CI over seed replicates)",
-    )
-    report_p.add_argument(
-        "--pivot",
-        default=None,
-        metavar="ROW,COL",
-        help="pivot one --metric over two campaign axes",
-    )
-    report_p.add_argument(
-        "--compare",
-        default=None,
-        metavar="AXIS=BASE,CAND",
-        help="delta table between two slices, paired on the other axes "
-        "(e.g. protocol=dbsm,primary-copy)",
-    )
-    report_p.add_argument(
-        "--figure",
-        choices=sorted(FIGURES),
-        default=None,
-        help="render one paper figure/table from the artifacts",
-    )
-    report_p.add_argument(
-        "--format",
-        choices=("text", "markdown", "csv", "json", "html"),
-        default="text",
-        help="output encoding (default: text); 'html' renders the "
-        "self-contained report page",
-    )
-    report_p.add_argument(
-        "--html",
-        action="store_true",
-        help="render one self-contained HTML report file "
-        "(sugar for --format html; byte-deterministic for fixed artifacts)",
-    )
-    report_p.add_argument(
-        "-o",
-        "--output",
-        default=None,
-        metavar="FILE",
-        help="write the --html report to FILE instead of stdout",
-    )
-    report_p.set_defaults(func=_cmd_report)
 
     serve_p = sub.add_parser(
         "serve",

@@ -47,10 +47,9 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Un
 from ..core.env import env_int, env_str
 from ..core.experiment import Scenario, ScenarioConfig, ScenarioResult
 from .progress import CampaignProgress, ProgressEvent
-from .store import ArtifactStore
+from .store import ARTIFACT_DIR_ENV, ArtifactStore
 
 __all__ = [
-    "ARTIFACT_DIR_ENV",
     "WORKERS_ENV",
     "CampaignCell",
     "CampaignError",
@@ -61,8 +60,6 @@ __all__ = [
 
 #: Environment knob: default worker count when ``workers=None``.
 WORKERS_ENV = "REPRO_WORKERS"
-#: Environment knob: default artifact root when ``artifact_dir=None``.
-ARTIFACT_DIR_ENV = "REPRO_ARTIFACT_DIR"
 
 
 class CampaignError(RuntimeError):
@@ -192,32 +189,6 @@ def _cell_from(outcome: CellOutcome, source: str) -> "CampaignCell":
     return CampaignCell(label, "ok", result, None, duration, source, pid)
 
 
-def _resolve_journal(
-    journal: object, store: Optional[ArtifactStore]
-) -> Tuple[Optional[object], bool]:
-    """``(writer, owned)`` for the ``journal`` argument.
-
-    ``"auto"`` enables the journal exactly when an artifact store is in
-    play (the journal lives in the artifact directory); ``True``
-    requires one; any other truthy value is used as a ready-made
-    :class:`~repro.dashboard.journal.JournalWriter`-shaped object the
-    caller owns (and closes)."""
-    if journal is None or journal is False:
-        return None, False
-    if journal == "auto" or journal is True:
-        if store is None:
-            if journal is True:
-                raise ValueError(
-                    "journal=True needs an artifact store — pass "
-                    "artifact_dir (or set REPRO_ARTIFACT_DIR)"
-                )
-            return None, False
-        from ..dashboard.journal import JournalWriter, journal_path
-
-        return JournalWriter(journal_path(store.root)), True
-    return journal, False
-
-
 def run_campaign(
     configs: Iterable[Tuple[str, ScenarioConfig]],
     workers: Optional[int] = None,
@@ -225,7 +196,7 @@ def run_campaign(
     campaign: Optional[str] = None,
     progress: Union[bool, Callable[[ProgressEvent], None]] = False,
     manifest: Optional[Dict[str, object]] = None,
-    journal: object = "auto",
+    journal: Union[bool, str] = "auto",
 ) -> CampaignResult:
     """Execute a labelled scenario grid, possibly in parallel.
 
@@ -243,14 +214,14 @@ def run_campaign(
     ``journal`` controls the ``events.jsonl`` observability journal in
     the artifact directory (see :mod:`repro.dashboard.journal`):
     ``"auto"`` (default) writes it whenever an artifact store is in
-    play, ``False``/``None`` disables it, ``True`` requires a store,
-    and a :class:`~repro.dashboard.journal.JournalWriter`-shaped object
-    is used as-is (and left open).  The journal is pure observability:
-    scenario results are bit-identical with it on or off.  A cell's
-    ``cell-finish`` event is emitted *after* its artifact is saved, so
-    a live dashboard that reacts to the event finds the artifact on
-    disk.
+    play (the journal lives in the artifact directory), ``False``
+    disables it.  The journal is pure observability: scenario results
+    are bit-identical with it on or off.  A cell's ``cell-finish``
+    event is emitted *after* its artifact is saved, so a live dashboard
+    that reacts to the event finds the artifact on disk.
     """
+    if journal != "auto" and journal is not False:
+        raise ValueError(f'journal must be "auto" or False, got {journal!r}')
     labelled = list(configs)
     seen: set = set()
     for label, _ in labelled:
@@ -262,7 +233,11 @@ def run_campaign(
     store = _resolve_store(artifact_dir, campaign)
     if store is not None and manifest is not None:
         store.write_manifest(manifest)
-    writer, owns_writer = _resolve_journal(journal, store)
+    writer = None
+    if journal == "auto" and store is not None:
+        from ..dashboard.journal import JournalWriter, journal_path
+
+        writer = JournalWriter(journal_path(store.root))
     reporter = CampaignProgress(total=len(labelled), workers=workers)
     if progress is True:
         on_event: Optional[Callable[[ProgressEvent], None]] = reporter
@@ -340,7 +315,7 @@ def run_campaign(
             )
         return result
     finally:
-        if owns_writer and writer is not None:
+        if writer is not None:
             writer.close()
 
 

@@ -12,6 +12,11 @@ additionally record provenance: a ``<root>/campaign.json`` manifest
 holding the spec encoding and its content hash, and a ``spec_hash``
 field on every cell computed under that spec.  Provenance never
 affects resume-matching — only the stored config does.
+
+Cell artifacts are opened and decoded here and nowhere else, and every
+failure is the one :class:`ArtifactError`; consumers differ only in
+what they do with it — resume re-runs the cell, the live dashboard
+skips the file until it changes, ``report`` under a manifest fails.
 """
 
 from __future__ import annotations
@@ -23,12 +28,48 @@ import re
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
+from ..core.env import env_str
 from ..core.experiment import ScenarioConfig, ScenarioResult
 
-__all__ = ["ArtifactCollisionError", "ArtifactStore", "MANIFEST_NAME"]
+__all__ = [
+    "ARTIFACT_DIR_ENV",
+    "MANIFEST_NAME",
+    "ArtifactCollisionError",
+    "ArtifactError",
+    "ArtifactStore",
+    "campaign_dir",
+]
+
+#: Environment knob: default artifact root when ``artifact_dir=None``.
+ARTIFACT_DIR_ENV = "REPRO_ARTIFACT_DIR"
 
 #: Campaign-level provenance file inside the store root.
 MANIFEST_NAME = "campaign.json"
+
+
+class ArtifactError(ValueError):
+    """A campaign directory or cell artifact that cannot be read: no
+    such directory, an unreadable or non-JSON file, JSON that is not a
+    cell payload, or a ``result`` that does not decode."""
+
+
+def campaign_dir(target: str) -> Path:
+    """The existing campaign directory ``target`` names on the read
+    side (``report``, ``serve``): the directory itself, or a campaign
+    name under ``REPRO_ARTIFACT_DIR`` — the rule ``run`` writes by."""
+    if Path(target).is_dir():
+        return Path(target)
+    root = env_str(ARTIFACT_DIR_ENV)
+    if root is not None and (Path(root) / target).is_dir():
+        return Path(root) / target
+    hint = (
+        f"no directory {root}/{target}"
+        if root is not None
+        else f"{ARTIFACT_DIR_ENV} is not set"
+    )
+    raise ArtifactError(
+        f"cannot locate results for {target!r}: not a directory, and {hint}"
+    )
 
 
 def _slug(label: str) -> str:
@@ -49,9 +90,9 @@ def _slug(label: str) -> str:
 class ArtifactCollisionError(RuntimeError):
     """Two different cell labels mapped to the same artifact file.
 
-    Deliberately *not* a ValueError: the store's tolerant load paths
-    swallow ValueError (corrupt artifacts are simply re-run), and a
-    collision must never be swallowed — it means one label's results
+    Deliberately *not* a ValueError: the tolerant consumers swallow
+    :class:`ArtifactError` (unusable artifacts are simply re-run), and
+    a collision must never be swallowed — it means one label's results
     would silently overwrite another's.
     """
 
@@ -100,15 +141,51 @@ class ArtifactStore:
         return out
 
     @staticmethod
-    def read_payload(path: Union[str, Path]) -> Optional[dict]:
-        """The raw JSON payload of one cell artifact, or None when the
-        file is unreadable, corrupt, or not a cell artifact."""
+    def read_cell(path: Union[str, Path]) -> dict:
+        """The JSON envelope of one cell artifact (``label``, ``config``,
+        ``result``, optional ``spec_hash``); :class:`ArtifactError` when
+        the file is unreadable, not JSON, or not a cell payload."""
         try:
             data = json.loads(Path(path).read_text())
-        except (OSError, ValueError):
-            return None
+        except (OSError, ValueError) as exc:
+            raise ArtifactError(
+                f"{path}: unreadable cell artifact ({exc})"
+            ) from exc
         if not isinstance(data, dict) or "result" not in data:
+            raise ArtifactError(f"{path}: not a cell artifact")
+        return data
+
+    @staticmethod
+    def decode(path: Union[str, Path], payload: dict) -> ScenarioResult:
+        """The result inside an envelope :meth:`read_cell` returned.
+        The file came from outside the program, so any structural
+        failure of the decode is the same :class:`ArtifactError`."""
+        try:
+            return ScenarioResult.from_dict(payload["result"])
+        except (AttributeError, LookupError, TypeError, ValueError) as exc:
+            raise ArtifactError(
+                f"{path}: undecodable result ({type(exc).__name__}: {exc})"
+            ) from exc
+
+    def read(self, label: str) -> Optional[dict]:
+        """The envelope stored for ``label`` (which it is taken to record
+        when it records no label at all), or None when no file exists.
+
+        A readable artifact recorded under a *different label* raises
+        :class:`ArtifactCollisionError`: two labels share one file stem,
+        so the file may be neither overwritten (``save``, and the re-run
+        a failed ``load`` leads to) nor reported under this label."""
+        path = self.path_for(label)
+        if not path.exists():
             return None
+        data = self.read_cell(path)
+        if data.setdefault("label", label) != label:
+            raise ArtifactCollisionError(
+                f"artifact {path} holds cell {data['label']!r} but "
+                f"{label!r} maps to the same file stem — the two labels "
+                "collide; refusing to overwrite or reuse it: rename one "
+                "of the labels"
+            )
         return data
 
     # -- provenance ----------------------------------------------------
@@ -133,34 +210,19 @@ class ArtifactStore:
 
     # ------------------------------------------------------------------
     def load(self, label: str, config: ScenarioConfig) -> Optional[ScenarioResult]:
-        """The stored result for ``label``, or None if absent, corrupt,
-        or recorded under a different configuration.
+        """The stored result for ``label``, or None if absent, unusable,
+        or recorded under a different configuration (each of which is
+        simply re-run); a label collision raises, see :meth:`read`.
 
-        A readable artifact recorded under a *different label* raises
-        :class:`ArtifactCollisionError`: it means two labels share one
-        file stem, and re-running (the treatment for every other
-        mismatch) would overwrite the other label's results."""
-        path = self.path_for(label)
-        if not path.exists():
-            return None
+        The config is compared before the result is decoded, so a
+        mismatch never pays for a decode."""
         try:
-            data = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None  # unreadable artifacts are simply re-run
-        if not isinstance(data, dict):
-            return None
-        if "label" in data and data["label"] != label:
-            raise ArtifactCollisionError(
-                f"artifact {path} belongs to cell {data['label']!r} but "
-                f"was looked up for {label!r} — two labels collide on "
-                "one artifact file stem; rename one of the labels"
-            )
-        try:
-            if data.get("config") != config.to_dict():
+            data = self.read(label)
+            if data is None or data.get("config") != config.to_dict():
                 return None
-            return ScenarioResult.from_dict(data["result"])
-        except (ValueError, KeyError, TypeError, OSError):
-            return None  # unreadable artifacts are simply re-run
+            return self.decode(self.path_for(label), data)
+        except ArtifactError:
+            return None
 
     def save(
         self,
@@ -175,20 +237,15 @@ class ArtifactStore:
         config whose custom profiles were reduced to ``None``, which
         must not be recorded as the match key.
 
-        Refuses (:class:`ArtifactCollisionError`) to overwrite an
-        existing artifact recorded under a different label — the
-        cross-process half of stem-collision detection (``path_for``
-        catches collisions within one store instance)."""
+        Refuses (:class:`ArtifactCollisionError`, via :meth:`read`) to
+        overwrite an existing artifact recorded under a different label
+        — the cross-process half of stem-collision detection
+        (``path_for`` catches collisions within one store instance)."""
         path = self.path_for(label)
-        if path.exists():
-            existing = self.read_payload(path)
-            recorded = existing.get("label") if existing else None
-            if recorded is not None and recorded != label:
-                raise ArtifactCollisionError(
-                    f"refusing to overwrite {path}: it holds cell "
-                    f"{recorded!r}, but {label!r} maps to the same "
-                    "artifact file stem; rename one of the labels"
-                )
+        try:
+            self.read(label)
+        except ArtifactError:
+            pass  # not a cell artifact: nothing to protect
         match_config = config if config is not None else result.config
         payload = {
             "label": label,

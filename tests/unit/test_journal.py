@@ -189,15 +189,15 @@ class TestRunnerIntegration:
         run_campaign(cells, artifact_dir=tmp_path, journal=False)
         assert not journal_path(tmp_path).exists()
 
-    def test_journal_true_without_store_raises(self):
-        from repro.core.experiment import ScenarioConfig
+    @pytest.mark.parametrize("removed", [True, None, object()])
+    def test_only_auto_and_false_are_journal_values(self, removed, tmp_path):
+        """The forms nothing used (require-a-store, None, a caller-owned
+        writer) are rejected, not silently read as one of the two kept."""
         from repro.runner import run_campaign
 
-        cells = [
-            ("a", ScenarioConfig(sites=1, clients=10, transactions=40, seed=1)),
-        ]
-        with pytest.raises(ValueError, match="artifact store"):
-            run_campaign(cells, journal=True)
+        with pytest.raises(ValueError, match='"auto" or False'):
+            run_campaign([], artifact_dir=tmp_path, journal=removed)
+        assert not journal_path(tmp_path).exists()
 
     def test_journal_is_pure_observability(self, tmp_path):
         """Results are bit-identical with the journal on or off."""

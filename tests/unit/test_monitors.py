@@ -209,8 +209,8 @@ class TestViolationsMetric:
             monitored.violations.clear()
 
     def test_resultset_exposes_violations(self, monitored, unmonitored):
-        rs = ResultSet.from_pairs(
-            [("on", monitored), ("off", unmonitored)]
+        rs = ResultSet.from_results(
+            [("on", monitored, {}), ("off", unmonitored, {})]
         )
         assert rs.value("on", "violations") == 0.0
         assert math.isnan(rs.value("off", "violations"))
