@@ -173,7 +173,7 @@ def _abort_rate_for(tx_class: str) -> Callable[[ScenarioResult], float]:
     def extract(result: ScenarioResult) -> float:
         if tx_class == "All":
             return _abort_rate(result)
-        if not result.metrics.select(tx_class=tx_class):
+        if not any(r.tx_class == tx_class for r in result.metrics.records):
             return math.nan
         return result.metrics.abort_rate(tx_class)
 

@@ -7,13 +7,19 @@ computed for one or many users and for all or a subclass of the
 transactions.  The simulation runtime additionally logs the usage and
 queue lengths of every resource (§3.1), which is how Figures 6 and 7(c)
 are produced.
+
+Every reported number is a re-read of that log, so a logged record *is*
+the row an artifact stores for it (:class:`TxRecord`,
+:class:`ResourceSample`: tuples in stored column order) and reading a
+log back validates it by column, not by cell (:func:`_decode_rows`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence
+from typing import Tuple, get_type_hints
 
 from .kernel import Entity, Simulator
 
@@ -28,25 +34,15 @@ __all__ = [
     "qq_points",
 ]
 
-#: Column order of the compact list encoding used by ``TxRecord.to_list``
-#: (one row per record keeps result artifacts small — grids log many
-#: thousands of transactions).
-TX_RECORD_FIELDS = (
-    "tx_id",
-    "tx_class",
-    "site",
-    "submit_time",
-    "end_time",
-    "outcome",
-    "readonly",
-    "certification_latency",
-    "abort_reason",
-)
 
+class TxRecord(NamedTuple):
+    """One finished transaction as seen by its issuing client.
 
-@dataclass(frozen=True, slots=True)
-class TxRecord:
-    """One finished transaction as seen by its issuing client."""
+    The record *is* the row a result artifact stores for it: the field
+    order below is the stored column order, ``list(record)`` encodes it
+    and ``TxRecord._make(row)`` decodes it, with nothing coerced either
+    way (one row per record keeps artifacts small — grids log many
+    thousands of transactions — and reading them back cheap)."""
 
     tx_id: int
     tx_class: str
@@ -66,23 +62,36 @@ class TxRecord:
     def committed(self) -> bool:
         return self.outcome == "commit"
 
-    def to_list(self) -> List:
-        """Compact row encoding, columns as in ``TX_RECORD_FIELDS``."""
-        return [getattr(self, name) for name in TX_RECORD_FIELDS]
 
-    @classmethod
-    def from_list(cls, row: Sequence) -> "TxRecord":
-        return cls(
-            tx_id=int(row[0]),
-            tx_class=str(row[1]),
-            site=str(row[2]),
-            submit_time=float(row[3]),
-            end_time=float(row[4]),
-            outcome=str(row[5]),
-            readonly=bool(row[6]),
-            certification_latency=float(row[7]),
-            abort_reason=str(row[8]),
-        )
+#: Column order of the stored rows, named in an artifact's ``fields``.
+TX_RECORD_FIELDS = TxRecord._fields
+
+#: Types a stored column may hold, by its field's annotation.  Rows are
+#: never coerced, so an ``int`` the simulation left in a float column is
+#: written, and read back, as that ``int``.
+_STORED_TYPES = {int: {int}, str: {str}, bool: {bool}, float: {float, int}}
+
+
+@functools.cache
+def _column_types(record_type) -> Tuple[set, ...]:
+    return tuple(_STORED_TYPES[t] for t in get_type_hints(record_type).values())
+
+
+def _decode_rows(record_type, rows: Iterable[Sequence]) -> list:
+    """Stored ``rows`` as ``record_type`` records, validated by column
+    rather than by cell: ``_make`` checks each row's arity and every
+    column is checked once for the types it holds, so a malformed
+    artifact fails here, never later inside a metric."""
+    records = list(map(record_type._make, rows))
+    columns = zip(record_type._fields, _column_types(record_type), zip(*records))
+    for name, stored, column in columns:
+        found = set(map(type, column))
+        if not found <= stored:
+            raise ValueError(
+                f"{record_type.__name__} column {name!r} holds "
+                f"{sorted(t.__name__ for t in found - stored)}"
+            )
+    return records
 
 
 class MetricsCollector:
@@ -104,18 +113,18 @@ class MetricsCollector:
         site: Optional[str] = None,
         predicate: Optional[Callable[[TxRecord], bool]] = None,
     ) -> List[TxRecord]:
-        out = []
-        for r in self.records:
-            if tx_class is not None and r.tx_class != tx_class:
-                continue
-            if outcome is not None and r.outcome != outcome:
-                continue
-            if site is not None and r.site != site:
-                continue
-            if predicate is not None and not predicate(r):
-                continue
-            out.append(r)
-        return out
+        """The records meeting every criterion given, as a new list;
+        only the criteria given cost a pass."""
+        out = self.records
+        if tx_class is not None:
+            out = [r for r in out if r.tx_class == tx_class]
+        if outcome is not None:
+            out = [r for r in out if r.outcome == outcome]
+        if site is not None:
+            out = [r for r in out if r.site == site]
+        if predicate is not None:
+            out = [r for r in out if predicate(r)]
+        return list(out) if out is self.records else out
 
     def classes(self) -> Tuple[str, ...]:
         return tuple(sorted({r.tx_class for r in self.records}))
@@ -129,7 +138,7 @@ class MetricsCollector:
         ``elapsed`` defaults to the span between the first submission and
         the last completion (aborted transactions are not resubmitted,
         §5.1, so they simply don't count)."""
-        committed = [r for r in self.records if r.committed]
+        committed = [r.outcome for r in self.records].count("commit")
         if not committed:
             return 0.0
         if elapsed is None:
@@ -138,14 +147,14 @@ class MetricsCollector:
             elapsed = end - start
         if elapsed <= 0:
             return 0.0
-        return len(committed) * 60.0 / elapsed
+        return committed * 60.0 / elapsed
 
     def abort_rate(self, tx_class: Optional[str] = None) -> float:
         """Fraction (0-100 %) of transactions of ``tx_class`` aborted."""
         selected = self.select(tx_class=tx_class)
         if not selected:
             return 0.0
-        aborted = sum(1 for r in selected if not r.committed)
+        aborted = len(selected) - [r.outcome for r in selected].count("commit")
         return 100.0 * aborted / len(selected)
 
     def abort_rate_table(self) -> Dict[str, float]:
@@ -158,7 +167,8 @@ class MetricsCollector:
         self, tx_class: Optional[str] = None, committed_only: bool = True
     ) -> List[float]:
         outcome = "commit" if committed_only else None
-        return [r.latency for r in self.select(tx_class=tx_class, outcome=outcome)]
+        selected = self.select(tx_class=tx_class, outcome=outcome)
+        return [r.end_time - r.submit_time for r in selected]
 
     def mean_latency(self, tx_class: Optional[str] = None) -> float:
         values = self.latencies(tx_class)
@@ -177,7 +187,8 @@ class MetricsCollector:
     def to_dict(self) -> Dict[str, object]:
         return {
             "fields": list(TX_RECORD_FIELDS),
-            "records": [r.to_list() for r in self.records],
+            # lists, so the payload equals its own JSON round trip
+            "records": list(map(list, self.records)),
         }
 
     @classmethod
@@ -186,7 +197,7 @@ class MetricsCollector:
         if fields != TX_RECORD_FIELDS:
             raise ValueError(f"unknown record encoding: {fields}")
         collector = cls()
-        collector.records = [TxRecord.from_list(row) for row in data["records"]]
+        collector.records = _decode_rows(TxRecord, data["records"])
         return collector
 
 
@@ -238,29 +249,16 @@ def qq_points(
 # ----------------------------------------------------------------------
 # resource usage sampling (Figure 6)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
-class ResourceSample:
+class ResourceSample(NamedTuple):
     """Per-interval resource usage (not cumulative): each sample covers
-    the window ending at ``time``."""
+    the window ending at ``time``.  Like :class:`TxRecord`, the sample
+    is its own stored row."""
 
     time: float
     cpu_total: float  # mean across sampled CPU pools, 0..1
     cpu_real: float  # fraction spent in real (protocol) jobs
     disk: float  # storage utilization, 0..1
     net_bytes: int  # fabric bytes transferred during the window
-
-    def to_list(self) -> List:
-        return [self.time, self.cpu_total, self.cpu_real, self.disk, self.net_bytes]
-
-    @classmethod
-    def from_list(cls, row: Sequence) -> "ResourceSample":
-        return cls(
-            time=float(row[0]),
-            cpu_total=float(row[1]),
-            cpu_real=float(row[2]),
-            disk=float(row[3]),
-            net_bytes=int(row[4]),
-        )
 
 
 class SampleSeries:
@@ -316,15 +314,13 @@ class SampleSeries:
     def to_dict(self) -> Dict[str, object]:
         return {
             "interval": self.interval,
-            "samples": [s.to_list() for s in self.samples],
+            "samples": list(map(list, self.samples)),
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "SampleSeries":
-        return cls(
-            [ResourceSample.from_list(row) for row in data["samples"]],
-            float(data["interval"]),
-        )
+        samples = _decode_rows(ResourceSample, data["samples"])
+        return cls(samples, float(data["interval"]))
 
 
 class ResourceSampler(Entity):

@@ -11,6 +11,7 @@ the run, tolerating only a *prefix* relationship for sites that crashed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 __all__ = [
@@ -51,11 +52,14 @@ class CommitLog:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "CommitLog":
-        return cls(
-            site=str(data["site"]),
-            entries=[(int(seq), int(tx)) for seq, tx in data["entries"]],
-            crashed=bool(data["crashed"]),
-        )
+        # validated by column, as metrics rows are: nothing is coerced
+        entries = list(map(tuple, data["entries"]))
+        if not (
+            set(map(len, entries)) <= {2}
+            and set(map(type, chain.from_iterable(entries))) <= {int}
+        ):
+            raise ValueError(f"{data['site']}: commit log entries must be int pairs")
+        return cls(str(data["site"]), entries, bool(data["crashed"]))
 
 
 class SafetyViolation(AssertionError):

@@ -175,7 +175,7 @@ def drive(schedule, cpu_count, make_cpu):
         "now": sim.now,
         "seq": sim._seq,
         "preemptions": [job.preemptions for job in sim_jobs],
-        "samples": [sample.to_list() for sample in sampler.samples],
+        "samples": [list(sample) for sample in sampler.samples],
     }
 
 

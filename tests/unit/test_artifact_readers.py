@@ -24,6 +24,7 @@ import pytest
 from repro.analysis import AnalysisError, ResultSet, run_report
 from repro.campaigns import CampaignSpec
 from repro.core.experiment import RESULT_FORMAT
+from repro.core.metrics import TX_RECORD_FIELDS
 from repro.dashboard import JOURNAL_NAME, CampaignView
 from repro.dashboard.page import render_report_html
 from repro.runner import (
@@ -79,6 +80,17 @@ def _drop_result(path):
     path.write_text(json.dumps(payload))
 
 
+def _edit_first_record(edit):
+    """Damage one stored transaction row; the other rows stay good."""
+
+    def apply(path):
+        payload = json.loads(path.read_text())
+        edit(payload["result"]["metrics"]["records"][0])
+        path.write_text(json.dumps(payload))
+
+    return apply
+
+
 #: What is done to the victim cell's file.
 CASES = {
     "truncated-json": lambda path: path.write_text(path.read_text()[:40]),
@@ -87,6 +99,11 @@ CASES = {
     "empty-result": _rewrite(result={}),
     "format-only-result": _rewrite(result={"format": RESULT_FORMAT}),
     "list-result": _rewrite(result=[]),
+    "short-record-row": _edit_first_record(lambda row: row.pop()),
+    "long-record-row": _edit_first_record(lambda row: row.append(0)),
+    "text-in-time-column": _edit_first_record(
+        lambda row: row.__setitem__(TX_RECORD_FIELDS.index("submit_time"), "x")
+    ),
     "foreign-label": _rewrite(label=FOREIGN),
     "foreign-spec-hash": _rewrite(spec_hash="f" * 16),
 }
@@ -193,6 +210,15 @@ def test_view_skips_what_it_cannot_use(broken):
         assert served == set(LABELS) - {VICTIM} | {FOREIGN}
     else:
         assert served == set(LABELS) - {VICTIM}
+
+
+def test_a_malformed_sample_row_is_the_same_artifact_error(pristine):
+    path = ArtifactStore(pristine).path_for(VICTIM)
+    for row in ([1.0, 0.5, 0.1, 0.2, 10, 0], [1.0, 0.5, 0.1, 0.2]):
+        payload = ArtifactStore.read_cell(path)
+        payload["result"]["samples"]["samples"].append(row)
+        with pytest.raises(ArtifactError, match=re.escape(str(path))):
+            ArtifactStore.decode(path, payload)
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from repro.core.cpu import CpuPool, Job, SIM_JOB
 from repro.core.kernel import Simulator
 from repro.core.metrics import (
+    TX_RECORD_FIELDS,
     MetricsCollector,
     ResourceSampler,
     TxRecord,
@@ -77,6 +78,68 @@ class TestCollector:
         collector.record(record(tx_id=2, site="site1"))
         assert len(collector.select(site="site1")) == 1
         assert len(collector.select(predicate=lambda r: r.tx_id == 1)) == 1
+
+
+COLUMN = TX_RECORD_FIELDS.index
+
+
+class TestRecordIsTheStoredRow:
+    def test_fields_are_the_artifact_header(self):
+        assert TxRecord._fields == TX_RECORD_FIELDS
+        assert MetricsCollector().to_dict()["fields"] == list(TX_RECORD_FIELDS)
+
+    def test_keyword_construction_with_the_two_defaults(self):
+        r = TxRecord(
+            tx_id=1, tx_class="neworder", site="site0", submit_time=0.25,
+            end_time=1.0, outcome="abort", readonly=False,
+        )
+        assert (r.certification_latency, r.abort_reason) == (0.0, "")
+        assert list(r) == [1, "neworder", "site0", 0.25, 1.0, "abort", False, 0.0, ""]
+        assert r.latency == 0.75 and not r.committed
+        assert record(outcome="commit").committed
+
+    def test_hashable_and_immutable(self):
+        assert len({record(), record(), record(tx_id=2)}) == 2
+        with pytest.raises(AttributeError):
+            record().outcome = "abort"
+        with pytest.raises(AttributeError):
+            record().extra = 1
+
+    def test_select_without_a_criterion_returns_a_copy(self):
+        collector = MetricsCollector()
+        collector.record(record())
+        selected = collector.select()
+        assert selected == collector.records
+        assert selected is not collector.records
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda row: row.pop(),
+            lambda row: row.append(0),
+            lambda row: row.__setitem__(COLUMN("submit_time"), "x"),
+            lambda row: row.__setitem__(COLUMN("tx_id"), True),
+            lambda row: row.__setitem__(COLUMN("readonly"), 1),
+        ],
+        ids=["short", "long", "text-time", "bool-id", "int-flag"],
+    )
+    def test_a_malformed_row_fails_at_decode(self, damage):
+        collector = MetricsCollector()
+        for i in range(3):
+            collector.record(record(tx_id=i))
+        data = collector.to_dict()
+        damage(data["records"][1])
+        with pytest.raises((TypeError, ValueError)):
+            MetricsCollector.from_dict(data)
+
+    def test_nothing_is_coerced(self):
+        collector = MetricsCollector()
+        collector.record(record(submit=0, end=2))  # ints in float columns
+        clone = MetricsCollector.from_dict(collector.to_dict())
+        assert [type(v) for v in clone.records[0]] == [
+            type(v) for v in collector.records[0]
+        ]
+        assert clone.to_dict() == collector.to_dict()
 
 
 class TestDistributions:

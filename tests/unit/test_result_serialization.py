@@ -47,7 +47,7 @@ class TestPieceRoundTrips:
             certification_latency=0.012,
             abort_reason="ww-conflict",
         )
-        assert TxRecord.from_list(record.to_list()) == record
+        assert TxRecord._make(list(record)) == record
 
     def test_metrics_collector(self):
         collector = MetricsCollector()
@@ -69,6 +69,29 @@ class TestPieceRoundTrips:
         assert clone.samples == series.samples
         assert clone.interval == series.interval
         assert clone.mean_cpu() == series.mean_cpu()
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [5.0, 0.5, 0.1, 0.2],
+            [5.0, 0.5, 0.1, 0.2, 4096, 0],
+            [5.0, 0.5, 0.1, "x", 4096],
+            [5.0, 0.5, 0.1, 0.2, 4096.0],
+        ],
+        ids=["short", "long", "text-disk", "float-bytes"],
+    )
+    def test_sample_series_rejects_a_malformed_row(self, row):
+        good = [5.0, 0.5, 0.1, 0.2, 4096]
+        with pytest.raises((TypeError, ValueError)):
+            SampleSeries.from_dict({"interval": 5.0, "samples": [good, row]})
+
+    @pytest.mark.parametrize(
+        "entry", [[1], [1, 2, 3], [1, "x"], [1.0, 2]], ids=str
+    )
+    def test_commit_log_rejects_a_malformed_entry(self, entry):
+        data = {"site": "site0", "entries": [[1, 10], entry], "crashed": False}
+        with pytest.raises((TypeError, ValueError)):
+            CommitLog.from_dict(data)
 
     def test_commit_log(self):
         log = CommitLog(site="site2", crashed=True)
