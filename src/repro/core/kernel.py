@@ -15,6 +15,11 @@ Simulated time is a ``float`` number of seconds.  Ties are broken by a
 monotonically increasing sequence number so the execution order is fully
 deterministic for a given schedule of calls: events run in ``(time,
 seq)`` order, whichever of the two containers below holds them.
+
+A zero-delay hop that would run next anyway is taken in place
+(:meth:`Simulator.elide_hop`: it costs its sequence number, not an
+event); ``events_executed`` counts events, not hops; a budgeted or
+stopped run elides nothing.
 """
 
 from __future__ import annotations
@@ -139,9 +144,14 @@ class Simulator:
         self._horizon = 0.0
         self._running = False
         self._stopped = False
+        #: An unbudgeted :meth:`run` is executing (see :meth:`elide_hop`).
+        self._eliding = False
         #: Cancelled events still sitting in the heap (lazy deletion).
         self._cancelled = 0
         self.events_executed = 0
+        #: What :meth:`fired_signal` hands out for an elided ``None``.
+        self._fired_none = Signal(self, latch=True)
+        self._fired_none.fire()
 
     # ------------------------------------------------------------------
     # clock
@@ -201,6 +211,40 @@ class Simulator:
         else:
             self._lane.append((self._now, self._seq, fn, args))
 
+    def elide_hop(self) -> bool:
+        """Whether a zero-delay :meth:`call` made now would be the very
+        next event executed — an unbudgeted, unstopped :meth:`run` is
+        executing an event, the lane is empty, the heap holds nothing at
+        ``now`` — and if so take that hop: its sequence number is
+        consumed and ``_exec_seq`` advanced as executing it would, and
+        the caller does inline what it would have scheduled.
+
+        **Tail position only**: after a true answer the caller's stack
+        may only ``return`` / ``yield`` until the running event ends —
+        anything else it did would have run *before* the hop."""
+        if not self._eliding or self._lane or self._stopped:
+            return False
+        queue = self._queue
+        if queue and queue[0][0] <= self._now:
+            return False
+        self._seq += 1
+        self._exec_seq = self._seq
+        return True
+
+    def fired_signal(self, value: Any = None) -> "Signal":
+        """A latched signal fired with ``value`` on a zero-delay hop —
+        already fired if the hop is elided, so under :meth:`elide_hop`'s
+        contract: return it straight to the process that yields it."""
+        elided = self.elide_hop()
+        if elided and value is None:
+            return self._fired_none
+        done = Signal(self, latch=True)
+        if elided:
+            done.fire(value)
+        else:
+            self.call(0.0, done.fire, value)
+        return done
+
     def _note_cancelled(self) -> None:
         """Lazy-deletion bookkeeping: compact the heap once cancelled
         entries exceed half of it (with a small floor so tiny queues
@@ -236,6 +280,7 @@ class Simulator:
             raise SimulationError("simulator is not reentrant")
         self._running = True
         self._stopped = False
+        self._eliding = max_events is None
         executed = 0
         # The hottest loop in the repository: locals for the queue (its
         # identity is stable — compaction filters in place), the lane
@@ -281,7 +326,7 @@ class Simulator:
                     break
                 executed += 1
         finally:
-            self._running = False
+            self._running = self._eliding = False
             self.events_executed += executed
         if not self._stopped and executed != budget:
             # Drained, or everything up to ``until`` has run: no event at
@@ -393,12 +438,20 @@ class Process:
     def _step(self, sent_value: Any) -> None:
         if self._done:
             return
-        try:
-            yielded = self._gen.send(sent_value)
-        except StopIteration as stop:
-            self._finish(stop.value)
+        while True:
+            try:
+                yielded = self._gen.send(sent_value)
+            except StopIteration as stop:
+                self._finish(stop.value)
+                return
+            # A latched signal that has already fired wakes us on a
+            # zero-delay hop: taken here, in the tail of this event.
+            if yielded.__class__ is Signal and yielded._fired and yielded.latch:
+                if self.sim.elide_hop():
+                    sent_value = yielded._value
+                    continue
+            self._dispatch(yielded)
             return
-        self._dispatch(yielded)
 
     def _dispatch(self, yielded: Any) -> None:
         if isinstance(yielded, (int, float)):

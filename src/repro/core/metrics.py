@@ -226,9 +226,10 @@ def quantiles(values: Sequence[float], probs: Iterable[float]) -> List[float]:
         lo = int(math.floor(pos))
         hi = min(lo + 1, n - 1)
         frac = pos - lo
-        value = ordered[lo] * (1 - frac) + ordered[hi] * frac
-        # interpolation between in-range values can escape the range by
-        # one ulp; clamp so quantiles always lie within the sample
+        # ``a + (b - a) * f`` is monotone in ``f`` in floating point
+        # (``a * (1 - f) + b * f`` is not), but can still escape the
+        # segment by one ulp; clamp so quantiles lie within the sample
+        value = ordered[lo] + (ordered[hi] - ordered[lo]) * frac
         out.append(min(max(value, ordered[lo]), ordered[hi]))
     return out
 

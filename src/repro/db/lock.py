@@ -17,7 +17,9 @@ The locking policy modeled here is the one the paper configures (§3.1):
 
 Notifications run on fresh simulation events (never re-entrantly inside
 the caller's stack frame), so server processes observe lock grants,
-aborts and preemptions as ordinary asynchronous wake-ups.
+aborts and preemptions as ordinary asynchronous wake-ups — except an
+immediate grant whose event would run next anyway, which is delivered
+before ``acquire`` returns (:meth:`Simulator.elide_hop`).
 
 **The wait queue is an index, not a list.**  A waiting request sits in
 ``_index[item]`` for every item it names and carries a *ticket*
@@ -201,7 +203,11 @@ class LockManager(Entity):
         request.granted = True
         key = "granted_immediate" if immediate else "granted_after_wait"
         self.stats[key] += 1
-        self._notify(request, GRANTED)
+        # An immediate grant ends ``acquire``: tail position (``_regrant`` loops on).
+        if immediate and self.sim.elide_hop():
+            request.on_event(GRANTED)
+        else:
+            self._notify(request, GRANTED)
 
     def _release_items(self, request: LockRequest) -> Tuple[int, ...]:
         released = []

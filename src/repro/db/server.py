@@ -73,11 +73,9 @@ class LocalTermination(TerminationProtocol):
         self._watermark_tracker = WatermarkTracker()
 
     def submit(self, tx: Transaction) -> Signal:
-        signal = Signal(self.sim, latch=True)
         self._next_seq += 1
         tx.global_seq = self._next_seq
-        self.sim.call(0.0, signal.fire, Outcome.COMMIT)
-        return signal
+        return self.sim.fired_signal(Outcome.COMMIT)
 
     def applied_watermark(self) -> int:
         return self._watermark_tracker.watermark
@@ -283,10 +281,9 @@ class DatabaseServer(Entity):
     # internals
     # ------------------------------------------------------------------
     def _cpu_job(self, duration: float, tag: str) -> Signal:
-        signal = Signal(self.sim, latch=True)
         if duration <= 0:
-            self.call(0.0, signal.fire, None)
-            return signal
+            return self.sim.fired_signal()
+        signal = Signal(self.sim, latch=True)
         job = Job(
             SIM_JOB,
             duration=duration,

@@ -128,35 +128,24 @@ class Storage(Entity):
         """Fetch ``nbytes``; returns a signal fired on completion.
 
         With probability ``cache_hit_ratio`` the read is a cache hit and
-        completes on the next simulation event without touching the
-        device.
+        completes at this instant, on a zero-delay hop, without touching
+        the device.
         """
-        done = Signal(self.sim, latch=True)
         if nbytes <= 0 or self.rng.random() < self.cache_hit_ratio:
             self._stats.cache_hits += 1
-            self.call(0.0, done.fire, None)
-            return done
-        self._submit_sectors(self._sectors_for(nbytes), self._reads, done)
-        return done
+            return self.sim.fired_signal()
+        return self._submit_sectors(self._sectors_for(nbytes), self._reads)
 
     def write(self, nbytes: int) -> Signal:
         """Write ``nbytes`` through to the device (never cached — the
         paper's workload uses synchronous commit writes)."""
-        done = Signal(self.sim, latch=True)
-        if nbytes <= 0:
-            self.call(0.0, done.fire, None)
-            return done
-        self._submit_sectors(self._sectors_for(nbytes), self._writes, done)
-        return done
+        return self.write_sectors(self._sectors_for(nbytes) if nbytes > 0 else 0)
 
     def write_sectors(self, sectors: int) -> Signal:
         """Write ``sectors`` whole sectors (commit-time page flushes)."""
-        done = Signal(self.sim, latch=True)
         if sectors <= 0:
-            self.call(0.0, done.fire, None)
-            return done
-        self._submit_sectors(sectors, self._writes, done)
-        return done
+            return self.sim.fired_signal()
+        return self._submit_sectors(sectors, self._writes)
 
     # ------------------------------------------------------------------
     # observation
@@ -185,9 +174,7 @@ class Storage(Entity):
     def _sectors_for(self, nbytes: int) -> int:
         return max(1, math.ceil(nbytes / self.sector_bytes))
 
-    def _submit_sectors(
-        self, sectors: int, uncounted: Deque[float], done: Signal
-    ) -> None:
+    def _submit_sectors(self, sectors: int, uncounted: Deque[float]) -> Signal:
         self._settle()  # keeps the uncounted no longer than the queue
         sim = self.sim
         now = sim._now
@@ -210,7 +197,9 @@ class Storage(Entity):
             order.append(seq)
         # Inlined fire-and-forget schedule (see Simulator.call), under the
         # number of the last sector's slot.
+        done = Signal(sim, latch=True)
         _heappush(sim._queue, (end, seq, done.fire, (None,)))
+        return done
 
     def _settle(self) -> None:
         """Count the sectors whose start instant has been reached."""

@@ -5,13 +5,18 @@ item, do some processing, or write back a data item.  All items accessed
 are known before execution starts (which is what lets the lock manager
 acquire locks atomically and skip deadlock detection), and per-operation
 processing times come from profiling a real database engine.
+
+:class:`Operation` and :class:`TransactionSpec` are validated rows:
+tuples with named fields, checked once in ``__new__`` and immutable
+after — the workload builds two to four of them per transaction.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
+from operator import gt as _gt
 from typing import Dict, Optional, Tuple
 
 __all__ = [
@@ -33,30 +38,39 @@ class OpKind(Enum):
     WRITE = "write"
 
 
-@dataclass(frozen=True, slots=True)
-class Operation:
-    """One step of a transaction.
+class Operation(namedtuple("Operation", "kind item cpu_time nbytes")):
+    """One step of a transaction: a validated, immutable row.
 
     ``item`` identifies the tuple for FETCH/WRITE; ``cpu_time`` is the
     profiled processing duration for PROCESS (seconds of the reference
     CPU); ``nbytes`` sizes the storage transfer for FETCH/WRITE.
     """
 
-    kind: OpKind
-    item: Optional[int] = None
-    cpu_time: float = 0.0
-    nbytes: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind is OpKind.PROCESS and self.cpu_time < 0:
+    def __new__(
+        cls,
+        kind: OpKind,
+        item: Optional[int] = None,
+        cpu_time: float = 0.0,
+        nbytes: int = 0,
+    ) -> "Operation":
+        if kind is OpKind.PROCESS and cpu_time < 0:
             raise ValueError("cpu_time must be non-negative")
-        if self.kind in (OpKind.FETCH, OpKind.WRITE) and self.item is None:
-            raise ValueError(f"{self.kind.value} requires an item")
+        if kind in (OpKind.FETCH, OpKind.WRITE) and item is None:
+            raise ValueError(f"{kind.value} requires an item")
+        return tuple.__new__(cls, (kind, item, cpu_time, nbytes))
 
 
-@dataclass(frozen=True, slots=True)
-class TransactionSpec:
-    """The full, pre-known description of one transaction.
+class TransactionSpec(
+    namedtuple(
+        "TransactionSpec",
+        "tx_class operations read_set write_set write_sizes"
+        " commit_cpu commit_sectors intrinsic_abort",
+    )
+):
+    """The full, pre-known description of one transaction: a validated,
+    immutable row.
 
     ``read_set`` and ``write_set`` are sorted tuples of 64-bit item ids
     (the representation the certification prototype marshals);
@@ -66,26 +80,34 @@ class TransactionSpec:
     (observed to be < 2 ms and near-constant across classes, §4.1);
     ``commit_sectors`` is the number of storage sectors flushed at commit
     (0 for read-only transactions, whose commits do no I/O).
+    ``intrinsic_abort``: the transaction rolls itself back at the end of
+    execution (e.g. TPC-C's mandated 1 % of neworders hitting an unused
+    item id, and the constant per-class offsets observed in the paper's
+    Table 1 — see repro.tpcc.workload for the calibration rationale).
     """
 
-    tx_class: str
-    operations: Tuple[Operation, ...]
-    read_set: Tuple[int, ...]
-    write_set: Tuple[int, ...]
-    write_sizes: Dict[int, int] = field(default_factory=dict)
-    commit_cpu: float = 2e-3
-    commit_sectors: int = 1
-    #: The transaction rolls itself back at the end of execution (e.g.
-    #: TPC-C's mandated 1 % of neworders hitting an unused item id, and
-    #: the constant per-class offsets observed in the paper's Table 1 —
-    #: see repro.tpcc.workload for the calibration rationale).
-    intrinsic_abort: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if tuple(sorted(self.read_set)) != self.read_set:
+    def __new__(
+        cls,
+        tx_class: str,
+        operations: Tuple[Operation, ...],
+        read_set: Tuple[int, ...],
+        write_set: Tuple[int, ...],
+        write_sizes: Optional[Dict[int, int]] = None,
+        commit_cpu: float = 2e-3,
+        commit_sectors: int = 1,
+        intrinsic_abort: bool = False,
+    ) -> "TransactionSpec":
+        # Non-decreasing tuples: compared pairwise in C, not by sorting a copy.
+        if not isinstance(read_set, tuple) or any(map(_gt, read_set, read_set[1:])):
             raise ValueError("read_set must be sorted")
-        if tuple(sorted(self.write_set)) != self.write_set:
+        if not isinstance(write_set, tuple) or any(map(_gt, write_set, write_set[1:])):
             raise ValueError("write_set must be sorted")
+        if write_sizes is None:
+            write_sizes = {}
+        row = (tx_class, operations, read_set, write_set, write_sizes)
+        return tuple.__new__(cls, row + (commit_cpu, commit_sectors, intrinsic_abort))
 
     @property
     def readonly(self) -> bool:

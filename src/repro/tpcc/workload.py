@@ -69,7 +69,7 @@ _NOHEAD_BASE = schema.NOHEAD_ROW_BASE
 #: builders below validate their (warehouse, district) through
 #: ``TpccLayout`` and compute the ids they need by the dozen — stock,
 #: fresh and settled order rows — by addition, for keys in range by
-#: construction (``sample(range(ITEM_COUNT))``, ``_other_warehouse``,
+#: construction (``_distinct_items``, ``_other_warehouse``,
 #: ``fresh_rows``); tests/property/test_prop_workload.py holds the sums
 #: equal to what the validating constructors return.
 _NEWORDER, _ORDER, _ORDERLINE = (
@@ -78,6 +78,30 @@ _NEWORDER, _ORDER, _ORDERLINE = (
 )
 _DPW = schema.DISTRICTS_PER_WAREHOUSE
 _CPD = schema.CUSTOMERS_PER_DISTRICT
+
+
+def _below(getrandbits, n: int) -> int:
+    """``random.Random._randbelow(n)`` on the generator's own primitive:
+    the number ``randrange(n)`` / ``randint`` / ``sample`` would draw,
+    without their two or three frames of ``random.py`` per draw — a
+    neworder draws up to 17, a delivery 120 (pinned by
+    tests/golden/tpcc_stream.json, proved in test_prop_workload.py)."""
+    bits = n.bit_length()
+    r = getrandbits(bits)
+    while r >= n:
+        r = getrandbits(bits)
+    return r
+
+
+def _distinct_items(getrandbits, k: int) -> List[int]:
+    """``random.sample(range(ITEM_COUNT), k)``: distinct items by
+    rejection, in draw order — its rule for so large a population."""
+    items: List[int] = []
+    while len(items) < k:
+        item = _below(getrandbits, schema.ITEM_COUNT)
+        if item not in items:
+            items.append(item)
+    return items
 
 
 @functools.lru_cache(maxsize=None)
@@ -143,9 +167,9 @@ class TpccWorkload:
     # ------------------------------------------------------------------
     def neworder(self, w: int, d: int) -> TransactionSpec:
         rng = self.rng
-        random = rng.random
-        ol_cnt = rng.randint(5, 15)
-        rng.randrange(_CPD)  # the customer: a plain read, only its draw matters
+        random, getrandbits = rng.random, rng.getrandbits
+        ol_cnt = 5 + _below(getrandbits, 11)  # randint(5, 15)
+        _below(getrandbits, _CPD)  # the customer: a plain read, only its draw matters
         # Certification read set = update-intent reads only (rows read
         # FOR UPDATE).  Plain reads (warehouse tax rate, item catalog,
         # customer discount) are never shipped: the paper's Table 1 shows
@@ -154,7 +178,7 @@ class TpccWorkload:
         # ``sizes`` collects the written rows; until the inserts join it
         # holds exactly the rows read FOR UPDATE.
         sizes = {self.layout.district(w, d): schema.DISTRICT.row_bytes}
-        for item in rng.sample(range(schema.ITEM_COUNT), ol_cnt):
+        for item in _distinct_items(getrandbits, ol_cnt):
             supply = self._other_warehouse(w) if random() < REMOTE_SUPPLY_PROB else w
             stock = schema.STOCK_BASE + supply * schema.STOCK_PER_WAREHOUSE + item
             sizes[stock] = schema.STOCK.row_bytes
@@ -193,10 +217,10 @@ class TpccWorkload:
         # home warehouse/district YTD rows are updated regardless.
         if rng.random() < REMOTE_CUSTOMER_PROB and self.layout.warehouses > 1:
             cw = self._other_warehouse(w)
-            cd = rng.randrange(schema.DISTRICTS_PER_WAREHOUSE)
+            cd = _below(rng.getrandbits, _DPW)
         else:
             cw, cd = w, d
-        customer = layout.customer(cw, cd, rng.randrange(schema.CUSTOMERS_PER_DISTRICT))
+        customer = layout.customer(cw, cd, _below(rng.getrandbits, _CPD))
         # All three rows are read FOR UPDATE, so they are certified;
         # ``sizes`` is the read set until the history insert joins it.
         sizes = {
@@ -230,7 +254,7 @@ class TpccWorkload:
         rng = self.rng
         by_name = rng.random() < BY_NAME_PROB
         tx_class = "orderstatus-long" if by_name else "orderstatus-short"
-        lines = rng.randint(5, 15)
+        lines = 5 + _below(rng.getrandbits, 11)  # randint(5, 15)
         # Read-only: nothing is read with update intent, nothing is
         # certified — hence the 0.00 abort rows in Tables 1 and 2.
         cpu = self.profiles.sample_cpu(tx_class, rng)
@@ -253,7 +277,7 @@ class TpccWorkload:
 
     def delivery(self, w: int) -> TransactionSpec:
         rng = self.rng
-        randrange = rng.randrange
+        getrandbits = rng.getrandbits
         # One oldest new-order per district: read + rewrite the queue
         # head, deliver the order, update the customer balance.  Every
         # row is read FOR UPDATE and written: one set serves as both.
@@ -261,12 +285,13 @@ class TpccWorkload:
         for d in range(_DPW):
             settled = _SETTLED_BASE + ((w * _DPW + d) << 16)  # + slot: settled row
             sizes[self._nohead(w, d)] = schema.NEWORDER.row_bytes
-            sizes[_ORDER + settled + randrange(64)] = schema.ORDER.row_bytes
-            customer = self.layout.customer(w, d, randrange(_CPD))
+            sizes[_ORDER + settled + _below(getrandbits, 64)] = schema.ORDER.row_bytes
+            customer = self.layout.customer(w, d, _below(getrandbits, _CPD))
             sizes[customer] = schema.CUSTOMER.row_bytes
             lines = _ORDERLINE + settled
             for i in range(10):
-                sizes[lines + randrange(64) * 16 + i] = schema.ORDERLINE.row_bytes
+                line = lines + _below(getrandbits, 64) * 16 + i
+                sizes[line] = schema.ORDERLINE.row_bytes
         cpu = self.profiles.sample_cpu("delivery", rng)
         per_district = schema.ORDER.row_bytes + 10 * schema.ORDERLINE.row_bytes
         ops = self._ops(
@@ -322,7 +347,7 @@ class TpccWorkload:
     def _other_warehouse(self, w: int) -> int:
         if self.layout.warehouses == 1:
             return w
-        other = self.rng.randrange(self.layout.warehouses - 1)
+        other = _below(self.rng.getrandbits, self.layout.warehouses - 1)
         return other if other < w else other + 1
 
     def _ops(

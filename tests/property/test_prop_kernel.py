@@ -1,10 +1,15 @@
 """Property tests: the event kernel's ordering guarantees."""
 
+import hashlib
 import heapq
+import json
+from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.experiment import Scenario, ScenarioConfig
+from repro.core.faults import FaultPlan, crash_recover, random_loss
 from repro.core.kernel import Signal, Simulator
 
 
@@ -81,6 +86,7 @@ class HeapOnlySimulator(Simulator):
 
     def run(self, until=None, max_events=None):
         self._stopped, executed, queue = False, 0, self._queue
+        self._eliding = max_events is None
         limit = float("inf") if until is None else until
         while queue and not self._stopped and executed != max_events:
             if queue[0][0] > limit:
@@ -92,6 +98,7 @@ class HeapOnlySimulator(Simulator):
             self._now, self._exec_seq = time, seq
             fn(*args)
             executed += 1
+        self._eliding = False
         self.events_executed += executed
         if not self._stopped and executed != max_events:
             self._exec_seq = self._seq
@@ -100,6 +107,14 @@ class HeapOnlySimulator(Simulator):
             if until is not None and self._now < until:
                 self._now = until
         return self._now
+
+
+class EagerHopSimulator(Simulator):
+    """Reference: every zero-delay hop is an event, as before hops were
+    elided — the code path ``elide_hop`` returning ``False`` leaves."""
+
+    def elide_hop(self):
+        return False
 
 
 #: 0 and a delay that underflows to ``now``, plus a grid coarse enough
@@ -121,7 +136,17 @@ actions = st.recursive(
     ),
     max_leaves=25,
 )
-process_steps = st.lists(st.one_of(delays, small), max_size=6)
+#: A process sleeps, waits on a signal (the odd ones are latched, so
+#: one already fired resumes it on a hop), waits on ``fired_signal``,
+#: fires a signal or stops the run.
+process_steps = st.lists(
+    st.one_of(
+        delays,
+        small,
+        st.tuples(st.sampled_from(["hop", "hop", "fire", "stop"]), small),
+    ),
+    max_size=6,
+)
 run_bounds = st.one_of(
     st.none(),
     st.tuples(st.just("until"), st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0])),
@@ -132,7 +157,7 @@ run_bounds = st.one_of(
 def execute(sim_class, roots, processes, bounds):
     """Run the program on ``sim_class``; return everything observable."""
     sim = sim_class()
-    signals = [Signal(sim) for _ in range(8)]
+    signals = [Signal(sim, latch=bool(i % 2)) for i in range(8)]
     handles, reserved, trace, observed = [], [], [], []
 
     def perform(action):
@@ -168,7 +193,12 @@ def execute(sim_class, roots, processes, bounds):
     def process(steps):
         for step in steps:
             trace.append((sim.now, sim._exec_seq))
-            yield signals[step] if isinstance(step, int) else step
+            if isinstance(step, tuple) and step[0] == "hop":
+                trace.append((yield sim.fired_signal(step[1] or None)))
+            elif isinstance(step, tuple):
+                perform(step)
+            else:
+                yield signals[step] if isinstance(step, int) else step
         trace.append((sim.now, sim._exec_seq))
 
     for steps in processes:
@@ -193,7 +223,67 @@ def test_lane_and_heap_execute_in_heap_only_order(roots, processes, bounds):
     process sleeps with zero, underflowing and tying delays, cancels,
     nested scheduling, stop() mid-instant and bounded runs cut inside an
     instant: the executed (time, seq) sequence, the clock, the sequence
-    counters and pending() after every run equal the reference's."""
-    assert execute(Simulator, roots, processes, bounds) == execute(
-        HeapOnlySimulator, roots, processes, bounds
+    counters and pending() after every run equal the reference's.  And
+    with every hop an event again, all of that but the event count."""
+    real = execute(Simulator, roots, processes, bounds)
+    assert real == execute(HeapOnlySimulator, roots, processes, bounds)
+    *eager, eager_events, eager_pending = execute(
+        EagerHopSimulator, roots, processes, bounds
     )
+    assert [*eager, eager_pending] == [*real[:3], real[4]]
+    assert real[3] <= eager_events
+
+
+# ----------------------------------------------------------------------
+# elided hops under whole scenarios
+# ----------------------------------------------------------------------
+#: Early enough that a 40-transaction cell sees the rejoin complete.
+FAULTS = {
+    "none": lambda sites: {},
+    "loss": lambda sites: {i: random_loss(0.05, seed=5 + i) for i in range(sites)},
+    "crash-recover": lambda sites: {sites - 1: crash_recover(5.0, 12.0)},
+    "crash-sequencer": lambda sites: {0: FaultPlan(crash_at=8.0)},
+}
+
+
+def run_cell(sim_class, config):
+    with mock.patch("repro.core.experiment.Simulator", sim_class):
+        scenario = Scenario(config)
+    result = scenario.run()
+    canonical = json.dumps(result.to_dict(), sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(canonical.encode()).hexdigest()
+    return (
+        (digest, scenario.sim._seq, result.site_stats, len(result.completed_rejoins())),
+        scenario.sim.events_executed,
+    )
+
+
+@given(
+    st.sampled_from([1, 3]),
+    st.sampled_from(["dbsm", "primary-copy", "partial"]),
+    st.sampled_from(sorted(FAULTS)),
+    st.integers(min_value=0, max_value=10_000),
+)
+@example(3, "dbsm", "crash-recover", 7)
+@example(3, "primary-copy", "loss", 11)
+@example(1, "dbsm", "none", 42)
+@settings(max_examples=12, deadline=None)
+def test_scenarios_cannot_tell_elided_hops_from_events(sites, protocol, fault, seed):
+    """Every simulated bit — the result digest, the sequence numbers
+    drawn, the per-site protocol counters — is the same whether the
+    zero-delay hops of cache hits, immediate grants, centralized commits
+    and wake-ups are taken in place or run as events; only the number
+    of events differs, and never upwards."""
+    config = ScenarioConfig(
+        sites=sites,
+        protocol=protocol,
+        clients=20,
+        transactions=40,
+        seed=seed,
+        faults=FAULTS[fault](sites) if sites > 1 else {},
+    )
+    real, real_events = run_cell(Simulator, config)
+    eager, eager_events = run_cell(EagerHopSimulator, config)
+    assert real == eager
+    assert real_events < eager_events
+    assert real[3] == (fault == "crash-recover" and sites > 1)

@@ -1,6 +1,6 @@
 """Property tests: statistical helpers behave like statistics."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.metrics import ecdf, qq_points, quantiles
@@ -24,6 +24,7 @@ def test_ecdf_is_monotone_and_normalized(sample):
 
 @given(values, st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=10))
 @settings(max_examples=200)
+@example([1000000.0, 999999.9999999999], [0.5, 0.8851609015054176])
 def test_quantiles_within_range_and_monotone(sample, probs):
     probs = sorted(probs)
     qs = quantiles(sample, probs)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.db.tuples import make_tuple_id, row_of, table_of
 from repro.tpcc import schema
-from repro.tpcc.workload import TpccWorkload, _NOHEAD_BASE
+from repro.tpcc.workload import TpccWorkload, _NOHEAD_BASE, _below, _distinct_items
 
 seeds = st.integers(min_value=0, max_value=10_000)
 warehouse_counts = st.integers(min_value=1, max_value=8)
@@ -160,3 +160,29 @@ def test_generated_ids_are_what_the_validating_constructors_build(
     assert sorted(row for _, row in fresh_rows) == [
         row_of(layout.fresh_row(schema.TABLES[table])) for table, _ in fresh_rows
     ]
+
+
+draws = st.one_of(
+    st.tuples(st.just("randrange"), st.integers(min_value=1, max_value=200_000)),
+    st.tuples(st.just("randint"), st.just(11)),
+    st.tuples(st.just("sample"), st.integers(min_value=0, max_value=15)),
+)
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.lists(draws, min_size=1, max_size=30))
+@settings(max_examples=200)
+def test_inlined_draws_are_the_library_draws(seed, sequence):
+    """The builders draw on ``getrandbits`` directly; number for number
+    that is ``randrange`` / ``randint`` / ``sample``, and the generator
+    is left where the library calls would have left it."""
+    ours, library = random.Random(seed), random.Random(seed)
+    for kind, n in sequence:
+        if kind == "randrange":
+            assert _below(ours.getrandbits, n) == library.randrange(n)
+        elif kind == "randint":
+            assert 5 + _below(ours.getrandbits, n) == library.randint(5, 15)
+        else:
+            assert _distinct_items(ours.getrandbits, n) == library.sample(
+                range(schema.ITEM_COUNT), n
+            )
+    assert ours.getstate() == library.getstate()

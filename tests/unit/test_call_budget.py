@@ -1,4 +1,5 @@
-"""Exact call budget of the result read path: a stopwatch-free gate.
+"""Exact call budgets of the result read path and of the workload
+generator's draws: stopwatch-free gates.
 
 In the spirit of ``test_event_budget.py``: the number of Python
 function calls a decode or a scan makes is a pure function of the code,
@@ -9,9 +10,11 @@ them makes a handful — not one ``from_list`` + ``__init__`` per row or
 one ``committed`` / ``latency`` property call per record per scan.
 """
 
+import random
 import sys
 
 from repro.core.metrics import MetricsCollector, TxRecord
+from repro.tpcc.workload import TpccWorkload
 
 N = 2000
 #: Frames of a comprehension or generator body (not function calls).
@@ -78,3 +81,29 @@ def test_headline_scans_cost_no_call_per_record():
     (tpm, latencies, abort_rate), calls = calls_made_by(scans)
     assert tpm > 0 and len(latencies) == N - N // 10 and abort_rate == 10.0
     assert calls < 20, calls
+
+
+def test_update_builders_enter_random_py_only_for_the_cpu_sample():
+    """``neworder`` draws up to 17 small integers, ``delivery`` 120: on
+    ``getrandbits`` directly, not through ``randint`` / ``randrange`` /
+    ``sample`` → ``_randbelow``.  The only frames of ``random.py`` a
+    builder may enter are the float samplers of its CPU profile."""
+    allowed = {"lognormvariate", "normalvariate", "expovariate"}
+    entered = set()
+
+    def profiler(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename == random.__file__:
+            entered.add(code.co_name)
+
+    workload = TpccWorkload(4, rng=random.Random(11))
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        for i in range(200):
+            workload.neworder(i % 4, i % 10)
+            workload.payment(i % 4, i % 10)
+            workload.delivery(i % 4)
+    finally:
+        sys.setprofile(previous)
+    assert entered <= allowed, entered - allowed

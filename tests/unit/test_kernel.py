@@ -344,6 +344,114 @@ class TestProcesses:
             drain(sim, [p], until=1.0)
 
 
+class TestElidedHops:
+    """``elide_hop``: a zero-delay hop that would run next anyway is
+    taken in place — and only then."""
+
+    @staticmethod
+    def answers(sim):
+        """``(seen, probe)``: calling ``probe`` inside an event appends
+        ``(answer, (seq, exec_seq) before, (seq, exec_seq) after)``."""
+        seen = []
+
+        def probe():
+            before = (sim._seq, sim._exec_seq)
+            seen.append((sim.elide_hop(), before, (sim._seq, sim._exec_seq)))
+
+        return seen, probe
+
+    def test_false_outside_run(self):
+        sim = Simulator()
+        assert not sim.elide_hop()
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        assert not sim.elide_hop()
+        assert (sim._seq, sim._exec_seq) == (1, 1)
+
+    def test_true_takes_the_hops_number_and_marks_it_executed(self):
+        sim = Simulator()
+        seen, probe = self.answers(sim)
+        sim.schedule(1.0, probe)  # seq 1
+        sim.schedule(2.0, lambda: None)  # seq 2: later, so not in the way
+        sim.run()
+        assert seen == [(True, (2, 1), (3, 3))]
+        assert sim.events_executed == 2  # the hop is not an event
+
+    def test_false_with_a_lane_entry_pending(self):
+        sim = Simulator()
+        seen, probe = self.answers(sim)
+
+        def event():
+            sim.call(0.0, lambda: None)
+            probe()
+
+        sim.schedule(1.0, event)
+        sim.run()
+        assert seen == [(False, (2, 1), (2, 1))]
+
+    def test_false_with_a_heap_entry_at_now(self):
+        sim = Simulator()
+        seen, probe = self.answers(sim)
+        sim.schedule(1.0, probe)
+        sim.schedule(1.0, lambda: None)  # same instant, would run first
+        sim.run()
+        assert seen == [(False, (2, 1), (2, 1))]
+
+    def test_false_under_max_events_and_after_stop(self):
+        sim = Simulator()
+        seen, probe = self.answers(sim)
+        sim.schedule(1.0, probe)
+        sim.run(max_events=5)
+        assert [answer for answer, _, _ in seen] == [False]
+
+        def stop_then_probe():
+            sim.stop()
+            probe()
+
+        sim.schedule(1.0, stop_then_probe)
+        sim.run()
+        assert [answer for answer, _, _ in seen] == [False, False]
+
+    def test_fired_signal_is_already_fired_when_the_hop_is_elided(self):
+        sim = Simulator()
+        got = []
+
+        def proc():
+            got.append((yield sim.fired_signal()))
+            got.append((yield sim.fired_signal("v")))
+            got.append(sim._exec_seq)
+
+        sim.process(proc())  # seq 1: the start is an event
+        sim.run()
+        # four hops (two fires, two wake-ups) taken inside the one event
+        assert got == [None, "v", 5]
+        assert sim.events_executed == 1
+
+    def test_fired_signal_outside_an_event_fires_on_the_next_hop(self):
+        sim = Simulator()
+        done = sim.fired_signal("v")
+        assert not done.fired
+        got = []
+
+        def proc():
+            got.append((yield done))
+
+        sim.process(proc())
+        sim.run()
+        assert got == ["v"] and done.fired
+
+    def test_unsupported_yield_after_an_elided_hop_still_raises(self):
+        sim = Simulator()
+
+        def proc():
+            yield sim.fired_signal()
+            yield "nonsense"
+
+        sim.process(proc())
+        with pytest.raises(SimulationError):
+            sim.run()
+
+
 class TestEntity:
     def test_entity_schedules_through_simulator(self):
         sim = Simulator()

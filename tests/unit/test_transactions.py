@@ -52,7 +52,37 @@ class TestTransactionSpec:
         with pytest.raises(ValueError):
             Operation(OpKind.FETCH)  # missing item
         with pytest.raises(ValueError):
+            Operation(OpKind.WRITE, nbytes=10)
+        with pytest.raises(ValueError):
             Operation(OpKind.PROCESS, cpu_time=-1.0)
+
+    def test_sets_must_be_tuples(self):
+        with pytest.raises(ValueError):
+            spec(read_set=[1, 2])
+        with pytest.raises(ValueError):
+            spec(write_set=[2])
+
+    def test_repeated_items_count_as_sorted(self):
+        assert spec(read_set=(1, 1, 2)).read_set == (1, 1, 2)
+
+    def test_defaults(self):
+        s = TransactionSpec("t", (), (), ())
+        assert s == ("t", (), (), (), {}, 2e-3, 1, False)
+        assert Operation(OpKind.PROCESS) == (OpKind.PROCESS, None, 0.0, 0)
+        assert Operation(kind=OpKind.WRITE, item=3, nbytes=8).item == 3
+
+    def test_default_write_sizes_is_not_shared(self):
+        a, b = TransactionSpec("t", (), (), ()), TransactionSpec("t", (), (), ())
+        a.write_sizes[1] = 10
+        assert b.write_sizes == {}
+
+    def test_rows_are_immutable(self):
+        with pytest.raises(AttributeError):
+            spec().commit_cpu = 1.0
+        with pytest.raises(AttributeError):
+            spec().colour = "red"
+        with pytest.raises(AttributeError):
+            Operation(OpKind.PROCESS).cpu_time = 1.0
 
 
 class TestTransaction:
