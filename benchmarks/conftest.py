@@ -13,6 +13,9 @@ apply: ``REPRO_SCALE`` (default 0.3) scales per-run transaction counts
 ``REPRO_WORKERS`` farms grid cells to that many worker processes; and
 ``REPRO_ARTIFACT_DIR`` persists per-cell results so a re-run only
 computes missing cells.  Metrics are identical whichever path ran them.
+With ``REPRO_SCALE`` unset the 25-cell Figure 5/6 grid runs
+``GRID_TRANSACTIONS`` per cell instead of the default scale's 3 000 —
+it is tier-1's largest fixture but one (ROADMAP item 0(c)).
 
 ``REPRO_PROTOCOL`` selects the replication protocol of the replicated
 cells (default ``dbsm``), so the same Figure 5/6 performance grid and
@@ -25,6 +28,7 @@ enforced only for ``dbsm``.
 
 from __future__ import annotations
 
+import os
 from typing import Dict, Tuple
 
 import pytest
@@ -36,6 +40,12 @@ from repro.core.experiment import ScenarioResult
 from repro.core.scenarios import CLIENT_LEVELS, SYSTEM_CONFIGS
 from repro.protocols import available_protocols
 from repro.runner import run_campaign
+
+
+#: Per-cell transaction count of the Figure 5/6 grid when ``REPRO_SCALE``
+#: is unset: the smallest round count at which every fig5 / fig6 / table1
+#: shape assertion still holds (at 1 500 ``test_fig6c_network`` fails).
+GRID_TRANSACTIONS = 2000
 
 
 def bench_protocol() -> str:
@@ -71,6 +81,11 @@ def performance_grid():
     spec = (
         get_campaign("fig5")
         .with_axis("protocol", (bench_protocol(),))
+        # None: the REPRO_SCALE-scaled paper count, when one was asked for
+        .with_axis(
+            "transactions",
+            (None if "REPRO_SCALE" in os.environ else GRID_TRANSACTIONS,),
+        )
         # the bench suite's tighter sampling/drain windows
         .with_axis("sample_interval", (2.0,))
         .with_axis("drain_time", (5.0,))

@@ -203,7 +203,10 @@ class CpuCostModel:
         Unknown tags fall back to the TIMER cost so experiments do not
         silently run free of CPU accounting.
         """
-        fixed, per_byte = self._costs.get(tag, self._costs[self.TIMER])
+        try:
+            fixed, per_byte = self._costs[tag]
+        except KeyError:
+            fixed, per_byte = self._costs[self.TIMER]
         return fixed + per_byte * nbytes
 
     def tags(self) -> Tuple[str, ...]:

@@ -11,8 +11,8 @@ is never delayed behind modeled transaction work (§3.1).
 **The life of a real job**, continued from :mod:`repro.core.csrt`:
 
 * *inline or queued* — an idle CPU runs ``execute(*args)`` inside the
-  submitting call, with no :class:`Job` and no queue round-trip; a busy
-  one queues a :class:`Job` (a pool places it by ``_choose`` first);
+  submitting call; a busy one queues the ``(execute, args, on_complete)``
+  triple, never a :class:`Job` (a pool places it by ``_choose`` first);
 * *lazy or eager completion* — the CPU is busy for the returned duration
   and takes the next kernel sequence number for its completion event.
   The event is pushed (eager) only if somebody waits for it: an
@@ -101,7 +101,7 @@ class SimulatedCpu(Entity):
         #: Durations of *simulated* jobs are divided by this factor, so a
         #: ``speed_scale`` of 2.0 models a CPU twice as fast as profiled.
         self.speed_scale = speed_scale
-        self._real_queue: Deque[Job] = deque()
+        self._real_queue: Deque[tuple] = deque()  # (execute, args, on_complete)
         self._sim_queue: Deque[Job] = deque()
         #: Kind of the running job, ``None`` when idle — stale until
         #: :meth:`_settle` has run, so private to this class.
@@ -162,16 +162,14 @@ class SimulatedCpu(Entity):
         return sim_part, real_part
 
     def submit(self, job: Job) -> None:
-        """Enqueue ``job`` and dispatch, preempting a simulated job if the
-        newcomer is real code and the CPU is busy with modeled work."""
+        """Enqueue ``job`` and dispatch; a real job takes the steps of
+        :meth:`submit_real`, preemption of modeled work included."""
+        if job.kind == REAL_JOB:
+            self.submit_real(job.execute, job.args, job.on_complete)
+            return
         if self._lazy_seq:
             self._settle()
-        if job.kind == REAL_JOB:
-            self._real_queue.append(job)
-            if self._current == SIM_JOB:
-                self._preempt_current()
-        else:
-            self._sim_queue.append(job)
+        self._sim_queue.append(job)
         if self._lazy_seq:
             # Work now waits behind the lazily-completing job: it needs
             # its wake-up after all, under the key reserved for it.
@@ -189,13 +187,24 @@ class SimulatedCpu(Entity):
         on_complete: Optional[Callable[[], None]] = None,
     ) -> None:
         """The real-job fast lane: run ``execute(*args)`` in this call if
-        the CPU is idle, queue it as a :class:`Job` otherwise."""
+        the CPU is idle, else queue the triple and preempt modeled work."""
         if self._lazy_seq:
             self._settle()
         if self._current is None and not self._real_queue:
             self._start_real(execute, args, on_complete)
-        else:
-            self.submit(Job(REAL_JOB, execute=execute, args=args, on_complete=on_complete))
+            return
+        self._real_queue.append((execute, args, on_complete))
+        if self._current == SIM_JOB:
+            self._preempt_current()
+        elif self._lazy_seq:
+            # As in submit(): the lazy job needs its wake-up after all.
+            _heappush(
+                self.sim._queue,
+                (self._lazy_end, self._lazy_seq, self._complete, (REAL_JOB, None)),
+            )
+            self._lazy_seq = 0
+        if self._current is None:
+            self._dispatch()
 
     def utilization(self, elapsed: float) -> dict:
         """Fraction of ``elapsed`` spent busy, split by job kind."""
@@ -239,8 +248,7 @@ class SimulatedCpu(Entity):
         if self._current is not None:
             return
         if self._real_queue:
-            job = self._real_queue.popleft()
-            self._start_real(job.execute, job.args, job.on_complete)
+            self._start_real(*self._real_queue.popleft())
         elif self._sim_queue:
             job = self._sim_job = self._sim_queue.popleft()
             self._current = SIM_JOB

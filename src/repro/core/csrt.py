@@ -13,7 +13,7 @@ on_complete)`` — and one runner, :meth:`SiteRuntime._run`:
   crash and loss checks), an expiring :meth:`SiteRuntime.rt_schedule`
   timer or :meth:`SiteRuntime.submit_real` prices the entry cost and
   hands ``_run, (fn, args, entry_cost)`` to the site's CPU — in one
-  call, with no closure and no per-job object;
+  call, no closure, and no per-job object even when it has to queue;
 * *inline or queued, lazy or eager completion, settle* — the CPU's half
   of the story, told in :mod:`repro.core.cpu`;
 * *run* — ``_run`` starts the profiling timer with the entry cost on it,

@@ -7,7 +7,7 @@ padding so that simulated traffic volume matches a real deployment
 (§3.3).  Marshaling cost is charged to the simulated CPU through the
 runtime's per-byte send/receive overheads.
 
-Message taxonomy:
+Message taxonomy — immutable ``NamedTuple`` rows, told apart by ``msg_type``:
 
 ========== =====================================================
 ``DATA``       application payload with per-sender FIFO sequence
@@ -26,8 +26,7 @@ Message taxonomy:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import NamedTuple, Tuple
 
 __all__ = [
     "DATA",
@@ -84,8 +83,7 @@ class MarshalError(ValueError):
     """Raised on malformed or truncated buffers."""
 
 
-@dataclass(frozen=True, slots=True)
-class DataMsg:
+class DataMsg(NamedTuple):
     sender: int
     view_id: int
     seq: int
@@ -96,8 +94,7 @@ class DataMsg:
     msg_type = DATA
 
 
-@dataclass(frozen=True, slots=True)
-class NackMsg:
+class NackMsg(NamedTuple):
     sender: int  # who is asking
     view_id: int
     origin: int  # whose messages are missing
@@ -106,8 +103,7 @@ class NackMsg:
     msg_type = NACK
 
 
-@dataclass(frozen=True, slots=True)
-class SequenceMsg:
+class SequenceMsg(NamedTuple):
     sender: int  # the sequencer
     view_id: int
     #: (global_seq, origin, origin_seq) triples, consecutive globals.
@@ -116,8 +112,7 @@ class SequenceMsg:
     msg_type = SEQUENCE
 
 
-@dataclass(frozen=True, slots=True)
-class StabilityMsg:
+class StabilityMsg(NamedTuple):
     sender: int
     view_id: int
     round_id: int
@@ -128,16 +123,14 @@ class StabilityMsg:
     msg_type = STABILITY
 
 
-@dataclass(frozen=True, slots=True)
-class HeartbeatMsg:
+class HeartbeatMsg(NamedTuple):
     sender: int
     view_id: int
 
     msg_type = HEARTBEAT
 
 
-@dataclass(frozen=True, slots=True)
-class ProposeMsg:
+class ProposeMsg(NamedTuple):
     sender: int  # coordinator
     view_id: int  # the *proposed* view id
     members: Tuple[int, ...]
@@ -145,8 +138,7 @@ class ProposeMsg:
     msg_type = PROPOSE
 
 
-@dataclass(frozen=True, slots=True)
-class FlushAckMsg:
+class FlushAckMsg(NamedTuple):
     sender: int
     view_id: int  # the proposed view being acknowledged
     #: Per-origin highest contiguous sequence received.
@@ -161,8 +153,7 @@ class FlushAckMsg:
     msg_type = FLUSH_ACK
 
 
-@dataclass(frozen=True, slots=True)
-class DecideMsg:
+class DecideMsg(NamedTuple):
     sender: int  # coordinator
     view_id: int  # the decided view id
     members: Tuple[int, ...]
@@ -182,8 +173,7 @@ class DecideMsg:
     msg_type = DECIDE
 
 
-@dataclass(frozen=True, slots=True)
-class StateReqMsg:
+class StateReqMsg(NamedTuple):
     """A joiner asking an established member to serve it a snapshot."""
 
     sender: int  # the joiner
@@ -192,8 +182,7 @@ class StateReqMsg:
     msg_type = STATE_REQ
 
 
-@dataclass(frozen=True, slots=True)
-class StateMsg:
+class StateMsg(NamedTuple):
     """One fragment of a state-transfer snapshot (donor → joiner).
 
     Fragments of one capture share a ``snapshot_id``; a joiner discards
@@ -220,7 +209,7 @@ def pack_data(
     Byte-identical to ``marshal(DataMsg(sender, view_id, seq, payload,
     retransmit))``.  The reliable layer sends and retransmits from
     payload bytes it already buffers, so it can skip building the
-    dataclass only to tear it apart again here — DATA is the one message
+    message only to tear it apart again here — DATA is the one message
     sent per transaction, making this the hottest marshal path.
     """
     return (
@@ -372,7 +361,7 @@ def unmarshal(buffer: bytes):
 #: Value-keyed decode memo.  A multicast datagram reaches all N group
 #: members as the *same* bytes object, so a hit costs one dict probe
 #: (identity short-circuit, cached hash) instead of a full decode.
-#: Messages are frozen, so sharing one object between receivers is safe.
+#: Messages are immutable, so sharing one object between receivers is safe.
 _DECODE_CACHE: dict = {}
 
 #: Bound on the memo; cleared wholesale when reached.  Entries are tiny

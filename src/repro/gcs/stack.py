@@ -226,10 +226,10 @@ class GroupCommunication:
         kind = msg.msg_type
         physical = self._endpoint_ids.get(source)
         if physical is not None:
-            self.views.note_heard(
-                physical, msg.view_id, heartbeat=(kind == HEARTBEAT)
-            )
-            if self._detect_exclusion(msg.view_id):
+            views = self.views
+            views.note_heard(physical, msg.view_id, kind == HEARTBEAT)
+            # _detect_exclusion's own first test: most traffic stops here.
+            if msg.view_id > views.view_id and self._detect_exclusion(msg.view_id):
                 return  # traffic from a view we are not part of
         if self.views.joining and kind in (DATA, NACK, STABILITY):
             # An outsider has no window/round context for group traffic;
@@ -243,7 +243,7 @@ class GroupCommunication:
             self.reliable.handle_nack(msg)
         elif kind == STABILITY:
             self.stability.merge(msg)
-            self._collect()
+            self.reliable.collect_stable(self.stability.stable)
             self._catchup_from_gossip(msg)
         elif kind == HEARTBEAT:
             pass  # note_heard above is the whole effect
@@ -317,14 +317,11 @@ class GroupCommunication:
         if self.views.joining:
             return  # outsiders have no reception state to gossip
         self.stability.vote(self.reliable.contiguous_vector())
-        self._collect()
+        self.reliable.collect_stable(self.stability.stable)
         self.runtime.send(
             self.reliable.group_dest,
             marshal(self.stability.snapshot(self.views.view_id)),
         )
-
-    def _collect(self) -> None:
-        self.reliable.collect_stable(self.stability.stable)
 
     def _catchup_from_gossip(self, msg) -> None:
         """Tail-loss detection: gossip reveals sequence numbers peers

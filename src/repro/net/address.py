@@ -2,19 +2,19 @@
 
 Endpoints are ``(host, port)`` pairs like UDP; multicast groups are
 distinct address objects that the fabric expands to the current member
-set.  Addresses are immutable and hashable so they can key routing and
-membership tables.
+set.  Addresses are rows (``typing.NamedTuple``): immutable, hashed and
+compared in C as the ``(name, port)`` tuple they key routing tables by —
+so the two kinds are told apart by type, never by equality.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["Endpoint", "GroupAddress"]
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Endpoint:
+class Endpoint(NamedTuple):
     """A unicast UDP-style endpoint: host name + port number."""
 
     host: str
@@ -24,8 +24,7 @@ class Endpoint:
         return f"{self.host}:{self.port}"
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class GroupAddress:
+class GroupAddress(NamedTuple):
     """An IP-multicast-style group address.
 
     Membership is managed by the :class:`repro.net.network.Network`; the

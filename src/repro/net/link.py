@@ -107,7 +107,8 @@ class RateLimitedLink(Entity):
         if self._backlog_bytes + size > self.queue_bytes:
             self.stats.packets_dropped += 1
             return False
-        tx_time = self.transmission_time(size)
+        # transmission_time(size) in place: the same float, no call.
+        tx_time = (size + WIRE_OVERHEAD_BYTES) * 8.0 / self.bandwidth_bps
         start = self._free_at
         stats = self.stats
         stats.busy_time += tx_time

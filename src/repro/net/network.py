@@ -273,11 +273,13 @@ class Network(Entity):
         if uniform is None:
             segments = {h.segment for h in hosts.values()}
             uniform = self._uniform_segment = len(segments) <= 1
+        cut = self._partition  # reachable(), asked once and only under a cut
+        src_component = cut.get(source.host, 0) if cut else 0
         for target in targets:
             host = hosts.get(target.host)
             if host is None:
                 continue
-            if not self.reachable(source.host, target.host):
+            if cut and cut.get(target.host, 0) != src_component:
                 if self.capture.keep_entries:
                     self.capture.record(
                         self.now, str(source), str(target), size, "partition"

@@ -22,6 +22,7 @@ u48 = st.integers(min_value=0, max_value=(1 << 48) - 1)
 seq_no = st.integers(min_value=0, max_value=(1 << 62) - 1)
 pairs = st.lists(st.tuples(u16, seq_no), max_size=8).map(tuple)
 triples = st.lists(st.tuples(seq_no, u16, seq_no), max_size=8).map(tuple)
+id_tuples = st.lists(u16, max_size=8).map(tuple)
 
 
 @given(st.builds(DataMsg, u16, u32, seq_no, st.binary(max_size=2048), st.booleans()))
@@ -64,13 +65,20 @@ def test_propose_roundtrip(msg):
     assert unmarshal(marshal(msg)) == msg
 
 
-@given(st.builds(FlushAckMsg, u16, u32, pairs, triples))
+# ``pending`` / ``joined`` are passed explicitly: Hypothesis infers an
+# optional NamedTuple field from its annotation, and no ``<HQ`` packs the
+# ``(0, -1)`` a bare ``Tuple[int, int]`` allows.
+@given(st.builds(FlushAckMsg, u16, u32, pairs, triples, pending=pairs))
 @settings(max_examples=100)
 def test_flush_ack_roundtrip(msg):
     assert unmarshal(marshal(msg)) == msg
 
 
-@given(st.builds(DecideMsg, u16, u32, st.lists(u16, max_size=8).map(tuple), pairs, triples))
+@given(
+    st.builds(
+        DecideMsg, u16, u32, id_tuples, pairs, triples, pending=pairs, joined=id_tuples
+    )
+)
 @settings(max_examples=100)
 def test_decide_roundtrip(msg):
     assert unmarshal(marshal(msg)) == msg

@@ -8,12 +8,34 @@ in one ``_make`` call and the collector's scans compare fields inside
 one comprehension, so decoding N rows makes about N calls and scanning
 them makes a handful — not one ``from_list`` + ``__init__`` per row or
 one ``committed`` / ``latency`` property call per record per scan.
+
+The datagram path has the same kind of gate: a real job that queues
+builds no ``Job``, the fabric asks about the partition cut once per
+packet, and a datagram of the installed view never enters the exclusion
+detector — counted, so they cannot come back unnoticed.
 """
 
 import random
 import sys
+from pathlib import Path
 
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "property"))
+from helpers import make_group
+from test_prop_cpu_lazy import GRID, EagerCpu, drive
+
+from repro.core.cpu import Job, SimulatedCpu
+from repro.core.kernel import Simulator
 from repro.core.metrics import MetricsCollector, TxRecord
+from repro.gcs.messages import HeartbeatMsg, marshal
+from repro.gcs.stack import GroupCommunication
+from repro.net.address import Endpoint, GroupAddress
+from repro.net.capture import PacketCapture
+from repro.net.link import RateLimitedLink
+from repro.net.network import Network
+from repro.net.udp import UdpSocket
 from repro.tpcc.workload import TpccWorkload
 
 N = 2000
@@ -37,6 +59,24 @@ def calls_made_by(fn):
     finally:
         sys.setprofile(previous)
     return result, count - 1  # fn itself
+
+
+def entries_of(fn, *functions):
+    """``(result, {name: times entered})`` for the given functions."""
+    codes = {function.__code__: function.__name__ for function in functions}
+    entered = dict.fromkeys(codes.values(), 0)
+
+    def profiler(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            entered[codes[frame.f_code]] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(previous)
+    return result, entered
 
 
 def stored_rows():
@@ -107,3 +147,108 @@ def test_update_builders_enter_random_py_only_for_the_cpu_sample():
     finally:
         sys.setprofile(previous)
     assert entered <= allowed, entered - allowed
+
+
+#: What keeps the CPU busy from 0 to 1 while the burst arrives at 0.25:
+#: a real job nobody waits for (lazy completion), one with an
+#: ``on_complete`` (eager), a modeled job (preempted by the first arrival).
+BUSY_WITH = {
+    "lazy real job": ("real", 0.0, 4 * GRID, False, None, None),
+    "eager real job": ("real", 0.0, 4 * GRID, True, None, None),
+    "modeled job": ("sim", 0.0, 4 * GRID),
+}
+
+
+@pytest.mark.parametrize("busy_with", BUSY_WITH)
+def test_real_jobs_queued_on_a_busy_cpu_build_no_job(busy_with):
+    first = BUSY_WITH[busy_with]
+    burst = [("real", GRID, GRID, i % 3 == 0, None, None) for i in range(12)]
+    schedule = [first, *burst, ("sim", 2 * GRID, GRID), ("read", 3 * GRID)]
+    modeled = sum(action[0] == "sim" for action in schedule)
+    observed, entered = entries_of(
+        lambda: drive(schedule, 1, SimulatedCpu), Job.__init__
+    )
+    assert entered == {"__init__": modeled}  # the harness's own modeled jobs
+    assert observed == drive(schedule, 1, EagerCpu)
+    ran = [entry[2] for entry in observed["log"] if entry[1] == "ran"]
+    assert ran[-12:] == [f"real{i}" for i in range(1, 13)]  # FIFO behind the first
+    assert observed["preemptions"][0] == (busy_with == "modeled job")
+
+
+class CountingCut(dict):
+    """A partition map that counts its lookups."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+def test_fan_out_asks_about_the_cut_once_per_packet():
+    sim = Simulator()
+    net = Network(sim, capture=PacketCapture())
+    group = GroupAddress("g", 5)
+    socks = [UdpSocket(net.add_host(f"h{i}"), 5) for i in range(4)]
+    inbox = []
+    for sock in socks:
+        sock.join(group)
+        sock.set_receiver(lambda src, payload, me=sock.host.name: inbox.append(me))
+
+    def traffic():
+        for _ in range(5):
+            socks[0].send(group, b"x" * 100)
+            socks[1].send(Endpoint("h2", 5), b"y" * 40)
+        sim.run()
+
+    net._partition = CountingCut()  # no cut: empty, as heal() leaves it
+    _, entered = entries_of(
+        traffic, Network.reachable, RateLimitedLink.transmission_time
+    )
+    assert entered == {"reachable": 0, "transmission_time": 0}
+    assert net._partition.lookups == 0
+    assert sorted(inbox) == ["h1"] * 5 + ["h2"] * 10 + ["h3"] * 5
+    assert not any(e.kind == "partition" for e in net.capture.entries)
+
+    del inbox[:]
+    net.partition([["h0", "h1"], ["h2"]])  # h3: the implicit component
+    _, entered = entries_of(traffic, Network.reachable)
+    assert entered == {"reachable": 0}
+    assert sorted(inbox) == ["h1"] * 5
+    cut_off = [
+        (e.source, e.dest, e.size) for e in net.capture.entries if e.kind == "partition"
+    ]
+    assert sorted(cut_off) == sorted(
+        [("h0:5", "h2:5", 100), ("h0:5", "h3:5", 100), ("h1:5", "h2:5", 40)] * 5
+    )
+    assert all(
+        net.reachable(a, b) == (a == b or {a, b} == {"h0", "h1"})
+        for a in net.hosts for b in net.hosts
+    )
+
+
+def test_traffic_of_the_installed_view_never_enters_the_exclusion_detector():
+    harness = make_group(3)
+    harness.start()
+    _, entered = entries_of(
+        lambda: harness.sim.run(until=2.0), GroupCommunication._detect_exclusion
+    )
+    assert entered == {"_detect_exclusion": 0}
+    assert harness.runtimes[2].stats["datagrams_in"] > 20
+
+    stack = harness.stacks[2]
+    excluded = []
+    stack.on_excluded = lambda: excluded.append(harness.sim.now)
+    ahead = marshal(HeartbeatMsg(0, stack.view_id + 1))
+
+    def hear_higher_view_twice():
+        stack._on_wire(Endpoint("m0", 9000), ahead)
+        harness.sim.run(until=2.0 + stack.config.suspect_after + 0.01)
+        assert excluded == []
+        stack._on_wire(Endpoint("m0", 9000), ahead)
+
+    _, entered = entries_of(
+        hear_higher_view_twice, GroupCommunication._detect_exclusion
+    )
+    assert entered == {"_detect_exclusion": 2}
+    assert len(excluded) == 1

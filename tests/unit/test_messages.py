@@ -87,7 +87,14 @@ ROUNDTRIP_CASES = [
 class TestRoundtrip:
     @pytest.mark.parametrize("msg", ROUNDTRIP_CASES, ids=lambda m: type(m).__name__)
     def test_marshal_unmarshal_identity(self, msg):
-        assert unmarshal(marshal(msg)) == msg
+        decoded = unmarshal(marshal(msg))
+        # Rows of two types compare equal on equal fields: pin the type.
+        assert type(decoded) is type(msg) and decoded == msg
+
+    @pytest.mark.parametrize("msg", ROUNDTRIP_CASES, ids=lambda m: type(m).__name__)
+    def test_unmarshal_marshal_identity(self, msg):
+        wire = marshal(msg)
+        assert marshal(unmarshal(wire)) == wire
 
     def test_payload_bytes_preserved(self):
         payload = bytes(range(256)) * 8
@@ -96,19 +103,59 @@ class TestRoundtrip:
 
     def test_every_message_type_has_a_case(self):
         """A message class added to the wire format must land here too."""
-        import dataclasses
         import repro.gcs.messages as messages
 
         wire_types = {
             obj
             for obj in vars(messages).values()
-            if dataclasses.is_dataclass(obj) and hasattr(obj, "msg_type")
+            if isinstance(obj, type) and hasattr(obj, "msg_type")
         }
+        assert len(wire_types) == 10
         covered = {type(m) for m in ROUNDTRIP_CASES}
         assert covered == wire_types, (
             f"missing roundtrip cases for "
             f"{sorted(t.__name__ for t in wire_types - covered)}"
         )
+
+
+class TestRows:
+    """The wire types are ``typing.NamedTuple`` rows: same field order,
+    defaults and ``msg_type`` as the frozen dataclasses they replaced."""
+
+    def test_positional_and_keyword_construction_agree(self):
+        assert DataMsg(3, 7, 42, b"x", True) == DataMsg(
+            sender=3, view_id=7, seq=42, payload=b"x", retransmit=True
+        )
+        assert DecideMsg(0, 4, (0, 1), ((0, 10),), (), ((1, 2),), (1,)) == DecideMsg(
+            sender=0, view_id=4, members=(0, 1), targets=((0, 10),),
+            assignments=(), pending=((1, 2),), joined=(1,),
+        )
+        assert StabilityMsg._fields == (
+            "sender", "view_id", "round_id", "stable", "voted", "mins"
+        )
+
+    def test_the_three_defaults(self):
+        assert DataMsg(1, 1, 1, b"").retransmit is False
+        assert FlushAckMsg(1, 1, (), ()).pending == ()
+        decide = DecideMsg(1, 1, (1,), (), ())
+        assert decide.pending == () and decide.joined == ()
+
+    def test_msg_type_on_class_and_instance(self):
+        from repro.gcs import messages
+
+        codes = {type(m): type(m).msg_type for m in ROUNDTRIP_CASES}
+        assert sorted(codes.values()) == list(range(1, 11))
+        assert codes[DataMsg] == messages.DATA and codes[StateMsg] == messages.STATE
+        for msg in ROUNDTRIP_CASES:
+            assert msg.msg_type == codes[type(msg)]
+            assert "msg_type" not in msg._fields
+
+    @pytest.mark.parametrize("msg", ROUNDTRIP_CASES, ids=lambda m: type(m).__name__)
+    def test_immutable_and_closed(self, msg):
+        with pytest.raises(AttributeError):
+            msg.sender = 9
+        with pytest.raises(AttributeError):
+            msg.extra = 1
 
 
 class TestErrors:

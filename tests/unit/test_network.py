@@ -10,12 +10,48 @@ from repro.net.network import FRAGMENT_OVERHEAD_BYTES, Network
 from repro.net.udp import UdpSocket
 
 
+class TestAddresses:
+    """Addresses are ``typing.NamedTuple`` rows over ``(name, port)``."""
+
+    def test_construction_and_str(self):
+        assert Endpoint("h1", 5) == Endpoint(host="h1", port=5)
+        assert GroupAddress("g", 7) == GroupAddress(group="g", port=7)
+        assert str(Endpoint("h1", 5)) == "h1:5"
+        assert str(GroupAddress("g", 7)) == "mcast:g:7"
+
+    def test_ordering_is_host_then_port(self):
+        assert Endpoint("a", 9) < Endpoint("b", 1) < Endpoint("b", 2)
+        assert sorted([Endpoint("b", 1), Endpoint("a", 9)])[0].host == "a"
+
+    def test_hash_is_the_tuple_hash(self):
+        # The value the generated dataclass __hash__ returned: no dict or
+        # set keyed by addresses changes its iteration order.
+        assert hash(Endpoint("site3", 4000)) == hash(("site3", 4000))
+        assert hash(GroupAddress("g", 7)) == hash(("g", 7))
+
+    @pytest.mark.parametrize("address", [Endpoint("h", 1), GroupAddress("g", 1)])
+    def test_immutable_and_closed(self, address):
+        with pytest.raises(AttributeError):
+            address.port = 2
+        with pytest.raises(AttributeError):
+            address.extra = 1
+
+
 class TestRateLimitedLink:
     def test_transmission_time_includes_framing(self):
         sim = Simulator()
         link = RateLimitedLink(sim, "l", bandwidth_bps=100e6, latency=0.0)
         expected = (1000 + WIRE_OVERHEAD_BYTES) * 8 / 100e6
         assert link.transmission_time(1000) == pytest.approx(expected)
+
+    def test_delivery_is_priced_with_the_transmission_time_float(self):
+        sim = Simulator()
+        link = RateLimitedLink(sim, "l", bandwidth_bps=100e6, latency=50e-6)
+        arrivals = []
+        link.deliver(137, lambda: arrivals.append(sim.now))
+        sim.run()
+        assert arrivals == [link.transmission_time(137) + 50e-6]  # exact
+        assert link.stats.busy_time == link.transmission_time(137)
 
     def test_packets_serialize_back_to_back(self):
         sim = Simulator()
@@ -87,6 +123,22 @@ class TestRouting:
         sim.run()
         assert inbox[0] == []  # no loopback by default
         assert len(inbox[1]) == 1 and len(inbox[2]) == 1
+
+    def test_group_address_equal_to_a_bound_endpoint_still_multicasts(self):
+        """Dispatch is by type, not by value: rows of two types with equal
+        fields are equal as tuples."""
+        sim, net, socks, inbox = self.make_net(capture=PacketCapture())
+        group = GroupAddress("h1", 5)
+        assert group == Endpoint("h1", 5) == socks[1].address
+        for sock in socks:
+            sock.join(group)
+        socks[0].send(group, b"mc")
+        sim.run()
+        assert [len(inbox[i]) for i in range(3)] == [0, 1, 1]
+        assert net.hosts["h0"].egress.stats.packets_sent == 1
+        assert [(e.dest, e.kind) for e in net.capture.entries] == [
+            ("mcast:h1:5", "multicast")
+        ]
 
     def test_multicast_consumes_one_egress_copy(self):
         sim, net, socks, inbox = self.make_net()
