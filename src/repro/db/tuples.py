@@ -13,6 +13,7 @@ from __future__ import annotations
 __all__ = [
     "TABLE_BITS",
     "ROW_BITS",
+    "ROW_MASK",
     "make_tuple_id",
     "table_of",
     "row_of",
@@ -26,7 +27,9 @@ TABLE_BITS = 16
 #: Bits reserved for the row number.
 ROW_BITS = 64 - TABLE_BITS
 
-_ROW_MASK = (1 << ROW_BITS) - 1
+#: Mask of the row part (a zero row part marks a whole-table lock);
+#: exported with ``ROW_BITS`` for the loops that inline the id layout.
+ROW_MASK = (1 << ROW_BITS) - 1
 _MAX_TABLE = (1 << TABLE_BITS) - 1
 
 
@@ -38,7 +41,7 @@ def make_tuple_id(table: int, row: int) -> int:
     """
     if not 0 < table <= _MAX_TABLE:
         raise ValueError(f"table id {table} out of range")
-    if not 0 < row <= _ROW_MASK:
+    if not 0 < row <= ROW_MASK:
         raise ValueError(f"row {row} out of range")
     return (table << ROW_BITS) | row
 
@@ -50,7 +53,7 @@ def table_of(tuple_id: int) -> int:
 
 def row_of(tuple_id: int) -> int:
     """The row number encoded in ``tuple_id`` (0 for a table lock)."""
-    return tuple_id & _ROW_MASK
+    return tuple_id & ROW_MASK
 
 
 def table_lock_id(table: int) -> int:
@@ -61,7 +64,7 @@ def table_lock_id(table: int) -> int:
 
 
 def is_table_lock(tuple_id: int) -> bool:
-    return (tuple_id & _ROW_MASK) == 0
+    return (tuple_id & ROW_MASK) == 0
 
 
 def covers(lock_id: int, tuple_id: int) -> bool:

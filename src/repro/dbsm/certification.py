@@ -20,7 +20,7 @@ from bisect import bisect_left
 from itertools import repeat
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..db.tuples import ROW_BITS
+from ..db.tuples import ROW_BITS, ROW_MASK
 from .marshal import CommitRequest
 
 __all__ = ["Certifier", "CertificationError", "sets_conflict"]
@@ -36,20 +36,17 @@ class CertificationError(RuntimeError):
     """The committed-write-set log was pruned past a request's horizon."""
 
 
-#: Row-part mask of the 64-bit tuple id (mirrors ``repro.db.tuples``):
-#: a zero row part marks a whole-table lock.  The id layout is inlined
-#: here because this merge loop runs once per (request, log entry) pair
-#: during certification — by far the hottest consumer of the encoding —
-#: and the ``is_table_lock``/``table_of`` calls dominate its runtime.
-_ROW_MASK = (1 << ROW_BITS) - 1
-
-
+# The id layout (``ROW_BITS`` / ``ROW_MASK``: a zero row part marks a
+# whole-table lock) is inlined below because the merge loop runs once per
+# (request, log entry) pair during certification — by far the hottest
+# consumer of the encoding — and the ``is_table_lock``/``table_of`` calls
+# dominate its runtime.
 def sets_conflict(reads: Tuple[int, ...], writes: Tuple[int, ...]) -> bool:
     """Single-traversal intersection test over two sorted id lists,
     honouring table-lock coverage in either list."""
     i = j = 0
     len_r, len_w = len(reads), len(writes)
-    row_bits, row_mask = ROW_BITS, _ROW_MASK
+    row_bits, row_mask = ROW_BITS, ROW_MASK
     while i < len_r and j < len_w:
         r = reads[i]
         w = writes[j]
@@ -171,7 +168,7 @@ class Certifier:
                 # zero) leading the run.
                 table = w >> ROW_BITS
                 self._table_written[table] = commit_seq
-                if not w & _ROW_MASK:
+                if not w & ROW_MASK:
                     self._table_locked[table] = commit_seq
 
     def _prune(self) -> None:

@@ -21,11 +21,7 @@ from functools import cached_property
 from typing import Dict, FrozenSet, Tuple
 
 from ..db.transactions import TransactionSpec
-from ..db.tuples import ROW_BITS
-
-#: Row-part mask of the 64-bit tuple id (a zero row part marks a
-#: whole-table lock); mirrors ``repro.db.tuples``.
-_ROW_MASK = (1 << ROW_BITS) - 1
+from ..db.tuples import ROW_BITS, ROW_MASK
 
 __all__ = [
     "CommitRequest",
@@ -64,11 +60,18 @@ class CommitRequest:
         reads = self.read_set
         return (
             frozenset(r >> ROW_BITS for r in reads),
-            frozenset(r >> ROW_BITS for r in reads if not r & _ROW_MASK),
+            frozenset(r >> ROW_BITS for r in reads if not r & ROW_MASK),
         )
 
     @cached_property
-    def _remote_specs(self) -> Dict[float, TransactionSpec]:
+    def derived(self) -> Dict[object, object]:
+        """The per-request store: what every replica derives from these
+        bytes, computed by the first that asks (the decode memo hands
+        them all this one instance).  Holds :meth:`remote_spec`'s specs
+        by CPU factor and — filled by the router, ``dbsm`` knows no
+        schema — the ``"placement"`` footprint.  An entry is a pure
+        function of the request's fields: never site state, never a
+        failure (what can raise raises at every caller)."""
         return {}
 
     def remote_spec(self, cpu_factor: float) -> TransactionSpec:
@@ -78,9 +81,10 @@ class CommitRequest:
         only ``cpu_factor`` of the profiled commit cost is charged.
         Built once per request and factor: the spec is frozen, and every
         remote replica is handed the same request instance."""
-        spec = self._remote_specs.get(cpu_factor)
+        derived = self.derived
+        spec = derived.get(cpu_factor)
         if spec is None:
-            spec = self._remote_specs[cpu_factor] = TransactionSpec(
+            spec = derived[cpu_factor] = TransactionSpec(
                 tx_class=self.tx_class,
                 operations=(),
                 read_set=self.read_set,

@@ -163,19 +163,20 @@ class ReliableMulticast:
     # ------------------------------------------------------------------
     def handle_data(self, msg: DataMsg) -> None:
         origin = msg.sender
-        if origin not in self.windows:
+        window = self.windows.get(origin)
+        if window is None:
             return  # departed member: view synchrony discards its traffic
         if msg.retransmit:
             # the out-of-order recovery path is measurably heavier than
             # the fast path in the prototype (Figure 7(c))
             self.runtime.charge(self.config.retransmit_processing_cost)
-        window = self.windows[origin]
         if not window.receive(msg.seq):
             self.stats["duplicates"] += 1
             return
         self.pool.store(origin, msg.seq, msg.payload)
         self._deliver_ready(origin)
-        if window.gaps():
+        # Only an out-of-order arrival can have a gap below it.
+        if window.pending and window.gaps():
             self._arm_nack_timer(origin)
 
     def handle_nack(self, msg: NackMsg) -> None:

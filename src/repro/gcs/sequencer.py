@@ -97,10 +97,12 @@ class TotalOrder:
         tag = payload[0]
         body = payload[1:]
         if tag == TAG_APP:
-            self.held[(origin, seq)] = body
+            key = (origin, seq)
+            self.held[key] = body
             if len(self.held) > self.stats["max_hold"]:
                 self.stats["max_hold"] = len(self.held)
-            if self.is_sequencer and (origin, seq) not in self._assigned:
+            # is_sequencer, in place
+            if self.member_id == self.members[0] and key not in self._assigned:
                 self._queue_assignment(origin, seq)
             self._try_deliver()
         elif tag == TAG_SEQ:

@@ -224,21 +224,23 @@ class GroupCommunication:
         except MarshalError:
             return  # corrupt datagram: drop, reliability recovers
         kind = msg.msg_type
+        views = self.views
         physical = self._endpoint_ids.get(source)
         if physical is not None:
-            views = self.views
             views.note_heard(physical, msg.view_id, kind == HEARTBEAT)
             # _detect_exclusion's own first test: most traffic stops here.
             if msg.view_id > views.view_id and self._detect_exclusion(msg.view_id):
                 return  # traffic from a view we are not part of
-        if self.views.joining and kind in (DATA, NACK, STABILITY):
+        if views.joining and kind in (DATA, NACK, STABILITY):
             # An outsider has no window/round context for group traffic;
             # it only speaks the membership and state-transfer protocols
             # until the merge view installs.
             return
         if kind == DATA:
             self.reliable.handle_data(msg)
-            self.views.maybe_complete_sync()
+            # maybe_complete_sync's own first test: a sync to complete?
+            if views.state == ViewManager.SYNCING:
+                views.maybe_complete_sync()
         elif kind == NACK:
             self.reliable.handle_nack(msg)
         elif kind == STABILITY:
@@ -292,9 +294,11 @@ class GroupCommunication:
             self._deliver(global_seq, origin, body)
             return
         key = (origin, group)
-        parts = self._reassembly.setdefault(key, [None] * count)
+        parts = self._reassembly.get(key)
+        if parts is None:
+            parts = self._reassembly[key] = [None] * count
         parts[index] = body
-        if all(part is not None for part in parts):
+        if None not in parts:
             del self._reassembly[key]
             self._deliver(global_seq, origin, b"".join(parts))
 

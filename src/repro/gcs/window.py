@@ -24,25 +24,26 @@ __all__ = ["ReceiveWindow", "BufferPool"]
 class ReceiveWindow:
     """Tracks received sequence numbers from one origin (seqs start at 1)."""
 
-    __slots__ = ("contiguous", "_pending")
+    __slots__ = ("contiguous", "pending")
 
     def __init__(self) -> None:
         #: Highest n such that every sequence in [1, n] has arrived.
         self.contiguous = 0
-        self._pending: set = set()
+        #: Out-of-order arrivals; empty on the in-order path.
+        self.pending: set = set()
 
     def receive(self, seq: int) -> bool:
         """Record arrival of ``seq``.  Returns False for duplicates."""
-        if seq <= self.contiguous or seq in self._pending:
+        if seq <= self.contiguous or seq in self.pending:
             return False
-        self._pending.add(seq)
-        while self.contiguous + 1 in self._pending:
-            self._pending.discard(self.contiguous + 1)
+        self.pending.add(seq)
+        while self.contiguous + 1 in self.pending:
+            self.pending.discard(self.contiguous + 1)
             self.contiguous += 1
         return True
 
     def has(self, seq: int) -> bool:
-        return seq <= self.contiguous or seq in self._pending
+        return seq <= self.contiguous or seq in self.pending
 
     def fast_forward(self, seq: int) -> None:
         """Mark everything up to ``seq`` as received without holding the
@@ -51,30 +52,27 @@ class ReceiveWindow:
         if seq <= self.contiguous:
             return
         self.contiguous = seq
-        self._pending = {s for s in self._pending if s > seq}
-        while self.contiguous + 1 in self._pending:
-            self._pending.discard(self.contiguous + 1)
+        self.pending = {s for s in self.pending if s > seq}
+        while self.contiguous + 1 in self.pending:
+            self.pending.discard(self.contiguous + 1)
             self.contiguous += 1
 
     def gaps(self, limit: int = 64) -> List[int]:
         """Missing sequence numbers below the highest arrival (at most
         ``limit`` of them) — the NACK candidates."""
-        if not self._pending:
+        if not self.pending:
             return []
-        top = max(self._pending)
+        top = max(self.pending)
         missing = []
         for seq in range(self.contiguous + 1, top):
-            if seq not in self._pending:
+            if seq not in self.pending:
                 missing.append(seq)
                 if len(missing) >= limit:
                     break
         return missing
 
     def highest_seen(self) -> int:
-        return max(self._pending) if self._pending else self.contiguous
-
-    def out_of_order_count(self) -> int:
-        return len(self._pending)
+        return max(self.pending) if self.pending else self.contiguous
 
 
 class BufferPool:

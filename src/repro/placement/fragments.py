@@ -10,15 +10,16 @@ fragment pays only that group's total order.
 Fragments are keyed on TPC-C warehouse ranges — the natural sharding
 unit, since every update transaction is anchored at a home warehouse.
 Ownership is derived from the schema's row formulas through
-:func:`repro.tpcc.schema.warehouse_of_tuple`, the single inverse of the
-layout math, so the placement layer never re-derives warehouse sizing.
+:func:`repro.tpcc.schema.warehouses_of_tuples`, the inverse of the
+layout math (the router calls it), so the placement layer never
+re-derives warehouse sizing.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
-from ..tpcc.schema import warehouse_of_tuple, warehouses_for_clients
+from ..tpcc.schema import warehouses_for_clients
 
 __all__ = [
     "PLACEMENT_POLICIES",
@@ -121,14 +122,6 @@ class FragmentMap:
         return tuple(
             w for w, owner in enumerate(self._owner) if owner == fragment
         )
-
-    def fragment_of_tuple(self, tuple_id: int) -> Optional[int]:
-        """The fragment owning ``tuple_id``, or ``None`` when the id
-        carries no warehouse (table locks, item catalog, fresh inserts)."""
-        warehouse = warehouse_of_tuple(tuple_id)
-        if warehouse is None:
-            return None
-        return self.fragment_of_warehouse(warehouse)
 
     # -- identity ---------------------------------------------------------
     def __eq__(self, other: object) -> bool:

@@ -6,14 +6,23 @@ order; cross-fragment transactions are atomically multicast to exactly
 the groups they touch.  Classification is a pure function of the sets
 plus the home fragment, so every site — origin or remote — computes the
 same answer from the same marshalled request.
+
+A route is *footprint, then owners*: the warehouses the sets pin
+(:func:`repro.tpcc.schema.warehouses_of_tuples`) depend on nothing but
+the sets, so a delivered request carries them on its shared
+:attr:`~repro.dbsm.marshal.CommitRequest.derived` store; the owners —
+this map's fragments of those warehouses — every site looks up itself.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Tuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Tuple
 
-from ..db.tuples import is_table_lock
+from ..tpcc.schema import warehouses_of_tuples
 from .fragments import FragmentMap
+
+if TYPE_CHECKING:
+    from ..dbsm.marshal import CommitRequest
 
 __all__ = ["RoutingDecision", "TransactionRouter"]
 
@@ -58,22 +67,30 @@ class TransactionRouter:
         can never conflict.  A transaction whose sets pin no fragment at
         all (read-only against the catalog, or empty) stays home.
         """
+        return self._owners(warehouses_of_tuples(read_set, write_set), home_fragment)
+
+    def route_request(
+        self, request: CommitRequest, home_fragment: int
+    ) -> RoutingDecision:
+        """:meth:`route` for a delivered request: the same decision from
+        the same code, the footprint taken from (or left on) the
+        instance every replica was handed."""
+        derived = request.derived
+        footprint = derived.get("placement")
+        if footprint is None:
+            footprint = derived["placement"] = warehouses_of_tuples(
+                request.read_set, request.write_set
+            )
+        return self._owners(footprint, home_fragment)
+
+    def _owners(self, footprint, home_fragment: int) -> RoutingDecision:
         if not 0 <= home_fragment < self.fragment_map.fragments:
             raise ValueError(f"home fragment {home_fragment} out of range")
-        touched = set()
-        fragment_of_tuple = self.fragment_map.fragment_of_tuple
-        for tuple_id in read_set:
-            if is_table_lock(tuple_id):
-                return RoutingDecision(self._all_fragments, home_fragment)
-            fragment = fragment_of_tuple(tuple_id)
-            if fragment is not None:
-                touched.add(fragment)
-        for tuple_id in write_set:
-            if is_table_lock(tuple_id):
-                return RoutingDecision(self._all_fragments, home_fragment)
-            fragment = fragment_of_tuple(tuple_id)
-            if fragment is not None:
-                touched.add(fragment)
+        warehouses, table_lock = footprint
+        # Looked up even under a table lock: one out of range raises.
+        touched = set(map(self.fragment_map.fragment_of_warehouse, warehouses))
+        if table_lock:
+            return RoutingDecision(self._all_fragments, home_fragment)
         if not touched:
             touched.add(home_fragment)
         return RoutingDecision(tuple(sorted(touched)), home_fragment)

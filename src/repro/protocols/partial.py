@@ -222,7 +222,7 @@ class PartialReplica(ReplicationProtocol):
     def _on_request(self, body: bytes) -> None:
         request = unmarshal_request_cached(body)
         home = fragment_of_site(request.origin, self.sites, self.fragments)
-        decision = self.router.route(request.read_set, request.write_set, home)
+        decision = self.router.route_request(request, home)
         if decision.fragments == (self.fragment,) and home == self.fragment:
             self._certify_local(request)
         else:

@@ -16,9 +16,9 @@ site index so that two replicas can never generate the same fresh row id
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional, Tuple
 
-from ..db.tuples import make_tuple_id, row_of, table_of
+from ..db.tuples import ROW_BITS, ROW_MASK, make_tuple_id, row_of, table_of
 
 __all__ = [
     "Table",
@@ -42,6 +42,7 @@ __all__ = [
     "NOHEAD_ROW_BASE",
     "STOCK_BASE",
     "warehouse_of_tuple",
+    "warehouses_of_tuples",
     "warehouses_for_clients",
 ]
 
@@ -206,9 +207,9 @@ def warehouses_for_clients(clients: int) -> int:
 def warehouse_of_tuple(tuple_id: int) -> Optional[int]:
     """Invert a tuple identifier to the warehouse that owns it.
 
-    This is the single inverse of the row formulas above — the placement
-    layer derives fragment ownership through it instead of re-deriving
-    the encodings.  Returns ``None`` for identifiers that carry no
+    This is the inverse of the row formulas above stated per id — the
+    specification; what runs is :func:`warehouses_of_tuples`, stated
+    per set and pinned equal.  Returns ``None`` for ids that carry no
     warehouse: whole-table locks, the replicated item catalog, and fresh
     insert rows (striped by site counter, deliberately warehouse-free —
     a fresh row can never conflict, so it never needs placing).
@@ -231,3 +232,33 @@ def warehouse_of_tuple(tuple_id: int) -> Optional[int]:
         return (row - NOHEAD_ROW_BASE - 1) // DISTRICTS_PER_WAREHOUSE
     # Item catalog rows and striped fresh-insert rows.
     return None
+
+
+def warehouses_of_tuples(*tuple_sets: Iterable[int]) -> Tuple[Tuple[int, ...], bool]:
+    """:func:`warehouse_of_tuple` over whole read/write sets in one
+    frame — its dispatch and formulas written out, so a set costs one
+    call, not four per id.  Returns ``(warehouses, table_lock)``: the
+    sorted warehouses of the ids met, in the order given, before the
+    first whole-table lock, and whether there was one (a table's rows
+    live in every warehouse, so the walk ends there)."""
+    warehouses = set()
+    add = warehouses.add
+    for tuple_ids in tuple_sets:
+        for tuple_id in tuple_ids:
+            row = tuple_id & ROW_MASK
+            if row == 0:
+                return tuple(sorted(warehouses)), True
+            table = tuple_id >> ROW_BITS
+            if table == WAREHOUSE.table_id:
+                add(row - 1)
+            elif table == DISTRICT.table_id:
+                add((row - 1) // DISTRICTS_PER_WAREHOUSE)
+            elif table == CUSTOMER.table_id:
+                add((row - 1) // CUSTOMERS_PER_DISTRICT // DISTRICTS_PER_WAREHOUSE)
+            elif table == STOCK.table_id:
+                add((row - 1) // STOCK_PER_WAREHOUSE)
+            elif row >= SETTLED_ROW_BASE:
+                add(((row - SETTLED_ROW_BASE) >> 16) // DISTRICTS_PER_WAREHOUSE)
+            elif row >= NOHEAD_ROW_BASE:
+                add((row - NOHEAD_ROW_BASE - 1) // DISTRICTS_PER_WAREHOUSE)
+    return tuple(sorted(warehouses)), False

@@ -14,7 +14,7 @@ def test_any_arrival_order_reaches_full_contiguity(order):
         window.receive(seq)
     assert window.contiguous == 20
     assert window.gaps() == []
-    assert window.out_of_order_count() == 0
+    assert not window.pending
 
 
 @given(

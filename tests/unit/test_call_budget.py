@@ -13,10 +13,17 @@ The datagram path has the same kind of gate: a real job that queues
 builds no ``Job``, the fabric asks about the partition cut once per
 packet, and a datagram of the installed view never enters the exclusion
 detector — counted, so they cannot come back unnoticed.
+
+And a delivered request's: six sites route it with one walk of its sets
+(the footprint rides on the shared request), and a fragment is
+reassembled, sequenced, windowed and checked for a pending view without
+a generator frame, a property pair or a call whose own first test would
+send it straight back.
 """
 
 import random
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -27,15 +34,23 @@ from helpers import make_group
 from test_prop_cpu_lazy import GRID, EagerCpu, drive
 
 from repro.core.cpu import Job, SimulatedCpu
+from repro.core.experiment import Scenario, ScenarioConfig
 from repro.core.kernel import Simulator
 from repro.core.metrics import MetricsCollector, TxRecord
-from repro.gcs.messages import HeartbeatMsg, marshal
-from repro.gcs.stack import GroupCommunication
+from repro.db.tuples import make_tuple_id
+from repro.dbsm.marshal import CommitRequest, marshal_request
+from repro.gcs.messages import DataMsg, HeartbeatMsg, marshal
+from repro.gcs.sequencer import TotalOrder
+from repro.gcs.stack import _FRAG, GroupCommunication
+from repro.gcs.views import ViewManager
+from repro.gcs.window import ReceiveWindow
 from repro.net.address import Endpoint, GroupAddress
 from repro.net.capture import PacketCapture
 from repro.net.link import RateLimitedLink
 from repro.net.network import Network
 from repro.net.udp import UdpSocket
+from repro.placement import TransactionRouter
+from repro.tpcc import schema
 from repro.tpcc.workload import TpccWorkload
 
 N = 2000
@@ -252,3 +267,115 @@ def test_traffic_of_the_installed_view_never_enters_the_exclusion_detector():
     )
     assert entered == {"_detect_exclusion": 2}
     assert len(excluded) == 1
+
+
+def test_six_sites_route_a_delivered_request_with_one_walk():
+    scenario = Scenario(
+        ScenarioConfig(sites=6, protocol="partial", fragments=2, clients=120)
+    )
+    routed = []
+    for site in scenario.sites:  # stop at the routing decision
+        site.replica._certify_local = lambda request: routed.append("local")
+        site.replica._vote = lambda request, home: routed.append("vote")
+    rows = tuple(make_tuple_id(schema.STOCK.table_id, w * 100_000 + 5) for w in (0, 11))
+    body = marshal_request(CommitRequest(
+        origin=4, tx_id=9, start_seq=0, tx_class="neworder", read_set=rows,
+        write_set=rows, write_bytes=600, commit_cpu=0.001, commit_sectors=1,
+    ))
+
+    def deliver():
+        for site in scenario.sites:
+            site.replica._on_request(body)
+
+    _, entered = entries_of(
+        deliver,
+        schema.warehouse_of_tuple,
+        schema.warehouses_of_tuples,
+        TransactionRouter.route_request,
+    )
+    assert entered == {
+        "warehouse_of_tuple": 0, "warehouses_of_tuples": 1, "route_request": 6,
+    }
+    assert routed == ["vote"] * 6  # warehouses 0 and 11: both fragments
+
+
+@contextmanager
+def profiling(on_call):
+    """Call ``on_call(frame)`` for every Python frame entered inside."""
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            on_call(frame)
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        yield
+    finally:
+        sys.setprofile(previous)
+
+
+@pytest.mark.parametrize(
+    "arrival", ([0, 1, 2], [2, 1, 0], [0, 1, 1, 2], [2, 0, 0, 1]),
+    ids=("in order", "reversed", "duplicate", "duplicate out of order"),
+)
+def test_fragments_are_reassembled_without_a_generator_frame(arrival):
+    stack = make_group(1).stacks[0]
+    delivered = []
+    stack.on_deliver = lambda gseq, origin, payload: delivered.append((gseq, payload))
+    chunks = [b"a" * 1400, b"b" * 1400, b"c" * 17]
+
+    stack_py = GroupCommunication._on_ordered.__code__.co_filename
+    generators = []
+
+    def note_generator(frame):
+        code = frame.f_code
+        if code.co_name == "<genexpr>" and code.co_filename == stack_py:
+            generators.append(frame.f_lineno)
+
+    with profiling(note_generator):
+        for gseq, index in enumerate(arrival, start=1):
+            stack._on_ordered(gseq, 0, gseq, _FRAG.pack(5, index, 3) + chunks[index])
+    assert generators == []
+    assert delivered == [(len(arrival), b"".join(chunks))]
+    assert stack._reassembly == {}
+
+
+def test_data_traffic_makes_no_trivial_calls():
+    harness = make_group(3)
+    harness.start()
+    for burst in range(8):
+        for stack in harness.stacks:
+            harness.sim.schedule(0.2 * burst, stack.multicast, b"x" * 3000)
+    trivial = {
+        function.__code__: function.__name__
+        for function in (
+            TotalOrder.is_sequencer.fget,
+            TotalOrder.sequencer_id.fget,
+            ViewManager.maybe_complete_sync,
+        )
+    }
+    entered = []
+    gapped = []  # len(pending) of every window asked for its gaps
+
+    def note(frame):
+        if frame.f_code in trivial:
+            entered.append(trivial[frame.f_code])
+        elif frame.f_code is ReceiveWindow.gaps.__code__:
+            gapped.append(len(frame.f_locals["self"].pending))
+
+    reliable = harness.stacks[1].reliable
+    with profiling(note):
+        harness.sim.run(until=2.0)
+        assert entered == [] and gapped == []  # a lossless LAN delivers in order
+        assert [len(log) for log in harness.delivered.values()] == [24] * 3
+        assert harness.runtimes[1].stats["datagrams_in"] > 60
+
+        # An arrival above a hole asks, and arms the NACK; filling it does not.
+        top = reliable.windows[2].contiguous
+        reliable.handle_data(DataMsg(2, 1, top + 2, b"\x00late"))
+        assert gapped == [1] and 2 in reliable._nack_timers
+        reliable.handle_data(DataMsg(2, 1, top + 1, b"\x00hole"))
+    assert gapped == [1] and entered == []
+    assert reliable.windows[2].contiguous == top + 2
+    assert not reliable.windows[2].pending

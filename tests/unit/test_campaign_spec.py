@@ -6,14 +6,16 @@ equality, axis-override parsing, composition helpers, and — most
 importantly — **legacy parity**: each registered built-in campaign must
 expand to exactly the cells the removed hard-coded ``_*_grid`` builder
 functions produced, labels and config encodings alike, for every
-protocol selection the old ``--protocol`` flag allowed.
+protocol selection the old ``--protocol`` flag allowed.  The builders
+themselves are gone; ``tests/golden/spec_hashes.json`` holds what they
+produced, recorded while they still ran beside the registered specs.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
 from pathlib import Path
-from typing import List, Sequence, Tuple
 
 import pytest
 
@@ -27,135 +29,16 @@ from repro.campaigns import (
     register_campaign,
 )
 from repro.campaigns import registry as campaign_registry
-from repro.core.experiment import ScenarioConfig
-from repro.core.scenarios import (
-    CLIENT_LEVELS,
-    SYSTEM_CONFIGS,
-    fault_config,
-    performance_config,
-)
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
-
-# ----------------------------------------------------------------------
-# reference implementations: the legacy grid builders, verbatim
-# ----------------------------------------------------------------------
-Grid = List[Tuple[str, ScenarioConfig]]
-
-
-def _label_prefix(protocol: str, protocols: Sequence[str]) -> str:
-    if list(protocols) == ["dbsm"]:
-        return ""
-    return f"{protocol} "
-
-
-def _legacy_smoke(transactions: int, protocols: Sequence[str]) -> Grid:
-    grid: Grid = []
-    for clients in (40, 80):
-        grid.append(
-            (
-                f"1x1cpu c{clients}",
-                ScenarioConfig(
-                    sites=1,
-                    cpus_per_site=1,
-                    clients=clients,
-                    transactions=transactions,
-                    seed=42 + clients,
-                ),
-            )
-        )
-    for protocol in protocols:
-        for clients in (40, 80):
-            grid.append(
-                (
-                    f"{_label_prefix(protocol, protocols)}3x1cpu c{clients}",
-                    ScenarioConfig(
-                        sites=3,
-                        cpus_per_site=1,
-                        clients=clients,
-                        transactions=transactions,
-                        seed=42 + clients,
-                        protocol=protocol,
-                    ),
-                )
-            )
-        grid.append(
-            (
-                f"{_label_prefix(protocol, protocols)}recovery c40",
-                fault_config(
-                    "crash-recover",
-                    clients=40,
-                    transactions=transactions,
-                    seed=42,
-                    protocol=protocol,
-                    fault_at=5.0,
-                    repair_after=3.0,
-                ),
-            )
-        )
-    return grid
-
-
-def _legacy_fig5(transactions: int, protocols: Sequence[str]) -> Grid:
-    grid: Grid = []
-    for label, sites, cpus in SYSTEM_CONFIGS:
-        for protocol in [None] if sites == 1 else protocols:
-            for clients in CLIENT_LEVELS:
-                prefix = (
-                    "" if protocol is None else _label_prefix(protocol, protocols)
-                )
-                grid.append(
-                    (
-                        f"{prefix}{label} c{clients}",
-                        performance_config(
-                            sites,
-                            cpus,
-                            clients,
-                            transactions=transactions,
-                            seed=42 + clients,
-                            protocol=protocol or "dbsm",
-                        ),
-                    )
-                )
-    return grid
-
-
-def _legacy_fig7(transactions: int, protocols: Sequence[str]) -> Grid:
-    return [
-        (
-            f"{_label_prefix(protocol, protocols)}{kind}",
-            fault_config(kind, transactions=transactions, protocol=protocol),
-        )
-        for protocol in protocols
-        for kind in ("none", "random", "bursty")
-    ]
-
-
-def _legacy_recovery(transactions: int, protocols: Sequence[str]) -> Grid:
-    return [
-        (
-            f"{_label_prefix(protocol, protocols)}{kind}",
-            fault_config(
-                kind,
-                clients=100,
-                transactions=transactions,
-                protocol=protocol,
-                fault_at=5.0,
-                repair_after=5.0,
-            ),
-        )
-        for protocol in protocols
-        for kind in ("crash-recover", "partition-heal")
-    ]
-
-
-LEGACY_BUILDERS = {
-    "smoke": _legacy_smoke,
-    "fig5": _legacy_fig5,
-    "fig7": _legacy_fig7,
-    "recovery": _legacy_recovery,
-}
+#: ``"<built-in> <protocol>+<protocol>"`` -> the sliced spec's
+#: ``spec_hash``, its cell count and the sha256 of the canonical JSON of
+#: its expansion ``[[label, config.to_dict()], ...]``.
+SPEC_HASHES = json.loads(
+    (Path(__file__).resolve().parents[1] / "golden" / "spec_hashes.json").read_text()
+)
+LEGACY_CAMPAIGNS = ("fig5", "fig7", "recovery", "smoke")
 
 PROTOCOL_SELECTIONS = (
     ("dbsm",),  # the historical default: protocol-free labels
@@ -165,24 +48,31 @@ PROTOCOL_SELECTIONS = (
 
 
 class TestLegacyParity:
-    @pytest.mark.parametrize("name", sorted(LEGACY_BUILDERS))
+    @pytest.mark.parametrize("name", LEGACY_CAMPAIGNS)
     @pytest.mark.parametrize("protocols", PROTOCOL_SELECTIONS)
     def test_registered_spec_matches_legacy_builder(self, name, protocols):
         """Cell-for-cell identity: labels AND config encodings, in
         order — so historical artifact directories keep resuming."""
-        legacy = LEGACY_BUILDERS[name](120, list(protocols))
-        cells = (
+        pinned = SPEC_HASHES[f"{name} {'+'.join(protocols)}"]
+        spec = (
             get_campaign(name)
             .with_axis("protocol", protocols)
             .with_axis("transactions", (120,))
-            .expand()
         )
-        assert [label for label, _ in cells] == [label for label, _ in legacy]
-        for (_, new), (label, old) in zip(cells, legacy):
-            assert new.to_dict() == old.to_dict(), label
+        cells = [[label, config.to_dict()] for label, config in spec.expand()]
+        canonical = json.dumps(cells, sort_keys=True, separators=(",", ":"))
+        assert spec.spec_hash() == pinned["spec_hash"]
+        assert len(cells) == pinned["cells"]
+        assert (
+            hashlib.sha256(canonical.encode()).hexdigest()
+            == pinned["expansion_sha256"]
+        ), f"{name} {protocols}: a label or a config encoding changed"
 
     def test_all_legacy_grids_are_registered(self):
-        assert set(LEGACY_BUILDERS) <= set(available_campaigns())
+        assert set(LEGACY_CAMPAIGNS) <= set(available_campaigns())
+        assert {key.split()[0] for key in SPEC_HASHES} == set(LEGACY_CAMPAIGNS)
+        assert len(SPEC_HASHES) == len(LEGACY_CAMPAIGNS) * len(PROTOCOL_SELECTIONS)
+
 
 
 class TestDeterminism:

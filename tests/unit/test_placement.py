@@ -6,12 +6,16 @@ round-trip, the campaign axes reaching cell configs, and the
 monitor-applicability / NaN-metric contract for fragmented runs.
 """
 
+import dataclasses
 import math
 
 import pytest
 
 from repro.campaigns import get_campaign
 from repro.core.experiment import ScenarioConfig
+from repro.db.tuples import make_tuple_id, table_lock_id
+from repro.dbsm import marshal
+from repro.dbsm.marshal import CommitRequest, marshal_request, unmarshal_request_cached
 from repro.monitors import applicable_monitors
 from repro.placement import (
     DEFAULT_PLACEMENT,
@@ -20,6 +24,7 @@ from repro.placement import (
     fragment_of_site,
     sites_of_fragment,
 )
+from repro.tpcc.schema import STOCK, WAREHOUSE
 
 
 class TestFragmentMapValidation:
@@ -67,6 +72,72 @@ class TestSiteGroups:
             sites_of_fragment(2, 6, 2)
         with pytest.raises(ValueError):
             fragment_of_site(6, 6, 2)
+
+
+def request_on(*warehouses, lock_last=False):
+    """A commit request reading one ``warehouse`` row per argument."""
+    reads = tuple(make_tuple_id(WAREHOUSE.table_id, w + 1) for w in warehouses)
+    return CommitRequest(
+        origin=0, tx_id=7, start_seq=3, tx_class="payment", read_set=reads,
+        write_set=(table_lock_id(STOCK.table_id),) if lock_last else reads[:1],
+        write_bytes=40, commit_cpu=0.001, commit_sectors=2,
+    )
+
+
+class TestFootprintOnTheRequest:
+    def test_equal_maps_and_different_homes_share_one_footprint(self):
+        request = request_on(1, 9)
+        first = TransactionRouter(FragmentMap(12, 3)).route_request(request, 0)
+        footprint = request.derived["placement"]
+        assert footprint == ((1, 9), False)
+        second = TransactionRouter(FragmentMap(12, 3)).route_request(request, 2)
+        assert request.derived["placement"] is footprint
+        assert (first.fragments, first.home) == ((0, 2), 0)
+        assert (second.fragments, second.home) == ((0, 2), 2)
+        # ... and a different map reads the same footprint its own way
+        other = TransactionRouter(FragmentMap(12, 2, "round-robin"))
+        assert other.route_request(request, 1).fragments == (1,)
+        assert request.derived["placement"] is footprint
+
+    def test_a_request_decoded_again_computes_an_equal_footprint(self):
+        router = TransactionRouter(FragmentMap(12, 3))
+        wire = marshal_request(request_on(4, 11))
+        delivered = unmarshal_request_cached(wire)
+        decision = router.route_request(delivered, 1)
+        marshal._DECODE_CACHE.clear()
+        again = unmarshal_request_cached(wire)
+        assert again is not delivered and "placement" not in again.derived
+        assert router.route_request(again, 1) == decision
+        assert again.derived["placement"] == delivered.derived["placement"]
+        assert again.derived["placement"] is not delivered.derived["placement"]
+
+    @pytest.mark.parametrize("lock_last", (False, True))
+    def test_an_out_of_range_warehouse_raises_at_every_call(self, lock_last):
+        router = TransactionRouter(FragmentMap(6, 2))
+        request = request_on(2, 6, lock_last=lock_last)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="warehouse 6 out of range"):
+                router.route_request(request, 0)
+            with pytest.raises(ValueError, match="home fragment 2"):
+                router.route_request(request_on(2), 2)
+        # the footprint itself is not a failure: a map that has the
+        # warehouse routes the very same instance
+        wide = TransactionRouter(FragmentMap(12, 2))
+        assert wide.route_request(request, 0).fragments == (0, 1)
+
+    def test_commit_request_stays_frozen_and_hashable(self):
+        request = request_on(1, 9)
+        untouched = request_on(1, 9)
+        before = hash(request)
+        TransactionRouter(FragmentMap(12, 3)).route_request(request, 0)
+        request.remote_spec(0.5)
+        assert set(request.derived) == {"placement", 0.5}
+        assert hash(request) == before == hash(untouched)
+        assert request == untouched and len({request, untouched}) == 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            request.origin = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            request.derived = {}
 
 
 class TestScenarioConfigFragments:

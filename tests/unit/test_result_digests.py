@@ -6,7 +6,11 @@ what the cell *produces*: the sha256 of the canonical
 of six small cells covering the centralized baseline, all three
 registered protocols and two fault-loads with every monitor armed, and
 of two saturated 6-site cells (2 000 clients: a deep disk queue and a
-30-entry certification window, which 30 clients never build).  An
+30-entry certification window, which 30 clients never build), and of
+two 600-client ``partial`` cells with cross-fragment histories
+(``fragments`` 3 round-robin and 2 range: 174 and 22 transactions that
+vote, reserve and decide across groups; read-set escalation at 20, so
+table locks route everywhere).  An
 optimisation must leave every digest alone; a change that legitimately
 moves simulated results re-baselines them and says why in the PR.
 """
