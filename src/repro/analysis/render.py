@@ -288,7 +288,8 @@ def _summary_value(result, metric: str, spec: str, suffix: str = "") -> str:
 def summary_text(cells: Iterable) -> str:
     """The campaign summary table: one row per cell plus the recovery
     sub-table.  ``cells`` are :class:`~repro.runner.CampaignCell`-shaped
-    objects (``label`` / ``result`` / ``source``, optional ``status``).
+    objects (``label`` / ``result`` / ``source`` / ``status``); a cell
+    with a bad verdict keeps its metrics and shows the verdict word.
 
     Every number goes through the metric registry; the layout is the
     byte-for-byte historical ``python -m repro.runner`` summary, so
@@ -302,21 +303,19 @@ def summary_text(cells: Iterable) -> str:
     ]
     recovered = []
     for cell in cells:
-        status = getattr(cell, "status", "ok")
-        if status != "ok":
+        if cell.status == "failed":
             lines.append(
                 f"{cell.label:<28s} {'FAILED':<8s}  (see traceback below)"
             )
             continue
         result = cell.result
-        source = getattr(cell, "source", "artifact")
         lines.append(
-            f"{cell.label:<28s} {'ok':<8s} "
+            f"{cell.label:<28s} {cell.status:<8s} "
             f"{_summary_value(result, 'throughput_tpm', '8.1f')} "
             f"{_summary_value(result, 'mean_latency_ms', '7.1f', 'ms')} "
             f"{_summary_value(result, 'abort_rate', '6.2f', '%')} "
             + _cpu_percent(result)
-            + f" {_summary_value(result, 'net_kbps', '9.1f')} {source:>10s}"
+            + f" {_summary_value(result, 'net_kbps', '9.1f')} {cell.source:>10s}"
         )
         recovered.extend(
             (cell.label, event) for event in result.completed_rejoins()

@@ -15,8 +15,8 @@ renders one view:
 * ``--compare AXIS=BASE,CAND`` — delta table between two slices;
 * ``--format text|markdown|csv|json|html`` — the output encoding.  JSON
   is the machine view: the per-cell metrics/axis-tags payload (plus the
-  requested table when a view was selected); CI asserts its schema so
-  the artifact -> report path cannot silently rot.  HTML is the
+  requested table when a view was selected); tier-1 tests assert its
+  schema so the artifact -> report path cannot rot.  HTML is the
   self-contained report page (:mod:`repro.dashboard.page`).
 
 The subcommand's flags (:func:`add_arguments`), their validation
@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
 from ..runner.store import campaign_dir
 from .figures import FIGURES, figure_table, render_figure
@@ -68,6 +68,7 @@ def _json(rs: ResultSet, metrics: Sequence[str], **view: object) -> str:
         "cells": [
             {
                 "label": cell.label,
+                "status": cell.status,
                 "source": cell.source,
                 "axes": dict(cell.axes),
                 "metrics": cell.metrics_payload(metrics),
@@ -81,7 +82,7 @@ def _json(rs: ResultSet, metrics: Sequence[str], **view: object) -> str:
 
 
 def run_report(
-    target: str,
+    target: Union[str, ResultSet],
     metrics: Optional[List[str]] = None,
     by: Optional[str] = None,
     pivot: Optional[str] = None,
@@ -89,7 +90,7 @@ def run_report(
     figure: Optional[str] = None,
     fmt: str = "text",
 ) -> str:
-    """Execute one report invocation; returns the text to print."""
+    """One report invocation over a directory, campaign or ResultSet."""
     selected = sum(x is not None for x in (by, pivot, compare, figure))
     if fmt == "html" and selected:
         raise AnalysisError(
@@ -100,7 +101,9 @@ def run_report(
         raise AnalysisError(
             "--by, --pivot, --compare and --figure are mutually exclusive"
         )
-    rs = ResultSet.from_artifacts(campaign_dir(target))
+    rs = target
+    if not isinstance(rs, ResultSet):
+        rs = ResultSet.from_artifacts(campaign_dir(target))
     if fmt == "html":
         # dashboard.state imports analysis: load the page on use
         from ..dashboard.page import render_report_html
@@ -227,12 +230,13 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def command(args: argparse.Namespace) -> int:
-    """The ``report`` handler: run the invocation, deliver the text."""
+    """The ``report`` handler; exits 1 unless every verdict is ``ok``."""
     fmt = "html" if args.html else args.format
     if args.output and fmt != "html":
         raise AnalysisError("-o/--output only applies to --html reports")
+    rs = ResultSet.from_artifacts(campaign_dir(args.target))
     text = run_report(
-        args.target,
+        rs,
         metrics=args.metric,
         by=args.by,
         pivot=args.pivot,
@@ -247,4 +251,4 @@ def command(args: argparse.Namespace) -> int:
         sys.stdout.write(text)  # the page, byte for byte: no newline added
     else:
         print(text)
-    return 0
+    return 0 if all(cell.status == "ok" for cell in rs.cells) else 1

@@ -23,11 +23,13 @@ loader shares with the dashboard's ``CampaignView``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..campaigns.spec import CampaignSpec
 from ..core.experiment import ScenarioConfig, ScenarioResult
+from ..core.safety import verdict
 from ..runner.store import (
     MANIFEST_NAME,
     ArtifactCollisionError,
@@ -77,6 +79,10 @@ class ResultCell:
     #: label, config-derived tags always present).
     axes: Dict[str, object] = field(default_factory=dict)
     source: str = "memory"  # "memory" | "artifact"
+
+    @cached_property
+    def status(self) -> str:  # judged once
+        return verdict(self.result)
 
     def value(self, metric: str) -> float:
         return metric_value(self.result, metric)

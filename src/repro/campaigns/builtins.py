@@ -192,8 +192,8 @@ def _safety_monitored_spec() -> CampaignSpec:
     # The safety matrix, re-run with every runtime invariant monitor
     # wired into the event path (a ``monitors`` axis on top of the
     # ``safety`` spec, which stays byte-identical for legacy parity).
-    # Clean protocol code must come back with zero violations on every
-    # cell; CI asserts exactly that over the artifact store.
+    # Clean protocol code must earn the ``ok`` verdict on every cell;
+    # CI runs it and ``run``'s exit code is the check.
     return replace(
         _safety_spec().with_axis("monitors", ("all",)),
         name="safety-monitored",

@@ -283,14 +283,6 @@ class ScenarioResult:
     def completed_rejoins(self) -> List[RecoveryEvent]:
         return [e for e in self.recovery_events if e.live_at >= 0]
 
-    def mean_time_to_rejoin(self) -> float:
-        """Mean seconds from rejoin start to live (0.0 if none completed)."""
-        times = [e.time_to_rejoin() for e in self.completed_rejoins()]
-        return sum(times) / len(times) if times else 0.0
-
-    def total_orphaned_commits(self) -> int:
-        return sum(e.orphaned_commits for e in self.completed_rejoins())
-
     def check_safety(self) -> Dict[str, int]:
         """All operational sites committed the same sequence (§5.3).
 

@@ -8,8 +8,8 @@ module is that harness: a :class:`RegressionSuite` owns a set of named
 scenarios, records baseline metrics to JSON, and on later runs replays
 the same scenarios and flags
 
-* **reliability regressions** — a safety violation, or a scenario that
-  no longer completes its transactions; these always fail;
+* **reliability regressions** — a verdict other than ``ok``, or a
+  scenario that no longer completes its transactions; these always fail;
 * **performance regressions** — headline metrics drifting past a
   per-metric relative tolerance against the recorded baseline.
 
@@ -159,25 +159,27 @@ class RegressionSuite:
 
     def _run_all(
         self, names: Optional[List[str]] = None
-    ) -> Dict[str, Tuple[ScenarioBaseline, ScenarioResult]]:
+    ) -> Dict[str, Tuple[ScenarioBaseline, str]]:
         """Run the named scenarios (default: all, possibly in parallel),
-        in sorted name order."""
+        in sorted name order: ``{name: (baseline, verdict)}``."""
         from ..runner import run_campaign  # local: avoids an import cycle
 
         if names is None:
             names = sorted(self.scenarios)
         labelled = [(name, self.scenarios[name]) for name in names]
         campaign = run_campaign(labelled, workers=self.workers)
+        campaign.pairs()  # a scenario that raised raises here
         return {
-            name: (self.baseline_from(name, result), result)
-            for name, result in campaign.pairs()
+            cell.label: (self.baseline_from(cell.label, cell.result), cell.status)
+            for cell in campaign.cells
         }
 
     def record(self, path: Union[str, Path]) -> Dict[str, ScenarioBaseline]:
-        """Run every scenario and write the baseline file."""
+        """Run every scenario and write the baseline file (``ok`` only)."""
         baselines = {}
-        for name, (baseline, result) in self._run_all().items():
-            result.check_safety()
+        for name, (baseline, status) in self._run_all().items():
+            if status != "ok":
+                raise SafetyViolation(f"{name}: verdict {status!r}, not recorded")
             baselines[name] = baseline
         payload = {name: b.to_json() for name, b in baselines.items()}
         Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
@@ -187,8 +189,8 @@ class RegressionSuite:
         """Replay every scenario against the recorded baselines.
 
         Returns the list of regressions (empty = clean).  Reliability
-        problems — safety violations, incomplete runs, scenarios missing
-        from the baseline file — are reported as ``kind="reliability"``.
+        problems — a bad verdict (named as the metric), incomplete runs,
+        scenarios missing from the baseline — are ``kind="reliability"``.
         """
         stored = {
             name: ScenarioBaseline.from_json(data)
@@ -207,13 +209,9 @@ class RegressionSuite:
                 )
                 continue
             baseline = stored[name]
-            measured, result = runs[name]
-            try:
-                result.check_safety()
-            except SafetyViolation:
-                findings.append(
-                    Regression(name, "safety", 1.0, 0.0, "reliability")
-                )
+            measured, status = runs[name]
+            if status != "ok":
+                findings.append(Regression(name, status, 1.0, 0.0, "reliability"))
                 continue
             if measured.completed < baseline.completed * 0.9:
                 findings.append(

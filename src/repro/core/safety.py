@@ -15,12 +15,17 @@ from itertools import chain
 from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 __all__ = [
+    "VERDICTS",
     "CommitLog",
     "SafetyViolation",
     "agreement_divergences",
     "check_consistency",
     "describe_divergence",
+    "verdict",
 ]
+
+#: What :func:`verdict` can say about a run, the one good word first.
+VERDICTS = ("ok", "diverged", "violated", "no-rejoin")
 
 
 @dataclass
@@ -114,6 +119,34 @@ def check_consistency(logs: Sequence[CommitLog]) -> Dict[str, int]:
             f"crashed site {site} is not a prefix of the agreed sequence: {diff}"
         )
     return {log.site: len(log.entries) for log in logs}
+
+
+def verdict(result: Any) -> str:
+    """Whether a run was correct, as one word of :data:`VERDICTS`; the
+    first check that fails names it.  ``diverged``: ``check_safety()``
+    raises (§5.3's criterion).  ``violated``: a monitor fired.
+    ``no-rejoin``: a site never went live again after a ``recover``, or
+    after the ``heal`` of a strict-minority component (the sites cut at
+    one instant; an equal split resumes in place), before the run ended.
+    It reads only what an artifact stores, so a live result, its
+    ``from_dict`` copy and its artifact get the same verdict."""
+    try:
+        result.check_safety()
+    except SafetyViolation:
+        return "diverged"
+    if result.violations:
+        return "violated"
+    faults, end = result.config.faults, result.sim_time
+    cuts = [plan.partition_at for plan in faults.values()]
+    rejoined = {event.site for event in result.completed_rejoins()}
+    for site, plan in faults.items():
+        minority = 2 * cuts.count(plan.partition_at) < result.config.sites
+        if site not in rejoined and (
+            (plan.recover_at is not None and plan.recover_at < end)
+            or (plan.heal_at is not None and plan.heal_at < end and minority)
+        ):
+            return "no-rejoin"
+    return "ok"
 
 
 def describe_divergence(

@@ -13,13 +13,14 @@ the wall-clock instant ``wall`` and a ``kind``:
 
 * ``campaign-start`` — campaign name, spec hash, cell/worker counts;
 * ``cell-start`` — a cell was handed to an executor (``label``);
-* ``cell-finish`` — a cell completed: status, source (``artifact``
-  marks a resume cache hit), duration, worker attribution (pid), and
+* ``cell-finish`` — a cell completed: status (its verdict, or
+  ``failed``), source (``artifact`` marks a resume cache hit),
+  duration, worker attribution (pid), and
   the runner's progress counters (``done``/``total``/``eta``/
   ``elapsed``) at that instant;
 * ``violation`` — one :class:`~repro.monitors.InvariantViolation`
   flushed through from a finished cell, tagged with its cell label;
-* ``campaign-end`` — final ok/failed counts and the campaign wall.
+* ``campaign-end`` — final ok/failed (= not ok) counts and the wall.
 
 The reader side is built for *live* files: :class:`JournalReader`
 tracks a byte offset and only ever consumes complete lines, so a

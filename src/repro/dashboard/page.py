@@ -199,7 +199,9 @@ h2 { font-size: 15px; margin: 28px 0 10px; }
 .c.running { background: var(--series-1); }
 .c.ok { background: var(--status-good); }
 .c.cached { background: transparent; border-color: var(--status-good); }
-.c.failed { background: var(--status-critical); }
+.c.failed, .c.diverged { background: var(--status-critical); }
+.c.violated { background: var(--status-serious); }
+.c.no-rejoin { background: var(--status-warning); }
 .legend {
   display: flex; flex-wrap: wrap; gap: 14px; margin-top: 10px;
   color: var(--text-secondary); font-size: 12px;
@@ -262,6 +264,9 @@ const STATUSES = [
   ["running", "\\u25b6", "running"],
   ["ok", "\\u2713", "ok"],
   ["cached", "\\u21ba", "cached (resumed)"],
+  ["diverged", "\\u2260", "diverged (commit logs differ)"],
+  ["violated", "\\u26a0", "violated (monitor)"],
+  ["no-rejoin", "\\u21af", "no-rejoin (site never back)"],
   ["failed", "\\u2717", "failed"],
 ];
 

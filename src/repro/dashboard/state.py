@@ -11,9 +11,9 @@ sources on every ``refresh()``:
   changed since the last scan.
 
 Either source alone is enough: a finished campaign with no journal
-still serves cells and metrics (every artifact-backed cell reads
-``ok``); a campaign whose artifacts are still being written serves live
-statuses from the journal while metrics fill in cell by cell.
+still serves cells and metrics (a stored cell reads its verdict); a
+campaign whose artifacts are still being written serves live statuses
+from the journal while metrics fill in cell by cell.
 
 Every payload carries :data:`DASHBOARD_SCHEMA` so API consumers (and
 the CI smoke job) can pin the shape they parse.  The shapes — cell
@@ -37,6 +37,7 @@ from ..analysis.resultset import (
     artifact_cell,
     manifest_cells,
 )
+from ..core.safety import VERDICTS
 from ..runner.store import MANIFEST_NAME, ArtifactError, ArtifactStore
 from .journal import JournalReader, journal_path
 
@@ -56,7 +57,7 @@ DASHBOARD_SCHEMA = "repro.dashboard/1"
 #: Cell statuses, in display order: journal liveness first, then
 #: terminal states.  ``cached`` is an ``ok`` cell that resumed from an
 #: artifact instead of executing.
-CELL_STATUSES = ("pending", "running", "ok", "failed", "cached")
+CELL_STATUSES = ("pending", "running") + VERDICTS + ("failed", "cached")
 
 
 def cell_record(label: str) -> Dict[str, object]:
@@ -74,11 +75,14 @@ def cell_record(label: str) -> Dict[str, object]:
 
 
 def absorb_result(record: Dict[str, object], cell: ResultCell) -> None:
-    """Fill ``record`` from a decoded cell: headline metrics, axis tags
-    and violations.  Only values are kept, never the result itself, so
-    a view's memory does not grow with the size of its cells."""
-    if record["status"] in ("pending", "running"):
-        record["status"] = "ok"  # no journal: a result is terminal
+    """Fill ``record`` from a decoded cell: its verdict (unless the
+    journal said ``failed``, or ``cached`` for an ``ok`` cell), headline
+    metrics, axis tags and violations.  Only values are kept, never the
+    result itself, so a view's memory does not grow with its cells."""
+    if record["status"] != "failed" and (
+        (cell.status, record["status"]) != ("ok", "cached")
+    ):
+        record["status"] = cell.status
     record["metrics"] = cell.metrics_payload(HEADLINE_METRICS)
     record["axes"] = dict(cell.axes)
     tagged = [v.tagged(cell.label) for v in cell.result.violations]
@@ -103,7 +107,7 @@ def status_summary(records: Iterable[Dict[str, object]]) -> Dict[str, object]:
     for record in records:
         counts[str(record["status"])] += 1
         violations += int(record["violations"] or 0)
-    done = sum(counts[s] for s in ("ok", "failed", "cached"))
+    done = sum(counts.values()) - counts["pending"] - counts["running"]
     return {"counts": counts, "done": done, "violations": violations}
 
 
@@ -189,11 +193,10 @@ class CampaignView:
                 cell["status"] = "running"
         elif kind == "cell-finish":
             cell = self._cell(str(event.get("label", "")))
-            if event.get("status") == "ok":
-                cached = event.get("source") == "artifact"
-                cell["status"] = "cached" if cached else "ok"
-            else:
-                cell["status"] = "failed"
+            status = event.get("status")
+            if status == "ok" and event.get("source") == "artifact":
+                status = "cached"
+            cell["status"] = status if status in CELL_STATUSES else "failed"
             cell["source"] = event.get("source")
             cell["duration"] = event.get("duration")
             cell["worker"] = event.get("worker")

@@ -123,9 +123,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         journal=False if args.no_journal else "auto",
     )
     # the per-cell summary table (byte-identical to the historical
-    # formatter), then the failure dumps
+    # formatter), then the tracebacks of the cells that raised
     print(summary_text(campaign.cells))
-    for cell in campaign.failures:
+    for cell in [c for c in campaign.cells if c.error]:
         print(f"\n--- {cell.label} ---\n{cell.error}", file=sys.stderr)
     return 0 if campaign.ok else 1
 

@@ -27,7 +27,7 @@ class ProgressEvent:
     """One campaign cell finished (run, loaded or failed)."""
 
     label: str
-    status: str  # "ok" | "failed"
+    status: str  # a verdict (repro.core.safety.VERDICTS) | "failed"
     source: str  # "in-process" | "worker" | "artifact"
     done: int  # cells finished so far (including this one)
     total: int  # cells in the campaign
@@ -64,8 +64,6 @@ class CampaignProgress:
         self._clock = clock
         self._started = clock()
         self._done = 0
-        self._executed = 0
-        self._executed_seconds = 0.0
         self._window: Deque[float] = deque(maxlen=max(1, window))
 
     # ------------------------------------------------------------------
@@ -73,8 +71,6 @@ class CampaignProgress:
         """Account one finished cell and build its event."""
         self._done += 1
         if source != "artifact":
-            self._executed += 1
-            self._executed_seconds += duration
             self._window.append(duration)
         return ProgressEvent(
             label=label,
@@ -103,10 +99,9 @@ class CampaignProgress:
     # ------------------------------------------------------------------
     def __call__(self, event: ProgressEvent) -> None:
         eta = f"ETA {event.eta:.0f}s" if event.eta is not None else "ETA ?"
-        mark = "ok" if event.status == "ok" else "FAIL"
         src = " (cached)" if event.source == "artifact" else ""
         print(
-            f"[{event.done}/{event.total}] {mark:<4} {event.label}{src} "
+            f"[{event.done}/{event.total}] {event.status:<4} {event.label}{src} "
             f"{event.duration:.1f}s — elapsed {event.elapsed:.0f}s, {eta}",
             file=self.stream,
         )

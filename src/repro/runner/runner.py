@@ -30,7 +30,8 @@ process beforehand.
 Failures are isolated: an exception inside one cell — config error,
 simulation bug, even a worker process dying — is recorded on that cell
 (``status="failed"`` with the traceback) and the rest of the campaign
-still completes.
+still completes.  A cell that ran has its :func:`~repro.core.safety.verdict`
+as status; a bad one is a result, saved and resumed, yet not ``ok``.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Un
 
 from ..core.env import env_int, env_str
 from ..core.experiment import Scenario, ScenarioConfig, ScenarioResult
+from ..core.safety import verdict
 from .progress import CampaignProgress, ProgressEvent
 from .store import ARTIFACT_DIR_ENV, ArtifactStore
 
@@ -79,7 +81,7 @@ class CampaignCell:
     """Outcome of one labelled grid cell."""
 
     label: str
-    status: str  # "ok" | "failed"
+    status: str  # a verdict (repro.core.safety.VERDICTS) | "failed"
     result: Optional[ScenarioResult]
     error: Optional[str]  # traceback text for failed cells
     duration: float  # wall seconds spent executing (0 for artifact loads)
@@ -111,9 +113,10 @@ class CampaignResult:
 
     def pairs(self) -> List[Tuple[str, ScenarioResult]]:
         """``[(label, result)]`` in grid order; raises
-        :class:`CampaignError` if any cell failed."""
-        if self.failures:
-            raise CampaignError(self.failures)
+        :class:`CampaignError` if any cell failed (raised)."""
+        failed = [c for c in self.cells if c.status == "failed"]
+        if failed:
+            raise CampaignError(failed)
         return [(c.label, c.result) for c in self.cells]  # type: ignore[misc]
 
 
@@ -186,7 +189,7 @@ def _cell_from(outcome: CellOutcome, source: str) -> "CampaignCell":
     if payload is None:
         return CampaignCell(label, "failed", None, error, duration, source, pid)
     result = ScenarioResult.from_dict(payload)
-    return CampaignCell(label, "ok", result, None, duration, source, pid)
+    return CampaignCell(label, verdict(result), result, None, duration, source, pid)
 
 
 def run_campaign(
@@ -260,7 +263,7 @@ def run_campaign(
 
     def finish(cell: CampaignCell) -> None:
         cells[cell.label] = cell
-        if store is not None and cell.status == "ok" and cell.source != "artifact":
+        if store is not None and cell.result is not None and cell.source != "artifact":
             # key the artifact on the *requested* config: a result that
             # crossed the process boundary lost any custom profiles
             store.save(cell.label, cell.result, config=requested[cell.label])
@@ -297,7 +300,7 @@ def run_campaign(
         for label, config in labelled:
             cached = store.load(label, config) if store is not None else None
             if cached is not None:
-                finish(CampaignCell(label, "ok", cached, None, 0.0, "artifact"))
+                finish(CampaignCell(label, verdict(cached), cached, None, 0.0, "artifact"))
             else:
                 pending.append((label, config))
 

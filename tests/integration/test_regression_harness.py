@@ -4,9 +4,13 @@ import json
 
 import pytest
 
+from repro import CampaignSpec
 from repro.core.experiment import ScenarioConfig
 from repro.core.regression import Regression, RegressionSuite
+from repro.core.safety import SafetyViolation
 from repro.tpcc.profiles import default_profiles
+
+from test_seed_1007_pin import SPEC as F2_SPEC
 
 
 def small_suite(**overrides):
@@ -106,3 +110,28 @@ class TestRecordCheckCycle:
         finding = Regression("s", "throughput_tpm", 100.0, 50.0, "performance")
         text = str(finding)
         assert "s.throughput_tpm" in text and "performance" in text
+
+
+class TestVerdicts:
+    """A scenario whose verdict is not ok is a reliability finding named
+    after the verdict, and never becomes a baseline (finding F2's cell,
+    pinned in test_seed_1007_pin.py, is ``diverged``)."""
+
+    @pytest.fixture(scope="class")
+    def f2_suite(self):
+        ((_, config),) = CampaignSpec.from_dict(F2_SPEC).expand()
+        return RegressionSuite({"f2": config})
+
+    def test_record_refuses_a_bad_verdict(self, f2_suite, tmp_path):
+        path = tmp_path / "baselines.json"
+        with pytest.raises(SafetyViolation, match="diverged"):
+            f2_suite.record(path)
+        assert not path.exists()
+
+    def test_check_names_the_verdict(self, f2_suite, tmp_path):
+        path = tmp_path / "baselines.json"
+        baseline = {"name": "f2", "metrics": {}, "completed": 0}
+        path.write_text(json.dumps({"f2": baseline}))
+        assert f2_suite.check(path) == [
+            Regression("f2", "diverged", 1.0, 0.0, "reliability")
+        ]

@@ -204,17 +204,34 @@ class TestReport:
             )
         assert out == "\n".join(legacy) + "\n"
 
-    def test_json_payload_schema(self, store, capsys):
+    @pytest.fixture(scope="class")
+    def smoke(self, tmp_path_factory):
+        store = tmp_path_factory.mktemp("report-smoke") / "store"
+        args = ["run", "smoke", "--transactions", "120", "--quiet"]
+        assert main(args + ["--artifact-dir", str(store)]) == 0
+        return store
+
+    def test_json_payload_schema(self, store, smoke, capsys):
         assert main(["report", str(store), "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["campaign"] == "fig7"
         assert payload["spec_hash"]
         assert payload["missing"] == []
+        for expected in ("throughput_tpm", "mean_latency_ms", "abort_rate",
+                         "cpu_total", "net_kbps", "time_to_rejoin"):
+            assert expected in payload["metrics"]
         assert len(payload["cells"]) == 3  # none / random / bursty
         for cell in payload["cells"]:
             assert set(cell["metrics"]) == set(payload["metrics"])
             assert cell["axes"]["fault"] in cell["label"]
             assert cell["axes"]["clients"] == 8
+            assert (cell["status"], cell["source"]) == ("ok", "artifact")
+        # a rejoin survives the artifact -> report path
+        assert main(["report", str(smoke), "--format", "json"]) == 0
+        cells = json.loads(capsys.readouterr().out)["cells"]
+        recovery = [c for c in cells if "recovery" in c["label"]]
+        assert recovery
+        assert all(c["metrics"]["time_to_rejoin"] is not None for c in recovery)
 
     def test_compare_and_by_views(self, store, capsys):
         assert main(

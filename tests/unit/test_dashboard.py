@@ -14,8 +14,8 @@ from repro.dashboard import journal_path
 from repro.dashboard.journal import JournalWriter
 from repro.dashboard.page import render_live_html, render_report_html
 from repro.dashboard.server import ENDPOINTS, DashboardServer
-from repro.dashboard.state import DASHBOARD_SCHEMA, CampaignView
-from repro.runner import run_campaign
+from repro.dashboard.state import CELL_STATUSES, DASHBOARD_SCHEMA, CampaignView
+from repro.runner import ArtifactStore, run_campaign
 from repro.runner.__main__ import main
 
 
@@ -106,6 +106,31 @@ class TestCampaignView:
         assert len(cells) == 3
         assert all(c["status"] == "ok" for c in cells)
         assert view.campaign_payload()["finished"] is True
+
+    def test_artifact_verdict_is_the_status(self, tmp_path):
+        """A stored result's verdict is its cell's status — whatever the
+        journal said when it ran, on resume, and with no journal."""
+        cells = [("bad", tiny_config(seed=1))]
+        run_campaign(cells, artifact_dir=tmp_path)
+        path = ArtifactStore(tmp_path).path_for("bad")
+        envelope = json.loads(path.read_text())
+        envelope["result"]["violations"].append(
+            {"monitor": "one-copy-sr", "site": "site0", "sim_time": 1.0,
+             "detail": "seeded", "seq": 1}
+        )
+        path.write_text(json.dumps(envelope))
+
+        def statuses(root):
+            view = CampaignView(root)
+            campaign = view.campaign_payload()
+            assert campaign["counts"]["violated"] == campaign["done"] == 1
+            return [c["status"] for c in view.cells_payload()["cells"]]
+
+        assert statuses(tmp_path) == ["violated"]  # journal said "ok"
+        run_campaign(cells, artifact_dir=tmp_path)  # resumes it
+        assert statuses(tmp_path) == ["violated"]
+        journal_path(tmp_path).unlink()
+        assert statuses(tmp_path) == ["violated"]
 
     def test_violations_feed(self, tmp_path):
         """Monitored cells flush tagged violations through the view."""
@@ -206,6 +231,12 @@ class TestHtmlReport:
     def test_live_page_has_no_embedded_data(self):
         html = render_live_html()
         assert "const EMBEDDED = null" in html
+
+    @pytest.mark.parametrize("status", CELL_STATUSES)
+    def test_every_status_has_a_legend_entry(self, status):
+        """Colour never carries a status alone: each ships an icon and a
+        label in the legend."""
+        assert f'  ["{status}", "' in render_live_html()
 
     def test_cli_report_html(self, campaign_dir, tmp_path, capsys):
         out1 = tmp_path / "r1.html"

@@ -1,8 +1,8 @@
 """Docs-consistency check: README.md and ARCHITECTURE.md must keep up
 with the code.  Fails when a registered replication protocol, a
-registered campaign, a registered metric, a fault action, or a
-``REPRO_*`` environment knob is missing from the docs — the drift this
-PR-sized repo accumulates fastest.
+registered campaign, a registered metric, a fault action, a cell
+verdict, or a ``REPRO_*`` environment knob is missing from the docs —
+the drift this PR-sized repo accumulates fastest.
 """
 
 import re
@@ -13,6 +13,7 @@ import pytest
 from repro.analysis import available_metric_families, available_metrics
 from repro.campaigns import available_campaigns
 from repro.core.faults import FAULT_ACTIONS
+from repro.core.safety import VERDICTS
 from repro.dashboard.server import ENDPOINTS as DASHBOARD_ENDPOINTS
 from repro.monitors import available_monitors
 from repro.protocols import available_protocols
@@ -100,6 +101,14 @@ class TestReadme:
             "README monitor table"
         )
 
+    @pytest.mark.parametrize("verdict", VERDICTS)
+    def test_verdicts_in_table(self, verdict):
+        """The README "Verdicts and exit codes" table must not drift
+        from the verdicts a cell can get."""
+        assert f"| `{verdict}` |" in README, (
+            f"verdict {verdict!r} missing from the README verdict table"
+        )
+
 
 class TestArchitecture:
     @pytest.mark.parametrize("protocol", available_protocols())
@@ -132,6 +141,12 @@ class TestArchitecture:
         assert f"| `{monitor}` |" in ARCHITECTURE, (
             f"monitor {monitor!r} missing from the ARCHITECTURE "
             "monitor table"
+        )
+
+    @pytest.mark.parametrize("verdict", VERDICTS)
+    def test_verdicts_in_table(self, verdict):
+        assert f"| `{verdict}` |" in ARCHITECTURE, (
+            f"verdict {verdict!r} missing from the ARCHITECTURE verdict table"
         )
 
     @pytest.mark.parametrize("endpoint", sorted(DASHBOARD_ENDPOINTS))

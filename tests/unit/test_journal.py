@@ -179,6 +179,31 @@ class TestRunnerIntegration:
         finishes = [e for e in events if e["kind"] == "cell-finish"]
         assert [e["source"] for e in finishes] == ["in-process", "artifact"]
 
+    def test_cell_finish_carries_the_verdict(self, tmp_path):
+        """A resumed cell's status is its artifact's verdict; the
+        campaign-end counts keep their keys, ``failed`` counting every
+        cell that is not ok."""
+        from repro.core.experiment import ScenarioConfig
+        from repro.runner import ArtifactStore, run_campaign
+
+        cells = [
+            ("a", ScenarioConfig(sites=1, clients=10, transactions=40, seed=1)),
+        ]
+        run_campaign(cells, artifact_dir=tmp_path)
+        path = ArtifactStore(tmp_path).path_for("a")
+        envelope = json.loads(path.read_text())
+        envelope["result"]["violations"].append(
+            {"monitor": "one-copy-sr", "site": "site0", "sim_time": 1.0,
+             "detail": "seeded", "seq": 1}
+        )
+        path.write_text(json.dumps(envelope))
+        (cell,) = run_campaign(cells, artifact_dir=tmp_path).cells
+        assert (cell.source, cell.status) == ("artifact", "violated")
+        events = read_journal(journal_path(tmp_path))
+        finishes = [e["status"] for e in events if e["kind"] == "cell-finish"]
+        assert finishes == ["ok", "violated"]
+        assert (events[-1]["ok"], events[-1]["failed"]) == (0, 1)
+
     def test_journal_off_leaves_no_file(self, tmp_path):
         from repro.core.experiment import ScenarioConfig
         from repro.runner import run_campaign
