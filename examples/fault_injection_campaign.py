@@ -18,23 +18,20 @@ The whole matrix is one named campaign spec, so the identical run is
 also available as ``python -m repro.runner run safety --set
 transactions=600`` — and this script only *slices* the registered spec;
 with ``REPRO_ARTIFACT_DIR`` set, ``python -m repro.runner report
-faults`` re-renders the stored results any time.  Knobs (the same ones
-every entry point honours — see README "Fault model & recovery"): set
-``REPRO_PROTOCOL=primary-copy`` to run the matrix under passive
-replication instead of the DBSM (the command-line equivalent is
-``--protocol``), ``REPRO_WORKERS=N`` to spread cells across N worker
-processes, and ``REPRO_ARTIFACT_DIR`` to make the campaign resumable
-(a second invocation loads completed cells from
-``$REPRO_ARTIFACT_DIR/faults/``, where the spec hash is also recorded
-for provenance).
+faults`` re-renders the stored results any time.  It runs the DBSM;
+the matrix under another protocol is ``python -m repro.runner run
+safety --protocol primary-copy``.  Knobs (the same ones every entry
+point honours — see README "Fault model & recovery"):
+``REPRO_WORKERS=N`` spreads cells across N worker processes, and
+``REPRO_ARTIFACT_DIR`` makes the campaign resumable (a second
+invocation loads completed cells from ``$REPRO_ARTIFACT_DIR/faults/``,
+where the spec hash is also recorded for provenance).
 
 Run:  python examples/fault_injection_campaign.py
 """
 
 from repro import get_campaign
 from repro.analysis import ResultSet, render_text
-from repro.core.env import env_choice
-from repro.protocols import available_protocols
 from repro.runner import resolve_workers, run_campaign
 
 IMPACT_METRICS = ("records", "throughput_tpm", "cert_p50_ms", "cert_p99_ms")
@@ -47,14 +44,7 @@ RECOVERY_METRICS = (
 
 
 def main() -> None:
-    protocol = env_choice(
-        "REPRO_PROTOCOL", "dbsm", available_protocols(), strict=True
-    )
-    spec = (
-        get_campaign("safety")
-        .with_axis("protocol", (protocol,))
-        .with_axis("transactions", (600,))
-    )
+    spec = get_campaign("safety").with_axis("transactions", (600,))
     workers = resolve_workers()
     campaign = run_campaign(
         spec.expand(),
@@ -63,7 +53,7 @@ def main() -> None:
         progress=workers > 1,
         manifest=spec.manifest(),
     )
-    print(f"protocol: {protocol}  (spec hash {spec.spec_hash()})")
+    print(f"protocol: dbsm  (spec hash {spec.spec_hash()})")
     commit_counts = {}
     for name, result in campaign.pairs():
         commit_counts[name] = result.check_safety()  # raises on divergence

@@ -1,7 +1,7 @@
 """repro.analysis — the unified results-analysis API.
 
 Every result-consuming layer — the runner summary, the figure/table
-benchmarks, the examples, ``RegressionSuite`` and the ``report``
+tests, the examples, ``RegressionSuite`` and the ``report``
 subcommand — derives and formats its numbers through this package;
 nothing outside it re-implements a metric or a table.
 

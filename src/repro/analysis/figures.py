@@ -3,8 +3,8 @@
 Each figure the paper's evaluation prints is one named
 :class:`Figure`: a builder from a :class:`~repro.analysis.resultset.ResultSet`
 to a :class:`~repro.analysis.aggregate.Table`, plus the exact title,
-value format and column display names the benchmark suite has always
-printed — so ``benchmarks/test_fig*`` and ``python -m repro.runner
+value format and column display names the figure suite has always
+printed — so ``tests/figures/test_fig*`` and ``python -m repro.runner
 report --figure`` produce byte-identical tables from the same results.
 
 Axis conventions: performance-grid cells carry ``system`` (the Figure 5

@@ -1,7 +1,7 @@
 """Renderers: aligned text, markdown, CSV and JSON views.
 
 All output formatting of analysis values lives here — consumers
-(runner summary, benchmarks, examples, the ``report`` subcommand)
+(runner summary, figure suite, examples, the ``report`` subcommand)
 never format a metric value themselves.
 
 ``format_table`` is the paper-style fixed-width layout the benchmark

@@ -8,7 +8,7 @@ renders one view:
 * default — the campaign summary table, byte-identical to the summary a
   resumed ``run`` prints from the same artifacts;
 * ``--figure fig5a|...|table2`` — a paper figure/table, byte-identical
-  to the benchmark suite's printed output;
+  to the figure suite's printed output;
 * ``--metric M --by AXIS`` — metrics aggregated along one campaign axis
   (with seed-replicate 95 % CIs where there are replicates);
 * ``--metric M --pivot ROW,COL`` — one metric over two axes;
@@ -117,7 +117,7 @@ def run_report(
         if fmt == "json":
             return _json(rs, chosen, figure=figure, table=table_payload(table))
         # text output keeps the historical leading blank line, so it is
-        # byte-identical to what the benchmark suite prints
+        # byte-identical to what the figure suite prints
         return render_figure(table, figure, fmt=fmt)
     if compare is not None:
         axis, sep, values = compare.partition("=")

@@ -2,7 +2,7 @@
 
 Mirrors the replication-protocol registry (:mod:`repro.protocols.base`):
 campaigns resolve by name everywhere — the runner CLI (``run smoke``),
-the benchmark grid — and registering a spec is all it takes to make a
+the figure suite's grid — and registering a spec is all it takes to make a
 new grid runnable, listable, describable and exportable from the
 command line.
 

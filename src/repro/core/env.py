@@ -1,9 +1,9 @@
 """Consolidated ``REPRO_*`` environment-knob parsing.
 
 Every knob the package reads — ``REPRO_SCALE``, ``REPRO_WORKERS``,
-``REPRO_ARTIFACT_DIR``, ``REPRO_PROTOCOL`` — goes through one of the
-helpers here, so a misconfiguration is always reported the same way:
-a :class:`RuntimeWarning` naming the knob, the offending value and the
+``REPRO_ARTIFACT_DIR`` — goes through one of the helpers here, so a
+misconfiguration is always reported the same way: a
+:class:`RuntimeWarning` naming the knob, the offending value and the
 value actually used, issued **once per distinct misconfiguration per
 process**, followed by a clamp or a fall-back to the default.  A typo
 like ``REPRO_SCALE=O.5`` can therefore never silently shrink a
@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import os
 import warnings
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
-__all__ = ["env_choice", "env_float", "env_int", "env_str", "warn_once"]
+__all__ = ["env_float", "env_int", "env_str", "warn_once"]
 
 #: Complaints already issued, keyed by (knob, kind, offending value) —
 #: each distinct misconfiguration warns exactly once per process.
@@ -87,33 +87,6 @@ def env_int(name: str, default: int, minimum: Optional[int] = None) -> int:
         )
         return minimum
     return value
-
-
-def env_choice(
-    name: str, default: str, choices: Sequence[str], strict: bool = False
-) -> str:
-    """A knob restricted to ``choices`` (e.g. a registry's names).
-
-    A value outside the choices falls back to ``default`` with a
-    warn-once naming the valid options — unless ``strict``, in which
-    case it raises :class:`ValueError` instead: use strict for knobs
-    that select *what* is measured (experiment identity, e.g. the
-    protocol under benchmark), where a silent fallback would produce a
-    plausible-looking result for the wrong thing.
-    """
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    if raw not in choices:
-        message = f"{name}={raw!r} is not one of ({', '.join(choices)})"
-        if strict:
-            raise ValueError(message)
-        warn_once(
-            (name, "choice", raw),
-            f"{message}; using the default {default!r}",
-        )
-        return default
-    return raw
 
 
 def env_str(name: str, default: Optional[str] = None) -> Optional[str]:

@@ -7,7 +7,8 @@ models layered on it:
 
 * **callback events** — ``Simulator.schedule`` runs a callable at a future
   simulated instant; this is the style the protocol runtime uses.
-* **processes** — generator coroutines driven by :class:`Process`; the
+* **processes** — generator coroutines driven by :class:`Process`,
+  each yielding a number (sleep) or a :class:`Signal` (wait); the
   database-server and client models are written in this style because
   transactions are naturally sequential (fetch, process, write, commit).
 
@@ -18,15 +19,15 @@ seq)`` order, whichever of the two containers below holds them.
 
 A zero-delay hop that would run next anyway is taken in place
 (:meth:`Simulator.elide_hop`: it costs its sequence number, not an
-event); ``events_executed`` counts events, not hops; a budgeted or
-stopped run elides nothing.
+event); ``events_executed`` counts events, not hops; a stopped run
+elides nothing.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 __all__ = [
     "Simulator",
@@ -97,9 +98,6 @@ class Event:
             if self._sim is not None:
                 self._sim._note_cancelled()
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
         return f"<Event t={self.time:.6f} seq={self.seq}{state}>"
@@ -117,10 +115,9 @@ class Simulator:
     def __init__(self) -> None:
         #: Min-heap of ``(time, seq, event)`` entries — or, for the
         #: fire-and-forget :meth:`call` path, ``(time, seq, fn, args)``.
-        #: Keyed by tuple so heap maintenance compares tuples in C
-        #: instead of calling ``Event.__lt__`` — profiling shows event
-        #: comparison dominating large campaigns otherwise (millions of
-        #: calls per cell).  ``(time, seq)`` is unique, so comparison
+        #: Keyed by tuple so heap maintenance compares tuples in C —
+        #: event comparison would otherwise dominate large campaigns
+        #: (millions per cell).  ``(time, seq)`` is unique, so comparison
         #: never reaches the mixed third element.
         self._queue: list[tuple] = []
         #: The same-instant lane: handle-free ``(time, seq, fn, args)``
@@ -142,10 +139,9 @@ class Simulator:
         #: draining run still ends there, as it did when the event
         #: existed.
         self._horizon = 0.0
+        #: :meth:`run` is executing (see :meth:`elide_hop`).
         self._running = False
         self._stopped = False
-        #: An unbudgeted :meth:`run` is executing (see :meth:`elide_hop`).
-        self._eliding = False
         #: Cancelled events still sitting in the heap (lazy deletion).
         self._cancelled = 0
         self.events_executed = 0
@@ -213,8 +209,8 @@ class Simulator:
 
     def elide_hop(self) -> bool:
         """Whether a zero-delay :meth:`call` made now would be the very
-        next event executed — an unbudgeted, unstopped :meth:`run` is
-        executing an event, the lane is empty, the heap holds nothing at
+        next event executed — an unstopped :meth:`run` is executing an
+        event, the lane is empty, the heap holds nothing at
         ``now`` — and if so take that hop: its sequence number is
         consumed and ``_exec_seq`` advanced as executing it would, and
         the caller does inline what it would have scheduled.
@@ -222,7 +218,7 @@ class Simulator:
         **Tail position only**: after a true answer the caller's stack
         may only ``return`` / ``yield`` until the running event ends —
         anything else it did would have run *before* the hop."""
-        if not self._eliding or self._lane or self._stopped:
+        if not self._running or self._lane or self._stopped:
             return False
         queue = self._queue
         if queue and queue[0][0] <= self._now:
@@ -263,38 +259,32 @@ class Simulator:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> float:
-        """Execute events until the queue drains, ``until`` is reached, or
-        ``max_events`` have run.  Returns the final simulated time.
+    def run(self, until: Optional[float] = None) -> float:
+        """Execute events until the queue drains or ``until`` is reached.
+        Returns the final simulated time.
 
         When ``until`` is given the clock is advanced to exactly ``until``
         even if the queue drained earlier, mirroring SSF's bounded runs —
-        unless :meth:`stop` or ``max_events`` cut the run short: the
-        clock never passes an event still to run.
+        unless :meth:`stop` cut the run short: the clock never passes an
+        event still to run.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
         self._stopped = False
-        self._eliding = max_events is None
         executed = 0
         # The hottest loop in the repository: locals for the queue (its
         # identity is stable — compaction filters in place), the lane
         # and the pops, tuple unpacking instead of attribute loads.
         queue = self._queue
         heappop = heapq.heappop
-        budget = -1 if max_events is None else max_events
         limit = float("inf") if until is None else until
         # Lane entries are all at ``now``: a bound already in the past
         # runs none of them (nor anything else).
         lane = self._lane if self._now <= limit else ()
         popleft = self._lane.popleft
         try:
-            while not self._stopped and executed != budget:
+            while not self._stopped:
                 # Whichever of heap top and lane head has the smaller
                 # (time, seq) runs: one total order over two containers.
                 # A heap entry at ``now`` can precede the lane's head —
@@ -326,9 +316,9 @@ class Simulator:
                     break
                 executed += 1
         finally:
-            self._running = self._eliding = False
+            self._running = False
             self.events_executed += executed
-        if not self._stopped and executed != budget:
+        if not self._stopped:
             # Drained, or everything up to ``until`` has run: no event at
             # the final instant is still to come, an elided one included.
             self._exec_seq = self._seq
@@ -358,8 +348,10 @@ class Simulator:
 
         * a number — sleep that many simulated seconds;
         * a :class:`Signal` — suspend until the signal fires, receiving the
-          fired value as the result of the ``yield``;
-        * another :class:`Process` — suspend until that process terminates.
+          fired value as the result of the ``yield``.
+
+        Its return value is discarded: a process that must report back
+        fires a :class:`Signal` of its own.
         """
         proc = Process(self, generator, name)
         # Start on a fresh event so creation order equals start order but
@@ -416,33 +408,18 @@ class Signal:
 class Process:
     """A running generator coroutine (see :meth:`Simulator.process`)."""
 
-    __slots__ = ("sim", "name", "_gen", "_done", "_result", "_done_signal")
+    __slots__ = ("sim", "name", "_gen")
 
     def __init__(self, sim: Simulator, generator: Generator, name: str = ""):
         self.sim = sim
         self.name = name
         self._gen = generator
-        self._done = False
-        self._result: Any = None
-        self._done_signal = Signal(sim, latch=True)
-
-    @property
-    def done(self) -> bool:
-        return self._done
-
-    @property
-    def result(self) -> Any:
-        """Value returned by the generator (``None`` until done)."""
-        return self._result
 
     def _step(self, sent_value: Any) -> None:
-        if self._done:
-            return
         while True:
             try:
                 yielded = self._gen.send(sent_value)
-            except StopIteration as stop:
-                self._finish(stop.value)
+            except StopIteration:
                 return
             # A latched signal that has already fired wakes us on a
             # zero-delay hop: taken here, in the tail of this event.
@@ -455,10 +432,9 @@ class Process:
 
     def _dispatch(self, yielded: Any) -> None:
         if isinstance(yielded, (int, float)):
-            # Sleeps are never cancelled individually (interrupt() marks
-            # the process done and the stale step no-ops), so the
-            # handle-free path applies — inlined, as every transaction
-            # step in the process model passes through here.
+            # Sleeps are never cancelled, so the handle-free path
+            # applies — inlined, as every transaction step in the
+            # process model passes through here.
             delay = float(yielded)
             if delay < 0:
                 raise SimulationError(f"cannot schedule {delay!r}s in the past")
@@ -467,39 +443,13 @@ class Process:
             _heappush(sim._queue, (sim._now + delay, sim._seq, self._step, (None,)))
         elif isinstance(yielded, Signal):
             yielded._add_waiter(self._step)
-        elif isinstance(yielded, Process):
-            yielded._done_signal._add_waiter(self._step)
         else:
             raise SimulationError(
                 f"process {self.name!r} yielded unsupported value {yielded!r}"
             )
 
-    def _finish(self, result: Any) -> None:
-        self._done = True
-        self._result = result
-        self._done_signal.fire(result)
-
-    def interrupt(self, error: Optional[BaseException] = None) -> None:
-        """Terminate the process.
-
-        If ``error`` is given it is thrown into the generator so ``finally``
-        blocks run; otherwise the generator is closed.  Used by the fault
-        injector to crash simulated components.
-        """
-        if self._done:
-            return
-        if error is not None:
-            try:
-                self._gen.throw(error)
-            except (StopIteration, type(error)):
-                pass
-        else:
-            self._gen.close()
-        self._finish(None)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "done" if self._done else "running"
-        return f"<Process {self.name!r} {state}>"
+        return f"<Process {self.name!r}>"
 
 
 class Entity:
@@ -507,18 +457,16 @@ class Entity:
 
     SSF models are built as libraries of entities; ours follow suit.  The
     class only centralizes the ``sim`` handle and scheduling helpers so
-    component code reads naturally.
+    component code reads naturally: ``self.schedule`` / ``self.call`` are
+    :meth:`Simulator.schedule` / :meth:`Simulator.call`.
     """
 
     def __init__(self, sim: Simulator, name: str = ""):
         self.sim = sim
         self.name = name or type(self).__name__
-        # Bind the simulator's schedule directly on the instance: entity
-        # scheduling is hot-path (every link transmission, cache-hit
-        # notification and CPU completion goes through it) and the extra
-        # delegation frame of the class-level helper below is measurable.  The
-        # method definition stays as documentation and for subclasses
-        # that look it up on the class.
+        # Bound on the instance: entity scheduling is hot-path (every
+        # link transmission, cache-hit notification and CPU completion
+        # goes through it), so no delegation frame.
         self.schedule = sim.schedule
         self.call = sim.call
 
@@ -526,22 +474,5 @@ class Entity:
     def now(self) -> float:
         return self.sim._now
 
-    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
-        return self.sim.schedule(delay, fn, *args)
-
-    def call(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
-        self.sim.call(delay, fn, *args)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"
-
-
-def drain(sim: Simulator, processes: Iterable[Process], until: float) -> None:
-    """Run ``sim`` until every process in ``processes`` finished or ``until``.
-
-    Convenience used by tests and examples.
-    """
-    sim.run(until=until)
-    unfinished = [p for p in processes if not p.done]
-    if unfinished:
-        raise SimulationError(f"{len(unfinished)} processes unfinished at t={until}")

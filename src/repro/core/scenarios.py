@@ -1,7 +1,7 @@
 """Canonical experiment configurations (paper §5).
 
-Centralizes the exact scenario grid the paper evaluates so benchmarks,
-examples and tests all speak the same names:
+Centralizes the exact scenario grid the paper evaluates so the figure
+suite, examples and tests all speak the same names:
 
 * **Figure 5/6 grid** — centralized servers with 1, 3 and 6 CPUs and
   replicated databases with 3 and 6 single-CPU sites, driven by 100 to
@@ -14,7 +14,7 @@ examples and tests all speak the same names:
 ``REPRO_SCALE`` (environment) scales the *transaction count* of each
 run; client counts are load parameters and stay at paper values.  Scale
 1.0 is the paper's 10 000-transaction runs; the default 0.3 keeps the
-full benchmark suite in laptop territory while preserving every shape.
+full figure suite in laptop territory while preserving every shape.
 """
 
 from __future__ import annotations

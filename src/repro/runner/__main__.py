@@ -58,7 +58,6 @@ recovery" for the full table):
   REPRO_SCALE         per-run transaction scale (default 0.3; 1.0 = paper size)
   REPRO_WORKERS       default worker-process count (--workers overrides)
   REPRO_ARTIFACT_DIR  root for resumable JSON artifacts (--artifact-dir overrides)
-  REPRO_PROTOCOL      protocol for the *benchmark* grids (this CLI uses --protocol)
 
 axis overrides compose left to right: --set protocol=dbsm,primary-copy
 --set clients=100,500 --set transactions=600.  --protocol and

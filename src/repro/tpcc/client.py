@@ -49,7 +49,7 @@ class Client(Entity):
         self.issued = 0
         self.completed = 0
         self._stopped = False
-        self.process = sim.process(self._loop(), name=self.name)
+        sim.process(self._loop(), name=self.name)
 
     def stop(self) -> None:
         """Stop issuing after the in-flight transaction (if any)."""

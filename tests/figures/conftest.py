@@ -1,4 +1,4 @@
-"""Shared machinery for the paper-reproduction benchmarks.
+"""Shared machinery for the paper-figure tests.
 
 Each ``test_fig*`` / ``test_table*`` module regenerates one figure or
 table of the paper's evaluation (§4.2, §5).  The heavy client sweeps are
@@ -15,30 +15,27 @@ apply: ``REPRO_SCALE`` (default 0.3) scales per-run transaction counts
 computes missing cells.  Metrics are identical whichever path ran them.
 With ``REPRO_SCALE`` unset the 25-cell Figure 5/6 grid runs
 ``GRID_TRANSACTIONS`` per cell instead of the default scale's 3 000 —
-it is tier-1's largest fixture but one (ROADMAP item 0(c)).
+it is tier-1's largest fixture but one.
 
-``REPRO_PROTOCOL`` selects the replication protocol of the replicated
-cells (default ``dbsm``), so the same Figure 5/6 performance grid and
-Figure 7 fault grid can be regenerated per protocol and compared.  The
+The suite runs ``dbsm`` alone: the
 paper-shape assertions are calibrated against ``dbsm`` — the protocol
 the paper measures — and other protocols legitimately diverge (that
 divergence being the point of the comparison), so shape assertions are
-enforced only for ``dbsm``.
+enforced only for ``dbsm``.  Another protocol's figures come from the
+CLI: ``python -m repro.runner run fig5 --protocol X --artifact-dir
+DIR``, then ``python -m repro.runner report DIR --figure fig5a``.  An
+explicit ``REPRO_SCALE`` below the default 0.3 runs grids smaller than
+the shapes are calibrated for, and some shape assertions then fail.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, Tuple
 
 import pytest
 
-from repro.analysis import ResultSet, format_table
+from repro.analysis import ResultSet
 from repro.campaigns import get_campaign
-from repro.core.env import env_choice
-from repro.core.experiment import ScenarioResult
-from repro.core.scenarios import CLIENT_LEVELS, SYSTEM_CONFIGS
-from repro.protocols import available_protocols
 from repro.runner import run_campaign
 
 
@@ -48,75 +45,36 @@ from repro.runner import run_campaign
 GRID_TRANSACTIONS = 2000
 
 
-def bench_protocol() -> str:
-    """The replication protocol under benchmark (``REPRO_PROTOCOL``).
-
-    Strict: an unregistered value raises (naming the registry) instead
-    of warn-and-fall-back — the protocol decides *what* the benchmark
-    measures, and silently benchmarking ``dbsm`` under a typo'd name
-    would green-light the wrong experiment.  (The CLI's ``--protocol``
-    is equally strict via argparse choices.)"""
-    return env_choice(
-        "REPRO_PROTOCOL", "dbsm", available_protocols(), strict=True
-    )
-
-
-def assert_paper_shapes() -> bool:
-    """Whether the paper's dbsm-calibrated shape assertions apply."""
-    return bench_protocol() == "dbsm"
-
-
 @pytest.fixture(scope="session")
-def performance_grid():
+def performance_grid() -> ResultSet:
     """All (system config, client level) points of Figures 5/6, expanded
     from the registered ``fig5`` campaign spec and executed through the
     campaign runner (parallel when REPRO_WORKERS is set, resumable when
     REPRO_ARTIFACT_DIR is set).
 
+    The Figure 5/6 grid as an axis-tagged ResultSet, in the canonical
+    SYSTEM_CONFIGS x CLIENT_LEVELS order (so figure tables keep the
+    historical row/column ordering whatever order the cells ran in).
     The spec's protocol-prefix label rule keeps the historical artifact
     names: centralized baselines and ``dbsm`` cells stay protocol-free
     (existing caches remain valid and the expensive centralized runs
-    are shared), while any other REPRO_PROTOCOL value scopes its
-    replicated cells so stored protocols never clobber each other."""
+    are shared)."""
     spec = (
         get_campaign("fig5")
-        .with_axis("protocol", (bench_protocol(),))
         # None: the REPRO_SCALE-scaled paper count, when one was asked for
         .with_axis(
             "transactions",
             (None if "REPRO_SCALE" in os.environ else GRID_TRANSACTIONS,),
         )
-        # the bench suite's tighter sampling/drain windows
+        # the figure suite's tighter sampling/drain windows
         .with_axis("sample_interval", (2.0,))
         .with_axis("drain_time", (5.0,))
     )
-    system_label = {
-        (sites, cpus): label for label, sites, cpus in SYSTEM_CONFIGS
-    }
     labelled = spec.expand()
     campaign = run_campaign(
         labelled, campaign="fig5-grid", progress=True, manifest=spec.manifest()
     )
-    grid: Dict[Tuple[str, int], ScenarioResult] = {}
-    for (_, config), (_, result) in zip(labelled, campaign.pairs()):
-        key = (system_label[(config.sites, config.cpus_per_site)], config.clients)
-        grid[key] = result
-    return grid
-
-
-def grid_resultset(performance_grid) -> ResultSet:
-    """The Figure 5/6 grid as an axis-tagged ResultSet, in the canonical
-    SYSTEM_CONFIGS x CLIENT_LEVELS order (so figure tables keep the
-    historical row/column ordering whatever order the cells ran in)."""
-    return ResultSet.from_results(
-        (
-            f"{label} c{clients}",
-            performance_grid[(label, clients)],
-            {"system": label, "clients": clients},
-        )
-        for label, _, _ in SYSTEM_CONFIGS
-        for clients in CLIENT_LEVELS
-    )
+    return ResultSet.from_campaign(campaign, spec=spec)
 
 
 def figure_series(performance_grid, figure_key):
@@ -125,13 +83,6 @@ def figure_series(performance_grid, figure_key):
     shape every fig5/fig6 assertion reads."""
     from repro.analysis import figure_table, render_figure
 
-    table = figure_table(grid_resultset(performance_grid), figure_key)
+    table = figure_table(performance_grid, figure_key)
     print(render_figure(table, figure_key))
     return table.columns()
-
-
-def print_table(title: str, headers, rows) -> None:
-    """Paper-style fixed-width table on stdout (shown with pytest -s);
-    rendered by :mod:`repro.analysis` so every table in the suite shares
-    one formatter."""
-    print(format_table(title, headers, rows))

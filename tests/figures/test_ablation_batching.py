@@ -8,8 +8,7 @@ latency; window 0 ships one SEQUENCE per transaction.
 
 import pytest
 
-from conftest import print_table
-
+from repro.analysis import format_table
 from repro.core.experiment import Scenario, ScenarioConfig
 from repro.core.scenarios import scaled_transactions
 from repro.gcs.config import GcsConfig
@@ -51,10 +50,12 @@ def test_ablation_sequence_batching(batching_sweep):
         (f"{window*1000:.0f} ms", stats[window][0], f"{stats[window][1]*1000:6.2f}")
         for window in WINDOWS
     ]
-    print_table(
-        "Ablation: sequencer batching window",
-        ("window", "SEQUENCE msgs", "median cert latency (ms)"),
-        rows,
+    print(
+        format_table(
+            "Ablation: sequencer batching window",
+            ("window", "SEQUENCE msgs", "median cert latency (ms)"),
+            rows,
+        )
     )
     # bigger windows send fewer SEQUENCE messages...
     assert stats[0.010][0] < stats[0.002][0] <= stats[0.0][0]

@@ -10,8 +10,7 @@ delivery (the large-read-set class) aborts far more often.
 
 import pytest
 
-from conftest import print_table
-
+from repro.analysis import format_table
 from repro.core.experiment import Scenario, ScenarioConfig
 from repro.core.scenarios import scaled_transactions
 
@@ -85,10 +84,12 @@ def test_ablation_escalation_tradeoff(escalation_sweep):
         )
         for threshold in THRESHOLDS
     ]
-    print_table(
-        "Ablation: read-set escalation threshold (delivery class)",
-        ("threshold", "termination msg bytes", "delivery abort %", "all abort %"),
-        rows,
+    print(
+        format_table(
+            "Ablation: read-set escalation threshold (delivery class)",
+            ("threshold", "termination msg bytes", "delivery abort %", "all abort %"),
+            rows,
+        )
     )
     # escalation shrinks the termination message: the shipped read set
     # collapses from ~130 tuple ids to a handful of table locks

@@ -9,8 +9,7 @@ and shows blocking time collapsing while throughput recovers.
 
 import pytest
 
-from conftest import print_table
-
+from repro.analysis import format_table
 from repro.core.experiment import Scenario
 from repro.core.scenarios import fault_config, prototype_gcs_config, scaled_transactions
 
@@ -52,10 +51,12 @@ def test_ablation_buffer_share_mitigates_blocking(share_sweep):
         (share, f"{stats[share][0]:7.2f}", stats[share][1], f"{stats[share][2]:7.1f}")
         for share in SHARES
     ]
-    print_table(
-        "Ablation: per-sender buffer share under 5% random loss",
-        ("share", "blocked (s)", "block events", "mean latency (ms)"),
-        rows,
+    print(
+        format_table(
+            "Ablation: per-sender buffer share under 5% random loss",
+            ("share", "blocked (s)", "block events", "mean latency (ms)"),
+            rows,
+        )
     )
     blocked = {share: stats[share][0] for share in SHARES}
     # more buffer -> monotonically less blocking; the big share

@@ -9,8 +9,7 @@ measured by running the flood/ping-pong code under the runtime.
 
 import pytest
 
-from conftest import print_table
-
+from repro.analysis import format_table
 from repro.core.validation import (
     csrt_recv_bandwidth_bps,
     csrt_round_trip,
@@ -38,10 +37,12 @@ def test_fig3a_bandwidth_written():
         assert csrt[size] == pytest.approx(real, rel=0.05)
     above = 6000
     assert csrt_send_bandwidth_bps(above, duration=0.05) > real_send_bandwidth_bps(above)
-    print_table(
-        "Figure 3(a): bandwidth written (Mbit/s)",
-        ("size", "Real", "CSRT", "err"),
-        rows,
+    print(
+        format_table(
+            "Figure 3(a): bandwidth written (Mbit/s)",
+            ("size", "Real", "CSRT", "err"),
+            rows,
+        )
     )
 
 
@@ -54,10 +55,12 @@ def test_fig3b_bandwidth_ethernet():
         rows.append((size, f"{real/1e6:7.1f}", f"{csrt[size]/1e6:7.1f}"))
         assert csrt[size] == pytest.approx(real, rel=0.10)
         assert csrt[size] < 100e6  # never exceeds the wire
-    print_table(
-        "Figure 3(b): bandwidth on Ethernet 100 (Mbit/s)",
-        ("size", "Real", "CSRT"),
-        rows,
+    print(
+        format_table(
+            "Figure 3(b): bandwidth on Ethernet 100 (Mbit/s)",
+            ("size", "Real", "CSRT"),
+            rows,
+        )
     )
 
 
@@ -77,8 +80,10 @@ def test_fig3c_round_trip():
             assert csrt[size] == pytest.approx(real, rel=0.15)
     # divergence above the MTU has the published sign: simulated faster
     assert csrt_round_trip(4096, rounds=20, enforce_mtu=False) < real_round_trip(4096)
-    print_table(
-        "Figure 3(c): average round-trip (us)",
-        ("size", "Real", "CSRT(mtu)", "CSRT(ssfnet)"),
-        rows,
+    print(
+        format_table(
+            "Figure 3(c): average round-trip (us)",
+            ("size", "Real", "CSRT(mtu)", "CSRT(ssfnet)"),
+            rows,
+        )
     )

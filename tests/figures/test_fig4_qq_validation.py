@@ -10,8 +10,7 @@ simulated sample is a full model run at the same load.
 
 import pytest
 
-from conftest import print_table
-
+from repro.analysis import format_table
 from repro.core.experiment import Scenario, ScenarioConfig
 from repro.core.metrics import qq_points
 from repro.core.scenarios import scale
@@ -68,10 +67,12 @@ def _qq_print(simulated, reference, label):
         (f"{qa*1000:8.2f}", f"{qb*1000:8.2f}", f"{(qa/qb if qb else 1):5.2f}")
         for qa, qb in body
     ]
-    print_table(
-        f"Figure 4 Q-Q ({label}): sim vs real quantiles (ms)",
-        ("sim", "real", "ratio"),
-        rows,
+    print(
+        format_table(
+            f"Figure 4 Q-Q ({label}): sim vs real quantiles (ms)",
+            ("sim", "real", "ratio"),
+            rows,
+        )
     )
 
 

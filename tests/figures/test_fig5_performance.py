@@ -15,15 +15,13 @@ are byte-identical to ``python -m repro.runner report --figure``.
 
 import pytest
 
-from conftest import assert_paper_shapes, figure_series
+from conftest import figure_series
 
 from repro.core.scenarios import CLIENT_LEVELS, SYSTEM_CONFIGS
 
 
 def test_fig5a_throughput(performance_grid):
     series = figure_series(performance_grid, "fig5a")
-    if not assert_paper_shapes():
-        return  # shapes below are calibrated against the paper's dbsm runs
     # replication does not limit throughput: same-CPU centralized vs
     # replicated within 20% over each system's documented scaling range
     # (3 sites scale gracefully up to about 1500 clients; 6 sites past
@@ -53,8 +51,6 @@ def test_fig5a_throughput(performance_grid):
 
 def test_fig5b_latency(performance_grid):
     series = figure_series(performance_grid, "fig5b")
-    if not assert_paper_shapes():
-        return  # shapes below are calibrated against the paper's dbsm runs
     # saturation shows as sharply growing latency on the 1 CPU curve
     one_cpu = series["1 CPU"]
     assert one_cpu[-1] > 3 * one_cpu[0]
@@ -67,8 +63,6 @@ def test_fig5b_latency(performance_grid):
 
 def test_fig5c_abort_rate(performance_grid):
     series = figure_series(performance_grid, "fig5c")
-    if not assert_paper_shapes():
-        return  # shapes below are calibrated against the paper's dbsm runs
     # aborts grow with load on the saturated 1 CPU curve
     one_cpu = series["1 CPU"]
     assert one_cpu[-1] > one_cpu[0]

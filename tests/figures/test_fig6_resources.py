@@ -14,18 +14,14 @@ Series derivation and printing go through :mod:`repro.analysis` (the
 
 import pytest
 
-from conftest import assert_paper_shapes, figure_series, grid_resultset
+from conftest import figure_series
 
 from repro.core.scenarios import CLIENT_LEVELS, SYSTEM_CONFIGS
 
 
 def test_fig6a_cpu_usage(performance_grid):
     total = figure_series(performance_grid, "fig6a")
-    protocol = grid_resultset(performance_grid).pivot(
-        "clients", "system", "cpu_protocol"
-    ).columns()
-    if not assert_paper_shapes():
-        return  # shapes below are calibrated against the paper's dbsm runs
+    protocol = performance_grid.pivot("clients", "system", "cpu_protocol").columns()
     # one CPU approaches saturation by 500 clients
     assert total["1 CPU"][1] > 0.80
     # 3 CPUs reach a similar level only around 3x the load (1500)
@@ -41,8 +37,6 @@ def test_fig6a_cpu_usage(performance_grid):
 
 def test_fig6b_disk_usage(performance_grid):
     series = figure_series(performance_grid, "fig6b")
-    if not assert_paper_shapes():
-        return  # shapes below are calibrated against the paper's dbsm runs
     # with 6 CPUs, centralized or 6 sites, the disk becomes the
     # bottleneck at 2000 clients (read one / write all)
     assert series["6 CPU"][-1] > 0.7
@@ -57,12 +51,8 @@ def test_fig6b_disk_usage(performance_grid):
 
 def test_fig6c_network(performance_grid):
     series = figure_series(performance_grid, "fig6c")
-    if not assert_paper_shapes():
-        return  # shapes below are calibrated against the paper's dbsm runs
     # centralized configurations produce no protocol traffic at all
-    assert grid_resultset(performance_grid).value(
-        "1 CPU c500", "net_kbps"
-    ) == 0.0
+    assert performance_grid.value("1 CPU c500", "net_kbps") == 0.0
     # traffic grows linearly-ish with clients/throughput
     three = series["3 Sites"]
     assert three[-1] > 2.5 * three[1] * (CLIENT_LEVELS[1] / CLIENT_LEVELS[-1]) * 2

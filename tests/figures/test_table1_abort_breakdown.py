@@ -15,8 +15,6 @@ family), selecting the paper's matched-load columns.
 
 import pytest
 
-from conftest import assert_paper_shapes, grid_resultset
-
 from repro.analysis import TABLE1_COLUMNS, figure_table, render_figure
 
 COLUMN_LABELS = tuple(column for column, _, _ in TABLE1_COLUMNS)
@@ -26,14 +24,11 @@ COLUMN_LABELS = tuple(column for column, _, _ in TABLE1_COLUMNS)
 def table(performance_grid):
     # every matched-load cell is a Figure 5 grid point, so the table is
     # a pure selection over the session's shared grid
-    return figure_table(grid_resultset(performance_grid), "table1")
+    return figure_table(performance_grid, "table1")
 
 
 def test_table1_abort_rates(table):
     print(render_figure(table, "table1"))
-    if not assert_paper_shapes():
-        return  # shapes below are calibrated against the paper's dbsm runs
-
     # read-only classes never abort for concurrency reasons
     for column in COLUMN_LABELS:
         assert table.value("orderstatus-short", column) == 0.0

@@ -84,11 +84,10 @@ class HeapOnlySimulator(Simulator):
         super().__init__()
         self._lane = HeapLane(self._queue)
 
-    def run(self, until=None, max_events=None):
-        self._stopped, executed, queue = False, 0, self._queue
-        self._eliding = max_events is None
+    def run(self, until=None):
+        self._running, self._stopped, executed, queue = True, False, 0, self._queue
         limit = float("inf") if until is None else until
-        while queue and not self._stopped and executed != max_events:
+        while queue and not self._stopped:
             if queue[0][0] > limit:
                 break
             time, seq, *rest = heapq.heappop(queue)
@@ -98,9 +97,9 @@ class HeapOnlySimulator(Simulator):
             self._now, self._exec_seq = time, seq
             fn(*args)
             executed += 1
-        self._eliding = False
+        self._running = False
         self.events_executed += executed
-        if not self._stopped and executed != max_events:
+        if not self._stopped:
             self._exec_seq = self._seq
             if not queue and self._now < self._horizon <= limit:
                 self._now = self._horizon
@@ -147,11 +146,7 @@ process_steps = st.lists(
     ),
     max_size=6,
 )
-run_bounds = st.one_of(
-    st.none(),
-    st.tuples(st.just("until"), st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0])),
-    st.tuples(st.just("max_events"), st.integers(min_value=0, max_value=6)),
-)
+run_bounds = st.sampled_from([None, 0.0, 0.25, 0.5, 1.0, 3.0])
 
 
 def execute(sim_class, roots, processes, bounds):
@@ -206,7 +201,7 @@ def execute(sim_class, roots, processes, bounds):
     for action in roots:
         perform(action)
     for bound in bounds:
-        sim.run(**({} if bound is None else {bound[0]: bound[1]}))
+        sim.run(until=bound)
         observed.append((sim.now, sim._seq, sim._exec_seq, sim.pending(), len(trace)))
     sim.run()
     return trace, observed, sim.now, sim.events_executed, sim.pending()
@@ -221,8 +216,8 @@ def execute(sim_class, roots, processes, bounds):
 def test_lane_and_heap_execute_in_heap_only_order(roots, processes, bounds):
     """Random programs of call / schedule / schedule_at / Signal.fire /
     process sleeps with zero, underflowing and tying delays, cancels,
-    nested scheduling, stop() mid-instant and bounded runs cut inside an
-    instant: the executed (time, seq) sequence, the clock, the sequence
+    nested scheduling, runs stopped mid-instant or bounded by ``until``:
+    the executed (time, seq) sequence, the clock, the sequence
     counters and pending() after every run equal the reference's.  And
     with every hop an event again, all of that but the event count."""
     real = execute(Simulator, roots, processes, bounds)

@@ -30,11 +30,19 @@ ARCHITECTURE = (REPO / "ARCHITECTURE.md").read_text(encoding="utf-8")
 
 
 def used_env_knobs():
-    """Every REPRO_* knob referenced anywhere in the source tree."""
+    """Every REPRO_* knob referenced anywhere in the code that may read
+    one: the package, the tests and the examples."""
     knobs = set()
-    for path in (REPO / "src").rglob("*.py"):
-        knobs.update(re.findall(r"REPRO_[A-Z_]+", path.read_text(encoding="utf-8")))
+    for tree in ("src", "tests", "examples"):
+        for path in (REPO / tree).rglob("*.py"):
+            text = path.read_text(encoding="utf-8")
+            knobs.update(re.findall(r"REPRO_[A-Z_]+", text))
     return sorted(knobs)
+
+
+def documented_env_knobs():
+    """The knob column of the README's consolidated knob table."""
+    return re.findall(r"^\| `(REPRO_[A-Z_]+)` \|", README, re.MULTILINE)
 
 
 class TestReadme:
@@ -53,7 +61,17 @@ class TestReadme:
     def test_all_env_knobs_in_consolidated_table(self):
         for knob in used_env_knobs():
             assert f"| `{knob}` |" in README, (
-                f"{knob} is used in src/ but missing from the README knob table"
+                f"{knob} is used in the code but missing from the README knob table"
+            )
+
+    def test_every_documented_knob_is_read(self):
+        """The reverse check: a deleted knob's row cannot linger."""
+        documented = documented_env_knobs()
+        assert documented, "README knob table not found"
+        used = used_env_knobs()
+        for knob in documented:
+            assert knob in used, (
+                f"{knob} is in the README knob table but no code reads it"
             )
 
     def test_architecture_doc_referenced(self):

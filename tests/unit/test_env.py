@@ -11,7 +11,7 @@ import warnings
 import pytest
 
 from repro.core import env
-from repro.core.env import env_choice, env_float, env_int, env_str
+from repro.core.env import env_float, env_int, env_str
 
 
 @pytest.fixture(autouse=True)
@@ -80,31 +80,6 @@ class TestEnvInt:
             assert env_int("X_INT", 1, minimum=1) == 1
 
 
-class TestEnvChoice:
-    CHOICES = ("dbsm", "primary-copy")
-
-    def test_unset_returns_default(self, monkeypatch):
-        monkeypatch.delenv("X_CHOICE", raising=False)
-        assert env_choice("X_CHOICE", "dbsm", self.CHOICES) == "dbsm"
-
-    def test_valid_choice(self, monkeypatch):
-        monkeypatch.setenv("X_CHOICE", "primary-copy")
-        assert env_choice("X_CHOICE", "dbsm", self.CHOICES) == "primary-copy"
-
-    def test_unknown_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv("X_CHOICE", "three-phase-commit")
-        with pytest.warns(RuntimeWarning, match="X_CHOICE.*is not one of"):
-            assert env_choice("X_CHOICE", "dbsm", self.CHOICES) == "dbsm"
-
-    def test_strict_mode_raises_instead_of_falling_back(self, monkeypatch):
-        """Experiment-identity knobs must fail loudly: a typo'd value
-        silently measuring the default would green-light the wrong
-        experiment."""
-        monkeypatch.setenv("X_CHOICE", "dbsm_typo")
-        with pytest.raises(ValueError, match="is not one of.*dbsm"):
-            env_choice("X_CHOICE", "dbsm", self.CHOICES, strict=True)
-
-
 class TestEnvStr:
     def test_empty_counts_as_unset(self, monkeypatch):
         monkeypatch.setenv("X_STR", "")
@@ -117,7 +92,7 @@ class TestEnvStr:
 
 
 class TestKnobsRewired:
-    """The four real knobs all route through these helpers."""
+    """The three real knobs all route through these helpers."""
 
     def test_scale_uses_env_float(self, monkeypatch):
         from repro.core.scenarios import scale
