@@ -255,22 +255,56 @@ class TestProcesses:
         sim.run()
         assert got == []
 
+    def test_suspended_process_resumes_on_the_next_run(self):
+        """A bounded run leaves a sleeping process suspended; the next
+        run wakes it at its own time."""
+        sim = Simulator()
+        wakes = []
+
+        def proc():
+            yield 100.0
+            wakes.append(sim.now)
+
+        sim.process(proc())
+        sim.run(until=1.0)
+        assert wakes == [] and sim.now == 1.0 and sim.pending() == 1
+        sim.run()
+        assert wakes == [100.0] and sim.pending() == 0
+
+    def test_negative_sleep_raises(self):
+        sim = Simulator()
+
+        def proc():
+            yield -1.0
+
+        sim.process(proc())
+        with pytest.raises(SimulationError, match="in the past"):
+            sim.run()
+
     def test_unsupported_yield_raises(self):
-        """A process yields a number or a signal; anything else — even
-        another process: there is no joining one — raises."""
+        """A process yields a number or a signal; anything else raises."""
+        sim = Simulator()
+
+        def proc():
+            yield "nonsense"
+
+        sim.process(proc())
+        with pytest.raises(SimulationError):
+            sim.run()
+
+    def test_yielding_a_process_raises(self):
+        """There is no joining a process: yielding one raises."""
+        sim = Simulator()
 
         def child():
             yield 1.0
 
-        for bad in ("nonsense", "process"):
-            sim = Simulator()
+        def proc():
+            yield sim.process(child())
 
-            def proc():
-                yield sim.process(child()) if bad == "process" else bad
-
-            sim.process(proc())
-            with pytest.raises(SimulationError):
-                sim.run()
+        sim.process(proc())
+        with pytest.raises(SimulationError):
+            sim.run()
 
 
 class TestElidedHops:
