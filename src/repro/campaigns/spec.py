@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -597,7 +598,8 @@ def parse_axis_override(text: str) -> Tuple[str, Tuple[object, ...]]:
 
     Values parse as JSON scalars where possible (``120`` → int,
     ``0.05`` → float, ``null`` → None, ``true``/``false`` → bool) and
-    fall back to bare strings (``primary-copy``, ``none``).  A value
+    fall back to bare strings (``primary-copy``, ``none``); a part
+    ``A..B`` of integers is the range A to B inclusive.  A value
     part starting with ``[`` parses the whole right-hand side as one
     JSON array — the escape hatch for structured values such as
     ``system`` triples: ``--set 'system=[["3 Sites", 3, 1]]'``.
@@ -620,8 +622,19 @@ def parse_axis_override(text: str) -> Tuple[str, Tuple[object, ...]]:
                 f"axis {name!r}: {raw!r} must be a non-empty JSON array"
             )
     else:
-        values = [_parse_scalar(name, part) for part in raw.split(",")]
+        values = [v for part in raw.split(",") for v in _parse_part(name, part)]
     return name, tuple(_freeze(v) for v in values)
+
+
+def _parse_part(name: str, part: str) -> List[object]:
+    start, dots, stop = part.strip().partition("..")
+    if not dots or not re.fullmatch(r"-?\d+", start):
+        return [_parse_scalar(name, part)]
+    if not re.fullmatch(r"-?\d+", stop) or int(stop) < int(start):
+        raise CampaignSpecError(
+            f"axis {name!r}: {part.strip()!r} is not a range A..B of integers A <= B"
+        )
+    return list(range(int(start), int(stop) + 1))
 
 
 def _parse_scalar(name: str, part: str) -> object:

@@ -22,6 +22,7 @@ from typing import Dict, FrozenSet, Tuple
 
 from ..db.transactions import TransactionSpec
 from ..db.tuples import ROW_BITS, ROW_MASK
+from ..gcs.messages import DecodeMemo
 
 __all__ = [
     "CommitRequest",
@@ -152,21 +153,7 @@ def unmarshal_request(buffer: bytes) -> CommitRequest:
     )
 
 
-#: Value-keyed decode memo: the total order delivers the same termination
-#: message at every replica, so all but the first decode of a buffer are
-#: a single dict probe.  CommitRequest is frozen, so sharing one instance
-#: between replicas is safe; decoding is a pure function of the buffer,
-#: so results never depend on cache state.
-_DECODE_CACHE: dict = {}
-_DECODE_CACHE_LIMIT = 512
-
-
-def unmarshal_request_cached(buffer: bytes) -> CommitRequest:
-    """:func:`unmarshal_request` with a small value-keyed memo."""
-    request = _DECODE_CACHE.get(buffer)
-    if request is None:
-        request = unmarshal_request(buffer)
-        if len(_DECODE_CACHE) >= _DECODE_CACHE_LIMIT:
-            _DECODE_CACHE.clear()
-        _DECODE_CACHE[buffer] = request
-    return request
+#: The total order delivers a termination message at every replica: all
+#: but the first decode of it in flight are a dict probe, and every
+#: replica shares the one frozen request (and its ``derived`` store).
+unmarshal_request_cached = DecodeMemo(unmarshal_request).decode

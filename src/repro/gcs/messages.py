@@ -52,6 +52,7 @@ __all__ = [
     "marshal",
     "unmarshal",
     "unmarshal_cached",
+    "DecodeMemo",
     "pack_data",
     "MarshalError",
 ]
@@ -358,36 +359,54 @@ def unmarshal(buffer: bytes):
     raise MarshalError(f"unknown message type {msg_type}")
 
 
-#: Value-keyed decode memo.  A multicast datagram reaches all N group
-#: members as the *same* bytes object, so a hit costs one dict probe
-#: (identity short-circuit, cached hash) instead of a full decode.
-#: Messages are immutable, so sharing one object between receivers is safe.
-_DECODE_CACHE: dict = {}
-
-#: Bound on the memo; cleared wholesale when reached.  Entries are tiny
-#: (the decoded message aliases the buffer's payload bytes), and a full
-#: clear keeps the policy deterministic and allocation-free.  Sized so a
-#: whole campaign cell's distinct buffers usually fit: at 512 the heavy
-#: cells clear several times per run and re-decode a third of their
-#: traffic.
-_DECODE_CACHE_LIMIT = 8192
+#: Buffer bytes one :class:`DecodeMemo` generation takes in: a multicast
+#: reaches every member well before that much newer traffic follows it.
+DECODE_MEMO_BUDGET = 64 * 1024
 
 
-def unmarshal_cached(buffer: bytes):
-    """:func:`unmarshal` with a small value-keyed memo.
+class DecodeMemo:
+    """A value-keyed memo of a pure decode function, bounded by bytes.
 
-    Decoding is a pure function of the buffer, so cache hits and misses
-    return value-identical messages — results never depend on cache
-    state.  Raises :class:`MarshalError` exactly like :func:`unmarshal`
-    (failures are never cached).
+    A multicast reaches all N members as the *same* bytes, so a hit is
+    one dict probe (identity short-circuit, cached hash) and every
+    receiver shares one immutable decoded object.  A miss or a hit in
+    ``old`` goes into ``young``; when ``young`` would pass
+    :data:`DECODE_MEMO_BUDGET` buffer bytes it becomes ``old`` and a new
+    one starts.  A buffer thus lives at least one full generation, and at
+    most twice the budget of buffers stays alive however many cells a
+    process runs (a buffer larger than the budget fills a generation
+    alone).  Results never depend on memo state; an exception from
+    ``decode`` is never cached.
     """
-    msg = _DECODE_CACHE.get(buffer)
-    if msg is None:
-        msg = unmarshal(buffer)
-        if len(_DECODE_CACHE) >= _DECODE_CACHE_LIMIT:
-            _DECODE_CACHE.clear()
-        _DECODE_CACHE[buffer] = msg
-    return msg
+
+    __slots__ = ("_decode", "young", "old", "young_bytes")
+
+    def __init__(self, decode) -> None:
+        self._decode = decode
+        self.clear()
+
+    def decode(self, buffer: bytes):
+        value = self.young.get(buffer)
+        if value is None:
+            value = self.old.get(buffer)
+            if value is None:
+                value = self._decode(buffer)
+            if self.young_bytes + len(buffer) > DECODE_MEMO_BUDGET:
+                self.old, self.young, self.young_bytes = self.young, {}, 0
+            self.young[buffer] = value
+            self.young_bytes += len(buffer)
+        return value
+
+    def clear(self) -> None:
+        """Forget every entry: the next decode of any buffer is a miss."""
+        self.young: dict = {}
+        self.old: dict = {}
+        self.young_bytes = 0
+
+
+#: :func:`unmarshal` through a memo (a bound method, not ``__call__``:
+#: one frame fewer per datagram); raises :class:`MarshalError` like it.
+unmarshal_cached = DecodeMemo(unmarshal).decode
 
 
 # ----------------------------------------------------------------------

@@ -60,8 +60,8 @@ recovery" for the full table):
   REPRO_ARTIFACT_DIR  root for resumable JSON artifacts (--artifact-dir overrides)
 
 axis overrides compose left to right: --set protocol=dbsm,primary-copy
---set clients=100,500 --set transactions=600.  --protocol and
---transactions are sugar for the matching --set.
+--set clients=100,500 --set seed=1000..1019,5 (A..B: the integers A to B
+inclusive).  --protocol and --transactions are sugar for the matching --set.
 """
 
 # ----------------------------------------------------------------------

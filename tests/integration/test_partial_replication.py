@@ -4,11 +4,15 @@ The properties the scale-out campaign rests on: bit-identical
 determinism across every execution path (direct, in-process runner,
 worker pool), per-group one-copy serializability with disjoint
 fragment histories, crash→recover survival inside one fragment group,
-and zero violations from the fragment-aware runtime monitors.
+zero violations from the fragment-aware runtime monitors, and — the
+differential oracle — with one fragment, the decisions of ``dbsm``.
 """
+
+from dataclasses import replace
 
 import pytest
 
+from repro.campaigns import get_campaign
 from repro.core.experiment import Scenario, ScenarioConfig
 from repro.core.safety import SafetyViolation, check_consistency
 from repro.core.scenarios import fault_config
@@ -141,3 +145,48 @@ class TestPartialSafety:
         # guarantee some cross-fragment certification.
         assert sum(s["cross_fragment"] for s in stats) > 0
         assert sum(s["decisions"] for s in stats) > 0
+
+
+#: The ten ``safety`` fault-loads at 150 transactions and two fault-free
+#: cells of the same shape on other seeds.  150 transactions commit
+#: before the crashes and partitions (at 20 s), so those six fault-loads
+#: also run at 400, where the faults cut through the workload.
+DIFFERENTIAL_CELLS = {
+    f"{label} t{config.transactions}": config
+    for transactions in (150, 400)
+    for label, config in get_campaign("safety")
+    .with_axis("transactions", (transactions,))
+    .expand()
+    if transactions == 150 or label.startswith(("crash", "partition"))
+}
+DIFFERENTIAL_CELLS.update(
+    (
+        f"fault-free seed={seed} t150",
+        ScenarioConfig(sites=3, clients=90, transactions=150, seed=seed),
+    )
+    for seed in (21, 1000)
+)
+
+
+def decisions(result):
+    return {
+        "commit_logs": [log.sequence() for log in result.commit_logs()],
+        "outcomes": [(r.tx_id, r.outcome) for r in result.metrics.records],
+    }
+
+
+class TestOneFragmentIsDbsm:
+    """``partial`` with ``fragments=1`` takes the single-group fast path
+    for every transaction, so it must decide exactly what ``dbsm``
+    decides: the same commit sequence at every site and the same outcome
+    for every transaction.  (It is not bit-identical: ``partial`` tags
+    its messages, which moves latencies in the last digits.)"""
+
+    @pytest.mark.parametrize("label", sorted(DIFFERENTIAL_CELLS))
+    def test_same_decisions_as_dbsm(self, label):
+        config = replace(DIFFERENTIAL_CELLS[label], protocol="dbsm")
+        dbsm = Scenario(config).run()
+        partial = Scenario(replace(config, protocol="partial", fragments=1)).run()
+        expect = decisions(dbsm)
+        assert expect["commit_logs"][0] and expect["outcomes"]
+        assert decisions(partial) == expect

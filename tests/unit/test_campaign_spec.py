@@ -340,6 +340,25 @@ class TestOverrideParsing:
         assert name == "system"
         assert values == (("3 Sites", 3, 1),)
 
+    def test_integer_range_expands_in_place(self):
+        name, values = parse_axis_override("seed=1000..1199,5")
+        assert name == "seed"
+        assert values == tuple(range(1000, 1200)) + (5,)
+        assert parse_axis_override("seed=7, 3..4 ,-1..0") == ("seed", (7, 3, 4, -1, 0))
+        assert parse_axis_override("seed=3..3") == ("seed", (3,))
+
+    def test_other_dotted_strings_parse_as_before(self):
+        assert parse_axis_override("label=a..b,..,1.5..3") == (
+            "label",
+            ("a..b", "..", "1.5..3"),
+        )
+        assert parse_axis_override("rate=0.5") == ("rate", (0.5,))
+
+    @pytest.mark.parametrize("bad", ["seed=5..3", "seed=1..x", "seed=1..", "seed=1..2.5"])
+    def test_bad_range_rejected(self, bad):
+        with pytest.raises(CampaignSpecError, match="range"):
+            parse_axis_override(bad)
+
     @pytest.mark.parametrize(
         "bad", ["clients", "=40", "clients=", "clients=40,,80", "system=[broken"]
     )

@@ -1,9 +1,16 @@
-"""Unit tests for GCS wire formats."""
+"""Unit tests for GCS wire formats and the bounded decode memo."""
+
+import hashlib
+import json
 
 import pytest
 
+from repro.core.experiment import Scenario, ScenarioConfig
+from repro.dbsm.marshal import unmarshal_request_cached
 from repro.gcs.messages import (
+    DECODE_MEMO_BUDGET,
     DataMsg,
+    DecodeMemo,
     DecideMsg,
     FlushAckMsg,
     HeartbeatMsg,
@@ -16,7 +23,10 @@ from repro.gcs.messages import (
     StateReqMsg,
     marshal,
     unmarshal,
+    unmarshal_cached,
 )
+
+MODULE_MEMOS = (unmarshal_cached.__self__, unmarshal_request_cached.__self__)
 
 ROUNDTRIP_CASES = [
     DataMsg(sender=3, view_id=7, seq=42, payload=b"hello world"),
@@ -187,3 +197,117 @@ class TestSizes:
         payload = b"y" * 1000
         wire = marshal(DataMsg(1, 1, 1, payload))
         assert len(wire) - len(payload) < 32
+
+
+def retained_bytes(memo: DecodeMemo) -> int:
+    """Bytes of the distinct buffers ``memo`` keeps alive."""
+    return sum(map(len, {*memo.young, *memo.old}))
+
+
+def data_wire(seq: int, size: int = 100) -> bytes:
+    return marshal(DataMsg(1, 1, seq, bytes(size)))
+
+
+def counting_unmarshal(decoded: list):
+    """:func:`unmarshal` that appends each buffer it decodes to ``decoded``."""
+
+    def decode(buffer):
+        decoded.append(buffer)
+        return unmarshal(buffer)
+
+    return decode
+
+
+#: Two of these fit in one memo generation, three do not.
+LARGE = DECODE_MEMO_BUDGET * 2 // 5
+
+
+class TestDecodeMemo:
+    def test_a_hit_returns_the_same_object(self):
+        memo = DecodeMemo(unmarshal)
+        first = memo.decode(data_wire(1))
+        again = data_wire(1)  # equal bytes, another object
+        assert memo.decode(again) is first
+        assert first == unmarshal(again)
+
+    def test_a_hit_in_the_old_generation_is_promoted(self):
+        decoded = []
+        memo = DecodeMemo(counting_unmarshal(decoded))
+        first = memo.decode(data_wire(1, LARGE))
+        memo.decode(data_wire(2, LARGE))
+        memo.decode(data_wire(3, LARGE))  # young is full: it becomes old
+        assert data_wire(1, LARGE) in memo.old
+        assert data_wire(1, LARGE) not in memo.young
+        assert memo.decode(data_wire(1, LARGE)) is first
+        assert data_wire(1, LARGE) in memo.young
+        memo.decode(data_wire(4, LARGE))  # the next retirement drops old...
+        memo.decode(data_wire(5, LARGE))
+        assert memo.decode(data_wire(1, LARGE)) is first  # ...not the promoted
+        assert len(decoded) == 5
+
+    def test_a_marshal_error_is_never_cached(self):
+        decoded = []
+        memo = DecodeMemo(counting_unmarshal(decoded))
+        truncated = data_wire(1)[:20]
+        for _ in range(2):
+            with pytest.raises(MarshalError):
+                memo.decode(truncated)
+        assert len(decoded) == 2
+        assert not memo.young and not memo.old and memo.young_bytes == 0
+
+    def test_clear_forgets_every_entry(self):
+        memo = DecodeMemo(unmarshal)
+        first = memo.decode(data_wire(1, LARGE))
+        for seq in range(2, 6):
+            memo.decode(data_wire(seq, LARGE))
+        memo.clear()
+        assert not memo.young and not memo.old and memo.young_bytes == 0
+        again = memo.decode(data_wire(1, LARGE))
+        assert again == first and again is not first
+
+    def test_many_distinct_buffers_keep_at_most_twice_the_budget(self):
+        memo = DecodeMemo(unmarshal)
+        for seq in range(3000):
+            memo.decode(data_wire(seq, size=seq * 7919 % 6000))
+            assert memo.young_bytes == sum(map(len, memo.young))
+            assert memo.young_bytes <= DECODE_MEMO_BUDGET
+            assert retained_bytes(memo) <= 2 * DECODE_MEMO_BUDGET
+        assert memo.old  # it did retire generations
+
+    def test_lan_loaded_cells_leave_the_module_memos_bounded(self):
+        """The three cells of the benchmark's ``lan-loaded`` workload,
+        one after the other in one process: the memos hold the traffic
+        of the last in-flight window, not of every cell run so far."""
+        cells = (
+            dict(sites=6, clients=2000, protocol="dbsm"),
+            dict(sites=3, clients=1000, protocol="primary-copy"),
+            dict(sites=6, clients=2000, protocol="partial", fragments=2),
+        )
+        for cell in cells:
+            config = ScenarioConfig(
+                transactions=450, seed=42, probe_interval=0.1, drain_time=8.0, **cell
+            )
+            Scenario(config).run()
+            for memo in MODULE_MEMOS:
+                assert memo.young and retained_bytes(memo) <= 2 * DECODE_MEMO_BUDGET
+
+    def test_a_cells_result_does_not_depend_on_the_memos(self):
+        """Cleared, warmed by another cell, and warmed by itself: one
+        cell's ``result_digest`` is the same in all three states."""
+
+        def digest(config):
+            result = Scenario(config).run().to_dict()
+            canonical = json.dumps(result, sort_keys=True, separators=(",", ":"))
+            return hashlib.sha256(canonical.encode()).hexdigest()
+
+        cell = ScenarioConfig(sites=3, protocol="dbsm", clients=30, transactions=60, seed=42)
+        other = ScenarioConfig(
+            sites=3, protocol="primary-copy", clients=30, transactions=60, seed=42
+        )
+        for memo in MODULE_MEMOS:
+            memo.clear()
+        cold = digest(cell)
+        digest(other)
+        after_other = digest(cell)
+        twice_in_a_row = digest(cell)
+        assert cold == after_other == twice_in_a_row

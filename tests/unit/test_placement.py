@@ -14,7 +14,6 @@ import pytest
 from repro.campaigns import get_campaign
 from repro.core.experiment import ScenarioConfig
 from repro.db.tuples import make_tuple_id, table_lock_id
-from repro.dbsm import marshal
 from repro.dbsm.marshal import CommitRequest, marshal_request, unmarshal_request_cached
 from repro.monitors import applicable_monitors
 from repro.placement import (
@@ -104,7 +103,7 @@ class TestFootprintOnTheRequest:
         wire = marshal_request(request_on(4, 11))
         delivered = unmarshal_request_cached(wire)
         decision = router.route_request(delivered, 1)
-        marshal._DECODE_CACHE.clear()
+        unmarshal_request_cached.__self__.clear()
         again = unmarshal_request_cached(wire)
         assert again is not delivered and "placement" not in again.derived
         assert router.route_request(again, 1) == decision
