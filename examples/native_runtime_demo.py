@@ -26,8 +26,8 @@ def main() -> None:
     runtimes = [NativeProtocolRuntime(("127.0.0.1", 0), seed=i) for i in range(MEMBERS)]
     addresses = {i: rt.local_address() for i, rt in enumerate(runtimes)}
     endpoint_ids = {addr: i for i, addr in addresses.items()}
-    # loopback has no IP multicast group here: the stack falls back to
-    # unicast fan-out, exactly like the protocol does on WANs (§3.4)
+    # loopback has no IP multicast group here: the stack sends to a
+    # destination list instead, one unicast per other member
     config = GcsConfig(heartbeat_interval=0.2, stability_interval=0.2)
     stacks = []
     delivered = {i: [] for i in range(MEMBERS)}

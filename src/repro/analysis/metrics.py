@@ -193,7 +193,7 @@ def _sampled(
     """NaN when the run produced no resource samples at all."""
 
     def extract(result: ScenarioResult) -> float:
-        if not getattr(result.sampler, "samples", None):
+        if not result.sampler.samples:
             return math.nan
         return f(result)
 

@@ -240,7 +240,7 @@ class ScenarioResult:
         self,
         config: ScenarioConfig,
         metrics: MetricsCollector,
-        sampler: ResourceSampler,
+        sampler: SampleSeries,
         capture: PacketCapture,
         sites: List[Site],
         sim_time: float,
@@ -335,17 +335,12 @@ class ScenarioResult:
         """JSON-ready encoding carrying everything the figures need:
         transaction records, resource samples, commit logs, per-site
         protocol counters and the capture's byte/packet totals."""
-        sampler = (
-            self.sampler.series()
-            if isinstance(self.sampler, ResourceSampler)
-            else self.sampler
-        )
         return {
             "format": RESULT_FORMAT,
             "config": self.config.to_dict(),
             "sim_time": self.sim_time,
             "metrics": self.metrics.to_dict(),
-            "samples": sampler.to_dict(),
+            "samples": self.sampler.to_dict(),
             "capture": {
                 "total_bytes": self.capture.total_bytes,
                 "total_packets": self.capture.total_packets,
@@ -399,7 +394,7 @@ class Scenario:
         # any order — or in a worker pool — with bit-identical results.
         reset_tx_counter()
         self.sim = Simulator()
-        self.capture = PacketCapture(bucket_seconds=1.0, keep_entries=False)
+        self.capture = PacketCapture(keep_entries=False)
         self.network = Network(
             self.sim,
             default_bandwidth_bps=config.net_bandwidth_bps,
@@ -545,16 +540,11 @@ class Scenario:
         protocol_runtime = SimulatedProtocolRuntime(
             runtime, members[index], seed=derive_seed(config.seed, "protocol", index)
         )
-        group_dest = (
-            group_address
-            if self.network.multicast_capable(f"site{index}", group_address)
-            else [addr for i, addr in members.items() if i != index]
-        )
         gcs = GroupCommunication(
             protocol_runtime,
             index,
             members,
-            group_dest,
+            group_address,
             config=config.gcs,
             endpoint_ids=endpoint_ids,
         )
@@ -694,7 +684,7 @@ class Scenario:
         return ScenarioResult(
             self.config,
             self.metrics,
-            self.sampler,
+            self.sampler.series(),
             self.capture,
             self.sites,
             self.sim.now,

@@ -266,10 +266,9 @@ class SampleSeries:
     """A finished sequence of :class:`ResourceSample` plus its interval.
 
     This is the serializable, simulator-free view of a run's resource
-    usage: :class:`ResourceSampler` produces one (``series()``) and
-    deserialized :class:`~repro.core.experiment.ScenarioResult` objects
-    carry one in the sampler slot — both answer the same steady-state
-    questions with identical arithmetic.
+    usage: :class:`ResourceSampler` produces one (``series()``), and a
+    :class:`~repro.core.experiment.ScenarioResult` carries one in its
+    ``sampler`` slot, whether it is live or rebuilt with ``from_dict``.
     """
 
     def __init__(self, samples: Sequence[ResourceSample], interval: float):
@@ -329,8 +328,9 @@ class ResourceSampler(Entity):
 
     Utilizations are interval deltas of the resources' busy-time
     counters, so ramp-up and drain phases do not dilute steady-state
-    readings; the ``steady_*`` accessors additionally trim the first and
-    last fifth of the samples (the paper's runs discard warm-up too).
+    readings; :class:`SampleSeries`' steady-state statistics additionally
+    trim the first and last fifth of the samples (the paper's runs
+    discard warm-up too).
     """
 
     def __init__(
@@ -412,17 +412,3 @@ class ResourceSampler(Entity):
     def series(self) -> SampleSeries:
         """The samples as a simulator-free :class:`SampleSeries`."""
         return SampleSeries(self.samples, self.interval)
-
-    def _steady_window(self) -> List[ResourceSample]:
-        """Samples with the first and last 20 % trimmed (>=1 retained)."""
-        return self.series()._steady_window()
-
-    def mean_cpu(self) -> Tuple[float, float]:
-        """Steady-state (total, real-job) CPU usage, 0..1."""
-        return self.series().mean_cpu()
-
-    def mean_disk(self) -> float:
-        return self.series().mean_disk()
-
-    def net_kbytes_per_second(self) -> float:
-        return self.series().net_kbytes_per_second()

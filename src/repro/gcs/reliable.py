@@ -2,10 +2,10 @@
 
 Message flow follows the paper's two-phase design:
 
-1. **dissemination** — messages go out over IP multicast on LANs,
-   falling back to unicast fan-out when the destination set spans
-   segments; initial transmissions are paced by the rate-based flow
-   control;
+1. **dissemination** — messages go out over IP multicast on the LAN,
+   or as a unicast to each entry of a destination list where the
+   runtime has no IP multicast (the native runtime); initial
+   transmissions are paced by the rate-based flow control;
 2. **reliability** — a window-based, receiver-initiated mechanism:
    receivers detect sequence gaps and NACK the origin (or any live
    member once the origin is suspected); every member buffers every

@@ -5,10 +5,11 @@ Public surface: :class:`Network` / :class:`Host` for topology,
 for addressing, :class:`PacketCapture` for observation, and the loss
 processes used by fault injection.
 
-**Contract.** Best-effort datagram delivery between hosts with
-calibrated bandwidth and latency: unicast, list fan-out, and IP
-multicast within a segment; WAN segments add configured latency and
-force the unicast fallback.
+**Contract.** Best-effort datagram delivery between the hosts of one
+switched LAN, every link at the network's calibrated bandwidth and
+latency: unicast to one endpoint (loopback when it is on the sender's
+own host) and IP multicast to a group (one egress copy, replicated by
+the switch).
 
 **Invariants.**
 

@@ -3,14 +3,15 @@
 SSFNet logs traffic in tcpdump format; we record structured capture
 entries that tests and benches query directly, and provide a text dump
 with a tcpdump-flavoured line format for human inspection.  The capture
-also keeps running byte totals per time bucket, which is how Figure 6(c)
-(network KB/s vs clients) is produced.
+also keeps running byte and packet totals; Figure 6(c) (network KB/s vs
+clients) is :class:`~repro.core.metrics.ResourceSampler`'s per-interval
+deltas of ``total_bytes``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 __all__ = ["CaptureEntry", "PacketCapture"]
 
@@ -23,28 +24,24 @@ class CaptureEntry:
     source: str
     dest: str
     size: int
-    kind: str  # "unicast" | "multicast" | "drop"
+    kind: str  # "unicast" | "multicast" | "drop" | "partition"
 
 
 class PacketCapture:
-    """Accumulates :class:`CaptureEntry` records and per-bucket byte totals."""
+    """Accumulates :class:`CaptureEntry` records and byte/packet totals."""
 
-    def __init__(self, bucket_seconds: float = 1.0, keep_entries: bool = True):
-        if bucket_seconds <= 0:
-            raise ValueError("bucket size must be positive")
-        self.bucket_seconds = bucket_seconds
+    def __init__(self, keep_entries: bool = True):
         self.keep_entries = keep_entries
         self.entries: List[CaptureEntry] = []
         self.total_bytes = 0
         self.total_packets = 0
-        self._buckets: Dict[int, int] = {}
 
     def record(self, time: float, source: str, dest: str, size: int, kind: str) -> None:
         if self.keep_entries:
             self.entries.append(CaptureEntry(time, source, dest, size, kind))
-        self.tally(time, size, kind)
+        self.tally(size, kind)
 
-    def tally(self, time: float, size: int, kind: str) -> None:
+    def tally(self, size: int, kind: str) -> None:
         """Totals-only accounting — the per-datagram fast path.
 
         The network plane calls this directly when entry retention is
@@ -53,28 +50,10 @@ class PacketCapture:
         if kind not in ("drop", "partition"):
             self.total_bytes += size
             self.total_packets += 1
-            bucket = int(time / self.bucket_seconds)
-            self._buckets[bucket] = self._buckets.get(bucket, 0) + size
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def bytes_per_second(self) -> List[float]:
-        """Byte totals per bucket, normalized to bytes/second."""
-        if not self._buckets:
-            return []
-        last = max(self._buckets)
-        return [
-            self._buckets.get(i, 0) / self.bucket_seconds for i in range(last + 1)
-        ]
-
-    def mean_kbytes_per_second(self, skip_buckets: int = 0) -> float:
-        """Average KB/s over the run (optionally skipping warm-up buckets)."""
-        series = self.bytes_per_second()[skip_buckets:]
-        if not series:
-            return 0.0
-        return sum(series) / len(series) / 1024.0
-
     def filter(self, predicate: Callable[[CaptureEntry], bool]) -> List[CaptureEntry]:
         return [e for e in self.entries if predicate(e)]
 

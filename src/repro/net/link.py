@@ -97,8 +97,8 @@ class RateLimitedLink(Entity):
         Lets the fabric bind a packet to its ingress link at send time
         instead of scheduling an arrival event first — valid only when
         every packet headed for this link carries the same propagation
-        offset (binding order then equals arrival order), which the
-        fabric checks before using it.
+        offset (binding order then equals arrival order), as every
+        packet crossing the one switch does.
         """
         sim = self.sim
         backlog = self._backlog

@@ -1,11 +1,9 @@
-"""The network fabric: hosts, a switched LAN, multicast, and WAN segments.
+"""The network fabric: hosts on one switched LAN, with IP multicast.
 
-This is the load-bearing subset of SSFNet the paper actually uses: a
-switched Ethernet where each host owns full-duplex rate-limited links,
-IP-multicast group management (one egress copy, fabric replication), and
-optional wide-area segments with configurable inter-segment latency —
-multicast does not cross segments, forcing the group communication layer
-into its documented unicast fallback (§3.4).
+This is the load-bearing subset of SSFNet the paper actually uses: one
+switched 100 Mbit Ethernet (§4.1) where each host owns full-duplex
+rate-limited links to the switch, and IP-multicast group management
+(one egress copy, replicated by the switch).
 
 Packets larger than the MTU are charged per-fragment framing overhead.
 SSFNet famously did *not* enforce the Ethernet MTU for UDP (the paper
@@ -16,7 +14,6 @@ reproduces that behaviour for the validation benches.
 from __future__ import annotations
 
 import math
-from heapq import heappush as _heappush
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from ..core.kernel import Entity, Simulator
@@ -29,31 +26,21 @@ __all__ = ["Host", "Network", "Destination"]
 #: Extra IP header bytes charged for every fragment beyond the first.
 FRAGMENT_OVERHEAD_BYTES = 20
 
-Destination = Union[Endpoint, GroupAddress, List[Endpoint]]
+Destination = Union[Endpoint, GroupAddress]
 ReceiveCallback = Callable[[Endpoint, bytes], None]
 
 
 class Host(Entity):
-    """A network host: bound ports plus egress/ingress links to the fabric."""
+    """A network host: bound ports plus egress/ingress links to the switch,
+    both at the network's default bandwidth and latency."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        network: "Network",
-        bandwidth_bps: float,
-        link_latency: float,
-        segment: str = "lan0",
-    ):
+    def __init__(self, sim: Simulator, name: str, network: "Network"):
         super().__init__(sim, name)
         self.network = network
-        self.segment = segment
-        self.egress = RateLimitedLink(
-            sim, f"{name}.tx", bandwidth_bps, link_latency / 2.0
-        )
-        self.ingress = RateLimitedLink(
-            sim, f"{name}.rx", bandwidth_bps, link_latency / 2.0
-        )
+        bandwidth = network.default_bandwidth_bps
+        half_latency = network.default_link_latency / 2.0
+        self.egress = RateLimitedLink(sim, f"{name}.tx", bandwidth, half_latency)
+        self.ingress = RateLimitedLink(sim, f"{name}.rx", bandwidth, half_latency)
         self._ports: Dict[int, Optional[ReceiveCallback]] = {}
 
     def bind(self, port: int, callback: Optional[ReceiveCallback]) -> None:
@@ -75,7 +62,7 @@ class Host(Entity):
 
 
 class Network(Entity):
-    """A fabric of hosts with multicast groups and WAN segments."""
+    """One switched LAN of hosts with multicast groups and partition cuts."""
 
     def __init__(
         self,
@@ -99,7 +86,6 @@ class Network(Entity):
         self.capture = capture or PacketCapture(keep_entries=False)
         self.hosts: Dict[str, Host] = {}
         self._groups: Dict[GroupAddress, Set[str]] = {}
-        self._wan_latency: Dict[Tuple[str, str], float] = {}
         #: host -> partition component id; hosts in different components
         #: cannot exchange packets.  Unlisted hosts share component 0.
         self._partition: Dict[str, int] = {}
@@ -108,40 +94,15 @@ class Network(Entity):
         #: construction) per multicast datagram is measurable.  Cleared
         #: wholesale on every join/leave.
         self._mcast_targets: Dict[Tuple[GroupAddress, str], List[Endpoint]] = {}
-        #: Lazily computed "all hosts share one segment" flag gating the
-        #: folded switch hop in :meth:`_fan_out`; reset by ``add_host``.
-        self._uniform_segment: Optional[bool] = None
 
     # ------------------------------------------------------------------
     # topology construction
     # ------------------------------------------------------------------
-    def add_host(
-        self,
-        name: str,
-        bandwidth_bps: Optional[float] = None,
-        link_latency: Optional[float] = None,
-        segment: str = "lan0",
-    ) -> Host:
+    def add_host(self, name: str) -> Host:
         if name in self.hosts:
             raise ValueError(f"duplicate host {name!r}")
-        host = Host(
-            self.sim,
-            name,
-            self,
-            bandwidth_bps or self.default_bandwidth_bps,
-            link_latency if link_latency is not None else self.default_link_latency,
-            segment,
-        )
-        self.hosts[name] = host
-        self._uniform_segment = None
+        host = self.hosts[name] = Host(self.sim, name, self)
         return host
-
-    def set_wan_latency(self, segment_a: str, segment_b: str, latency: float) -> None:
-        """One-way extra latency between two segments (symmetric)."""
-        if latency < 0:
-            raise ValueError("latency must be non-negative")
-        self._wan_latency[(segment_a, segment_b)] = latency
-        self._wan_latency[(segment_b, segment_a)] = latency
 
     def join(self, group: GroupAddress, host_name: str) -> None:
         if host_name not in self.hosts:
@@ -184,14 +145,6 @@ class Network(Entity):
         """True when no partition cut separates the two hosts."""
         return self._partition.get(host_a, 0) == self._partition.get(host_b, 0)
 
-    def multicast_capable(self, sender: str, group: GroupAddress) -> bool:
-        """True when every group member shares the sender's segment —
-        i.e. an IP-multicast send will reach them all (§3.4)."""
-        sender_segment = self.hosts[sender].segment
-        return all(
-            self.hosts[m].segment == sender_segment for m in self.members(group)
-        )
-
     # ------------------------------------------------------------------
     # datagram routing
     # ------------------------------------------------------------------
@@ -207,72 +160,48 @@ class Network(Entity):
         self, src_host: Host, src_port: int, dest: Destination, payload: bytes
     ) -> None:
         source = Endpoint(src_host.name, src_port)
-        if isinstance(dest, GroupAddress):
+        size = self.wire_size(len(payload))
+        multicast = isinstance(dest, GroupAddress)
+        kind = "multicast" if multicast else "unicast"
+        capture = self.capture
+        if capture.keep_entries:
+            capture.record(self.sim._now, str(source), str(dest), size, kind)
+        else:
+            capture.tally(size, kind)
+
+        if multicast:
             key = (dest, src_host.name)
             targets = self._mcast_targets.get(key)
             if targets is None:
+                # The sender is no target: multicast has no loopback leg.
                 targets = [
                     Endpoint(member, dest.port)
                     for member in self.members(dest)
                     if member != src_host.name
                 ]
                 self._mcast_targets[key] = targets
-            kind = "multicast"
-        elif isinstance(dest, list):
-            targets = list(dest)
-            kind = "unicast"
+            if not targets:
+                return
+        elif dest.host == src_host.name:
+            self.call(
+                self.loopback_latency, self._deliver_local, source, dest, payload
+            )
+            return
         else:
             targets = [dest]
-            kind = "unicast"
-
-        size = self.wire_size(len(payload))
-        now = self.sim._now
-        if self.capture.keep_entries:
-            if kind == "multicast":
-                label = str(dest)
-            elif isinstance(dest, list):
-                label = ",".join(str(t) for t in targets)
-            else:
-                label = str(dest)
-            self.capture.record(now, str(source), label, size, kind)
-        else:
-            self.capture.tally(now, size, kind)
-
-        if kind == "multicast":
-            # Multicast targets never include the sender (filtered when
-            # the target list is resolved), so there is no loopback leg.
-            remote = targets
-        else:
-            local = [t for t in targets if t.host == src_host.name]
-            remote = [t for t in targets if t.host != src_host.name]
-            for target in local:
-                self.call(
-                    self.loopback_latency, self._deliver_local, source, target, payload
-                )
-        if not remote:
-            return
-        if kind == "multicast":
-            # One copy on the sender's egress; the fabric replicates.
-            src_host.egress.deliver(
-                size, self._fan_out, (source, remote, payload, size)
-            )
-        else:
-            for target in remote:
-                src_host.egress.deliver(
-                    size, self._fan_out, (source, [target], payload, size)
-                )
+        # One copy on the sender's egress; the switch replicates it.
+        src_host.egress.deliver(size, self._fan_out, (source, targets, payload, size))
 
     # ------------------------------------------------------------------
     def _fan_out(
-        self, source: Endpoint, targets: Iterable[Endpoint], payload: bytes, size: int
+        self, source: Endpoint, targets: List[Endpoint], payload: bytes, size: int
     ) -> None:
-        sim = self.sim
+        # Every ingress-bound packet carries the same switch latency, so
+        # binding order equals arrival order and the switch hop folds
+        # into the ingress link: one event per packet instead of two.
+        arrival = self.sim._now + self.switch_latency
         hosts = self.hosts
-        src_segment = hosts[source.host].segment
-        uniform = self._uniform_segment
-        if uniform is None:
-            segments = {h.segment for h in hosts.values()}
-            uniform = self._uniform_segment = len(segments) <= 1
+        capture = self.capture
         cut = self._partition  # reachable(), asked once and only under a cut
         src_component = cut.get(source.host, 0) if cut else 0
         for target in targets:
@@ -280,50 +209,16 @@ class Network(Entity):
             if host is None:
                 continue
             if cut and cut.get(target.host, 0) != src_component:
-                if self.capture.keep_entries:
-                    self.capture.record(
-                        self.now, str(source), str(target), size, "partition"
+                if capture.keep_entries:
+                    capture.record(
+                        self.sim._now, str(source), str(target), size, "partition"
                     )
                 continue
-            if uniform:
-                # Single-segment fabric: every ingress-bound packet carries
-                # the same propagation offset, so binding order equals
-                # arrival order and the switch hop folds into the ingress
-                # link directly — one event per packet instead of two.
-                arrival = sim._now + self.switch_latency
-                accepted = host.ingress.deliver_at(
-                    arrival, size, host.receive, (source, target.port, payload)
-                )
-                if not accepted and self.capture.keep_entries:
-                    self.capture.record(
-                        arrival, str(source), str(target), size, "drop"
-                    )
-                continue
-            extra = self.switch_latency
-            if host.segment != src_segment:
-                extra += self._wan_latency.get((src_segment, host.segment), 0.0)
-            # Inlined fire-and-forget schedule (see Simulator.call): one
-            # switch-hop event per packet per receiver.
-            sim._seq += 1
-            _heappush(
-                sim._queue,
-                (
-                    sim._now + extra,
-                    sim._seq,
-                    self._ingress,
-                    (host, source, target, payload, size),
-                ),
+            accepted = host.ingress.deliver_at(
+                arrival, size, host.receive, (source, target.port, payload)
             )
-
-    def _ingress(
-        self, host: Host, source: Endpoint, target: Endpoint, payload: bytes, size: int
-    ) -> None:
-        accepted = host.ingress.deliver(
-            size, host.receive, (source, target.port, payload)
-        )
-        if not accepted:
-            if self.capture.keep_entries:
-                self.capture.record(self.now, str(source), str(target), size, "drop")
+            if not accepted and capture.keep_entries:
+                capture.record(arrival, str(source), str(target), size, "drop")
 
     def _deliver_local(self, source: Endpoint, target: Endpoint, payload: bytes) -> None:
         host = self.hosts[target.host]

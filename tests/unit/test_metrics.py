@@ -191,7 +191,7 @@ class TestResourceSampler:
         # busy only in the middle of the run
         sim.schedule(4.0, pool.submit, Job(SIM_JOB, duration=2.0))
         sim.run(until=10.0)
-        total, real = sampler.mean_cpu()
+        total, real = sampler.series().mean_cpu()
         assert total > 0.2  # the busy middle dominates after trimming
 
     def test_invalid_interval(self):

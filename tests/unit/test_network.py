@@ -1,4 +1,4 @@
-"""Unit tests for the network fabric: links, routing, multicast, WAN."""
+"""Unit tests for the network fabric: links, routing, multicast, the switch."""
 
 import pytest
 
@@ -149,13 +149,6 @@ class TestRouting:
         sim.run()
         assert net.hosts["h0"].egress.stats.packets_sent == 1
 
-    def test_send_to_explicit_list(self):
-        sim, net, socks, inbox = self.make_net()
-        socks[0].send([Endpoint("h1", 5), Endpoint("h2", 5)], b"uni")
-        sim.run()
-        assert len(inbox[1]) == 1 and len(inbox[2]) == 1
-        assert net.hosts["h0"].egress.stats.packets_sent == 2
-
     def test_local_delivery_bypasses_links(self):
         sim, net, socks, inbox = self.make_net()
         socks[0].send(Endpoint("h0", 5), b"self")
@@ -188,38 +181,100 @@ class TestWireSize:
         assert net.wire_size(9000) == 9000
 
 
-class TestWan:
-    def test_wan_latency_between_segments(self):
-        sim = Simulator()
-        net = Network(sim, default_link_latency=0.0, switch_latency=0.0)
-        net.add_host("a", segment="east")
-        net.add_host("b", segment="west")
-        net.set_wan_latency("east", "west", 0.040)
-        sa = UdpSocket(net.hosts["a"], 1)
-        sb = UdpSocket(net.hosts["b"], 1)
-        arrival = []
-        sb.set_receiver(lambda src, p: arrival.append(sim.now))
-        sa.send(Endpoint("b", 1), b"x")
+class TestSwitchedLan:
+    """The one path every packet takes: egress, switch, ingress."""
+
+    make_net = TestRouting.make_net
+
+    def test_unicast_arrival_is_the_folded_hop_sum(self):
+        sim, net, socks, inbox = self.make_net()
+        socks[0].send(Endpoint("h1", 5), b"x" * 300)
         sim.run()
-        assert arrival[0] >= 0.040
+        egress, ingress = net.hosts["h0"].egress, net.hosts["h1"].ingress
+        half = net.default_link_latency / 2.0
+        arrival = (egress.transmission_time(300) + half) + net.switch_latency
+        assert inbox[1] == [
+            (arrival + (ingress.transmission_time(300) + half), "h0:5", b"x" * 300)
+        ]
 
-    def test_multicast_capability_per_segment(self):
-        sim = Simulator()
-        net = Network(sim)
-        net.add_host("a", segment="east")
-        net.add_host("b", segment="east")
-        net.add_host("c", segment="west")
-        group = GroupAddress("g", 1)
-        net.join(group, "a")
-        net.join(group, "b")
-        assert net.multicast_capable("a", group)
-        net.join(group, "c")
-        assert not net.multicast_capable("a", group)
+    def test_arrivals_follow_egress_completion(self):
+        sim, net, socks, inbox = self.make_net()
+        socks[0].send(Endpoint("h2", 5), b"a" * 1400)
+        socks[1].send(Endpoint("h2", 5), b"b" * 10)
+        sim.run()
+        # h1's short packet leaves its egress first, so it arrives first.
+        assert [src for _, src, _ in inbox[2]] == ["h1:5", "h0:5"]
+        assert inbox[2][0][0] < inbox[2][1][0]
 
-    def test_negative_wan_latency_rejected(self):
-        net = Network(Simulator())
+    def test_loopback_ignores_a_partition_cut(self):
+        sim, net, socks, inbox = self.make_net()
+        net.partition([["h0"], ["h1", "h2"]])
+        socks[0].send(Endpoint("h0", 5), b"self")
+        socks[0].send(Endpoint("h1", 5), b"cut")
+        sim.run()
+        assert inbox[0] == [(net.loopback_latency, "h0:5", b"self")]
+        assert inbox[1] == []
+        assert net.hosts["h0"].egress.stats.packets_sent == 1  # only b"cut"
+
+    def test_drops_are_logged_but_not_counted(self):
+        sim, net, socks, inbox = self.make_net(capture=PacketCapture())
+        net.hosts["h2"].ingress.queue_bytes = 0  # every arrival tail-drops
+        socks[0].send(Endpoint("h2", 5), b"x" * 100)
+        sim.run()
+        net.partition([["h0"], ["h1", "h2"]])
+        socks[0].send(Endpoint("h1", 5), b"y" * 40)
+        sim.run()
+        assert [(e.kind, e.dest, e.size) for e in net.capture.entries] == [
+            ("unicast", "h2:5", 100),
+            ("drop", "h2:5", 100),
+            ("unicast", "h1:5", 40),
+            ("partition", "h1:5", 40),
+        ]
+        assert (net.capture.total_bytes, net.capture.total_packets) == (140, 2)
+        assert all(not msgs for msgs in inbox.values())
+
+    def test_every_link_takes_the_network_defaults(self):
+        sim, net, socks, inbox = self.make_net(
+            default_bandwidth_bps=10e6, default_link_latency=2e-3
+        )
+        for host in net.hosts.values():
+            for link in (host.egress, host.ingress):
+                assert (link.bandwidth_bps, link.latency) == (10e6, 1e-3)
+
+    def test_zero_default_bandwidth_is_rejected(self):
+        net = Network(Simulator(), default_bandwidth_bps=0)
         with pytest.raises(ValueError):
-            net.set_wan_latency("x", "y", -1.0)
+            net.add_host("h0")
+
+    def test_duplicate_host_rejected(self):
+        net = Network(Simulator())
+        net.add_host("h0")
+        with pytest.raises(ValueError):
+            net.add_host("h0")
+
+    def test_multicast_under_a_cut_reaches_only_the_senders_side(self):
+        sim, net, socks, inbox = self.make_net(capture=PacketCapture())
+        group = GroupAddress("g", 5)
+        for sock in socks:
+            sock.join(group)
+        net.partition([["h0", "h1"], ["h2"]])
+        socks[0].send(group, b"mc")
+        sim.run()
+        assert [len(inbox[i]) for i in range(3)] == [0, 1, 0]
+        assert net.hosts["h0"].egress.stats.packets_sent == 1
+        assert [(e.kind, e.dest) for e in net.capture.entries] == [
+            ("multicast", "mcast:g:5"),
+            ("partition", "h2:5"),
+        ]
+
+    def test_multicast_to_the_sender_alone_stays_off_the_wire(self):
+        sim, net, socks, inbox = self.make_net()
+        group = GroupAddress("g", 5)
+        socks[0].join(group)
+        socks[0].send(group, b"mc")
+        sim.run()
+        assert all(not msgs for msgs in inbox.values())
+        assert net.hosts["h0"].egress.stats.packets_sent == 0
 
 
 class TestCaptureIntegration:

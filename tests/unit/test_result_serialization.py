@@ -199,6 +199,12 @@ class TestResultRoundTrip:
         for stats in clone.site_stats.values():
             assert stats["certified"] == stats["committed"] + stats["aborted"]
 
+    def test_live_and_loaded_samplers_share_one_shape(self, pair):
+        result, clone = pair
+        assert type(result.sampler) is SampleSeries
+        assert result.sampler.samples
+        assert result.sampler.to_dict() == clone.sampler.to_dict()
+
     def test_capture_totals_preserved(self, pair):
         result, clone = pair
         assert clone.capture.total_bytes == result.capture.total_bytes
