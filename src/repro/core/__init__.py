@@ -25,7 +25,7 @@ faults) injected only through the runtime boundary.
   decidable off-line.
 """
 
-from .clock import CostModelTimer, CpuCostModel, ProfilingTimer, WallClockTimer
+from .clock import CpuCostModel
 from .cpu import CpuPool, Job, REAL_JOB, SIM_JOB, SimulatedCpu
 from .csrt import MEASURED, MODELED, RuntimeInterceptor, SiteRuntime
 from .experiment import Scenario, ScenarioConfig, ScenarioResult, Site
@@ -59,10 +59,7 @@ from .runtime_api import (
 from .safety import CommitLog, SafetyViolation, check_consistency
 
 __all__ = [
-    "CostModelTimer",
     "CpuCostModel",
-    "ProfilingTimer",
-    "WallClockTimer",
     "CpuPool",
     "Job",
     "REAL_JOB",

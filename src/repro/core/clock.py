@@ -1,157 +1,19 @@
-"""Profiling timers for real code running under the centralized runtime.
+"""The CPU cost model: what a real job costs under the modeled clock.
 
 The paper times real protocol code with the Linux ``perfctr`` virtualized
-CPU cycle counters (nanosecond resolution on the 1 GHz Pentium III) and
-charges the measured duration to the simulated CPU.  Two backends are
-provided here:
-
-* :class:`WallClockTimer` — the paper's mechanism, using
-  ``time.perf_counter_ns``.  The measured time can be *scaled* to simulate
-  a processor other than the host (paper §2.3).
-* :class:`CostModelTimer` — a deterministic substitute.  Real code still
-  executes for its side effects, but the duration charged is computed from
-  a :class:`CpuCostModel` (fixed + per-byte overheads — exactly the four
-  parameters the paper calibrates in §4.1) plus any explicit
-  :meth:`ProfilingTimer.charge` calls made from hot loops.
-
-Both backends implement the pause/resume protocol of Figure 1(b): the
-clock is stopped while real code re-enters the simulation runtime, so the
-time spent scheduling events is not billed to the job, and the elapsed
-time Δ accumulated so far is available for correcting event delays
-(δ′q = Δ1 + δq).
+CPU cycle counters and charges the measured duration to the simulated
+CPU; :class:`~repro.core.csrt.SiteRuntime` keeps that clock for the
+running job.  Under the deterministic ``MODELED`` clock the duration is
+declared instead: each job starts with the entry cost this model prices
+for its tag (fixed + per-byte overheads — exactly the four parameters the
+paper calibrates in §4.1), and protocol hot loops add explicit charges.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Optional, Tuple
 
-__all__ = ["ProfilingTimer", "WallClockTimer", "CostModelTimer", "CpuCostModel"]
-
-
-class ProfilingTimer:
-    """Abstract timer measuring the duration of one real-code job.
-
-    Lifecycle: ``start`` → (``pause``/``resume``)* → ``stop``.  The value
-    of :meth:`elapsed` is the job duration *excluding* paused intervals.
-    """
-
-    def start(self, charged: float = 0.0) -> None:
-        """Begin measuring a job, ``charged`` seconds already declared
-        (the entry cost: a :meth:`charge` folded into the start)."""
-        raise NotImplementedError
-
-    def pause(self) -> None:
-        """Stop accumulating (real code re-entered the simulation runtime)."""
-        raise NotImplementedError
-
-    def resume(self) -> None:
-        """Continue accumulating (control returned to real code)."""
-        raise NotImplementedError
-
-    def stop(self) -> float:
-        """Finish the measurement and return the total elapsed seconds."""
-        raise NotImplementedError
-
-    def elapsed(self) -> float:
-        """Elapsed seconds accumulated so far (Δ1 in Figure 1(b))."""
-        raise NotImplementedError
-
-    def charge(self, seconds: float) -> None:
-        """Explicitly account ``seconds`` of work.
-
-        A no-op for the wall-clock backend (work is measured, not
-        declared); the cost-model backend accumulates it.
-        """
-
-
-class WallClockTimer(ProfilingTimer):
-    """Measures real executions with the host's monotonic clock.
-
-    ``scale`` converts host-CPU seconds into simulated-CPU seconds; e.g.
-    ``scale=2.0`` simulates a processor half as fast as the host.
-    """
-
-    def __init__(self, scale: float = 1.0):
-        if scale <= 0:
-            raise ValueError("scale must be positive")
-        self.scale = scale
-        self._accumulated_ns = 0
-        self._started_at: Optional[int] = None
-        self._running = False
-
-    def start(self, charged: float = 0.0) -> None:
-        # Work is measured by the clock: a declared charge is ignored.
-        self._accumulated_ns = 0
-        self._started_at = time.perf_counter_ns()
-        self._running = True
-
-    def pause(self) -> None:
-        if not self._running or self._started_at is None:
-            return
-        self._accumulated_ns += time.perf_counter_ns() - self._started_at
-        self._started_at = None
-
-    def resume(self) -> None:
-        if not self._running:
-            return
-        self._started_at = time.perf_counter_ns()
-
-    def stop(self) -> float:
-        self.pause()
-        self._running = False
-        return self.elapsed()
-
-    def elapsed(self) -> float:
-        total_ns = self._accumulated_ns
-        if self._started_at is not None:
-            total_ns += time.perf_counter_ns() - self._started_at
-        return total_ns * 1e-9 * self.scale
-
-    def charge(self, seconds: float) -> None:
-        # Work is measured by the clock; explicit charges are ignored so
-        # protocol code can be written once for both backends.
-        return None
-
-
-class CostModelTimer(ProfilingTimer):
-    """Deterministic timer: elapsed time is declared, not measured.
-
-    The per-job entry cost is charged by the runtime when the job starts
-    (from the :class:`CpuCostModel`); protocol hot loops may add explicit
-    :meth:`charge` calls (e.g. per certified tuple).  ``pause``/``resume``
-    only toggle whether charges are accepted, which catches accounting
-    bugs where simulation-side code charges the real job by accident.
-    """
-
-    def __init__(self) -> None:
-        self._accumulated = 0.0
-        self._running = False
-        self._paused = False
-
-    def start(self, charged: float = 0.0) -> None:
-        self._accumulated = charged
-        self._running = True
-        self._paused = False
-
-    def pause(self) -> None:
-        self._paused = True
-
-    def resume(self) -> None:
-        self._paused = False
-
-    def stop(self) -> float:
-        self._running = False
-        return self._accumulated
-
-    def elapsed(self) -> float:
-        return self._accumulated
-
-    def charge(self, seconds: float) -> None:
-        if seconds < 0:
-            raise ValueError("cannot charge negative time")
-        if self._running and not self._paused:
-            self._accumulated += seconds
+__all__ = ["CpuCostModel"]
 
 
 class CpuCostModel:

@@ -1,9 +1,9 @@
 """The centralized simulation runtime (CSRT) — the paper's §2 contribution.
 
 Real protocol code (group communication, certification) executes inside
-the discrete-event simulation.  Its duration is obtained from a profiling
-timer and charged to a simulated CPU, so real jobs compete with modeled
-transaction-processing jobs for the same processor.
+the discrete-event simulation.  Its duration is read from the running
+job's clock and charged to a simulated CPU, so real jobs compete with
+modeled transaction-processing jobs for the same processor.
 
 **The life of a real job.**  Every datagram and every protocol timer is
 one.  There is one representation — ``(fn, args, entry_cost,
@@ -16,32 +16,44 @@ on_complete)`` — and one runner, :meth:`SiteRuntime._run`:
   call, no closure, and no per-job object even when it has to queue;
 * *inline or queued, lazy or eager completion, settle* — the CPU's half
   of the story, told in :mod:`repro.core.cpu`;
-* *run* — ``_run`` starts the profiling timer with the entry cost on it,
-  runs ``fn(*args)`` and returns the duration (measured or modeled,
-  after the fault injector's clock drift).  A crashed site skips the
-  code and holds the CPU for zero seconds.
+* *run* — ``_run`` opens the job's clock, runs ``fn(*args)`` and
+  returns the seconds it used (after the fault injector's clock drift).
+  A crashed site skips the code and holds the CPU for zero seconds.
+
+**The job's clock** is one state kept by the runtime for both clock
+modes: the seconds the running job has used so far (Δ1 in Figure 1(b)),
+and whether it is running or has re-entered the runtime.  Under
+``MODELED`` those seconds are the entry cost plus the job's
+:meth:`SiteRuntime.rt_charge` calls — the four send/receive parameters
+the paper calibrates in §4.1, priced by
+:class:`~repro.core.clock.CpuCostModel`.  Under ``MEASURED`` they are the
+job's closed ``perf_counter_ns`` segments × ``cpu_scale`` (the paper's
+perfctr mechanism; a scale of 2 simulates a processor half as fast as
+the host), and a charge is ignored.
 
 While the code runs, the two hazards of Figure 1(b) are handled exactly
 as the paper prescribes:
 
 * an event scheduled *by real code* with delay δq is entered into the
-  simulation with delay δ′q = Δ1 + δq, where Δ1 is the real time already
-  consumed by the running job — otherwise the event could land in the
-  simulation past;
-* the profiling timer is **paused** whenever real code re-enters the
-  runtime (to schedule or send), so runtime overhead is never billed to
-  the job, and resumed on return.
+  simulation with delay δ′q = Δ1 + δq — otherwise the event could land
+  in the simulation past;
+* the clock is **frozen** whenever real code re-enters the runtime (to
+  schedule or send): the open measured segment closes, and a charge
+  made meanwhile is dropped, so runtime overhead is never billed to the
+  job.  It runs again on return.
 
 Fault injection (§5.3) intercepts calls in and out of this runtime via a
 :class:`RuntimeInterceptor`; the concrete fault models live in
-:mod:`repro.core.faults`.
+:mod:`repro.core.faults`.  A site without faults holds no interceptor
+and calls no hook.  Crash is the runtime's own state.
 """
 
 from __future__ import annotations
 
+from time import perf_counter_ns
 from typing import Any, Callable, Optional
 
-from .clock import CostModelTimer, CpuCostModel, ProfilingTimer, WallClockTimer
+from .clock import CpuCostModel
 from .cpu import CpuPool
 from .kernel import Entity, Simulator
 
@@ -52,17 +64,16 @@ __all__ = ["SiteRuntime", "RuntimeInterceptor", "ScheduledCallback", "MEASURED",
 MEASURED = "measured"
 #: Clock mode: durations taken from the deterministic CPU cost model.
 MODELED = "modeled"
+#: The job's clock while its code has re-entered the runtime.
+_INSIDE = "inside"
 
 
 class RuntimeInterceptor:
-    """Pass-through hooks on every boundary crossing of the runtime.
+    """Hooks on the boundary crossings of a faulty site's runtime.
 
     The fault injector subclasses this; the default implementation is the
     identity (no faults).  One interceptor instance guards one site.
     """
-
-    #: Set when the site has been crashed; checked on every crossing.
-    crashed: bool = False
 
     def transform_delay(self, delay: float) -> float:
         """Rewrite a delay requested by real code (drift, sched latency)."""
@@ -76,9 +87,6 @@ class RuntimeInterceptor:
         """Return True to discard a datagram upon reception (loss models)."""
         return False
 
-    def on_crash(self) -> None:
-        """Notification that the site was crashed (for logging)."""
-
 
 class ScheduledCallback:
     """Cancellable handle for a callback scheduled by protocol code.
@@ -86,10 +94,7 @@ class ScheduledCallback:
     The kernel entry is fire-and-forget; a cancelled callback stays in
     the heap and no-ops when it fires (see :meth:`SiteRuntime._fire`)."""
 
-    __slots__ = ("cancelled",)
-
-    def __init__(self) -> None:
-        self.cancelled = False
+    cancelled = False
 
     def cancel(self) -> None:
         self.cancelled = True
@@ -98,9 +103,10 @@ class ScheduledCallback:
 class SiteRuntime(Entity):
     """Centralized simulation runtime scoped to one database site.
 
-    Owns the site's clock-mode configuration and mediates every
-    interaction between the real protocol code on this site and the
-    simulation: job execution, timers, and the simulated network.
+    Owns the site's clock-mode configuration and the running job's
+    clock, and mediates every interaction between the real protocol code
+    on this site and the simulation: job execution, timers, and the
+    simulated network.
     """
 
     def __init__(
@@ -116,25 +122,36 @@ class SiteRuntime(Entity):
         super().__init__(sim, name)
         if mode not in (MEASURED, MODELED):
             raise ValueError(f"unknown clock mode {mode!r}")
+        if cpu_scale <= 0:
+            raise ValueError("cpu_scale must be positive")
         self.cpus = cpus
         #: Where real jobs go: the pool's placement — or, on a single-CPU
         #: site, where there is no placement to make, that CPU itself.
         self._submit = cpus.cpus[0].submit_real if len(cpus) == 1 else cpus.submit_real
-        self.mode = mode
+        #: One of the two constants, so the clock compares by identity.
+        self.mode = MEASURED if mode == MEASURED else MODELED
         self.cost_model = cost_model or CpuCostModel()
-        self.cpu_scale = cpu_scale
-        self.interceptor = interceptor or RuntimeInterceptor()
+        #: Simulated seconds per host nanosecond (MEASURED): ``cpu_scale``
+        #: converts host time to the simulated processor's (§2.3).
+        self._ns_scale = 1e-9 * cpu_scale
+        #: The fault injector, or None on a site without faults.
+        self.interceptor = interceptor
+        #: Set by :meth:`crash`, cleared by :meth:`recover`.
+        self.crashed = False
+        #: The running job's clock (jobs never nest: each runs to
+        #: completion on the single-threaded kernel).  ``_clock`` is the
+        #: mode while a job runs, ``_INSIDE`` while it has re-entered
+        #: the runtime, None between jobs; ``_spent`` the seconds it has
+        #: used so far (0.0 between jobs); ``_opened`` the host
+        #: nanosecond at which the open MEASURED segment began.
+        self._clock: Optional[str] = None
+        self._spent = 0.0
+        self._opened = 0
         #: Hook installed by the network bridge: ``fn(dest, payload)``
         #: injects a datagram into the simulated stack *now*.
         self.network_send: Optional[Callable[[Any, bytes], None]] = None
         #: Handler installed by protocol code for incoming datagrams.
         self.receiver: Optional[Callable[[Any, bytes], None]] = None
-        self._active_timer: Optional[ProfilingTimer] = None
-        #: One reusable cost-model timer: jobs never nest (each real job
-        #: runs to completion on the single-threaded kernel), and
-        #: ``start()`` resets the accumulator, so allocating a fresh
-        #: timer per job is pure garbage-collector churn.
-        self._model_timer = CostModelTimer()
         #: Counters surfaced in experiment reports.
         self.stats = {
             "real_jobs": 0,
@@ -170,24 +187,27 @@ class SiteRuntime(Entity):
 
     def _run(self, fn: Callable[..., None], args: tuple, entry_cost: float) -> float:
         """The one runner of real jobs (both clock modes): execute
-        ``fn(*args)`` under the profiling timer, return its duration."""
-        interceptor = self.interceptor
-        if interceptor.crashed:
+        ``fn(*args)`` on the job's clock, return its duration."""
+        if self.crashed:
             self.stats["jobs_skipped_crashed"] += 1
             return 0.0
-        if self.mode == MEASURED:
-            timer = WallClockTimer(scale=self.cpu_scale)
+        mode = self._clock = self.mode
+        if mode is MEASURED:
+            self._opened = perf_counter_ns()
         else:
-            timer = self._model_timer
-        self._active_timer = timer
-        timer.start(entry_cost)
+            self._spent = entry_cost
         try:
             fn(*args)
         finally:
-            elapsed = timer.stop()
-            self._active_timer = None
+            if self._clock is MEASURED:
+                self._spent += (perf_counter_ns() - self._opened) * self._ns_scale
+            elapsed = self._spent
+            self._clock = None
+            self._spent = 0.0
         self.stats["real_jobs"] += 1
-        return interceptor.transform_elapsed(elapsed)
+        if self.interceptor is not None:
+            return self.interceptor.transform_elapsed(elapsed)
+        return elapsed
 
     # ------------------------------------------------------------------
     # services callable *by running real code*
@@ -195,15 +215,20 @@ class SiteRuntime(Entity):
     def rt_now(self) -> float:
         """Simulated time as seen by real code: kernel time plus the real
         time its job has consumed so far (Figure 1(b))."""
-        timer = self._active_timer
-        if timer is not None:
-            return self.sim._now + timer.elapsed()
-        return self.sim._now
+        if self._clock is MEASURED:
+            open_ns = perf_counter_ns() - self._opened
+            return self.sim._now + self._spent + open_ns * self._ns_scale
+        return self.sim._now + self._spent
 
     def rt_charge(self, seconds: float) -> None:
-        """Explicit work declaration from protocol hot loops (cost model)."""
-        if self._active_timer is not None:
-            self._active_timer.charge(seconds)
+        """Explicit work declaration from protocol hot loops.  Only a
+        running MODELED job accounts it: a MEASURED job's work is
+        measured, and a charge between jobs or from inside the runtime
+        is dropped."""
+        if self._clock is MODELED:
+            if seconds < 0:
+                raise ValueError("cannot charge negative time")
+            self._spent += seconds
 
     def rt_schedule(
         self,
@@ -220,17 +245,20 @@ class SiteRuntime(Entity):
         """
         if delay < 0:
             raise ValueError("delay must be non-negative")
-        delay = self.interceptor.transform_delay(delay)
+        if self.interceptor is not None:
+            delay = self.interceptor.transform_delay(delay)
         handle = ScheduledCallback()
-        timer = self._active_timer
-        if timer is not None:
-            timer.pause()
-            delay += timer.elapsed()  # δ′q = Δ1 + δq
+        clock = self._clock
+        if clock is MEASURED:
+            self._spent += (perf_counter_ns() - self._opened) * self._ns_scale
+        self._clock = _INSIDE
         try:
-            self.sim.call(delay, self._fire, handle, fn, args, tag, nbytes)
+            # δ′q = Δ1 + δq
+            self.sim.call(delay + self._spent, self._fire, handle, fn, args, tag, nbytes)
         finally:
-            if timer is not None:
-                timer.resume()
+            self._clock = clock
+            if clock is MEASURED:
+                self._opened = perf_counter_ns()
         return handle
 
     def _fire(
@@ -239,7 +267,7 @@ class SiteRuntime(Entity):
     ) -> None:
         """A protocol timer expires: unless cancelled meanwhile (or the
         site crashed), its callback becomes a real job."""
-        if handle.cancelled or self.interceptor.crashed:
+        if handle.cancelled or self.crashed:
             return
         self._submit(self._run, (fn, args, self.cost_model.cost(tag, nbytes)))
 
@@ -250,26 +278,27 @@ class SiteRuntime(Entity):
         job; the datagram leaves the host once the work done so far (Δ1,
         including that overhead) has elapsed on the simulated clock.
         """
-        if self.interceptor.crashed:
+        if self.crashed:
             return
         if self.network_send is None:
             raise RuntimeError(f"{self.name}: no network bridge installed")
-        timer = self._active_timer
-        if timer is not None:
-            timer.charge(self.cost_model.cost(CpuCostModel.SEND, len(payload)))
-            timer.pause()
-            delta1 = timer.elapsed()
-        else:
-            delta1 = 0.0
+        clock = self._clock
+        if clock is MODELED:
+            self._spent += self.cost_model.cost(CpuCostModel.SEND, len(payload))
+        elif clock is MEASURED:
+            self._spent += (perf_counter_ns() - self._opened) * self._ns_scale
+        self._clock = _INSIDE
         try:
             self.stats["datagrams_out"] += 1
+            delta1 = self._spent
             if delta1 > 0:
                 self.sim.call(delta1, self.network_send, dest, payload)
             else:
                 self.network_send(dest, payload)
         finally:
-            if timer is not None:
-                timer.resume()
+            self._clock = clock
+            if clock is MEASURED:
+                self._opened = perf_counter_ns()
 
     # ------------------------------------------------------------------
     # network → real code
@@ -280,10 +309,10 @@ class SiteRuntime(Entity):
         Reception is where the paper injects message loss ("each message
         is discarded upon reception with the specified probability").
         """
-        interceptor = self.interceptor
-        if interceptor.crashed:
+        if self.crashed:
             return
-        if interceptor.drop_incoming(source, payload):
+        interceptor = self.interceptor
+        if interceptor is not None and interceptor.drop_incoming(source, payload):
             self.stats["drops_injected"] += 1
             return
         handler = self.receiver
@@ -299,5 +328,12 @@ class SiteRuntime(Entity):
     def crash(self) -> None:
         """Stop the site: pending and future real jobs become no-ops and
         the network boundary is sealed in both directions (§5.3)."""
-        self.interceptor.crashed = True
-        self.interceptor.on_crash()
+        self.crashed = True
+
+    def recover(self) -> None:
+        """Un-seal the boundary after a crash (the ``recover`` fault
+        action): the site restarts with empty volatile state and may
+        announce itself for rejoin.  The loss/drift fault models keep
+        running — a recovered site is subject to the same environment it
+        crashed in."""
+        self.crashed = False

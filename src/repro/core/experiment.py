@@ -588,8 +588,8 @@ class Scenario:
         """The ``recover`` action: restart a crashed site's process with
         empty volatile state and begin its rejoin (announce → merge view
         → state transfer → backlog replay → live)."""
-        assert site.injector is not None and site.replica is not None
-        site.injector.recover()
+        assert site.runtime is not None
+        site.runtime.recover()
         self._begin_rejoin(site)
 
     def _begin_rejoin(self, site: Site, silent: bool = True) -> None:

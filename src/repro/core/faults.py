@@ -89,6 +89,15 @@ class FaultPlan:
     seed: int = 7
 
     def __post_init__(self) -> None:
+        if self.clock_drift_rate <= -1:
+            raise ValueError("clock_drift_rate must be greater than -1")
+        for name in (
+            "random_loss_rate", "bursty_loss_rate", "scheduling_latency_max",
+            "crash_at", "partition_at",
+        ):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be non-negative")
         if self.recover_at is not None:
             if self.crash_at is None:
                 raise ValueError("recover_at requires crash_at")
@@ -127,7 +136,6 @@ class FaultInjector(RuntimeInterceptor):
         if self.plan.random_loss_rate > 0 and self.plan.bursty_loss_rate > 0:
             raise ValueError("choose either random or bursty loss, not both")
         self.rng = random.Random(self.plan.seed)
-        self.crashed = False
         if self.plan.random_loss_rate > 0:
             self.loss: LossProcess = RandomLoss(
                 self.plan.random_loss_rate, random.Random(self.plan.seed + 1)
@@ -143,7 +151,6 @@ class FaultInjector(RuntimeInterceptor):
         self.stats = {
             "delays_stretched": 0,
             "messages_dropped": 0,
-            "recoveries": 0,
         }
 
     # ------------------------------------------------------------------
@@ -169,17 +176,6 @@ class FaultInjector(RuntimeInterceptor):
             self.stats["messages_dropped"] += 1
             return True
         return False
-
-    # ------------------------------------------------------------------
-    # recovery control (the ``recover`` fault action)
-    # ------------------------------------------------------------------
-    def recover(self) -> None:
-        """Un-seal the runtime boundary after a crash: the site restarts
-        with empty volatile state and may announce itself for rejoin.
-        The loss/drift fault models keep running — a recovered site is
-        subject to the same environment it crashed in."""
-        self.crashed = False
-        self.stats["recoveries"] += 1
 
 
 # ----------------------------------------------------------------------

@@ -52,9 +52,6 @@ class Host(Entity):
     def unbind(self, port: int) -> None:
         self._ports.pop(port, None)
 
-    def send(self, src_port: int, dest: Destination, payload: bytes) -> None:
-        self.network.route(self, src_port, dest, payload)
-
     def receive(self, source: Endpoint, port: int, payload: bytes) -> None:
         callback = self._ports.get(port)
         if callback is not None:

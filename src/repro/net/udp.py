@@ -41,7 +41,7 @@ class UdpSocket:
     def send(self, dest: Destination, payload: bytes) -> None:
         if self._closed:
             raise RuntimeError("socket is closed")
-        self.host.send(self.port, dest, payload)
+        self.host.network.route(self.host, self.port, dest, payload)
 
     def join(self, group: GroupAddress) -> None:
         """Subscribe this socket's host to a multicast group."""

@@ -14,6 +14,9 @@ builds no ``Job``, the fabric asks about the partition cut once per
 packet, and a datagram of the installed view never enters the exclusion
 detector — counted, so they cannot come back unnoticed.
 
+A site without faults holds no fault injector and calls no hook: its
+datagrams, jobs and timers cross the runtime boundary without one.
+
 And a delivered request's: six sites route it with one walk of its sets
 (the footprint rides on the shared request), and a fragment is
 reassembled, sequenced, windowed and checked for a pending view without
@@ -34,7 +37,9 @@ from helpers import make_group
 from test_prop_cpu_lazy import GRID, EagerCpu, drive
 
 from repro.core.cpu import Job, SimulatedCpu
+from repro.core.csrt import RuntimeInterceptor, SiteRuntime
 from repro.core.experiment import Scenario, ScenarioConfig
+from repro.core.faults import FaultInjector, clock_drift
 from repro.core.kernel import Simulator
 from repro.core.metrics import MetricsCollector, TxRecord
 from repro.db.tuples import make_tuple_id
@@ -379,3 +384,57 @@ def test_data_traffic_makes_no_trivial_calls():
     assert gapped == [1] and entered == []
     assert reliable.windows[2].contiguous == top + 2
     assert not reliable.windows[2].pending
+
+
+HOOKS = ("drop_incoming", "transform_elapsed", "transform_delay")
+
+
+def hooks_entered(harness):
+    """``{member: {hook: times entered}}`` over a run with traffic, plus
+    each member's ``rt_schedule`` calls under ``"rt_schedule"``."""
+    codes = {
+        getattr(cls, hook).__code__: hook
+        for cls in (RuntimeInterceptor, FaultInjector) for hook in HOOKS
+    }
+    codes[SiteRuntime.rt_schedule.__code__] = "rt_schedule"
+    member_of = {id(rt): i for i, rt in enumerate(harness.runtimes)}
+    member_of.update({id(inj): i for i, inj in harness.injectors.items()})
+    entered = {
+        i: dict.fromkeys((*HOOKS, "rt_schedule"), 0) for i in member_of.values()
+    }
+
+    def note(frame):
+        name = codes.get(frame.f_code)
+        if name is not None:
+            entered[member_of[id(frame.f_locals["self"])]][name] += 1
+
+    with profiling(note):
+        harness.start()
+        for burst in range(4):
+            for stack in harness.stacks:
+                harness.sim.schedule(0.2 * burst, stack.multicast, b"x" * 3000)
+        harness.sim.run(until=2.0)
+    return entered
+
+
+def test_fault_free_sites_call_no_hook():
+    harness = make_group(3)
+    entered = hooks_entered(harness)
+    assert all(rt.interceptor is None for rt in harness.runtimes)
+    assert all(rt.stats["datagrams_in"] > 20 for rt in harness.runtimes)
+    assert all(counts[hook] == 0 for counts in entered.values() for hook in HOOKS)
+
+
+def test_only_the_faulty_site_calls_its_hooks_once_per_crossing():
+    harness = make_group(3, fault_plans={1: clock_drift(0.1)})
+    entered = hooks_entered(harness)
+    stats = harness.runtimes[1].stats
+    assert stats["drops_injected"] == 0 and stats["datagrams_in"] > 20
+    assert entered[1] == {
+        "drop_incoming": stats["datagrams_in"],  # every datagram that reached it
+        "transform_elapsed": stats["real_jobs"],
+        "transform_delay": entered[1]["rt_schedule"],
+        "rt_schedule": entered[1]["rt_schedule"],
+    }
+    assert entered[1]["rt_schedule"] > 10
+    assert all(entered[i][hook] == 0 for i in (0, 2) for hook in HOOKS)

@@ -1,90 +1,10 @@
-"""Unit tests for the profiling timers and the CPU cost model."""
+"""Unit tests for the CPU cost model.
 
-import time
+The running job's clock is the site runtime's: see ``test_csrt.py``."""
 
 import pytest
 
-from repro.core.clock import CostModelTimer, CpuCostModel, WallClockTimer
-
-
-class TestWallClockTimer:
-    def test_measures_real_elapsed_time(self):
-        timer = WallClockTimer()
-        timer.start()
-        deadline = time.perf_counter() + 0.02
-        while time.perf_counter() < deadline:
-            pass
-        elapsed = timer.stop()
-        assert 0.015 < elapsed < 0.2
-
-    def test_pause_excludes_interval(self):
-        timer = WallClockTimer()
-        timer.start()
-        timer.pause()
-        deadline = time.perf_counter() + 0.02
-        while time.perf_counter() < deadline:
-            pass
-        timer.resume()
-        elapsed = timer.stop()
-        assert elapsed < 0.01
-
-    def test_scale_multiplies_measurement(self):
-        fast = WallClockTimer(scale=1.0)
-        slow = WallClockTimer(scale=4.0)
-        for timer in (fast, slow):
-            timer.start()
-            deadline = time.perf_counter() + 0.01
-            while time.perf_counter() < deadline:
-                pass
-            timer.stop()
-        assert slow.elapsed() > fast.elapsed() * 2
-
-    def test_charge_is_noop(self):
-        timer = WallClockTimer()
-        timer.start()
-        timer.charge(100.0)
-        assert timer.stop() < 1.0
-
-    def test_invalid_scale_rejected(self):
-        with pytest.raises(ValueError):
-            WallClockTimer(scale=0.0)
-
-
-class TestCostModelTimer:
-    def test_accumulates_charges(self):
-        timer = CostModelTimer()
-        timer.start()
-        timer.charge(0.5)
-        timer.charge(0.25)
-        assert timer.stop() == pytest.approx(0.75)
-
-    def test_charges_while_paused_are_dropped(self):
-        timer = CostModelTimer()
-        timer.start()
-        timer.charge(0.1)
-        timer.pause()
-        timer.charge(99.0)  # simulation-side code must not bill the job
-        timer.resume()
-        timer.charge(0.1)
-        assert timer.stop() == pytest.approx(0.2)
-
-    def test_charges_before_start_ignored(self):
-        timer = CostModelTimer()
-        timer.charge(5.0)
-        timer.start()
-        assert timer.stop() == 0.0
-
-    def test_negative_charge_rejected(self):
-        timer = CostModelTimer()
-        timer.start()
-        with pytest.raises(ValueError):
-            timer.charge(-1.0)
-
-    def test_elapsed_readable_mid_job(self):
-        timer = CostModelTimer()
-        timer.start()
-        timer.charge(0.3)
-        assert timer.elapsed() == pytest.approx(0.3)
+from repro.core.clock import CpuCostModel
 
 
 class TestCpuCostModel:

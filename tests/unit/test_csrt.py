@@ -1,5 +1,7 @@
 """Unit tests for the centralized simulation runtime (Figure 1 semantics)."""
 
+import time
+
 import pytest
 
 from repro.core.clock import CpuCostModel
@@ -8,11 +10,38 @@ from repro.core.csrt import MEASURED, MODELED, RuntimeInterceptor, SiteRuntime
 from repro.core.kernel import Simulator
 
 
-def make_runtime(mode=MODELED, interceptor=None):
+def make_runtime(mode=MODELED, interceptor=None, cpu_scale=1.0):
     sim = Simulator()
     pool = CpuPool(sim, 1)
-    runtime = SiteRuntime(sim, pool, mode=mode, interceptor=interceptor)
+    runtime = SiteRuntime(
+        sim, pool, mode=mode, interceptor=interceptor, cpu_scale=cpu_scale
+    )
     return sim, pool, runtime
+
+
+def busy_for(seconds):
+    """Spin the host CPU for ``seconds`` of wall time."""
+    deadline = time.perf_counter() + seconds
+    while time.perf_counter() < deadline:
+        pass
+
+
+def real_busy_time(pool):
+    return pool.cpus[0].busy_time[REAL_JOB]
+
+
+def inside_the_runtime(sim, work):
+    """Make every kernel ``call`` run ``work()`` first: code that real
+    code reaches through ``rt_send`` / ``rt_schedule``.  Returns the
+    undo."""
+    kernel_call = sim.call
+
+    def call(delay, fn, *args):
+        work()
+        kernel_call(delay, fn, *args)
+
+    sim.call = call
+    return lambda: setattr(sim, "call", kernel_call)
 
 
 class TestRealJobExecution:
@@ -151,7 +180,7 @@ class TestMeasuredModeThroughTheFastLane:
 
     def test_timer_is_paused_while_real_code_is_inside_the_runtime(self):
         """``rt_send`` and ``rt_schedule`` both reach ``sim.call`` with
-        the profiling timer paused: host time spent there is not billed."""
+        the job's clock frozen: host time spent there is not billed."""
         sim, _, runtime = make_runtime(mode=MEASURED)
         runtime.network_send = lambda dest, payload: None
         readings = []
@@ -180,6 +209,118 @@ class TestMeasuredModeThroughTheFastLane:
         assert len(readings) == 4
         assert readings[0] == readings[1]  # paused inside rt_send
         assert readings[2] == readings[3]  # paused inside rt_schedule
+
+
+class TestMeasuredJobClock:
+    """A MEASURED job is charged the host time its code spends, scaled by
+    ``cpu_scale``, with the runtime's own time left out."""
+
+    def test_job_is_charged_the_wall_time_it_spends(self):
+        sim, pool, runtime = make_runtime(mode=MEASURED)
+        runtime.submit_real(busy_for, args=(0.02,))
+        sim.run()
+        assert 0.015 < real_busy_time(pool) < 0.2
+
+    def test_time_inside_the_runtime_is_excluded(self):
+        sim, pool, runtime = make_runtime(mode=MEASURED)
+        runtime.network_send = lambda dest, payload: busy_for(0.01)
+
+        def job():
+            undo = inside_the_runtime(sim, lambda: busy_for(0.01))
+            try:
+                runtime.rt_send("dest", b"x")
+                runtime.rt_schedule(1e-3, lambda: None)
+            finally:
+                undo()
+
+        runtime.submit_real(job)
+        sim.run()
+        assert 0.0 < real_busy_time(pool) < 0.01  # ≥ 0.02 s spent inside
+
+    def test_time_is_scaled_by_cpu_scale(self):
+        busy = []
+        for scale in (1.0, 4.0):
+            sim, pool, runtime = make_runtime(mode=MEASURED, cpu_scale=scale)
+            runtime.submit_real(busy_for, args=(0.01,))
+            sim.run()
+            busy.append(real_busy_time(pool))
+        assert busy[1] > busy[0] * 2
+
+    def test_charge_is_ignored(self):
+        sim, pool, runtime = make_runtime(mode=MEASURED)
+        runtime.submit_real(lambda: runtime.rt_charge(100.0))
+        sim.run()
+        assert real_busy_time(pool) < 1.0
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0])
+    def test_nonpositive_cpu_scale_rejected_at_construction(self, scale):
+        sim = Simulator()
+        with pytest.raises(ValueError):
+            SiteRuntime(sim, CpuPool(sim, 1), mode=MODELED, cpu_scale=scale)
+
+
+class TestModeledJobClock:
+    """A MODELED job is charged its entry cost plus what its code
+    declares with ``rt_charge`` while it runs."""
+
+    ENTRY = CpuCostModel().cost(CpuCostModel.TIMER)
+
+    def test_job_returns_entry_cost_plus_charges(self):
+        sim, pool, runtime = make_runtime()
+        runtime.submit_real(lambda: (runtime.rt_charge(0.5), runtime.rt_charge(0.25)))
+        sim.run()
+        assert real_busy_time(pool) == pytest.approx(self.ENTRY + 0.75)
+
+    def test_charge_made_inside_the_runtime_is_dropped(self):
+        sim, pool, runtime = make_runtime()
+
+        def job():
+            runtime.rt_charge(0.1)
+            # simulation-side code must not bill the job
+            undo = inside_the_runtime(sim, lambda: runtime.rt_charge(99.0))
+            try:
+                runtime.rt_schedule(1e-3, lambda: None, tag=CpuCostModel.NOOP)
+            finally:
+                undo()
+            runtime.rt_charge(0.1)
+
+        runtime.submit_real(job, tag=CpuCostModel.NOOP)
+        sim.run()
+        assert real_busy_time(pool) == pytest.approx(0.2)
+
+    def test_charge_outside_a_job_is_ignored(self):
+        sim, pool, runtime = make_runtime()
+        runtime.rt_charge(5.0)
+        runtime.submit_real(lambda: None)
+        runtime.rt_charge(5.0)
+        sim.run()
+        assert real_busy_time(pool) == self.ENTRY
+        assert runtime.rt_now() == sim.now
+
+    def test_negative_charge_raises(self):
+        sim, _, runtime = make_runtime()
+        errors = []
+
+        def job():
+            with pytest.raises(ValueError):
+                runtime.rt_charge(-1.0)
+            errors.append("raised")
+
+        runtime.submit_real(job)
+        sim.run()
+        assert errors == ["raised"]
+
+    def test_rt_now_is_now_plus_the_charges_so_far(self):
+        sim, _, runtime = make_runtime()
+        observed = []
+
+        def job():
+            runtime.rt_charge(0.3)
+            observed.append(runtime.rt_now())
+
+        runtime.submit_real(job, tag=CpuCostModel.NOOP, delay=1.0)
+        sim.run()
+        assert observed == [1.0 + 0.3]
 
 
 class TestCrashDuringALazilyCompletedJob:
@@ -273,6 +414,19 @@ class TestInterception:
         sim.run()
         assert got == []
         assert runtime.stats["jobs_skipped_crashed"] == 1
+
+    def test_recover_unseals_the_boundary(self):
+        sim, _, runtime = make_runtime()
+        sent, got = [], []
+        runtime.network_send = lambda dest, payload: sent.append(payload)
+        runtime.receiver = lambda src, payload: got.append(payload)
+        runtime.crash()
+        runtime.recover()
+        runtime.submit_real(lambda: runtime.rt_send("dest", b"out"))
+        runtime.deliver("peer", b"in")
+        sim.run()
+        assert (sent, got) == ([b"out"], [b"in"])
+        assert runtime.stats["jobs_skipped_crashed"] == 0
 
     def test_interceptor_drop_incoming(self):
         class DropAll(RuntimeInterceptor):

@@ -34,6 +34,26 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             FaultInjector(FaultPlan(random_loss_rate=0.1, bursty_loss_rate=0.1))
 
+    #: A plan that would break a run mid-way (a drift of -1 divides by
+    #: zero, below it schedules into the past) or silently run without
+    #: faults (``has_faults()`` ignores negative rates) is refused at
+    #: construction.
+    @pytest.mark.parametrize("field, value", [
+        ("clock_drift_rate", -1.0),
+        ("random_loss_rate", -0.1),
+        ("bursty_loss_rate", -0.1),
+        ("scheduling_latency_max", -0.01),
+        ("crash_at", -1.0),
+        ("partition_at", -1.0),
+    ])
+    def test_plan_that_breaks_a_run_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FaultPlan(**{field: value})
+
+    def test_values_at_the_bounds_accepted(self):
+        plan = FaultPlan(clock_drift_rate=-0.5, crash_at=0.0, partition_at=0.0)
+        assert plan.has_faults()
+
 
 class TestClockDrift:
     def test_delays_scaled_up(self):
