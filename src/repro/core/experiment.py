@@ -571,10 +571,10 @@ class Scenario:
             gcs.views.monitor = probe
         gcs.on_live = lambda: self._site_live(site)
         gcs.on_excluded = lambda: self._excluded_site(site)
-        if plan.crash_at is not None:
-            self.sim.schedule(plan.crash_at, self._crash_site, site)
-        if plan.recover_at is not None:
-            self.sim.schedule(plan.recover_at, self._recover_site, site)
+        handlers = {"crash": self._crash_site, "recover": self._recover_site}
+        for time, action in plan.actions:
+            if action in handlers:
+                self.sim.schedule(time, handlers[action], site)
 
     def _crash_site(self, site: Site) -> None:
         assert site.replica is not None
@@ -618,30 +618,24 @@ class Scenario:
         :meth:`repro.gcs.stack.GroupCommunication._detect_exclusion`)
         and re-enters through the state-transfer path."""
         config = self.config
-        boundaries = set()
-        for plan in config.faults.values():
-            if plan.partition_at is not None:
-                boundaries.add(plan.partition_at)
-                if plan.heal_at is not None:
-                    boundaries.add(plan.heal_at)
+        boundaries = {t for plan in config.faults.values()
+                      for t, action in plan.actions if action in ("partition", "heal")}
         if not boundaries or config.sites < 2:
             return
         for t in sorted(boundaries):
             self.sim.schedule(t, self._apply_partition_state)
 
     def _partition_components_now(self) -> List[set]:
-        """Active partition components: sites partitioned at the *same
-        instant* share a component and keep talking to each other; sites
-        cut at different instants are in different components (the
-        documented ``partition`` semantics)."""
+        """Active partition components: the sites whose cut is open now,
+        grouped by its start.  Sites cut at the *same instant* share a
+        component and keep talking to each other; sites cut at different
+        instants do not (the documented ``partition`` semantics)."""
         now = self.sim.now
         groups: Dict[float, set] = {}
         for index, plan in self.config.faults.items():
-            if plan.partition_at is None or now < plan.partition_at:
-                continue
-            if plan.heal_at is not None and now >= plan.heal_at:
-                continue
-            groups.setdefault(plan.partition_at, set()).add(index)
+            for start, end in plan.episodes("partition"):
+                if start <= now < end:
+                    groups.setdefault(start, set()).add(index)
         return [groups[t] for t in sorted(groups)]
 
     def _apply_partition_state(self) -> None:

@@ -34,9 +34,10 @@ carry any combination.
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Any, Optional, Tuple
 
 from ..net.lossmodels import BurstyLoss, LossProcess, NoLoss, RandomLoss
 from .csrt import RuntimeInterceptor
@@ -58,10 +59,20 @@ __all__ = [
 #: docs-consistency test cross-checks the tables against this tuple.
 FAULT_ACTIONS = ("crash", "recover", "partition", "heal")
 
+_CLOSING = {"crash": "recover", "partition": "heal"}
+
 
 @dataclass
 class FaultPlan:
-    """Declarative description of the faults afflicting one site."""
+    """Declarative description of the faults afflicting one site.
+
+    The rates act for the whole run; ``actions`` are the point-in-time
+    faults, ``(time, action)`` sorted by time.  Crash/recover and
+    partition/heal each alternate, opening first, at strictly increasing
+    times, so episodes repeat, nest and overlap.  A ``recover``, and the
+    ``heal`` of a strict-minority cut, close with a rejoin via state
+    transfer; a ``recover`` must leave the site down a few
+    ``GcsConfig.suspect_after`` periods, so the survivors exclude it."""
 
     #: Rate r: delays become delay*(1+r), measured durations duration/(1+r).
     clock_drift_rate: float = 0.0
@@ -73,41 +84,38 @@ class FaultPlan:
     #: messages on average).  Mutually exclusive with random loss.
     bursty_loss_rate: float = 0.0
     bursty_loss_burst: float = 5.0
-    #: Simulated time at which the site crashes (None = never).
-    crash_at: Optional[float] = None
-    #: Simulated time at which a crashed site restarts and rejoins the
-    #: group via state transfer (requires ``crash_at``; must leave the
-    #: site down long enough for the survivors to exclude it — a few
-    #: ``GcsConfig.suspect_after`` periods).
-    recover_at: Optional[float] = None
-    #: Simulated time at which the site is partitioned away from every
-    #: site not partitioned at the same instant (None = never).
-    partition_at: Optional[float] = None
-    #: Simulated time at which the partition heals.  A site that sat in
-    #: a minority component rejoins via state transfer on heal.
-    heal_at: Optional[float] = None
+    #: The point-in-time faults, ``(time, action)`` sorted by time.
+    actions: Tuple[Tuple[float, str], ...] = ()
     seed: int = 7
 
     def __post_init__(self) -> None:
         if self.clock_drift_rate <= -1:
             raise ValueError("clock_drift_rate must be greater than -1")
-        for name in (
-            "random_loss_rate", "bursty_loss_rate", "scheduling_latency_max",
-            "crash_at", "partition_at",
-        ):
-            value = getattr(self, name)
-            if value is not None and value < 0:
+        for name in ("random_loss_rate", "bursty_loss_rate", "scheduling_latency_max"):
+            if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        if self.recover_at is not None:
-            if self.crash_at is None:
-                raise ValueError("recover_at requires crash_at")
-            if self.recover_at <= self.crash_at:
-                raise ValueError("recover_at must be after crash_at")
-        if self.heal_at is not None:
-            if self.partition_at is None:
-                raise ValueError("heal_at requires partition_at")
-            if self.heal_at <= self.partition_at:
-                raise ValueError("heal_at must be after partition_at")
+        if self.random_loss_rate > 0 and self.bursty_loss_rate > 0:
+            raise ValueError("choose either random or bursty loss, not both")
+        for time, action in self.actions:
+            if action not in FAULT_ACTIONS or not 0 <= time < math.inf:
+                raise ValueError(f"bad fault action {action!r} at time {time}")
+        self.actions = tuple(sorted(
+            map(tuple, self.actions), key=lambda e: (e[0], FAULT_ACTIONS.index(e[1]))
+        ))
+        for kind, closing in _CLOSING.items():
+            steps = [entry for entry in self.actions if entry[1] in (kind, closing)]
+            if any(a != (kind, closing)[i % 2] for i, (_, a) in enumerate(steps)):
+                raise ValueError(f"{kind} and {closing} must alternate, from {kind}")
+            if any(t0 >= t1 for (t0, _), (t1, _) in zip(steps, steps[1:])):
+                raise ValueError(f"{kind} and {closing} times must strictly increase")
+
+    def episodes(self, kind: str) -> Tuple[Tuple[float, float], ...]:
+        """``(start, end)`` of each ``kind`` (``"crash"`` or ``"partition"``)
+        episode in time order; ``end`` is ``math.inf`` while it is open."""
+        closing = _CLOSING[kind]
+        times = [time for time, action in self.actions if action in (kind, closing)]
+        times.append(math.inf)
+        return tuple(zip(times[::2], times[1::2]))
 
     def has_faults(self) -> bool:
         return (
@@ -115,17 +123,30 @@ class FaultPlan:
             or self.scheduling_latency_max > 0.0
             or self.random_loss_rate > 0.0
             or self.bursty_loss_rate > 0.0
-            or self.crash_at is not None
-            or self.partition_at is not None
+            or bool(self.actions)
         )
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """The stored encoding: a ``<action>_at`` key per action, so a plan
+        with at most one episode per kind keeps its ten keys (and its spec
+        hash); with more, they are null and ``actions`` holds the plan."""
+        data = dataclasses.asdict(self)
+        actions, seed = data.pop("actions"), data.pop("seed")
+        single = all(len(self.episodes(kind)) <= 1 for kind in _CLOSING)
+        data.update((f"{action}_at", None) for action in FAULT_ACTIONS)
+        data.update((f"{a}_at", t) for t, a in (actions if single else ()))
+        data["seed"] = seed
+        return data if single else {**data, "actions": [list(e) for e in actions]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
+        """Read either stored form of :meth:`to_dict`."""
         known = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
+        kwargs = {k: v for k, v in data.items() if k in known}
+        stored = [(data.get(f"{action}_at"), action) for action in FAULT_ACTIONS]
+        stored = [entry for entry in stored if entry[0] is not None]
+        kwargs["actions"] = [*(data.get("actions") or ()), *stored]
+        return cls(**kwargs)
 
 
 class FaultInjector(RuntimeInterceptor):
@@ -133,8 +154,6 @@ class FaultInjector(RuntimeInterceptor):
 
     def __init__(self, plan: Optional[FaultPlan] = None):
         self.plan = plan or FaultPlan()
-        if self.plan.random_loss_rate > 0 and self.plan.bursty_loss_rate > 0:
-            raise ValueError("choose either random or bursty loss, not both")
         self.rng = random.Random(self.plan.seed)
         if self.plan.random_loss_rate > 0:
             self.loss: LossProcess = RandomLoss(
@@ -197,12 +216,12 @@ def bursty_loss(rate: float, burst: float = 5.0, seed: int = 7) -> FaultPlan:
     return FaultPlan(bursty_loss_rate=rate, bursty_loss_burst=burst, seed=seed)
 
 
-def crash_recover(crash_at: float, recover_at: float, seed: int = 7) -> FaultPlan:
-    """Crash at ``crash_at`` and rejoin via state transfer at ``recover_at``."""
-    return FaultPlan(crash_at=crash_at, recover_at=recover_at, seed=seed)
+def crash_recover(start: float, end: float, seed: int = 7) -> FaultPlan:
+    """Crash at ``start`` and rejoin via state transfer at ``end``."""
+    return FaultPlan(actions=((start, "crash"), (end, "recover")), seed=seed)
 
 
-def partition_heal(partition_at: float, heal_at: float, seed: int = 7) -> FaultPlan:
-    """Partition away at ``partition_at``; heal (and, from a minority
-    component, rejoin via state transfer) at ``heal_at``."""
-    return FaultPlan(partition_at=partition_at, heal_at=heal_at, seed=seed)
+def partition_heal(start: float, end: float, seed: int = 7) -> FaultPlan:
+    """Partition away at ``start``; heal (and, from a minority
+    component, rejoin via state transfer) at ``end``."""
+    return FaultPlan(actions=((start, "partition"), (end, "heal")), seed=seed)

@@ -10,6 +10,7 @@ the run, tolerating only a *prefix* relationship for sites that crashed.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple
@@ -125,11 +126,12 @@ def verdict(result: Any) -> str:
     """Whether a run was correct, as one word of :data:`VERDICTS`; the
     first check that fails names it.  ``diverged``: ``check_safety()``
     raises (§5.3's criterion).  ``violated``: a monitor fired.
-    ``no-rejoin``: a site never went live again after a ``recover``, or
-    after the ``heal`` of a strict-minority component (the sites cut at
-    one instant; an equal split resumes in place), before the run ended.
-    It reads only what an artifact stores, so a live result, its
-    ``from_dict`` copy and its artifact get the same verdict."""
+    ``no-rejoin``: a site's last ``recover``, or ``heal`` of a
+    strict-minority cut (the sites cut at one instant; an equal split
+    resumes in place), came before the run ended and no completed rejoin
+    at that site went live at or after it.  It reads only what an
+    artifact stores, so a live result, its ``from_dict`` copy and its
+    artifact get the same verdict."""
     try:
         result.check_safety()
     except SafetyViolation:
@@ -137,14 +139,14 @@ def verdict(result: Any) -> str:
     if result.violations:
         return "violated"
     faults, end = result.config.faults, result.sim_time
-    cuts = [plan.partition_at for plan in faults.values()]
-    rejoined = {event.site for event in result.completed_rejoins()}
+    cuts = Counter(s for plan in faults.values() for s, _ in plan.episodes("partition"))
+    live = result.completed_rejoins()
     for site, plan in faults.items():
-        minority = 2 * cuts.count(plan.partition_at) < result.config.sites
-        if site not in rejoined and (
-            (plan.recover_at is not None and plan.recover_at < end)
-            or (plan.heal_at is not None and plan.heal_at < end and minority)
-        ):
+        due = [t for _, t in plan.episodes("crash") if t < end] + [
+            t for s, t in plan.episodes("partition")
+            if t < end and 2 * cuts[s] < result.config.sites
+        ]
+        if due and not any(e.site == site and e.live_at >= max(due) for e in live):
             return "no-rejoin"
     return "ok"
 

@@ -189,8 +189,8 @@ def safety_fault_plans(sites: int = 3, seed: int = 5) -> Dict[str, Dict[int, Fau
         "scheduling-latency": {1: scheduling_latency(0.010, seed=seed)},
         "random-loss": {i: random_loss(0.05, seed=seed + i) for i in range(sites)},
         "bursty-loss": {i: bursty_loss(0.05, seed=seed + i) for i in range(sites)},
-        "crash-member": {sites - 1: FaultPlan(crash_at=20.0)},
-        "crash-sequencer": {0: FaultPlan(crash_at=20.0)},
+        "crash-member": {sites - 1: FaultPlan(actions=((20.0, "crash"),))},
+        "crash-sequencer": {0: FaultPlan(actions=((20.0, "crash"),))},
         "crash-recover-member": {sites - 1: crash_recover(20.0, 35.0, seed=seed)},
         "crash-recover-sequencer": {0: crash_recover(20.0, 35.0, seed=seed)},
         "partition-heal-member": {sites - 1: partition_heal(20.0, 40.0, seed=seed)},

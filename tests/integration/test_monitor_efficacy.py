@@ -171,8 +171,8 @@ class TestMinorityPrimary:
             sites=5,
             monitors=("primary-component",),
             faults={
-                3: FaultPlan(partition_at=5.0),
-                4: FaultPlan(partition_at=5.0),
+                3: FaultPlan(actions=((5.0, "partition"),)),
+                4: FaultPlan(actions=((5.0, "partition"),)),
             },
             max_sim_time=200.0,
         )

@@ -10,7 +10,6 @@ directory skips completed cells.
 import pytest
 
 from repro.core.experiment import Scenario, ScenarioConfig
-from repro.core.faults import FaultPlan
 from repro.runner import CampaignError, run_campaign
 
 
@@ -87,18 +86,16 @@ class TestPoolMatchesSequential:
 
 class TestWorkerFailureIsolation:
     #: Constructible and picklable, but Scenario assembly raises inside
-    #: the worker: a plan cannot carry both loss models.
-    BAD_PLAN = FaultPlan(random_loss_rate=0.05, bursty_loss_rate=0.05)
+    #: the worker: ``build_protocol`` knows no such protocol.
+    BAD_CONFIG = ScenarioConfig(
+        sites=3, clients=20, transactions=100, seed=5, protocol="no-such-protocol",
+    )
 
     def failing_grid(self):
         good = ScenarioConfig(sites=3, clients=20, transactions=100, seed=5)
-        bad = ScenarioConfig(
-            sites=3, clients=20, transactions=100, seed=5,
-            faults={0: self.BAD_PLAN},
-        )
         return [
             ("before", good),
-            ("poison", bad),
+            ("poison", self.BAD_CONFIG),
             ("after", ScenarioConfig(sites=1, clients=20, transactions=100,
                                      seed=6)),
         ]
@@ -109,7 +106,7 @@ class TestWorkerFailureIsolation:
         assert [c.status for c in campaign.cells] == ["ok", "failed", "ok"]
         poison = campaign.get("poison")
         assert poison.result is None
-        assert "choose either random or bursty loss" in poison.error
+        assert "unknown replication protocol" in poison.error
         assert "Traceback" in poison.error
         assert campaign.get("before").result.throughput_tpm() > 0
         assert campaign.get("after").result.throughput_tpm() > 0
@@ -158,10 +155,7 @@ class TestResumability:
         )
 
     def test_failed_cells_are_not_cached(self, tmp_path):
-        bad = ScenarioConfig(
-            sites=3, clients=20, transactions=100, seed=5,
-            faults={0: TestWorkerFailureIsolation.BAD_PLAN},
-        )
+        bad = TestWorkerFailureIsolation.BAD_CONFIG
         art = tmp_path / "campaign"
         first = run_campaign([("poison", bad)], workers=1, artifact_dir=art)
         assert not first.ok

@@ -123,7 +123,7 @@ class TestPrimaryCopy:
             seed=41,
             transactions=400,
             clients=60,
-            faults={0: FaultPlan(crash_at=25.0)},
+            faults={0: FaultPlan(actions=((25.0, "crash"),))},
             max_sim_time=600.0,
         )
         result = Scenario(config).run()
@@ -159,7 +159,7 @@ class TestPrimaryCopy:
             seed=37,
             transactions=400,
             clients=60,
-            faults={2: FaultPlan(crash_at=25.0)},
+            faults={2: FaultPlan(actions=((25.0, "crash"),))},
             max_sim_time=600.0,
         )
         result = Scenario(config).run()

@@ -16,6 +16,7 @@ import pytest
 from repro.analysis import metric_value
 from repro.core.experiment import Scenario, ScenarioConfig
 from repro.core.faults import FaultPlan, crash_recover, partition_heal
+from repro.core.safety import verdict
 from repro.protocols import available_protocols
 from repro.runner import run_campaign
 
@@ -73,9 +74,9 @@ class TestCrashRecover:
 
     def test_recover_without_crash_rejected(self):
         with pytest.raises(ValueError):
-            FaultPlan(recover_at=10.0)
+            FaultPlan(actions=((10.0, "recover"),))
         with pytest.raises(ValueError):
-            FaultPlan(crash_at=20.0, recover_at=10.0)
+            FaultPlan(actions=((20.0, "crash"), (10.0, "recover")))
 
 
 class TestPartitionHeal:
@@ -129,7 +130,7 @@ class TestPartitionHeal:
 
     def test_heal_without_partition_rejected(self):
         with pytest.raises(ValueError):
-            FaultPlan(heal_at=10.0)
+            FaultPlan(actions=((10.0, "heal"),))
 
     def test_co_partitioned_majority_keeps_committing(self):
         """Sites partitioned at the same instant form one component:
@@ -201,7 +202,7 @@ class TestTransferEdgeCases:
         config = recovery_config(
             faults={
                 2: crash_recover(20.0, 35.0),
-                0: FaultPlan(crash_at=37.5),
+                0: FaultPlan(actions=((37.5, "crash"),)),
             },
             seed=31,
         )
@@ -261,7 +262,7 @@ class TestTransferEdgeCases:
         config = recovery_config(
             faults={
                 2: crash_recover(20.0, 35.0),
-                0: FaultPlan(crash_at=37.5),
+                0: FaultPlan(actions=((37.5, "crash"),)),
             },
             seed=31,
         )
@@ -313,3 +314,39 @@ class TestRecoveryDeterminism:
             "sim_time": result.sim_time,
             "safety": result.check_safety(),
         }
+
+
+class TestRepeatedEpisodes:
+    """A plan is a sequence of actions: a site crashes or is cut more
+    than once, or crashes inside its own cut, and the run stays clean
+    with every monitor armed."""
+
+    CELLS = {
+        "sequencer-crashes-twice": (0, (
+            (10.0, "crash"), (25.0, "recover"), (45.0, "crash"), (60.0, "recover"),
+        ), (27.4, 62.4)),
+        "member-cut-twice": (2, (
+            (10.0, "partition"), (25.0, "heal"), (45.0, "partition"), (60.0, "heal"),
+        ), (27.4, 62.4)),
+        "crash-inside-cut": (2, (
+            (10.0, "partition"), (15.0, "crash"), (25.0, "recover"), (30.0, "heal"),
+        ), (30.0,)),
+    }
+
+    @pytest.mark.parametrize("cell", CELLS)
+    def test_runs_clean_and_rejoins_after_each_episode(self, cell):
+        site, actions, live_at = self.CELLS[cell]
+        config = ScenarioConfig(
+            sites=3,
+            clients=90,
+            transactions=400,
+            seed=11,
+            faults={site: FaultPlan(actions=actions)},
+            monitors=("all",),
+        )
+        result = Scenario(config).run()
+        assert verdict(result) == "ok"
+        assert result.violations == []
+        rejoins = result.completed_rejoins()
+        assert [event.site for event in rejoins] == [site] * len(live_at)
+        assert [event.live_at for event in rejoins] == pytest.approx(live_at, abs=0.1)

@@ -54,7 +54,7 @@ def test_crash_blocks_only_faulty_sites_clients():
         clients=60,
         transactions=400,
         seed=37,
-        faults={2: FaultPlan(crash_at=25.0)},
+        faults={2: FaultPlan(actions=((25.0, "crash"),))},
         max_sim_time=600.0,
     )
     result = Scenario(config).run()
@@ -77,7 +77,7 @@ def test_sequencer_crash_survivors_commit_new_work():
         clients=60,
         transactions=400,
         seed=41,
-        faults={0: FaultPlan(crash_at=25.0)},
+        faults={0: FaultPlan(actions=((25.0, "crash"),))},
         max_sim_time=600.0,
     )
     result = Scenario(config).run()

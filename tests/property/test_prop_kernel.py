@@ -237,7 +237,7 @@ FAULTS = {
     "none": lambda sites: {},
     "loss": lambda sites: {i: random_loss(0.05, seed=5 + i) for i in range(sites)},
     "crash-recover": lambda sites: {sites - 1: crash_recover(5.0, 12.0)},
-    "crash-sequencer": lambda sites: {0: FaultPlan(crash_at=8.0)},
+    "crash-sequencer": lambda sites: {0: FaultPlan(actions=((8.0, "crash"),))},
 }
 
 

@@ -53,7 +53,7 @@ class TestAssembly:
             sites=3,
             clients=9,
             transactions=10_000,  # unreachable: run ends at max_sim_time
-            faults={2: FaultPlan(crash_at=2.0)},
+            faults={2: FaultPlan(actions=((2.0, "crash"),))},
             max_sim_time=5.0,
         )
         result = Scenario(config).run()

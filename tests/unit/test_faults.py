@@ -27,12 +27,12 @@ class TestFaultPlan:
             p.has_faults()
             for p in (clock_drift(0.1), scheduling_latency(0.01),
                       random_loss(0.05), bursty_loss(0.05),
-                      FaultPlan(crash_at=1.0))
+                      FaultPlan(actions=((1.0, "crash"),)))
         )
 
     def test_both_loss_kinds_rejected(self):
         with pytest.raises(ValueError):
-            FaultInjector(FaultPlan(random_loss_rate=0.1, bursty_loss_rate=0.1))
+            FaultPlan(random_loss_rate=0.1, bursty_loss_rate=0.1)
 
     #: A plan that would break a run mid-way (a drift of -1 divides by
     #: zero, below it schedules into the past) or silently run without
@@ -43,15 +43,20 @@ class TestFaultPlan:
         ("random_loss_rate", -0.1),
         ("bursty_loss_rate", -0.1),
         ("scheduling_latency_max", -0.01),
-        ("crash_at", -1.0),
-        ("partition_at", -1.0),
     ])
     def test_plan_that_breaks_a_run_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             FaultPlan(**{field: value})
 
+    @pytest.mark.parametrize("action", ["crash", "partition"])
+    def test_negative_action_time_rejected(self, action):
+        with pytest.raises(ValueError, match=action):
+            FaultPlan(actions=((-1.0, action),))
+
     def test_values_at_the_bounds_accepted(self):
-        plan = FaultPlan(clock_drift_rate=-0.5, crash_at=0.0, partition_at=0.0)
+        plan = FaultPlan(
+            clock_drift_rate=-0.5, actions=((0.0, "crash"), (0.0, "partition"))
+        )
         assert plan.has_faults()
 
 

@@ -177,7 +177,11 @@ class TestSmokeCoverage:
         recovering = {
             config.protocol
             for _, config in _smoke_cells()
-            if any(p.recover_at is not None for p in config.faults.values())
+            if any(
+                action == "recover"
+                for plan in config.faults.values()
+                for _, action in plan.actions
+            )
         }
         missing = set(available_protocols()) - recovering
         assert not missing, f"protocols without a smoke recovery cell: {missing}"

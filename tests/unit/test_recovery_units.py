@@ -30,19 +30,19 @@ class TestFaultPlanActions:
 
     def test_recover_requires_crash(self):
         with pytest.raises(ValueError):
-            FaultPlan(recover_at=5.0)
+            FaultPlan(actions=((5.0, "recover"),))
 
     def test_recover_must_follow_crash(self):
         with pytest.raises(ValueError):
-            FaultPlan(crash_at=10.0, recover_at=10.0)
+            FaultPlan(actions=((10.0, "crash"), (10.0, "recover")))
 
     def test_heal_requires_partition(self):
         with pytest.raises(ValueError):
-            FaultPlan(heal_at=5.0)
+            FaultPlan(actions=((5.0, "heal"),))
 
     def test_heal_must_follow_partition(self):
         with pytest.raises(ValueError):
-            FaultPlan(partition_at=8.0, heal_at=3.0)
+            FaultPlan(actions=((8.0, "partition"), (3.0, "heal")))
 
     def test_partition_counts_as_fault(self):
         assert partition_heal(1.0, 2.0).has_faults()
@@ -50,9 +50,9 @@ class TestFaultPlanActions:
         assert not FaultPlan().has_faults()
 
     def test_round_trip_preserves_actions(self):
-        plan = FaultPlan(
-            crash_at=10.0, recover_at=20.0, partition_at=30.0, heal_at=40.0
-        )
+        plan = FaultPlan(actions=(
+            (10.0, "crash"), (20.0, "recover"), (30.0, "partition"), (40.0, "heal")
+        ))
         clone = FaultPlan.from_dict(plan.to_dict())
         assert clone == plan
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.analysis import metric_value
 from repro.core.experiment import Scenario, ScenarioConfig, ScenarioResult
-from repro.core.faults import FaultPlan, bursty_loss, random_loss
+from repro.core.faults import FaultPlan, bursty_loss, crash_recover, random_loss
 from repro.core.metrics import (
     MetricsCollector,
     ResourceSample,
@@ -217,7 +217,7 @@ class TestResultRoundTrip:
     def test_crashed_site_round_trips(self):
         result = small_result(
             transactions=100,
-            faults={2: FaultPlan(crash_at=15.0)},
+            faults={2: FaultPlan(actions=((15.0, "crash"),))},
             max_sim_time=400.0,
         )
         clone = roundtrip(result)
@@ -237,7 +237,7 @@ class TestResultRoundTrip:
     def test_recovery_events_round_trip(self):
         result = small_result(
             transactions=150,
-            faults={2: FaultPlan(crash_at=15.0, recover_at=28.0)},
+            faults={2: crash_recover(15.0, 28.0)},
             max_sim_time=400.0,
         )
         clone = roundtrip(result)

@@ -2,6 +2,7 @@
 
 import os
 import warnings
+from math import inf
 
 import pytest
 
@@ -156,12 +157,12 @@ class TestFaultConfigs:
             "partition-heal-member",
             "partition-heal-sequencer",
         }
-        assert plans["crash-sequencer"][0].crash_at is not None
+        assert plans["crash-sequencer"][0].episodes("crash") == ((20.0, inf),)
         assert plans["clock-drift"][1].clock_drift_rate > 0
-        recover = plans["crash-recover-sequencer"][0]
-        assert recover.recover_at > recover.crash_at
-        heal = plans["partition-heal-member"][2]
-        assert heal.heal_at > heal.partition_at
+        ((crash, recover),) = plans["crash-recover-sequencer"][0].episodes("crash")
+        assert recover > crash
+        ((cut, heal),) = plans["partition-heal-member"][2].episodes("partition")
+        assert heal > cut
 
 
 class TestScenarioConfigValidation:

@@ -10,7 +10,7 @@ import copy
 import pytest
 
 from repro import Scenario, ScenarioConfig, ScenarioResult, run_campaign
-from repro.core.faults import crash_recover, partition_heal
+from repro.core.faults import FaultPlan, crash_recover, partition_heal
 from repro.core.safety import VERDICTS, verdict
 from repro.runner import ArtifactStore
 
@@ -118,6 +118,55 @@ def test_heal_rejoins_only_a_strict_minority(clean, sites, faults, expected):
             site: partition_heal(*times).to_dict()
             for site, times in faults.items()
         }
+
+    assert judged(clean, edit) == expected
+
+
+CRASH = ((5.0, "crash"), (8.0, "recover"))  # CONFIG's episode at site 2
+SECOND_CRASH = CRASH + ((20.0, "crash"), (30.0, "recover"))
+
+
+@pytest.mark.parametrize(
+    "sites, plans, rejoins_live_at, expected",
+    [
+        # the first rejoin (live at ~10.4 s) does not cover the second recover
+        (3, {"2": SECOND_CRASH}, (), "no-rejoin"),
+        (3, {"2": SECOND_CRASH}, (32.4,), "ok"),
+        # one rejoin covers a crash overlapping a minority cut healed at 9 s
+        (3, {"2": CRASH + ((6.0, "partition"), (9.0, "heal"))}, (), "ok"),
+        # ... but not one healed after it went live
+        (3, {"2": CRASH + ((6.0, "partition"), (11.0, "heal"))}, (), "no-rejoin"),
+        # two of four cut at one instant: that heal needs no rejoin ...
+        (4, {"2": CRASH + ((20.0, "partition"), (30.0, "heal")),
+             "3": ((20.0, "partition"), (30.0, "heal"))}, (), "ok"),
+        # ... one of four does
+        (4, {"2": CRASH + ((20.0, "partition"), (30.0, "heal"))}, (), "no-rejoin"),
+        # the second episode closes after the run ended
+        (3, {"2": CRASH + ((20.0, "crash"), (1e6, "recover"))}, (), "ok"),
+    ],
+    ids=[
+        "second-rejoin-missing", "both-rejoins", "overlap-one-rejoin",
+        "overlap-heal-after-rejoin", "equal-split-heal", "minority-heal",
+        "second-closes-after-end",
+    ],
+)
+def test_last_closing_needs_a_later_rejoin(
+    clean, sites, plans, rejoins_live_at, expected
+):
+    """Edited payloads store multi-episode plans in the ``actions`` form;
+    each extra rejoin is a copy of the recorded one, going live later."""
+
+    def edit(payload):
+        payload["config"]["sites"] = sites
+        payload["config"]["faults"] = {
+            site: FaultPlan(actions=actions).to_dict()
+            for site, actions in plans.items()
+        }
+        (event,) = payload["recovery"]
+        for live_at in rejoins_live_at:
+            payload["recovery"].append(
+                dict(event, started_at=live_at - 2.4, live_at=live_at)
+            )
 
     assert judged(clean, edit) == expected
 
