@@ -53,13 +53,11 @@ from .campaigns import (
     CampaignSpec,
     available_campaigns,
     get_campaign,
-    register_campaign,
 )
 from .gcs import GcsConfig, RecoveryEvent
 from .protocols import (
     ReplicationProtocol,
     available_protocols,
-    register_protocol,
 )
 from .runner import CampaignError, CampaignResult, run_campaign
 from .tpcc import ProfileSet, TpccWorkload, default_profiles
@@ -92,12 +90,10 @@ __all__ = [
     "CampaignSpec",
     "available_campaigns",
     "get_campaign",
-    "register_campaign",
     "GcsConfig",
     "RecoveryEvent",
     "ReplicationProtocol",
     "available_protocols",
-    "register_protocol",
     "CampaignError",
     "CampaignResult",
     "run_campaign",

@@ -10,7 +10,7 @@ Contract:
 * **Metrics are named.**  ``metric_value(result, "throughput_tpm")``
   is the only way a number leaves a
   :class:`~repro.core.experiment.ScenarioResult`; names resolve through
-  the registry (:mod:`repro.analysis.metrics`), including parameterized
+  the metric table (:mod:`repro.analysis.metrics`), including parameterized
   families such as ``abort_rate[payment-long]``.  Empty underlying data
   yields NaN, never a fake zero; renderers show NaN as ``–`` (text),
   an empty field (CSV) or ``null`` (JSON).
@@ -48,8 +48,6 @@ from .metrics import (
     available_metrics,
     get_metric,
     metric_value,
-    register_metric,
-    register_metric_family,
 )
 from .render import (
     comparison_payload,
@@ -91,8 +89,6 @@ __all__ = [
     "table_payload",
     "get_metric",
     "metric_value",
-    "register_metric",
-    "register_metric_family",
     "render_csv",
     "render_figure",
     "render_markdown",

@@ -1,9 +1,9 @@
-"""The named metric registry: ``name -> typed extractor``.
+"""The named metric table: ``name -> typed extractor``.
 
-Mirrors the replication-protocol and campaign registries: every number a
+Mirrors the replication-protocol and campaign tables: every number a
 report, benchmark, example or regression check derives from a
-:class:`~repro.core.experiment.ScenarioResult` is a registered
-:class:`Metric`, so CLIs and docs reference metrics by string and the
+:class:`~repro.core.experiment.ScenarioResult` is a :class:`Metric` in
+its table, so CLIs and docs reference metrics by string and the
 derivation lives in exactly one place.
 
 Conventions:
@@ -38,13 +38,11 @@ __all__ = [
     "available_metrics",
     "get_metric",
     "metric_value",
-    "register_metric",
-    "register_metric_family",
 ]
 
 
 class MetricError(ValueError):
-    """An unknown metric name or an invalid registration."""
+    """An unknown metric name."""
 
 
 @dataclass(frozen=True)
@@ -61,44 +59,14 @@ class Metric:
         return float(self.extract(result))
 
 
-_REGISTRY: Dict[str, Metric] = {}
-#: Parameterized families: base name -> (unit, description, fmt, factory).
-_FAMILIES: Dict[str, Tuple[str, str, str, Callable[[str], Callable]]] = {}
-
 _FAMILY_NAME = re.compile(r"^(?P<base>[A-Za-z0-9_]+)\[(?P<arg>[^\]]+)\]$")
-
-
-def register_metric(metric: Metric, replace: bool = False) -> Metric:
-    """Register ``metric`` under ``metric.name``; duplicate names raise
-    unless ``replace``."""
-    if not isinstance(metric, Metric):
-        raise MetricError(f"expected a Metric, got {type(metric).__name__}")
-    if metric.name in _REGISTRY and not replace:
-        raise MetricError(f"metric {metric.name!r} is already registered")
-    _REGISTRY[metric.name] = metric
-    return metric
-
-
-def register_metric_family(
-    base: str,
-    unit: str,
-    description: str,
-    factory: Callable[[str], Callable[[ScenarioResult], float]],
-    fmt: str = "{:.2f}",
-    replace: bool = False,
-) -> None:
-    """Register a ``base[arg]`` family; ``factory(arg)`` builds the
-    extractor for one concrete argument."""
-    if base in _FAMILIES and not replace:
-        raise MetricError(f"metric family {base!r} is already registered")
-    _FAMILIES[base] = (unit, description, fmt, factory)
 
 
 def get_metric(name: str) -> Metric:
     """Resolve ``name`` (plain or ``family[arg]``); MetricError names
     the available options on a miss."""
-    if name in _REGISTRY:
-        return _REGISTRY[name]
+    if name in _METRICS:
+        return _METRICS[name]
     match = _FAMILY_NAME.match(name)
     if match and match.group("base") in _FAMILIES:
         unit, description, fmt, factory = _FAMILIES[match.group("base")]
@@ -118,12 +86,12 @@ def get_metric(name: str) -> Metric:
 
 
 def available_metrics() -> Tuple[str, ...]:
-    """Registered plain metric names, in registration order."""
-    return tuple(_REGISTRY)
+    """Plain metric names, in table order."""
+    return tuple(_METRICS)
 
 
 def available_metric_families() -> Tuple[str, ...]:
-    """Registered parameterized family base names, sorted."""
+    """Parameterized family base names, sorted."""
     return tuple(sorted(_FAMILIES))
 
 
@@ -245,169 +213,173 @@ HEADLINE_METRICS = (
     "net_kbps",
 )
 
-for _metric in (
-    Metric(
-        "throughput_tpm",
-        "tpm",
-        "committed transactions per minute",
-        _throughput,
-        "{:.1f}",
-    ),
-    Metric(
-        "mean_latency_ms",
-        "ms",
-        "mean committed-transaction latency",
-        _mean_latency_ms,
-        "{:.1f}",
-    ),
-    Metric(
-        "p50_latency_ms",
-        "ms",
-        "median committed-transaction latency",
-        _latency_quantile_ms(0.50),
-        "{:.1f}",
-    ),
-    Metric(
-        "p95_latency_ms",
-        "ms",
-        "95th-percentile committed-transaction latency",
-        _latency_quantile_ms(0.95),
-        "{:.1f}",
-    ),
-    Metric(
-        "p99_latency_ms",
-        "ms",
-        "99th-percentile committed-transaction latency",
-        _latency_quantile_ms(0.99),
-        "{:.1f}",
-    ),
-    Metric(
-        "abort_rate",
+#: plain metric name -> metric, in the order reports list them.
+_METRICS: Dict[str, Metric] = {
+    metric.name: metric
+    for metric in (
+        Metric(
+            "throughput_tpm",
+            "tpm",
+            "committed transactions per minute",
+            _throughput,
+            "{:.1f}",
+        ),
+        Metric(
+            "mean_latency_ms",
+            "ms",
+            "mean committed-transaction latency",
+            _mean_latency_ms,
+            "{:.1f}",
+        ),
+        Metric(
+            "p50_latency_ms",
+            "ms",
+            "median committed-transaction latency",
+            _latency_quantile_ms(0.50),
+            "{:.1f}",
+        ),
+        Metric(
+            "p95_latency_ms",
+            "ms",
+            "95th-percentile committed-transaction latency",
+            _latency_quantile_ms(0.95),
+            "{:.1f}",
+        ),
+        Metric(
+            "p99_latency_ms",
+            "ms",
+            "99th-percentile committed-transaction latency",
+            _latency_quantile_ms(0.99),
+            "{:.1f}",
+        ),
+        Metric(
+            "abort_rate",
+            "%",
+            "aborted fraction of all transactions",
+            _abort_rate,
+            "{:.2f}",
+        ),
+        Metric(
+            "cert_latency_ms",
+            "ms",
+            "mean certification latency (replicated runs)",
+            _cert_mean_ms,
+            "{:.1f}",
+        ),
+        Metric(
+            "cert_p50_ms",
+            "ms",
+            "median certification latency",
+            _cert_quantile_ms(0.50),
+            "{:.1f}",
+        ),
+        Metric(
+            "cert_p99_ms",
+            "ms",
+            "99th-percentile certification latency",
+            _cert_quantile_ms(0.99),
+            "{:.1f}",
+        ),
+        Metric(
+            "cpu_total",
+            "0..1",
+            "steady-state CPU usage across sites",
+            _sampled(lambda r: r.cpu_usage()[0]),
+            "{:.3f}",
+        ),
+        Metric(
+            "cpu_protocol",
+            "0..1",
+            "steady-state CPU usage by real protocol jobs",
+            _sampled(lambda r: r.cpu_usage()[1]),
+            "{:.4f}",
+        ),
+        Metric(
+            "disk",
+            "0..1",
+            "steady-state storage utilization",
+            _sampled(lambda r: r.disk_usage()),
+            "{:.3f}",
+        ),
+        Metric(
+            "net_kbps",
+            "KB/s",
+            "steady-state fabric traffic",
+            _sampled(lambda r: r.network_kbps()),
+            "{:.1f}",
+        ),
+        Metric(
+            "net_msgs",
+            "packets",
+            "total fabric packets transferred",
+            lambda r: float(r.capture.total_packets),
+            "{:.0f}",
+        ),
+        Metric(
+            "time_to_rejoin",
+            "s",
+            "mean rejoin-start to live (completed rejoins)",
+            _rejoins(lambda es: sum(e.time_to_rejoin() for e in es) / len(es)),
+            "{:.2f}",
+        ),
+        Metric(
+            "backlog_replayed",
+            "msgs",
+            "ordered messages replayed at rejoin install",
+            _rejoins(lambda es: sum(e.backlog_replayed for e in es)),
+            "{:.0f}",
+        ),
+        Metric(
+            "snapshot_bytes",
+            "B",
+            "state-transfer snapshot volume",
+            _rejoins(lambda es: sum(e.snapshot_bytes for e in es)),
+            "{:.0f}",
+        ),
+        Metric(
+            "orphaned_commits",
+            "txs",
+            "previous-incarnation commits absent from the adopted snapshot",
+            _rejoins(lambda es: sum(e.orphaned_commits for e in es)),
+            "{:.0f}",
+        ),
+        Metric(
+            "records",
+            "txs",
+            "transactions completed (commit + abort)",
+            lambda r: float(len(r.metrics.records)),
+            "{:.0f}",
+        ),
+        Metric(
+            "sim_time",
+            "s",
+            "simulated seconds the run covered",
+            lambda r: float(r.sim_time),
+            "{:.1f}",
+        ),
+        Metric(
+            "violations",
+            "count",
+            "invariant violations flagged by the enabled runtime monitors",
+            _violations,
+            "{:.0f}",
+        ),
+    )
+}
+
+#: Parameterized families: base name -> (unit, description, fmt, factory);
+#: ``factory(arg)`` builds the extractor for one concrete argument.
+_FAMILIES: Dict[str, Tuple[str, str, str, Callable[[str], Callable]]] = {
+    "abort_rate": (
         "%",
-        "aborted fraction of all transactions",
-        _abort_rate,
+        "aborted fraction of one transaction class",
         "{:.2f}",
+        _abort_rate_for,
     ),
-    Metric(
-        "cert_latency_ms",
-        "ms",
-        "mean certification latency (replicated runs)",
-        _cert_mean_ms,
-        "{:.1f}",
-    ),
-    Metric(
-        "cert_p50_ms",
-        "ms",
-        "median certification latency",
-        _cert_quantile_ms(0.50),
-        "{:.1f}",
-    ),
-    Metric(
-        "cert_p99_ms",
-        "ms",
-        "99th-percentile certification latency",
-        _cert_quantile_ms(0.99),
-        "{:.1f}",
-    ),
-    Metric(
-        "cpu_total",
-        "0..1",
-        "steady-state CPU usage across sites",
-        _sampled(lambda r: r.cpu_usage()[0]),
-        "{:.3f}",
-    ),
-    Metric(
-        "cpu_protocol",
-        "0..1",
-        "steady-state CPU usage by real protocol jobs",
-        _sampled(lambda r: r.cpu_usage()[1]),
-        "{:.4f}",
-    ),
-    Metric(
-        "disk",
-        "0..1",
-        "steady-state storage utilization",
-        _sampled(lambda r: r.disk_usage()),
-        "{:.3f}",
-    ),
-    Metric(
-        "net_kbps",
-        "KB/s",
-        "steady-state fabric traffic",
-        _sampled(lambda r: r.network_kbps()),
-        "{:.1f}",
-    ),
-    Metric(
-        "net_msgs",
-        "packets",
-        "total fabric packets transferred",
-        lambda r: float(r.capture.total_packets),
-        "{:.0f}",
-    ),
-    Metric(
-        "time_to_rejoin",
-        "s",
-        "mean rejoin-start to live (completed rejoins)",
-        _rejoins(lambda es: sum(e.time_to_rejoin() for e in es) / len(es)),
-        "{:.2f}",
-    ),
-    Metric(
-        "backlog_replayed",
-        "msgs",
-        "ordered messages replayed at rejoin install",
-        _rejoins(lambda es: sum(e.backlog_replayed for e in es)),
-        "{:.0f}",
-    ),
-    Metric(
-        "snapshot_bytes",
-        "B",
-        "state-transfer snapshot volume",
-        _rejoins(lambda es: sum(e.snapshot_bytes for e in es)),
-        "{:.0f}",
-    ),
-    Metric(
-        "orphaned_commits",
-        "txs",
-        "previous-incarnation commits absent from the adopted snapshot",
-        _rejoins(lambda es: sum(e.orphaned_commits for e in es)),
-        "{:.0f}",
-    ),
-    Metric(
-        "records",
-        "txs",
-        "transactions completed (commit + abort)",
-        lambda r: float(len(r.metrics.records)),
-        "{:.0f}",
-    ),
-    Metric(
-        "sim_time",
-        "s",
-        "simulated seconds the run covered",
-        lambda r: float(r.sim_time),
-        "{:.1f}",
-    ),
-    Metric(
-        "violations",
+    "violations": (
         "count",
-        "invariant violations flagged by the enabled runtime monitors",
-        _violations,
+        "invariant violations flagged by one runtime monitor",
         "{:.0f}",
+        _violations_for,
     ),
-):
-    register_metric(_metric)
-
-register_metric_family(
-    "abort_rate",
-    "%",
-    "aborted fraction of one transaction class",
-    _abort_rate_for,
-    fmt="{:.2f}",
-)
-
-register_metric_family(
-    "violations",
-    "count",
-    "invariant violations flagged by one runtime monitor",
-    _violations_for,
-    fmt="{:.0f}",
-)
+}

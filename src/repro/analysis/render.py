@@ -8,7 +8,7 @@ never format a metric value themselves.
 suite has always printed (title line, right-justified columns,
 two-space separators), kept bit-identical so benchmark logs and the
 ``report`` subcommand reproduce the historical output exactly.  NaN
-values — the registry's "no data" marker — render as ``–`` in text and
+values — the metric table's "no data" marker — render as ``–`` in text and
 markdown, an empty field in CSV, and ``null`` in JSON; never as a fake
 zero.
 """
@@ -291,7 +291,7 @@ def summary_text(cells: Iterable) -> str:
     objects (``label`` / ``result`` / ``source`` / ``status``); a cell
     with a bad verdict keeps its metrics and shows the verdict word.
 
-    Every number goes through the metric registry; the layout is the
+    Every number goes through the metric table; the layout is the
     byte-for-byte historical ``python -m repro.runner`` summary, so
     reports over an artifact directory reproduce a resumed run's output
     exactly.

@@ -1,15 +1,15 @@
-"""Declarative campaign specs, a named-campaign registry, composition.
+"""Declarative campaign specs, the named-campaign table, composition.
 
 The paper's contribution is a testing *methodology* — crossing
 workloads, fault-loads and protocols into comparison grids.  This
 package makes the grid itself a first-class artifact: a
 :class:`CampaignSpec` declares sweep axes and expands deterministically
 into the labelled :class:`~repro.core.experiment.ScenarioConfig` cells
-the runner executes; a registry maps campaign names to specs (the CLI's
-``run``/``list``/``describe``/``export`` subcommands enumerate it); and
-specs round-trip through JSON so a campaign can be saved, diffed,
-sliced (``restrict``), widened (``with_axis``), concatenated
-(``merge``) and re-run from a file.
+the runner executes; the :data:`CAMPAIGNS` table maps campaign names to
+specs (the CLI's ``run``/``list``/``describe``/``export`` subcommands
+enumerate it); and specs round-trip through JSON so a campaign can be
+saved, diffed, sliced or widened (``with_axis``) and re-run from a
+file.
 
 **Contract.** ``get_campaign(name).expand()`` yields the same labelled
 cells, in the same order, in every process; ``from_dict(to_dict(s))``
@@ -24,8 +24,8 @@ recorded in campaign artifacts for provenance.
   artifact directories keep resuming;
 * *Label safety* — expansion rejects duplicate labels, and any swept
   axis the label template omits is appended automatically;
-* *Registry-complete* — everything the CLI can run is in the registry
-  or a spec file; there are no private grids.
+* *Table-complete* — everything the CLI can run is in the table or a
+  spec file; there are no private grids.
 
 Quick start::
 
@@ -38,7 +38,7 @@ Quick start::
                             manifest=spec.manifest())
 """
 
-from .registry import available_campaigns, get_campaign, register_campaign
+from .builtins import CAMPAIGNS, available_campaigns, get_campaign
 from .spec import (
     Axis,
     CampaignSpec,
@@ -49,6 +49,7 @@ from .spec import (
 )
 
 __all__ = [
+    "CAMPAIGNS",
     "Axis",
     "CampaignSpec",
     "CampaignSpecError",
@@ -57,5 +58,4 @@ __all__ = [
     "available_campaigns",
     "get_campaign",
     "parse_axis_override",
-    "register_campaign",
 ]

@@ -10,15 +10,18 @@ directories keep resuming.
 
 Every spec leaves ``transactions`` at ``None`` (the ``REPRO_SCALE``-\
 scaled paper count) and sweeps only the default protocol; the CLI's
-``--protocol`` / ``--set`` and the composition helpers widen them.
+``--protocol`` / ``--set`` and :meth:`CampaignSpec.with_axis` widen them.
+
+:data:`CAMPAIGNS` is the name table every campaign lookup resolves
+through; a new campaign is one more entry there.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import Dict, Tuple
 
 from ..core.scenarios import CLIENT_LEVELS, SYSTEM_CONFIGS, safety_fault_plans
-from .registry import register_campaign
 from .spec import DEFAULT_PROTOCOL, CampaignSpec
 
 
@@ -205,13 +208,33 @@ def _safety_monitored_spec() -> CampaignSpec:
     )
 
 
-for _build in (
-    _smoke_spec,
-    _fig5_spec,
-    _fig7_spec,
-    _recovery_spec,
-    _scale_out_spec,
-    _safety_spec,
-    _safety_monitored_spec,
-):
-    register_campaign(_build())
+#: campaign name -> spec; ``run``/``list``/``describe``/``export`` and
+#: the figure suite resolve campaigns here.
+CAMPAIGNS: Dict[str, CampaignSpec] = {
+    spec.name: spec
+    for spec in (
+        _smoke_spec(),
+        _fig5_spec(),
+        _fig7_spec(),
+        _recovery_spec(),
+        _scale_out_spec(),
+        _safety_spec(),
+        _safety_monitored_spec(),
+    )
+}
+
+
+def get_campaign(name: str) -> CampaignSpec:
+    """The spec for ``name``; ValueError names the options."""
+    try:
+        return CAMPAIGNS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown campaign {name!r} "
+            f"(available: {', '.join(available_campaigns())})"
+        ) from None
+
+
+def available_campaigns() -> Tuple[str, ...]:
+    """Campaign names, sorted."""
+    return tuple(sorted(CAMPAIGNS))

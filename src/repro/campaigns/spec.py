@@ -52,11 +52,11 @@ than one value that the template does not mention is appended as
 :meth:`with_axis` can never silently collide labels — and expansion
 rejects duplicates outright.
 
-**Composition.**  :meth:`merge` concatenates grids, :meth:`restrict`
-slices axis values down, :meth:`with_axis` sweeps a parameter wherever
-the grid binds it (replacing axes in place, superseding template
-bindings; a parameter bound nowhere becomes a new root-level sweep) —
-deriving grids from grids without touching the registered originals.
+**Composition.**  A group spec with ``children=(a, b)`` concatenates
+grids; :meth:`with_axis` sweeps a parameter wherever the grid binds it
+(replacing axes in place, superseding template bindings; a parameter
+bound nowhere becomes a new root-level sweep) — slicing or widening a
+grid without touching the built-in originals.
 """
 
 from __future__ import annotations
@@ -300,58 +300,6 @@ class CampaignSpec:
     # ------------------------------------------------------------------
     # composition
     # ------------------------------------------------------------------
-    def merge(
-        self, *others: "CampaignSpec", name: Optional[str] = None
-    ) -> "CampaignSpec":
-        """Concatenate grids: a group whose children run in order."""
-        if not others:
-            raise CampaignSpecError("merge needs at least one other spec")
-        children = (self,) + others
-        return CampaignSpec(
-            name=name or "+".join(spec.name for spec in children),
-            description=f"merge of {', '.join(s.name for s in children)}",
-            children=children,
-        )
-
-    def restrict(self, **axes: Iterable[object]) -> "CampaignSpec":
-        """Slice axis values down (intersection, original order kept)."""
-        requested = {
-            name: tuple(_freeze(v) for v in values)
-            for name, values in axes.items()
-        }
-        found: set = set()
-        spec = self._restrict(requested, found)
-        missing = set(requested) - found
-        if missing:
-            raise CampaignSpecError(
-                f"campaign {self.name!r} has no axis named "
-                f"{sorted(missing)!r} to restrict"
-            )
-        return spec
-
-    def _restrict(self, requested, found) -> "CampaignSpec":
-        new_axes = []
-        for axis in self.axes:
-            if axis.name in requested:
-                found.add(axis.name)
-                keep = tuple(
-                    v for v in axis.values if v in requested[axis.name]
-                )
-                if not keep:
-                    raise CampaignSpecError(
-                        f"restricting axis {axis.name!r} to "
-                        f"{requested[axis.name]!r} leaves no values "
-                        f"(had {axis.values!r})"
-                    )
-                new_axes.append(Axis(axis.name, keep))
-            else:
-                new_axes.append(axis)
-        return replace(
-            self,
-            axes=tuple(new_axes),
-            children=tuple(c._restrict(requested, found) for c in self.children),
-        )
-
     def with_axis(
         self, name: str, values: Iterable[object]
     ) -> "CampaignSpec":

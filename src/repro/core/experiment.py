@@ -36,7 +36,7 @@ from ..net.capture import PacketCapture
 from ..net.network import Network
 from ..net.udp import UdpSocket
 from ..placement import PLACEMENT_POLICIES, fragment_of_site, sites_of_fragment
-from ..protocols.base import (
+from ..protocols import (
     ProtocolContext,
     ProtocolGroup,
     ReplicationProtocol,

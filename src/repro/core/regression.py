@@ -41,7 +41,7 @@ DEFAULT_TOLERANCES: Dict[str, float] = {
 }
 #: Baseline key -> (registered metric name, unit conversion into the
 #: historical baseline-file unit).  Extraction goes through the
-#: :mod:`repro.analysis` metric registry; the keys (and units: seconds,
+#: :mod:`repro.analysis` metric table; the keys (and units: seconds,
 #: fractions) are unchanged so recorded baseline files stay comparable.
 _BASELINE_SOURCES: Dict[str, Tuple[str, float]] = {
     "throughput_tpm": ("throughput_tpm", 1.0),
@@ -140,8 +140,8 @@ class RegressionSuite:
     def baseline_from(name: str, result: ScenarioResult) -> ScenarioBaseline:
         """Extract the recorded metric set from a finished run.
 
-        Values come from the :mod:`repro.analysis` metric registry (the
-        one derivation every consumer shares); NaN — the registry's
+        Values come from the :mod:`repro.analysis` metric table (the
+        one derivation every consumer shares); NaN — the table's
         "no data" marker, e.g. no certifications in a centralized run —
         is stored as the historical ``0.0`` so baseline files stay
         valid JSON and keep comparing exactly as before."""

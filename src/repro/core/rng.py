@@ -2,11 +2,10 @@
 
 Every component that needs randomness derives it from the scenario seed
 through a *named stream*: ``derive_rng(seed, "storage", site_index)``.
-Each stream owns a registered multiplier, and registration rejects both
-duplicate names and duplicate multipliers, so independently developed
-components — new replication protocols in particular — cannot
-accidentally collide seed streams and silently correlate their
-randomness.
+Each stream owns a multiplier in the :data:`_STREAMS` table; a new
+component — a new replication protocol in particular — adds one entry
+there, and a unit test rejects a multiplier two streams share, so no
+two streams can silently correlate their randomness.
 
 The multipliers reproduce the historical hand-rolled
 ``random.Random(seed * K + index)`` derivations bit-for-bit, so every
@@ -18,7 +17,7 @@ from __future__ import annotations
 import random
 from typing import Dict
 
-__all__ = ["derive_seed", "derive_rng", "register_stream", "stream_multiplier"]
+__all__ = ["derive_seed", "derive_rng", "stream_multiplier"]
 
 #: stream name -> multiplier; seeds derive as ``seed * multiplier + index``.
 _STREAMS: Dict[str, int] = {
@@ -27,18 +26,6 @@ _STREAMS: Dict[str, int] = {
     "protocol": 13,  # per-site protocol-runtime randomness
     "faults": 31,  # per-site fault-plan (loss model) seeds
 }
-
-
-def register_stream(stream: str, multiplier: int) -> None:
-    """Register a new seed stream; collisions are errors, not warnings."""
-    if stream in _STREAMS:
-        raise ValueError(f"seed stream {stream!r} already registered")
-    if multiplier in _STREAMS.values():
-        owner = next(k for k, v in _STREAMS.items() if v == multiplier)
-        raise ValueError(
-            f"multiplier {multiplier} already used by stream {owner!r}"
-        )
-    _STREAMS[stream] = multiplier
 
 
 def stream_multiplier(stream: str) -> int:

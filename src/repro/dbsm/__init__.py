@@ -4,7 +4,7 @@ Certification-based replication: transactions execute locally under the
 site's own concurrency control, then their read/write sets are atomically
 multicast and certified deterministically at every replica.
 
-**Contract.** Implement the ``"dbsm"`` entry of the protocol registry:
+**Contract.** Implement the ``"dbsm"`` entry of the protocol table:
 update transactions terminate through atomic multicast + deterministic
 certification; remote write sets are applied in commit order; a
 rejoining replica is seeded from a donor's certification log and commit

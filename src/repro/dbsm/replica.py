@@ -69,7 +69,7 @@ def open_commit_request(
 
 
 class Replica(ReplicationProtocol):
-    """One site of the replicated database (registry name ``"dbsm"``)."""
+    """One site of the replicated database (table name ``"dbsm"``)."""
 
     name = "dbsm"
 

@@ -329,9 +329,7 @@ class ReliableMulticast:
         self._blocked_since = None
         self._frozen = True
         for handle in self._nack_timers.values():
-            cancel = getattr(handle, "cancel", None)
-            if cancel is not None:
-                cancel()
+            handle.cancel()
         self._nack_timers = {}
 
     def fast_forward_origin(self, origin: int, seq: int) -> None:
@@ -356,9 +354,7 @@ class ReliableMulticast:
         self._delivered_up_to[origin] = 0
         timer = self._nack_timers.pop(origin, None)
         if timer is not None:
-            cancel = getattr(timer, "cancel", None)
-            if cancel is not None:
-                cancel()
+            timer.cancel()
 
     # ------------------------------------------------------------------
     # view-change hooks

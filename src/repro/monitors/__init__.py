@@ -1,6 +1,6 @@
 """Always-on runtime invariant monitors (online §5.3 / §3.4 checking).
 
-A registry of cheap observe-only monitors wired into the scenario
+A table of cheap observe-only monitors wired into the scenario
 event path, selected per cell by ``ScenarioConfig.monitors`` (monitor
 names, or ``"all"``):
 
@@ -18,10 +18,12 @@ names, or ``"all"``):
 
 Violations are recorded as :class:`InvariantViolation` artifacts on
 the :class:`~repro.core.experiment.ScenarioResult` (the ``violations``
-metric in the analysis registry).  Disabled monitoring is free: every
+metric in the analysis layer).  Disabled monitoring is free: every
 production hook is ``if <probe> is not None``-guarded, so results are
 bit-identical with monitors off.
 """
+
+from typing import Dict, List, Sequence, Tuple, Type, Union
 
 from .base import (
     ALL_MONITORS,
@@ -29,21 +31,15 @@ from .base import (
     Monitor,
     MonitorHub,
     SiteProbe,
-    available_monitors,
-    build_monitor,
-    register_monitor,
-    resolve_monitors,
 )
-
-# Importing the implementation modules registers the built-ins, in the
-# order the docs table lists them.
+from .ordering import GcsOrdering
+from .primary import PrimaryComponent
 from .serializability import OneCopySerializability
 from .viewsync import ViewSynchrony
-from .primary import PrimaryComponent
-from .ordering import GcsOrdering
 
 __all__ = [
     "ALL_MONITORS",
+    "MONITORS",
     "InvariantViolation",
     "Monitor",
     "MonitorHub",
@@ -55,10 +51,48 @@ __all__ = [
     "applicable_monitors",
     "available_monitors",
     "build_hub",
-    "build_monitor",
-    "register_monitor",
     "resolve_monitors",
 ]
+
+#: monitor name -> class, in the order the docs table lists them (the
+#: order ``"all"`` arms them in).
+MONITORS: Dict[str, Type[Monitor]] = {
+    cls.name: cls
+    for cls in (
+        OneCopySerializability,
+        ViewSynchrony,
+        PrimaryComponent,
+        GcsOrdering,
+    )
+}
+
+
+def available_monitors() -> Tuple[str, ...]:
+    """Monitor names, in table order."""
+    return tuple(MONITORS)
+
+
+def resolve_monitors(names: Union[str, Sequence[str]]) -> Tuple[str, ...]:
+    """Expand a monitor selection to concrete table names.
+
+    ``"all"`` expands to every monitor in the table; explicit names keep
+    their order, duplicates collapse, unknown names raise ValueError.
+    """
+    if isinstance(names, str):
+        names = (names,)
+    resolved: List[str] = []
+    for name in names:
+        expanded = available_monitors() if name == ALL_MONITORS else (name,)
+        for concrete in expanded:
+            if concrete not in MONITORS:
+                known = ", ".join(MONITORS)
+                raise ValueError(
+                    f"unknown invariant monitor {concrete!r} "
+                    f"(available: {known})"
+                )
+            if concrete not in resolved:
+                resolved.append(concrete)
+    return tuple(resolved)
 
 
 def applicable_monitors(config) -> tuple:
@@ -74,10 +108,8 @@ def applicable_monitors(config) -> tuple:
     if not config.monitors or config.sites < 2:
         return ()
     names = resolve_monitors(config.monitors)
-    if getattr(config, "fragments", 1) > 1:
-        names = tuple(
-            name for name in names if build_monitor(name).fragment_aware
-        )
+    if config.fragments > 1:
+        names = tuple(name for name in names if MONITORS[name].fragment_aware)
     return names
 
 
@@ -93,17 +125,16 @@ def build_hub(config, clock) -> "MonitorHub | None":
     names = applicable_monitors(config)
     if not names:
         return None
-    fragments = getattr(config, "fragments", 1)
     site_groups = None
-    if fragments > 1:
+    if config.fragments > 1:
         from ..placement import fragment_of_site
 
         site_groups = {
-            site: fragment_of_site(site, config.sites, fragments)
+            site: fragment_of_site(site, config.sites, config.fragments)
             for site in range(config.sites)
         }
     return MonitorHub(
-        [build_monitor(name) for name in names],
+        [MONITORS[name]() for name in names],
         config.sites,
         clock,
         site_groups=site_groups,

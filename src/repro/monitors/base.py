@@ -1,4 +1,4 @@
-"""Online invariant monitoring: the hub, the registry, the artifact.
+"""Online invariant monitoring: the hub, the probes, the artifact.
 
 The paper's §5.3 safety argument is checked *after* a run today
 (:func:`repro.core.safety.check_consistency`); this package moves the
@@ -22,7 +22,7 @@ event to the monitors that actually override the corresponding hook
 (computed once per run), the hub merges the recorded
 :class:`InvariantViolation` events at the end, and the scenario result
 carries them as first-class serialized artifacts for the analysis
-registry (the ``violations`` metric).
+layer (the ``violations`` metric).
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 __all__ = [
@@ -44,14 +43,10 @@ __all__ = [
     "Monitor",
     "MonitorHub",
     "SiteProbe",
-    "available_monitors",
-    "build_monitor",
-    "register_monitor",
-    "resolve_monitors",
 ]
 
-#: Sentinel accepted in ``ScenarioConfig.monitors``: every registered
-#: monitor, in registration order.
+#: Sentinel accepted in ``ScenarioConfig.monitors``: every monitor in
+#: :data:`repro.monitors.MONITORS`, in table order.
 ALL_MONITORS = "all"
 
 
@@ -59,7 +54,7 @@ ALL_MONITORS = "all"
 class InvariantViolation:
     """One observed invariant breach — a first-class result artifact."""
 
-    #: Registry name of the monitor that fired.
+    #: Table name of the monitor that fired.
     monitor: str
     #: Site at which the breach was observed (e.g. ``"site2"``).
     site: str
@@ -108,8 +103,8 @@ class Monitor:
     hooks directly; ``sim_time`` then falls back to an event counter.
     """
 
-    #: Registry name (subclasses set it; it keys the docs table and the
-    #: ``violations[monitor]`` metric family).
+    #: Table name (subclasses set it; it keys ``MONITORS``, the docs
+    #: table and the ``violations[monitor]`` metric family).
     name: str = "?"
     #: Whether the monitor understands per-fragment replica groups
     #: (partial replication): its invariants hold *within* a GCS group,
@@ -341,61 +336,3 @@ class MonitorHub:
         merged = [v for monitor in self.monitors for v in monitor.violations]
         merged.sort(key=lambda v: (v.sim_time, v.monitor, v.site, v.seq))
         return merged
-
-
-# ----------------------------------------------------------------------
-# registry
-# ----------------------------------------------------------------------
-MonitorFactory = Callable[[], Monitor]
-
-_REGISTRY: Dict[str, MonitorFactory] = {}
-
-
-def register_monitor(name: str, factory: MonitorFactory) -> None:
-    """Register ``factory`` under ``name`` (unique, non-empty, not the
-    ``"all"`` sentinel)."""
-    if not name or not isinstance(name, str) or name == ALL_MONITORS:
-        raise ValueError(f"invalid monitor name {name!r}")
-    if name in _REGISTRY:
-        raise ValueError(f"invariant monitor {name!r} already registered")
-    _REGISTRY[name] = factory
-
-
-def available_monitors() -> Tuple[str, ...]:
-    """Registered monitor names, in registration order."""
-    return tuple(_REGISTRY)
-
-
-def build_monitor(name: str) -> Monitor:
-    """A fresh instance of the ``name`` monitor."""
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(_REGISTRY)
-        raise ValueError(
-            f"unknown invariant monitor {name!r} (available: {known})"
-        ) from None
-    return factory()
-
-
-def resolve_monitors(names: Union[str, Sequence[str]]) -> Tuple[str, ...]:
-    """Expand a monitor selection to concrete registry names.
-
-    ``"all"`` expands to every registered monitor; explicit names keep
-    their order, duplicates collapse, unknown names raise ValueError.
-    """
-    if isinstance(names, str):
-        names = (names,)
-    resolved: List[str] = []
-    for name in names:
-        expanded = available_monitors() if name == ALL_MONITORS else (name,)
-        for concrete in expanded:
-            if concrete not in _REGISTRY:
-                known = ", ".join(_REGISTRY)
-                raise ValueError(
-                    f"unknown invariant monitor {concrete!r} "
-                    f"(available: {known})"
-                )
-            if concrete not in resolved:
-                resolved.append(concrete)
-    return tuple(resolved)

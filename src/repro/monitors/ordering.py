@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Dict, Set, Tuple
 
-from .base import Monitor, register_monitor
+from .base import Monitor
 
 __all__ = ["GcsOrdering"]
 
@@ -151,6 +151,3 @@ class GcsOrdering(Monitor):
                         sim_time=self._conflict_at.get(site),
                     )
                     break  # first mismatch per site is the diagnostic one
-
-
-register_monitor("gcs-ordering", GcsOrdering)

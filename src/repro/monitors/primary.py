@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set, Tuple
 
-from .base import Monitor, register_monitor
+from .base import Monitor
 
 __all__ = ["PrimaryComponent"]
 
@@ -109,6 +109,3 @@ class PrimaryComponent(Monitor):
         # component; its stale lineage verdict no longer applies.
         self._members[site] = None
         self._in_primary.pop(site, None)
-
-
-register_monitor("primary-component", PrimaryComponent)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Set, Tuple
 
 from ..core.safety import agreement_divergences, describe_divergence
-from .base import Monitor, register_monitor
+from .base import Monitor
 
 __all__ = ["OneCopySerializability"]
 
@@ -144,6 +144,3 @@ class OneCopySerializability(Monitor):
             seq=seq,
             sim_time=None if detected is None else detected[0],
         )
-
-
-register_monitor("one-copy-sr", OneCopySerializability)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, Set, Tuple
 
-from .base import Monitor, register_monitor
+from .base import Monitor
 
 __all__ = ["ViewSynchrony"]
 
@@ -124,6 +124,3 @@ class ViewSynchrony(Monitor):
         self._joining.add(site)
         self._members.pop(site, None)
         self._allowance.pop(site, None)
-
-
-register_monitor("view-synchrony", ViewSynchrony)

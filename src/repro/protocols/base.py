@@ -2,12 +2,12 @@
 
 The paper's testbed exists to evaluate group-communication-based
 replication *protocols* — plural.  This module is the seam that makes
-the protocol a first-class experiment axis: a registry maps a protocol
+the protocol a first-class experiment axis: a table maps a protocol
 name (``ScenarioConfig.protocol``) to a builder that wires one site's
 database server, group-communication stack and runtime into a
 :class:`ReplicationProtocol` instance.  Scenario assembly looks the
 protocol up by name, so the same performance and fault grids run under
-any registered protocol and compare side by side.
+any protocol in the table and compare side by side.
 
 Adding a protocol:
 
@@ -27,27 +27,18 @@ Adding a protocol:
    to a rejoining replica: certification position, commit counters);
    the base class handles the commit log, the apply watermark, the
    ``live`` gate and orphan accounting;
-3. register a builder: ``register_protocol("my-proto", build_fn)`` where
-   ``build_fn(ctx: ProtocolContext)`` returns the per-site instance;
-4. give it a smoke cell: the runner's smoke grid enumerates the registry
-   automatically, and a unit test fails any registered protocol that has
-   no smoke cell.
+3. add its builder to the :data:`repro.protocols.PROTOCOLS` table:
+   ``build(ctx: ProtocolContext)`` returns the per-site instance;
+4. give it a smoke cell: the runner's smoke grid enumerates the table
+   automatically, and a unit test fails any protocol in the table that
+   has no smoke cell.
 
-Builders for the built-in protocols (``"dbsm"``, ``"primary-copy"``)
-are registered lazily on first lookup, keeping import order free of
-cycles with the modules they wire together.
-
-Registration is per-process.  To run a custom protocol through the
-campaign runner with ``workers > 1``, put the ``register_protocol``
-call in an importable module and import it from worker code too (e.g.
-via an ``initializer`` or a conftest) — under spawn/forkserver start
-methods a worker process re-imports ``repro`` fresh and only the
-built-ins register themselves.
+The table is a module-level literal, so every process that imports
+``repro`` — campaign pool workers included — sees the same protocols.
 """
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, Tuple
 
@@ -64,10 +55,6 @@ __all__ = [
     "ReplicationProtocol",
     "ProtocolContext",
     "ProtocolGroup",
-    "register_protocol",
-    "get_protocol",
-    "build_protocol",
-    "available_protocols",
 ]
 
 OnDone = Callable[[Transaction], None]
@@ -88,7 +75,7 @@ class ReplicationProtocol(TerminationProtocol):
     and to collect the commit log and protocol counters after the run.
     """
 
-    #: Registry name of the protocol this instance implements.
+    #: Table name of the protocol this instance implements.
     name: str = "?"
     #: The site's ordered commit decisions (§5.3 safety checking).
     commit_log: CommitLog
@@ -331,52 +318,3 @@ class ProtocolContext:
 
 
 Builder = Callable[[ProtocolContext], ReplicationProtocol]
-
-_REGISTRY: Dict[str, Builder] = {}
-#: Submodules that register the built-in protocols on import.
-_BUILTIN_MODULES = (".dbsm", ".primary_copy", ".partial")
-
-
-def register_protocol(name: str, builder: Builder) -> None:
-    """Register ``builder`` under ``name`` (unique, non-empty)."""
-    if not name or not isinstance(name, str):
-        raise ValueError("protocol name must be a non-empty string")
-    # Load the built-ins first so a clash with a built-in name fails
-    # *here*, at the caller — not later inside _load_builtins, which
-    # would poison every subsequent registry lookup.  Reentrant calls
-    # from the built-in modules themselves are fine: their in-progress
-    # imports are already in sys.modules.
-    _load_builtins()
-    if name in _REGISTRY:
-        raise ValueError(f"replication protocol {name!r} already registered")
-    _REGISTRY[name] = builder
-
-
-def _load_builtins() -> None:
-    for module in _BUILTIN_MODULES:
-        importlib.import_module(module, __package__)
-
-
-def available_protocols() -> Tuple[str, ...]:
-    """Sorted names of every registered protocol."""
-    _load_builtins()
-    return tuple(sorted(_REGISTRY))
-
-
-def get_protocol(name: str) -> Builder:
-    """The builder registered under ``name``; raises ValueError if none."""
-    _load_builtins()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise ValueError(
-            f"unknown replication protocol {name!r} (available: {known})"
-        ) from None
-
-
-def build_protocol(name: str, ctx: ProtocolContext) -> ReplicationProtocol:
-    """Build and group-register the ``name`` protocol for one site."""
-    instance = get_protocol(name)(ctx)
-    ctx.group.register(ctx.site_id, instance)
-    return instance

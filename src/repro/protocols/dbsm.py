@@ -1,20 +1,17 @@
-"""The DBSM certification protocol behind the registry (``"dbsm"``).
+"""The DBSM certification protocol in the protocol table (``"dbsm"``).
 
 The implementation is :class:`repro.dbsm.replica.Replica` — the paper's
 distributed termination protocol (§3.3): read/write sets atomically
 multicast, deterministic certification on total-order delivery, write
-sets applied remotely.  This module only adapts it to the registry's
+sets applied remotely.  This module only adapts it to the table's
 builder signature.
 """
 
 from __future__ import annotations
 
 from ..dbsm.replica import Replica
-from .base import ProtocolContext, register_protocol
+from .base import ProtocolContext
 
 
-def _build(ctx: ProtocolContext) -> Replica:
+def build(ctx: ProtocolContext) -> Replica:
     return Replica(ctx.site_id, ctx.server, ctx.gcs, ctx.runtime)
-
-
-register_protocol("dbsm", _build)

@@ -1,4 +1,4 @@
-"""Partial replication with per-fragment groups (registry name ``"partial"``).
+"""Partial replication with per-fragment groups (table name ``"partial"``).
 
 Each data fragment (a warehouse range, see :mod:`repro.placement`) is
 replicated by its own group with its own GCS stack.  A transaction whose
@@ -66,7 +66,6 @@ from .base import (
     ProtocolContext,
     ProtocolGroup,
     ReplicationProtocol,
-    register_protocol,
 )
 
 __all__ = ["PartialReplica"]
@@ -396,7 +395,7 @@ class PartialReplica(ReplicationProtocol):
         return {**self.certifier.stats, **self.stats}
 
 
-def _build(ctx: ProtocolContext) -> PartialReplica:
+def build(ctx: ProtocolContext) -> PartialReplica:
     return PartialReplica(
         ctx.site_id,
         ctx.server,
@@ -405,6 +404,3 @@ def _build(ctx: ProtocolContext) -> PartialReplica:
         ctx.group,
         ctx.config,
     )
-
-
-register_protocol("partial", _build)

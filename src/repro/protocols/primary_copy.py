@@ -1,4 +1,4 @@
-"""Primary-copy passive replication (registry name ``"primary-copy"``).
+"""Primary-copy passive replication (table name ``"primary-copy"``).
 
 The classic alternative to the DBSM's update-everywhere certification:
 **all update transactions are routed to, and executed on, a single
@@ -52,7 +52,6 @@ from .base import (
     ProtocolContext,
     ProtocolGroup,
     ReplicationProtocol,
-    register_protocol,
 )
 
 __all__ = ["PrimaryCopyReplica", "PARK_RETRY_INTERVAL"]
@@ -288,7 +287,7 @@ class PrimaryCopyReplica(ReplicationProtocol):
         return dict(self.stats)
 
 
-def _build(ctx: ProtocolContext) -> PrimaryCopyReplica:
+def build(ctx: ProtocolContext) -> PrimaryCopyReplica:
     return PrimaryCopyReplica(
         ctx.site_id,
         ctx.server,
@@ -297,6 +296,3 @@ def _build(ctx: ProtocolContext) -> PrimaryCopyReplica:
         ctx.group,
         link_latency=ctx.config.net_link_latency,
     )
-
-
-register_protocol("primary-copy", _build)

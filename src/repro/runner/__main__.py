@@ -1,7 +1,7 @@
 """Command-line campaign driver: ``python -m repro.runner``.
 
 Campaigns are declarative :class:`~repro.campaigns.CampaignSpec` grids,
-resolved from the named-campaign registry or from an exported JSON spec
+resolved from the named-campaign table or from an exported JSON spec
 file, sliced or widened with ``--set``, and executed through the
 parallel runner with a paper-style summary table.  Subcommands::
 
@@ -215,7 +215,7 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="FILE",
         help="load the campaign from an exported JSON spec file "
-        "instead of the registry",
+        "instead of the campaign table",
     )
     parser.add_argument(
         "--set",

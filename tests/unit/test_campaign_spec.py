@@ -20,15 +20,14 @@ from pathlib import Path
 import pytest
 
 from repro.campaigns import (
+    CAMPAIGNS,
     Axis,
     CampaignSpec,
     CampaignSpecError,
     available_campaigns,
     get_campaign,
     parse_axis_override,
-    register_campaign,
 )
-from repro.campaigns import registry as campaign_registry
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -179,7 +178,10 @@ class TestComposition:
         """An override must never apply to only part of a composed
         grid: smoke declares clients as an axis while recovery binds it
         via template — both must end up at the override value."""
-        merged = get_campaign("smoke").merge(get_campaign("recovery"))
+        merged = CampaignSpec(
+            name="smoke+recovery",
+            children=(get_campaign("smoke"), get_campaign("recovery")),
+        )
         sliced = merged.with_axis("clients", (8,))
         assert {c.clients for _, c in sliced.expand()} == {8}
 
@@ -193,37 +195,35 @@ class TestComposition:
         # one cell per (system, clients) — not duplicated per protocol
         assert len(centralized) == len(set(centralized)) == 15
 
-    def test_restrict_slices_values_in_order(self):
-        spec = get_campaign("fig5").restrict(clients=(500, 100))
-        assert {c.clients for _, c in spec.expand()} == {100, 500}
-        # original axis order kept, not the requested order
-        first = spec.expand()[0]
-        assert first[1].clients == 100
+    def test_with_axis_to_nothing_rejected(self):
+        with pytest.raises(CampaignSpecError, match="at least one value"):
+            get_campaign("fig5").with_axis("clients", ())
 
-    def test_restrict_unknown_axis_rejected(self):
-        with pytest.raises(CampaignSpecError, match="no axis"):
-            get_campaign("fig7").restrict(meteor=(1,))
-
-    def test_restrict_to_nothing_rejected(self):
-        with pytest.raises(CampaignSpecError, match="leaves no values"):
-            get_campaign("fig5").restrict(clients=(999,))
-
-    def test_merge_concatenates_in_order(self):
-        merged = get_campaign("fig7").merge(get_campaign("recovery"))
+    def test_children_concatenate_in_order(self):
+        merged = CampaignSpec(
+            name="fig7+recovery",
+            children=(get_campaign("fig7"), get_campaign("recovery")),
+        )
         labels = [l for l, _ in merged.expand()]
         assert labels == (
             [l for l, _ in get_campaign("fig7").expand()]
             + [l for l, _ in get_campaign("recovery").expand()]
         )
 
-    def test_merge_duplicate_labels_rejected_at_expand(self):
-        with pytest.raises(CampaignSpecError, match="duplicate"):
-            get_campaign("fig7").merge(get_campaign("fig7")).expand()
+    def test_duplicate_child_labels_rejected_at_expand(self):
+        twice = CampaignSpec(
+            name="twice", children=(get_campaign("fig7"), get_campaign("fig7"))
+        )
+        with pytest.raises(
+            CampaignSpecError,
+            match=r"duplicate labels: \['bursty', 'none', 'random'\]",
+        ):
+            twice.expand()
 
     def test_derived_specs_leave_the_original_untouched(self):
         spec = get_campaign("fig7")
         before = spec.to_dict()
-        spec.with_axis("clients", (10,)).restrict(fault=("none",))
+        spec.with_axis("clients", (10,)).with_axis("fault", ("none",))
         assert spec.to_dict() == before
 
 
@@ -248,7 +248,7 @@ class TestLabels:
         assert len(spec.expand()) == 1
         with pytest.raises(CampaignSpecError, match="duplicate"):
             # the auto-suffix covers swept axes, so force a real clash:
-            spec.merge(spec, name="twice").expand()
+            CampaignSpec(name="twice", children=(spec, spec)).expand()
 
     def test_unbound_label_placeholder_rejected(self):
         spec = CampaignSpec(
@@ -377,31 +377,16 @@ class TestRegistry:
         with pytest.raises(ValueError, match="smoke"):
             get_campaign("no-such-campaign")
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_campaign(get_campaign("smoke"))
-
-    def test_register_and_unregister_custom(self):
+    def test_table_entry_resolves(self, monkeypatch):
         spec = CampaignSpec(
             name="test-custom",
             kind="performance",
             label="c{clients}",
             axes=[("clients", (10,))],
         )
-        register_campaign(spec)
-        try:
-            assert get_campaign("test-custom") is spec
-            replacement = spec.with_axis("clients", (20,))
-            with pytest.raises(ValueError):
-                register_campaign(replacement)
-            register_campaign(replacement, replace=True)
-            assert get_campaign("test-custom") is replacement
-        finally:
-            campaign_registry._REGISTRY.pop("test-custom")
-
-    def test_non_spec_rejected(self):
-        with pytest.raises(ValueError, match="CampaignSpec"):
-            register_campaign({"name": "nope"})
+        monkeypatch.setitem(CAMPAIGNS, spec.name, spec)
+        assert "test-custom" in available_campaigns()
+        assert get_campaign("test-custom") is spec
 
 
 class TestSafetyCampaign:

@@ -1,5 +1,5 @@
 """Unit coverage for the runtime invariant-monitor subsystem: the
-registry, violation serialization, config validation, artifact-store
+name table, violation serialization, config validation, artifact-store
 persistence and the ``violations`` metrics (NaN-vs-zero semantics)."""
 
 import json
@@ -11,12 +11,12 @@ from repro.analysis import metric_value
 from repro.analysis.resultset import ResultSet
 from repro.core.experiment import Scenario, ScenarioConfig, ScenarioResult
 from repro.monitors import (
+    ALL_MONITORS,
+    MONITORS,
     InvariantViolation,
     Monitor,
     MonitorHub,
     available_monitors,
-    build_monitor,
-    register_monitor,
     resolve_monitors,
 )
 from repro.runner.store import ArtifactStore
@@ -42,13 +42,21 @@ class TestRegistry:
 
     @pytest.mark.parametrize("name", MONITOR_NAMES)
     def test_build_monitor(self, name):
-        monitor = build_monitor(name)
+        monitor = MONITORS[name]()
         assert isinstance(monitor, Monitor)
         assert monitor.name == name
 
-    def test_build_unknown_raises(self):
-        with pytest.raises(ValueError, match="unknown invariant monitor"):
-            build_monitor("bogus")
+    def test_table_keys_are_class_names_and_all_is_table_order(self):
+        for name, cls in MONITORS.items():
+            assert cls.name == name
+        assert ALL_MONITORS not in MONITORS
+        assert resolve_monitors(ALL_MONITORS) == tuple(MONITORS)
+
+    def test_unknown_name_raises_naming_the_options(self):
+        with pytest.raises(
+            ValueError, match="unknown invariant monitor 'bogus'.*one-copy-sr"
+        ):
+            resolve_monitors("bogus")
 
     def test_resolve_all_sentinel(self):
         assert resolve_monitors(("all",)) == MONITOR_NAMES
@@ -64,14 +72,6 @@ class TestRegistry:
     def test_resolve_unknown_raises(self):
         with pytest.raises(ValueError, match="bogus"):
             resolve_monitors(("one-copy-sr", "bogus"))
-
-    def test_register_rejects_duplicates_and_sentinel(self):
-        with pytest.raises(ValueError):
-            register_monitor("one-copy-sr", object)
-        with pytest.raises(ValueError):
-            register_monitor("all", object)
-        with pytest.raises(ValueError):
-            register_monitor("", object)
 
 
 class TestConfigValidation:

@@ -207,7 +207,7 @@ class TestMonitorApplicability:
         ) == ()
 
     def test_fragmented_runs_arm_only_fragment_aware_monitors(self):
-        from repro.monitors import build_monitor, resolve_monitors
+        from repro.monitors import MONITORS, resolve_monitors
 
         config = ScenarioConfig(
             sites=4,
@@ -219,7 +219,7 @@ class TestMonitorApplicability:
         armed = applicable_monitors(config)
         assert armed  # the built-ins are all fragment-aware today
         for name in resolve_monitors(("all",)):
-            assert (name in armed) == build_monitor(name).fragment_aware
+            assert (name in armed) == MONITORS[name].fragment_aware
 
     def test_violations_metric_nan_when_nothing_armed(self):
         from repro.analysis.metrics import get_metric

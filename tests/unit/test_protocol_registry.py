@@ -1,4 +1,4 @@
-"""Unit: the replication-protocol registry and its scenario threading."""
+"""Unit: the replication-protocol table and its scenario threading."""
 
 import sys
 from pathlib import Path
@@ -11,11 +11,11 @@ from helpers import make_stub_site
 from repro.core.experiment import Scenario, ScenarioConfig
 from repro.protocols import base as protocol_base
 from repro.protocols import (
+    PROTOCOLS,
     ProtocolContext,
     ProtocolGroup,
     available_protocols,
-    get_protocol,
-    register_protocol,
+    build_protocol,
 )
 
 
@@ -28,30 +28,30 @@ class TestRegistry:
 
     def test_builders_resolve(self):
         for name in available_protocols():
-            assert callable(get_protocol(name))
+            assert callable(PROTOCOLS[name])
 
     def test_unknown_protocol_is_a_value_error_naming_the_options(self):
+        # The name is looked up before the context is touched.
         with pytest.raises(ValueError, match="dbsm"):
-            get_protocol("three-phase-commit")
+            build_protocol("three-phase-commit", None)
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_protocol("dbsm", lambda ctx: None)
-
-    def test_bad_names_rejected(self):
-        with pytest.raises(ValueError):
-            register_protocol("", lambda ctx: None)
-        with pytest.raises(ValueError):
-            register_protocol(None, lambda ctx: None)
-
-    def test_custom_protocol_registers_and_unregisters(self):
-        builder = lambda ctx: None  # noqa: E731 — never built here
-        register_protocol("test-noop", builder)
-        try:
-            assert "test-noop" in available_protocols()
-            assert get_protocol("test-noop") is builder
-        finally:
-            protocol_base._REGISTRY.pop("test-noop")
+    def test_table_entry_is_listed_built_and_group_registered(self, monkeypatch):
+        """Adding a protocol is one ``PROTOCOLS`` entry: the name is then
+        offered by ``available_protocols`` and ``build_protocol`` builds
+        it and registers the instance in the site's protocol group."""
+        instance = object()
+        monkeypatch.setitem(PROTOCOLS, "test-noop", lambda ctx: instance)
+        assert "test-noop" in available_protocols()
+        ctx = ProtocolContext(
+            site_id=1,
+            server=None,
+            gcs=None,
+            runtime=None,
+            config=None,
+            group=ProtocolGroup(),
+        )
+        assert build_protocol("test-noop", ctx) is instance
+        assert ctx.group.instance(1) is instance
 
     @pytest.mark.parametrize("name", available_protocols())
     def test_termination_core_is_inherited_not_reforked(self, name):

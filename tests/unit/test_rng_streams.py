@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core import rng as rng_mod
-from repro.core.rng import derive_rng, derive_seed, register_stream, stream_multiplier
+from repro.core.rng import derive_rng, derive_seed, stream_multiplier
 
 
 class TestDeriveSeed:
@@ -29,21 +29,19 @@ class TestDeriveSeed:
             derive_seed(1, "no-such-stream")
 
 
-class TestRegisterStream:
-    def test_duplicate_name_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_stream("storage", 99991)
-
-    def test_duplicate_multiplier_rejected(self):
+class TestStreamTable:
+    def test_multipliers_are_pairwise_distinct(self):
         """A new protocol reusing an existing multiplier would correlate
-        its randomness with another component's — refuse it."""
-        with pytest.raises(ValueError, match="storage"):
-            register_stream("my-new-protocol", 1000)
+        its randomness with another component's — the table refuses it."""
+        owners = {}
+        for stream, multiplier in rng_mod._STREAMS.items():
+            assert multiplier not in owners, (
+                f"stream {stream!r} reuses multiplier {multiplier} "
+                f"of stream {owners[multiplier]!r}"
+            )
+            owners[multiplier] = stream
 
-    def test_new_stream_registers(self):
-        register_stream("test-stream", 99989)
-        try:
-            assert stream_multiplier("test-stream") == 99989
-            assert derive_seed(2, "test-stream", 1) == 2 * 99989 + 1
-        finally:
-            rng_mod._STREAMS.pop("test-stream")
+    def test_table_entry_derives(self, monkeypatch):
+        monkeypatch.setitem(rng_mod._STREAMS, "test-stream", 99989)
+        assert stream_multiplier("test-stream") == 99989
+        assert derive_seed(2, "test-stream", 1) == 2 * 99989 + 1
