@@ -15,6 +15,7 @@ import pytest
 
 from repro.analysis import (
     AnalysisError,
+    MetricError,
     ResultSet,
     available_metric_families,
     available_metrics,
@@ -161,6 +162,15 @@ class TestRegistry:
             get_metric("warp_factor")
         with pytest.raises(ValueError, match="unknown metric"):
             get_metric("warp_factor[9]")
+
+    def test_unknown_metric_error_names_the_options(self):
+        with pytest.raises(MetricError) as excinfo:
+            get_metric("warp_factor")
+        message = str(excinfo.value)
+        for name in available_metrics():
+            assert name in message
+        for base in available_metric_families():
+            assert f"{base}[...]" in message
 
     def test_metric_carries_unit_and_format(self):
         metric = get_metric("mean_latency_ms")

@@ -195,6 +195,18 @@ class TestComposition:
         # one cell per (system, clients) — not duplicated per protocol
         assert len(centralized) == len(set(centralized)) == 15
 
+    def test_with_axis_slices_values_in_order(self):
+        """Sweeping an axis over a subset of its values is the slice of
+        the full grid: the same cells, labels and configs, in order."""
+        fig5 = get_campaign("fig5")
+        kept = (100, 1000, 2000)
+        sliced = fig5.with_axis("clients", kept).expand()
+        expected = [(l, c) for l, c in fig5.expand() if c.clients in kept]
+        assert [l for l, _ in sliced] == [l for l, _ in expected]
+        assert [c.to_dict() for _, c in sliced] == [
+            c.to_dict() for _, c in expected
+        ]
+
     def test_with_axis_to_nothing_rejected(self):
         with pytest.raises(CampaignSpecError, match="at least one value"):
             get_campaign("fig5").with_axis("clients", ())
@@ -376,6 +388,11 @@ class TestRegistry:
     def test_unknown_campaign_names_the_options(self):
         with pytest.raises(ValueError, match="smoke"):
             get_campaign("no-such-campaign")
+
+    def test_table_keys_are_spec_names(self):
+        for name, spec in CAMPAIGNS.items():
+            assert isinstance(spec, CampaignSpec)
+            assert spec.name == name
 
     def test_table_entry_resolves(self, monkeypatch):
         spec = CampaignSpec(

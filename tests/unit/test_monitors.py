@@ -16,7 +16,9 @@ from repro.monitors import (
     InvariantViolation,
     Monitor,
     MonitorHub,
+    applicable_monitors,
     available_monitors,
+    build_hub,
     resolve_monitors,
 )
 from repro.runner.store import ArtifactStore
@@ -51,6 +53,37 @@ class TestRegistry:
             assert cls.name == name
         assert ALL_MONITORS not in MONITORS
         assert resolve_monitors(ALL_MONITORS) == tuple(MONITORS)
+
+    def test_applicability_reads_the_class_without_building_it(
+        self, monkeypatch
+    ):
+        """Arming decisions read ``fragment_aware`` off the table's class;
+        only the hub builds monitors."""
+
+        class Unbuildable:
+            def __init__(self):
+                raise AssertionError("applicability built a monitor")
+
+        aware = type("Aware", (Unbuildable,), {"fragment_aware": True})
+        unaware = type("Unaware", (Unbuildable,), {"fragment_aware": False})
+        monkeypatch.setitem(MONITORS, "test-aware", aware)
+        monkeypatch.setitem(MONITORS, "test-unaware", unaware)
+        config = ScenarioConfig(
+            sites=4,
+            clients=120,
+            protocol="partial",
+            fragments=2,
+            monitors=("test-unaware", "test-aware"),
+        )
+        assert applicable_monitors(config) == ("test-aware",)
+
+    def test_each_hub_builds_fresh_monitors(self):
+        """The table holds classes: two runs never share monitor state."""
+        config = ScenarioConfig(sites=3, clients=30, monitors=("all",))
+        first, second = build_hub(config, None), build_hub(config, None)
+        assert [m.name for m in first.monitors] == list(MONITORS)
+        for a, b in zip(first.monitors, second.monitors):
+            assert type(a) is type(b) and a is not b
 
     def test_unknown_name_raises_naming_the_options(self):
         with pytest.raises(

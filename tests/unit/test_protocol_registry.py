@@ -35,6 +35,25 @@ class TestRegistry:
         with pytest.raises(ValueError, match="dbsm"):
             build_protocol("three-phase-commit", None)
 
+    def test_table_names_are_cli_names(self):
+        """Every key is a usable ``--protocol`` value: a non-empty,
+        lower-case word, and never ``"all"``, the sentinel that expands
+        to every protocol."""
+        for name in PROTOCOLS:
+            assert isinstance(name, str) and name, name
+            assert name == name.lower() and not any(c.isspace() for c in name)
+            assert name != "all"
+
+    def test_run_protocol_choices_are_the_table_plus_all(self):
+        from repro.runner.__main__ import _build_parser
+
+        parser = _build_parser()
+        for name in available_protocols() + ("all",):
+            args = parser.parse_args(["run", "smoke", "--protocol", name])
+            assert args.protocol == name
+        with pytest.raises(SystemExit):
+            parser.parse_args(["run", "smoke", "--protocol", "no-such-protocol"])
+
     def test_table_entry_is_listed_built_and_group_registered(self, monkeypatch):
         """Adding a protocol is one ``PROTOCOLS`` entry: the name is then
         offered by ``available_protocols`` and ``build_protocol`` builds

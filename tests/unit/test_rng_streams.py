@@ -41,6 +41,13 @@ class TestStreamTable:
             )
             owners[multiplier] = stream
 
+    def test_every_stream_depends_on_the_seed(self):
+        """A zero multiplier would hand every seed the same randomness,
+        so a seed sweep would repeat one run."""
+        for stream, multiplier in rng_mod._STREAMS.items():
+            assert isinstance(multiplier, int) and multiplier > 0, stream
+            assert derive_seed(1, stream) != derive_seed(2, stream)
+
     def test_table_entry_derives(self, monkeypatch):
         monkeypatch.setitem(rng_mod._STREAMS, "test-stream", 99989)
         assert stream_multiplier("test-stream") == 99989
