@@ -36,6 +36,8 @@ class CpuCostModel:
     RECV = "recv"
     #: Tag for general protocol timer callbacks (stability rounds etc.).
     TIMER = "timer"
+    #: Tag for marshaling a protocol payload into a multicast.
+    MARSHAL = "marshal"
     #: Tag for jobs whose cost is charged entirely inside the job body
     #: (e.g. benchmark drivers calling rt_send, which charges SEND).
     NOOP = "noop"
@@ -44,6 +46,7 @@ class CpuCostModel:
         SEND: (20e-6, 9e-9),
         RECV: (15e-6, 6e-9),
         TIMER: (5e-6, 0.0),
+        MARSHAL: (5e-6, 0.0),
         NOOP: (0.0, 0.0),
     }
 
@@ -62,13 +65,10 @@ class CpuCostModel:
     def cost(self, tag: str, nbytes: int = 0) -> float:
         """CPU seconds consumed by a ``tag`` job over ``nbytes`` bytes.
 
-        Unknown tags fall back to the TIMER cost so experiments do not
-        silently run free of CPU accounting.
+        An unpriced tag raises :class:`KeyError` naming it, so no job
+        runs at a price nobody set.
         """
-        try:
-            fixed, per_byte = self._costs[tag]
-        except KeyError:
-            fixed, per_byte = self._costs[self.TIMER]
+        fixed, per_byte = self._costs[tag]
         return fixed + per_byte * nbytes
 
     def tags(self) -> Tuple[str, ...]:

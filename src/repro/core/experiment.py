@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import gc
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -43,7 +42,6 @@ from ..protocols import (
     build_protocol,
 )
 from ..tpcc.client import ClientPool
-from ..tpcc.profiles import ProfileSet, default_profiles
 from ..tpcc.schema import warehouses_for_clients
 from ..tpcc.workload import TpccWorkload
 from .clock import CpuCostModel
@@ -93,7 +91,6 @@ class ScenarioConfig:
     #: pre-monitor code path; centralized baselines ignore it like
     #: they ignore ``protocol``.
     monitors: Tuple[str, ...] = ()
-    profiles: Optional[ProfileSet] = None
     gcs: GcsConfig = field(default_factory=GcsConfig)
     #: Site index -> fault plan (sites without an entry run fault-free).
     faults: Dict[int, FaultPlan] = field(default_factory=dict)
@@ -158,23 +155,15 @@ class ScenarioConfig:
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready encoding of the configuration.
 
-        ``profiles`` objects carry sampling distributions that have no
-        canonical JSON form; they are reduced to a stable fingerprint so
-        artifact resume-matching still distinguishes custom profile sets
-        from the defaults.  ``from_dict`` therefore reconstructs custom
-        profiles as ``None`` (the defaults) — exact round-trip holds for
-        every config that uses the default profiles.
+        ``profiles`` is written as ``None`` just before ``gcs``: the key
+        predates the fixed CPU profile, and keeping it keeps stored cells
+        and result digests byte-identical.  ``from_dict`` ignores it.
         """
         data: Dict[str, object] = {}
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if f.name == "profiles":
-                data[f.name] = (
-                    None
-                    if value is None
-                    else hashlib.sha1(repr(value).encode()).hexdigest()
-                )
-            elif f.name == "gcs":
+            if f.name == "gcs":
+                data["profiles"] = None
                 data[f.name] = value.to_dict()
             elif f.name == "faults":
                 data[f.name] = {
@@ -193,9 +182,7 @@ class ScenarioConfig:
         for name, value in data.items():
             if name not in known:
                 continue
-            if name == "profiles":
-                kwargs[name] = None  # fingerprints are not reconstructible
-            elif name == "gcs":
+            if name == "gcs":
                 kwargs[name] = GcsConfig.from_dict(value)
             elif name == "faults":
                 kwargs[name] = {
@@ -402,7 +389,6 @@ class Scenario:
             capture=self.capture,
         )
         self.metrics = MetricsCollector()
-        self.profiles = config.profiles or default_profiles()
         self.sites: List[Site] = []
         # One GCS group per fragment, each with its own address/port,
         # sequencer, views and state transfer.  The single-fragment
@@ -489,7 +475,6 @@ class Scenario:
         )
         workload = TpccWorkload(
             warehouses=warehouses_for_clients(config.clients),
-            profiles=self.profiles,
             rng=derive_rng(config.seed, "workload", index),
             site_index=index,
             site_count=config.sites,

@@ -42,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, Tuple
 
+from ..core.clock import CpuCostModel
 from ..core.kernel import Signal
 from ..core.safety import CommitLog
 from ..db.server import DatabaseServer, TerminationProtocol, WatermarkTracker
@@ -161,7 +162,10 @@ class ReplicationProtocol(TerminationProtocol):
         """Atomically multicast ``payload`` in this site's group, as a
         marshal job charged to this site's CPU."""
         self.runtime.submit_real(
-            self.gcs.multicast, tag="marshal", nbytes=len(payload), args=(payload,)
+            self.gcs.multicast,
+            tag=CpuCostModel.MARSHAL,
+            nbytes=len(payload),
+            args=(payload,),
         )
 
     def _on_deliver(self, global_seq: int, origin: int, payload: bytes) -> None:

@@ -22,7 +22,7 @@ aborting the campaign.
   an artifact (results serialize losslessly for everything the figures
   read);
 * *Resume safety* — an artifact is only reused when its stored config
-  matches the requested one exactly;
+  matches the cell's config exactly;
 * *Crash isolation* — a worker crash (or a cell raising) marks that
   cell failed with its traceback; the rest of the campaign completes.
   ``KeyboardInterrupt``/``SystemExit`` inside an in-process cell abort

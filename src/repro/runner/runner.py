@@ -5,7 +5,8 @@
 :class:`CampaignResult` in input order.  Three execution sources:
 
 * **artifact** — a matching result already sits in the artifact store
-  (resume): the cell is loaded, not run;
+  (resume): the cell is loaded, not run.  A cell that ran is saved under
+  its result's own config, which encodes exactly the config it ran;
 * **in-process** — ``workers=1``: cells run sequentially in this
   process;
 * **worker** — ``workers>1``: cells are farmed to a
@@ -250,7 +251,6 @@ def run_campaign(
         on_event = None
 
     cells: Dict[str, CampaignCell] = {}
-    requested: Dict[str, ScenarioConfig] = dict(labelled)
 
     if writer is not None:
         name = campaign or (manifest or {}).get("campaign") or ""
@@ -264,9 +264,7 @@ def run_campaign(
     def finish(cell: CampaignCell) -> None:
         cells[cell.label] = cell
         if store is not None and cell.result is not None and cell.source != "artifact":
-            # key the artifact on the *requested* config: a result that
-            # crossed the process boundary lost any custom profiles
-            store.save(cell.label, cell.result, config=requested[cell.label])
+            store.save(cell.label, cell.result)
         event = reporter.event(cell.label, cell.status, cell.source, cell.duration)
         if writer is not None:
             violations = (

@@ -4,7 +4,7 @@ Layout is ``<root>/<label>.json`` where ``<root>`` is typically
 ``results/<campaign>/``.  Each artifact carries the cell's label, the
 full configuration encoding and the serialized
 :class:`~repro.core.experiment.ScenarioResult`; a cell is only reused
-when the stored configuration matches the requested one exactly, so
+when the stored configuration matches the cell's own exactly, so
 editing a grid invalidates precisely the cells it changes.
 
 Campaigns driven by a :class:`~repro.campaigns.CampaignSpec`
@@ -224,18 +224,9 @@ class ArtifactStore:
         except ArtifactError:
             return None
 
-    def save(
-        self,
-        label: str,
-        result: ScenarioResult,
-        config: Optional[ScenarioConfig] = None,
-    ) -> Path:
-        """Atomically write the artifact for one completed cell.
-
-        ``config`` should be the *requested* configuration when the
-        result crossed a process boundary: deserialized results carry a
-        config whose custom profiles were reduced to ``None``, which
-        must not be recorded as the match key.
+    def save(self, label: str, result: ScenarioResult) -> Path:
+        """Atomically write the artifact for one completed cell, keyed
+        on the result's own config (:meth:`load` matches against it).
 
         Refuses (:class:`ArtifactCollisionError`, via :meth:`read`) to
         overwrite an existing artifact recorded under a different label
@@ -246,12 +237,8 @@ class ArtifactStore:
             self.read(label)
         except ArtifactError:
             pass  # not a cell artifact: nothing to protect
-        match_config = config if config is not None else result.config
-        payload = {
-            "label": label,
-            "config": match_config.to_dict(),
-            "result": result.to_dict(),
-        }
+        data = result.to_dict()
+        payload = {"label": label, "config": data["config"], "result": data}
         if self.spec_hash is not None:
             payload["spec_hash"] = self.spec_hash
         tmp = path.with_suffix(".json.tmp")

@@ -7,7 +7,9 @@ throughput/screen constraints of the benchmark do not apply.
 **Contract.** Closed-loop terminals: each client issues one
 transaction, blocks until the reply, thinks, repeats — producing the
 paper's five-class mix with profiled per-class CPU/storage costs and
-read/write sets over the TPC-C schema.
+read/write sets over the TPC-C schema.  The CPU and think-time profile
+is one fixed table, the paper's §4.1 calibration
+(:data:`~repro.tpcc.profiles.DEFAULT_CPU_MEANS`).
 
 **Invariants.**
 
@@ -20,26 +22,15 @@ read/write sets over the TPC-C schema.
   flight (so blocked clients of a dead site throttle only themselves).
 """
 
-from .calibration import calibrated_profiles, fit_profiles, generate_profiling_corpus
 from .client import Client, ClientPool
-from .profiles import (
-    CLASSES,
-    EmpiricalDistribution,
-    LogNormalProfile,
-    ProfileSet,
-    default_profiles,
-)
+from .profiles import CLASSES, LogNormalProfile, ProfileSet, default_profiles
 from .schema import TpccLayout, warehouses_for_clients
 from .workload import MIX, TpccWorkload
 
 __all__ = [
-    "calibrated_profiles",
-    "fit_profiles",
-    "generate_profiling_corpus",
     "Client",
     "ClientPool",
     "CLASSES",
-    "EmpiricalDistribution",
     "LogNormalProfile",
     "ProfileSet",
     "default_profiles",

@@ -8,29 +8,24 @@ with conditional code paths (payment, orderstatus) are bimodal and get
 split into separate long/short classes.
 
 We cannot profile a 2001-era PostgreSQL on a Pentium III, so this module
-provides (a) parametric log-normal profiles whose means are chosen to
-reproduce the paper's saturation points (a single 1 GHz CPU saturates
-near 500 clients; see DESIGN.md §3), and (b) an
-:class:`EmpiricalDistribution` that can be fitted to any sample — the
-calibration module generates a synthetic profiling corpus and fits these,
-mirroring the paper's procedure end to end.
+stands in for that calibration with one fixed table: log-normal profiles
+whose means (:data:`DEFAULT_CPU_MEANS`) are chosen to reproduce the
+paper's saturation points (a single 1 GHz CPU saturates near 500
+clients, §5.1).  As in the paper, every experiment runs on this one
+calibration; a different profile is a change to the table.
 """
 
 from __future__ import annotations
 
-import bisect
-import hashlib
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 __all__ = [
     "CLASSES",
     "UPDATE_CLASSES",
     "READONLY_CLASSES",
-    "ClassProfile",
-    "EmpiricalDistribution",
     "LogNormalProfile",
     "ProfileSet",
     "default_profiles",
@@ -54,17 +49,7 @@ READONLY_CLASSES = ("orderstatus-short", "stocklevel")
 # customer row (see workload.py), so it participates in certification.
 
 
-class ClassProfile:
-    """A sampling distribution of per-transaction CPU seconds."""
-
-    def sample(self, rng: random.Random) -> float:
-        raise NotImplementedError
-
-    def mean(self) -> float:
-        raise NotImplementedError
-
-
-class LogNormalProfile(ClassProfile):
+class LogNormalProfile:
     """Log-normal CPU time: right-skewed like real query timings."""
 
     def __init__(self, mean: float, sigma: float = 0.25):
@@ -85,59 +70,18 @@ class LogNormalProfile(ClassProfile):
         return f"LogNormalProfile(mean={self._mean:.6f}, sigma={self.sigma})"
 
 
-class EmpiricalDistribution(ClassProfile):
-    """Inverse-CDF sampling from observed values (the paper's §4.1 fit)."""
-
-    def __init__(self, samples: Sequence[float]):
-        if not samples:
-            raise ValueError("need at least one sample")
-        if any(s < 0 for s in samples):
-            raise ValueError("samples must be non-negative")
-        self._sorted = sorted(samples)
-        self._mean = sum(self._sorted) / len(self._sorted)
-
-    def sample(self, rng: random.Random) -> float:
-        u = rng.random()
-        n = len(self._sorted)
-        pos = u * (n - 1)
-        lo = int(pos)
-        hi = min(lo + 1, n - 1)
-        frac = pos - lo
-        return self._sorted[lo] * (1 - frac) + self._sorted[hi] * frac
-
-    def mean(self) -> float:
-        return self._mean
-
-    def cdf(self, x: float) -> float:
-        return bisect.bisect_right(self._sorted, x) / len(self._sorted)
-
-    def __len__(self) -> int:
-        return len(self._sorted)
-
-    def __repr__(self) -> str:
-        # value-based (no object address): equal samples, equal repr —
-        # profile fingerprints in config serialization depend on this
-        digest = hashlib.sha1(
-            ",".join(repr(s) for s in self._sorted).encode()
-        ).hexdigest()[:12]
-        return (
-            f"EmpiricalDistribution(n={len(self._sorted)}, "
-            f"mean={self._mean:.6g}, sha1={digest})"
-        )
-
-
 @dataclass
 class ProfileSet:
     """Everything the workload generator needs about timing and I/O.
 
-    ``cpu`` maps class name → CPU-time distribution for the execution
+    ``cpu`` maps class name → log-normal CPU time for the execution
     stage.  ``commit_cpu`` is the near-constant commit cost;
     ``commit_sectors`` maps class → storage sectors (pages) flushed at
     commit, which together with the 9.486 MB/s device reproduces the
     disk-bandwidth ceiling of Figure 6(b).
     """
 
-    cpu: Dict[str, ClassProfile]
+    cpu: Dict[str, LogNormalProfile]
     commit_cpu: float = 1.8e-3
     commit_sectors: Optional[Dict[str, int]] = None
     #: Mean client think time between transactions, seconds (§3.2).
@@ -184,16 +128,8 @@ DEFAULT_COMMIT_SECTORS = {
 }
 
 
-def default_profiles(
-    cpu_means: Optional[Dict[str, float]] = None,
-    sigma: float = 0.25,
-    think_time_mean: float = 12.0,
-) -> ProfileSet:
+def default_profiles() -> ProfileSet:
     """The calibrated profile set used by all paper experiments."""
-    means = dict(DEFAULT_CPU_MEANS)
-    if cpu_means:
-        means.update(cpu_means)
     return ProfileSet(
-        cpu={cls: LogNormalProfile(means[cls], sigma) for cls in CLASSES},
-        think_time_mean=think_time_mean,
+        cpu={cls: LogNormalProfile(DEFAULT_CPU_MEANS[cls]) for cls in CLASSES}
     )

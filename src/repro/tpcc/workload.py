@@ -34,7 +34,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from ..db.transactions import Operation, OpKind, TransactionSpec
 from ..db.tuples import make_tuple_id, table_lock_id
 from . import schema
-from .profiles import ProfileSet, default_profiles
+from .profiles import default_profiles
 
 __all__ = ["TpccWorkload", "MIX"]
 
@@ -116,14 +116,13 @@ class TpccWorkload:
     def __init__(
         self,
         warehouses: int,
-        profiles: Optional[ProfileSet] = None,
         rng: Optional[random.Random] = None,
         site_index: int = 0,
         site_count: int = 1,
         readset_escalation_threshold: Optional[int] = None,
     ):
         self.layout = schema.TpccLayout(warehouses, site_index, site_count)
-        self.profiles = profiles or default_profiles()
+        self.profiles = default_profiles()
         self.rng = rng or random.Random(20050628)
         #: Read-sets larger than this (per table) are escalated to a
         #: single table lock before multicast (paper §3.3); ``None``

@@ -7,10 +7,14 @@ the campaign, and a repeated invocation against the same artifact
 directory skips completed cells.
 """
 
+import json
+
 import pytest
 
 from repro.core.experiment import Scenario, ScenarioConfig
-from repro.runner import CampaignError, run_campaign
+from repro.core.faults import random_loss
+from repro.gcs.config import GcsConfig
+from repro.runner import ArtifactStore, CampaignError, run_campaign
 
 
 def grid_configs(transactions=120):
@@ -162,29 +166,24 @@ class TestResumability:
         second = run_campaign([("poison", bad)], workers=1, artifact_dir=art)
         assert second.get("poison").source == "in-process"  # re-attempted
 
-    def test_custom_profiles_artifact_never_matches_defaults(self, tmp_path):
-        """Pool results lose their custom profiles in transit; the
-        artifact must still be keyed on the *requested* config so a
-        default-profiles run does not false-match it (and an identical
-        custom-profiles run does)."""
-        from repro.tpcc.profiles import default_profiles
-
-        def custom():
-            return ScenarioConfig(
-                sites=1, clients=10, transactions=60, seed=3,
-                profiles=default_profiles(),
-            )
-
-        art = tmp_path / "campaign"
-        first = run_campaign([("cell", custom())], workers=2, artifact_dir=art)
-        assert first.get("cell").source == "worker"
-        again = run_campaign([("cell", custom())], workers=1, artifact_dir=art)
-        assert again.get("cell").source == "artifact"
-        defaults = ScenarioConfig(sites=1, clients=10, transactions=60, seed=3)
-        mismatch = run_campaign(
-            [("cell", defaults)], workers=1, artifact_dir=art
+    @pytest.mark.parametrize(
+        "workers, source", [(1, "in-process"), (2, "worker")]
+    )
+    def test_artifact_is_keyed_on_the_result_config(self, tmp_path, workers, source):
+        """A cell is stored under the config its result carries, which
+        is the requested cell's encoding whichever source ran it."""
+        config = ScenarioConfig(
+            sites=2, clients=10, transactions=60, seed=3, monitors=("all",),
+            faults={1: random_loss(0.02, seed=4)}, gcs=GcsConfig(buffer_share=17),
         )
-        assert mismatch.get("cell").source == "in-process"
+        art = tmp_path / "campaign"
+        first = run_campaign([("cell", config)], workers=workers, artifact_dir=art)
+        assert first.get("cell").source == source
+        stored = json.loads(ArtifactStore(art).path_for("cell").read_text())
+        assert stored["config"] == stored["result"]["config"]
+        assert stored["config"] == json.loads(json.dumps(config.to_dict()))
+        again = run_campaign([("cell", config)], workers=1, artifact_dir=art)
+        assert again.get("cell").source == "artifact"
 
     def test_env_knobs(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "2")

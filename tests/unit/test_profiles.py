@@ -6,7 +6,7 @@ import pytest
 
 from repro.tpcc.profiles import (
     CLASSES,
-    EmpiricalDistribution,
+    DEFAULT_CPU_MEANS,
     LogNormalProfile,
     ProfileSet,
     default_profiles,
@@ -30,40 +30,6 @@ class TestLogNormalProfile:
             LogNormalProfile(mean=0.0)
 
 
-class TestEmpiricalDistribution:
-    def test_mean_matches_samples(self):
-        dist = EmpiricalDistribution([1.0, 2.0, 3.0])
-        assert dist.mean() == pytest.approx(2.0)
-
-    def test_samples_within_range(self):
-        dist = EmpiricalDistribution([5.0, 10.0, 20.0])
-        rng = random.Random(3)
-        for _ in range(100):
-            assert 5.0 <= dist.sample(rng) <= 20.0
-
-    def test_cdf(self):
-        dist = EmpiricalDistribution([1.0, 2.0, 3.0, 4.0])
-        assert dist.cdf(0.5) == 0.0
-        assert dist.cdf(2.0) == pytest.approx(0.5)
-        assert dist.cdf(10.0) == 1.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            EmpiricalDistribution([])
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            EmpiricalDistribution([1.0, -0.5])
-
-    def test_resampled_mean_converges(self):
-        source = LogNormalProfile(mean=5e-3)
-        rng = random.Random(4)
-        samples = [source.sample(rng) for _ in range(5000)]
-        dist = EmpiricalDistribution(samples)
-        resampled = [dist.sample(rng) for _ in range(5000)]
-        assert sum(resampled) / len(resampled) == pytest.approx(5e-3, rel=0.1)
-
-
 class TestProfileSet:
     def test_default_covers_all_classes(self):
         profiles = default_profiles()
@@ -84,9 +50,9 @@ class TestProfileSet:
         """§4.1: commit CPU is < 2 ms for every class."""
         assert default_profiles().commit_cpu < 2e-3
 
-    def test_cpu_mean_overrides(self):
-        profiles = default_profiles(cpu_means={"neworder": 50e-3})
-        assert profiles.cpu["neworder"].mean() == pytest.approx(50e-3)
+    @pytest.mark.parametrize("cls", CLASSES)
+    def test_default_mean_is_the_calibration_table(self, cls):
+        assert default_profiles().cpu[cls].mean() == DEFAULT_CPU_MEANS[cls]
 
     def test_delivery_is_cpu_bound(self):
         """§3.2: delivery transactions are CPU bound — by far the

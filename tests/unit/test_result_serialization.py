@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.analysis import metric_value
+from repro.campaigns import available_campaigns, get_campaign
 from repro.core.experiment import Scenario, ScenarioConfig, ScenarioResult
 from repro.core.faults import FaultPlan, bursty_loss, crash_recover, random_loss
 from repro.core.metrics import (
@@ -111,6 +112,34 @@ class TestPieceRoundTrips:
 
 
 class TestConfigRoundTrip:
+    #: The stored config encoding, key for key and in order: stored
+    #: cells, result digests and resume all read it.  ``profiles`` is a
+    #: null slot kept from when the CPU profile was a field.
+    STORED_KEYS = (
+        "sites", "cpus_per_site", "clients", "transactions", "seed",
+        "protocol", "fragments", "placement", "monitors", "profiles", "gcs",
+        "faults", "clock_mode", "storage_sector_latency",
+        "storage_concurrency", "storage_cache_hit_ratio", "net_bandwidth_bps",
+        "net_link_latency", "readset_escalation_threshold", "sample_interval",
+        "max_sim_time", "drain_time", "probe_interval",
+    )
+
+    def test_encoding_keys_are_fixed(self):
+        data = ScenarioConfig().to_dict()
+        assert tuple(data) == self.STORED_KEYS
+        assert data["profiles"] is None
+
+    @pytest.mark.parametrize("name", available_campaigns())
+    def test_every_builtin_cell_round_trips_exactly(self, name):
+        """Artifacts are keyed on the config a result carries, which is
+        sound only if every cell decodes back to itself."""
+        for label, config in get_campaign(name).expand():
+            clone = ScenarioConfig.from_dict(
+                json.loads(json.dumps(config.to_dict()))
+            )
+            assert clone == config, label
+            assert clone.to_dict() == config.to_dict(), label
+
     def test_default_config_exact(self):
         config = ScenarioConfig(sites=3, clients=75, transactions=400, seed=5)
         clone = ScenarioConfig.from_dict(
@@ -134,29 +163,6 @@ class TestConfigRoundTrip:
             json.loads(json.dumps(config.to_dict()))
         )
         assert clone == config
-
-    def test_custom_profiles_fingerprinted_not_reconstructed(self):
-        from repro.tpcc.profiles import default_profiles
-
-        config = ScenarioConfig(
-            sites=1, clients=10, transactions=100, profiles=default_profiles()
-        )
-        data = config.to_dict()
-        assert isinstance(data["profiles"], str)  # stable fingerprint
-        assert data == config.to_dict()  # deterministic
-        assert ScenarioConfig.from_dict(data).profiles is None
-
-    def test_empirical_profile_fingerprint_is_value_based(self):
-        """Fingerprints hash reprs, so every ClassProfile repr must be
-        value-based — equal samples, equal fingerprint across objects
-        (and across processes: no memory addresses)."""
-        from repro.tpcc.profiles import EmpiricalDistribution
-
-        a = EmpiricalDistribution([1.0, 2.0, 3.5])
-        b = EmpiricalDistribution([3.5, 2.0, 1.0])
-        assert repr(a) == repr(b)
-        assert "0x" not in repr(a)
-
 
 class TestResultRoundTrip:
     @pytest.fixture(scope="class")

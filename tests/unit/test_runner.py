@@ -6,6 +6,7 @@ import weakref
 
 import pytest
 
+from repro.analysis import ResultSet
 from repro.core.experiment import Scenario, ScenarioConfig
 from repro.core.kernel import Simulator
 from repro.runner import (
@@ -84,6 +85,33 @@ class TestArtifactStore:
         store.save("cell", Scenario(config).run())
         store.path_for("cell").write_text("{not json")
         assert store.load("cell", config) is None
+
+    @staticmethod
+    def fingerprinted(store, config):
+        """A cell as older stores wrote it for a custom CPU profile: a
+        sha1 fingerprint in the ``profiles`` slot."""
+        path = store.save("cell", Scenario(config).run())
+        data = json.loads(path.read_text())
+        data["config"]["profiles"] = "0123456789abcdef0123456789abcdef01234567"
+        data["result"]["config"] = data["config"]
+        path.write_text(json.dumps(data))
+
+    def test_fingerprinted_artifact_is_rerun(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        config = tiny_config()
+        self.fingerprinted(store, config)
+        assert store.load("cell", config) is None
+        (cell,) = run_campaign(
+            [("cell", config)], artifact_dir=tmp_path, journal=False
+        ).cells
+        assert (cell.source, cell.status) == ("in-process", "ok")
+
+    def test_fingerprinted_artifact_still_loads_for_analysis(self, tmp_path):
+        config = tiny_config()
+        self.fingerprinted(ArtifactStore(tmp_path), config)
+        (cell,) = ResultSet.from_artifacts(tmp_path).cells
+        assert cell.label == "cell"
+        assert cell.result.config == config
 
     def test_artifact_is_plain_json(self, tmp_path):
         store = ArtifactStore(tmp_path)

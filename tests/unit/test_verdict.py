@@ -186,7 +186,7 @@ def test_same_verdict_on_every_source(live, clean, tmp_path):
     for edit in (drop_entry, add_violation, lose_rejoin):
         payload = copy.deepcopy(clean)
         edit(payload)
-        store.save("crash-recover", ScenarioResult.from_dict(payload), config=CONFIG)
+        store.save("crash-recover", ScenarioResult.from_dict(payload))
         (cell,) = run_campaign(
             [("crash-recover", CONFIG)], artifact_dir=tmp_path, journal=False
         ).cells
