@@ -26,8 +26,8 @@ faults) injected only through the runtime boundary.
 """
 
 from .clock import CpuCostModel
-from .cpu import CpuPool, Job, REAL_JOB, SIM_JOB, SimulatedCpu
-from .csrt import MEASURED, MODELED, RuntimeInterceptor, SiteRuntime
+from .cpu import CpuPool, REAL_JOB, SIM_JOB, SimulatedCpu
+from .csrt import MEASURED, MODELED, SiteRuntime
 from .experiment import Scenario, ScenarioConfig, ScenarioResult, Site
 from .faults import (
     FAULT_ACTIONS,
@@ -61,13 +61,11 @@ from .safety import CommitLog, SafetyViolation, check_consistency
 __all__ = [
     "CpuCostModel",
     "CpuPool",
-    "Job",
     "REAL_JOB",
     "SIM_JOB",
     "SimulatedCpu",
     "MEASURED",
     "MODELED",
-    "RuntimeInterceptor",
     "SiteRuntime",
     "Scenario",
     "ScenarioConfig",

@@ -11,23 +11,23 @@ paper calibrates in §4.1), and protocol hot loops add explicit charges.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 __all__ = ["CpuCostModel"]
 
 
 class CpuCostModel:
-    """Fixed + variable CPU overheads per job tag.
+    """Fixed + variable CPU overheads per job tag: one fixed table.
 
     The paper calibrates the centralized runtime with four parameters —
     fixed and variable (per byte) CPU overhead on message send and on
     message receive — measured with a network-flooding benchmark (§4.1).
-    This class generalizes that to arbitrary job tags so the same model
-    covers certification, marshaling, and timer callbacks.
+    The table extends that to the other job tags so the same model
+    covers marshaling and timer callbacks.
 
-    Default values approximate the paper's Pentium III 1 GHz testbed:
-    a UDP send costs ~20 µs + ~9 ns/byte (≈ 470 Mbit/s peak write
-    bandwidth at 4 KB messages, Figure 3(a)), a receive ~15 µs + 6 ns/byte.
+    The values approximate the paper's Pentium III 1 GHz testbed: a UDP
+    send costs ~20 µs + ~9 ns/byte (≈ 470 Mbit/s peak write bandwidth at
+    4 KB messages, Figure 3(a)), a receive ~15 µs + 6 ns/byte.
     """
 
     #: Tag for the CPU work of pushing a datagram into the stack.
@@ -42,7 +42,8 @@ class CpuCostModel:
     #: (e.g. benchmark drivers calling rt_send, which charges SEND).
     NOOP = "noop"
 
-    _DEFAULTS: Dict[str, Tuple[float, float]] = {
+    #: ``tag -> (fixed seconds, seconds per byte)``.
+    _COSTS: Dict[str, Tuple[float, float]] = {
         SEND: (20e-6, 9e-9),
         RECV: (15e-6, 6e-9),
         TIMER: (5e-6, 0.0),
@@ -50,26 +51,16 @@ class CpuCostModel:
         NOOP: (0.0, 0.0),
     }
 
-    def __init__(self, overrides: Optional[Dict[str, Tuple[float, float]]] = None):
-        self._costs: Dict[str, Tuple[float, float]] = dict(self._DEFAULTS)
-        if overrides:
-            for tag, (fixed, per_byte) in overrides.items():
-                self.register(tag, fixed, per_byte)
-
-    def register(self, tag: str, fixed: float, per_byte: float = 0.0) -> None:
-        """Set the cost parameters for ``tag``."""
-        if fixed < 0 or per_byte < 0:
-            raise ValueError("costs must be non-negative")
-        self._costs[tag] = (fixed, per_byte)
-
-    def cost(self, tag: str, nbytes: int = 0) -> float:
+    @staticmethod
+    def cost(tag: str, nbytes: int = 0) -> float:
         """CPU seconds consumed by a ``tag`` job over ``nbytes`` bytes.
 
         An unpriced tag raises :class:`KeyError` naming it, so no job
         runs at a price nobody set.
         """
-        fixed, per_byte = self._costs[tag]
+        fixed, per_byte = CpuCostModel._COSTS[tag]
         return fixed + per_byte * nbytes
 
-    def tags(self) -> Tuple[str, ...]:
-        return tuple(self._costs)
+    @staticmethod
+    def tags() -> Tuple[str, ...]:
+        return tuple(CpuCostModel._COSTS)

@@ -1,18 +1,21 @@
 """Simulated CPUs: the resource real and simulated jobs compete for.
 
 The paper (§2.2) models a CPU as a boolean busy flag plus a queue of
-pending jobs with durations.  Simulated jobs (transaction processing
-operations) have durations known in advance; real jobs (protocol code) are
-executed when dequeued and their *measured* duration keeps the CPU busy.
-Real jobs have priority: a running simulated job is preempted — its
-remaining duration is put back at the head of the queue — so protocol code
-is never delayed behind modeled transaction work (§3.1).
+pending jobs with durations.  The two kinds of job enter through twin
+methods.  A simulated job (transaction processing operations) has its
+duration known in advance: :meth:`SimulatedCpu.submit_sim` queues the
+``(duration, on_complete)`` pair.  A real job (protocol code) is executed
+when dequeued and its *measured* duration keeps the CPU busy:
+:meth:`SimulatedCpu.submit_real` takes the code.  Real jobs have
+priority: a running simulated job is preempted — its remaining duration
+is put back at the head of the queue — so protocol code is never delayed
+behind modeled transaction work (§3.1).
 
 **The life of a real job**, continued from :mod:`repro.core.csrt`:
 
 * *inline or queued* — an idle CPU runs ``execute(*args)`` inside the
   submitting call; a busy one queues the ``(execute, args, on_complete)``
-  triple, never a :class:`Job` (a pool places it by ``_choose`` first);
+  triple (a pool places it by ``_choose`` first);
 * *lazy or eager completion* — the CPU is busy for the returned duration
   and takes the next kernel sequence number for its completion event.
   The event is pushed (eager) only if somebody waits for it: an
@@ -42,7 +45,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from .kernel import Entity, Event, Simulator
 
-__all__ = ["Job", "SimulatedCpu", "CpuPool", "SIM_JOB", "REAL_JOB"]
+__all__ = ["SimulatedCpu", "CpuPool", "SIM_JOB", "REAL_JOB"]
 
 #: Kind marker for modeled jobs with a pre-known duration.
 SIM_JOB = "sim"
@@ -50,65 +53,18 @@ SIM_JOB = "sim"
 REAL_JOB = "real"
 
 
-class Job:
-    """A unit of CPU work waiting in a queue.
-
-    For ``SIM_JOB`` the ``duration`` is fixed up front and ``on_complete``
-    fires when it has been fully served.  For ``REAL_JOB``
-    ``execute(*args)`` runs the real code and returns the measured
-    duration; the CPU is then held busy for that long before
-    ``on_complete`` fires.
-    """
-
-    __slots__ = (
-        "kind", "duration", "execute", "args", "on_complete", "tag", "preemptions"
-    )
-
-    def __init__(
-        self,
-        kind: str,
-        duration: float = 0.0,
-        execute: Optional[Callable[..., float]] = None,
-        on_complete: Optional[Callable[[], None]] = None,
-        tag: str = "",
-        args: tuple = (),
-    ):
-        if kind not in (SIM_JOB, REAL_JOB):
-            raise ValueError(f"unknown job kind {kind!r}")
-        if kind == REAL_JOB and execute is None:
-            raise ValueError("real jobs require an execute callable")
-        if duration < 0:
-            raise ValueError("duration must be non-negative")
-        self.kind = kind
-        self.duration = duration
-        self.execute = execute
-        self.args = args
-        self.on_complete = on_complete
-        self.tag = tag
-        self.preemptions = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Job {self.kind} tag={self.tag!r} d={self.duration:.6f}>"
-
-
 class SimulatedCpu(Entity):
     """One processor: busy flag, priority queues, preemption, accounting."""
 
-    def __init__(self, sim: Simulator, name: str = "cpu", speed_scale: float = 1.0):
+    def __init__(self, sim: Simulator, name: str = "cpu"):
         super().__init__(sim, name)
-        if speed_scale <= 0:
-            raise ValueError("speed_scale must be positive")
-        #: Durations of *simulated* jobs are divided by this factor, so a
-        #: ``speed_scale`` of 2.0 models a CPU twice as fast as profiled.
-        self.speed_scale = speed_scale
         self._real_queue: Deque[tuple] = deque()  # (execute, args, on_complete)
-        self._sim_queue: Deque[Job] = deque()
+        self._sim_queue: Deque[tuple] = deque()  # (duration, on_complete)
         #: Kind of the running job, ``None`` when idle — stale until
         #: :meth:`_settle` has run, so private to this class.
         self._current: Optional[str] = None
         self._current_started = 0.0
-        #: The running modeled job and its cancellable end (preemption).
-        self._sim_job: Optional[Job] = None
+        #: The cancellable end of the running modeled job (preemption).
         self._end_event: Optional[Event] = None
         #: End and reserved sequence number of a running real job whose
         #: completion event was not pushed (0: none; numbering starts at 1).
@@ -161,15 +117,16 @@ class SimulatedCpu(Entity):
             real_part = real_part + (self.sim._now - self._current_started)
         return sim_part, real_part
 
-    def submit(self, job: Job) -> None:
-        """Enqueue ``job`` and dispatch; a real job takes the steps of
-        :meth:`submit_real`, preemption of modeled work included."""
-        if job.kind == REAL_JOB:
-            self.submit_real(job.execute, job.args, job.on_complete)
-            return
+    def submit_sim(
+        self, duration: float, on_complete: Optional[Callable[[], None]] = None
+    ) -> None:
+        """Queue ``duration`` seconds of modeled work and dispatch;
+        ``on_complete`` fires once it has all been served."""
+        if duration < 0:
+            raise ValueError("duration must be non-negative")
         if self._lazy_seq:
             self._settle()
-        self._sim_queue.append(job)
+        self._sim_queue.append((duration, on_complete))
         if self._lazy_seq:
             # Work now waits behind the lazily-completing job: it needs
             # its wake-up after all, under the key reserved for it.
@@ -197,7 +154,7 @@ class SimulatedCpu(Entity):
         if self._current == SIM_JOB:
             self._preempt_current()
         elif self._lazy_seq:
-            # As in submit(): the lazy job needs its wake-up after all.
+            # As in submit_sim(): the lazy job needs its wake-up after all.
             _heappush(
                 self.sim._queue,
                 (self._lazy_end, self._lazy_seq, self._complete, (REAL_JOB, None)),
@@ -234,15 +191,14 @@ class SimulatedCpu(Entity):
 
     def _preempt_current(self) -> None:
         """Push the running simulated job back with its remaining duration."""
-        job, event = self._sim_job, self._end_event
-        assert job is not None and event is not None
+        event = self._end_event
+        assert event is not None
         event.cancel()
         now = self.sim._now
         self._busy_time[SIM_JOB] += now - self._current_started
-        job.duration = max(0.0, event.time - now) * self.speed_scale
-        job.preemptions += 1
-        self._sim_queue.appendleft(job)
-        self._current = self._sim_job = self._end_event = None
+        _, on_complete = event.args
+        self._sim_queue.appendleft((max(0.0, event.time - now), on_complete))
+        self._current = self._end_event = None
 
     def _dispatch(self) -> None:
         if self._current is not None:
@@ -250,11 +206,11 @@ class SimulatedCpu(Entity):
         if self._real_queue:
             self._start_real(*self._real_queue.popleft())
         elif self._sim_queue:
-            job = self._sim_job = self._sim_queue.popleft()
+            duration, on_complete = self._sim_queue.popleft()
             self._current = SIM_JOB
             self._current_started = self.sim._now
-            self._end_event = self.schedule(
-                job.duration / self.speed_scale, self._complete, SIM_JOB, job.on_complete
+            self._end_event = self.sim.schedule(
+                duration, self._complete, SIM_JOB, on_complete
             )
 
     def _start_real(self, execute, args: tuple, on_complete) -> None:
@@ -283,7 +239,7 @@ class SimulatedCpu(Entity):
     def _complete(self, kind: str, on_complete: Optional[Callable[[], None]]) -> None:
         self._busy_time[kind] += self.sim._now - self._current_started
         self._jobs_completed[kind] += 1
-        self._current = self._sim_job = self._end_event = None
+        self._current = self._end_event = None
         if on_complete is not None:
             on_complete()
         self._dispatch()
@@ -297,29 +253,23 @@ class CpuPool(Entity):
     with a rotating tie-break so load spreads evenly.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        count: int = 1,
-        name: str = "cpus",
-        speed_scale: float = 1.0,
-    ):
+    def __init__(self, sim: Simulator, count: int = 1, name: str = "cpus"):
         super().__init__(sim, name)
         if count < 1:
             raise ValueError("need at least one CPU")
         self.cpus: List[SimulatedCpu] = [
-            SimulatedCpu(sim, f"{name}[{i}]", speed_scale) for i in range(count)
+            SimulatedCpu(sim, f"{name}[{i}]") for i in range(count)
         ]
         self._rr = 0
 
     def __len__(self) -> int:
         return len(self.cpus)
 
-    def submit(self, job: Job) -> SimulatedCpu:
-        """Place ``job`` on a CPU and return the chosen CPU."""
-        cpu = self._choose(job.kind)
-        cpu.submit(job)
-        return cpu
+    def submit_sim(
+        self, duration: float, on_complete: Optional[Callable[[], None]] = None
+    ) -> None:
+        """Place modeled work on a CPU (see :meth:`SimulatedCpu.submit_sim`)."""
+        self._choose(SIM_JOB).submit_sim(duration, on_complete)
 
     def submit_real(
         self,

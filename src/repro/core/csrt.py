@@ -42,22 +42,31 @@ as the paper prescribes:
   made meanwhile is dropped, so runtime overhead is never billed to the
   job.  It runs again on return.
 
-Fault injection (§5.3) intercepts calls in and out of this runtime via a
-:class:`RuntimeInterceptor`; the concrete fault models live in
-:mod:`repro.core.faults`.  A site without faults holds no interceptor
-and calls no hook.  Crash is the runtime's own state.
+**A protocol timer** is a kernel :class:`~repro.core.kernel.Event`:
+:meth:`SiteRuntime.rt_schedule` returns the event itself, so a
+cancelled timer is skipped by the kernel's lazy deletion like any other
+cancelled event — it never runs and never counts as executed.  One that
+expires on a live site becomes a real job at the ``TIMER`` price.
+
+Fault injection (§5.3) intercepts calls in and out of this runtime
+through the site's :class:`~repro.core.faults.FaultInjector`, its
+``interceptor``.  A site without faults holds none and calls no hook.
+Crash is the runtime's own state.
 """
 
 from __future__ import annotations
 
 from time import perf_counter_ns
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from .clock import CpuCostModel
 from .cpu import CpuPool
-from .kernel import Entity, Simulator
+from .kernel import Entity, Event, Simulator
 
-__all__ = ["SiteRuntime", "RuntimeInterceptor", "ScheduledCallback", "MEASURED", "MODELED"]
+if TYPE_CHECKING:
+    from .faults import FaultInjector
+
+__all__ = ["SiteRuntime", "MEASURED", "MODELED"]
 
 #: Clock mode: durations measured with the host's monotonic clock (the
 #: paper's perfctr mechanism).
@@ -67,37 +76,9 @@ MODELED = "modeled"
 #: The job's clock while its code has re-entered the runtime.
 _INSIDE = "inside"
 
-
-class RuntimeInterceptor:
-    """Hooks on the boundary crossings of a faulty site's runtime.
-
-    The fault injector subclasses this; the default implementation is the
-    identity (no faults).  One interceptor instance guards one site.
-    """
-
-    def transform_delay(self, delay: float) -> float:
-        """Rewrite a delay requested by real code (drift, sched latency)."""
-        return delay
-
-    def transform_elapsed(self, elapsed: float) -> float:
-        """Rewrite a measured job duration (clock drift scales it down)."""
-        return elapsed
-
-    def drop_incoming(self, source: Any, payload: bytes) -> bool:
-        """Return True to discard a datagram upon reception (loss models)."""
-        return False
-
-
-class ScheduledCallback:
-    """Cancellable handle for a callback scheduled by protocol code.
-
-    The kernel entry is fire-and-forget; a cancelled callback stays in
-    the heap and no-ops when it fires (see :meth:`SiteRuntime._fire`)."""
-
-    cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
+_cost = CpuCostModel.cost
+#: What an expiring protocol timer's job costs on entry.
+_TIMER_COST = _cost(CpuCostModel.TIMER)
 
 
 class SiteRuntime(Entity):
@@ -114,9 +95,8 @@ class SiteRuntime(Entity):
         sim: Simulator,
         cpus: CpuPool,
         mode: str = MODELED,
-        cost_model: Optional[CpuCostModel] = None,
         cpu_scale: float = 1.0,
-        interceptor: Optional[RuntimeInterceptor] = None,
+        interceptor: Optional[FaultInjector] = None,
         name: str = "csrt",
     ):
         super().__init__(sim, name)
@@ -130,7 +110,6 @@ class SiteRuntime(Entity):
         self._submit = cpus.cpus[0].submit_real if len(cpus) == 1 else cpus.submit_real
         #: One of the two constants, so the clock compares by identity.
         self.mode = MEASURED if mode == MEASURED else MODELED
-        self.cost_model = cost_model or CpuCostModel()
         #: Simulated seconds per host nanosecond (MEASURED): ``cpu_scale``
         #: converts host time to the simulated processor's (§2.3).
         self._ns_scale = 1e-9 * cpu_scale
@@ -179,7 +158,7 @@ class SiteRuntime(Entity):
         measured (or modeled) duration then occupies that CPU, during
         which modeled jobs wait.
         """
-        job = (fn, args, self.cost_model.cost(tag, nbytes))
+        job = (fn, args, _cost(tag, nbytes))
         if delay <= 0:
             self._submit(self._run, job, on_complete)
         else:
@@ -230,15 +209,9 @@ class SiteRuntime(Entity):
                 raise ValueError("cannot charge negative time")
             self._spent += seconds
 
-    def rt_schedule(
-        self,
-        delay: float,
-        fn: Callable[..., None],
-        *args: Any,
-        tag: str = CpuCostModel.TIMER,
-        nbytes: int = 0,
-    ) -> ScheduledCallback:
-        """Schedule a future real-code callback with the Δ1 correction.
+    def rt_schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> Event:
+        """Schedule a future real-code callback with the Δ1 correction;
+        the returned kernel event cancels it.
 
         The callback itself is run as a real job (it is protocol code and
         must be profiled and charged to the CPU like any other).
@@ -247,29 +220,23 @@ class SiteRuntime(Entity):
             raise ValueError("delay must be non-negative")
         if self.interceptor is not None:
             delay = self.interceptor.transform_delay(delay)
-        handle = ScheduledCallback()
         clock = self._clock
         if clock is MEASURED:
             self._spent += (perf_counter_ns() - self._opened) * self._ns_scale
         self._clock = _INSIDE
         try:
             # δ′q = Δ1 + δq
-            self.sim.call(delay + self._spent, self._fire, handle, fn, args, tag, nbytes)
+            return self.sim.schedule(delay + self._spent, self._fire, fn, args)
         finally:
             self._clock = clock
             if clock is MEASURED:
                 self._opened = perf_counter_ns()
-        return handle
 
-    def _fire(
-        self, handle: ScheduledCallback, fn: Callable[..., None], args: tuple,
-        tag: str, nbytes: int,
-    ) -> None:
-        """A protocol timer expires: unless cancelled meanwhile (or the
-        site crashed), its callback becomes a real job."""
-        if handle.cancelled or self.crashed:
-            return
-        self._submit(self._run, (fn, args, self.cost_model.cost(tag, nbytes)))
+    def _fire(self, fn: Callable[..., None], args: tuple) -> None:
+        """A protocol timer expires: unless the site crashed meanwhile,
+        its callback becomes a real job."""
+        if not self.crashed:
+            self._submit(self._run, (fn, args, _TIMER_COST))
 
     def rt_send(self, dest: Any, payload: bytes) -> None:
         """Hand a datagram to the simulated network.
@@ -284,7 +251,7 @@ class SiteRuntime(Entity):
             raise RuntimeError(f"{self.name}: no network bridge installed")
         clock = self._clock
         if clock is MODELED:
-            self._spent += self.cost_model.cost(CpuCostModel.SEND, len(payload))
+            self._spent += _cost(CpuCostModel.SEND, len(payload))
         elif clock is MEASURED:
             self._spent += (perf_counter_ns() - self._opened) * self._ns_scale
         self._clock = _INSIDE
@@ -319,7 +286,7 @@ class SiteRuntime(Entity):
         if handler is None:
             return
         self.stats["datagrams_in"] += 1
-        entry_cost = self.cost_model.cost(CpuCostModel.RECV, len(payload))
+        entry_cost = _cost(CpuCostModel.RECV, len(payload))
         self._submit(self._run, (handler, (source, payload), entry_cost))
 
     # ------------------------------------------------------------------

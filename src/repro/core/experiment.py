@@ -44,7 +44,6 @@ from ..protocols import (
 from ..tpcc.client import ClientPool
 from ..tpcc.schema import warehouses_for_clients
 from ..tpcc.workload import TpccWorkload
-from .clock import CpuCostModel
 from .cpu import CpuPool
 from .csrt import MODELED, SiteRuntime
 from .faults import FaultInjector, FaultPlan
@@ -516,7 +515,6 @@ class Scenario:
             self.sim,
             site.cpus,
             mode=config.clock_mode,
-            cost_model=CpuCostModel(),
             interceptor=injector,
             name=f"site{index}.csrt",
         )
@@ -559,7 +557,7 @@ class Scenario:
         handlers = {"crash": self._crash_site, "recover": self._recover_site}
         for time, action in plan.actions:
             if action in handlers:
-                self.sim.schedule(time, handlers[action], site)
+                self.sim.call(time, handlers[action], site)
 
     def _crash_site(self, site: Site) -> None:
         assert site.replica is not None
@@ -608,7 +606,7 @@ class Scenario:
         if not boundaries or config.sites < 2:
             return
         for t in sorted(boundaries):
-            self.sim.schedule(t, self._apply_partition_state)
+            self.sim.call(t, self._apply_partition_state)
 
     def _partition_components_now(self) -> List[set]:
         """Active partition components: the sites whose cut is open now,

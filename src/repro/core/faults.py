@@ -39,8 +39,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
-from ..net.lossmodels import BurstyLoss, LossProcess, NoLoss, RandomLoss
-from .csrt import RuntimeInterceptor
+from ..net.lossmodels import BurstyLoss, LossProcess, RandomLoss
 
 __all__ = [
     "FAULT_ACTIONS",
@@ -149,14 +148,17 @@ class FaultPlan:
         return cls(**kwargs)
 
 
-class FaultInjector(RuntimeInterceptor):
-    """A runtime interceptor realizing a :class:`FaultPlan`."""
+class FaultInjector:
+    """The hooks on the boundary crossings of one faulty site's runtime
+    (its ``interceptor``), realizing a :class:`FaultPlan`."""
 
     def __init__(self, plan: Optional[FaultPlan] = None):
         self.plan = plan or FaultPlan()
         self.rng = random.Random(self.plan.seed)
+        #: The loss process, or None when the plan loses nothing.
+        self.loss: Optional[LossProcess] = None
         if self.plan.random_loss_rate > 0:
-            self.loss: LossProcess = RandomLoss(
+            self.loss = RandomLoss(
                 self.plan.random_loss_rate, random.Random(self.plan.seed + 1)
             )
         elif self.plan.bursty_loss_rate > 0:
@@ -165,17 +167,16 @@ class FaultInjector(RuntimeInterceptor):
                 mean_burst=self.plan.bursty_loss_burst,
                 rng=random.Random(self.plan.seed + 1),
             )
-        else:
-            self.loss = NoLoss()
         self.stats = {
             "delays_stretched": 0,
             "messages_dropped": 0,
         }
 
     # ------------------------------------------------------------------
-    # RuntimeInterceptor hooks
+    # runtime hooks
     # ------------------------------------------------------------------
     def transform_delay(self, delay: float) -> float:
+        """Rewrite a delay requested by real code (drift, sched latency)."""
         plan = self.plan
         if plan.clock_drift_rate:
             delay *= 1.0 + plan.clock_drift_rate
@@ -186,12 +187,14 @@ class FaultInjector(RuntimeInterceptor):
         return delay
 
     def transform_elapsed(self, elapsed: float) -> float:
+        """Rewrite a measured job duration (clock drift scales it down)."""
         if self.plan.clock_drift_rate:
             return elapsed / (1.0 + self.plan.clock_drift_rate)
         return elapsed
 
     def drop_incoming(self, source: Any, payload: bytes) -> bool:
-        if self.loss.should_drop():
+        """Whether to discard a datagram upon reception (loss models)."""
+        if self.loss is not None and self.loss.should_drop():
             self.stats["messages_dropped"] += 1
             return True
         return False

@@ -5,12 +5,16 @@ The paper builds its tool on the Java SSF; this module is the Python
 equivalent substrate: a deterministic event queue plus two programming
 models layered on it:
 
-* **callback events** — ``Simulator.schedule`` runs a callable at a future
-  simulated instant; this is the style the protocol runtime uses.
+* **callback events** — ``Simulator.call`` runs a callable at a future
+  simulated instant; ``Simulator.schedule`` does the same and returns
+  the :class:`Event`, for the two callbacks that may be cancelled: the
+  end of a modeled CPU job (preemption) and a protocol timer.
 * **processes** — generator coroutines driven by :class:`Process`,
   each yielding a number (sleep) or a :class:`Signal` (wait); the
   database-server and client models are written in this style because
   transactions are naturally sequential (fetch, process, write, commit).
+  A signal stays fired: a process that yields one already fired
+  resumes at once, with the fired value.
 
 Simulated time is a ``float`` number of seconds.  Ties are broken by a
 monotonically increasing sequence number so the execution order is fully
@@ -146,7 +150,7 @@ class Simulator:
         self._cancelled = 0
         self.events_executed = 0
         #: What :meth:`fired_signal` hands out for an elided ``None``.
-        self._fired_none = Signal(self, latch=True)
+        self._fired_none = Signal(self)
         self._fired_none.fire()
 
     # ------------------------------------------------------------------
@@ -169,17 +173,6 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay!r}s in the past")
         time = self._now + delay
-        self._seq += 1
-        event = Event(time, self._seq, fn, args, self)
-        _heappush(self._queue, (time, self._seq, event))
-        return event
-
-    def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
-        """Run ``fn(*args)`` at absolute simulated ``time``."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time!r}, current time is {self._now!r}"
-            )
         self._seq += 1
         event = Event(time, self._seq, fn, args, self)
         _heappush(self._queue, (time, self._seq, event))
@@ -228,13 +221,13 @@ class Simulator:
         return True
 
     def fired_signal(self, value: Any = None) -> "Signal":
-        """A latched signal fired with ``value`` on a zero-delay hop —
-        already fired if the hop is elided, so under :meth:`elide_hop`'s
+        """A signal fired with ``value`` on a zero-delay hop — already
+        fired if the hop is elided, so under :meth:`elide_hop`'s
         contract: return it straight to the process that yields it."""
         elided = self.elide_hop()
         if elided and value is None:
             return self._fired_none
-        done = Signal(self, latch=True)
+        done = Signal(self)
         if elided:
             done.fire(value)
         else:
@@ -361,20 +354,19 @@ class Simulator:
 
 
 class Signal:
-    """A one-shot or repeating wake-up condition for processes.
+    """A wake-up condition for processes that stays fired.
 
     Processes that yield a signal are suspended until :meth:`fire` is
     called, at which point all current waiters are resumed with the fired
-    value.  New waiters after a fire wait for the next fire (signals do not
-    latch) unless constructed with ``latch=True``, in which case a fired
-    signal immediately releases any later waiter with the stored value.
+    value.  A fired signal releases any later waiter at once, with the
+    stored value: a result handed to a process cannot be missed by
+    waiting for it too late.
     """
 
-    __slots__ = ("sim", "latch", "_fired", "_value", "_waiters")
+    __slots__ = ("sim", "_fired", "_value", "_waiters")
 
-    def __init__(self, sim: Simulator, latch: bool = False):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.latch = latch
         self._fired = False
         self._value: Any = None
         self._waiters: list[Callable[[Any], None]] = []
@@ -399,7 +391,7 @@ class Signal:
             sim._lane.append((sim._now, sim._seq, waiter, (value,)))
 
     def _add_waiter(self, resume: Callable[[Any], None]) -> None:
-        if self.latch and self._fired:
+        if self._fired:
             self.sim.call(0.0, resume, self._value)
         else:
             self._waiters.append(resume)
@@ -421,9 +413,9 @@ class Process:
                 yielded = self._gen.send(sent_value)
             except StopIteration:
                 return
-            # A latched signal that has already fired wakes us on a
-            # zero-delay hop: taken here, in the tail of this event.
-            if yielded.__class__ is Signal and yielded._fired and yielded.latch:
+            # A signal that has already fired wakes us on a zero-delay
+            # hop: taken here, in the tail of this event.
+            if yielded.__class__ is Signal and yielded._fired:
                 if self.sim.elide_hop():
                     sent_value = yielded._value
                     continue
@@ -456,18 +448,17 @@ class Entity:
     """Base class for simulation components owning a reference to the clock.
 
     SSF models are built as libraries of entities; ours follow suit.  The
-    class only centralizes the ``sim`` handle and scheduling helpers so
-    component code reads naturally: ``self.schedule`` / ``self.call`` are
-    :meth:`Simulator.schedule` / :meth:`Simulator.call`.
+    class only centralizes the ``sim`` handle and the scheduling helper
+    so component code reads naturally: ``self.call`` is
+    :meth:`Simulator.call`.
     """
 
     def __init__(self, sim: Simulator, name: str = ""):
         self.sim = sim
         self.name = name or type(self).__name__
         # Bound on the instance: entity scheduling is hot-path (every
-        # link transmission, cache-hit notification and CPU completion
-        # goes through it), so no delegation frame.
-        self.schedule = sim.schedule
+        # link transmission and cache-hit notification goes through
+        # it), so no delegation frame.
         self.call = sim.call
 
     @property

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Tuple
 
 from ..net.address import Endpoint
 from ..net.link import WIRE_OVERHEAD_BYTES
@@ -74,32 +74,24 @@ class ValidationPoint:
 # ----------------------------------------------------------------------
 # analytic "Real" reference curves (the paper's measured testbed)
 # ----------------------------------------------------------------------
-def real_send_bandwidth_bps(
-    size: int, cost_model: Optional[CpuCostModel] = None
-) -> float:
+def real_send_bandwidth_bps(size: int) -> float:
     """Socket write bandwidth of the real system: CPU-bound, with the
     4 KB virtual-memory page penalty (Figure 3(a))."""
-    model = cost_model or CpuCostModel()
-    per_message = model.cost(CpuCostModel.SEND, size)
+    per_message = CpuCostModel.cost(CpuCostModel.SEND, size)
     if size > _PAGE_SIZE:
         per_message += _PAGE_PENALTY
     return size * 8.0 / per_message
 
 
-def real_recv_bandwidth_bps(
-    size: int,
-    cost_model: Optional[CpuCostModel] = None,
-    wire_bps: float = 100e6,
-) -> float:
+def real_recv_bandwidth_bps(size: int, wire_bps: float = 100e6) -> float:
     """Receiver goodput: the sender's rate capped by Ethernet 100 framing
     (Figure 3(b))."""
     goodput = wire_bps * size / _wire_bytes(size)
-    return min(real_send_bandwidth_bps(size, cost_model), goodput)
+    return min(real_send_bandwidth_bps(size), goodput)
 
 
 def real_round_trip(
     size: int,
-    cost_model: Optional[CpuCostModel] = None,
     wire_bps: float = 100e6,
     path_latency: float = 70e-6,
     per_fragment_kernel: float = 15e-6,
@@ -112,10 +104,9 @@ def real_round_trip(
     reassembly work — which the simulated stack does not model, giving
     the divergence above ~1 KB the paper attributes to SSFNet's missing
     MTU enforcement (Figure 3(c))."""
-    model = cost_model or CpuCostModel()
     fragments = max(1, -(-size // _MTU_PAYLOAD))
     serialization = 2.0 * _wire_bytes(size) * 8.0 / wire_bps
-    stack = model.cost(CpuCostModel.SEND, size) + model.cost(
+    stack = CpuCostModel.cost(CpuCostModel.SEND, size) + CpuCostModel.cost(
         CpuCostModel.RECV, size
     )
     one_way = (
@@ -139,9 +130,7 @@ def _wire_bytes(size: int) -> float:
 # ----------------------------------------------------------------------
 # measured CSRT curves (actually run the runtime)
 # ----------------------------------------------------------------------
-def csrt_send_bandwidth_bps(
-    size: int, duration: float = 0.25, cost_model: Optional[CpuCostModel] = None
-) -> float:
+def csrt_send_bandwidth_bps(size: int, duration: float = 0.25) -> float:
     """Flood-write benchmark under the CSRT: a single process sends
     back-to-back datagrams; the achieved rate is CPU-bound by the
     calibrated send overheads."""
@@ -151,9 +140,7 @@ def csrt_send_bandwidth_bps(
     sender = net.add_host("sender")
     net.add_host("sink")
     sock = UdpSocket(sender, 1)
-    runtime = SiteRuntime(
-        sim, CpuPool(sim, 1), cost_model=cost_model or CpuCostModel()
-    )
+    runtime = SiteRuntime(sim, CpuPool(sim, 1))
     runtime.network_send = sock.send
     payload = bytes(size)
     dest = Endpoint("sink", 1)
@@ -176,7 +163,6 @@ def csrt_send_bandwidth_bps(
 def csrt_recv_bandwidth_bps(
     size: int,
     duration: float = 0.25,
-    cost_model: Optional[CpuCostModel] = None,
     wire_bps: float = 100e6,
 ) -> float:
     """Flood-receive benchmark: the same flood pushed through a simulated
@@ -187,9 +173,7 @@ def csrt_recv_bandwidth_bps(
     sink_host = net.add_host("sink")
     out_sock = UdpSocket(sender_host, 1)
     in_sock = UdpSocket(sink_host, 1)
-    runtime = SiteRuntime(
-        sim, CpuPool(sim, 1), cost_model=cost_model or CpuCostModel()
-    )
+    runtime = SiteRuntime(sim, CpuPool(sim, 1))
     runtime.network_send = out_sock.send
     received = {"bytes": 0, "first": None, "last": 0.0}
 
@@ -224,7 +208,6 @@ def csrt_recv_bandwidth_bps(
 def csrt_round_trip(
     size: int,
     rounds: int = 50,
-    cost_model: Optional[CpuCostModel] = None,
     wire_bps: float = 100e6,
     enforce_mtu: bool = True,
 ) -> float:
@@ -245,9 +228,8 @@ def csrt_round_trip(
     b_host = net.add_host("b")
     a_sock = UdpSocket(a_host, 1)
     b_sock = UdpSocket(b_host, 1)
-    model = cost_model or CpuCostModel()
-    a_rt = SiteRuntime(sim, CpuPool(sim, 1), cost_model=model, name="a.rt")
-    b_rt = SiteRuntime(sim, CpuPool(sim, 1), cost_model=model, name="b.rt")
+    a_rt = SiteRuntime(sim, CpuPool(sim, 1), name="a.rt")
+    b_rt = SiteRuntime(sim, CpuPool(sim, 1), name="b.rt")
     a_rt.network_send = a_sock.send
     b_rt.network_send = b_sock.send
     a_sock.set_receiver(a_rt.deliver)

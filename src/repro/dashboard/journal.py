@@ -102,13 +102,16 @@ class JournalReader:
                 continue
             try:
                 event = json.loads(raw.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
+            except (ValueError, RecursionError):  # corrupt, non-UTF-8, too deep
                 self.skipped += 1
                 continue
+            # ``type(...) is int``: JSON ``true`` and ``1.0`` compare
+            # equal to 1 but are no version or sequence number.
             if (
                 not isinstance(event, dict)
-                or event.get("v") != JOURNAL_VERSION
-                or not isinstance(event.get("seq"), int)
+                or type(event.get("v")) is not int
+                or event["v"] != JOURNAL_VERSION
+                or type(event.get("seq")) is not int
             ):
                 self.skipped += 1
                 continue

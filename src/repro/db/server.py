@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from ..core.cpu import CpuPool, Job, SIM_JOB
+from ..core.cpu import CpuPool
 from ..core.kernel import Entity, Signal, Simulator
 from ..core.metrics import MetricsCollector, TxRecord
 from .lock import GRANTED, PREEMPTED, WW_ABORTED, LockManager, LockRequest
@@ -46,7 +46,7 @@ class TerminationProtocol:
     The replicated implementation (:class:`repro.dbsm.replica.Replica`)
     multicasts the transaction's data and certifies on delivery; the
     centralized stand-in below commits immediately.  Either way the
-    server receives a latched signal fired with an :class:`Outcome`.
+    server receives a signal fired with an :class:`Outcome`.
     """
 
     def submit(self, tx: Transaction) -> Signal:
@@ -170,7 +170,7 @@ class DatabaseServer(Entity):
 
         # -- atomic lock acquisition over the (pre-known) write set -----
         if spec.write_set:
-            acquire_signal = Signal(self.sim, latch=True)
+            acquire_signal = Signal(self.sim)
 
             def on_lock_event(event: str) -> None:
                 nonlocal preempted
@@ -194,7 +194,7 @@ class DatabaseServer(Entity):
             if op.kind is OpKind.FETCH:
                 yield self.storage.read(op.nbytes)
             elif op.kind is OpKind.PROCESS:
-                yield self._cpu_job(op.cpu_time, spec.tx_class)
+                yield self._cpu_job(op.cpu_time)
             else:  # WRITE: private version, applied at commit
                 continue
         if preempted:
@@ -210,7 +210,7 @@ class DatabaseServer(Entity):
         if spec.readonly:
             # Read-only transactions commit locally: commit costs CPU but
             # no I/O and no certification (§4.1, §5.1).
-            yield self._cpu_job(spec.commit_cpu, "commit")
+            yield self._cpu_job(spec.commit_cpu)
             tx.status = TxStatus.COMMITTED
             tx.end_time = self.now
             self._record(tx, "commit", on_done)
@@ -235,7 +235,7 @@ class DatabaseServer(Entity):
         tx.status = TxStatus.APPLYING
         if spec.commit_sectors > 0:
             yield self.storage.write_sectors(spec.commit_sectors)
-        yield self._cpu_job(spec.commit_cpu, "commit")
+        yield self._cpu_job(spec.commit_cpu)
         if request is not None:
             self.locks.release_commit(request)
         tx.status = TxStatus.COMMITTED
@@ -251,7 +251,7 @@ class DatabaseServer(Entity):
     def apply_remote(self, tx: Transaction) -> Signal:
         """Apply a certified remote transaction; returns a completion
         signal.  Must be called in certification order."""
-        done = Signal(self.sim, latch=True)
+        done = Signal(self.sim)
         self.sim.process(self._run_remote(tx, done), name=f"remote{tx.tx_id}")
         return done
 
@@ -259,7 +259,7 @@ class DatabaseServer(Entity):
         spec = tx.spec
         tx.status = TxStatus.APPLYING
         if spec.write_set:
-            granted = Signal(self.sim, latch=True)
+            granted = Signal(self.sim)
             request = self.locks.acquire_remote(tx, granted.fire)
             event = yield granted
             assert event == GRANTED
@@ -267,7 +267,7 @@ class DatabaseServer(Entity):
             request = None
         if spec.commit_sectors > 0:
             yield self.storage.write_sectors(spec.commit_sectors)
-        yield self._cpu_job(spec.commit_cpu, "remote-commit")
+        yield self._cpu_job(spec.commit_cpu)
         if request is not None:
             self.locks.release_commit(request)
         tx.status = TxStatus.COMMITTED
@@ -280,17 +280,11 @@ class DatabaseServer(Entity):
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _cpu_job(self, duration: float, tag: str) -> Signal:
+    def _cpu_job(self, duration: float) -> Signal:
         if duration <= 0:
             return self.sim.fired_signal()
-        signal = Signal(self.sim, latch=True)
-        job = Job(
-            SIM_JOB,
-            duration=duration,
-            on_complete=signal.fire,
-            tag=tag,
-        )
-        self.cpus.submit(job)
+        signal = Signal(self.sim)
+        self.cpus.submit_sim(duration, signal.fire)
         return signal
 
     def _finish_abort(

@@ -197,7 +197,7 @@ class Storage(Entity):
             order.append(seq)
         # Inlined fire-and-forget schedule (see Simulator.call), under the
         # number of the last sector's slot.
-        done = Signal(sim, latch=True)
+        done = Signal(sim)
         _heappush(sim._queue, (end, seq, done.fire, (None,)))
         return done
 

@@ -49,7 +49,7 @@ def open_commit_request(
     registered and the signal will never fire (clients of a dead site
     block).
     """
-    outcome = Signal(protocol.server.sim, latch=True)
+    outcome = Signal(protocol.server.sim)
     if protocol.crashed or not protocol.live:
         return outcome, b""
     spec = tx.spec

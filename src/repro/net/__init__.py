@@ -26,7 +26,7 @@ the switch).
 from .address import Endpoint, GroupAddress
 from .capture import CaptureEntry, PacketCapture
 from .link import RateLimitedLink
-from .lossmodels import BurstyLoss, LossProcess, NoLoss, RandomLoss
+from .lossmodels import BurstyLoss, LossProcess, RandomLoss
 from .network import Host, Network
 from .udp import UdpSocket
 
@@ -38,7 +38,6 @@ __all__ = [
     "RateLimitedLink",
     "BurstyLoss",
     "LossProcess",
-    "NoLoss",
     "RandomLoss",
     "Host",
     "Network",

@@ -11,7 +11,7 @@ message upon reception:
   average length 5 messages (uniformly distributed).
 
 Both are *decision processes*: stateful objects answering "drop this
-one?" per message, usable by the runtime interceptor (reception-side
+one?" per message, usable by the fault injector (reception-side
 injection, as in the paper) or by the network fabric (wire-side loss).
 """
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-__all__ = ["LossProcess", "NoLoss", "RandomLoss", "BurstyLoss"]
+__all__ = ["LossProcess", "RandomLoss", "BurstyLoss"]
 
 
 class LossProcess:
@@ -37,14 +37,6 @@ class LossProcess:
         if self.decisions == 0:
             return 0.0
         return self.drops / self.decisions
-
-
-class NoLoss(LossProcess):
-    """The identity process: never drops."""
-
-    def should_drop(self) -> bool:
-        self.decisions += 1
-        return False
 
 
 class RandomLoss(LossProcess):

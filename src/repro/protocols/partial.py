@@ -182,7 +182,7 @@ class PartialReplica(ReplicationProtocol):
             if fragment == self.fragment:
                 self.multicast(payload)
             else:
-                self.server.sim.schedule(
+                self.server.sim.call(
                     self.link_latency, self._inject, fragment, payload
                 )
         return outcome
@@ -296,7 +296,7 @@ class PartialReplica(ReplicationProtocol):
 
     def _send_vote(self, request: CommitRequest, vote: bool) -> None:
         self.stats["votes_sent"] += 1
-        self.server.sim.schedule(
+        self.server.sim.call(
             self.link_latency,
             self._deliver_vote,
             request.origin,
@@ -335,7 +335,7 @@ class PartialReplica(ReplicationProtocol):
             if target == self.fragment:
                 self.multicast(payload)
             else:
-                self.server.sim.schedule(
+                self.server.sim.call(
                     self.link_latency, self._inject, target, payload
                 )
         if self.fragment not in entry["needed"]:

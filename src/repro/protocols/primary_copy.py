@@ -191,7 +191,7 @@ class PrimaryCopyReplica(ReplicationProtocol):
         delay = self.link_latency
 
         def reply(tx: Transaction) -> None:
-            sim.schedule(delay, on_done, tx)
+            sim.call(delay, on_done, tx)
 
         def routed_submit() -> None:
             # Arrive at the primary through its own gate (it may need to
@@ -202,13 +202,13 @@ class PrimaryCopyReplica(ReplicationProtocol):
                 return  # in-flight request lost with the primary
             primary._execute_update(spec, reply, issued_at)
 
-        sim.schedule(delay, routed_submit)
+        sim.call(delay, routed_submit)
 
     def _schedule_park_retry(self) -> None:
         if self._retry_scheduled or self.crashed:
             return
         self._retry_scheduled = True
-        self.server.sim.schedule(PARK_RETRY_INTERVAL, self._flush_parked)
+        self.server.sim.call(PARK_RETRY_INTERVAL, self._flush_parked)
 
     def _flush_parked(self) -> None:
         self._retry_scheduled = False

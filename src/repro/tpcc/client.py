@@ -67,7 +67,7 @@ class Client(Entity):
             ):
                 return
             spec = self.workload.next_transaction(self.client_id)
-            done = Signal(self.sim, latch=True)
+            done = Signal(self.sim)
             self.issued += 1
             self._submit(spec, done.fire)
             yield done

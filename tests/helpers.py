@@ -12,7 +12,6 @@ from __future__ import annotations
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.clock import CpuCostModel
 from repro.core.cpu import CpuPool
 from repro.core.csrt import SiteRuntime
 from repro.core.experiment import ScenarioConfig
@@ -95,7 +94,6 @@ def make_group(
         runtime = SiteRuntime(
             sim,
             CpuPool(sim, 1, name=f"m{i}.cpu"),
-            cost_model=CpuCostModel(),
             interceptor=injector,
             name=f"m{i}.rt",
         )

@@ -8,7 +8,7 @@ Hypothesis drives both with the same schedule of real and modeled jobs
 on a coarse time grid (so arrivals land *exactly* on job ends, with
 sequence numbers on both sides of the reserved one) and every
 observable must agree: execution order and times, completions,
-accounting, preemptions, sampler series, placement in a pool, and the
+accounting, preemption, sampler series, placement in a pool, and the
 kernel's sequence counter.
 """
 
@@ -18,13 +18,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cpu import REAL_JOB, SIM_JOB, CpuPool, Job, SimulatedCpu
+from repro.core.cpu import REAL_JOB, SIM_JOB, CpuPool, SimulatedCpu
 from repro.core.kernel import Entity, Simulator
 from repro.core.metrics import ResourceSampler
 
 
 class EagerCpu(Entity):
-    """Reference CPU: one completion event per job, nothing deferred."""
+    """Reference CPU: one completion event per job, nothing deferred.
+
+    A queued job is ``[kind, duration or execute, args, on_complete]``;
+    a preempted modeled job goes back with its remaining duration."""
 
     def __init__(self, sim, name="cpu"):
         super().__init__(sim, name)
@@ -34,7 +37,7 @@ class EagerCpu(Entity):
         self.jobs_completed = {SIM_JOB: 0, REAL_JOB: 0}
 
     busy = property(lambda self: self.current is not None)
-    current_kind = property(lambda self: self.current and self.current.kind)
+    current_kind = property(lambda self: self.current and self.current[0])
     utilization = SimulatedCpu.utilization  # a pure function of busy_seconds()
 
     def queue_length(self):
@@ -43,41 +46,40 @@ class EagerCpu(Entity):
     def busy_seconds(self):
         parts = dict(self.busy_time)
         if self.current is not None:
-            parts[self.current.kind] += self.sim.now - self.started
+            parts[self.current[0]] += self.sim.now - self.started
         return parts[SIM_JOB], parts[REAL_JOB]
 
-    def submit_real(self, execute, args=(), on_complete=None):
-        self.submit(Job(REAL_JOB, execute=execute, args=args, on_complete=on_complete))
+    def submit_sim(self, duration, on_complete=None):
+        self.modeled.append([SIM_JOB, duration, (), on_complete])
+        self.dispatch()
 
-    def submit(self, job):
-        if job.kind == SIM_JOB:
-            self.modeled.append(job)
-        else:
-            self.real.append(job)
-            victim = self.current
-            if victim is not None and victim.kind == SIM_JOB:
-                self.end_event.cancel()
-                self.busy_time[SIM_JOB] += self.sim.now - self.started
-                victim.duration = max(0.0, self.end_event.time - self.sim.now)
-                victim.preemptions += 1
-                self.modeled.appendleft(victim)
-                self.current = None
+    def submit_real(self, execute, args=(), on_complete=None):
+        self.real.append([REAL_JOB, execute, args, on_complete])
+        victim = self.current
+        if victim is not None and victim[0] == SIM_JOB:
+            self.end_event.cancel()
+            self.busy_time[SIM_JOB] += self.sim.now - self.started
+            victim[1] = max(0.0, self.end_event.time - self.sim.now)
+            self.modeled.appendleft(victim)
+            self.current = None
         self.dispatch()
 
     def dispatch(self):
         if self.current is not None or not (self.real or self.modeled):
             return
         job = self.current = (self.real or self.modeled).popleft()
+        kind, work, args, _ = job
         self.started = self.sim.now
-        duration = job.execute(*job.args) if job.kind == REAL_JOB else job.duration
+        duration = work(*args) if kind == REAL_JOB else work
         self.end_event = self.sim.schedule(duration, self.complete, job)
 
     def complete(self, job):
-        self.busy_time[job.kind] += self.sim.now - self.started
-        self.jobs_completed[job.kind] += 1
+        kind, _, _, on_complete = job
+        self.busy_time[kind] += self.sim.now - self.started
+        self.jobs_completed[kind] += 1
         self.current = None
-        if job.on_complete is not None:
-            job.on_complete()
+        if on_complete is not None:
+            on_complete()
         self.dispatch()
 
 
@@ -111,15 +113,13 @@ def drive(schedule, cpu_count, make_cpu):
     pool = CpuPool(sim, cpu_count)
     pool.cpus = [make_cpu(sim, f"cpu{i}") for i in range(cpu_count)]
     sampler = ResourceSampler(sim, interval=2 * GRID, cpu_pools=[pool])
-    log, sim_jobs, crashed = [], [], []
+    log, crashed = [], []
 
     def note(*what):
         log.append((sim.now,) + what)
 
     def submit_sim(name, duration):
-        job = Job(SIM_JOB, duration=duration, on_complete=lambda: note("done", name))
-        sim_jobs.append(job)
-        pool.submit(job)
+        pool.submit_sim(duration, lambda: note("done", name))
 
     def body(name, duration, inner, later):
         if crashed:
@@ -153,18 +153,19 @@ def drive(schedule, cpu_count, make_cpu):
 
     for index, action in enumerate(schedule):
         kind, at, name = action[0], action[1], f"{action[0]}{index}"
+        # The clock is still at 0: each delay is the absolute ``at``.
         if kind == "real":
-            sim.schedule_at(at, submit_real, name, *action[2:])
+            sim.schedule(at, submit_real, name, *action[2:])
         elif kind == "sim":
-            sim.schedule_at(at, submit_sim, name, action[2])
+            sim.schedule(at, submit_sim, name, action[2])
         elif kind == "chain" and action[3] is None:
-            sim.schedule_at(at, sim.call, action[2], read)
+            sim.schedule(at, sim.call, action[2], read)
         elif kind == "chain":
-            sim.schedule_at(at, sim.call, action[2], submit_real, name, action[3], False)
+            sim.schedule(at, sim.call, action[2], submit_real, name, action[3], False)
         elif kind == "read":
-            sim.schedule_at(at, read)
+            sim.schedule(at, read)
         else:
-            sim.schedule_at(at, crashed.append, True)
+            sim.schedule(at, crashed.append, True)
     sampler.start()
     sim.run(until=17 * GRID)
     read()  # between runs: no event is executing
@@ -174,7 +175,6 @@ def drive(schedule, cpu_count, make_cpu):
         "log": log,
         "now": sim.now,
         "seq": sim._seq,
-        "preemptions": [job.preemptions for job in sim_jobs],
         "samples": [list(sample) for sample in sampler.samples],
     }
 
@@ -220,11 +220,11 @@ def test_arrival_exactly_at_a_lazy_jobs_end_is_ordered_by_sequence_number(make_c
             order.append("submitted")
 
         if not numbered_above:
-            sim.schedule_at(1.0, arrive)  # seq 1
-        sim.schedule_at(0.5, cpu.submit_real, lambda: 0.5)
+            sim.schedule(1.0, arrive)  # seq 1
+        sim.schedule(0.5, cpu.submit_real, lambda: 0.5)
         sim.run(until=0.75)
         if numbered_above:
-            sim.schedule_at(1.0, arrive)  # seq 3 is taken: this is 4
+            sim.schedule(1.0 - sim.now, arrive)  # seq 3 is taken: this is 4
         sim.run()
         return order
 

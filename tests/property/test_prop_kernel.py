@@ -129,15 +129,14 @@ actions = st.recursive(
         st.tuples(st.just("materialise"), small),
     ),
     lambda children: st.tuples(
-        st.sampled_from(["call", "schedule", "schedule_at"]),
+        st.sampled_from(["call", "schedule", "at"]),
         delays,
         st.lists(children, max_size=3),
     ),
     max_leaves=25,
 )
-#: A process sleeps, waits on a signal (the odd ones are latched, so
-#: one already fired resumes it on a hop), waits on ``fired_signal``,
-#: fires a signal or stops the run.
+#: A process sleeps, waits on a signal (one already fired resumes it on
+#: a hop), waits on ``fired_signal``, fires a signal or stops the run.
 process_steps = st.lists(
     st.one_of(
         delays,
@@ -152,7 +151,7 @@ run_bounds = st.sampled_from([None, 0.0, 0.25, 0.5, 1.0, 3.0])
 def execute(sim_class, roots, processes, bounds):
     """Run the program on ``sim_class``; return everything observable."""
     sim = sim_class()
-    signals = [Signal(sim, latch=bool(i % 2)) for i in range(8)]
+    signals = [Signal(sim) for _ in range(8)]
     handles, reserved, trace, observed = [], [], [], []
 
     def perform(action):
@@ -177,8 +176,9 @@ def execute(sim_class, roots, processes, bounds):
             sim.call(arg, fired, rest[0])
         elif kind == "schedule":
             handles.append(sim.schedule(arg, fired, rest[0]))
-        else:
-            handles.append(sim.schedule_at(sim.now + arg, fired, rest[0]))
+        else:  # an absolute time, as a delay from now
+            at = sim.now + arg
+            handles.append(sim.schedule(at - sim.now, fired, rest[0]))
 
     def fired(children):
         trace.append((sim.now, sim._exec_seq))
@@ -214,9 +214,10 @@ def execute(sim_class, roots, processes, bounds):
 )
 @settings(max_examples=500, deadline=None)
 def test_lane_and_heap_execute_in_heap_only_order(roots, processes, bounds):
-    """Random programs of call / schedule / schedule_at / Signal.fire /
-    process sleeps with zero, underflowing and tying delays, cancels,
-    nested scheduling, runs stopped mid-instant or bounded by ``until``:
+    """Random programs of call / schedule (relative or absolute) /
+    Signal.fire / process sleeps with zero, underflowing and tying
+    delays, cancels, nested scheduling, runs stopped mid-instant or
+    bounded by ``until``:
     the executed (time, seq) sequence, the clock, the sequence
     counters and pending() after every run equal the reference's.  And
     with every hop an event again, all of that but the event count."""

@@ -38,7 +38,7 @@ class PerSectorStorage(Entity):
         self._queue = deque()  # one (kind, request) per waiting sector
 
     def submit(self, sectors, kind):
-        done = Signal(self.sim, latch=True)
+        done = Signal(self.sim)
         request = [sectors, done]
         for _ in range(sectors):
             if self._busy_slots < self.concurrency:
@@ -125,12 +125,13 @@ def drive(make_device, submit, latency, arrivals, reads, stop_at):
         done._add_waiter(lambda _value: completions.append((index, sim.now)))
         signals.append(done)
 
+    # The clock is still at 0: each delay is the absolute ``time``.
     times = instants([gap for gap, _, _, _ in arrivals], latency)
     for index, (time, (_, target, sectors, kind)) in enumerate(zip(times, arrivals)):
-        sim.schedule_at(time, sim.call, 0.0, arrive, index, target, sectors, kind)
+        sim.schedule(time, sim.call, 0.0, arrive, index, target, sectors, kind)
     for time in instants(reads, latency):
-        sim.schedule_at(time, sim.call, 0.0, lambda: seen.append(observe(devices)))
-    sim.schedule_at(instants([stop_at], latency)[0], sim.call, 0.0, sim.stop)
+        sim.schedule(time, sim.call, 0.0, lambda: seen.append(observe(devices)))
+    sim.schedule(instants([stop_at], latency)[0], sim.call, 0.0, sim.stop)
     sim.run()
     stopped = (observe(devices), [done.fired for done in signals], list(completions))
     sim.run()

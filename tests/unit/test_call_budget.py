@@ -9,10 +9,10 @@ one comprehension, so decoding N rows makes about N calls and scanning
 them makes a handful — not one ``from_list`` + ``__init__`` per row or
 one ``committed`` / ``latency`` property call per record per scan.
 
-The datagram path has the same kind of gate: a real job that queues
-builds no ``Job``, the fabric asks about the partition cut once per
-packet, and a datagram of the installed view never enters the exclusion
-detector — counted, so they cannot come back unnoticed.
+The datagram path has the same kind of gate: the fabric asks about the
+partition cut once per packet, and a datagram of the installed view
+never enters the exclusion detector — counted, so they cannot come back
+unnoticed.
 
 A site without faults holds no fault injector and calls no hook: its
 datagrams, jobs and timers cross the runtime boundary without one.
@@ -32,12 +32,9 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "property"))
 from helpers import make_group
-from test_prop_cpu_lazy import GRID, EagerCpu, drive
 
-from repro.core.cpu import Job, SimulatedCpu
-from repro.core.csrt import RuntimeInterceptor, SiteRuntime
+from repro.core.csrt import SiteRuntime
 from repro.core.experiment import Scenario, ScenarioConfig
 from repro.core.faults import FaultInjector, clock_drift
 from repro.core.kernel import Simulator
@@ -167,32 +164,6 @@ def test_update_builders_enter_random_py_only_for_the_cpu_sample():
     finally:
         sys.setprofile(previous)
     assert entered <= allowed, entered - allowed
-
-
-#: What keeps the CPU busy from 0 to 1 while the burst arrives at 0.25:
-#: a real job nobody waits for (lazy completion), one with an
-#: ``on_complete`` (eager), a modeled job (preempted by the first arrival).
-BUSY_WITH = {
-    "lazy real job": ("real", 0.0, 4 * GRID, False, None, None),
-    "eager real job": ("real", 0.0, 4 * GRID, True, None, None),
-    "modeled job": ("sim", 0.0, 4 * GRID),
-}
-
-
-@pytest.mark.parametrize("busy_with", BUSY_WITH)
-def test_real_jobs_queued_on_a_busy_cpu_build_no_job(busy_with):
-    first = BUSY_WITH[busy_with]
-    burst = [("real", GRID, GRID, i % 3 == 0, None, None) for i in range(12)]
-    schedule = [first, *burst, ("sim", 2 * GRID, GRID), ("read", 3 * GRID)]
-    modeled = sum(action[0] == "sim" for action in schedule)
-    observed, entered = entries_of(
-        lambda: drive(schedule, 1, SimulatedCpu), Job.__init__
-    )
-    assert entered == {"__init__": modeled}  # the harness's own modeled jobs
-    assert observed == drive(schedule, 1, EagerCpu)
-    ran = [entry[2] for entry in observed["log"] if entry[1] == "ran"]
-    assert ran[-12:] == [f"real{i}" for i in range(1, 13)]  # FIFO behind the first
-    assert observed["preemptions"][0] == (busy_with == "modeled job")
 
 
 class CountingCut(dict):
@@ -392,10 +363,7 @@ HOOKS = ("drop_incoming", "transform_elapsed", "transform_delay")
 def hooks_entered(harness):
     """``{member: {hook: times entered}}`` over a run with traffic, plus
     each member's ``rt_schedule`` calls under ``"rt_schedule"``."""
-    codes = {
-        getattr(cls, hook).__code__: hook
-        for cls in (RuntimeInterceptor, FaultInjector) for hook in HOOKS
-    }
+    codes = {getattr(FaultInjector, hook).__code__: hook for hook in HOOKS}
     codes[SiteRuntime.rt_schedule.__code__] = "rt_schedule"
     member_of = {id(rt): i for i, rt in enumerate(harness.runtimes)}
     member_of.update({id(inj): i for i, inj in harness.injectors.items()})

@@ -2,21 +2,18 @@
 
 import pytest
 
-from repro.core.cpu import REAL_JOB, SIM_JOB, CpuPool, Job, SimulatedCpu
+from repro.core.cpu import REAL_JOB, SIM_JOB, CpuPool, SimulatedCpu
 from repro.core.kernel import Simulator
 
 
-def sim_job(duration, done, tag=""):
-    return Job(SIM_JOB, duration=duration, on_complete=lambda: done.append(tag), tag=tag)
+def sim_job(cpu, duration, done, tag=""):
+    """Submit ``duration`` of modeled work to ``cpu`` (a CPU or a pool)."""
+    cpu.submit_sim(duration, lambda: done.append(tag))
 
 
-def real_job(duration, done, tag=""):
-    return Job(
-        REAL_JOB,
-        execute=lambda: duration,
-        on_complete=lambda: done.append(tag),
-        tag=tag,
-    )
+def real_job(cpu, duration, done, tag=""):
+    """Submit real code measured at ``duration`` to ``cpu``."""
+    cpu.submit_real(lambda: duration, (), lambda: done.append(tag))
 
 
 class TestSimulatedCpu:
@@ -24,7 +21,7 @@ class TestSimulatedCpu:
         sim = Simulator()
         cpu = SimulatedCpu(sim)
         done = []
-        cpu.submit(sim_job(0.5, done, "a"))
+        sim_job(cpu, 0.5, done, "a")
         assert cpu.busy
         sim.run()
         assert done == ["a"]
@@ -34,8 +31,8 @@ class TestSimulatedCpu:
         sim = Simulator()
         cpu = SimulatedCpu(sim)
         done = []
-        cpu.submit(sim_job(0.2, done, "a"))
-        cpu.submit(sim_job(0.3, done, "b"))
+        sim_job(cpu, 0.2, done, "a")
+        sim_job(cpu, 0.3, done, "b")
         sim.run()
         assert done == ["a", "b"]
         assert sim.now == pytest.approx(0.5)
@@ -44,7 +41,7 @@ class TestSimulatedCpu:
         sim = Simulator()
         cpu = SimulatedCpu(sim)
         done = []
-        cpu.submit(real_job(0.25, done, "r"))
+        real_job(cpu, 0.25, done, "r")
         sim.run()
         assert done == ["r"]
         assert sim.now == pytest.approx(0.25)
@@ -53,29 +50,32 @@ class TestSimulatedCpu:
         sim = Simulator()
         cpu = SimulatedCpu(sim)
         done = []
-        cpu.submit(sim_job(1.0, done, "slow"))
-        sim.schedule(0.4, cpu.submit, real_job(0.2, done, "urgent"))
+        sim_job(cpu, 1.0, done, "slow")
+        sim.call(0.4, real_job, cpu, 0.2, done, "urgent")
         sim.run()
         # urgent runs at 0.4..0.6; slow resumes with 0.6 remaining.
         assert done == ["urgent", "slow"]
         assert sim.now == pytest.approx(1.2)
 
-    def test_preempted_job_counts_preemptions(self):
+    def test_preempted_job_is_served_in_full_across_two_preemptions(self):
         sim = Simulator()
         cpu = SimulatedCpu(sim)
         done = []
-        job = sim_job(1.0, done, "victim")
-        cpu.submit(job)
-        sim.schedule(0.1, cpu.submit, real_job(0.1, done, "r"))
+        sim_job(cpu, 1.0, done, "victim")
+        sim.call(0.1, real_job, cpu, 0.1, done, "r1")
+        sim.call(0.5, real_job, cpu, 0.25, done, "r2")
         sim.run()
-        assert job.preemptions == 1
+        assert done == ["r1", "r2", "victim"]
+        assert sim.now == pytest.approx(1.35)
+        assert cpu.busy_time[SIM_JOB] == pytest.approx(1.0)
+        assert cpu.jobs_completed == {SIM_JOB: 1, REAL_JOB: 2}
 
     def test_real_does_not_preempt_real(self):
         sim = Simulator()
         cpu = SimulatedCpu(sim)
         done = []
-        cpu.submit(real_job(0.5, done, "r1"))
-        sim.schedule(0.1, cpu.submit, real_job(0.1, done, "r2"))
+        real_job(cpu, 0.5, done, "r1")
+        sim.call(0.1, real_job, cpu, 0.1, done, "r2")
         sim.run()
         assert done == ["r1", "r2"]
         assert sim.now == pytest.approx(0.6)
@@ -84,8 +84,8 @@ class TestSimulatedCpu:
         sim = Simulator()
         cpu = SimulatedCpu(sim)
         done = []
-        cpu.submit(sim_job(0.3, done))
-        cpu.submit(real_job(0.2, done))
+        sim_job(cpu, 0.3, done)
+        real_job(cpu, 0.2, done)
         sim.run()
         assert cpu.busy_time[SIM_JOB] == pytest.approx(0.3)
         assert cpu.busy_time[REAL_JOB] == pytest.approx(0.2)
@@ -93,26 +93,17 @@ class TestSimulatedCpu:
     def test_utilization_includes_running_slice(self):
         sim = Simulator()
         cpu = SimulatedCpu(sim)
-        cpu.submit(sim_job(1.0, []))
+        sim_job(cpu, 1.0, [])
         sim.run(until=0.5)
         usage = cpu.utilization(0.5)
         assert usage["total"] == pytest.approx(1.0)
 
-    def test_speed_scale_shortens_sim_jobs(self):
-        sim = Simulator()
-        cpu = SimulatedCpu(sim, speed_scale=2.0)
-        done = []
-        cpu.submit(sim_job(1.0, done))
-        sim.run()
-        assert sim.now == pytest.approx(0.5)
-
-    def test_invalid_jobs_rejected(self):
+    def test_negative_durations_rejected(self):
+        cpu = SimulatedCpu(Simulator())
         with pytest.raises(ValueError):
-            Job("weird")
+            cpu.submit_sim(-1.0)
         with pytest.raises(ValueError):
-            Job(REAL_JOB)  # missing execute
-        with pytest.raises(ValueError):
-            Job(SIM_JOB, duration=-1.0)
+            cpu.submit_real(lambda: -1.0)
 
 
 class TestCpuPool:
@@ -121,7 +112,7 @@ class TestCpuPool:
         pool = CpuPool(sim, 3)
         done = []
         for tag in "abc":
-            pool.submit(sim_job(1.0, done, tag))
+            sim_job(pool, 1.0, done, tag)
         sim.run()
         assert sorted(done) == ["a", "b", "c"]
         assert sim.now == pytest.approx(1.0)  # parallel, not serial
@@ -131,7 +122,7 @@ class TestCpuPool:
         pool = CpuPool(sim, 2)
         done = []
         for tag in "abcd":
-            pool.submit(sim_job(1.0, done, tag))
+            sim_job(pool, 1.0, done, tag)
         sim.run()
         assert sim.now == pytest.approx(2.0)
 
@@ -139,13 +130,14 @@ class TestCpuPool:
         sim = Simulator()
         pool = CpuPool(sim, 2)
         done = []
-        pool.submit(sim_job(1.0, done, "s1"))
-        pool.submit(real_job(1.0, done, "r1"))
+        sim_job(pool, 1.0, done, "s1")
+        real_job(pool, 1.0, done, "r1")
 
         def later():
-            cpu = pool.submit(real_job(0.1, done, "r2"))
+            real_job(pool, 0.1, done, "r2")
             # must land on the CPU running modeled work, not behind r1
-            assert cpu.current_kind == REAL_JOB
+            assert [cpu.current_kind for cpu in pool.cpus] == [REAL_JOB] * 2
+            assert pool.cpus[0].queue_length() == 1  # s1, preempted
 
         sim.schedule(0.2, later)
         sim.run()
@@ -154,7 +146,7 @@ class TestCpuPool:
     def test_pool_utilization_averages(self):
         sim = Simulator()
         pool = CpuPool(sim, 2)
-        pool.submit(sim_job(1.0, []))
+        sim_job(pool, 1.0, [])
         sim.run()
         usage = pool.utilization(1.0)
         assert usage["total"] == pytest.approx(0.5)

@@ -6,8 +6,13 @@ import pytest
 
 from repro.core.clock import CpuCostModel
 from repro.core.cpu import CpuPool, REAL_JOB
-from repro.core.csrt import MEASURED, MODELED, RuntimeInterceptor, SiteRuntime
+from repro.core.csrt import MEASURED, MODELED, SiteRuntime
+from repro.core.faults import FaultInjector, FaultPlan, clock_drift
 from repro.core.kernel import Simulator
+
+#: What a timer callback (and a ``submit_real`` of default tag) costs
+#: on entry.
+ENTRY = CpuCostModel.cost(CpuCostModel.TIMER)
 
 
 def make_runtime(mode=MODELED, interceptor=None, cpu_scale=1.0):
@@ -31,17 +36,25 @@ def real_busy_time(pool):
 
 
 def inside_the_runtime(sim, work):
-    """Make every kernel ``call`` run ``work()`` first: code that real
-    code reaches through ``rt_send`` / ``rt_schedule``.  Returns the
-    undo."""
-    kernel_call = sim.call
+    """Make every kernel ``call`` and ``schedule`` run ``work()`` first:
+    code that real code reaches through ``rt_send`` / ``rt_schedule``.
+    Returns the undo."""
+    kernel = {"call": sim.call, "schedule": sim.schedule}
 
-    def call(delay, fn, *args):
-        work()
-        kernel_call(delay, fn, *args)
+    def wrap(entry):
+        def enter(delay, fn, *args):
+            work()
+            return entry(delay, fn, *args)
 
-    sim.call = call
-    return lambda: setattr(sim, "call", kernel_call)
+        return enter
+
+    def undo():
+        for name, entry in kernel.items():
+            setattr(sim, name, entry)
+
+    for name, entry in kernel.items():
+        setattr(sim, name, wrap(entry))
+    return undo
 
 
 class TestRealJobExecution:
@@ -49,7 +62,7 @@ class TestRealJobExecution:
         sim, pool, runtime = make_runtime()
         runtime.submit_real(lambda: runtime.rt_charge(1e-3), tag=CpuCostModel.TIMER)
         sim.run()
-        expected = 1e-3 + runtime.cost_model.cost(CpuCostModel.TIMER)
+        expected = 1e-3 + ENTRY
         assert pool.cpus[0].busy_time[REAL_JOB] == pytest.approx(expected)
 
     def test_measured_job_uses_wall_clock(self):
@@ -76,8 +89,7 @@ class TestRealJobExecution:
 
         runtime.submit_real(job)
         sim.run()
-        entry = runtime.cost_model.cost(CpuCostModel.TIMER)
-        assert fired[0] >= 2e-3 + 5e-3 + entry - 1e-12
+        assert fired[0] >= 2e-3 + 5e-3 + ENTRY - 1e-12
 
     def test_rt_now_includes_elapsed_job_time(self):
         sim, _, runtime = make_runtime()
@@ -123,9 +135,9 @@ class TestRealJobExecution:
         assert fired == []
 
     def test_callback_cancelled_while_its_fire_event_waits_does_not_run(self):
-        """The kernel entry of a protocol timer is fire-and-forget: a
-        cancel that comes later — from another event, or from inside a
-        running real job — finds it in the heap, and it must no-op."""
+        """A protocol timer is a kernel event: a cancel that comes later
+        — from another event, or from inside a running real job — finds
+        it in the heap, and it must not run."""
         sim, pool, runtime = make_runtime()
         fired = []
         by_event = runtime.rt_schedule(0.5, fired.append, "event")
@@ -139,6 +151,20 @@ class TestRealJobExecution:
         # survivor are the only real code that ran.
         assert runtime.stats["real_jobs"] == 2
         assert pool.cpus[0].jobs_completed[REAL_JOB] == 2
+
+    def test_cancelled_timer_is_not_an_executed_event(self):
+        """A cancelled timer leaves the heap by the kernel's lazy
+        deletion: it neither runs nor counts as an executed event."""
+        sim, _, runtime = make_runtime()
+        fired = []
+        runtime.rt_schedule(0.5, fired.append, "kept")
+        runtime.rt_schedule(0.5, fired.append, "cancelled").cancel()
+        sim.run()
+        assert fired == ["kept"]
+        # The kept timer's event; its job runs inline on the idle CPU
+        # and completes lazily, with no event of its own.
+        assert sim.events_executed == 1
+        assert sim.pending() == 0
 
     def test_args_reach_the_job_without_a_closure(self):
         sim, _, runtime = make_runtime()
@@ -179,27 +205,26 @@ class TestMeasuredModeThroughTheFastLane:
         assert pool.cpus[0].busy_time[REAL_JOB] >= sent[0]
 
     def test_timer_is_paused_while_real_code_is_inside_the_runtime(self):
-        """``rt_send`` and ``rt_schedule`` both reach ``sim.call`` with
-        the job's clock frozen: host time spent there is not billed."""
+        """``rt_send`` and ``rt_schedule`` reach the kernel (``sim.call``
+        and ``sim.schedule``) with the job's clock frozen: host time
+        spent there is not billed."""
         sim, _, runtime = make_runtime(mode=MEASURED)
         runtime.network_send = lambda dest, payload: None
         readings = []
-        kernel_call = sim.call
 
-        def slow_call(delay, fn, *args):
+        def slow():
             readings.append(runtime.rt_now())
             spin()
             readings.append(runtime.rt_now())
-            kernel_call(delay, fn, *args)
 
         def job():
             spin()
-            sim.call = slow_call
+            undo = inside_the_runtime(sim, slow)
             try:
                 runtime.rt_send("dest", b"x")
                 runtime.rt_schedule(1e-3, lambda: None)
             finally:
-                sim.call = kernel_call
+                undo()
             before = runtime.rt_now()
             spin()
             assert runtime.rt_now() > before  # resumed on return
@@ -263,13 +288,11 @@ class TestModeledJobClock:
     """A MODELED job is charged its entry cost plus what its code
     declares with ``rt_charge`` while it runs."""
 
-    ENTRY = CpuCostModel().cost(CpuCostModel.TIMER)
-
     def test_job_returns_entry_cost_plus_charges(self):
         sim, pool, runtime = make_runtime()
         runtime.submit_real(lambda: (runtime.rt_charge(0.5), runtime.rt_charge(0.25)))
         sim.run()
-        assert real_busy_time(pool) == pytest.approx(self.ENTRY + 0.75)
+        assert real_busy_time(pool) == pytest.approx(ENTRY + 0.75)
 
     def test_charge_made_inside_the_runtime_is_dropped(self):
         sim, pool, runtime = make_runtime()
@@ -279,14 +302,15 @@ class TestModeledJobClock:
             # simulation-side code must not bill the job
             undo = inside_the_runtime(sim, lambda: runtime.rt_charge(99.0))
             try:
-                runtime.rt_schedule(1e-3, lambda: None, tag=CpuCostModel.NOOP)
+                runtime.rt_schedule(1e-3, lambda: None)
             finally:
                 undo()
             runtime.rt_charge(0.1)
 
         runtime.submit_real(job, tag=CpuCostModel.NOOP)
         sim.run()
-        assert real_busy_time(pool) == pytest.approx(0.2)
+        # The job's own charges, and the entry cost of the timer's job.
+        assert real_busy_time(pool) == pytest.approx(0.2 + ENTRY)
 
     def test_charge_outside_a_job_is_ignored(self):
         sim, pool, runtime = make_runtime()
@@ -294,7 +318,7 @@ class TestModeledJobClock:
         runtime.submit_real(lambda: None)
         runtime.rt_charge(5.0)
         sim.run()
-        assert real_busy_time(pool) == self.ENTRY
+        assert real_busy_time(pool) == ENTRY
         assert runtime.rt_now() == sim.now
 
     def test_negative_charge_raises(self):
@@ -332,7 +356,7 @@ class TestCrashDuringALazilyCompletedJob:
         sim, pool, runtime = make_runtime()
         cpu = pool.cpus[0]
         ran = []
-        duration = 1e-3 + runtime.cost_model.cost(CpuCostModel.TIMER)
+        duration = 1e-3 + ENTRY
 
         def crash_and_submit():
             assert cpu.busy  # still inside the lazy job
@@ -344,7 +368,7 @@ class TestCrashDuringALazilyCompletedJob:
         sim.schedule(5e-3, lambda: runtime.submit_real(lambda: ran.append("late")))
         readings = []
         for t in (0.9e-3, duration, 2e-3, 6e-3):
-            sim.schedule_at(t, lambda: readings.append(cpu.busy_seconds()[1]))
+            sim.schedule(t - sim.now, lambda: readings.append(cpu.busy_seconds()[1]))
         sim.run()
         assert ran == ["first"]
         assert runtime.stats["jobs_skipped_crashed"] == 2
@@ -368,9 +392,8 @@ class TestNetworkBoundary:
         runtime.submit_real(job)
         sim.run()
         # The datagram leaves after Δ1 (entry + charge + send cost).
-        send_cost = runtime.cost_model.cost(CpuCostModel.SEND, 100)
-        entry = runtime.cost_model.cost(CpuCostModel.TIMER)
-        assert sent[0][0] == pytest.approx(1e-3 + send_cost + entry)
+        send_cost = CpuCostModel.cost(CpuCostModel.SEND, 100)
+        assert sent[0][0] == pytest.approx(1e-3 + send_cost + ENTRY)
 
     def test_send_without_bridge_raises(self):
         sim, _, runtime = make_runtime()
@@ -429,11 +452,8 @@ class TestInterception:
         assert runtime.stats["jobs_skipped_crashed"] == 0
 
     def test_interceptor_drop_incoming(self):
-        class DropAll(RuntimeInterceptor):
-            def drop_incoming(self, source, payload):
-                return True
-
-        sim, _, runtime = make_runtime(interceptor=DropAll())
+        drop_all = FaultInjector(FaultPlan(random_loss_rate=1.0))
+        sim, _, runtime = make_runtime(interceptor=drop_all)
         got = []
         runtime.receiver = lambda src, payload: got.append(payload)
         runtime.deliver("peer", b"x")
@@ -442,27 +462,20 @@ class TestInterception:
         assert runtime.stats["drops_injected"] == 1
 
     def test_interceptor_transform_delay(self):
-        class Doubler(RuntimeInterceptor):
-            def transform_delay(self, delay):
-                return delay * 2.0
-
-        sim, _, runtime = make_runtime(interceptor=Doubler())
+        doubler = FaultInjector(clock_drift(1.0))  # delay * (1 + 1.0)
+        sim, _, runtime = make_runtime(interceptor=doubler)
         fired = []
         runtime.rt_schedule(1.0, lambda: fired.append(sim.now))
         sim.run()
         assert fired[0] >= 2.0
 
     def test_interceptor_transform_elapsed(self):
-        class Halver(RuntimeInterceptor):
-            def transform_elapsed(self, elapsed):
-                return elapsed / 2.0
-
-        sim, pool, runtime = make_runtime(interceptor=Halver())
+        halver = FaultInjector(clock_drift(1.0))  # elapsed / (1 + 1.0)
+        sim, pool, runtime = make_runtime(interceptor=halver)
         runtime.submit_real(lambda: runtime.rt_charge(2e-3))
         sim.run()
-        entry = runtime.cost_model.cost(CpuCostModel.TIMER)
         assert pool.cpus[0].busy_time[REAL_JOB] == pytest.approx(
-            (2e-3 + entry) / 2.0
+            (2e-3 + ENTRY) / 2.0
         )
 
     def test_invalid_mode_rejected(self):

@@ -36,12 +36,14 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule(-0.1, lambda: None)
 
-    def test_schedule_at_in_past_rejected(self):
+    def test_negative_delay_rejected_after_the_clock_moved(self):
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
         sim.run()
         with pytest.raises(SimulationError):
-            sim.schedule_at(0.5, lambda: None)
+            sim.schedule(0.5 - sim.now, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.call(0.5 - sim.now, lambda: None)
 
     def test_cancelled_event_does_not_fire(self):
         sim = Simulator()
@@ -229,7 +231,7 @@ class TestProcesses:
 
     def test_latched_signal_releases_late_waiter(self):
         sim = Simulator()
-        signal = Signal(sim, latch=True)
+        signal = Signal(sim)
         signal.fire("early")
         got = []
 
@@ -240,20 +242,6 @@ class TestProcesses:
         sim.process(proc())
         sim.run()
         assert got == ["early"]
-
-    def test_unlatched_signal_does_not_release_late_waiter(self):
-        sim = Simulator()
-        signal = Signal(sim)
-        signal.fire("gone")
-        got = []
-
-        def proc():
-            value = yield signal
-            got.append(value)
-
-        sim.process(proc())
-        sim.run()
-        assert got == []
 
     def test_suspended_process_resumes_on_the_next_run(self):
         """A bounded run leaves a sleeping process suspended; the next
@@ -417,7 +405,7 @@ class TestEntity:
         sim = Simulator()
         entity = Entity(sim, "thing")
         fired = []
-        entity.schedule(0.5, fired.append, entity.name)
+        entity.call(0.5, fired.append, entity.name)
         sim.run()
         assert fired == ["thing"]
         assert entity.now == 0.5

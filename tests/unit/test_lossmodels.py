@@ -4,14 +4,7 @@ import random
 
 import pytest
 
-from repro.net.lossmodels import BurstyLoss, NoLoss, RandomLoss
-
-
-class TestNoLoss:
-    def test_never_drops(self):
-        loss = NoLoss()
-        assert not any(loss.should_drop() for _ in range(1000))
-        assert loss.realized_rate() == 0.0
+from repro.net.lossmodels import BurstyLoss, RandomLoss
 
 
 class TestRandomLoss:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.cpu import CpuPool, Job, SIM_JOB
+from repro.core.cpu import CpuPool
 from repro.core.kernel import Simulator
 from repro.core.metrics import (
     TX_RECORD_FIELDS,
@@ -178,7 +178,7 @@ class TestResourceSampler:
         sampler = ResourceSampler(sim, interval=1.0, cpu_pools=[pool])
         sampler.start()
         # busy exactly during [0, 0.5] of the first interval
-        pool.submit(Job(SIM_JOB, duration=0.5))
+        pool.submit_sim(0.5)
         sim.run(until=3.0)
         assert sampler.samples[0].cpu_total == pytest.approx(0.5)
         assert sampler.samples[1].cpu_total == pytest.approx(0.0)
@@ -189,7 +189,7 @@ class TestResourceSampler:
         sampler = ResourceSampler(sim, interval=1.0, cpu_pools=[pool])
         sampler.start()
         # busy only in the middle of the run
-        sim.schedule(4.0, pool.submit, Job(SIM_JOB, duration=2.0))
+        sim.call(4.0, pool.submit_sim, 2.0)
         sim.run(until=10.0)
         total, real = sampler.series().mean_cpu()
         assert total > 0.2  # the busy middle dominates after trimming

@@ -173,7 +173,7 @@ class TestCustomTermination:
     def test_certification_abort_path(self):
         class AbortAll(LocalTermination):
             def submit(self, tx):
-                signal = Signal(self.sim, latch=True)
+                signal = Signal(self.sim)
                 self.sim.schedule(0.0, signal.fire, Outcome.ABORT)
                 return signal
 
