@@ -9,10 +9,10 @@ one comprehension, so decoding N rows makes about N calls and scanning
 them makes a handful — not one ``from_list`` + ``__init__`` per row or
 one ``committed`` / ``latency`` property call per record per scan.
 
-The datagram path has the same kind of gate: the fabric asks about the
-partition cut once per packet, and a datagram of the installed view
-never enters the exclusion detector — counted, so they cannot come back
-unnoticed.
+The datagram path has the same kind of gate: a real job that queues
+schedules no kernel ``Event``, the fabric asks about the partition cut
+once per packet, and a datagram of the installed view never enters the
+exclusion detector — counted, so they cannot come back unnoticed.
 
 A site without faults holds no fault injector and calls no hook: its
 datagrams, jobs and timers cross the runtime boundary without one.
@@ -32,8 +32,11 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "property"))
 from helpers import make_group
+from test_prop_cpu_lazy import GRID, EagerCpu, drive
 
+from repro.core.cpu import SimulatedCpu
 from repro.core.csrt import SiteRuntime
 from repro.core.experiment import Scenario, ScenarioConfig
 from repro.core.faults import FaultInjector, clock_drift
@@ -164,6 +167,64 @@ def test_update_builders_enter_random_py_only_for_the_cpu_sample():
     finally:
         sys.setprofile(previous)
     assert entered <= allowed, entered - allowed
+
+
+def schedules_by(fn, owner):
+    """``(result, number of Simulator.schedule calls made by methods of
+    class owner)``: the kernel ``Event`` handles that class builds."""
+    callers = {
+        member.__code__ for member in vars(owner).values() if hasattr(member, "__code__")
+    }
+    count = 0
+
+    def profiler(frame, event, arg):
+        nonlocal count
+        if (
+            event == "call"
+            and frame.f_code is Simulator.schedule.__code__
+            and frame.f_back.f_code in callers
+        ):
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(previous)
+    return result, count
+
+
+#: What keeps the CPU busy from 0 to 1 while the burst arrives at 0.25:
+#: a real job nobody waits for (lazy completion), one with an
+#: ``on_complete`` (eager), a modeled job (preempted by the first arrival).
+BUSY_WITH = {
+    "lazy real job": ("real", 0.0, 4 * GRID, False, None, None),
+    "eager real job": ("real", 0.0, 4 * GRID, True, None, None),
+    "modeled job": ("sim", 0.0, 4 * GRID),
+}
+
+
+@pytest.mark.parametrize("busy_with", BUSY_WITH)
+def test_real_jobs_queued_on_a_busy_cpu_schedule_no_event(busy_with):
+    """Only a modeled job's end is a cancellable ``Event``: one per
+    dispatch, so a preempted modeled job gets a second one when it
+    resumes.  Real jobs, queued or not, never build one."""
+    first = BUSY_WITH[busy_with]
+    burst = [("real", GRID, GRID, i % 3 == 0, None, None) for i in range(12)]
+    schedule = [first, *burst, ("sim", 2 * GRID, GRID), ("read", 3 * GRID)]
+    modeled = sum(action[0] == "sim" for action in schedule)
+    preempted = busy_with == "modeled job"
+    observed, scheduled = schedules_by(
+        lambda: drive(schedule, 1, SimulatedCpu), SimulatedCpu
+    )
+    assert scheduled == modeled + preempted
+    assert observed == drive(schedule, 1, EagerCpu)
+    ran = [entry[2] for entry in observed["log"] if entry[1] == "ran"]
+    assert ran[-12:] == [f"real{i}" for i in range(1, 13)]  # FIFO behind the first
+    ends = [entry[0] for entry in observed["log"] if entry[1:] == ("done", "sim0")]
+    # Served in full around the burst: its own 1 s plus the burst's 3 s.
+    assert ends == ([4 * GRID + 12 * GRID] if preempted else [])
 
 
 class CountingCut(dict):

@@ -78,3 +78,10 @@ class TestCpuCostModel:
     def test_noop_tag_is_free(self):
         model = CpuCostModel()
         assert model.cost(CpuCostModel.NOOP, 100000) == 0.0
+
+    @pytest.mark.parametrize("tag", CpuCostModel.tags())
+    def test_every_price_is_non_negative_and_grows_with_size(self, tag):
+        """The fixed table prices no job below zero, and a larger
+        payload never costs less."""
+        small, large = CpuCostModel.cost(tag, 0), CpuCostModel.cost(tag, 64 * 1024)
+        assert 0.0 <= small <= large

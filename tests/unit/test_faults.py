@@ -7,6 +7,8 @@ from repro.core.faults import (
     FaultPlan,
     bursty_loss,
     clock_drift,
+    crash_recover,
+    partition_heal,
     random_loss,
     scheduling_latency,
 )
@@ -97,6 +99,26 @@ class TestLossInjection:
     def test_no_loss_never_drops(self):
         injector = FaultInjector(FaultPlan())
         assert not any(injector.drop_incoming("s", b"x") for _ in range(100))
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            clock_drift(0.5),
+            scheduling_latency(0.010),
+            crash_recover(1.0, 2.0),
+            partition_heal(1.0, 2.0),
+        ],
+        ids=["drift", "latency", "crash", "partition"],
+    )
+    def test_faulty_plan_without_loss_holds_no_loss_process(self, plan):
+        injector = FaultInjector(plan)
+        assert injector.loss is None
+        assert not any(injector.drop_incoming("s", b"x") for _ in range(100))
+        assert injector.stats["messages_dropped"] == 0
+
+    @pytest.mark.parametrize("plan", [random_loss(0.1), bursty_loss(0.1)])
+    def test_plan_with_loss_holds_a_loss_process(self, plan):
+        assert FaultInjector(plan).loss is not None
 
     def test_bursty_loss_rate(self):
         injector = FaultInjector(bursty_loss(0.05))

@@ -4,7 +4,19 @@ import random
 
 import pytest
 
+from repro.core.faults import FaultInjector, FaultPlan
 from repro.net.lossmodels import BurstyLoss, RandomLoss
+
+
+class TestNoLoss:
+    def test_never_drops(self):
+        """No loss is no loss process: nothing drops, nothing is drawn."""
+        injector = FaultInjector(FaultPlan())
+        assert injector.loss is None
+        state = injector.rng.getstate()
+        assert not any(injector.drop_incoming("s", b"x") for _ in range(1000))
+        assert injector.stats["messages_dropped"] == 0
+        assert injector.rng.getstate() == state
 
 
 class TestRandomLoss:
