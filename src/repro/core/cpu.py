@@ -289,29 +289,26 @@ class CpuPool(Entity):
             # scans are pure overhead on the per-job hot path.
             return self.cpus[0]
         # First choice: an idle CPU, scanning from the rotation point.
-        for offset in range(n):
-            cpu = self.cpus[(self._rr + offset) % n]
-            if not cpu.busy and cpu.queue_length() == 0:
-                self._rr = (self._rr + offset + 1) % n
+        # State is read as fields: ``busy`` and ``queue_length()`` are calls.
+        rr = self._rr
+        order = self.cpus[rr:] + self.cpus[:rr]
+        for offset, cpu in enumerate(order):
+            if cpu._lazy_seq:
+                cpu._settle()
+            if cpu._current is None and not cpu._real_queue and not cpu._sim_queue:
+                self._rr = (rr + offset + 1) % n
                 return cpu
         if kind == REAL_JOB:
             # Prefer a CPU running modeled work (it will be preempted)
-            # over one already running real code.
-            for offset in range(n):
-                cpu = self.cpus[(self._rr + offset) % n]
-                if cpu.current_kind == SIM_JOB:
-                    self._rr = (self._rr + offset + 1) % n
+            # over one already running real code; all are settled above.
+            for offset, cpu in enumerate(order):
+                if cpu._current == SIM_JOB:
+                    self._rr = (rr + offset + 1) % n
                     return cpu
-        best = min(
-            range(n),
-            key=lambda i: (
-                self.cpus[(self._rr + i) % n].queue_length(),
-                i,
-            ),
-        )
-        chosen = self.cpus[(self._rr + best) % n]
-        self._rr = (self._rr + best + 1) % n
-        return chosen
+        lengths = [len(cpu._real_queue) + len(cpu._sim_queue) for cpu in order]
+        best = lengths.index(min(lengths))
+        self._rr = (rr + best + 1) % n
+        return order[best]
 
     def utilization(self, elapsed: float) -> dict:
         """Average utilization across all CPUs, split by job kind."""

@@ -375,10 +375,6 @@ class Signal:
     def fired(self) -> bool:
         return self._fired
 
-    @property
-    def value(self) -> Any:
-        return self._value
-
     def fire(self, value: Any = None) -> None:
         """Wake all waiting processes with ``value``."""
         self._fired = True

@@ -62,6 +62,7 @@ WW_ABORTED = "ww-aborted"  # a conflicting holder committed while we waited
 PREEMPTED = "preempted"  # a remotely certified transaction took our locks
 
 _TICKET = attrgetter("ticket")
+_APPLYING = TxStatus.APPLYING  # bound once: see repro.db.transactions
 
 
 class LockRequest:
@@ -275,7 +276,7 @@ class LockManager(Entity):
             holder = self._holders.get(item)
             if holder is None or holder in victims:
                 continue
-            if holder.remote or holder.tx.status is TxStatus.APPLYING:
+            if holder.remote or holder.tx.status is _APPLYING:
                 continue  # certified work is awaited, never preempted
             victims.append(holder)
         for victim in victims:

@@ -39,6 +39,12 @@ __all__ = [
     "WatermarkTracker",
 ]
 
+# Enum members bound once, as module globals (see repro.db.transactions).
+_FETCH, _PROCESS, _COMMIT = OpKind.FETCH, OpKind.PROCESS, Outcome.COMMIT
+_EXECUTING, _COMMITTING = TxStatus.EXECUTING, TxStatus.COMMITTING
+_APPLYING, _COMMITTED = TxStatus.APPLYING, TxStatus.COMMITTED
+_ABORTED = TxStatus.ABORTED
+
 
 class TerminationProtocol:
     """What the server needs from the distributed termination procedure.
@@ -75,7 +81,7 @@ class LocalTermination(TerminationProtocol):
     def submit(self, tx: Transaction) -> Signal:
         self._next_seq += 1
         tx.global_seq = self._next_seq
-        return self.sim.fired_signal(Outcome.COMMIT)
+        return self.sim.fired_signal(_COMMIT)
 
     def applied_watermark(self) -> int:
         return self._watermark_tracker.watermark
@@ -160,9 +166,12 @@ class DatabaseServer(Entity):
         return tx
 
     def _run_local(self, tx: Transaction, on_done, submitted_at=None):
+        # Fields, not the properties ``Entity.now``, ``readonly`` and
+        # ``Signal.fired``: each is a call, on every transaction.
         spec = tx.spec
-        tx.submit_time = self.now if submitted_at is None else submitted_at
-        tx.status = TxStatus.EXECUTING
+        sim = self.sim
+        tx.submit_time = sim._now if submitted_at is None else submitted_at
+        tx.status = _EXECUTING
         tx.start_seq = self.termination.applied_watermark()
 
         preempted = False
@@ -170,11 +179,11 @@ class DatabaseServer(Entity):
 
         # -- atomic lock acquisition over the (pre-known) write set -----
         if spec.write_set:
-            acquire_signal = Signal(self.sim)
+            acquire_signal = Signal(sim)
 
             def on_lock_event(event: str) -> None:
                 nonlocal preempted
-                if not acquire_signal.fired:
+                if not acquire_signal._fired:
                     acquire_signal.fire(event)
                 elif event == PREEMPTED:
                     preempted = True
@@ -191,9 +200,9 @@ class DatabaseServer(Entity):
             if preempted:
                 self._finish_abort(tx, request, "preempted", on_done)
                 return
-            if op.kind is OpKind.FETCH:
+            if op.kind is _FETCH:
                 yield self.storage.read(op.nbytes)
-            elif op.kind is OpKind.PROCESS:
+            elif op.kind is _PROCESS:
                 yield self._cpu_job(op.cpu_time)
             else:  # WRITE: private version, applied at commit
                 continue
@@ -207,22 +216,22 @@ class DatabaseServer(Entity):
             return
 
         # -- distributed termination -------------------------------------
-        if spec.readonly:
+        if not spec.write_set:
             # Read-only transactions commit locally: commit costs CPU but
             # no I/O and no certification (§4.1, §5.1).
             yield self._cpu_job(spec.commit_cpu)
-            tx.status = TxStatus.COMMITTED
-            tx.end_time = self.now
+            tx.status = _COMMITTED
+            tx.end_time = sim._now
             self._record(tx, "commit", on_done)
             return
 
-        tx.status = TxStatus.COMMITTING
-        tx.certify_submit_time = self.now
+        tx.status = _COMMITTING
+        tx.certify_submit_time = sim._now
         outcome_signal = self.termination.submit(tx)
         outcome = yield outcome_signal
-        tx.certify_end_time = self.now
+        tx.certify_end_time = sim._now
 
-        if outcome is not Outcome.COMMIT:
+        if outcome is not _COMMIT:
             reason = "preempted" if preempted else "certification"
             self._finish_abort(tx, request, reason, on_done)
             return
@@ -232,14 +241,14 @@ class DatabaseServer(Entity):
         )
 
         # -- apply: finish writing, then release locks (§3.1) -------------
-        tx.status = TxStatus.APPLYING
+        tx.status = _APPLYING
         if spec.commit_sectors > 0:
             yield self.storage.write_sectors(spec.commit_sectors)
         yield self._cpu_job(spec.commit_cpu)
         if request is not None:
             self.locks.release_commit(request)
-        tx.status = TxStatus.COMMITTED
-        tx.end_time = self.now
+        tx.status = _COMMITTED
+        tx.end_time = sim._now
         self.stats["local_committed"] += 1
         if self.on_applied is not None:
             self.on_applied(tx, tx.global_seq)
@@ -257,7 +266,7 @@ class DatabaseServer(Entity):
 
     def _run_remote(self, tx: Transaction, done: Signal):
         spec = tx.spec
-        tx.status = TxStatus.APPLYING
+        tx.status = _APPLYING
         if spec.write_set:
             granted = Signal(self.sim)
             request = self.locks.acquire_remote(tx, granted.fire)
@@ -270,8 +279,8 @@ class DatabaseServer(Entity):
         yield self._cpu_job(spec.commit_cpu)
         if request is not None:
             self.locks.release_commit(request)
-        tx.status = TxStatus.COMMITTED
-        tx.end_time = self.now
+        tx.status = _COMMITTED
+        tx.end_time = self.sim._now
         self.stats["remote_applied"] += 1
         if self.on_applied is not None:
             self.on_applied(tx, tx.global_seq)
@@ -296,9 +305,9 @@ class DatabaseServer(Entity):
     ) -> None:
         if request is not None:
             self.locks.release_abort(request)
-        tx.status = TxStatus.ABORTED
+        tx.status = _ABORTED
         tx.abort_reason = reason
-        tx.end_time = self.now
+        tx.end_time = self.sim._now
         self.stats["local_aborted"] += 1
         self._record(tx, "abort", on_done)
 
@@ -311,7 +320,7 @@ class DatabaseServer(Entity):
                 submit_time=tx.submit_time,
                 end_time=tx.end_time,
                 outcome=outcome,
-                readonly=tx.spec.readonly,
+                readonly=not tx.spec.write_set,
                 certification_latency=tx.certification_latency,
                 abort_reason=tx.abort_reason,
             )

@@ -58,6 +58,7 @@ __all__ = [
     "ProtocolGroup",
 ]
 
+_COMMIT, _ABORT = Outcome.COMMIT, Outcome.ABORT  # bound once: see db.transactions
 OnDone = Callable[[Transaction], None]
 
 #: CPU fraction of the profiled commit cost charged when applying a
@@ -187,9 +188,7 @@ class ReplicationProtocol(TerminationProtocol):
         tx, outcome_signal = entry
         if committed:
             tx.global_seq = commit_seq
-            value = Outcome.COMMIT
-        else:
-            value = Outcome.ABORT
+        value = _COMMIT if committed else _ABORT
         # Fire through the runtime so the wake-up lands after the CPU
         # time consumed so far by this delivery job (Figure 1(b)).
         self.runtime.rt_schedule(0.0, outcome_signal.fire, value)

@@ -76,6 +76,7 @@ _MSG_DECIDE = 1
 _REQUEST_PREFIX = bytes([_MSG_REQUEST])
 _DECIDE_PREFIX = bytes([_MSG_DECIDE])
 _DECIDE_BODY = struct.Struct("<QB")  # tx_id, commit flag
+_COMMIT, _ABORT = Outcome.COMMIT, Outcome.ABORT  # bound once: see db.transactions
 
 
 class PartialReplica(ReplicationProtocol):
@@ -348,7 +349,7 @@ class PartialReplica(ReplicationProtocol):
                 self.runtime.rt_schedule(
                     0.0,
                     outcome_signal.fire,
-                    Outcome.COMMIT if commit else Outcome.ABORT,
+                    _COMMIT if commit else _ABORT,
                 )
 
     def _on_view_change(self, view_id: int, members: Tuple[int, ...]) -> None:

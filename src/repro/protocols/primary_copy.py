@@ -137,7 +137,7 @@ class PrimaryCopyReplica(ReplicationProtocol):
 
     def client_submit(self, spec: TransactionSpec, on_done: OnDone) -> None:
         """Reads execute locally; updates are routed to the primary."""
-        if spec.readonly:
+        if not spec.write_set:  # read-only
             # Same as "dbsm": read-only transactions run on the local
             # server even at the crash instant (the crash seals the
             # protocol runtime, not the simulated server).
@@ -146,7 +146,7 @@ class PrimaryCopyReplica(ReplicationProtocol):
         if self.crashed:
             return  # an update issued at a dead site vanishes; the
             # client blocks, as a dbsm client blocks in submit()
-        self._route_update(spec, on_done, self.server.sim.now)
+        self._route_update(spec, on_done, self.server.sim._now)
 
     def _route_update(
         self, spec: TransactionSpec, on_done: OnDone, issued_at: float

@@ -144,10 +144,10 @@ class ArtifactStore:
     def read_cell(path: Union[str, Path]) -> dict:
         """The JSON envelope of one cell artifact (``label``, ``config``,
         ``result``, optional ``spec_hash``); :class:`ArtifactError` when
-        the file is unreadable, not JSON, or not a cell payload."""
+        the file is unreadable, not JSON (or too deep), or not a cell."""
         try:
             data = json.loads(Path(path).read_text())
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise ArtifactError(
                 f"{path}: unreadable cell artifact ({exc})"
             ) from exc
@@ -162,7 +162,9 @@ class ArtifactStore:
         failure of the decode is the same :class:`ArtifactError`."""
         try:
             return ScenarioResult.from_dict(payload["result"])
-        except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        except (
+            AttributeError, LookupError, OverflowError, TypeError, ValueError
+        ) as exc:
             raise ArtifactError(
                 f"{path}: undecodable result ({type(exc).__name__}: {exc})"
             ) from exc

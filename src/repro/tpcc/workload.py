@@ -78,6 +78,9 @@ _NEWORDER, _ORDER, _ORDERLINE = (
 )
 _DPW = schema.DISTRICTS_PER_WAREHOUSE
 _CPD = schema.CUSTOMERS_PER_DISTRICT
+_ITEMS = schema.ITEM_COUNT
+_ITEM_BITS = _ITEMS.bit_length()
+_PROCESS = OpKind.PROCESS  # bound once: see repro.db.transactions
 
 
 def _below(getrandbits, n: int) -> int:
@@ -98,8 +101,8 @@ def _distinct_items(getrandbits, k: int) -> List[int]:
     rejection, in draw order — its rule for so large a population."""
     items: List[int] = []
     while len(items) < k:
-        item = _below(getrandbits, schema.ITEM_COUNT)
-        if item not in items:
+        item = getrandbits(_ITEM_BITS)  # ``_below`` inlined: out of range, redraw
+        if item < _ITEMS and item not in items:
             items.append(item)
     return items
 
@@ -289,8 +292,10 @@ class TpccWorkload:
             sizes[customer] = schema.CUSTOMER.row_bytes
             lines = _ORDERLINE + settled
             for i in range(10):
-                line = lines + _below(getrandbits, 64) * 16 + i
-                sizes[line] = schema.ORDERLINE.row_bytes
+                slot = getrandbits(7)  # _below(getrandbits, 64), inlined
+                while slot >= 64:
+                    slot = getrandbits(7)
+                sizes[lines + slot * 16 + i] = schema.ORDERLINE.row_bytes
         cpu = self.profiles.sample_cpu("delivery", rng)
         per_district = schema.ORDER.row_bytes + 10 * schema.ORDERLINE.row_bytes
         ops = self._ops(
@@ -364,7 +369,7 @@ class TpccWorkload:
         for nbytes, fraction in fetch_groups:
             ops.append(_fetch(nbytes))
             if fraction > 0:
-                ops.append(Operation(OpKind.PROCESS, cpu_time=total_cpu * fraction))
+                ops.append(Operation(_PROCESS, None, total_cpu * fraction, 0))
         return tuple(ops)
 
     def _finalize_reads(self, reads: Iterable[int]) -> Tuple[int, ...]:

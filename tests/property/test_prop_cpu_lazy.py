@@ -38,6 +38,12 @@ class EagerCpu(Entity):
 
     busy = property(lambda self: self.current is not None)
     current_kind = property(lambda self: self.current and self.current[0])
+    # What ``CpuPool._choose`` reads of a CPU, as SimulatedCpu's fields
+    # (the pool reads fields, not the accessors above); nothing is lazy.
+    _lazy_seq = 0
+    _current = current_kind
+    _real_queue = property(lambda self: self.real)
+    _sim_queue = property(lambda self: self.modeled)
     utilization = SimulatedCpu.utilization  # a pure function of busy_seconds()
 
     def queue_length(self):

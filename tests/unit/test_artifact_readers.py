@@ -80,6 +80,24 @@ def _drop_result(path):
     path.write_text(json.dumps(payload))
 
 
+def _edit_result(edit):
+    def apply(path):
+        payload = json.loads(path.read_text())
+        edit(payload["result"])
+        path.write_text(json.dumps(payload))
+
+    return apply
+
+
+def _nest_past_the_recursion_limit(path):
+    depth = 2 * sys.getrecursionlimit()  # well-formed JSON, too deep to parse
+    path.write_text("[" * depth + "]" * depth)
+
+
+#: An integer JSON carries exactly and a float cannot hold.
+HUGE = 10**400
+
+
 def _edit_first_record(edit):
     """Damage one stored transaction row; the other rows stay good."""
 
@@ -103,6 +121,13 @@ CASES = {
     "long-record-row": _edit_first_record(lambda row: row.append(0)),
     "text-in-time-column": _edit_first_record(
         lambda row: row.__setitem__(TX_RECORD_FIELDS.index("submit_time"), "x")
+    ),
+    "nested-past-the-recursion-limit": _nest_past_the_recursion_limit,
+    "sim-time-past-float-range": _edit_result(
+        lambda result: result.__setitem__("sim_time", HUGE)
+    ),
+    "sample-interval-past-float-range": _edit_result(
+        lambda result: result["samples"].__setitem__("interval", HUGE)
     ),
     "foreign-label": _rewrite(label=FOREIGN),
     "foreign-spec-hash": _rewrite(spec_hash="f" * 16),

@@ -22,10 +22,19 @@ And a delivered request's: six sites route it with one walk of its sets
 reassembled, sequenced, windowed and checked for a pending view without
 a generator frame, a property pair or a call whose own first test would
 send it straight back.
+
+And a transaction's: on 3.11 an ``Enum`` member load runs
+``EnumType.__getattr__`` and a property read is a call, so the functions
+every transaction passes through load members bound once at import and
+read the clock, the write set, a signal's and a CPU's state as fields.
 """
 
+import ast
+import inspect
 import random
 import sys
+import textwrap
+import types
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -36,12 +45,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "property"))
 from helpers import make_group
 from test_prop_cpu_lazy import GRID, EagerCpu, drive
 
-from repro.core.cpu import SimulatedCpu
+from repro.core.cpu import CpuPool, SimulatedCpu
 from repro.core.csrt import SiteRuntime
 from repro.core.experiment import Scenario, ScenarioConfig
 from repro.core.faults import FaultInjector, clock_drift
-from repro.core.kernel import Simulator
+from repro.core.kernel import Entity, Signal, Simulator
 from repro.core.metrics import MetricsCollector, TxRecord
+from repro.db.lock import LockManager
+from repro.db.server import DatabaseServer, LocalTermination
+from repro.db.transactions import Operation, Transaction, TransactionSpec
 from repro.db.tuples import make_tuple_id
 from repro.dbsm.marshal import CommitRequest, marshal_request
 from repro.gcs.messages import DataMsg, HeartbeatMsg, marshal
@@ -55,6 +67,8 @@ from repro.net.link import RateLimitedLink
 from repro.net.network import Network
 from repro.net.udp import UdpSocket
 from repro.placement import TransactionRouter
+from repro.protocols.base import ReplicationProtocol
+from repro.protocols.partial import PartialReplica
 from repro.tpcc import schema
 from repro.tpcc.workload import TpccWorkload
 
@@ -467,3 +481,76 @@ def test_only_the_faulty_site_calls_its_hooks_once_per_crossing():
     }
     assert entered[1]["rt_schedule"] > 10
     assert all(entered[i][hook] == 0 for i in (0, 2) for hook in HOOKS)
+
+
+#: The functions every transaction passes through, at its origin site or
+#: as a remote write-set: building its rows, running it, deciding it.
+TRANSACTION_PATH = (
+    Operation.__new__,
+    Transaction.__init__,
+    TpccWorkload._ops,
+    DatabaseServer._run_local,
+    DatabaseServer._run_remote,
+    DatabaseServer._finish_abort,
+    LocalTermination.submit,
+    LockManager._preempt_conflicting_locals,
+    ReplicationProtocol._resolve_local,
+    PartialReplica._receive_vote,
+)
+ENUMS = {"OpKind", "TxStatus", "Outcome"}
+
+
+@pytest.mark.parametrize(
+    "function", TRANSACTION_PATH, ids=lambda function: function.__qualname__
+)
+def test_the_transaction_path_loads_no_enum_member(function):
+    tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+    loads = [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ENUMS
+    ]
+    assert loads == []
+
+
+def test_the_transaction_path_calls_no_property():
+    """One three-CPU centralized cell, where placement now and then
+    finds every CPU busy: the server and the CPU placement never enter
+    these accessors, whatever the transaction's class and fate."""
+    accessors = {
+        Entity.now.fget.__code__: "Entity.now",
+        TransactionSpec.readonly.fget.__code__: "TransactionSpec.readonly",
+        Signal.fired.fget.__code__: "Signal.fired",
+        SimulatedCpu.busy.fget.__code__: "SimulatedCpu.busy",
+        SimulatedCpu.queue_length.__code__: "SimulatedCpu.queue_length",
+    }
+    server_py = DatabaseServer._run_local.__code__.co_filename
+    choose = CpuPool._choose.__code__
+    in_choose = {choose} | {
+        const for const in choose.co_consts if isinstance(const, types.CodeType)
+    }
+    entered = dict.fromkeys(accessors.values(), 0)
+    choices = 0
+
+    def note(frame):
+        nonlocal choices
+        code = frame.f_code
+        choices += code is choose
+        name = accessors.get(code)
+        caller = frame.f_back.f_code
+        if name is not None and (caller.co_filename == server_py or caller in in_choose):
+            entered[name] += 1
+
+    scenario = Scenario(
+        ScenarioConfig(sites=1, cpus_per_site=3, clients=300, transactions=300, seed=4)
+    )
+    with profiling(note):
+        result = scenario.run()
+    assert entered == dict.fromkeys(accessors.values(), 0)
+    records = result.metrics.records
+    assert choices > len(records) > 300
+    assert {(r.readonly, r.outcome) for r in records} == {
+        (readonly, outcome) for readonly in (True, False) for outcome in ("commit", "abort")
+    }
