@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..db.lock import LockManager
 from ..db.server import DatabaseServer
-from ..db.storage import Storage
+from ..db.storage import CACHE_HIT_RATIO, SECTOR_CONCURRENCY, SECTOR_LATENCY, Storage
 from ..db.transactions import reset_tx_counter
 from ..gcs.config import GcsConfig
 from ..gcs.stack import GroupCommunication
@@ -32,7 +32,7 @@ from ..gcs.statetransfer import RecoveryEvent
 from ..monitors import InvariantViolation, build_hub, resolve_monitors
 from ..net.address import Endpoint, GroupAddress
 from ..net.capture import PacketCapture
-from ..net.network import Network
+from ..net.network import LAN_BANDWIDTH_BPS, LAN_LINK_LATENCY, Network
 from ..net.udp import UdpSocket
 from ..placement import PLACEMENT_POLICIES, fragment_of_site, sites_of_fragment
 from ..protocols import (
@@ -59,6 +59,15 @@ _GROUP_PORT = 7000
 
 #: Artifact format tag; bump when the serialized layout changes.
 RESULT_FORMAT = "repro.scenario_result/1"
+
+#: The fixed §4.1 storage and fabric calibration, as stored configs record it.
+_CALIBRATION = {
+    "storage_sector_latency": SECTOR_LATENCY,
+    "storage_concurrency": SECTOR_CONCURRENCY,
+    "storage_cache_hit_ratio": CACHE_HIT_RATIO,
+    "net_bandwidth_bps": LAN_BANDWIDTH_BPS,
+    "net_link_latency": LAN_LINK_LATENCY,
+}
 
 
 @dataclass
@@ -94,14 +103,6 @@ class ScenarioConfig:
     #: Site index -> fault plan (sites without an entry run fault-free).
     faults: Dict[int, FaultPlan] = field(default_factory=dict)
     clock_mode: str = MODELED
-    #: Storage calibration (§4.1): 9.486 MB/s via 4 concurrent 4 KB
-    #: sectors at 1.727 ms each, reads fully cached.
-    storage_sector_latency: float = 1.727e-3
-    storage_concurrency: int = 4
-    storage_cache_hit_ratio: float = 1.0
-    #: Fabric calibration: switched Ethernet 100 (§4.1).
-    net_bandwidth_bps: float = 100e6
-    net_link_latency: float = 100e-6
     #: Optional read-set table-lock escalation threshold (§3.3 ablation).
     readset_escalation_threshold: Optional[int] = None
     sample_interval: float = 5.0
@@ -156,7 +157,9 @@ class ScenarioConfig:
 
         ``profiles`` is written as ``None`` just before ``gcs``: the key
         predates the fixed CPU profile, and keeping it keeps stored cells
-        and result digests byte-identical.  ``from_dict`` ignores it.
+        and result digests byte-identical.  The storage and fabric
+        calibration follows ``clock_mode`` the same way, with the values
+        every scenario runs with.  ``from_dict`` ignores those keys.
         """
         data: Dict[str, object] = {}
         for f in dataclasses.fields(self):
@@ -170,6 +173,9 @@ class ScenarioConfig:
                 }
             elif f.name == "monitors":
                 data[f.name] = list(value)
+            elif f.name == "clock_mode":
+                data[f.name] = value
+                data.update(_CALIBRATION)
             else:
                 data[f.name] = value
         return data
@@ -381,12 +387,7 @@ class Scenario:
         reset_tx_counter()
         self.sim = Simulator()
         self.capture = PacketCapture(keep_entries=False)
-        self.network = Network(
-            self.sim,
-            default_bandwidth_bps=config.net_bandwidth_bps,
-            default_link_latency=config.net_link_latency,
-            capture=self.capture,
-        )
+        self.network = Network(self.sim, capture=self.capture)
         self.metrics = MetricsCollector()
         self.sites: List[Site] = []
         # One GCS group per fragment, each with its own address/port,
@@ -463,9 +464,6 @@ class Scenario:
         storage = Storage(
             self.sim,
             name=f"{name}.disk",
-            sector_latency=config.storage_sector_latency,
-            concurrency=config.storage_concurrency,
-            cache_hit_ratio=config.storage_cache_hit_ratio,
             rng=derive_rng(config.seed, "storage", index),
         )
         locks = LockManager(self.sim, f"{name}.locks")

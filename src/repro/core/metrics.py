@@ -163,11 +163,9 @@ class MetricsCollector:
         table["All"] = self.abort_rate()
         return table
 
-    def latencies(
-        self, tx_class: Optional[str] = None, committed_only: bool = True
-    ) -> List[float]:
-        outcome = "commit" if committed_only else None
-        selected = self.select(tx_class=tx_class, outcome=outcome)
+    def latencies(self, tx_class: Optional[str] = None) -> List[float]:
+        """End-to-end latencies of the committed transactions."""
+        selected = self.select(tx_class=tx_class, outcome="commit")
         return [r.end_time - r.submit_time for r in selected]
 
     def mean_latency(self, tx_class: Optional[str] = None) -> float:

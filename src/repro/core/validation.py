@@ -25,12 +25,12 @@ reproduced on purpose:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import List, Tuple
 
+from ..db.storage import SECTOR_CONCURRENCY, SECTOR_LATENCY
 from ..net.address import Endpoint
 from ..net.link import WIRE_OVERHEAD_BYTES
-from ..net.network import FRAGMENT_OVERHEAD_BYTES, Network
+from ..net.network import FRAGMENT_OVERHEAD_BYTES, LAN_BANDWIDTH_BPS, Network
 from ..net.udp import UdpSocket
 from .clock import CpuCostModel
 from .cpu import CpuPool
@@ -38,7 +38,6 @@ from .csrt import SiteRuntime
 from .kernel import Simulator
 
 __all__ = [
-    "ValidationPoint",
     "real_send_bandwidth_bps",
     "real_recv_bandwidth_bps",
     "real_round_trip",
@@ -54,21 +53,9 @@ _MTU_PAYLOAD = 1472
 #: memory-management overhead the paper observes past 4 KB.
 _PAGE_PENALTY = 18e-6
 _PAGE_SIZE = 4096
-
-
-@dataclass(frozen=True)
-class ValidationPoint:
-    """One (message size, metric) sample of a validation curve."""
-
-    size: int
-    real: float
-    csrt: float
-
-    @property
-    def relative_error(self) -> float:
-        if self.real == 0:
-            return 0.0
-        return abs(self.csrt - self.real) / self.real
+#: Real-system one-way path latency, and kernel work per extra fragment.
+_PATH_LATENCY = 70e-6
+_FRAGMENT_KERNEL = 15e-6
 
 
 # ----------------------------------------------------------------------
@@ -83,19 +70,14 @@ def real_send_bandwidth_bps(size: int) -> float:
     return size * 8.0 / per_message
 
 
-def real_recv_bandwidth_bps(size: int, wire_bps: float = 100e6) -> float:
+def real_recv_bandwidth_bps(size: int) -> float:
     """Receiver goodput: the sender's rate capped by Ethernet 100 framing
     (Figure 3(b))."""
-    goodput = wire_bps * size / _wire_bytes(size)
+    goodput = LAN_BANDWIDTH_BPS * size / _wire_bytes(size)
     return min(real_send_bandwidth_bps(size), goodput)
 
 
-def real_round_trip(
-    size: int,
-    wire_bps: float = 100e6,
-    path_latency: float = 70e-6,
-    per_fragment_kernel: float = 15e-6,
-) -> float:
+def real_round_trip(size: int) -> float:
     """Round-trip of a request/echo pair on the real system.
 
     Each direction crosses a store-and-forward switch (two
@@ -105,15 +87,15 @@ def real_round_trip(
     the divergence above ~1 KB the paper attributes to SSFNet's missing
     MTU enforcement (Figure 3(c))."""
     fragments = max(1, -(-size // _MTU_PAYLOAD))
-    serialization = 2.0 * _wire_bytes(size) * 8.0 / wire_bps
+    serialization = 2.0 * _wire_bytes(size) * 8.0 / LAN_BANDWIDTH_BPS
     stack = CpuCostModel.cost(CpuCostModel.SEND, size) + CpuCostModel.cost(
         CpuCostModel.RECV, size
     )
     one_way = (
         stack
         + serialization
-        + path_latency
-        + (fragments - 1) * per_fragment_kernel
+        + _PATH_LATENCY
+        + (fragments - 1) * _FRAGMENT_KERNEL
     )
     return 2.0 * one_way
 
@@ -160,15 +142,11 @@ def csrt_send_bandwidth_bps(size: int, duration: float = 0.25) -> float:
     return sent["bytes"] * 8.0 / duration
 
 
-def csrt_recv_bandwidth_bps(
-    size: int,
-    duration: float = 0.25,
-    wire_bps: float = 100e6,
-) -> float:
+def csrt_recv_bandwidth_bps(size: int, duration: float = 0.25) -> float:
     """Flood-receive benchmark: the same flood pushed through a simulated
     Ethernet 100; the receiver counts goodput (Figure 3(b))."""
     sim = Simulator()
-    net = Network(sim, default_bandwidth_bps=wire_bps, default_link_latency=50e-6)
+    net = Network(sim, default_link_latency=50e-6)
     sender_host = net.add_host("sender")
     sink_host = net.add_host("sink")
     out_sock = UdpSocket(sender_host, 1)
@@ -208,7 +186,6 @@ def csrt_recv_bandwidth_bps(
 def csrt_round_trip(
     size: int,
     rounds: int = 50,
-    wire_bps: float = 100e6,
     enforce_mtu: bool = True,
 ) -> float:
     """Ping-pong benchmark under the CSRT: mean round-trip of ``rounds``
@@ -218,12 +195,7 @@ def csrt_round_trip(
     not fragmenting UDP above the MTU — the source of the paper's
     observed divergence beyond ~1000 bytes."""
     sim = Simulator()
-    net = Network(
-        sim,
-        default_bandwidth_bps=wire_bps,
-        default_link_latency=50e-6,
-        enforce_mtu=enforce_mtu,
-    )
+    net = Network(sim, default_link_latency=50e-6, enforce_mtu=enforce_mtu)
     a_host = net.add_host("a")
     b_host = net.add_host("b")
     a_sock = UdpSocket(a_host, 1)
@@ -268,8 +240,6 @@ def reference_latency_sample(
     profiles,
     count: int,
     seed: int = 17,
-    storage_sector_latency: float = 1.727e-3,
-    storage_concurrency: int = 4,
 ) -> List[float]:
     """Latencies "measured on the real engine" at 20-client load.
 
@@ -285,8 +255,8 @@ def reference_latency_sample(
         latency = profiles.sample_cpu(tx_class, rng) + profiles.commit_cpu
         sectors = profiles.sectors(tx_class)
         if sectors:
-            waves = -(-sectors // storage_concurrency)
-            latency += waves * storage_sector_latency
+            waves = -(-sectors // SECTOR_CONCURRENCY)
+            latency += waves * SECTOR_LATENCY
         latency *= max(0.8, 1.0 + rng.gauss(0.0, 0.06))
         sample.append(latency)
     return sample

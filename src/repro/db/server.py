@@ -312,6 +312,9 @@ class DatabaseServer(Entity):
         self._record(tx, "abort", on_done)
 
     def _record(self, tx: Transaction, outcome: str, on_done) -> None:
+        # From certification submission to outcome; 0.0 unless both happened.
+        submitted, ended = tx.certify_submit_time, tx.certify_end_time
+        certification = 0.0 if submitted < 0 or ended < 0 else ended - submitted
         self.metrics.record(
             TxRecord(
                 tx_id=tx.tx_id,
@@ -321,7 +324,7 @@ class DatabaseServer(Entity):
                 end_time=tx.end_time,
                 outcome=outcome,
                 readonly=not tx.spec.write_set,
-                certification_latency=tx.certification_latency,
+                certification_latency=certification,
                 abort_reason=tx.abort_reason,
             )
         )

@@ -3,7 +3,7 @@
 A storage device is defined by its per-request latency and the number of
 concurrent requests it can serve; each request moves a single sector, so
 peak bandwidth is configured indirectly as
-``concurrency * sector_bytes / sector_latency``.  A cache-hit ratio
+``concurrency * SECTOR_BYTES / sector_latency``.  A cache-hit ratio
 decides the probability that a read is served instantaneously without
 consuming storage resources.
 
@@ -11,7 +11,7 @@ The paper's testbed — a fibre-channel RAID-5 box — measured 9.486 MB/s
 of synchronous 4 KB writes under IOzone, and PostgreSQL showed a ≥ 98 %
 cache-hit ratio, so the model was configured with a 100 % hit ratio
 (reads free) and the write path sized to 9.486 MB/s.  Those are the
-defaults here.
+module constants below, and the defaults of :class:`Storage`.
 """
 
 from __future__ import annotations
@@ -25,6 +25,14 @@ from typing import Deque, Optional
 from ..core.kernel import Entity, Signal, Simulator
 
 __all__ = ["Storage", "StorageStats"]
+
+#: The paper's storage calibration (§4.1): four concurrent 4 KB sectors
+#: of 1.727 ms each give the 9.486 MB/s measured by IOzone, and reads
+#: are fully cached.
+SECTOR_LATENCY = 1.727e-3
+SECTOR_CONCURRENCY = 4
+SECTOR_BYTES = 4096
+CACHE_HIT_RATIO = 1.0
 
 
 class StorageStats:
@@ -83,20 +91,18 @@ class Storage(Entity):
         self,
         sim: Simulator,
         name: str = "disk",
-        sector_latency: float = 1.727e-3,
-        concurrency: int = 4,
-        sector_bytes: int = 4096,
-        cache_hit_ratio: float = 1.0,
+        sector_latency: float = SECTOR_LATENCY,
+        concurrency: int = SECTOR_CONCURRENCY,
+        cache_hit_ratio: float = CACHE_HIT_RATIO,
         rng: Optional[random.Random] = None,
     ):
         super().__init__(sim, name)
-        if sector_latency <= 0 or concurrency < 1 or sector_bytes < 1:
+        if sector_latency <= 0 or concurrency < 1:
             raise ValueError("invalid storage parameters")
         if not 0.0 <= cache_hit_ratio <= 1.0:
             raise ValueError("cache_hit_ratio must be in [0, 1]")
         self.sector_latency = sector_latency
         self.concurrency = concurrency
-        self.sector_bytes = sector_bytes
         self.cache_hit_ratio = cache_hit_ratio
         self.rng = rng or random.Random(0)
         self._stats = StorageStats()
@@ -119,7 +125,7 @@ class Storage(Entity):
     def max_bandwidth_bps(self) -> float:
         """Peak transfer rate in bytes/second (the indirect configuration
         knob the paper calibrates against IOzone)."""
-        return self.concurrency * self.sector_bytes / self.sector_latency
+        return self.concurrency * SECTOR_BYTES / self.sector_latency
 
     # ------------------------------------------------------------------
     # requests
@@ -172,7 +178,7 @@ class Storage(Entity):
     # internals
     # ------------------------------------------------------------------
     def _sectors_for(self, nbytes: int) -> int:
-        return max(1, math.ceil(nbytes / self.sector_bytes))
+        return max(1, math.ceil(nbytes / SECTOR_BYTES))
 
     def _submit_sectors(self, sectors: int, uncounted: Deque[float]) -> Signal:
         self._settle()  # keeps the uncounted no longer than the queue
@@ -211,7 +217,7 @@ class Storage(Entity):
         if started:
             stats.sectors_read += read
             stats.sectors_written += written
-            stats.bytes_transferred += self.sector_bytes * started
+            stats.bytes_transferred += SECTOR_BYTES * started
             # One latency at a time on purpose: ``busy_time`` is reported
             # in resource samples, and ``lat * started`` rounds
             # differently from ``started`` repeated additions.

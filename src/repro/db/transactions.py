@@ -197,13 +197,6 @@ class Transaction:
     def latency(self) -> float:
         return self.end_time - self.submit_time
 
-    @property
-    def certification_latency(self) -> float:
-        """Time from multicast submission to certification outcome."""
-        if self.certify_submit_time < 0 or self.certify_end_time < 0:
-            return 0.0
-        return self.certify_end_time - self.certify_submit_time
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Tx {self.tx_id} {self.spec.tx_class} @{self.site} "

@@ -4,7 +4,8 @@ Defaults are calibrated for the paper's LAN scenarios (§4.1, §5): a
 100 Mbit/s switched Ethernet, packets restricted to a safe size below
 the Ethernet MTU (§4.2), NACK timers in the tens of milliseconds, and a
 stability-gossip period long enough that its traffic is negligible in
-steady state yet short enough to keep buffers small.
+steady state yet short enough to keep buffers small.  The calibration
+no experiment varies is fixed: the module constants below.
 """
 
 from __future__ import annotations
@@ -13,6 +14,38 @@ import dataclasses
 from dataclasses import dataclass
 
 __all__ = ["GcsConfig"]
+
+#: Retransmission request ceiling per NACK message.
+NACK_BATCH = 32
+#: CPU charged for processing one NACK (buffer lookups, resend path)
+#: plus per requested message.  Calibrated so protocol CPU under 5 %
+#: random loss lands near the paper's Figure 7(c) (~1.5x fault-free).
+NACK_PROCESSING_COST = 250e-6
+NACK_PER_MESSAGE_COST = 60e-6
+#: CPU charged on receiving a retransmitted message (out-of-order
+#: reordering path of the prototype).
+RETRANSMIT_PROCESSING_COST = 150e-6
+#: Rate-based flow control: initial transmissions per second.
+SEND_RATE = 4000.0
+#: Token-bucket burst allowance (messages).
+SEND_BURST = 64
+#: State-transfer request retry period (seconds): how long a joiner
+#: waits for a complete snapshot before re-requesting (rotating to the
+#: next donor candidate, which survives a donor crash).
+STATE_RETRY = 0.250
+
+#: Each fixed value's slot in the stored encoding: after the field it followed.
+_STORED_AFTER = {
+    "nack_timeout": {"nack_batch": NACK_BATCH},
+    "stability_interval": {
+        "nack_processing_cost": NACK_PROCESSING_COST,
+        "nack_per_message_cost": NACK_PER_MESSAGE_COST,
+        "retransmit_processing_cost": RETRANSMIT_PROCESSING_COST,
+        "send_rate": SEND_RATE,
+        "send_burst": SEND_BURST,
+    },
+    "max_packet": {"state_retry": STATE_RETRY},
+}
 
 
 @dataclass
@@ -26,22 +59,8 @@ class GcsConfig:
     #: Receiver-initiated retransmission timer (seconds): how long a gap
     #: may stand before a NACK is sent to the origin.
     nack_timeout: float = 0.080
-    #: Retransmission request ceiling per NACK message.
-    nack_batch: int = 32
     #: Stability gossip period (seconds).
     stability_interval: float = 0.120
-    #: CPU charged for processing one NACK (buffer lookups, resend path)
-    #: plus per requested message.  Calibrated so protocol CPU under 5 %
-    #: random loss lands near the paper's Figure 7(c) (~1.5x fault-free).
-    nack_processing_cost: float = 250e-6
-    nack_per_message_cost: float = 60e-6
-    #: CPU charged on receiving a retransmitted message (out-of-order
-    #: reordering path of the prototype).
-    retransmit_processing_cost: float = 150e-6
-    #: Rate-based flow control: initial transmissions per second.
-    send_rate: float = 4000.0
-    #: Token-bucket burst allowance (messages).
-    send_burst: int = 64
     #: Sequencer batching window (seconds): assignments accumulated for
     #: this long ship in one SEQUENCE message.
     sequence_batch_interval: float = 0.002
@@ -57,13 +76,13 @@ class GcsConfig:
     #: messages are fragmented by the session layer.  The prototype uses
     #: a safe value below the Ethernet MTU (§4.2).
     max_packet: int = 1400
-    #: State-transfer request retry period (seconds): how long a joiner
-    #: waits for a complete snapshot before re-requesting (rotating to
-    #: the next donor candidate, which survives a donor crash).
-    state_retry: float = 0.250
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        data = {}
+        for name, value in dataclasses.asdict(self).items():
+            data[name] = value
+            data.update(_STORED_AFTER.get(name, ()))
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "GcsConfig":

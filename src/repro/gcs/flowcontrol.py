@@ -12,13 +12,15 @@ or a hot replica produces.
 
 from __future__ import annotations
 
+from .config import SEND_BURST
+
 __all__ = ["TokenBucket"]
 
 
 class TokenBucket:
     """Deterministic token bucket over the protocol runtime's clock."""
 
-    def __init__(self, rate: float = 2000.0, burst: int = 64):
+    def __init__(self, rate: float, burst: int = SEND_BURST):
         if rate <= 0 or burst < 1:
             raise ValueError("rate must be positive and burst >= 1")
         self.rate = rate

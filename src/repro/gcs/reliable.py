@@ -24,7 +24,15 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..core.runtime_api import ProtocolRuntime
-from .config import GcsConfig
+from .config import (
+    NACK_BATCH,
+    NACK_PER_MESSAGE_COST,
+    NACK_PROCESSING_COST,
+    RETRANSMIT_PROCESSING_COST,
+    SEND_BURST,
+    SEND_RATE,
+    GcsConfig,
+)
 from .flowcontrol import TokenBucket
 from .messages import DataMsg, NackMsg, marshal, pack_data
 from .window import BufferPool, ReceiveWindow
@@ -56,7 +64,7 @@ class ReliableMulticast:
         self.group_dest = group_dest
         self.config = config or GcsConfig()
         self.pool = BufferPool(share=self.config.buffer_share)
-        self.bucket = TokenBucket(self.config.send_rate, self.config.send_burst)
+        self.bucket = TokenBucket(SEND_RATE, SEND_BURST)
         self.windows: Dict[int, ReceiveWindow] = {}
         self._delivered_up_to: Dict[int, int] = {}
         self._install_members(members, fresh=True)
@@ -169,7 +177,7 @@ class ReliableMulticast:
         if msg.retransmit:
             # the out-of-order recovery path is measurably heavier than
             # the fast path in the prototype (Figure 7(c))
-            self.runtime.charge(self.config.retransmit_processing_cost)
+            self.runtime.charge(RETRANSMIT_PROCESSING_COST)
         if not window.receive(msg.seq):
             self.stats["duplicates"] += 1
             return
@@ -189,8 +197,7 @@ class ReliableMulticast:
         if requester is None:
             return
         self.runtime.charge(
-            self.config.nack_processing_cost
-            + self.config.nack_per_message_cost * len(msg.missing)
+            NACK_PROCESSING_COST + NACK_PER_MESSAGE_COST * len(msg.missing)
         )
         for seq in msg.missing:
             payload = self.pool.get(msg.origin, seq)
@@ -236,7 +243,7 @@ class ReliableMulticast:
         window = self.windows.get(origin)
         if window is None:
             return
-        missing = window.gaps(self.config.nack_batch)
+        missing = window.gaps(NACK_BATCH)
         if not missing:
             return
         target = self._retransmission_source(origin)
@@ -257,8 +264,8 @@ class ReliableMulticast:
             for seq in range(window.contiguous + 1, up_to + 1)
             if not window.has(seq)
         ]
-        for start in range(0, len(missing), self.config.nack_batch):
-            chunk = tuple(missing[start : start + self.config.nack_batch])
+        for start in range(0, len(missing), NACK_BATCH):
+            chunk = tuple(missing[start : start + NACK_BATCH])
             target = self._retransmission_source(origin)
             if target is not None and chunk:
                 self.runtime.send(

@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.runtime_api import ProtocolRuntime
-from .config import GcsConfig
+from .config import STATE_RETRY, GcsConfig
 from .messages import StateMsg, StateReqMsg, marshal
 
 __all__ = ["StateTransfer", "RecoveryEvent"]
@@ -157,9 +157,7 @@ class StateTransfer:
                 )
                 if event is not None:
                     event.requests_sent += 1
-        self.runtime.schedule(
-            self.config.state_retry, self._request_tick, epoch
-        )
+        self.runtime.schedule(STATE_RETRY, self._request_tick, epoch)
 
     def handle_state(self, msg: StateMsg) -> None:
         """Collect one snapshot fragment; install when complete."""

@@ -60,7 +60,7 @@ class RateLimitedLink(Entity):
         self,
         sim: Simulator,
         name: str,
-        bandwidth_bps: float = 100e6,
+        bandwidth_bps: float,
         latency: float = 50e-6,
         queue_bytes: int = 256 * 1024,
     ):

@@ -23,6 +23,15 @@ from .link import RateLimitedLink
 
 __all__ = ["Host", "Network", "Destination"]
 
+#: The paper's fabric (§4.1): switched Ethernet 100, each host's
+#: full-duplex links to the switch at 100 Mbit/s with this one-way
+#: propagation latency, split evenly between egress and ingress.
+LAN_BANDWIDTH_BPS = 100e6
+LAN_LINK_LATENCY = 100e-6
+#: Store-and-forward delay of the switch, and of a datagram a host
+#: sends to itself (never touches the wire).
+SWITCH_LATENCY = 20e-6
+LOOPBACK_LATENCY = 10e-6
 #: Extra IP header bytes charged for every fragment beyond the first.
 FRAGMENT_OVERHEAD_BYTES = 20
 
@@ -65,10 +74,8 @@ class Network(Entity):
         self,
         sim: Simulator,
         name: str = "net",
-        default_bandwidth_bps: float = 100e6,
-        default_link_latency: float = 100e-6,
-        switch_latency: float = 20e-6,
-        loopback_latency: float = 10e-6,
+        default_bandwidth_bps: float = LAN_BANDWIDTH_BPS,
+        default_link_latency: float = LAN_LINK_LATENCY,
         mtu: int = 1500,
         enforce_mtu: bool = True,
         capture: Optional[PacketCapture] = None,
@@ -76,8 +83,6 @@ class Network(Entity):
         super().__init__(sim, name)
         self.default_bandwidth_bps = default_bandwidth_bps
         self.default_link_latency = default_link_latency
-        self.switch_latency = switch_latency
-        self.loopback_latency = loopback_latency
         self.mtu = mtu
         self.enforce_mtu = enforce_mtu
         self.capture = capture or PacketCapture(keep_entries=False)
@@ -180,9 +185,7 @@ class Network(Entity):
             if not targets:
                 return
         elif dest.host == src_host.name:
-            self.call(
-                self.loopback_latency, self._deliver_local, source, dest, payload
-            )
+            self.call(LOOPBACK_LATENCY, self._deliver_local, source, dest, payload)
             return
         else:
             targets = [dest]
@@ -196,7 +199,7 @@ class Network(Entity):
         # Every ingress-bound packet carries the same switch latency, so
         # binding order equals arrival order and the switch hop folds
         # into the ingress link: one event per packet instead of two.
-        arrival = self.sim._now + self.switch_latency
+        arrival = self.sim._now + SWITCH_LATENCY
         hosts = self.hosts
         capture = self.capture
         cut = self._partition  # reachable(), asked once and only under a cut

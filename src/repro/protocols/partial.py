@@ -56,6 +56,7 @@ from ..dbsm.marshal import (
 )
 from ..dbsm.replica import open_commit_request
 from ..gcs.stack import GroupCommunication
+from ..net.network import LAN_LINK_LATENCY
 from ..placement import (
     FragmentMap,
     TransactionRouter,
@@ -103,7 +104,7 @@ class PartialReplica(ReplicationProtocol):
             config.clients, self.fragments, config.placement
         )
         self.router = TransactionRouter(self.fragment_map)
-        self.link_latency = config.net_link_latency
+        self.link_latency = LAN_LINK_LATENCY
         self._group_sites: Dict[int, Tuple[int, ...]] = {
             f: sites_of_fragment(f, self.sites, self.fragments)
             for f in range(self.fragments)

@@ -47,6 +47,7 @@ from ..db.transactions import Transaction, TransactionSpec
 from ..dbsm.marshal import unmarshal_request_cached
 from ..dbsm.replica import open_commit_request
 from ..gcs.stack import GroupCommunication
+from ..net.network import LAN_LINK_LATENCY
 from .base import (
     OnDone,
     ProtocolContext,
@@ -294,5 +295,5 @@ def build(ctx: ProtocolContext) -> PrimaryCopyReplica:
         ctx.gcs,
         ctx.runtime,
         ctx.group,
-        link_latency=ctx.config.net_link_latency,
+        link_latency=LAN_LINK_LATENCY,
     )

@@ -36,7 +36,6 @@ class Client(Entity):
         server: DatabaseServer,
         workload: TpccWorkload,
         max_transactions: Optional[int] = None,
-        think_first: bool = True,
         submit: Optional[SubmitFn] = None,
     ):
         super().__init__(sim, f"client{client_id}")
@@ -44,7 +43,6 @@ class Client(Entity):
         self.server = server
         self.workload = workload
         self.max_transactions = max_transactions
-        self.think_first = think_first
         self._submit: SubmitFn = submit or server.submit
         self.issued = 0
         self.completed = 0
@@ -56,10 +54,9 @@ class Client(Entity):
         self._stopped = True
 
     def _loop(self):
-        if self.think_first:
-            # Staggered start: clients begin at a random think offset so
-            # the ramp-up does not arrive as a thundering herd.
-            yield self.workload.think_time()
+        # Staggered start: clients begin at a random think offset so the
+        # ramp-up does not arrive as a thundering herd.
+        yield self.workload.think_time()
         while not self._stopped:
             if (
                 self.max_transactions is not None

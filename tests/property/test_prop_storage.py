@@ -21,9 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.kernel import Entity, Signal, Simulator
-from repro.db.storage import Storage, StorageStats
-
-SECTOR_BYTES = 4096
+from repro.db.storage import SECTOR_BYTES, Storage, StorageStats
 
 
 class PerSectorStorage(Entity):
@@ -208,7 +206,6 @@ def test_closed_form_equals_per_sector_events(
             sim,
             sector_latency=latency,
             concurrency=concurrency,
-            sector_bytes=SECTOR_BYTES,
             cache_hit_ratio=0.0,
             rng=random.Random(0),
         ),

@@ -492,6 +492,7 @@ TRANSACTION_PATH = (
     DatabaseServer._run_local,
     DatabaseServer._run_remote,
     DatabaseServer._finish_abort,
+    DatabaseServer._record,
     LocalTermination.submit,
     LockManager._preempt_conflicting_locals,
     ReplicationProtocol._resolve_local,

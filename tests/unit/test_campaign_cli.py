@@ -36,6 +36,12 @@ class TestDescribe:
         cells_section = out.split("cells (1):", 1)[1]
         assert "random" in cells_section and "bursty" not in cells_section
 
+    def test_fixed_calibration_is_not_settable(self, capsys):
+        """The §4.1 storage calibration is a constant, so setting it
+        fails like any unknown field."""
+        assert main(["describe", "fig7", "--set", "storage_concurrency=8"]) == 2
+        assert "storage_concurrency" in capsys.readouterr().err
+
     def test_unknown_campaign_fails_cleanly(self, capsys):
         assert main(["describe", "no-such"]) == 2
         err = capsys.readouterr().err

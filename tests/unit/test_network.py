@@ -6,7 +6,12 @@ from repro.core.kernel import Simulator
 from repro.net.address import Endpoint, GroupAddress
 from repro.net.capture import PacketCapture
 from repro.net.link import RateLimitedLink, WIRE_OVERHEAD_BYTES
-from repro.net.network import FRAGMENT_OVERHEAD_BYTES, Network
+from repro.net.network import (
+    FRAGMENT_OVERHEAD_BYTES,
+    LOOPBACK_LATENCY,
+    SWITCH_LATENCY,
+    Network,
+)
 from repro.net.udp import UdpSocket
 
 
@@ -192,7 +197,7 @@ class TestSwitchedLan:
         sim.run()
         egress, ingress = net.hosts["h0"].egress, net.hosts["h1"].ingress
         half = net.default_link_latency / 2.0
-        arrival = (egress.transmission_time(300) + half) + net.switch_latency
+        arrival = (egress.transmission_time(300) + half) + SWITCH_LATENCY
         assert inbox[1] == [
             (arrival + (ingress.transmission_time(300) + half), "h0:5", b"x" * 300)
         ]
@@ -212,7 +217,7 @@ class TestSwitchedLan:
         socks[0].send(Endpoint("h0", 5), b"self")
         socks[0].send(Endpoint("h1", 5), b"cut")
         sim.run()
-        assert inbox[0] == [(net.loopback_latency, "h0:5", b"self")]
+        assert inbox[0] == [(LOOPBACK_LATENCY, "h0:5", b"self")]
         assert inbox[1] == []
         assert net.hosts["h0"].egress.stats.packets_sent == 1  # only b"cut"
 

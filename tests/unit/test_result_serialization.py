@@ -124,10 +124,55 @@ class TestConfigRoundTrip:
         "max_sim_time", "drain_time", "probe_interval",
     )
 
+    #: The stored GcsConfig encoding, key for key, in order and by value:
+    #: every stored cell's config embeds it.
+    GCS_STORED = {
+        "buffer_share": 64,
+        "nack_timeout": 0.080,
+        "nack_batch": 32,
+        "stability_interval": 0.120,
+        "nack_processing_cost": 250e-6,
+        "nack_per_message_cost": 60e-6,
+        "retransmit_processing_cost": 150e-6,
+        "send_rate": 4000.0,
+        "send_burst": 64,
+        "sequence_batch_interval": 0.002,
+        "heartbeat_interval": 0.200,
+        "suspect_after": 2.0,
+        "view_retransmit": 0.100,
+        "max_packet": 1400,
+        "state_retry": 0.250,
+    }
+
     def test_encoding_keys_are_fixed(self):
         data = ScenarioConfig().to_dict()
         assert tuple(data) == self.STORED_KEYS
         assert data["profiles"] is None
+
+    def test_gcs_encoding_is_fixed(self):
+        assert json.dumps(GcsConfig().to_dict()) == json.dumps(self.GCS_STORED)
+
+    def test_stored_calibration_is_what_ran(self):
+        """The calibration a stored config records is the one its
+        scenario was built with, at every site."""
+        scenario = Scenario(ScenarioConfig(sites=3, clients=30))
+        data = scenario.config.to_dict()
+        network = scenario.network
+        assert (data["net_bandwidth_bps"], data["net_link_latency"]) == (
+            network.default_bandwidth_bps,
+            network.default_link_latency,
+        )
+        gcs = scenario.config.gcs.to_dict()
+        assert len(scenario.sites) == 3
+        for site in scenario.sites:
+            storage = site.storage
+            assert (
+                data["storage_sector_latency"],
+                data["storage_concurrency"],
+                data["storage_cache_hit_ratio"],
+            ) == (storage.sector_latency, storage.concurrency, storage.cache_hit_ratio)
+            bucket = site.gcs.reliable.bucket
+            assert (gcs["send_rate"], gcs["send_burst"]) == (bucket.rate, bucket.burst)
 
     @pytest.mark.parametrize("name", available_campaigns())
     def test_every_builtin_cell_round_trips_exactly(self, name):

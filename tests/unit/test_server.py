@@ -188,4 +188,24 @@ class TestCustomTermination:
         sim.run()
         assert done[0].status is TxStatus.ABORTED
         assert done[0].abort_reason == "certification"
-        assert done[0].certification_latency >= 0.0
+        assert server.metrics.records[0].certification_latency >= 0.0
+
+
+class TestRecord:
+    def test_certification_latency_is_recorded(self):
+        """The record carries the time from certification submission to
+        outcome, and 0.0 for a transaction without an outcome."""
+        sim, server = build_server()
+        tx = Transaction(update_spec(), "site0")
+        tx.submit_time = 1.0
+        tx.end_time = 1.5
+        server._record(tx, "abort", None)
+        tx.certify_submit_time = 1.1
+        server._record(tx, "abort", None)
+        tx.certify_end_time = 1.3
+        server._record(tx, "commit", None)
+        assert [r.certification_latency for r in server.metrics.records] == [
+            0.0,
+            0.0,
+            pytest.approx(0.2),
+        ]

@@ -97,12 +97,8 @@ class TestTransaction:
         assert tx.start_seq == -1
         assert not tx.remote
 
-    def test_latency_and_certification_latency(self):
+    def test_latency(self):
         tx = Transaction(spec(), "site0")
         tx.submit_time = 1.0
         tx.end_time = 1.5
         assert tx.latency == pytest.approx(0.5)
-        assert tx.certification_latency == 0.0
-        tx.certify_submit_time = 1.1
-        tx.certify_end_time = 1.3
-        assert tx.certification_latency == pytest.approx(0.2)
