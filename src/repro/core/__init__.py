@@ -51,11 +51,7 @@ from .metrics import (
     quantiles,
 )
 from .regression import Regression, RegressionSuite, ScenarioBaseline
-from .runtime_api import (
-    NativeProtocolRuntime,
-    ProtocolRuntime,
-    SimulatedProtocolRuntime,
-)
+from .runtime_api import NativeProtocolRuntime, ProtocolRuntime
 from .safety import CommitLog, SafetyViolation, check_consistency
 
 __all__ = [
@@ -97,7 +93,6 @@ __all__ = [
     "quantiles",
     "NativeProtocolRuntime",
     "ProtocolRuntime",
-    "SimulatedProtocolRuntime",
     "CommitLog",
     "SafetyViolation",
     "check_consistency",

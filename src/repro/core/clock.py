@@ -39,7 +39,8 @@ class CpuCostModel:
     #: Tag for marshaling a protocol payload into a multicast.
     MARSHAL = "marshal"
     #: Tag for jobs whose cost is charged entirely inside the job body
-    #: (e.g. benchmark drivers calling rt_send, which charges SEND).
+    #: (e.g. benchmark drivers calling ``SiteRuntime.send``, which
+    #: charges SEND).
     NOOP = "noop"
 
     #: ``tag -> (fixed seconds, seconds per byte)``.

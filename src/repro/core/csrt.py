@@ -5,12 +5,19 @@ the discrete-event simulation.  Its duration is read from the running
 job's clock and charged to a simulated CPU, so real jobs compete with
 modeled transaction-processing jobs for the same processor.
 
+:class:`SiteRuntime` is the simulated implementation of
+:class:`~repro.core.runtime_api.ProtocolRuntime`: the group
+communication stack and the replication protocols call its ``now``,
+``schedule``, ``send`` and ``charge``.  It takes the site's socket, sends
+through it and installs its own :meth:`SiteRuntime.deliver` as the
+socket's receiver.
+
 **The life of a real job.**  Every datagram and every protocol timer is
 one.  There is one representation — ``(fn, args, entry_cost,
 on_complete)`` — and one runner, :meth:`SiteRuntime._run`:
 
 * *arrival* — :meth:`SiteRuntime.deliver` (a datagram that passed the
-  crash and loss checks), an expiring :meth:`SiteRuntime.rt_schedule`
+  crash and loss checks), an expiring :meth:`SiteRuntime.schedule`
   timer or :meth:`SiteRuntime.submit_real` prices the entry cost and
   hands ``_run, (fn, args, entry_cost)`` to the site's CPU — in one
   call, no closure, and no per-job object even when it has to queue;
@@ -24,7 +31,7 @@ on_complete)`` — and one runner, :meth:`SiteRuntime._run`:
 modes: the seconds the running job has used so far (Δ1 in Figure 1(b)),
 and whether it is running or has re-entered the runtime.  Under
 ``MODELED`` those seconds are the entry cost plus the job's
-:meth:`SiteRuntime.rt_charge` calls — the four send/receive parameters
+:meth:`SiteRuntime.charge` calls — the four send/receive parameters
 the paper calibrates in §4.1, priced by
 :class:`~repro.core.clock.CpuCostModel`.  Under ``MEASURED`` they are the
 job's closed ``perf_counter_ns`` segments × ``cpu_scale`` (the paper's
@@ -43,7 +50,7 @@ as the paper prescribes:
   job.  It runs again on return.
 
 **A protocol timer** is a kernel :class:`~repro.core.kernel.Event`:
-:meth:`SiteRuntime.rt_schedule` returns the event itself, so a
+:meth:`SiteRuntime.schedule` returns the event itself, so a
 cancelled timer is skipped by the kernel's lazy deletion like any other
 cancelled event — it never runs and never counts as executed.  One that
 expires on a live site becomes a real job at the ``TIMER`` price.
@@ -56,14 +63,17 @@ Crash is the runtime's own state.
 
 from __future__ import annotations
 
+import random
 from time import perf_counter_ns
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from .clock import CpuCostModel
 from .cpu import CpuPool
 from .kernel import Entity, Event, Simulator
+from .runtime_api import ProtocolRuntime
 
 if TYPE_CHECKING:
+    from ..net.udp import UdpSocket
     from .faults import FaultInjector
 
 __all__ = ["SiteRuntime", "MEASURED", "MODELED"]
@@ -81,19 +91,22 @@ _cost = CpuCostModel.cost
 _TIMER_COST = _cost(CpuCostModel.TIMER)
 
 
-class SiteRuntime(Entity):
+class SiteRuntime(Entity, ProtocolRuntime):
     """Centralized simulation runtime scoped to one database site.
 
-    Owns the site's clock-mode configuration and the running job's
-    clock, and mediates every interaction between the real protocol code
-    on this site and the simulation: job execution, timers, and the
-    simulated network.
+    Owns the site's clock-mode configuration, the running job's clock
+    and the protocol RNG (seeded with ``seed``), and mediates every
+    interaction between the real protocol code on this site and the
+    simulation: job execution, timers, and the simulated network through
+    ``socket``.
     """
 
     def __init__(
         self,
         sim: Simulator,
         cpus: CpuPool,
+        socket: UdpSocket,
+        seed: int = 0,
         mode: str = MODELED,
         cpu_scale: float = 1.0,
         interceptor: Optional[FaultInjector] = None,
@@ -126,11 +139,14 @@ class SiteRuntime(Entity):
         self._clock: Optional[str] = None
         self._spent = 0.0
         self._opened = 0
-        #: Hook installed by the network bridge: ``fn(dest, payload)``
-        #: injects a datagram into the simulated stack *now*.
-        self.network_send: Optional[Callable[[Any, bytes], None]] = None
+        #: The socket's ``send`` (injects a datagram into the simulated
+        #: stack *now*) and address.
+        self._transmit = socket.send
+        self._address = socket.address
+        socket.set_receiver(self.deliver)
         #: Handler installed by protocol code for incoming datagrams.
-        self.receiver: Optional[Callable[[Any, bytes], None]] = None
+        self._receiver: Optional[Callable[[Any, bytes], None]] = None
+        self._rng = random.Random(seed)
         #: Counters surfaced in experiment reports.
         self.stats = {
             "real_jobs": 0,
@@ -189,9 +205,9 @@ class SiteRuntime(Entity):
         return elapsed
 
     # ------------------------------------------------------------------
-    # services callable *by running real code*
+    # ProtocolRuntime: services callable *by running real code*
     # ------------------------------------------------------------------
-    def rt_now(self) -> float:
+    def now(self) -> float:
         """Simulated time as seen by real code: kernel time plus the real
         time its job has consumed so far (Figure 1(b))."""
         if self._clock is MEASURED:
@@ -199,7 +215,7 @@ class SiteRuntime(Entity):
             return self.sim._now + self._spent + open_ns * self._ns_scale
         return self.sim._now + self._spent
 
-    def rt_charge(self, seconds: float) -> None:
+    def charge(self, seconds: float) -> None:
         """Explicit work declaration from protocol hot loops.  Only a
         running MODELED job accounts it: a MEASURED job's work is
         measured, and a charge between jobs or from inside the runtime
@@ -209,7 +225,7 @@ class SiteRuntime(Entity):
                 raise ValueError("cannot charge negative time")
             self._spent += seconds
 
-    def rt_schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> Event:
+    def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> Event:
         """Schedule a future real-code callback with the Δ1 correction;
         the returned kernel event cancels it.
 
@@ -238,8 +254,8 @@ class SiteRuntime(Entity):
         if not self.crashed:
             self._submit(self._run, (fn, args, _TIMER_COST))
 
-    def rt_send(self, dest: Any, payload: bytes) -> None:
-        """Hand a datagram to the simulated network.
+    def send(self, dest: Any, payload: bytes) -> None:
+        """Hand a datagram to the simulated network through the socket.
 
         The send CPU overhead (fixed + per byte) is charged to the running
         job; the datagram leaves the host once the work done so far (Δ1,
@@ -247,8 +263,6 @@ class SiteRuntime(Entity):
         """
         if self.crashed:
             return
-        if self.network_send is None:
-            raise RuntimeError(f"{self.name}: no network bridge installed")
         clock = self._clock
         if clock is MODELED:
             self._spent += _cost(CpuCostModel.SEND, len(payload))
@@ -259,13 +273,22 @@ class SiteRuntime(Entity):
             self.stats["datagrams_out"] += 1
             delta1 = self._spent
             if delta1 > 0:
-                self.sim.call(delta1, self.network_send, dest, payload)
+                self.sim.call(delta1, self._transmit, dest, payload)
             else:
-                self.network_send(dest, payload)
+                self._transmit(dest, payload)
         finally:
             self._clock = clock
             if clock is MEASURED:
                 self._opened = perf_counter_ns()
+
+    def set_receiver(self, handler: Callable[[Any, bytes], None]) -> None:
+        self._receiver = handler
+
+    def local_address(self) -> Any:
+        return self._address
+
+    def rng(self) -> random.Random:
+        return self._rng
 
     # ------------------------------------------------------------------
     # network → real code
@@ -282,7 +305,7 @@ class SiteRuntime(Entity):
         if interceptor is not None and interceptor.drop_incoming(source, payload):
             self.stats["drops_injected"] += 1
             return
-        handler = self.receiver
+        handler = self._receiver
         if handler is None:
             return
         self.stats["datagrams_in"] += 1

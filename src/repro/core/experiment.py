@@ -50,7 +50,6 @@ from .faults import FaultInjector, FaultPlan
 from .kernel import Simulator
 from .metrics import MetricsCollector, ResourceSampler, SampleSeries
 from .rng import derive_rng, derive_seed
-from .runtime_api import SimulatedProtocolRuntime
 from .safety import CommitLog, check_consistency
 
 __all__ = ["ScenarioConfig", "Scenario", "ScenarioResult", "Site"]
@@ -512,17 +511,14 @@ class Scenario:
         runtime = SiteRuntime(
             self.sim,
             site.cpus,
+            socket,
+            seed=derive_seed(config.seed, "protocol", index),
             mode=config.clock_mode,
             interceptor=injector,
             name=f"site{index}.csrt",
         )
-        runtime.network_send = socket.send
-        socket.set_receiver(runtime.deliver)
-        protocol_runtime = SimulatedProtocolRuntime(
-            runtime, members[index], seed=derive_seed(config.seed, "protocol", index)
-        )
         gcs = GroupCommunication(
-            protocol_runtime,
+            runtime,
             index,
             members,
             group_address,
@@ -535,7 +531,6 @@ class Scenario:
                 site_id=index,
                 server=site.server,
                 gcs=gcs,
-                runtime=runtime,
                 config=config,
                 group=self._protocol_group,
             ),

@@ -5,9 +5,9 @@ against this narrow, single-threaded interface providing job scheduling,
 clock access and a simplified datagram network.  The interface is
 implemented twice, exactly as in the paper:
 
-* :class:`SimulatedProtocolRuntime` — a bridge to the centralized
-  simulation runtime (:class:`repro.core.csrt.SiteRuntime`) and the
-  simulated network, used for all experiments;
+* :class:`repro.core.csrt.SiteRuntime` — the centralized simulation
+  runtime itself, sending through its site's simulated socket, used for
+  all experiments;
 * :class:`NativeProtocolRuntime` — a bridge to the native platform
   (``threading.Timer`` for scheduling, ``time`` for the clock and
   ``socket`` datagrams), the analogue of the paper's ``java.util.Timer`` /
@@ -27,11 +27,8 @@ import threading
 import time
 from typing import Any, Callable, List, Optional, Tuple
 
-from .csrt import SiteRuntime
-
 __all__ = [
     "ProtocolRuntime",
-    "SimulatedProtocolRuntime",
     "NativeProtocolRuntime",
 ]
 
@@ -51,8 +48,11 @@ class ProtocolRuntime:
         raise NotImplementedError
 
     def send(self, dest: Any, payload: bytes) -> None:
-        """Send a datagram to ``dest`` (an address or list of addresses —
-        a list models an IP-multicast group send)."""
+        """Send a datagram to ``dest``.  The simulated fabric takes an
+        :class:`~repro.net.address.Endpoint` or a
+        :class:`~repro.net.address.GroupAddress` (a multicast group
+        send); the native runtime takes an address or a list of
+        addresses, which it fans out as one unicast each."""
         raise NotImplementedError
 
     def set_receiver(self, handler: ReceiveHandler) -> None:
@@ -69,34 +69,6 @@ class ProtocolRuntime:
     def rng(self) -> random.Random:
         """Deterministically seeded randomness for protocol decisions."""
         raise NotImplementedError
-
-
-class SimulatedProtocolRuntime(ProtocolRuntime):
-    """Bridge to the CSRT and the simulated network stack.
-
-    The clock, timer, send and charge services *are* the site runtime's
-    bound methods — a forwarding frame per call would be the whole
-    bridge — and the receive handler is installed on the site runtime
-    itself, which runs it as a real job per datagram.
-    """
-
-    def __init__(self, site_runtime: SiteRuntime, address: Any, seed: int = 0):
-        self._rt = site_runtime
-        self._address = address
-        self._rng = random.Random(seed)
-        self.now = site_runtime.rt_now
-        self.schedule = site_runtime.rt_schedule
-        self.send = site_runtime.rt_send
-        self.charge = site_runtime.rt_charge
-
-    def set_receiver(self, handler: ReceiveHandler) -> None:
-        self._rt.receiver = handler
-
-    def local_address(self) -> Any:
-        return self._address
-
-    def rng(self) -> random.Random:
-        return self._rng
 
 
 class NativeProtocolRuntime(ProtocolRuntime):

@@ -121,15 +121,13 @@ def csrt_send_bandwidth_bps(size: int, duration: float = 0.25) -> float:
     net = Network(sim, default_bandwidth_bps=10e9, default_link_latency=10e-6)
     sender = net.add_host("sender")
     net.add_host("sink")
-    sock = UdpSocket(sender, 1)
-    runtime = SiteRuntime(sim, CpuPool(sim, 1))
-    runtime.network_send = sock.send
+    runtime = SiteRuntime(sim, CpuPool(sim, 1), UdpSocket(sender, 1))
     payload = bytes(size)
     dest = Endpoint("sink", 1)
     sent = {"bytes": 0}
 
     def send_one() -> None:
-        runtime.rt_send(dest, payload)
+        runtime.send(dest, payload)
         sent["bytes"] += size
 
     def chain() -> None:
@@ -149,10 +147,8 @@ def csrt_recv_bandwidth_bps(size: int, duration: float = 0.25) -> float:
     net = Network(sim, default_link_latency=50e-6)
     sender_host = net.add_host("sender")
     sink_host = net.add_host("sink")
-    out_sock = UdpSocket(sender_host, 1)
     in_sock = UdpSocket(sink_host, 1)
-    runtime = SiteRuntime(sim, CpuPool(sim, 1))
-    runtime.network_send = out_sock.send
+    runtime = SiteRuntime(sim, CpuPool(sim, 1), UdpSocket(sender_host, 1))
     received = {"bytes": 0, "first": None, "last": 0.0}
 
     def on_receive(source, payload_in: bytes) -> None:
@@ -166,7 +162,7 @@ def csrt_recv_bandwidth_bps(size: int, duration: float = 0.25) -> float:
     dest = Endpoint("sink", 1)
 
     def send_one() -> None:
-        runtime.rt_send(dest, payload)
+        runtime.send(dest, payload)
 
     def chain() -> None:
         if sim.now >= duration:
@@ -196,26 +192,20 @@ def csrt_round_trip(
     observed divergence beyond ~1000 bytes."""
     sim = Simulator()
     net = Network(sim, default_link_latency=50e-6, enforce_mtu=enforce_mtu)
-    a_host = net.add_host("a")
-    b_host = net.add_host("b")
-    a_sock = UdpSocket(a_host, 1)
-    b_sock = UdpSocket(b_host, 1)
-    a_rt = SiteRuntime(sim, CpuPool(sim, 1), name="a.rt")
-    b_rt = SiteRuntime(sim, CpuPool(sim, 1), name="b.rt")
-    a_rt.network_send = a_sock.send
-    b_rt.network_send = b_sock.send
-    a_sock.set_receiver(a_rt.deliver)
-    b_sock.set_receiver(b_rt.deliver)
+    a_sock = UdpSocket(net.add_host("a"), 1)
+    b_sock = UdpSocket(net.add_host("b"), 1)
+    a_rt = SiteRuntime(sim, CpuPool(sim, 1), a_sock, name="a.rt")
+    b_rt = SiteRuntime(sim, CpuPool(sim, 1), b_sock, name="b.rt")
     payload = bytes(size)
     times: List[float] = []
     state = {"sent_at": 0.0, "count": 0}
 
     def a_send() -> None:
         state["sent_at"] = sim.now
-        a_rt.rt_send(Endpoint("b", 1), payload)
+        a_rt.send(Endpoint("b", 1), payload)
 
     def b_receive(source, data) -> None:
-        b_rt.rt_send(Endpoint("a", 1), data)
+        b_rt.send(Endpoint("a", 1), data)
 
     def a_receive(source, data) -> None:
         times.append(sim.now - state["sent_at"])
@@ -223,8 +213,8 @@ def csrt_round_trip(
         if state["count"] < rounds:
             a_rt.submit_real(a_send, tag=CpuCostModel.NOOP)
 
-    b_rt.receiver = b_receive
-    a_rt.receiver = a_receive
+    b_rt.set_receiver(b_receive)
+    a_rt.set_receiver(a_receive)
     a_rt.submit_real(a_send, tag=CpuCostModel.NOOP)
     sim.run(until=60.0)
     if len(times) < rounds:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from ..core.csrt import SiteRuntime
 from ..core.kernel import Signal
 from ..db.server import DatabaseServer
 from ..db.transactions import Transaction
@@ -78,10 +77,9 @@ class Replica(ReplicationProtocol):
         site_id: int,
         server: DatabaseServer,
         gcs: GroupCommunication,
-        site_runtime: SiteRuntime,
     ):
-        super().__init__(site_id, server, gcs, site_runtime)
-        self.certifier = Certifier(charge=site_runtime.rt_charge)
+        super().__init__(site_id, server, gcs)
+        self.certifier = Certifier(charge=gcs.runtime.charge)
         self.stats = {
             "submitted": 0,
             "certified_local": 0,

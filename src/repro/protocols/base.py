@@ -88,9 +88,9 @@ class ReplicationProtocol(TerminationProtocol):
     live: bool = True
     #: The site's database server.
     server: DatabaseServer
-    #: The site's :class:`~repro.gcs.stack.GroupCommunication` and
-    #: :class:`~repro.core.csrt.SiteRuntime` (typed loosely to keep this
-    #: module import-light).
+    #: The site's :class:`~repro.gcs.stack.GroupCommunication` and its
+    #: runtime, the :class:`~repro.core.csrt.SiteRuntime` (typed loosely
+    #: to keep this module import-light).
     gcs: Any
     runtime: Any
     #: The site's :class:`~repro.monitors.base.SiteProbe` when runtime
@@ -101,13 +101,11 @@ class ReplicationProtocol(TerminationProtocol):
     #: protocol is covered without writing any monitor code.
     monitor: Any = None
 
-    def __init__(
-        self, site_id: int, server: DatabaseServer, gcs: Any, site_runtime: Any
-    ):
+    def __init__(self, site_id: int, server: DatabaseServer, gcs: Any):
         self.site_id = site_id
         self.server = server
         self.gcs = gcs
-        self.runtime = site_runtime
+        self.runtime = gcs.runtime
         self.commit_log = CommitLog(site=server.name)
         self.crashed = False
         self._watermark = WatermarkTracker()
@@ -191,7 +189,7 @@ class ReplicationProtocol(TerminationProtocol):
         value = _COMMIT if committed else _ABORT
         # Fire through the runtime so the wake-up lands after the CPU
         # time consumed so far by this delivery job (Figure 1(b)).
-        self.runtime.rt_schedule(0.0, outcome_signal.fire, value)
+        self.runtime.schedule(0.0, outcome_signal.fire, value)
         return True
 
     def _apply_remote(self, request: CommitRequest, commit_seq: int) -> None:
@@ -200,8 +198,8 @@ class ReplicationProtocol(TerminationProtocol):
         spec = request.remote_spec(REMOTE_APPLY_CPU_FACTOR)
         tx = Transaction(spec, self.server.name, remote=True)
         tx.global_seq = commit_seq
-        tx.submit_time = self.runtime.rt_now()
-        self.runtime.rt_schedule(0.0, self.server.apply_remote, tx)
+        tx.submit_time = self.runtime.now()
+        self.runtime.schedule(0.0, self.server.apply_remote, tx)
 
     def _on_applied(self, tx: Transaction, global_seq: int) -> None:
         if global_seq > 0:
@@ -305,17 +303,16 @@ class ProtocolGroup:
 class ProtocolContext:
     """Everything a protocol builder may wire against for one site.
 
-    ``gcs``/``runtime``/``config`` are typed loosely to keep this module
+    ``gcs``/``config`` are typed loosely to keep this module
     import-light; they are the site's
-    :class:`~repro.gcs.stack.GroupCommunication`,
-    :class:`~repro.core.csrt.SiteRuntime` and the run's
+    :class:`~repro.gcs.stack.GroupCommunication` (whose ``runtime`` is
+    the site's :class:`~repro.core.csrt.SiteRuntime`) and the run's
     :class:`~repro.core.experiment.ScenarioConfig`.
     """
 
     site_id: int
     server: DatabaseServer
     gcs: Any
-    runtime: Any
     config: Any
     group: ProtocolGroup
 

@@ -14,4 +14,4 @@ from .base import ProtocolContext
 
 
 def build(ctx: ProtocolContext) -> Replica:
-    return Replica(ctx.site_id, ctx.server, ctx.gcs, ctx.runtime)
+    return Replica(ctx.site_id, ctx.server, ctx.gcs)

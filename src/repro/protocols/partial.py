@@ -44,7 +44,6 @@ from __future__ import annotations
 import struct
 from typing import Dict, List, Optional, Tuple
 
-from ..core.csrt import SiteRuntime
 from ..core.kernel import Signal
 from ..db.server import DatabaseServer
 from ..db.transactions import Outcome, Transaction
@@ -90,11 +89,10 @@ class PartialReplica(ReplicationProtocol):
         site_id: int,
         server: DatabaseServer,
         gcs: GroupCommunication,
-        site_runtime: SiteRuntime,
         group: ProtocolGroup,
         config,
     ):
-        super().__init__(site_id, server, gcs, site_runtime)
+        super().__init__(site_id, server, gcs)
         self.group = group
         self.sites = config.sites
         self.fragments = config.fragments
@@ -109,7 +107,7 @@ class PartialReplica(ReplicationProtocol):
             f: sites_of_fragment(f, self.sites, self.fragments)
             for f in range(self.fragments)
         }
-        self.certifier = Certifier(charge=site_runtime.rt_charge)
+        self.certifier = Certifier(charge=gcs.runtime.charge)
         self._view_members: Tuple[int, ...] = tuple(gcs.members)
         #: Reservations: tx_id -> (request, vote) for every cross
         #: transaction delivered in this group and not yet decided, in
@@ -347,7 +345,7 @@ class PartialReplica(ReplicationProtocol):
             pending = self._pending.pop(tx_id, None)
             if pending is not None:
                 _tx, outcome_signal = pending
-                self.runtime.rt_schedule(
+                self.runtime.schedule(
                     0.0,
                     outcome_signal.fire,
                     _COMMIT if commit else _ABORT,
@@ -390,7 +388,7 @@ class PartialReplica(ReplicationProtocol):
                 conflict = True
                 break
         if visited:
-            self.runtime.rt_charge(visited * PER_ITEM_COST)
+            self.runtime.charge(visited * PER_ITEM_COST)
         return conflict
 
     def protocol_stats(self) -> Dict[str, int]:
@@ -402,7 +400,6 @@ def build(ctx: ProtocolContext) -> PartialReplica:
         ctx.site_id,
         ctx.server,
         ctx.gcs,
-        ctx.runtime,
         ctx.group,
         ctx.config,
     )

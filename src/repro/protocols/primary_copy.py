@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from ..core.csrt import SiteRuntime
 from ..core.kernel import Signal
 from ..db.server import DatabaseServer
 from ..db.transactions import Transaction, TransactionSpec
@@ -73,11 +72,10 @@ class PrimaryCopyReplica(ReplicationProtocol):
         site_id: int,
         server: DatabaseServer,
         gcs: GroupCommunication,
-        site_runtime: SiteRuntime,
         group: ProtocolGroup,
         link_latency: float = 0.0,
     ):
-        super().__init__(site_id, server, gcs, site_runtime)
+        super().__init__(site_id, server, gcs)
         self.group = group
         #: One-way client<->primary network latency charged per routed
         #: request and per reply (the JDBC hop a middleware router adds).
@@ -293,7 +291,6 @@ def build(ctx: ProtocolContext) -> PrimaryCopyReplica:
         ctx.site_id,
         ctx.server,
         ctx.gcs,
-        ctx.runtime,
         ctx.group,
         link_latency=LAN_LINK_LATENCY,
     )

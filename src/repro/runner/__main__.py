@@ -235,6 +235,17 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.runner",
@@ -252,7 +263,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_spec_arguments(run_p)
     run_p.add_argument(
-        "--workers", type=int, default=None, help="default: REPRO_WORKERS or 1"
+        "--workers",
+        type=_positive_int,
+        default=None,
+        help="worker processes, at least 1 (default: REPRO_WORKERS or 1)",
     )
     run_p.add_argument(
         "--artifact-dir",

@@ -40,7 +40,10 @@ __all__ = [
     "CLIENTS_PER_WAREHOUSE",
     "SETTLED_ROW_BASE",
     "NOHEAD_ROW_BASE",
+    "WAREHOUSE_BASE",
+    "CUSTOMER_BASE",
     "STOCK_BASE",
+    "NOHEAD_BASE",
     "warehouse_of_tuple",
     "warehouses_of_tuples",
     "warehouses_for_clients",
@@ -102,11 +105,20 @@ SETTLED_ROW_BASE = 1 << 40
 NOHEAD_ROW_BASE = 1 << 39
 
 
-#: Identifier of stock key (0, 0).  :meth:`TpccLayout.stock` is linear
-#: in its key, so ``STOCK_BASE + w * STOCK_PER_WAREHOUSE + item`` is what
-#: it returns for an in-range key — the transaction generator, which
-#: needs ten of them per neworder, adds in-range offsets directly.
+#: Identifiers of key 0 of the keyed tables the transaction generator
+#: writes by the dozen.  :class:`TpccLayout`'s constructors are linear in
+#: their keys, so for an in-range key ``WAREHOUSE_BASE + w`` is
+#: ``warehouse(w)``, ``CUSTOMER_BASE + (w * 10 + d) * 3000 + c`` is
+#: ``customer(w, d, c)`` and ``STOCK_BASE + w * STOCK_PER_WAREHOUSE +
+#: item`` is ``stock(w, item)``.  The generator, whose keys are in range
+#: by construction, adds offsets directly and validates its home
+#: warehouse once per transaction.
+WAREHOUSE_BASE = make_tuple_id(WAREHOUSE.table_id, 1)
+CUSTOMER_BASE = make_tuple_id(CUSTOMER.table_id, 1)
 STOCK_BASE = make_tuple_id(STOCK.table_id, 1)
+#: Identifier of the delivery queue head of (0, 0): that of
+#: (warehouse, district) is ``NOHEAD_BASE + w * 10 + d``.
+NOHEAD_BASE = make_tuple_id(NEWORDER.table_id, NOHEAD_ROW_BASE + 1)
 
 
 class TpccLayout:
@@ -129,18 +141,18 @@ class TpccLayout:
 
     # -- keyed rows -----------------------------------------------------
     def warehouse(self, w: int) -> int:
-        self._check_wh(w)
+        self.check_warehouse(w)
         return make_tuple_id(WAREHOUSE.table_id, w + 1)
 
     def district(self, w: int, d: int) -> int:
-        self._check_wh(w)
+        self.check_warehouse(w)
         self._check_district(d)
         return make_tuple_id(
             DISTRICT.table_id, w * DISTRICTS_PER_WAREHOUSE + d + 1
         )
 
     def customer(self, w: int, d: int, c: int) -> int:
-        self._check_wh(w)
+        self.check_warehouse(w)
         self._check_district(d)
         if not 0 <= c < CUSTOMERS_PER_DISTRICT:
             raise ValueError(f"customer {c} out of range")
@@ -148,7 +160,7 @@ class TpccLayout:
         return make_tuple_id(CUSTOMER.table_id, row)
 
     def stock(self, w: int, item: int) -> int:
-        self._check_wh(w)
+        self.check_warehouse(w)
         if not 0 <= item < ITEM_COUNT:
             raise ValueError(f"item {item} out of range")
         return make_tuple_id(STOCK.table_id, w * STOCK_PER_WAREHOUSE + item + 1)
@@ -188,8 +200,8 @@ class TpccLayout:
         )
         return self.warehouses * per_warehouse + ITEM_COUNT
 
-    # -- internals ---------------------------------------------------------
-    def _check_wh(self, w: int) -> None:
+    # -- validation ------------------------------------------------------
+    def check_warehouse(self, w: int) -> None:
         if not 0 <= w < self.warehouses:
             raise ValueError(f"warehouse {w} out of range")
 

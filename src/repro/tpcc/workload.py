@@ -32,7 +32,7 @@ import random
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..db.transactions import Operation, OpKind, TransactionSpec
-from ..db.tuples import make_tuple_id, table_lock_id
+from ..db.tuples import table_lock_id
 from . import schema
 from .profiles import default_profiles
 
@@ -63,18 +63,18 @@ REMOTE_SUPPLY_PROB = 0.01
 #: schema module so the placement layer can invert them back to a
 #: warehouse (see :func:`repro.tpcc.schema.warehouse_of_tuple`).
 _SETTLED_BASE = schema.SETTLED_ROW_BASE
-_NOHEAD_BASE = schema.NOHEAD_ROW_BASE
 
-#: Row 0 of the order tables: ``base + row`` is the tuple id.  The
-#: builders below validate their (warehouse, district) through
-#: ``TpccLayout`` and compute the ids they need by the dozen — stock,
-#: fresh and settled order rows — by addition, for keys in range by
-#: construction (``_distinct_items``, ``_other_warehouse``,
-#: ``fresh_rows``); tests/property/test_prop_workload.py holds the sums
-#: equal to what the validating constructors return.
-_NEWORDER, _ORDER, _ORDERLINE = (
+#: Row 0 of the insert tables: ``base + row`` is the tuple id.  Each
+#: builder below validates its home warehouse (and district) once,
+#: through ``TpccLayout``, and computes every other id by addition onto
+#: a per-table base — warehouse, customer, stock, queue-head, fresh and
+#: settled order rows — for keys in range by construction (``_below``,
+#: ``_distinct_items``, ``_other_warehouse``, ``fresh_rows``);
+#: tests/property/test_prop_workload.py holds the sums equal to what
+#: the validating constructors return.
+_HISTORY, _NEWORDER, _ORDER, _ORDERLINE = (
     table_lock_id(table.table_id)
-    for table in (schema.NEWORDER, schema.ORDER, schema.ORDERLINE)
+    for table in (schema.HISTORY, schema.NEWORDER, schema.ORDER, schema.ORDERLINE)
 )
 _DPW = schema.DISTRICTS_PER_WAREHOUSE
 _CPD = schema.CUSTOMERS_PER_DISTRICT
@@ -222,16 +222,17 @@ class TpccWorkload:
             cd = _below(rng.getrandbits, _DPW)
         else:
             cw, cd = w, d
-        customer = layout.customer(cw, cd, _below(rng.getrandbits, _CPD))
+        customer = schema.CUSTOMER_BASE + (cw * _DPW + cd) * _CPD
+        customer += _below(rng.getrandbits, _CPD)
         # All three rows are read FOR UPDATE, so they are certified;
         # ``sizes`` is the read set until the history insert joins it.
         sizes = {
-            layout.warehouse(w): schema.WAREHOUSE.row_bytes,  # W_YTD hotspot (§5.2)
+            schema.WAREHOUSE_BASE + w: schema.WAREHOUSE.row_bytes,  # W_YTD (§5.2)
             layout.district(w, d): schema.DISTRICT.row_bytes,
             customer: schema.CUSTOMER.row_bytes,
         }
         read_set = self._finalize_reads(sizes)
-        sizes[layout.fresh_row(schema.HISTORY)] = schema.HISTORY.row_bytes
+        sizes[_HISTORY + layout.fresh_rows(1)[0]] = schema.HISTORY.row_bytes
         cpu = self.profiles.sample_cpu(tx_class, rng)
         customer_bytes = schema.CUSTOMER.row_bytes * (3 if by_name else 1)
         ops = self._ops(
@@ -283,12 +284,16 @@ class TpccWorkload:
         # One oldest new-order per district: read + rewrite the queue
         # head, deliver the order, update the customer balance.  Every
         # row is read FOR UPDATE and written: one set serves as both.
+        self.layout.check_warehouse(w)
         sizes: Dict[int, int] = {}
-        for d in range(_DPW):
-            settled = _SETTLED_BASE + ((w * _DPW + d) << 16)  # + slot: settled row
-            sizes[self._nohead(w, d)] = schema.NEWORDER.row_bytes
+        for wd in range(w * _DPW, (w + 1) * _DPW):  # w * 10 + d
+            settled = _SETTLED_BASE + (wd << 16)  # + slot: settled row
+            # The new-order queue head: every delivery on the warehouse
+            # reads and rewrites all ten, making warehouse-level delivery
+            # the self-conflicting class the paper observes.
+            sizes[schema.NOHEAD_BASE + wd] = schema.NEWORDER.row_bytes
             sizes[_ORDER + settled + _below(getrandbits, 64)] = schema.ORDER.row_bytes
-            customer = self.layout.customer(w, d, _below(getrandbits, _CPD))
+            customer = schema.CUSTOMER_BASE + wd * _CPD + _below(getrandbits, _CPD)
             sizes[customer] = schema.CUSTOMER.row_bytes
             lines = _ORDERLINE + settled
             for i in range(10):
@@ -387,11 +392,3 @@ class TpccWorkload:
             else:
                 final.update(items)
         return tuple(sorted(final))
-
-    def _nohead(self, w: int, d: int) -> int:
-        """The new-order queue-head pseudo-row of (warehouse, district):
-        every delivery on the warehouse reads and rewrites all ten of
-        these, making warehouse-level delivery the self-conflicting class
-        the paper observes."""
-        row = _NOHEAD_BASE + w * schema.DISTRICTS_PER_WAREHOUSE + d + 1
-        return make_tuple_id(schema.NEWORDER.table_id, row)

@@ -8,8 +8,13 @@ directory skips completed cells.
 """
 
 import json
+import sys
+from pathlib import Path
 
 import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from helpers import raising_run
 
 from repro.core.experiment import Scenario, ScenarioConfig
 from repro.core.faults import random_loss
@@ -120,6 +125,28 @@ class TestWorkerFailureIsolation:
         with pytest.raises(CampaignError) as excinfo:
             campaign.pairs()
         assert "poison" in str(excinfo.value)
+
+
+class TestWorkerInterrupts:
+    """An interrupt or exit raised inside one cell of a pool worker is
+    not the campaign's: the executor ships it back as the future's
+    exception, the cell is recorded as failed, and the rest run."""
+
+    GRID = [
+        (f"cell{i}", ScenarioConfig(sites=1, clients=10, transactions=60, seed=3 + i))
+        for i in range(3)
+    ]
+
+    @pytest.mark.parametrize("raised", [KeyboardInterrupt, SystemExit])
+    def test_interrupt_in_a_worker_fails_only_its_cell(self, monkeypatch, raised):
+        monkeypatch.setattr(Scenario, "run", raising_run(raised))
+        campaign = run_campaign(self.GRID, workers=2)  # returns normally
+        assert [c.status for c in campaign.cells] == ["ok", "failed", "ok"]
+        assert campaign.get("cell1").error == repr(raised("raised inside the cell"))
+        assert campaign.get("cell1").result is None
+        assert all(
+            c.source == "worker" for c in campaign.cells if c.label != "cell1"
+        )
 
 
 class TestResumability:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.db.tuples import make_tuple_id, row_of, table_of
 from repro.tpcc import schema
-from repro.tpcc.workload import TpccWorkload, _NOHEAD_BASE, _below, _distinct_items
+from repro.tpcc.workload import TpccWorkload, _below, _distinct_items
 
 seeds = st.integers(min_value=0, max_value=10_000)
 warehouse_counts = st.integers(min_value=1, max_value=8)
@@ -32,7 +32,10 @@ def make_workload(seed, warehouses, site_index=0, site_count=1):
 def is_insert(tuple_id: int) -> bool:
     """Fresh rows are below the settled/nohead namespaces and belong to
     insert tables (history, neworder, order, orderline)."""
-    return table_of(tuple_id) in (4, 5, 6, 7) and row_of(tuple_id) < _NOHEAD_BASE
+    return (
+        table_of(tuple_id) in (4, 5, 6, 7)
+        and row_of(tuple_id) < schema.NOHEAD_ROW_BASE
+    )
 
 
 @given(seeds, warehouse_counts)
@@ -149,9 +152,11 @@ def test_generated_ids_are_what_the_validating_constructors_build(
             elif row >= schema.SETTLED_ROW_BASE:
                 assert table in (schema.ORDER.table_id, schema.ORDERLINE.table_id)
                 assert make_tuple_id(table, row) == item and owner is not None
-            elif row >= _NOHEAD_BASE:
+            elif row >= schema.NOHEAD_ROW_BASE:
                 assert table == schema.NEWORDER.table_id
-                assert item == workload._nohead(*divmod(row - _NOHEAD_BASE - 1, dpw))
+                w, d = divmod(row - schema.NOHEAD_ROW_BASE - 1, dpw)
+                assert 0 <= w < warehouses and owner == w
+                assert item == make_tuple_id(table, schema.NOHEAD_ROW_BASE + w * dpw + d + 1)
             else:  # a fresh insert: striped by site, owned by no warehouse
                 assert is_insert(item) and owner is None
                 assert item in spec.write_set and item not in spec.read_set
@@ -160,6 +165,33 @@ def test_generated_ids_are_what_the_validating_constructors_build(
     assert sorted(row for _, row in fresh_rows) == [
         row_of(layout.fresh_row(schema.TABLES[table])) for table, _ in fresh_rows
     ]
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_each_base_plus_offset_is_the_validating_constructor(data):
+    """What the builders add onto a per-table base is, for every
+    in-range key, the id ``TpccLayout`` (or ``make_tuple_id``, for the
+    queue heads) returns after validating that key."""
+    warehouses = data.draw(st.integers(min_value=1, max_value=64))
+    layout = schema.TpccLayout(warehouses)
+    w = data.draw(st.integers(min_value=0, max_value=warehouses - 1))
+    d = data.draw(st.integers(0, schema.DISTRICTS_PER_WAREHOUSE - 1))
+    c = data.draw(st.integers(0, schema.CUSTOMERS_PER_DISTRICT - 1))
+    item = data.draw(st.integers(0, schema.ITEM_COUNT - 1))
+    wd = w * schema.DISTRICTS_PER_WAREHOUSE + d
+    assert schema.WAREHOUSE_BASE + w == layout.warehouse(w)
+    assert (
+        schema.CUSTOMER_BASE + wd * schema.CUSTOMERS_PER_DISTRICT + c
+        == layout.customer(w, d, c)
+    )
+    assert (
+        schema.STOCK_BASE + w * schema.STOCK_PER_WAREHOUSE + item
+        == layout.stock(w, item)
+    )
+    assert schema.NOHEAD_BASE + wd == make_tuple_id(
+        schema.NEWORDER.table_id, schema.NOHEAD_ROW_BASE + wd + 1
+    )
 
 
 draws = st.one_of(

@@ -437,13 +437,13 @@ HOOKS = ("drop_incoming", "transform_elapsed", "transform_delay")
 
 def hooks_entered(harness):
     """``{member: {hook: times entered}}`` over a run with traffic, plus
-    each member's ``rt_schedule`` calls under ``"rt_schedule"``."""
+    each member's ``schedule`` calls under ``"schedule"``."""
     codes = {getattr(FaultInjector, hook).__code__: hook for hook in HOOKS}
-    codes[SiteRuntime.rt_schedule.__code__] = "rt_schedule"
+    codes[SiteRuntime.schedule.__code__] = "schedule"
     member_of = {id(rt): i for i, rt in enumerate(harness.runtimes)}
     member_of.update({id(inj): i for i, inj in harness.injectors.items()})
     entered = {
-        i: dict.fromkeys((*HOOKS, "rt_schedule"), 0) for i in member_of.values()
+        i: dict.fromkeys((*HOOKS, "schedule"), 0) for i in member_of.values()
     }
 
     def note(frame):
@@ -476,10 +476,10 @@ def test_only_the_faulty_site_calls_its_hooks_once_per_crossing():
     assert entered[1] == {
         "drop_incoming": stats["datagrams_in"],  # every datagram that reached it
         "transform_elapsed": stats["real_jobs"],
-        "transform_delay": entered[1]["rt_schedule"],
-        "rt_schedule": entered[1]["rt_schedule"],
+        "transform_delay": entered[1]["schedule"],
+        "schedule": entered[1]["schedule"],
     }
-    assert entered[1]["rt_schedule"] > 10
+    assert entered[1]["schedule"] > 10
     assert all(entered[i][hook] == 0 for i in (0, 2) for hook in HOOKS)
 
 

@@ -114,6 +114,17 @@ class TestRun:
         assert code == 2
         assert "positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-2", "two"])
+    def test_workers_below_one_is_a_usage_error(self, workers, capsys):
+        """``--workers 0`` used to run sequentially without a word;
+        ``REPRO_WORKERS=0`` warns and clamps, the flag is refused."""
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "smoke", "--workers", workers, "--quiet"])
+        assert exc.value.code == 2
+        assert f"argument --workers: '{workers}' is not a positive integer" in (
+            capsys.readouterr().err
+        )
+
     def test_name_and_spec_are_mutually_exclusive(self, tmp_path, capsys):
         spec_file = tmp_path / "s.json"
         spec_file.write_text(json.dumps(get_campaign("fig7").to_dict()))

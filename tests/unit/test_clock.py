@@ -11,7 +11,7 @@ import repro
 from repro.core.clock import CpuCostModel
 
 #: Methods that hand a job tag to the cost model.
-_TAG_SINKS = ("submit_real", "rt_schedule", "cost")
+_TAG_SINKS = ("submit_real", "schedule", "cost")
 
 
 def _resolve(node):

@@ -1,8 +1,13 @@
 """Unit tests for the centralized simulation runtime (Figure 1 semantics)."""
 
+import sys
 import time
+from pathlib import Path
 
 import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from helpers import RecordingSocket
 
 from repro.core.clock import CpuCostModel
 from repro.core.cpu import CpuPool, REAL_JOB
@@ -15,11 +20,18 @@ from repro.core.kernel import Simulator
 ENTRY = CpuCostModel.cost(CpuCostModel.TIMER)
 
 
-def make_runtime(mode=MODELED, interceptor=None, cpu_scale=1.0):
+def make_runtime(mode=MODELED, interceptor=None, cpu_scale=1.0, on_send=None):
+    """A runtime over one CPU and a :class:`RecordingSocket` that passes
+    each datagram sent to ``on_send(dest, payload)``."""
     sim = Simulator()
     pool = CpuPool(sim, 1)
     runtime = SiteRuntime(
-        sim, pool, mode=mode, interceptor=interceptor, cpu_scale=cpu_scale
+        sim,
+        pool,
+        RecordingSocket(on_send=on_send),
+        mode=mode,
+        interceptor=interceptor,
+        cpu_scale=cpu_scale,
     )
     return sim, pool, runtime
 
@@ -37,7 +49,7 @@ def real_busy_time(pool):
 
 def inside_the_runtime(sim, work):
     """Make every kernel ``call`` and ``schedule`` run ``work()`` first:
-    code that real code reaches through ``rt_send`` / ``rt_schedule``.
+    code that real code reaches through ``send`` / ``schedule``.
     Returns the undo."""
     kernel = {"call": sim.call, "schedule": sim.schedule}
 
@@ -60,7 +72,7 @@ def inside_the_runtime(sim, work):
 class TestRealJobExecution:
     def test_modeled_job_charges_entry_cost_plus_explicit(self):
         sim, pool, runtime = make_runtime()
-        runtime.submit_real(lambda: runtime.rt_charge(1e-3), tag=CpuCostModel.TIMER)
+        runtime.submit_real(lambda: runtime.charge(1e-3), tag=CpuCostModel.TIMER)
         sim.run()
         expected = 1e-3 + ENTRY
         assert pool.cpus[0].busy_time[REAL_JOB] == pytest.approx(expected)
@@ -84,30 +96,30 @@ class TestRealJobExecution:
         fired = []
 
         def job():
-            runtime.rt_charge(2e-3)  # Δ1 = 2 ms (plus the 5 µs entry cost)
-            runtime.rt_schedule(5e-3, lambda: fired.append(sim.now))
+            runtime.charge(2e-3)  # Δ1 = 2 ms (plus the 5 µs entry cost)
+            runtime.schedule(5e-3, lambda: fired.append(sim.now))
 
         runtime.submit_real(job)
         sim.run()
         assert fired[0] >= 2e-3 + 5e-3 + ENTRY - 1e-12
 
-    def test_rt_now_includes_elapsed_job_time(self):
+    def test_now_includes_elapsed_job_time(self):
         sim, _, runtime = make_runtime()
         observed = []
 
         def job():
-            runtime.rt_charge(3e-3)
-            observed.append(runtime.rt_now())
+            runtime.charge(3e-3)
+            observed.append(runtime.now())
 
         runtime.submit_real(job)
         sim.run()
         assert observed[0] >= 3e-3
 
-    def test_rt_now_outside_job_is_sim_now(self):
+    def test_now_outside_job_is_sim_now(self):
         sim, _, runtime = make_runtime()
         sim.schedule(1.0, lambda: None)
         sim.run()
-        assert runtime.rt_now() == sim.now
+        assert runtime.now() == sim.now
 
     def test_delayed_submission(self):
         sim, _, runtime = make_runtime()
@@ -120,7 +132,7 @@ class TestRealJobExecution:
         sim, _, runtime = make_runtime()
         completions = []
         runtime.submit_real(
-            lambda: runtime.rt_charge(1e-3),
+            lambda: runtime.charge(1e-3),
             on_complete=lambda: completions.append(sim.now),
         )
         sim.run()
@@ -129,7 +141,7 @@ class TestRealJobExecution:
     def test_scheduled_callback_cancel(self):
         sim, _, runtime = make_runtime()
         fired = []
-        handle = runtime.rt_schedule(0.5, fired.append, 1)
+        handle = runtime.schedule(0.5, fired.append, 1)
         handle.cancel()
         sim.run()
         assert fired == []
@@ -140,9 +152,9 @@ class TestRealJobExecution:
         it in the heap, and it must not run."""
         sim, pool, runtime = make_runtime()
         fired = []
-        by_event = runtime.rt_schedule(0.5, fired.append, "event")
-        by_job = runtime.rt_schedule(0.5, fired.append, "job")
-        kept = runtime.rt_schedule(0.5, fired.append, "kept")
+        by_event = runtime.schedule(0.5, fired.append, "event")
+        by_job = runtime.schedule(0.5, fired.append, "job")
+        kept = runtime.schedule(0.5, fired.append, "kept")
         sim.schedule(0.3, by_event.cancel)
         runtime.submit_real(by_job.cancel, delay=0.4)
         sim.run()
@@ -157,8 +169,8 @@ class TestRealJobExecution:
         deletion: it neither runs nor counts as an executed event."""
         sim, _, runtime = make_runtime()
         fired = []
-        runtime.rt_schedule(0.5, fired.append, "kept")
-        runtime.rt_schedule(0.5, fired.append, "cancelled").cancel()
+        runtime.schedule(0.5, fired.append, "kept")
+        runtime.schedule(0.5, fired.append, "cancelled").cancel()
         sim.run()
         assert fired == ["kept"]
         # The kept timer's event; its job runs inline on the idle CPU
@@ -185,14 +197,15 @@ class TestMeasuredModeThroughTheFastLane:
     """MEASURED jobs take the same inline lane and the same ``_run``."""
 
     def test_delta1_correction_on_send_and_schedule(self):
-        sim, pool, runtime = make_runtime(mode=MEASURED)
         sent, fired = [], []
-        runtime.network_send = lambda dest, payload: sent.append(sim.now)
+        sim, pool, runtime = make_runtime(
+            mode=MEASURED, on_send=lambda dest, payload: sent.append(sim.now)
+        )
 
         def job():
             spin()  # Δ1 > 0, measured
-            runtime.rt_send("dest", b"x")
-            runtime.rt_schedule(1e-3, lambda: fired.append(sim.now))
+            runtime.send("dest", b"x")
+            runtime.schedule(1e-3, lambda: fired.append(sim.now))
 
         runtime.submit_real(job)  # idle CPU: runs inline, right here
         assert runtime.stats["real_jobs"] == 1
@@ -205,35 +218,34 @@ class TestMeasuredModeThroughTheFastLane:
         assert pool.cpus[0].busy_time[REAL_JOB] >= sent[0]
 
     def test_timer_is_paused_while_real_code_is_inside_the_runtime(self):
-        """``rt_send`` and ``rt_schedule`` reach the kernel (``sim.call``
+        """``send`` and ``schedule`` reach the kernel (``sim.call``
         and ``sim.schedule``) with the job's clock frozen: host time
         spent there is not billed."""
         sim, _, runtime = make_runtime(mode=MEASURED)
-        runtime.network_send = lambda dest, payload: None
         readings = []
 
         def slow():
-            readings.append(runtime.rt_now())
+            readings.append(runtime.now())
             spin()
-            readings.append(runtime.rt_now())
+            readings.append(runtime.now())
 
         def job():
             spin()
             undo = inside_the_runtime(sim, slow)
             try:
-                runtime.rt_send("dest", b"x")
-                runtime.rt_schedule(1e-3, lambda: None)
+                runtime.send("dest", b"x")
+                runtime.schedule(1e-3, lambda: None)
             finally:
                 undo()
-            before = runtime.rt_now()
+            before = runtime.now()
             spin()
-            assert runtime.rt_now() > before  # resumed on return
+            assert runtime.now() > before  # resumed on return
 
         runtime.submit_real(job)
         sim.run()
         assert len(readings) == 4
-        assert readings[0] == readings[1]  # paused inside rt_send
-        assert readings[2] == readings[3]  # paused inside rt_schedule
+        assert readings[0] == readings[1]  # paused inside send
+        assert readings[2] == readings[3]  # paused inside schedule
 
 
 class TestMeasuredJobClock:
@@ -247,14 +259,15 @@ class TestMeasuredJobClock:
         assert 0.015 < real_busy_time(pool) < 0.2
 
     def test_time_inside_the_runtime_is_excluded(self):
-        sim, pool, runtime = make_runtime(mode=MEASURED)
-        runtime.network_send = lambda dest, payload: busy_for(0.01)
+        sim, pool, runtime = make_runtime(
+            mode=MEASURED, on_send=lambda dest, payload: busy_for(0.01)
+        )
 
         def job():
             undo = inside_the_runtime(sim, lambda: busy_for(0.01))
             try:
-                runtime.rt_send("dest", b"x")
-                runtime.rt_schedule(1e-3, lambda: None)
+                runtime.send("dest", b"x")
+                runtime.schedule(1e-3, lambda: None)
             finally:
                 undo()
 
@@ -273,7 +286,7 @@ class TestMeasuredJobClock:
 
     def test_charge_is_ignored(self):
         sim, pool, runtime = make_runtime(mode=MEASURED)
-        runtime.submit_real(lambda: runtime.rt_charge(100.0))
+        runtime.submit_real(lambda: runtime.charge(100.0))
         sim.run()
         assert real_busy_time(pool) < 1.0
 
@@ -281,16 +294,18 @@ class TestMeasuredJobClock:
     def test_nonpositive_cpu_scale_rejected_at_construction(self, scale):
         sim = Simulator()
         with pytest.raises(ValueError):
-            SiteRuntime(sim, CpuPool(sim, 1), mode=MODELED, cpu_scale=scale)
+            SiteRuntime(
+                sim, CpuPool(sim, 1), RecordingSocket(), mode=MODELED, cpu_scale=scale
+            )
 
 
 class TestModeledJobClock:
     """A MODELED job is charged its entry cost plus what its code
-    declares with ``rt_charge`` while it runs."""
+    declares with ``charge`` while it runs."""
 
     def test_job_returns_entry_cost_plus_charges(self):
         sim, pool, runtime = make_runtime()
-        runtime.submit_real(lambda: (runtime.rt_charge(0.5), runtime.rt_charge(0.25)))
+        runtime.submit_real(lambda: (runtime.charge(0.5), runtime.charge(0.25)))
         sim.run()
         assert real_busy_time(pool) == pytest.approx(ENTRY + 0.75)
 
@@ -298,14 +313,14 @@ class TestModeledJobClock:
         sim, pool, runtime = make_runtime()
 
         def job():
-            runtime.rt_charge(0.1)
+            runtime.charge(0.1)
             # simulation-side code must not bill the job
-            undo = inside_the_runtime(sim, lambda: runtime.rt_charge(99.0))
+            undo = inside_the_runtime(sim, lambda: runtime.charge(99.0))
             try:
-                runtime.rt_schedule(1e-3, lambda: None)
+                runtime.schedule(1e-3, lambda: None)
             finally:
                 undo()
-            runtime.rt_charge(0.1)
+            runtime.charge(0.1)
 
         runtime.submit_real(job, tag=CpuCostModel.NOOP)
         sim.run()
@@ -314,12 +329,12 @@ class TestModeledJobClock:
 
     def test_charge_outside_a_job_is_ignored(self):
         sim, pool, runtime = make_runtime()
-        runtime.rt_charge(5.0)
+        runtime.charge(5.0)
         runtime.submit_real(lambda: None)
-        runtime.rt_charge(5.0)
+        runtime.charge(5.0)
         sim.run()
         assert real_busy_time(pool) == ENTRY
-        assert runtime.rt_now() == sim.now
+        assert runtime.now() == sim.now
 
     def test_negative_charge_raises(self):
         sim, _, runtime = make_runtime()
@@ -327,20 +342,20 @@ class TestModeledJobClock:
 
         def job():
             with pytest.raises(ValueError):
-                runtime.rt_charge(-1.0)
+                runtime.charge(-1.0)
             errors.append("raised")
 
         runtime.submit_real(job)
         sim.run()
         assert errors == ["raised"]
 
-    def test_rt_now_is_now_plus_the_charges_so_far(self):
+    def test_now_is_now_plus_the_charges_so_far(self):
         sim, _, runtime = make_runtime()
         observed = []
 
         def job():
-            runtime.rt_charge(0.3)
-            observed.append(runtime.rt_now())
+            runtime.charge(0.3)
+            observed.append(runtime.now())
 
         runtime.submit_real(job, tag=CpuCostModel.NOOP, delay=1.0)
         sim.run()
@@ -363,7 +378,7 @@ class TestCrashDuringALazilyCompletedJob:
             runtime.crash()
             runtime.submit_real(lambda: ran.append("queued"))
 
-        runtime.submit_real(lambda: (ran.append("first"), runtime.rt_charge(1e-3)))
+        runtime.submit_real(lambda: (ran.append("first"), runtime.charge(1e-3)))
         sim.schedule(0.5e-3, crash_and_submit)
         sim.schedule(5e-3, lambda: runtime.submit_real(lambda: ran.append("late")))
         readings = []
@@ -381,13 +396,14 @@ class TestCrashDuringALazilyCompletedJob:
 
 class TestNetworkBoundary:
     def test_send_charges_cost_and_delays_injection(self):
-        sim, pool, runtime = make_runtime()
         sent = []
-        runtime.network_send = lambda dest, payload: sent.append((sim.now, dest))
+        sim, pool, runtime = make_runtime(
+            on_send=lambda dest, payload: sent.append((sim.now, dest))
+        )
 
         def job():
-            runtime.rt_charge(1e-3)
-            runtime.rt_send("dest", b"x" * 100)
+            runtime.charge(1e-3)
+            runtime.send("dest", b"x" * 100)
 
         runtime.submit_real(job)
         sim.run()
@@ -395,24 +411,23 @@ class TestNetworkBoundary:
         send_cost = CpuCostModel.cost(CpuCostModel.SEND, 100)
         assert sent[0][0] == pytest.approx(1e-3 + send_cost + ENTRY)
 
-    def test_send_without_bridge_raises(self):
-        sim, _, runtime = make_runtime()
-        errors = []
-
-        def job():
-            try:
-                runtime.rt_send("dest", b"x")
-            except RuntimeError as exc:
-                errors.append(exc)
-
-        runtime.submit_real(job)
+    def test_runtime_takes_its_socket(self):
+        """The socket's receiver is the runtime's ``deliver``, a send goes
+        out through the socket, and the runtime's address is the
+        socket's."""
+        sim = Simulator()
+        sock = RecordingSocket(address=("site3", 7))
+        runtime = SiteRuntime(sim, CpuPool(sim, 1), sock)
+        assert sock.receiver == runtime.deliver
+        assert runtime.local_address() == ("site3", 7)
+        runtime.submit_real(lambda: runtime.send("dest", b"x"))
         sim.run()
-        assert errors
+        assert sock.sent == [("dest", b"x")]
 
     def test_deliver_runs_receiver_as_real_job(self):
         sim, pool, runtime = make_runtime()
         got = []
-        runtime.receiver = lambda src, payload: got.append((src, payload))
+        runtime.set_receiver(lambda src, payload: got.append((src, payload)))
         runtime.deliver("peer", b"data")
         sim.run()
         assert got == [("peer", b"data")]
@@ -427,10 +442,11 @@ class TestNetworkBoundary:
 
 class TestInterception:
     def test_crash_stops_jobs_sends_and_deliveries(self):
-        sim, pool, runtime = make_runtime()
-        runtime.network_send = lambda dest, payload: pytest.fail("sent after crash")
+        sim, pool, runtime = make_runtime(
+            on_send=lambda dest, payload: pytest.fail("sent after crash")
+        )
         got = []
-        runtime.receiver = got.append
+        runtime.set_receiver(got.append)
         runtime.crash()
         runtime.submit_real(lambda: got.append("ran"))
         runtime.deliver("peer", b"x")
@@ -439,13 +455,14 @@ class TestInterception:
         assert runtime.stats["jobs_skipped_crashed"] == 1
 
     def test_recover_unseals_the_boundary(self):
-        sim, _, runtime = make_runtime()
         sent, got = [], []
-        runtime.network_send = lambda dest, payload: sent.append(payload)
-        runtime.receiver = lambda src, payload: got.append(payload)
+        sim, _, runtime = make_runtime(
+            on_send=lambda dest, payload: sent.append(payload)
+        )
+        runtime.set_receiver(lambda src, payload: got.append(payload))
         runtime.crash()
         runtime.recover()
-        runtime.submit_real(lambda: runtime.rt_send("dest", b"out"))
+        runtime.submit_real(lambda: runtime.send("dest", b"out"))
         runtime.deliver("peer", b"in")
         sim.run()
         assert (sent, got) == ([b"out"], [b"in"])
@@ -455,7 +472,7 @@ class TestInterception:
         drop_all = FaultInjector(FaultPlan(random_loss_rate=1.0))
         sim, _, runtime = make_runtime(interceptor=drop_all)
         got = []
-        runtime.receiver = lambda src, payload: got.append(payload)
+        runtime.set_receiver(lambda src, payload: got.append(payload))
         runtime.deliver("peer", b"x")
         sim.run()
         assert got == []
@@ -465,14 +482,14 @@ class TestInterception:
         doubler = FaultInjector(clock_drift(1.0))  # delay * (1 + 1.0)
         sim, _, runtime = make_runtime(interceptor=doubler)
         fired = []
-        runtime.rt_schedule(1.0, lambda: fired.append(sim.now))
+        runtime.schedule(1.0, lambda: fired.append(sim.now))
         sim.run()
         assert fired[0] >= 2.0
 
     def test_interceptor_transform_elapsed(self):
         halver = FaultInjector(clock_drift(1.0))  # elapsed / (1 + 1.0)
         sim, pool, runtime = make_runtime(interceptor=halver)
-        runtime.submit_real(lambda: runtime.rt_charge(2e-3))
+        runtime.submit_real(lambda: runtime.charge(2e-3))
         sim.run()
         assert pool.cpus[0].busy_time[REAL_JOB] == pytest.approx(
             (2e-3 + ENTRY) / 2.0
@@ -481,4 +498,4 @@ class TestInterception:
     def test_invalid_mode_rejected(self):
         sim = Simulator()
         with pytest.raises(ValueError):
-            SiteRuntime(sim, CpuPool(sim, 1), mode="quantum")
+            SiteRuntime(sim, CpuPool(sim, 1), RecordingSocket(), mode="quantum")

@@ -2,9 +2,12 @@
 with the code.  Fails when a registered replication protocol, a
 registered campaign, a registered metric, a fault action, a cell
 verdict, or a ``REPRO_*`` environment knob is missing from the docs —
-the drift this PR-sized repo accumulates fastest.
+the drift this PR-sized repo accumulates fastest.  It also guards the
+protocol runtime interface: both runtimes implement all of it, and the
+names of the deleted second simulated runtime stay gone.
 """
 
+import inspect
 import re
 from pathlib import Path
 
@@ -12,7 +15,9 @@ import pytest
 
 from repro.analysis import available_metric_families, available_metrics
 from repro.campaigns import available_campaigns
+from repro.core.csrt import SiteRuntime
 from repro.core.faults import FAULT_ACTIONS
+from repro.core.runtime_api import NativeProtocolRuntime, ProtocolRuntime
 from repro.core.safety import VERDICTS
 from repro.dashboard.server import ENDPOINTS as DASHBOARD_ENDPOINTS
 from repro.monitors import available_monitors
@@ -189,3 +194,45 @@ class TestArchitecture:
             assert f"{package}/" in ARCHITECTURE, (
                 f"package {package!r} missing from the ARCHITECTURE layer map"
             )
+
+
+#: Public methods of the protocol runtime interface.
+RUNTIME_METHODS = sorted(
+    name
+    for name, member in vars(ProtocolRuntime).items()
+    if not name.startswith("_") and inspect.isfunction(member)
+)
+
+#: Names of the simulated runtime's old second face: the forwarding
+#: class, its ``rt_``-prefixed services and the hand-installed send hook.
+RETIRED_RUNTIME_NAMES = (
+    "rt_now",
+    "rt_schedule",
+    "rt_send",
+    "rt_charge",
+    "SimulatedProtocolRuntime",
+    "network_send",
+)
+
+
+class TestProtocolRuntime:
+    @pytest.mark.parametrize("runtime", [SiteRuntime, NativeProtocolRuntime])
+    @pytest.mark.parametrize("method", RUNTIME_METHODS)
+    def test_runtime_defines_each_interface_method(self, runtime, method):
+        """Defined on the class itself, or inherited only where the base
+        is not a ``NotImplementedError`` stub (``charge``'s no-op)."""
+        if method in vars(runtime):
+            return
+        inherited = inspect.getsource(getattr(ProtocolRuntime, method))
+        assert "NotImplementedError" not in inherited, (
+            f"{runtime.__name__} inherits the stub of ProtocolRuntime.{method}"
+        )
+
+    @pytest.mark.parametrize("name", RETIRED_RUNTIME_NAMES)
+    def test_retired_runtime_names_are_gone(self, name):
+        pattern = re.compile(rf"\b{name}\b")
+        texts = {"README.md": README, "ARCHITECTURE.md": ARCHITECTURE}
+        for path in (REPO / "src").rglob("*.py"):
+            texts[str(path.relative_to(REPO))] = path.read_text(encoding="utf-8")
+        found = sorted(where for where, text in texts.items() if pattern.search(text))
+        assert found == [], f"{name!r} still appears in {found}"

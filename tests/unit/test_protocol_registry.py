@@ -65,7 +65,6 @@ class TestRegistry:
             site_id=1,
             server=None,
             gcs=None,
-            runtime=None,
             config=None,
             group=ProtocolGroup(),
         )

@@ -2,9 +2,14 @@
 
 import gc
 import json
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from helpers import raising_run
 
 from repro.analysis import ResultSet
 from repro.core.experiment import Scenario, ScenarioConfig
@@ -259,25 +264,11 @@ class TestRunCampaignInProcess:
         assert events[-1].done == 3 and events[-1].total == 3
 
 
-def _raising_run(exc_type, poison_seed=4):
-    """A ``Scenario.run`` that raises ``exc_type`` on the cell seeded
-    ``poison_seed`` (``cell1`` of the grids below) and runs every other
-    cell for real."""
-    real_run = Scenario.run
-
-    def run(self):
-        if self.config.seed == poison_seed:
-            raise exc_type("raised inside the cell")
-        return real_run(self)
-
-    return run
-
-
 class TestInProcessInterrupts:
     GRID = [(f"cell{i}", tiny_config(seed=3 + i)) for i in range(3)]
 
     def test_keyboard_interrupt_aborts_the_campaign(self, monkeypatch):
-        monkeypatch.setattr(Scenario, "run", _raising_run(KeyboardInterrupt))
+        monkeypatch.setattr(Scenario, "run", raising_run(KeyboardInterrupt))
         events = []
         with pytest.raises(KeyboardInterrupt):
             run_campaign(self.GRID, workers=1, progress=events.append)
@@ -298,7 +289,7 @@ class TestInProcessInterrupts:
             real_close(self)
 
         monkeypatch.setattr(JournalWriter, "close", close)
-        monkeypatch.setattr(Scenario, "run", _raising_run(SystemExit))
+        monkeypatch.setattr(Scenario, "run", raising_run(SystemExit))
         with pytest.raises(SystemExit):
             run_campaign(self.GRID, workers=1, artifact_dir=tmp_path)
         assert len(closed) == 1
@@ -307,7 +298,7 @@ class TestInProcessInterrupts:
                          "cell-start"]
 
     def test_other_exceptions_become_one_failed_cell(self, monkeypatch):
-        monkeypatch.setattr(Scenario, "run", _raising_run(RuntimeError))
+        monkeypatch.setattr(Scenario, "run", raising_run(RuntimeError))
         campaign = run_campaign(self.GRID, workers=1)
         assert [c.status for c in campaign.cells] == ["ok", "failed", "ok"]
         error = campaign.get("cell1").error
@@ -331,7 +322,7 @@ class TestCollectorOwnership:
     @pytest.mark.parametrize("raised", [None, RuntimeError, KeyboardInterrupt])
     def test_collector_state_restored(self, collector, raised, monkeypatch):
         if raised is not None:
-            monkeypatch.setattr(Scenario, "run", _raising_run(raised))
+            monkeypatch.setattr(Scenario, "run", raising_run(raised))
         try:
             run_campaign(self.GRID, workers=1)
         except KeyboardInterrupt:
@@ -349,7 +340,7 @@ class TestCollectorOwnership:
         monkeypatch.setattr(Simulator, "__init__", tracking_init)
         # cell1's Scenario assembles (building its Simulator), then
         # fails inside run()
-        monkeypatch.setattr(Scenario, "run", _raising_run(RuntimeError))
+        monkeypatch.setattr(Scenario, "run", raising_run(RuntimeError))
         reclaimed = []
         seen = []
 

@@ -1,101 +1,130 @@
-"""Unit tests for the protocol runtime abstraction (paper §2.3).
+"""The protocol runtime contract (paper §2.3), checked on both runtimes.
 
-The same protocol code must run unchanged against the simulated bridge
-and the native (threads + UDP sockets) bridge — the dual implementation
-the paper builds for its abstraction layer.
+The same protocol code must run unchanged against the simulated runtime
+(:class:`SiteRuntime`, here over :class:`helpers.RecordingSocket`) and the
+native one (threads + loopback UDP sockets).  Each check below runs on
+both; a driver hides only how time passes — the kernel runs to
+quiescence, or the test waits on the wall clock.
 """
 
+import sys
 import time
+from pathlib import Path
 
 import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from helpers import RecordingSocket
 
 from repro.core.cpu import CpuPool
 from repro.core.csrt import SiteRuntime
 from repro.core.kernel import Simulator
-from repro.core.runtime_api import NativeProtocolRuntime, SimulatedProtocolRuntime
+from repro.core.runtime_api import NativeProtocolRuntime, ProtocolRuntime
 
 
-class TestSimulatedRuntime:
-    def make(self):
-        sim = Simulator()
-        runtime = SiteRuntime(sim, CpuPool(sim, 1))
-        protocol = SimulatedProtocolRuntime(runtime, address=("site0", 1), seed=1)
-        return sim, runtime, protocol
+class SimulatedDriver:
+    """Runtimes of one simulation, whose sockets reach each other."""
 
-    def test_now_tracks_simulated_clock(self):
-        sim, _, protocol = self.make()
-        sim.schedule(2.5, lambda: None)
-        sim.run()
-        assert protocol.now() == 2.5
+    def __init__(self):
+        self.sim = Simulator()
+        self._fabric = {}
 
-    def test_schedule_and_cancel(self):
-        sim, _, protocol = self.make()
+    def runtime(self, seed=0):
+        address = ("site", len(self._fabric))
+        socket = RecordingSocket(address=address, fabric=self._fabric)
+        return SiteRuntime(self.sim, CpuPool(self.sim, 1), socket, seed=seed)
+
+    def advance(self, seconds):
+        self.sim.schedule(seconds, lambda: None)
+        self.sim.run()
+
+    def settle(self, done):
+        self.sim.run()
+        return done()
+
+    def close(self):
+        pass
+
+
+class NativeDriver:
+    """Native runtimes on loopback, closed with the test."""
+
+    def __init__(self):
+        self._open = []
+
+    def runtime(self, seed=0):
+        runtime = NativeProtocolRuntime(("127.0.0.1", 0), seed=seed)
+        runtime.start()
+        self._open.append(runtime)
+        return runtime
+
+    def advance(self, seconds):
+        time.sleep(seconds)
+
+    def settle(self, done, timeout=2.0):
+        deadline = time.time() + timeout
+        while not done() and time.time() < deadline:
+            time.sleep(0.01)
+        return done()
+
+    def close(self):
+        for runtime in self._open:
+            runtime.close()
+
+
+@pytest.fixture(params=[SimulatedDriver, NativeDriver], ids=["simulated", "native"])
+def driver(request):
+    driver = request.param()
+    yield driver
+    driver.close()
+
+
+class TestContract:
+    def test_is_a_protocol_runtime(self, driver):
+        assert isinstance(driver.runtime(), ProtocolRuntime)
+
+    def test_now_does_not_go_backwards(self, driver):
+        runtime = driver.runtime()
+        first = runtime.now()
+        driver.advance(0.01)
+        assert runtime.now() > first
+
+    def test_cancelled_schedule_does_not_run(self, driver):
+        runtime = driver.runtime()
         fired = []
-        protocol.schedule(0.5, fired.append, "a")
-        handle = protocol.schedule(0.6, fired.append, "b")
-        handle.cancel()
-        sim.run()
-        assert fired == ["a"]
+        runtime.schedule(0.05, fired.append, "kept")
+        runtime.schedule(0.05, fired.append, "cancelled").cancel()
+        assert driver.settle(lambda: fired == ["kept"])
+        driver.advance(0.1)
+        assert fired == ["kept"]
 
-    def test_send_routes_through_site_runtime(self):
-        sim, runtime, protocol = self.make()
-        sent = []
-        runtime.network_send = lambda dest, payload: sent.append((dest, payload))
-        protocol.send("peer", b"data")
-        sim.run()
-        assert sent == [("peer", b"data")]
-
-    def test_receiver_wired_to_runtime_deliveries(self):
-        sim, runtime, protocol = self.make()
+    def test_send_reaches_the_peer_from_the_local_address(self, driver):
+        a, b = driver.runtime(), driver.runtime()
         got = []
-        protocol.set_receiver(lambda src, p: got.append((src, p)))
-        runtime.deliver("peer", b"hello")
-        sim.run()
-        assert got == [("peer", b"hello")]
+        b.set_receiver(lambda source, payload: got.append((source, payload)))
+        a.send(b.local_address(), b"ping")
+        assert driver.settle(lambda: got != [])
+        assert got == [(a.local_address(), b"ping")]
 
-    def test_local_address_and_rng(self):
-        _, _, protocol = self.make()
-        assert protocol.local_address() == ("site0", 1)
-        assert 0.0 <= protocol.rng().random() < 1.0
+    def test_rng_is_reproducible_from_the_seed(self, driver):
+        draws = [
+            [runtime.rng().random() for _ in range(3)]
+            for runtime in (driver.runtime(7), driver.runtime(7), driver.runtime(8))
+        ]
+        assert draws[0] == draws[1] != draws[2]
 
 
 class TestNativeRuntime:
-    def test_loopback_send_receive(self):
-        with NativeProtocolRuntime(("127.0.0.1", 0), seed=1) as a, \
-                NativeProtocolRuntime(("127.0.0.1", 0), seed=2) as b:
-            got = []
-            b.set_receiver(lambda src, p: got.append(p))
-            a.send(b.local_address(), b"ping")
-            deadline = time.time() + 2.0
-            while not got and time.time() < deadline:
-                time.sleep(0.01)
-            assert got == [b"ping"]
-
-    def test_schedule_fires_and_cancels(self):
-        with NativeProtocolRuntime(("127.0.0.1", 0)) as runtime:
-            fired = []
-            runtime.schedule(0.05, fired.append, 1)
-            cancelled = runtime.schedule(0.05, fired.append, 2)
-            cancelled.cancel()
-            time.sleep(0.2)
-            assert fired == [1]
-
-    def test_now_is_monotonic(self):
-        with NativeProtocolRuntime(("127.0.0.1", 0)) as runtime:
-            first = runtime.now()
-            time.sleep(0.01)
-            assert runtime.now() > first
-
     def test_send_to_list_fans_out(self):
-        with NativeProtocolRuntime(("127.0.0.1", 0)) as a, \
-                NativeProtocolRuntime(("127.0.0.1", 0)) as b, \
-                NativeProtocolRuntime(("127.0.0.1", 0)) as c:
+        driver = NativeDriver()
+        try:
+            a, b, c = driver.runtime(), driver.runtime(), driver.runtime()
             got_b, got_c = [], []
             b.set_receiver(lambda src, p: got_b.append(p))
             c.set_receiver(lambda src, p: got_c.append(p))
             a.send([b.local_address(), c.local_address()], b"multi")
-            deadline = time.time() + 2.0
-            while (not got_b or not got_c) and time.time() < deadline:
-                time.sleep(0.01)
+            assert driver.settle(lambda: got_b and got_c)
             assert got_b == [b"multi"]
             assert got_c == [b"multi"]
+        finally:
+            driver.close()

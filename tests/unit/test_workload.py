@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from repro.db.tuples import is_table_lock, table_of
+from repro.db.tuples import is_table_lock, row_of, table_of
 from repro.tpcc import schema
 from repro.tpcc.workload import MIX, TpccWorkload
 
@@ -130,11 +130,29 @@ class TestReadOnlyClasses:
         assert spec.read_set == ()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda wl: wl.neworder(5, 0),
+        lambda wl: wl.neworder(0, 10),
+        lambda wl: wl.payment(5, 0),
+        lambda wl: wl.payment(0, -1),
+        lambda wl: wl.delivery(5),
+    ],
+    ids=["neworder-w", "neworder-d", "payment-w", "payment-d", "delivery-w"],
+)
+def test_a_builder_validates_its_home_key(build):
+    """Each update builder checks its (warehouse, district) once through
+    ``TpccLayout``; every other id it computes by addition."""
+    with pytest.raises(ValueError, match="out of range"):
+        build(make_workload(warehouses=5))
+
+
 class TestDelivery:
     def test_touches_all_district_queue_heads(self):
         wl = make_workload()
         spec = wl.delivery(2)
-        heads = [wl._nohead(2, d) for d in range(10)]
+        heads = [schema.NOHEAD_BASE + 2 * 10 + d for d in range(10)]
         for head in heads:
             assert head in spec.write_set
             assert head in spec.read_set
@@ -183,8 +201,4 @@ class TestInsertSafety:
 
 
 def _is_settled(tuple_id):
-    from repro.tpcc.workload import _NOHEAD_BASE
-
-    from repro.db.tuples import row_of
-
-    return row_of(tuple_id) >= _NOHEAD_BASE
+    return row_of(tuple_id) >= schema.NOHEAD_ROW_BASE
