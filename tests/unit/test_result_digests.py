@@ -13,14 +13,21 @@ vote, reserve and decide across groups; read-set escalation at 20, so
 table locks route everywhere).  An
 optimisation must leave every digest alone; a change that legitimately
 moves simulated results re-baselines them and says why in the PR.
+
+Each entry also pins the value of every plain metric and of
+``abort_rate[<class>]`` for each class the cell logs (``null`` for
+NaN), so a change to how a number is *derived* from the stored result
+shows even when the result itself is untouched.
 """
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+from repro.analysis.metrics import metric_value
 from repro.core.experiment import Scenario, ScenarioConfig
 from repro.core.scenarios import safety_fault_plans
 
@@ -45,7 +52,8 @@ def result_digest(result) -> str:
 @pytest.mark.parametrize("cell", sorted(DIGESTS))
 def test_result_digest_matches_golden(cell):
     entry = DIGESTS[cell]
-    new = result_digest(Scenario(build_config(entry)).run())
+    result = Scenario(build_config(entry)).run()
+    new = result_digest(result)
     old = entry["sha256"]
     assert new == old, (
         f"{cell}: simulated result changed (sha256 {old[:12]}… -> {new[:12]}…).  "
@@ -53,6 +61,11 @@ def test_result_digest_matches_golden(cell):
         f"the model itself changed and the PR says how — re-baseline by setting "
         f"\"sha256\": \"{new}\" for \"{cell}\" in tests/golden/result_digests.json."
     )
+    values = {}
+    for name in entry["metrics"]:
+        value = metric_value(result, name)
+        values[name] = None if math.isnan(value) else value
+    assert values == entry["metrics"]
 
 
 def test_cpu_accounting_when_the_run_stops_inside_a_real_job():
