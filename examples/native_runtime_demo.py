@@ -23,7 +23,7 @@ MESSAGES = 12
 
 
 def main() -> None:
-    runtimes = [NativeProtocolRuntime(("127.0.0.1", 0), seed=i) for i in range(MEMBERS)]
+    runtimes = [NativeProtocolRuntime(("127.0.0.1", 0)) for _ in range(MEMBERS)]
     addresses = {i: rt.local_address() for i, rt in enumerate(runtimes)}
     endpoint_ids = {addr: i for i, addr in addresses.items()}
     # loopback has no IP multicast group here: the stack sends to a

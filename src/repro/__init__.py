@@ -10,11 +10,12 @@ observation, control, and fault injection.
 
 Quick start::
 
-    from repro import Scenario, ScenarioConfig
+    from repro import Scenario, ScenarioConfig, metric_value
 
     result = Scenario(ScenarioConfig(sites=3, clients=300,
                                      transactions=2000)).run()
-    print(result.throughput_tpm(), result.abort_rate())
+    print(metric_value(result, "throughput_tpm"),
+          metric_value(result, "abort_rate"))
     result.check_safety()   # all replicas committed the same sequence
 
 See ARCHITECTURE.md for the layer map, the per-protocol message-flow
@@ -60,7 +61,7 @@ from .protocols import (
     available_protocols,
 )
 from .runner import CampaignError, CampaignResult, run_campaign
-from .tpcc import ProfileSet, TpccWorkload, default_profiles
+from .tpcc import TpccWorkload
 
 __version__ = "1.0.0"
 
@@ -97,8 +98,6 @@ __all__ = [
     "CampaignError",
     "CampaignResult",
     "run_campaign",
-    "ProfileSet",
     "TpccWorkload",
-    "default_profiles",
     "__version__",
 ]

@@ -20,6 +20,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from ..core.metrics import quantiles
 from .aggregate import Stat, Table, summarize
+from .metrics import cert_latencies, commit_latencies
 from .render import render_csv, render_markdown, render_text
 from .resultset import AnalysisError, ResultSet
 
@@ -92,9 +93,9 @@ def ecdf_quantile_table(
     sample list: ``"latency"`` (committed transactions) or
     ``"certification"``."""
     if source == "latency":
-        samples = lambda r: r.metrics.latencies()
+        samples = commit_latencies
     elif source == "certification":
-        samples = lambda r: r.metrics.certification_latencies()
+        samples = cert_latencies
     else:
         raise AnalysisError(f"unknown ECDF source {source!r}")
     rows = tuple(f"p{int(p * 100):02d}" for p in probs)

@@ -36,6 +36,8 @@ __all__ = [
     "MetricError",
     "available_metric_families",
     "available_metrics",
+    "cert_latencies",
+    "commit_latencies",
     "get_metric",
     "metric_value",
 ]
@@ -103,67 +105,75 @@ def metric_value(result: ScenarioResult, name: str) -> float:
 # ----------------------------------------------------------------------
 # extractors
 # ----------------------------------------------------------------------
-def _latency_quantile_ms(p: float) -> Callable[[ScenarioResult], float]:
-    def extract(result: ScenarioResult) -> float:
-        return quantiles(result.metrics.latencies(), (p,))[0] * 1000.0
-
-    return extract
-
-
-def _cert_quantile_ms(p: float) -> Callable[[ScenarioResult], float]:
-    def extract(result: ScenarioResult) -> float:
-        certs = result.metrics.certification_latencies()
-        return quantiles(certs, (p,))[0] * 1000.0
-
-    return extract
+def commit_latencies(result: ScenarioResult) -> List[float]:
+    """End-to-end latencies of the committed transactions, in log order."""
+    return [
+        r.end_time - r.submit_time
+        for r in result.metrics.records
+        if r.outcome == "commit"
+    ]
 
 
-def _throughput(result: ScenarioResult) -> float:
-    if not result.metrics.records:
-        return math.nan
-    return result.metrics.throughput_tpm()
+def cert_latencies(result: ScenarioResult) -> List[float]:
+    """Certification latencies of the transactions that were certified
+    (a record of one that never was holds ``0.0``), in log order."""
+    return [
+        r.certification_latency
+        for r in result.metrics.records
+        if r.certification_latency > 0
+    ]
 
 
-def _mean_latency_ms(result: ScenarioResult) -> float:
-    values = result.metrics.latencies()
+def _mean_ms(values: List[float]) -> float:
     if not values:
         return math.nan
     return sum(values) / len(values) * 1000.0
 
 
-def _abort_rate(result: ScenarioResult) -> float:
-    if not result.metrics.records:
-        return math.nan
-    return result.metrics.abort_rate()
-
-
-def _abort_rate_for(tx_class: str) -> Callable[[ScenarioResult], float]:
+def _quantile_ms(
+    samples: Callable[[ScenarioResult], List[float]], p: float
+) -> Callable[[ScenarioResult], float]:
     def extract(result: ScenarioResult) -> float:
-        if tx_class == "All":
-            return _abort_rate(result)
-        if not any(r.tx_class == tx_class for r in result.metrics.records):
-            return math.nan
-        return result.metrics.abort_rate(tx_class)
+        return quantiles(samples(result), (p,))[0] * 1000.0
 
     return extract
 
 
-def _cert_mean_ms(result: ScenarioResult) -> float:
-    certs = result.metrics.certification_latencies()
-    if not certs:
+def _throughput(result: ScenarioResult) -> float:
+    """Commits per minute over the span from the first submission to the
+    last completion (aborted transactions are not resubmitted, §5.1, so
+    they simply don't count)."""
+    records = result.metrics.records
+    if not records:
         return math.nan
-    return sum(certs) / len(certs) * 1000.0
+    commits = [r.outcome for r in records].count("commit")
+    start = min(r.submit_time for r in records)
+    end = max(r.end_time for r in records)
+    elapsed = end - start
+    if elapsed <= 0:
+        return math.nan
+    return commits * 60.0 / elapsed
 
 
-def _sampled(
-    f: Callable[[ScenarioResult], float]
-) -> Callable[[ScenarioResult], float]:
-    """NaN when the run produced no resource samples at all."""
+def _aborted_percent(records: Sequence) -> float:
+    if not records:
+        return math.nan
+    aborted = len(records) - [r.outcome for r in records].count("commit")
+    return 100.0 * aborted / len(records)
+
+
+def _abort_rate(result: ScenarioResult) -> float:
+    return _aborted_percent(result.metrics.records)
+
+
+def _abort_rate_for(tx_class: str) -> Callable[[ScenarioResult], float]:
+    if tx_class == "All":
+        return _abort_rate
 
     def extract(result: ScenarioResult) -> float:
-        if not result.sampler.samples:
-            return math.nan
-        return f(result)
+        return _aborted_percent(
+            [r for r in result.metrics.records if r.tx_class == tx_class]
+        )
 
     return extract
 
@@ -228,28 +238,28 @@ _METRICS: Dict[str, Metric] = {
             "mean_latency_ms",
             "ms",
             "mean committed-transaction latency",
-            _mean_latency_ms,
+            lambda r: _mean_ms(commit_latencies(r)),
             "{:.1f}",
         ),
         Metric(
             "p50_latency_ms",
             "ms",
             "median committed-transaction latency",
-            _latency_quantile_ms(0.50),
+            _quantile_ms(commit_latencies, 0.50),
             "{:.1f}",
         ),
         Metric(
             "p95_latency_ms",
             "ms",
             "95th-percentile committed-transaction latency",
-            _latency_quantile_ms(0.95),
+            _quantile_ms(commit_latencies, 0.95),
             "{:.1f}",
         ),
         Metric(
             "p99_latency_ms",
             "ms",
             "99th-percentile committed-transaction latency",
-            _latency_quantile_ms(0.99),
+            _quantile_ms(commit_latencies, 0.99),
             "{:.1f}",
         ),
         Metric(
@@ -263,49 +273,49 @@ _METRICS: Dict[str, Metric] = {
             "cert_latency_ms",
             "ms",
             "mean certification latency (replicated runs)",
-            _cert_mean_ms,
+            lambda r: _mean_ms(cert_latencies(r)),
             "{:.1f}",
         ),
         Metric(
             "cert_p50_ms",
             "ms",
             "median certification latency",
-            _cert_quantile_ms(0.50),
+            _quantile_ms(cert_latencies, 0.50),
             "{:.1f}",
         ),
         Metric(
             "cert_p99_ms",
             "ms",
             "99th-percentile certification latency",
-            _cert_quantile_ms(0.99),
+            _quantile_ms(cert_latencies, 0.99),
             "{:.1f}",
         ),
         Metric(
             "cpu_total",
             "0..1",
             "steady-state CPU usage across sites",
-            _sampled(lambda r: r.cpu_usage()[0]),
+            lambda r: r.sampler.mean_cpu()[0],
             "{:.3f}",
         ),
         Metric(
             "cpu_protocol",
             "0..1",
             "steady-state CPU usage by real protocol jobs",
-            _sampled(lambda r: r.cpu_usage()[1]),
+            lambda r: r.sampler.mean_cpu()[1],
             "{:.4f}",
         ),
         Metric(
             "disk",
             "0..1",
             "steady-state storage utilization",
-            _sampled(lambda r: r.disk_usage()),
+            lambda r: r.sampler.mean_disk(),
             "{:.3f}",
         ),
         Metric(
             "net_kbps",
             "KB/s",
             "steady-state fabric traffic",
-            _sampled(lambda r: r.network_kbps()),
+            lambda r: r.sampler.net_kbytes_per_second(),
             "{:.1f}",
         ),
         Metric(

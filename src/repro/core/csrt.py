@@ -63,7 +63,6 @@ Crash is the runtime's own state.
 
 from __future__ import annotations
 
-import random
 from time import perf_counter_ns
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
@@ -94,11 +93,10 @@ _TIMER_COST = _cost(CpuCostModel.TIMER)
 class SiteRuntime(Entity, ProtocolRuntime):
     """Centralized simulation runtime scoped to one database site.
 
-    Owns the site's clock-mode configuration, the running job's clock
-    and the protocol RNG (seeded with ``seed``), and mediates every
-    interaction between the real protocol code on this site and the
-    simulation: job execution, timers, and the simulated network through
-    ``socket``.
+    Owns the site's clock-mode configuration and the running job's
+    clock, and mediates every interaction between the real protocol code
+    on this site and the simulation: job execution, timers, and the
+    simulated network through ``socket``.
     """
 
     def __init__(
@@ -106,7 +104,6 @@ class SiteRuntime(Entity, ProtocolRuntime):
         sim: Simulator,
         cpus: CpuPool,
         socket: UdpSocket,
-        seed: int = 0,
         mode: str = MODELED,
         cpu_scale: float = 1.0,
         interceptor: Optional[FaultInjector] = None,
@@ -146,7 +143,6 @@ class SiteRuntime(Entity, ProtocolRuntime):
         socket.set_receiver(self.deliver)
         #: Handler installed by protocol code for incoming datagrams.
         self._receiver: Optional[Callable[[Any, bytes], None]] = None
-        self._rng = random.Random(seed)
         #: Counters surfaced in experiment reports.
         self.stats = {
             "real_jobs": 0,
@@ -286,9 +282,6 @@ class SiteRuntime(Entity, ProtocolRuntime):
 
     def local_address(self) -> Any:
         return self._address
-
-    def rng(self) -> random.Random:
-        return self._rng
 
     # ------------------------------------------------------------------
     # network → real code

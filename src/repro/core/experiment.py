@@ -49,7 +49,7 @@ from .csrt import MODELED, SiteRuntime
 from .faults import FaultInjector, FaultPlan
 from .kernel import Simulator
 from .metrics import MetricsCollector, ResourceSampler, SampleSeries
-from .rng import derive_rng, derive_seed
+from .rng import derive_rng
 from .safety import CommitLog, check_consistency
 
 __all__ = ["ScenarioConfig", "Scenario", "ScenarioResult", "Site"]
@@ -115,6 +115,12 @@ class ScenarioConfig:
             raise ValueError("sites, cpus and clients must be positive")
         if self.transactions < 1:
             raise ValueError("transactions must be positive")
+        # ``not x > 0`` rather than ``x <= 0``: NaN must fail too
+        for name in ("sample_interval", "max_sim_time", "probe_interval"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if not self.drain_time >= 0:
+            raise ValueError("drain_time must be non-negative")
         if not self.protocol or not isinstance(self.protocol, str):
             raise ValueError("protocol must be a non-empty protocol name")
         if self.fragments < 1:
@@ -298,26 +304,6 @@ class ScenarioResult:
             ]
             divergences.update(check_consistency(group_logs))
         return divergences
-
-    # -- headline numbers -------------------------------------------------
-    def throughput_tpm(self) -> float:
-        return self.metrics.throughput_tpm()
-
-    def mean_latency(self) -> float:
-        return self.metrics.mean_latency()
-
-    def abort_rate(self) -> float:
-        return self.metrics.abort_rate()
-
-    def cpu_usage(self) -> Tuple[float, float]:
-        """(total, protocol-real) mean CPU usage across sites, 0..1."""
-        return self.sampler.mean_cpu()
-
-    def disk_usage(self) -> float:
-        return self.sampler.mean_disk()
-
-    def network_kbps(self) -> float:
-        return self.sampler.net_kbytes_per_second()
 
     # ------------------------------------------------------------------
     # serialization
@@ -512,7 +498,6 @@ class Scenario:
             self.sim,
             site.cpus,
             socket,
-            seed=derive_seed(config.seed, "protocol", index),
             mode=config.clock_mode,
             interceptor=injector,
             name=f"site{index}.csrt",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
 from typing import Tuple, get_type_hints
 
 from .kernel import Entity, Simulator
@@ -95,89 +95,14 @@ def _decode_rows(record_type, rows: Iterable[Sequence]) -> list:
 
 
 class MetricsCollector:
-    """Accumulates transaction records and answers the paper's questions."""
+    """The run's transaction log.  Every number derived from it is an
+    extractor of :mod:`repro.analysis.metrics`."""
 
     def __init__(self) -> None:
         self.records: List[TxRecord] = []
 
     def record(self, record: TxRecord) -> None:
         self.records.append(record)
-
-    # ------------------------------------------------------------------
-    # selections
-    # ------------------------------------------------------------------
-    def select(
-        self,
-        tx_class: Optional[str] = None,
-        outcome: Optional[str] = None,
-        site: Optional[str] = None,
-        predicate: Optional[Callable[[TxRecord], bool]] = None,
-    ) -> List[TxRecord]:
-        """The records meeting every criterion given, as a new list;
-        only the criteria given cost a pass."""
-        out = self.records
-        if tx_class is not None:
-            out = [r for r in out if r.tx_class == tx_class]
-        if outcome is not None:
-            out = [r for r in out if r.outcome == outcome]
-        if site is not None:
-            out = [r for r in out if r.site == site]
-        if predicate is not None:
-            out = [r for r in out if predicate(r)]
-        return list(out) if out is self.records else out
-
-    def classes(self) -> Tuple[str, ...]:
-        return tuple(sorted({r.tx_class for r in self.records}))
-
-    # ------------------------------------------------------------------
-    # headline statistics
-    # ------------------------------------------------------------------
-    def throughput_tpm(self, elapsed: Optional[float] = None) -> float:
-        """Committed transactions per minute.
-
-        ``elapsed`` defaults to the span between the first submission and
-        the last completion (aborted transactions are not resubmitted,
-        §5.1, so they simply don't count)."""
-        committed = [r.outcome for r in self.records].count("commit")
-        if not committed:
-            return 0.0
-        if elapsed is None:
-            start = min(r.submit_time for r in self.records)
-            end = max(r.end_time for r in self.records)
-            elapsed = end - start
-        if elapsed <= 0:
-            return 0.0
-        return committed * 60.0 / elapsed
-
-    def abort_rate(self, tx_class: Optional[str] = None) -> float:
-        """Fraction (0-100 %) of transactions of ``tx_class`` aborted."""
-        selected = self.select(tx_class=tx_class)
-        if not selected:
-            return 0.0
-        aborted = len(selected) - [r.outcome for r in selected].count("commit")
-        return 100.0 * aborted / len(selected)
-
-    def abort_rate_table(self) -> Dict[str, float]:
-        """Per-class abort rates plus the 'All' row of Tables 1 and 2."""
-        table = {cls: self.abort_rate(cls) for cls in self.classes()}
-        table["All"] = self.abort_rate()
-        return table
-
-    def latencies(self, tx_class: Optional[str] = None) -> List[float]:
-        """End-to-end latencies of the committed transactions."""
-        selected = self.select(tx_class=tx_class, outcome="commit")
-        return [r.end_time - r.submit_time for r in selected]
-
-    def mean_latency(self, tx_class: Optional[str] = None) -> float:
-        values = self.latencies(tx_class)
-        return sum(values) / len(values) if values else 0.0
-
-    def certification_latencies(self) -> List[float]:
-        return [
-            r.certification_latency
-            for r in self.records
-            if r.certification_latency > 0
-        ]
 
     # ------------------------------------------------------------------
     # serialization (runner artifacts, cross-process result transfer)
@@ -275,7 +200,8 @@ class SampleSeries:
         self.samples: List[ResourceSample] = list(samples)
         self.interval = interval
 
-    # -- steady-state statistics (first/last 20 % trimmed, >=1 kept) ----
+    # -- steady-state statistics (first/last 20 % trimmed, >=1 kept;
+    #    NaN when the run took no sample) --------------------------------
     def _steady_window(self) -> List[ResourceSample]:
         n = len(self.samples)
         if n == 0:
@@ -288,7 +214,7 @@ class SampleSeries:
         """Steady-state (total, real-job) CPU usage, 0..1."""
         window = self._steady_window()
         if not window:
-            return 0.0, 0.0
+            return math.nan, math.nan
         total = sum(s.cpu_total for s in window) / len(window)
         real = sum(s.cpu_real for s in window) / len(window)
         return total, real
@@ -296,13 +222,13 @@ class SampleSeries:
     def mean_disk(self) -> float:
         window = self._steady_window()
         if not window:
-            return 0.0
+            return math.nan
         return sum(s.disk for s in window) / len(window)
 
     def net_kbytes_per_second(self) -> float:
         window = self._steady_window()
         if not window:
-            return 0.0
+            return math.nan
         per_second = sum(s.net_bytes for s in window) / (
             len(window) * self.interval
         )

@@ -23,7 +23,6 @@ __all__ = ["derive_seed", "derive_rng", "stream_multiplier"]
 _STREAMS: Dict[str, int] = {
     "storage": 1000,  # per-site read cache-hit draws (Storage.read)
     "workload": 77,  # per-site TPC-C generation and client think times
-    "protocol": 13,  # per-site protocol-runtime randomness
     "faults": 31,  # per-site fault-plan (loss model) seeds
 }
 

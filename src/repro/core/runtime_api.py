@@ -21,7 +21,6 @@ that portability is the property the paper's methodology depends on.
 
 from __future__ import annotations
 
-import random
 import socket
 import threading
 import time
@@ -66,10 +65,6 @@ class ProtocolRuntime:
     def charge(self, seconds: float) -> None:
         """Declare ``seconds`` of CPU work (no-op outside the simulator)."""
 
-    def rng(self) -> random.Random:
-        """Deterministically seeded randomness for protocol decisions."""
-        raise NotImplementedError
-
 
 class NativeProtocolRuntime(ProtocolRuntime):
     """Bridge to real timers and UDP sockets.
@@ -83,12 +78,11 @@ class NativeProtocolRuntime(ProtocolRuntime):
 
     _POLL_TIMEOUT = 0.05
 
-    def __init__(self, bind: Tuple[str, int] = ("127.0.0.1", 0), seed: int = 0):
+    def __init__(self, bind: Tuple[str, int] = ("127.0.0.1", 0)):
         self._socket = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._socket.bind(bind)
         self._socket.settimeout(self._POLL_TIMEOUT)
         self._address = self._socket.getsockname()
-        self._rng = random.Random(seed)
         self._handler: Optional[ReceiveHandler] = None
         self._lock = threading.RLock()
         self._timers: List[threading.Timer] = []
@@ -150,9 +144,6 @@ class NativeProtocolRuntime(ProtocolRuntime):
 
     def local_address(self) -> Tuple[str, int]:
         return self._address
-
-    def rng(self) -> random.Random:
-        return self._rng
 
     # -- internals ------------------------------------------------------
     def _read_loop(self) -> None:

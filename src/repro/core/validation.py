@@ -32,6 +32,7 @@ from ..net.address import Endpoint
 from ..net.link import WIRE_OVERHEAD_BYTES
 from ..net.network import FRAGMENT_OVERHEAD_BYTES, LAN_BANDWIDTH_BPS, Network
 from ..net.udp import UdpSocket
+from ..tpcc.profiles import _MU, COMMIT_CPU, COMMIT_SECTORS, SIGMA
 from .clock import CpuCostModel
 from .cpu import CpuPool
 from .csrt import SiteRuntime
@@ -227,7 +228,6 @@ def csrt_round_trip(
 # ----------------------------------------------------------------------
 def reference_latency_sample(
     tx_classes: Tuple[str, ...],
-    profiles,
     count: int,
     seed: int = 17,
 ) -> List[float]:
@@ -242,8 +242,8 @@ def reference_latency_sample(
     sample: List[float] = []
     for _ in range(count):
         tx_class = rng.choice(tx_classes)
-        latency = profiles.sample_cpu(tx_class, rng) + profiles.commit_cpu
-        sectors = profiles.sectors(tx_class)
+        latency = rng.lognormvariate(_MU[tx_class], SIGMA) + COMMIT_CPU
+        sectors = COMMIT_SECTORS[tx_class]
         if sectors:
             waves = -(-sectors // SECTOR_CONCURRENCY)
             latency += waves * SECTOR_LATENCY

@@ -32,6 +32,7 @@ aborting the campaign.
 
 Quick start::
 
+    from repro import metric_value
     from repro.runner import run_campaign
 
     campaign = run_campaign(
@@ -41,7 +42,7 @@ Quick start::
         progress=True,
     )
     for label, result in campaign.pairs():
-        print(label, result.throughput_tpm())
+        print(label, metric_value(result, "throughput_tpm"))
 """
 
 from .progress import ETA_WINDOW, CampaignProgress, ProgressEvent

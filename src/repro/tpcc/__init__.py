@@ -23,7 +23,7 @@ is one fixed table, the paper's §4.1 calibration
 """
 
 from .client import Client, ClientPool
-from .profiles import CLASSES, LogNormalProfile, ProfileSet, default_profiles
+from .profiles import CLASSES
 from .schema import TpccLayout, warehouses_for_clients
 from .workload import MIX, TpccWorkload
 
@@ -31,9 +31,6 @@ __all__ = [
     "Client",
     "ClientPool",
     "CLASSES",
-    "LogNormalProfile",
-    "ProfileSet",
-    "default_profiles",
     "TpccLayout",
     "warehouses_for_clients",
     "MIX",

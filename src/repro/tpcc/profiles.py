@@ -8,27 +8,26 @@ with conditional code paths (payment, orderstatus) are bimodal and get
 split into separate long/short classes.
 
 We cannot profile a 2001-era PostgreSQL on a Pentium III, so this module
-stands in for that calibration with one fixed table: log-normal profiles
-whose means (:data:`DEFAULT_CPU_MEANS`) are chosen to reproduce the
-paper's saturation points (a single 1 GHz CPU saturates near 500
+stands in for that calibration with one fixed table: log-normal CPU
+times whose means (:data:`DEFAULT_CPU_MEANS`) are chosen to reproduce
+the paper's saturation points (a single 1 GHz CPU saturates near 500
 clients, §5.1).  As in the paper, every experiment runs on this one
-calibration; a different profile is a change to the table.
+calibration; a different profile is a change to these constants.
 """
 
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass
-from typing import Dict, Optional
 
 __all__ = [
     "CLASSES",
     "UPDATE_CLASSES",
     "READONLY_CLASSES",
-    "LogNormalProfile",
-    "ProfileSet",
-    "default_profiles",
+    "DEFAULT_CPU_MEANS",
+    "SIGMA",
+    "COMMIT_CPU",
+    "COMMIT_SECTORS",
+    "THINK_TIME_MEAN",
 ]
 
 #: The seven transaction classes of the paper's tables (bimodal classes
@@ -48,60 +47,6 @@ READONLY_CLASSES = ("orderstatus-short", "stocklevel")
 # NOTE: orderstatus-long is modeled with a SELECT FOR UPDATE on the
 # customer row (see workload.py), so it participates in certification.
 
-
-class LogNormalProfile:
-    """Log-normal CPU time: right-skewed like real query timings."""
-
-    def __init__(self, mean: float, sigma: float = 0.25):
-        if mean <= 0:
-            raise ValueError("mean must be positive")
-        self._mean = mean
-        self.sigma = sigma
-        #: mu chosen so that exp(mu + sigma^2/2) == mean.
-        self.mu = math.log(mean) - sigma * sigma / 2.0
-
-    def sample(self, rng: random.Random) -> float:
-        return rng.lognormvariate(self.mu, self.sigma)
-
-    def mean(self) -> float:
-        return self._mean
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"LogNormalProfile(mean={self._mean:.6f}, sigma={self.sigma})"
-
-
-@dataclass
-class ProfileSet:
-    """Everything the workload generator needs about timing and I/O.
-
-    ``cpu`` maps class name → log-normal CPU time for the execution
-    stage.  ``commit_cpu`` is the near-constant commit cost;
-    ``commit_sectors`` maps class → storage sectors (pages) flushed at
-    commit, which together with the 9.486 MB/s device reproduces the
-    disk-bandwidth ceiling of Figure 6(b).
-    """
-
-    cpu: Dict[str, LogNormalProfile]
-    commit_cpu: float = 1.8e-3
-    commit_sectors: Optional[Dict[str, int]] = None
-    #: Mean client think time between transactions, seconds (§3.2).
-    think_time_mean: float = 12.0
-
-    def __post_init__(self) -> None:
-        missing = [cls for cls in CLASSES if cls not in self.cpu]
-        if missing:
-            raise ValueError(f"profiles missing for classes: {missing}")
-        if self.commit_sectors is None:
-            self.commit_sectors = dict(DEFAULT_COMMIT_SECTORS)
-
-    def sample_cpu(self, tx_class: str, rng: random.Random) -> float:
-        return self.cpu[tx_class].sample(rng)
-
-    def sectors(self, tx_class: str) -> int:
-        assert self.commit_sectors is not None
-        return self.commit_sectors.get(tx_class, 0)
-
-
 #: CPU means (seconds) reproducing the paper's saturation points on the
 #: reference 1 GHz CPU: ~22 ms weighted mean per transaction, so one CPU
 #: saturates around 45 tx/s ~ 500 clients at 12 s think time (§5.1).
@@ -115,9 +60,25 @@ DEFAULT_CPU_MEANS = {
     "stocklevel": 45e-3,
 }
 
+#: Shape of every class's log-normal CPU time: right-skewed like real
+#: query timings.  A class's execution CPU is drawn as
+#: ``rng.lognormvariate(_MU[cls], SIGMA)``.
+SIGMA = 0.25
+
+#: Per-class mu, chosen so that exp(mu + SIGMA^2/2) is the class's mean.
+_MU = {
+    cls: math.log(mean) - SIGMA * SIGMA / 2.0
+    for cls, mean in DEFAULT_CPU_MEANS.items()
+}
+
+#: Commit processing CPU, seconds: near-constant, < 2 ms for every
+#: class (§4.1).
+COMMIT_CPU = 1.8e-3
+
 #: Pages flushed at commit (4 KB sectors): stock rows are random access
 #: (one page each); order lines cluster; read-only classes flush nothing.
-DEFAULT_COMMIT_SECTORS = {
+#: With the 9.486 MB/s device they reproduce Figure 6(b)'s disk ceiling.
+COMMIT_SECTORS = {
     "neworder": 24,
     "payment-long": 5,
     "payment-short": 5,
@@ -127,9 +88,5 @@ DEFAULT_COMMIT_SECTORS = {
     "stocklevel": 0,
 }
 
-
-def default_profiles() -> ProfileSet:
-    """The calibrated profile set used by all paper experiments."""
-    return ProfileSet(
-        cpu={cls: LogNormalProfile(DEFAULT_CPU_MEANS[cls]) for cls in CLASSES}
-    )
+#: Mean client think time between transactions, seconds (§3.2).
+THINK_TIME_MEAN = 12.0

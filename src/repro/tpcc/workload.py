@@ -34,7 +34,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from ..db.transactions import Operation, OpKind, TransactionSpec
 from ..db.tuples import table_lock_id
 from . import schema
-from .profiles import default_profiles
+from .profiles import _MU, COMMIT_CPU, COMMIT_SECTORS, SIGMA, THINK_TIME_MEAN
 
 __all__ = ["TpccWorkload", "MIX"]
 
@@ -125,7 +125,6 @@ class TpccWorkload:
         readset_escalation_threshold: Optional[int] = None,
     ):
         self.layout = schema.TpccLayout(warehouses, site_index, site_count)
-        self.profiles = default_profiles()
         self.rng = rng or random.Random(20050628)
         #: Read-sets larger than this (per table) are escalated to a
         #: single table lock before multicast (paper §3.3); ``None``
@@ -162,7 +161,7 @@ class TpccWorkload:
 
     def think_time(self) -> float:
         """Exponentially distributed client think time (§3.2)."""
-        return self.rng.expovariate(1.0 / self.profiles.think_time_mean)
+        return self.rng.expovariate(1.0 / THINK_TIME_MEAN)
 
     # ------------------------------------------------------------------
     # transaction builders
@@ -190,7 +189,7 @@ class TpccWorkload:
         sizes[_NEWORDER + neworder] = schema.NEWORDER.row_bytes
         for line in lines:
             sizes[_ORDERLINE + line] = schema.ORDERLINE.row_bytes
-        cpu = self.profiles.sample_cpu("neworder", rng)
+        cpu = rng.lognormvariate(_MU["neworder"], SIGMA)
         ops = self._ops(
             fetch_groups=[
                 (schema.WAREHOUSE.row_bytes + schema.DISTRICT.row_bytes, 0.15),
@@ -205,8 +204,8 @@ class TpccWorkload:
             read_set=read_set,
             write_set=tuple(sorted(sizes)),
             write_sizes=sizes,
-            commit_cpu=self.profiles.commit_cpu,
-            commit_sectors=self.profiles.sectors("neworder"),
+            commit_cpu=COMMIT_CPU,
+            commit_sectors=COMMIT_SECTORS["neworder"],
             intrinsic_abort=random() < NEWORDER_ROLLBACK_PROB,
         )
 
@@ -233,7 +232,7 @@ class TpccWorkload:
         }
         read_set = self._finalize_reads(sizes)
         sizes[_HISTORY + layout.fresh_rows(1)[0]] = schema.HISTORY.row_bytes
-        cpu = self.profiles.sample_cpu(tx_class, rng)
+        cpu = rng.lognormvariate(_MU[tx_class], SIGMA)
         customer_bytes = schema.CUSTOMER.row_bytes * (3 if by_name else 1)
         ops = self._ops(
             fetch_groups=[
@@ -248,8 +247,8 @@ class TpccWorkload:
             read_set=read_set,
             write_set=tuple(sorted(sizes)),
             write_sizes=sizes,
-            commit_cpu=self.profiles.commit_cpu,
-            commit_sectors=self.profiles.sectors(tx_class),
+            commit_cpu=COMMIT_CPU,
+            commit_sectors=COMMIT_SECTORS[tx_class],
             intrinsic_abort=by_name and rng.random() < PAYMENT_LONG_INTRINSIC,
         )
 
@@ -260,7 +259,7 @@ class TpccWorkload:
         lines = 5 + _below(rng.getrandbits, 11)  # randint(5, 15)
         # Read-only: nothing is read with update intent, nothing is
         # certified — hence the 0.00 abort rows in Tables 1 and 2.
-        cpu = self.profiles.sample_cpu(tx_class, rng)
+        cpu = rng.lognormvariate(_MU[tx_class], SIGMA)
         ops = self._ops(
             fetch_groups=[
                 (schema.CUSTOMER.row_bytes * (3 if by_name else 1), 0.5),
@@ -273,7 +272,7 @@ class TpccWorkload:
             operations=ops,
             read_set=(),
             write_set=(),
-            commit_cpu=self.profiles.commit_cpu,
+            commit_cpu=COMMIT_CPU,
             commit_sectors=0,
             intrinsic_abort=by_name and rng.random() < ORDERSTATUS_LONG_INTRINSIC,
         )
@@ -301,7 +300,7 @@ class TpccWorkload:
                 while slot >= 64:
                     slot = getrandbits(7)
                 sizes[lines + slot * 16 + i] = schema.ORDERLINE.row_bytes
-        cpu = self.profiles.sample_cpu("delivery", rng)
+        cpu = rng.lognormvariate(_MU["delivery"], SIGMA)
         per_district = schema.ORDER.row_bytes + 10 * schema.ORDERLINE.row_bytes
         ops = self._ops(
             fetch_groups=[
@@ -316,15 +315,15 @@ class TpccWorkload:
             read_set=self._finalize_reads(sizes),
             write_set=tuple(sorted(sizes)),
             write_sizes=sizes,
-            commit_cpu=self.profiles.commit_cpu,
-            commit_sectors=self.profiles.sectors("delivery"),
+            commit_cpu=COMMIT_CPU,
+            commit_sectors=COMMIT_SECTORS["delivery"],
         )
 
     def stocklevel(self, w: int, d: int) -> TransactionSpec:
         rng = self.rng
         # The join over the last 20 orders' lines touches ~200 stock
         # rows — all plain reads, so nothing is certified (read-only).
-        cpu = self.profiles.sample_cpu("stocklevel", rng)
+        cpu = rng.lognormvariate(_MU["stocklevel"], SIGMA)
         ops = self._ops(
             fetch_groups=[
                 (20 * schema.ORDERLINE.row_bytes, 0.3),
@@ -337,7 +336,7 @@ class TpccWorkload:
             operations=ops,
             read_set=(),
             write_set=(),
-            commit_cpu=self.profiles.commit_cpu,
+            commit_cpu=COMMIT_CPU,
             commit_sectors=0,
         )
 

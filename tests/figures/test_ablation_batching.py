@@ -9,6 +9,7 @@ latency; window 0 ships one SEQUENCE per transaction.
 import pytest
 
 from repro.analysis import format_table
+from repro.analysis.metrics import cert_latencies
 from repro.core.experiment import Scenario, ScenarioConfig
 from repro.core.scenarios import scaled_transactions
 from repro.gcs.config import GcsConfig
@@ -42,7 +43,7 @@ def test_ablation_sequence_batching(batching_sweep):
     stats = {
         window: (
             result.sites[0].gcs.total_order.stats["sequence_msgs"],
-            statistics.median(result.metrics.certification_latencies()),
+            statistics.median(cert_latencies(result)),
         )
         for window, result in batching_sweep.items()
     }

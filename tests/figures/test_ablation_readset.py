@@ -10,7 +10,7 @@ delivery (the large-read-set class) aborts far more often.
 
 import pytest
 
-from repro.analysis import format_table
+from repro.analysis import format_table, metric_value
 from repro.core.experiment import Scenario, ScenarioConfig
 from repro.core.scenarios import scaled_transactions
 
@@ -70,8 +70,8 @@ def test_ablation_escalation_tradeoff(escalation_sweep):
     message_bytes = {t: _delivery_message_bytes(t) for t in THRESHOLDS}
     aborts = {
         threshold: (
-            r.metrics.abort_rate("delivery"),
-            r.metrics.abort_rate(),
+            metric_value(r, "abort_rate[delivery]"),
+            metric_value(r, "abort_rate"),
         )
         for threshold, r in escalation_sweep.items()
     }

@@ -9,7 +9,7 @@ and shows blocking time collapsing while throughput recovers.
 
 import pytest
 
-from repro.analysis import format_table
+from repro.analysis import format_table, metric_value
 from repro.core.experiment import Scenario
 from repro.core.scenarios import fault_config, prototype_gcs_config, scaled_transactions
 
@@ -43,7 +43,7 @@ def test_ablation_buffer_share_mitigates_blocking(share_sweep):
         share: (
             sum(s.gcs.reliable.stats["blocked_time"] for s in r.sites),
             sum(s.gcs.reliable.stats["blocked_events"] for s in r.sites),
-            r.mean_latency() * 1000,
+            metric_value(r, "mean_latency_ms"),
         )
         for share, r in share_sweep.items()
     }

@@ -15,7 +15,6 @@ from repro.core.experiment import Scenario, ScenarioConfig
 from repro.core.metrics import qq_points
 from repro.core.scenarios import scale
 from repro.core.validation import reference_latency_sample
-from repro.tpcc.profiles import default_profiles
 
 TRANSACTIONS = max(1000, int(5000 * scale()))
 
@@ -55,9 +54,7 @@ def _composition(result, classes):
 
 
 def _reference(composition, count):
-    return reference_latency_sample(
-        composition, default_profiles(), count=count, seed=99
-    )
+    return reference_latency_sample(composition, count=count, seed=99)
 
 
 def _qq_print(simulated, reference, label):

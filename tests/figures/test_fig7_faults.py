@@ -16,6 +16,7 @@ ECDF quantiles and the protocol-CPU table come from the
 import pytest
 
 from repro.analysis import ResultSet, figure_table, render_figure
+from repro.analysis.metrics import cert_latencies
 from repro.core.experiment import Scenario
 from repro.core.scenarios import fault_config, scaled_transactions
 
@@ -76,7 +77,7 @@ def test_fig7b_certification_ecdf(fault_rs, fault_runs):
     threshold = 4 * median_none
 
     def delayed_fraction(kind):
-        values = fault_runs[kind].metrics.certification_latencies()
+        values = cert_latencies(fault_runs[kind])
         return sum(1 for v in values if v > threshold) / len(values)
 
     assert 0.15 < delayed_fraction("random") < 0.60

@@ -79,7 +79,6 @@ def make_group(
     n: int = 3,
     config: Optional[GcsConfig] = None,
     fault_plans: Optional[Dict[int, FaultPlan]] = None,
-    seed: int = 3,
 ) -> GroupHarness:
     """Wire ``n`` members on one simulated Ethernet segment."""
     sim = Simulator()
@@ -102,7 +101,6 @@ def make_group(
             sim,
             CpuPool(sim, 1, name=f"m{i}.cpu"),
             sock,
-            seed=seed + i,
             interceptor=injector,
             name=f"m{i}.rt",
         )

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.metrics import cert_latencies, metric_value
 from repro.core.experiment import Scenario, ScenarioConfig
 
 
@@ -18,11 +19,11 @@ class TestCentralizedRun:
         assert len(result.metrics.records) >= 400
 
     def test_throughput_positive(self, result):
-        assert result.throughput_tpm() > 0
+        assert metric_value(result, "throughput_tpm") > 0
 
     def test_no_certification_latencies(self, result):
         """Centralized runs have no replication protocol at all."""
-        assert result.metrics.certification_latencies() == []
+        assert cert_latencies(result) == []
         assert result.capture.total_packets == 0
 
     def test_no_commit_logs(self, result):
@@ -30,20 +31,19 @@ class TestCentralizedRun:
         assert result.check_safety() == {}
 
     def test_cpu_was_used(self, result):
-        total, real = result.cpu_usage()
-        assert total > 0.0
-        assert real == 0.0  # no protocol jobs exist
+        assert metric_value(result, "cpu_total") > 0.0
+        assert metric_value(result, "cpu_protocol") == 0.0  # no protocol jobs exist
 
     def test_disk_was_used(self, result):
-        assert result.disk_usage() > 0.0
+        assert metric_value(result, "disk") > 0.0
 
     def test_all_classes_observed(self, result):
-        classes = set(result.metrics.classes())
+        classes = {r.tx_class for r in result.metrics.records}
         assert {"neworder", "payment-long", "payment-short"} <= classes
 
     def test_readonly_classes_never_abort(self, result):
-        assert result.metrics.abort_rate("orderstatus-short") == 0.0
-        assert result.metrics.abort_rate("stocklevel") == 0.0
+        assert metric_value(result, "abort_rate[orderstatus-short]") == 0.0
+        assert metric_value(result, "abort_rate[stocklevel]") == 0.0
 
 
 class TestMoreCpusMoreThroughputUnderLoad:
@@ -59,5 +59,5 @@ class TestMoreCpusMoreThroughputUnderLoad:
                 seed=13,
             )
             res = Scenario(config).run()
-            lat[cpus] = res.mean_latency()
+            lat[cpus] = metric_value(res, "mean_latency_ms")
         assert lat[3] < lat[1]

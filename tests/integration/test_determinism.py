@@ -8,6 +8,7 @@ just not bit-identical ones.
 
 import pytest
 
+from repro.analysis import metric_value
 from repro.core.csrt import MEASURED
 from repro.core.experiment import Scenario, ScenarioConfig
 from repro.runner import run_campaign
@@ -48,7 +49,9 @@ class TestDeterminism:
     def test_different_seeds_differ(self):
         a = run(seed=3)
         b = run(seed=4)
-        assert a.throughput_tpm() != b.throughput_tpm()
+        assert metric_value(a, "throughput_tpm") != metric_value(
+            b, "throughput_tpm"
+        )
 
     def test_sequential_workers1_and_pool_identical(self, tmp_path):
         """The same config + seed yields identical metrics whether run
@@ -86,10 +89,13 @@ class TestDeterminism:
                 for log in result.commit_logs()
             ],
             "sim_time": result.sim_time,
-            "throughput_tpm": result.throughput_tpm(),
-            "abort_rate": result.abort_rate(),
-            "cpu_usage": result.cpu_usage(),
-            "network_kbps": result.network_kbps(),
+            **{
+                name: metric_value(result, name)
+                for name in (
+                    "throughput_tpm", "abort_rate", "cpu_total",
+                    "cpu_protocol", "net_kbps",
+                )
+            },
             "safety": result.check_safety(),
         }
 
@@ -103,8 +109,7 @@ class TestMeasuredClock:
         assert len(result.metrics.records) >= 150
         result.check_safety()
         # real jobs consumed *measured* CPU time
-        _, protocol_cpu = result.cpu_usage()
-        assert protocol_cpu >= 0.0
+        assert metric_value(result, "cpu_protocol") >= 0.0
         total_real = sum(
             cpu.busy_time["real"]
             for site in result.sites
@@ -116,6 +121,6 @@ class TestMeasuredClock:
         modeled = run(seed=6, transactions=150)
         measured = run(seed=6, clock_mode=MEASURED, transactions=150)
         # throughput is think-time-dominated: the two clock modes agree
-        assert measured.throughput_tpm() == pytest.approx(
-            modeled.throughput_tpm(), rel=0.25
+        assert metric_value(measured, "throughput_tpm") == pytest.approx(
+            metric_value(modeled, "throughput_tpm"), rel=0.25
         )

@@ -16,6 +16,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from helpers import raising_run
 
+from repro.analysis import metric_value
 from repro.core.experiment import Scenario, ScenarioConfig
 from repro.core.faults import random_loss
 from repro.gcs.config import GcsConfig
@@ -45,12 +46,13 @@ def grid_configs(transactions=120):
 def observables(result):
     """Everything a figure reads, excluding process-global tx ids."""
     return {
-        "throughput_tpm": result.throughput_tpm(),
-        "mean_latency": result.mean_latency(),
-        "abort_rate": result.abort_rate(),
-        "cpu_usage": result.cpu_usage(),
-        "disk_usage": result.disk_usage(),
-        "network_kbps": result.network_kbps(),
+        **{
+            name: metric_value(result, name)
+            for name in (
+                "throughput_tpm", "mean_latency_ms", "abort_rate",
+                "cpu_total", "cpu_protocol", "disk", "net_kbps",
+            )
+        },
         "sim_time": result.sim_time,
         "records": [
             (r.tx_class, r.site, r.submit_time, r.end_time, r.outcome,
@@ -117,8 +119,8 @@ class TestWorkerFailureIsolation:
         assert poison.result is None
         assert "unknown replication protocol" in poison.error
         assert "Traceback" in poison.error
-        assert campaign.get("before").result.throughput_tpm() > 0
-        assert campaign.get("after").result.throughput_tpm() > 0
+        assert metric_value(campaign.get("before").result, "throughput_tpm") > 0
+        assert metric_value(campaign.get("after").result, "throughput_tpm") > 0
 
     def test_pairs_surfaces_failure(self):
         campaign = run_campaign(self.failing_grid()[:2], workers=1)
@@ -166,7 +168,9 @@ class TestResumability:
         second = run_campaign(grid, workers=1, artifact_dir=art)
         assert {c.source for c in second.cells} == {"artifact"}
         for (label, a), (_, b) in zip(first.pairs(), second.pairs()):
-            assert a.throughput_tpm() == b.throughput_tpm(), label
+            assert metric_value(a, "throughput_tpm") == metric_value(
+                b, "throughput_tpm"
+            ), label
             assert a.check_safety() == b.check_safety(), label
 
     def test_changed_config_invalidates_only_that_cell(self, tmp_path):

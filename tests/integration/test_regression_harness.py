@@ -8,7 +8,6 @@ from repro import CampaignSpec
 from repro.core.experiment import ScenarioConfig
 from repro.core.regression import Regression, RegressionSuite
 from repro.core.safety import SafetyViolation
-from repro.tpcc.profiles import default_profiles
 
 from test_seed_1007_pin import SPEC as F2_SPEC
 

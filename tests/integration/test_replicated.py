@@ -2,7 +2,16 @@
 
 import pytest
 
+from repro.analysis.metrics import cert_latencies, metric_value
 from repro.core.experiment import Scenario, ScenarioConfig
+
+
+def class_latencies(result, tx_class):
+    return [
+        r.latency
+        for r in result.metrics.records
+        if r.committed and r.tx_class == tx_class
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +36,7 @@ class TestReplicatedRun:
             assert site.server.stats["local_committed"] > 0
 
     def test_update_transactions_certified(self, result):
-        certs = result.metrics.certification_latencies()
+        certs = cert_latencies(result)
         assert len(certs) > 100
         assert all(c > 0 for c in certs)
 
@@ -37,11 +46,10 @@ class TestReplicatedRun:
 
     def test_network_carried_protocol_traffic(self, result):
         assert result.capture.total_packets > 0
-        assert result.network_kbps() > 0
+        assert metric_value(result, "net_kbps") > 0
 
     def test_protocol_cpu_charged(self, result):
-        _, real = result.cpu_usage()
-        assert real > 0.0
+        assert metric_value(result, "cpu_protocol") > 0.0
 
     def test_view_stayed_stable(self, result):
         for site in result.sites:
@@ -50,15 +58,14 @@ class TestReplicatedRun:
     def test_readonly_latency_unaffected_by_replication(self, result):
         """§5.1: read-only transactions commit locally, so their latency
         must not include any certification round-trip."""
-        ro = result.metrics.latencies("orderstatus-short")
-        certs = result.metrics.certification_latencies()
+        ro = class_latencies(result, "orderstatus-short")
         assert ro, "no read-only samples"
         # read-only latencies are pure local processing: typically a few
         # ms; they must not be inflated past the median certified path
         import statistics
 
         assert statistics.median(ro) < statistics.median(
-            result.metrics.latencies("payment-short")
+            class_latencies(result, "payment-short")
         )
 
     def test_commit_watermark_advances_everywhere(self, result):
@@ -79,7 +86,7 @@ class TestEquivalentCentralized:
                 transactions=500,
                 seed=23,
             )
-            results[label] = Scenario(config).run().throughput_tpm()
+            results[label] = metric_value(Scenario(config).run(), "throughput_tpm")
         assert results["replicated"] == pytest.approx(
             results["central"], rel=0.15
         )

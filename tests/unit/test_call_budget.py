@@ -4,10 +4,10 @@ generator's draws: stopwatch-free gates.
 In the spirit of ``test_event_budget.py``: the number of Python
 function calls a decode or a scan makes is a pure function of the code,
 so it compares two commits on any host.  A stored row becomes a record
-in one ``_make`` call and the collector's scans compare fields inside
-one comprehension, so decoding N rows makes about N calls and scanning
-them makes a handful — not one ``from_list`` + ``__init__`` per row or
-one ``committed`` / ``latency`` property call per record per scan.
+in one ``_make`` call and the metric extractors' scans compare fields
+inside one comprehension, so decoding N rows makes about N calls and
+scanning them makes a handful — not one ``from_list`` + ``__init__`` per
+row or one ``committed`` / ``latency`` property call per record per scan.
 
 The datagram path has the same kind of gate: a real job that queues
 schedules no kernel ``Event``, the fabric asks about the partition cut
@@ -45,6 +45,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "property"))
 from helpers import make_group
 from test_prop_cpu_lazy import GRID, EagerCpu, drive
 
+from repro.analysis.metrics import commit_latencies, metric_value
 from repro.core.cpu import CpuPool, SimulatedCpu
 from repro.core.csrt import SiteRuntime
 from repro.core.experiment import Scenario, ScenarioConfig
@@ -144,16 +145,19 @@ def test_decoding_rows_costs_one_call_per_row():
 
 def test_headline_scans_cost_no_call_per_record():
     collector = MetricsCollector.from_dict(stored_rows())
+    result = types.SimpleNamespace(metrics=collector)
 
     def scans():
         return (
-            collector.throughput_tpm(),
-            collector.latencies(),
-            collector.abort_rate(),
+            metric_value(result, "throughput_tpm"),
+            commit_latencies(result),
+            metric_value(result, "mean_latency_ms"),
+            metric_value(result, "abort_rate"),
         )
 
-    (tpm, latencies, abort_rate), calls = calls_made_by(scans)
+    (tpm, latencies, mean, abort_rate), calls = calls_made_by(scans)
     assert tpm > 0 and len(latencies) == N - N // 10 and abort_rate == 10.0
+    assert mean == 250.0
     assert calls < 20, calls
 
 

@@ -139,6 +139,11 @@ class TestRun:
         assert main(["run", "fig7", "--set", "clients", "--quiet"]) == 2
         assert "axis=value" in capsys.readouterr().err
 
+    def test_run_breaking_interval_is_a_usage_error(self, capsys):
+        """``probe_interval=0`` used to make the run loop forever."""
+        assert main(["run", "smoke", "--set", "probe_interval=0", "--quiet"]) == 2
+        assert "probe_interval must be positive" in capsys.readouterr().err
+
 
 class TestReport:
     """The artifact -> report path (see also tests/unit/test_analysis.py)."""
@@ -197,7 +202,7 @@ class TestReport:
         systems, clients_levels = ("1 CPU", "3 Sites"), (8, 12)
         series = {
             system: [
-                rs.select(system=system, clients=c).cells[0].result.throughput_tpm()
+                rs.select(system=system, clients=c).cells[0].value("throughput_tpm")
                 for c in clients_levels
             ]
             for system in systems

@@ -4,7 +4,8 @@ registered campaign, a registered metric, a fault action, a cell
 verdict, or a ``REPRO_*`` environment knob is missing from the docs —
 the drift this PR-sized repo accumulates fastest.  It also guards the
 protocol runtime interface: both runtimes implement all of it, and the
-names of the deleted second simulated runtime stay gone.
+names of the deleted second simulated runtime stay gone; and the call
+forms of deleted result statistics and CPU-profile objects stay gone.
 """
 
 import inspect
@@ -230,9 +231,43 @@ class TestProtocolRuntime:
 
     @pytest.mark.parametrize("name", RETIRED_RUNTIME_NAMES)
     def test_retired_runtime_names_are_gone(self, name):
-        pattern = re.compile(rf"\b{name}\b")
-        texts = {"README.md": README, "ARCHITECTURE.md": ARCHITECTURE}
-        for path in (REPO / "src").rglob("*.py"):
-            texts[str(path.relative_to(REPO))] = path.read_text(encoding="utf-8")
-        found = sorted(where for where, text in texts.items() if pattern.search(text))
+        found = places_matching(rf"\b{name}\b")
         assert found == [], f"{name!r} still appears in {found}"
+
+
+#: Call forms of deleted APIs: the statistics results and the collector
+#: used to compute beside the metric table (every reported number is a
+#: metric of ``repro.analysis.metrics``), the CPU-profile objects the
+#: §4.1 constants replaced, and the protocol runtime's unused RNG.
+RETIRED_CALL_FORMS = (
+    r"\.throughput_tpm\(",
+    r"\.mean_latency\(",
+    r"\.abort_rate\(",
+    r"\.cpu_usage\(",
+    r"\.disk_usage\(",
+    r"\.network_kbps\(",
+    r"\.latencies\(",
+    r"\.classes\(",
+    r"\babort_rate_table\b",
+    r"\bcertification_latencies\b",
+    r"\bdefault_profiles\b",
+    r"\bProfileSet\b",
+    r"\bLogNormalProfile\b",
+    r"\.rng\(\)",
+)
+
+
+def places_matching(pattern):
+    """README.md, ARCHITECTURE.md and the ``src/`` files ``pattern``
+    occurs in, sorted."""
+    pattern = re.compile(pattern)
+    texts = {"README.md": README, "ARCHITECTURE.md": ARCHITECTURE}
+    for path in (REPO / "src").rglob("*.py"):
+        texts[str(path.relative_to(REPO))] = path.read_text(encoding="utf-8")
+    return sorted(where for where, text in texts.items() if pattern.search(text))
+
+
+@pytest.mark.parametrize("form", RETIRED_CALL_FORMS)
+def test_retired_call_forms_are_gone(form):
+    found = places_matching(form)
+    assert found == [], f"{form!r} still appears in {found}"

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import metric_value
 from repro.core.experiment import Scenario, ScenarioConfig
 from repro.core.faults import FaultPlan, random_loss
 
@@ -93,10 +94,10 @@ class TestResultAccessors:
         result = Scenario(
             ScenarioConfig(sites=1, clients=10, transactions=50, seed=2)
         ).run()
-        assert result.throughput_tpm() > 0
-        assert result.mean_latency() > 0
-        assert 0 <= result.abort_rate() <= 100
-        total, real = result.cpu_usage()
-        assert 0 <= total <= 1 and real == 0.0
-        assert 0 <= result.disk_usage() <= 1
-        assert result.network_kbps() == 0.0
+        assert metric_value(result, "throughput_tpm") > 0
+        assert metric_value(result, "mean_latency_ms") > 0
+        assert 0 <= metric_value(result, "abort_rate") <= 100
+        assert 0 <= metric_value(result, "cpu_total") <= 1
+        assert metric_value(result, "cpu_protocol") == 0.0
+        assert 0 <= metric_value(result, "disk") <= 1
+        assert metric_value(result, "net_kbps") == 0.0

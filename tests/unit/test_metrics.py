@@ -1,13 +1,19 @@
-"""Unit tests for metrics: records, statistics, distributions, sampling."""
+"""Unit tests for metrics: records, the record extractors,
+distributions, sampling."""
+
+import math
+from types import SimpleNamespace
 
 import pytest
 
+from repro.analysis.metrics import cert_latencies, commit_latencies, metric_value
 from repro.core.cpu import CpuPool
 from repro.core.kernel import Simulator
 from repro.core.metrics import (
     TX_RECORD_FIELDS,
     MetricsCollector,
     ResourceSampler,
+    SampleSeries,
     TxRecord,
     ecdf,
     qq_points,
@@ -29,55 +35,73 @@ def record(tx_id=1, tx_class="neworder", outcome="commit", submit=0.0, end=1.0,
     )
 
 
-class TestCollector:
+def log_of(*records):
+    """A stand-in result whose transaction log holds ``records``: the
+    record extractors read nothing else."""
+    collector = MetricsCollector()
+    for r in records:
+        collector.record(r)
+    return SimpleNamespace(metrics=collector)
+
+
+class TestRecordExtractors:
     def test_throughput_tpm(self):
-        collector = MetricsCollector()
-        for i in range(10):
-            collector.record(record(tx_id=i, submit=0.0, end=60.0))
-        assert collector.throughput_tpm() == pytest.approx(10.0)
+        result = log_of(*(record(tx_id=i, end=60.0) for i in range(10)))
+        assert metric_value(result, "throughput_tpm") == pytest.approx(10.0)
+
+    def test_throughput_spans_first_submit_to_last_end(self):
+        result = log_of(
+            record(tx_id=1, submit=30.0, end=60.0),
+            record(tx_id=2, submit=0.0, end=20.0),
+            record(tx_id=3, submit=10.0, end=120.0),
+        )
+        assert metric_value(result, "throughput_tpm") == pytest.approx(1.5)
 
     def test_aborts_do_not_count_toward_throughput(self):
-        collector = MetricsCollector()
-        collector.record(record(tx_id=1, outcome="commit", end=60.0))
-        collector.record(record(tx_id=2, outcome="abort", end=60.0))
-        assert collector.throughput_tpm() == pytest.approx(1.0)
+        result = log_of(
+            record(tx_id=1, outcome="commit", end=60.0),
+            record(tx_id=2, outcome="abort", end=60.0),
+        )
+        assert metric_value(result, "throughput_tpm") == pytest.approx(1.0)
 
     def test_abort_rate_per_class(self):
-        collector = MetricsCollector()
-        collector.record(record(tx_id=1, tx_class="payment-long", outcome="abort"))
-        collector.record(record(tx_id=2, tx_class="payment-long"))
-        collector.record(record(tx_id=3, tx_class="neworder"))
-        assert collector.abort_rate("payment-long") == pytest.approx(50.0)
-        assert collector.abort_rate("neworder") == 0.0
-        assert collector.abort_rate() == pytest.approx(100.0 / 3.0)
+        result = log_of(
+            record(tx_id=1, tx_class="payment-long", outcome="abort"),
+            record(tx_id=2, tx_class="payment-long"),
+            record(tx_id=3, tx_class="neworder"),
+        )
+        rate = lambda name: metric_value(result, name)
+        assert rate("abort_rate[payment-long]") == pytest.approx(50.0)
+        assert rate("abort_rate[neworder]") == 0.0
+        assert rate("abort_rate") == pytest.approx(100.0 / 3.0)
+        assert rate("abort_rate[All]") == rate("abort_rate")
+        assert math.isnan(rate("abort_rate[delivery]"))
 
-    def test_abort_rate_table_includes_all_row(self):
-        collector = MetricsCollector()
-        collector.record(record(tx_id=1, tx_class="a", outcome="abort"))
-        collector.record(record(tx_id=2, tx_class="b"))
-        table = collector.abort_rate_table()
-        assert set(table) == {"a", "b", "All"}
-        assert table["All"] == pytest.approx(50.0)
+    def test_latencies_are_the_committed_ones(self):
+        result = log_of(
+            record(tx_id=1, submit=0.0, end=0.5),
+            record(tx_id=2, submit=0.0, end=1.5, outcome="abort"),
+        )
+        assert commit_latencies(result) == [0.5]
+        assert metric_value(result, "mean_latency_ms") == pytest.approx(500.0)
+        assert metric_value(result, "p99_latency_ms") == pytest.approx(500.0)
 
-    def test_latency_selection(self):
-        collector = MetricsCollector()
-        collector.record(record(tx_id=1, submit=0.0, end=0.5))
-        collector.record(record(tx_id=2, submit=0.0, end=1.5, outcome="abort"))
-        assert collector.latencies() == [0.5]
-        assert collector.mean_latency() == pytest.approx(0.5)
+    def test_certification_latencies_are_the_positive_ones(self):
+        result = log_of(
+            record(tx_id=1, cert=0.02),
+            record(tx_id=2, readonly=True, cert=0.0),
+        )
+        assert cert_latencies(result) == [0.02]
+        assert metric_value(result, "cert_latency_ms") == pytest.approx(20.0)
+        assert metric_value(result, "cert_p50_ms") == pytest.approx(20.0)
 
-    def test_certification_latencies(self):
-        collector = MetricsCollector()
-        collector.record(record(tx_id=1, cert=0.02))
-        collector.record(record(tx_id=2, readonly=True, cert=0.0))
-        assert collector.certification_latencies() == [0.02]
-
-    def test_select_by_site_and_predicate(self):
-        collector = MetricsCollector()
-        collector.record(record(tx_id=1, site="site0"))
-        collector.record(record(tx_id=2, site="site1"))
-        assert len(collector.select(site="site1")) == 1
-        assert len(collector.select(predicate=lambda r: r.tx_id == 1)) == 1
+    def test_an_empty_log_reads_nan(self):
+        result = log_of()
+        for name in (
+            "throughput_tpm", "mean_latency_ms", "p50_latency_ms",
+            "abort_rate", "abort_rate[neworder]", "cert_latency_ms",
+        ):
+            assert math.isnan(metric_value(result, name)), name
 
 
 COLUMN = TX_RECORD_FIELDS.index
@@ -104,13 +128,6 @@ class TestRecordIsTheStoredRow:
             record().outcome = "abort"
         with pytest.raises(AttributeError):
             record().extra = 1
-
-    def test_select_without_a_criterion_returns_a_copy(self):
-        collector = MetricsCollector()
-        collector.record(record())
-        selected = collector.select()
-        assert selected == collector.records
-        assert selected is not collector.records
 
     @pytest.mark.parametrize(
         "damage",
@@ -197,3 +214,8 @@ class TestResourceSampler:
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
             ResourceSampler(Simulator(), interval=0.0)
+
+    def test_no_samples_read_nan(self):
+        series = SampleSeries([], interval=1.0)
+        values = (*series.mean_cpu(), series.mean_disk(), series.net_kbytes_per_second())
+        assert all(math.isnan(v) for v in values)

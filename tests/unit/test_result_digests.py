@@ -87,4 +87,5 @@ def test_cpu_accounting_when_the_run_stops_inside_a_real_job():
         {"sim": 0.00921050556870909, "real": 0.0009197102968659192, "total": 0.010130215865575009},
         {"sim": 0.01382912917761457, "real": 0.0009222814252132842, "total": 0.014751410602827853},
     ]
-    assert result.cpu_usage() == (0.017193059662412066, 0.0009663239999946191)
+    assert metric_value(result, "cpu_total") == 0.017193059662412066
+    assert metric_value(result, "cpu_protocol") == 0.0009663239999946191

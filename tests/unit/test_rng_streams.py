@@ -14,7 +14,6 @@ class TestDeriveSeed:
         bit-for-bit, or every recorded scenario changes."""
         assert derive_seed(42, "storage", 2) == 42 * 1000 + 2
         assert derive_seed(42, "workload", 1) == 42 * 77 + 1
-        assert derive_seed(42, "protocol", 0) == 42 * 13
         assert derive_seed(42, "faults", 2) == 42 * 31 + 2
 
     def test_derive_rng_equals_seeded_random(self):

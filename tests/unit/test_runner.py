@@ -11,7 +11,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from helpers import raising_run
 
-from repro.analysis import ResultSet
+from repro.analysis import ResultSet, metric_value
 from repro.core.experiment import Scenario, ScenarioConfig
 from repro.core.kernel import Simulator
 from repro.runner import (
@@ -71,7 +71,9 @@ class TestArtifactStore:
         store.save("cell", result)
         loaded = store.load("cell", config)
         assert loaded is not None
-        assert loaded.throughput_tpm() == result.throughput_tpm()
+        assert metric_value(loaded, "throughput_tpm") == metric_value(
+            result, "throughput_tpm"
+        )
 
     def test_missing_cell_loads_none(self, tmp_path):
         store = ArtifactStore(tmp_path)

@@ -29,10 +29,10 @@ class SimulatedDriver:
         self.sim = Simulator()
         self._fabric = {}
 
-    def runtime(self, seed=0):
+    def runtime(self):
         address = ("site", len(self._fabric))
         socket = RecordingSocket(address=address, fabric=self._fabric)
-        return SiteRuntime(self.sim, CpuPool(self.sim, 1), socket, seed=seed)
+        return SiteRuntime(self.sim, CpuPool(self.sim, 1), socket)
 
     def advance(self, seconds):
         self.sim.schedule(seconds, lambda: None)
@@ -52,8 +52,8 @@ class NativeDriver:
     def __init__(self):
         self._open = []
 
-    def runtime(self, seed=0):
-        runtime = NativeProtocolRuntime(("127.0.0.1", 0), seed=seed)
+    def runtime(self):
+        runtime = NativeProtocolRuntime(("127.0.0.1", 0))
         runtime.start()
         self._open.append(runtime)
         return runtime
@@ -106,12 +106,6 @@ class TestContract:
         assert driver.settle(lambda: got != [])
         assert got == [(a.local_address(), b"ping")]
 
-    def test_rng_is_reproducible_from_the_seed(self, driver):
-        draws = [
-            [runtime.rng().random() for _ in range(3)]
-            for runtime in (driver.runtime(7), driver.runtime(7), driver.runtime(8))
-        ]
-        assert draws[0] == draws[1] != draws[2]
 
 
 class TestNativeRuntime:

@@ -2,7 +2,7 @@
 
 import os
 import warnings
-from math import inf
+from math import inf, nan
 
 import pytest
 
@@ -166,12 +166,30 @@ class TestFaultConfigs:
 
 
 class TestScenarioConfigValidation:
-    def test_invalid_configs_rejected(self):
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"sites": 0},
+            {"clients": 0},
+            {"transactions": 0},
+            {"probe_interval": 0.0},
+            {"probe_interval": nan},
+            {"sample_interval": 0},
+            {"sample_interval": -1.0},
+            {"max_sim_time": 0.0},
+            {"max_sim_time": nan},
+            {"drain_time": -1},
+            {"drain_time": nan},
+        ],
+        ids=str,
+    )
+    def test_invalid_configs_rejected(self, bad):
         from repro.core.experiment import ScenarioConfig
 
         with pytest.raises(ValueError):
-            ScenarioConfig(sites=0)
-        with pytest.raises(ValueError):
-            ScenarioConfig(clients=0)
-        with pytest.raises(ValueError):
-            ScenarioConfig(transactions=0)
+            ScenarioConfig(**bad)
+
+    def test_zero_drain_time_is_valid(self):
+        from repro.core.experiment import ScenarioConfig
+
+        assert ScenarioConfig(drain_time=0.0).drain_time == 0.0

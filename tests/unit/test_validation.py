@@ -12,7 +12,7 @@ from repro.core.validation import (
     real_send_bandwidth_bps,
     reference_latency_sample,
 )
-from repro.tpcc.profiles import CLASSES, default_profiles
+from repro.tpcc.profiles import CLASSES
 
 
 class TestReferenceCurves:
@@ -63,23 +63,20 @@ class TestCsrtCurves:
 
 class TestReferenceLatencySample:
     def test_sample_positive_and_sized(self):
-        profiles = default_profiles()
-        sample = reference_latency_sample(CLASSES, profiles, count=200)
+        sample = reference_latency_sample(CLASSES, count=200)
         assert len(sample) == 200
         assert all(v > 0 for v in sample)
 
     def test_update_classes_include_commit_io(self):
-        profiles = default_profiles()
         update_only = reference_latency_sample(
-            ("payment-short",), profiles, count=500, seed=1
+            ("payment-short",), count=500, seed=1
         )
         readonly_only = reference_latency_sample(
-            ("orderstatus-short",), profiles, count=500, seed=1
+            ("orderstatus-short",), count=500, seed=1
         )
         assert (sum(update_only) / 500) > (sum(readonly_only) / 500)
 
     def test_qq_against_itself_is_diagonal(self):
-        profiles = default_profiles()
-        sample = reference_latency_sample(CLASSES, profiles, count=500)
+        sample = reference_latency_sample(CLASSES, count=500)
         for qa, qb in qq_points(sample, sample, points=20):
             assert qa == pytest.approx(qb)

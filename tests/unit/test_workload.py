@@ -7,6 +7,7 @@ import pytest
 
 from repro.db.tuples import is_table_lock, row_of, table_of
 from repro.tpcc import schema
+from repro.tpcc.profiles import THINK_TIME_MEAN
 from repro.tpcc.workload import MIX, TpccWorkload
 
 
@@ -50,7 +51,7 @@ class TestClients:
         wl = make_workload()
         times = [wl.think_time() for _ in range(20000)]
         assert sum(times) / len(times) == pytest.approx(
-            wl.profiles.think_time_mean, rel=0.05
+            THINK_TIME_MEAN, rel=0.05
         )
 
 
