@@ -181,6 +181,7 @@ class TestNanPropagation:
             "abort_rate[payment-long]",
             "cert_latency_ms",
             "cpu_total",
+            "disk",
             "net_kbps",
             "time_to_rejoin",
         ):

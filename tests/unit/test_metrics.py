@@ -95,14 +95,6 @@ class TestRecordExtractors:
         assert metric_value(result, "cert_latency_ms") == pytest.approx(20.0)
         assert metric_value(result, "cert_p50_ms") == pytest.approx(20.0)
 
-    def test_an_empty_log_reads_nan(self):
-        result = log_of()
-        for name in (
-            "throughput_tpm", "mean_latency_ms", "p50_latency_ms",
-            "abort_rate", "abort_rate[neworder]", "cert_latency_ms",
-        ):
-            assert math.isnan(metric_value(result, name)), name
-
 
 COLUMN = TX_RECORD_FIELDS.index
 
