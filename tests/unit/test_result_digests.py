@@ -14,7 +14,10 @@ table locks route everywhere).  An
 optimisation must leave every digest alone; a change that legitimately
 moves simulated results re-baselines them and says why in the PR.
 
-Each entry also pins the value of every plain metric and of
+Each entry also pins ``payload_sha256``, the same digest taken without
+the ``format`` tag and the ``config`` encoding: a change to how a
+config is *stored* moves ``sha256`` alone, a change to what a run
+*produced* moves both.  And each entry pins the value of every plain metric and of
 ``abort_rate[<class>]`` for each class the cell logs (``null`` for
 NaN), so a change to how a number is *derived* from the stored result
 shows even when the result itself is untouched.
@@ -44,15 +47,29 @@ def build_config(entry) -> ScenarioConfig:
     return ScenarioConfig(**kwargs)
 
 
-def result_digest(result) -> str:
-    canonical = json.dumps(result.to_dict(), sort_keys=True, separators=(",", ":"))
+def canonical_sha256(data) -> str:
+    canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def result_digest(result) -> str:
+    return canonical_sha256(result.to_dict())
+
+
+def payload_digest(result) -> str:
+    data = result.to_dict()
+    return canonical_sha256(
+        {k: v for k, v in data.items() if k not in ("format", "config")}
+    )
 
 
 @pytest.mark.parametrize("cell", sorted(DIGESTS))
 def test_result_digest_matches_golden(cell):
     entry = DIGESTS[cell]
     result = Scenario(build_config(entry)).run()
+    assert payload_digest(result) == entry["payload_sha256"], (
+        f"{cell}: the simulated payload changed, not only its encoding"
+    )
     new = result_digest(result)
     old = entry["sha256"]
     assert new == old, (
