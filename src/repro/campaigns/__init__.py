@@ -19,9 +19,10 @@ recorded in campaign artifacts for provenance.
 **Invariants.**
 
 * *Legacy parity* — the built-in ``smoke``/``fig5``/``fig7``/
-  ``recovery`` specs expand cell-for-cell identical (labels and config
-  encodings) to the hard-coded grid builders they replaced, so existing
-  artifact directories keep resuming;
+  ``recovery`` specs expand to the cells of the hard-coded grid
+  builders they replaced, label for label, so a directory written under
+  an older result format has its cells re-run under the same file
+  names;
 * *Label safety* — expansion rejects duplicate labels, and any swept
   axis the label template omits is appended automatically;
 * *Table-complete* — everything the CLI can run is in the table or a

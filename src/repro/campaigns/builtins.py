@@ -5,8 +5,9 @@ CLI has always shipped (``smoke``, ``fig5``, ``fig7``, ``recovery``;
 previously hard-coded builder functions), plus ``safety``, the §5.3
 fault matrix the fault-injection example runs.  A legacy-parity unit
 test (``tests/unit/test_campaign_spec.py``) pins each spec's expansion
-against the removed builders' output, so historical artifact
-directories keep resuming.
+against the removed builders' output, label for label, so a directory
+written under an older result format has its cells re-run under the
+same file names.
 
 Every spec leaves ``transactions`` at ``None`` (the ``REPRO_SCALE``-\
 scaled paper count) and sweeps only the default protocol; the CLI's
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, Tuple
 
-from ..core.scenarios import CLIENT_LEVELS, SYSTEM_CONFIGS, safety_fault_plans
+from ..core.scenarios import CLIENT_LEVELS, SAFETY_FAULT_LOADS, SYSTEM_CONFIGS
 from .spec import DEFAULT_PROTOCOL, CampaignSpec
 
 
@@ -186,7 +187,7 @@ def _safety_spec() -> CampaignSpec:
         axes=[
             ("transactions", (None,)),
             ("protocol", (DEFAULT_PROTOCOL,)),
-            ("fault", tuple(sorted(safety_fault_plans()))),
+            ("fault", tuple(sorted(SAFETY_FAULT_LOADS))),
         ],
     )
 
@@ -194,7 +195,7 @@ def _safety_spec() -> CampaignSpec:
 def _safety_monitored_spec() -> CampaignSpec:
     # The safety matrix, re-run with every runtime invariant monitor
     # wired into the event path (a ``monitors`` axis on top of the
-    # ``safety`` spec, which stays byte-identical for legacy parity).
+    # ``safety`` spec, which keeps its labels for legacy parity).
     # Clean protocol code must earn the ``ok`` verdict on every cell;
     # CI runs it and ``run``'s exit code is the check.
     return replace(

@@ -38,15 +38,15 @@ resolves to the ``REPRO_SCALE``-scaled paper count at expansion time.
   names the loss model / fault-load (``none`` / ``random`` / ``bursty``
   / ``crash-recover`` / ``partition-heal``);
 * ``"safety"`` — one cell per entry of
-  :func:`repro.core.scenarios.safety_fault_plans`; ``fault`` names the
-  plan, ``plan_seed`` seeds the plan construction.
+  :data:`repro.core.scenarios.SAFETY_FAULT_LOADS`; ``fault`` names the
+  fault-load, ``plan_seed`` seeds the plan construction.
 
 **Labels.**  A leaf's ``label`` template formats axis/template bindings
 (``"{system} c{clients}"``).  The ``{protocol_prefix}`` placeholder
 implements the stable protocol-prefix rule: it is empty when the
-effective protocol sweep is exactly the default protocol (so historical
-artifact directories recorded before protocols became an axis still
-resume), and ``"<protocol> "`` otherwise.  Any swept axis with more
+effective protocol sweep is exactly the default protocol (so the
+built-in specs keep the labels they had before protocols became an
+axis), and ``"<protocol> "`` otherwise.  Any swept axis with more
 than one value that the template does not mention is appended as
 ``" name=value"`` automatically, so widening a spec with
 :meth:`with_axis` can never silently collide labels — and expansion
@@ -69,9 +69,9 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.experiment import ScenarioConfig
 from ..core.scenarios import (
+    SAFETY_FAULT_LOADS,
     fault_config,
     performance_config,
-    safety_fault_plans,
     scaled_transactions,
 )
 
@@ -486,12 +486,12 @@ def _build_fault(params: Dict[str, object]) -> ScenarioConfig:
 def _build_safety(params: Dict[str, object]) -> ScenarioConfig:
     kind = _require_fault(params)
     sites = params.pop("sites", 3)
-    plans = safety_fault_plans(sites=sites, seed=params.pop("plan_seed", 5))
-    if kind not in plans:
+    if kind not in SAFETY_FAULT_LOADS:
         raise ValueError(
             f"unknown safety fault-load {kind!r} "
-            f"(expected one of {sorted(plans)})"
+            f"(expected one of {sorted(SAFETY_FAULT_LOADS)})"
         )
+    faults = SAFETY_FAULT_LOADS[kind](sites, params.pop("plan_seed", 5))
     transactions = params.pop("transactions", None)
     return ScenarioConfig(
         sites=sites,
@@ -502,7 +502,7 @@ def _build_safety(params: Dict[str, object]) -> ScenarioConfig:
         ),
         seed=params.pop("seed", 42),
         protocol=params.pop("protocol", DEFAULT_PROTOCOL),
-        faults=plans[kind],
+        faults=faults,
         **params,
     )
 
@@ -528,9 +528,9 @@ def _protocol_prefix(
     axis_values: Dict[str, Tuple[object, ...]],
 ) -> str:
     """The stable protocol-prefix rule (ex ``_label_prefix``): empty when
-    the effective sweep is exactly the default protocol, so artifact
-    directories recorded before protocols became an axis still resume;
-    otherwise the cell's protocol followed by a space."""
+    the effective sweep is exactly the default protocol, so labels stay
+    what they were before protocols became an axis; otherwise the cell's
+    protocol followed by a space."""
     protocol = bindings.get("protocol", DEFAULT_PROTOCOL)
     sweep = axis_values.get("protocol", (protocol,))
     if tuple(sweep) == (DEFAULT_PROTOCOL,):

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..db.lock import LockManager
 from ..db.server import DatabaseServer
-from ..db.storage import CACHE_HIT_RATIO, SECTOR_CONCURRENCY, SECTOR_LATENCY, Storage
+from ..db.storage import Storage
 from ..db.transactions import reset_tx_counter
 from ..gcs.config import GcsConfig
 from ..gcs.stack import GroupCommunication
@@ -32,7 +32,7 @@ from ..gcs.statetransfer import RecoveryEvent
 from ..monitors import InvariantViolation, build_hub, resolve_monitors
 from ..net.address import Endpoint, GroupAddress
 from ..net.capture import PacketCapture
-from ..net.network import LAN_BANDWIDTH_BPS, LAN_LINK_LATENCY, Network
+from ..net.network import Network
 from ..net.udp import UdpSocket
 from ..placement import PLACEMENT_POLICIES, fragment_of_site, sites_of_fragment
 from ..protocols import (
@@ -57,16 +57,7 @@ __all__ = ["ScenarioConfig", "Scenario", "ScenarioResult", "Site"]
 _GROUP_PORT = 7000
 
 #: Artifact format tag; bump when the serialized layout changes.
-RESULT_FORMAT = "repro.scenario_result/1"
-
-#: The fixed §4.1 storage and fabric calibration, as stored configs record it.
-_CALIBRATION = {
-    "storage_sector_latency": SECTOR_LATENCY,
-    "storage_concurrency": SECTOR_CONCURRENCY,
-    "storage_cache_hit_ratio": CACHE_HIT_RATIO,
-    "net_bandwidth_bps": LAN_BANDWIDTH_BPS,
-    "net_link_latency": LAN_LINK_LATENCY,
-}
+RESULT_FORMAT = "repro.scenario_result/2"
 
 
 @dataclass
@@ -158,49 +149,29 @@ class ScenarioConfig:
     # serialization (runner artifacts, resume-matching)
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
-        """JSON-ready encoding of the configuration.
-
-        ``profiles`` is written as ``None`` just before ``gcs``: the key
-        predates the fixed CPU profile, and keeping it keeps stored cells
-        and result digests byte-identical.  The storage and fabric
-        calibration follows ``clock_mode`` the same way, with the values
-        every scenario runs with.  ``from_dict`` ignores those keys.
-        """
-        data: Dict[str, object] = {}
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.name == "gcs":
-                data["profiles"] = None
-                data[f.name] = value.to_dict()
-            elif f.name == "faults":
-                data[f.name] = {
-                    str(site): plan.to_dict() for site, plan in value.items()
-                }
-            elif f.name == "monitors":
-                data[f.name] = list(value)
-            elif f.name == "clock_mode":
-                data[f.name] = value
-                data.update(_CALIBRATION)
-            else:
-                data[f.name] = value
+        """JSON-ready encoding of the configuration: its fields, nothing else."""
+        data = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        data["monitors"] = list(self.monitors)
+        data["gcs"] = self.gcs.to_dict()
+        data["faults"] = {
+            str(site): plan.to_dict() for site, plan in self.faults.items()
+        }
         return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ScenarioConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        kwargs: Dict[str, object] = {}
-        for name, value in data.items():
-            if name not in known:
-                continue
-            if name == "gcs":
-                kwargs[name] = GcsConfig.from_dict(value)
-            elif name == "faults":
-                kwargs[name] = {
-                    int(site): FaultPlan.from_dict(plan)
-                    for site, plan in value.items()
-                }
-            else:
-                kwargs[name] = value
+        """Read :meth:`to_dict`'s encoding; an unknown key is a ValueError."""
+        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown ScenarioConfig keys {sorted(unknown)}")
+        kwargs = dict(data)
+        if "gcs" in kwargs:
+            kwargs["gcs"] = GcsConfig.from_dict(kwargs["gcs"])
+        if "faults" in kwargs:
+            kwargs["faults"] = {
+                int(site): FaultPlan.from_dict(plan)
+                for site, plan in kwargs["faults"].items()
+            }
         return cls(**kwargs)
 
 
@@ -350,13 +321,13 @@ class ScenarioResult:
         ]
         result.site_stats = {
             site: {k: int(v) for k, v in stats.items()}
-            for site, stats in data.get("site_stats", {}).items()
+            for site, stats in data["site_stats"].items()
         }
         result.recovery_events = [
-            RecoveryEvent.from_dict(event) for event in data.get("recovery", [])
+            RecoveryEvent.from_dict(event) for event in data["recovery"]
         ]
         result.violations = [
-            InvariantViolation.from_dict(v) for v in data.get("violations", [])
+            InvariantViolation.from_dict(v) for v in data["violations"]
         ]
         return result
 

@@ -126,26 +126,18 @@ class FaultPlan:
         )
 
     def to_dict(self) -> dict:
-        """The stored encoding: a ``<action>_at`` key per action, so a plan
-        with at most one episode per kind keeps its ten keys (and its spec
-        hash); with more, they are null and ``actions`` holds the plan."""
+        """The stored encoding: every field, ``actions`` as ``[time, action]``."""
         data = dataclasses.asdict(self)
-        actions, seed = data.pop("actions"), data.pop("seed")
-        single = all(len(self.episodes(kind)) <= 1 for kind in _CLOSING)
-        data.update((f"{action}_at", None) for action in FAULT_ACTIONS)
-        data.update((f"{a}_at", t) for t, a in (actions if single else ()))
-        data["seed"] = seed
-        return data if single else {**data, "actions": [list(e) for e in actions]}
+        data["actions"] = [list(entry) for entry in self.actions]
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
-        """Read either stored form of :meth:`to_dict`."""
-        known = {f.name for f in dataclasses.fields(cls)}
-        kwargs = {k: v for k, v in data.items() if k in known}
-        stored = [(data.get(f"{action}_at"), action) for action in FAULT_ACTIONS]
-        stored = [entry for entry in stored if entry[0] is not None]
-        kwargs["actions"] = [*(data.get("actions") or ()), *stored]
-        return cls(**kwargs)
+        """Read :meth:`to_dict`'s encoding; an unknown key is a ValueError."""
+        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown FaultPlan keys {sorted(unknown)}")
+        return cls(**data)
 
 
 class FaultInjector:

@@ -19,7 +19,7 @@ full figure suite in laptop territory while preserving every shape.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..gcs.config import GcsConfig
 from .env import env_float
@@ -44,6 +44,7 @@ __all__ = [
     "performance_config",
     "fault_config",
     "prototype_gcs_config",
+    "SAFETY_FAULT_LOADS",
     "safety_fault_plans",
 ]
 
@@ -175,24 +176,44 @@ def fault_config(
     )
 
 
-def safety_fault_plans(sites: int = 3, seed: int = 5) -> Dict[str, Dict[int, FaultPlan]]:
-    """The §5.3 fault matrix under which the committed sequence must be
-    identical at all operational sites.
+#: The §5.3 fault matrix: fault-load name -> builder of its per-site
+#: plans from ``(sites, seed)``.  Beyond the paper's five fault types,
+#: the recovery fault-loads (crash→recover and partition→heal, for both
+#: an ordinary member and the site that is sequencer *and* initial
+#: primary) verify the same condition across leave/rejoin cycles: a
+#: rejoined replica must end bit-identical to the survivors.
+SAFETY_FAULT_LOADS: Dict[str, Callable[[int, int], Dict[int, FaultPlan]]] = {
+    "clock-drift": lambda sites, seed: {1: clock_drift(0.10, seed=seed)},
+    "scheduling-latency": lambda sites, seed: {
+        1: scheduling_latency(0.010, seed=seed)
+    },
+    "random-loss": lambda sites, seed: {
+        i: random_loss(0.05, seed=seed + i) for i in range(sites)
+    },
+    "bursty-loss": lambda sites, seed: {
+        i: bursty_loss(0.05, seed=seed + i) for i in range(sites)
+    },
+    "crash-member": lambda sites, seed: {
+        sites - 1: FaultPlan(actions=((20.0, "crash"),))
+    },
+    "crash-sequencer": lambda sites, seed: {0: FaultPlan(actions=((20.0, "crash"),))},
+    "crash-recover-member": lambda sites, seed: {
+        sites - 1: crash_recover(20.0, 35.0, seed=seed)
+    },
+    "crash-recover-sequencer": lambda sites, seed: {
+        0: crash_recover(20.0, 35.0, seed=seed)
+    },
+    "partition-heal-member": lambda sites, seed: {
+        sites - 1: partition_heal(20.0, 40.0, seed=seed)
+    },
+    "partition-heal-sequencer": lambda sites, seed: {
+        0: partition_heal(20.0, 40.0, seed=seed)
+    },
+}
 
-    Beyond the paper's five fault types, the recovery fault-loads
-    (crash→recover and partition→heal, for both an ordinary member and
-    the site that is sequencer *and* initial primary) verify the same
-    condition across leave/rejoin cycles: a rejoined replica must end
-    bit-identical to the survivors."""
-    return {
-        "clock-drift": {1: clock_drift(0.10, seed=seed)},
-        "scheduling-latency": {1: scheduling_latency(0.010, seed=seed)},
-        "random-loss": {i: random_loss(0.05, seed=seed + i) for i in range(sites)},
-        "bursty-loss": {i: bursty_loss(0.05, seed=seed + i) for i in range(sites)},
-        "crash-member": {sites - 1: FaultPlan(actions=((20.0, "crash"),))},
-        "crash-sequencer": {0: FaultPlan(actions=((20.0, "crash"),))},
-        "crash-recover-member": {sites - 1: crash_recover(20.0, 35.0, seed=seed)},
-        "crash-recover-sequencer": {0: crash_recover(20.0, 35.0, seed=seed)},
-        "partition-heal-member": {sites - 1: partition_heal(20.0, 40.0, seed=seed)},
-        "partition-heal-sequencer": {0: partition_heal(20.0, 40.0, seed=seed)},
-    }
+
+def safety_fault_plans(sites: int = 3, seed: int = 5) -> Dict[str, Dict[int, FaultPlan]]:
+    """Every fault-load of :data:`SAFETY_FAULT_LOADS`, built: the §5.3
+    matrix under which the committed sequence must be identical at all
+    operational sites."""
+    return {name: build(sites, seed) for name, build in SAFETY_FAULT_LOADS.items()}

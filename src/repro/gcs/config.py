@@ -34,19 +34,6 @@ SEND_BURST = 64
 #: next donor candidate, which survives a donor crash).
 STATE_RETRY = 0.250
 
-#: Each fixed value's slot in the stored encoding: after the field it followed.
-_STORED_AFTER = {
-    "nack_timeout": {"nack_batch": NACK_BATCH},
-    "stability_interval": {
-        "nack_processing_cost": NACK_PROCESSING_COST,
-        "nack_per_message_cost": NACK_PER_MESSAGE_COST,
-        "retransmit_processing_cost": RETRANSMIT_PROCESSING_COST,
-        "send_rate": SEND_RATE,
-        "send_burst": SEND_BURST,
-    },
-    "max_packet": {"state_retry": STATE_RETRY},
-}
-
 
 @dataclass
 class GcsConfig:
@@ -78,13 +65,12 @@ class GcsConfig:
     max_packet: int = 1400
 
     def to_dict(self) -> dict:
-        data = {}
-        for name, value in dataclasses.asdict(self).items():
-            data[name] = value
-            data.update(_STORED_AFTER.get(name, ()))
-        return data
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "GcsConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
+        """Read :meth:`to_dict`'s encoding; an unknown key is a ValueError."""
+        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown GcsConfig keys {sorted(unknown)}")
+        return cls(**data)

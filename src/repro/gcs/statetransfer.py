@@ -73,8 +73,7 @@ class RecoveryEvent:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "RecoveryEvent":
-        known = cls.__dataclass_fields__
-        return cls(**{k: v for k, v in data.items() if k in known})
+        return cls(**data)
 
 
 class StateTransfer:

@@ -1,9 +1,9 @@
 """JSON artifact store: one file per campaign cell.
 
 Layout is ``<root>/<label>.json`` where ``<root>`` is typically
-``results/<campaign>/``.  Each artifact carries the cell's label, the
-full configuration encoding and the serialized
-:class:`~repro.core.experiment.ScenarioResult`; a cell is only reused
+``results/<campaign>/``.  Each artifact carries the cell's label and
+the serialized :class:`~repro.core.experiment.ScenarioResult`, whose
+``config`` is the full configuration encoding; a cell is only reused
 when the stored configuration matches the cell's own exactly, so
 editing a grid invalidates precisely the cells it changes.
 
@@ -142,8 +142,8 @@ class ArtifactStore:
 
     @staticmethod
     def read_cell(path: Union[str, Path]) -> dict:
-        """The JSON envelope of one cell artifact (``label``, ``config``,
-        ``result``, optional ``spec_hash``); :class:`ArtifactError` when
+        """The JSON envelope of one cell artifact (``label``, ``result``,
+        optional ``spec_hash``); :class:`ArtifactError` when
         the file is unreadable, not JSON (or too deep), or not a cell."""
         try:
             data = json.loads(Path(path).read_text())
@@ -216,11 +216,13 @@ class ArtifactStore:
         or recorded under a different configuration (each of which is
         simply re-run); a label collision raises, see :meth:`read`.
 
-        The config is compared before the result is decoded, so a
-        mismatch never pays for a decode."""
+        The result's stored ``config`` is compared before the result is
+        decoded, so a mismatch never pays for a decode."""
         try:
             data = self.read(label)
-            if data is None or data.get("config") != config.to_dict():
+            if data is None or not isinstance(data["result"], dict):
+                return None
+            if data["result"].get("config") != config.to_dict():
                 return None
             return self.decode(self.path_for(label), data)
         except ArtifactError:
@@ -239,8 +241,7 @@ class ArtifactStore:
             self.read(label)
         except ArtifactError:
             pass  # not a cell artifact: nothing to protect
-        data = result.to_dict()
-        payload = {"label": label, "config": data["config"], "result": data}
+        payload = {"label": label, "result": result.to_dict()}
         if self.spec_hash is not None:
             payload["spec_hash"] = self.spec_hash
         tmp = path.with_suffix(".json.tmp")

@@ -117,7 +117,7 @@ def test_a_damaged_cell_decodes_or_is_an_artifact_error(data):
         except ArtifactError:
             payload = None
         loaded = store.load(LABEL, CONFIG)
-        if payload is None or payload["config"] != CONFIG.to_dict():
+        if payload is None or payload["result"]["config"] != CONFIG.to_dict():
             assert loaded is None
         else:
             assert loaded is not None

@@ -7,10 +7,11 @@ and outside partition episodes — together with the rate faults.  Fed
 unfiltered (any order, any action string, any time, and valid lists
 with one entry broken), ``FaultPlan`` either builds a well-formed plan
 or raises ``ValueError``, never another exception.  The last tests pin
-the stored encoding of every built-in plan to its ten-key literal, so
-spec hashes and stored cells keep matching.
+the stored encoding of every built-in plan to its literal: the rates,
+``actions`` as ``[time, action]`` lists and ``seed``, in one form.
 """
 
+import dataclasses
 import json
 import math
 
@@ -62,15 +63,13 @@ def test_valid_plan_constructs_and_round_trips(drawn):
         plan.actions or plan.clock_drift_rate or plan.scheduling_latency_max
         or plan.random_loss_rate or plan.bursty_loss_rate
     )
-    single = True
     for kind in KINDS:
         episodes = plan.episodes(kind)
         bounds = [t for episode in episodes for t in episode]
         assert bounds == sorted(bounds) and len(set(bounds)) == len(bounds)
         assert all(end < math.inf for _, end in episodes[:-1])
-        single = single and len(episodes) <= 1
-    assert ("actions" in stored) == (not single)
-    assert len(stored) == 10 + (not single)
+    assert list(stored) == [f.name for f in dataclasses.fields(FaultPlan)]
+    assert stored["actions"] == [list(entry) for entry in plan.actions]
 
 
 any_time = st.one_of(
@@ -138,19 +137,15 @@ def test_unfiltered_rates_construct_or_raise_value_error(
     assert FaultPlan.from_dict(plan.to_dict()) == plan
 
 
-#: The ten-key encoding that stored cell files and spec hashes use, key
-#: for key in this order; every built-in plan overrides only the keys it
-#: sets.
-TEN_KEYS = {
+#: The stored encoding, key for key in this order; every built-in plan
+#: overrides only the keys it sets.
+STORED_DEFAULTS = {
     "clock_drift_rate": 0.0,
     "scheduling_latency_max": 0.0,
     "random_loss_rate": 0.0,
     "bursty_loss_rate": 0.0,
     "bursty_loss_burst": 5.0,
-    "crash_at": None,
-    "recover_at": None,
-    "partition_at": None,
-    "heal_at": None,
+    "actions": [],
     "seed": 7,
 }
 
@@ -163,42 +158,44 @@ SAFETY_PLANS = {
     "bursty-loss": {
         i: {"bursty_loss_rate": 0.05, "seed": 5 + i} for i in range(3)
     },
-    "crash-member": {2: {"crash_at": 20.0}},
-    "crash-sequencer": {0: {"crash_at": 20.0}},
-    "crash-recover-member": {2: {"crash_at": 20.0, "recover_at": 35.0, "seed": 5}},
+    "crash-member": {2: {"actions": [[20.0, "crash"]]}},
+    "crash-sequencer": {0: {"actions": [[20.0, "crash"]]}},
+    "crash-recover-member": {
+        2: {"actions": [[20.0, "crash"], [35.0, "recover"]], "seed": 5}
+    },
     "crash-recover-sequencer": {
-        0: {"crash_at": 20.0, "recover_at": 35.0, "seed": 5}
+        0: {"actions": [[20.0, "crash"], [35.0, "recover"]], "seed": 5}
     },
     "partition-heal-member": {
-        2: {"partition_at": 20.0, "heal_at": 40.0, "seed": 5}
+        2: {"actions": [[20.0, "partition"], [40.0, "heal"]], "seed": 5}
     },
     "partition-heal-sequencer": {
-        0: {"partition_at": 20.0, "heal_at": 40.0, "seed": 5}
+        0: {"actions": [[20.0, "partition"], [40.0, "heal"]], "seed": 5}
     },
 }
 
 FAULT_CONFIG_PLANS = {
-    "crash-recover": {2: {"crash_at": 20.0, "recover_at": 35.0}},
-    "partition-heal": {2: {"partition_at": 20.0, "heal_at": 35.0}},
+    "crash-recover": {2: {"actions": [[20.0, "crash"], [35.0, "recover"]]}},
+    "partition-heal": {2: {"actions": [[20.0, "partition"], [35.0, "heal"]]}},
 }
 
 
 def assert_stored_as(plans, expected):
     assert set(plans) == set(expected)
     for site, plan in plans.items():
-        literal = {**TEN_KEYS, **expected[site]}
+        literal = {**STORED_DEFAULTS, **expected[site]}
         stored = plan.to_dict()
         assert list(stored.items()) == list(literal.items())
         assert FaultPlan.from_dict(literal) == plan
 
 
 @pytest.mark.parametrize("name", SAFETY_PLANS)
-def test_safety_plans_keep_their_ten_key_encoding(name):
+def test_safety_plans_keep_their_stored_encoding(name):
     assert_stored_as(safety_fault_plans()[name], SAFETY_PLANS[name])
 
 
 @pytest.mark.parametrize("kind", FAULT_CONFIG_PLANS)
-def test_fault_config_plans_keep_their_ten_key_encoding(kind):
+def test_fault_config_plans_keep_their_stored_encoding(kind):
     assert_stored_as(fault_config(kind).faults, FAULT_CONFIG_PLANS[kind])
 
 
@@ -209,3 +206,5 @@ def test_old_fields_are_gone():
             getattr(plan, name)
         with pytest.raises(TypeError):
             FaultPlan(**{name: 1.0})
+        with pytest.raises(ValueError, match=name):
+            FaultPlan.from_dict({**plan.to_dict(), name: 1.0})

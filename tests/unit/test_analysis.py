@@ -72,6 +72,7 @@ def make_result(
         "commit_logs": [],
         "site_stats": {},
         "recovery": [],
+        "violations": [],
     }
     return ScenarioResult.from_dict(payload)
 

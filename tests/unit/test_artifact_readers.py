@@ -24,6 +24,7 @@ import pytest
 from repro.analysis import AnalysisError, ResultSet, run_report
 from repro.campaigns import CampaignSpec
 from repro.core.experiment import RESULT_FORMAT
+from repro.core.faults import FaultPlan
 from repro.core.metrics import TX_RECORD_FIELDS
 from repro.dashboard import JOURNAL_NAME, CampaignView
 from repro.dashboard.page import render_report_html
@@ -109,6 +110,37 @@ def _edit_first_record(edit):
     return apply
 
 
+def _as_format_1(path):
+    """The cell as a ``repro.scenario_result/1`` store wrote it: the
+    format tag, a null ``profiles`` slot in the stored config, and the
+    config again at the top of the envelope."""
+    payload = json.loads(path.read_text())
+    result = payload["result"]
+    result["format"] = "repro.scenario_result/1"
+    result["config"]["profiles"] = None
+    payload["config"] = result["config"]
+    path.write_text(json.dumps(payload))
+
+
+def _new_fault_plan(config):
+    config["sites"] = 2
+    config["faults"] = {"1": FaultPlan(actions=((20.0, "crash"),)).to_dict()}
+    return config["faults"]["1"]
+
+
+#: Where an unknown key is slipped into a stored config, and which one.
+UNKNOWN_KEYS = {
+    "ScenarioConfig": (lambda config: config, "profiles"),
+    "GcsConfig": (lambda config: config["gcs"], "nack_batch"),
+    "FaultPlan": (_new_fault_plan, "crash_at"),
+}
+
+
+def _add_unknown_key(owner):
+    where, key = UNKNOWN_KEYS[owner]
+    return _edit_result(lambda result: where(result["config"]).__setitem__(key, None))
+
+
 #: What is done to the victim cell's file.
 CASES = {
     "truncated-json": lambda path: path.write_text(path.read_text()[:40]),
@@ -129,6 +161,8 @@ CASES = {
     "sample-interval-past-float-range": _edit_result(
         lambda result: result["samples"].__setitem__("interval", HUGE)
     ),
+    "format-1": _as_format_1,
+    **{f"unknown-{owner}-key": _add_unknown_key(owner) for owner in UNKNOWN_KEYS},
     "foreign-label": _rewrite(label=FOREIGN),
     "foreign-spec-hash": _rewrite(spec_hash="f" * 16),
 }
@@ -235,6 +269,38 @@ def test_view_skips_what_it_cannot_use(broken):
         assert served == set(LABELS) - {VICTIM} | {FOREIGN}
     else:
         assert served == set(LABELS) - {VICTIM}
+
+
+@pytest.mark.parametrize("owner", list(UNKNOWN_KEYS))
+def test_an_unknown_config_key_is_an_artifact_error(pristine, owner):
+    path = ArtifactStore(pristine).path_for(VICTIM)
+    payload = ArtifactStore.read_cell(path)
+    where, key = UNKNOWN_KEYS[owner]
+    where(payload["result"]["config"])[key] = None
+    with pytest.raises(ArtifactError, match=re.escape(str(path))) as info:
+        ArtifactStore.decode(path, payload)
+    assert f"unknown {owner} keys ['{key}']" in str(info.value)
+
+
+def test_a_format_1_directory_reruns_every_cell(pristine, tmp_path, capsys):
+    """Resume re-runs every cell of a ``/1`` directory; ``report`` on it
+    fails and names the first cell instead of showing a traceback."""
+    root = tmp_path / "store"
+    shutil.copytree(pristine, root)
+    store = ArtifactStore(root)
+    for label in LABELS:
+        _as_format_1(store.path_for(label))
+    first = store.path_for(LABELS[0])
+    with pytest.raises(ArtifactError, match=re.escape(str(first))):
+        ResultSet.from_artifacts(root)
+    assert main(["report", str(root)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith(f"error: {first}: ")
+    campaign = run(root)
+    assert campaign.ok
+    assert [cell.source for cell in campaign.cells] == ["in-process"] * len(LABELS)
+    assert ResultSet.from_artifacts(root).labels() == LABELS
 
 
 def test_a_malformed_sample_row_is_the_same_artifact_error(pristine):

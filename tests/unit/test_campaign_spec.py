@@ -8,7 +8,9 @@ expand to exactly the cells the removed hard-coded ``_*_grid`` builder
 functions produced, labels and config encodings alike, for every
 protocol selection the old ``--protocol`` flag allowed.  The builders
 themselves are gone; ``tests/golden/spec_hashes.json`` holds what they
-produced, recorded while they still ran beside the registered specs.
+produced, recorded while they still ran beside the registered specs
+(``expansion_sha256`` re-baselined when the stored config encoding
+changed; labels, cell counts and spec hashes never were).
 """
 
 import hashlib
@@ -51,7 +53,7 @@ class TestLegacyParity:
     @pytest.mark.parametrize("protocols", PROTOCOL_SELECTIONS)
     def test_registered_spec_matches_legacy_builder(self, name, protocols):
         """Cell-for-cell identity: labels AND config encodings, in
-        order — so historical artifact directories keep resuming."""
+        order — so a directory's cells keep their file names."""
         pinned = SPEC_HASHES[f"{name} {'+'.join(protocols)}"]
         spec = (
             get_campaign(name)

@@ -238,7 +238,8 @@ class TestProtocolRuntime:
 #: Call forms of deleted APIs: the statistics results and the collector
 #: used to compute beside the metric table (every reported number is a
 #: metric of ``repro.analysis.metrics``), the CPU-profile objects the
-#: §4.1 constants replaced, and the protocol runtime's unused RNG.
+#: §4.1 constants replaced, the protocol runtime's unused RNG, and the
+#: slots ``repro.scenario_result/1`` kept in every stored config.
 RETIRED_CALL_FORMS = (
     r"\.throughput_tpm\(",
     r"\.mean_latency\(",
@@ -254,6 +255,10 @@ RETIRED_CALL_FORMS = (
     r"\bProfileSet\b",
     r"\bLogNormalProfile\b",
     r"\.rng\(\)",
+    r"\b_CALIBRATION\b",
+    r"\b_STORED_AFTER\b",
+    r"\"profiles\"",
+    r"\b(crash|recover|partition|heal)_at\b",
 )
 
 

@@ -154,12 +154,6 @@ class TestViolationRoundTrip:
         )
         assert clone.violations == result.violations
 
-    def test_old_artifacts_without_violations_key(self):
-        result = small_result()
-        data = result.to_dict()
-        del data["violations"]
-        assert ScenarioResult.from_dict(data).violations == []
-
 
 class TestStorePersistence:
     def test_monitored_cell_round_trips(self, tmp_path):
@@ -179,7 +173,7 @@ class TestStorePersistence:
         result = small_result()
         path = store.save("cell", result)
         data = json.loads(path.read_text())
-        del data["config"]["monitors"]
+        del data["result"]["config"]["monitors"]
         path.write_text(json.dumps(data))
         assert store.load("cell", result.config) is None
 

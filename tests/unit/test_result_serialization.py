@@ -1,6 +1,7 @@
 """Serialization round-trip: results must cross process boundaries and
 survive the artifact store with every log and derived metric intact."""
 
+import dataclasses
 import json
 import math
 
@@ -18,7 +19,9 @@ from repro.core.metrics import (
     TxRecord,
 )
 from repro.core.safety import CommitLog
-from repro.gcs.config import GcsConfig
+from repro.db.storage import CACHE_HIT_RATIO, SECTOR_CONCURRENCY, SECTOR_LATENCY
+from repro.gcs.config import SEND_BURST, SEND_RATE, GcsConfig
+from repro.net.network import LAN_BANDWIDTH_BPS, LAN_LINK_LATENCY
 
 
 def small_result(sites=3, transactions=150, seed=9, **overrides):
@@ -114,67 +117,44 @@ class TestPieceRoundTrips:
 
 
 class TestConfigRoundTrip:
-    #: The stored config encoding, key for key and in order: stored
-    #: cells, result digests and resume all read it.  ``profiles`` is a
-    #: null slot kept from when the CPU profile was a field.
-    STORED_KEYS = (
-        "sites", "cpus_per_site", "clients", "transactions", "seed",
-        "protocol", "fragments", "placement", "monitors", "profiles", "gcs",
-        "faults", "clock_mode", "storage_sector_latency",
-        "storage_concurrency", "storage_cache_hit_ratio", "net_bandwidth_bps",
-        "net_link_latency", "readset_escalation_threshold", "sample_interval",
-        "max_sim_time", "drain_time", "probe_interval",
+    @pytest.mark.parametrize(
+        "value",
+        [
+            ScenarioConfig(faults={1: crash_recover(20.0, 35.0)}),
+            GcsConfig(),
+            FaultPlan(actions=((20.0, "crash"), (35.0, "recover"))),
+        ],
+        ids=lambda value: type(value).__name__,
     )
+    def test_encoding_is_the_dataclass_fields(self, value):
+        """A stored config holds its fields, in order, and nothing else."""
+        names = [f.name for f in dataclasses.fields(value)]
+        assert list(value.to_dict()) == names
 
-    #: The stored GcsConfig encoding, key for key, in order and by value:
-    #: every stored cell's config embeds it.
-    GCS_STORED = {
-        "buffer_share": 64,
-        "nack_timeout": 0.080,
-        "nack_batch": 32,
-        "stability_interval": 0.120,
-        "nack_processing_cost": 250e-6,
-        "nack_per_message_cost": 60e-6,
-        "retransmit_processing_cost": 150e-6,
-        "send_rate": 4000.0,
-        "send_burst": 64,
-        "sequence_batch_interval": 0.002,
-        "heartbeat_interval": 0.200,
-        "suspect_after": 2.0,
-        "view_retransmit": 0.100,
-        "max_packet": 1400,
-        "state_retry": 0.250,
-    }
+    @pytest.mark.parametrize("cls", [ScenarioConfig, GcsConfig, FaultPlan])
+    def test_unknown_key_is_refused_by_name(self, cls):
+        data = cls().to_dict()
+        data["profiles"] = None
+        with pytest.raises(ValueError, match="profiles"):
+            cls.from_dict(data)
 
-    def test_encoding_keys_are_fixed(self):
-        data = ScenarioConfig().to_dict()
-        assert tuple(data) == self.STORED_KEYS
-        assert data["profiles"] is None
-
-    def test_gcs_encoding_is_fixed(self):
-        assert json.dumps(GcsConfig().to_dict()) == json.dumps(self.GCS_STORED)
-
-    def test_stored_calibration_is_what_ran(self):
-        """The calibration a stored config records is the one its
-        scenario was built with, at every site."""
+    def test_scenario_runs_with_the_fixed_calibration(self):
+        """The §4.1 calibration is module constants, not settings: every
+        site of a scenario is built with them."""
         scenario = Scenario(ScenarioConfig(sites=3, clients=30))
-        data = scenario.config.to_dict()
         network = scenario.network
-        assert (data["net_bandwidth_bps"], data["net_link_latency"]) == (
-            network.default_bandwidth_bps,
-            network.default_link_latency,
+        assert (network.default_bandwidth_bps, network.default_link_latency) == (
+            LAN_BANDWIDTH_BPS,
+            LAN_LINK_LATENCY,
         )
-        gcs = scenario.config.gcs.to_dict()
         assert len(scenario.sites) == 3
         for site in scenario.sites:
             storage = site.storage
             assert (
-                data["storage_sector_latency"],
-                data["storage_concurrency"],
-                data["storage_cache_hit_ratio"],
-            ) == (storage.sector_latency, storage.concurrency, storage.cache_hit_ratio)
+                storage.sector_latency, storage.concurrency, storage.cache_hit_ratio
+            ) == (SECTOR_LATENCY, SECTOR_CONCURRENCY, CACHE_HIT_RATIO)
             bucket = site.gcs.reliable.bucket
-            assert (gcs["send_rate"], gcs["send_burst"]) == (bucket.rate, bucket.burst)
+            assert (bucket.rate, bucket.burst) == (SEND_RATE, SEND_BURST)
 
     @pytest.mark.parametrize("name", available_campaigns())
     def test_every_builtin_cell_round_trips_exactly(self, name):
@@ -295,14 +275,13 @@ class TestResultRoundTrip:
         for metric in ("time_to_rejoin", "orphaned_commits"):
             assert metric_value(clone, metric) == metric_value(result, metric)
 
-    def test_artifacts_without_recovery_key_still_load(self):
-        """Artifacts written before the recovery subsystem lack the
-        'recovery' key; from_dict must default it to empty."""
-        result = small_result(transactions=100)
-        data = result.to_dict()
-        del data["recovery"]
-        clone = ScenarioResult.from_dict(data)
-        assert clone.recovery_events == []
+    @pytest.mark.parametrize("key", ["site_stats", "recovery", "violations"])
+    def test_a_result_without_a_stored_key_is_refused(self, key):
+        """Every key is written by the one format; none is defaulted."""
+        data = small_result(transactions=100).to_dict()
+        del data[key]
+        with pytest.raises(KeyError):
+            ScenarioResult.from_dict(data)
 
     def test_unknown_format_rejected(self):
         result = small_result(sites=1, transactions=100)

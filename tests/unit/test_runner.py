@@ -11,7 +11,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from helpers import raising_run
 
-from repro.analysis import ResultSet, metric_value
+from repro.analysis import AnalysisError, ResultSet, metric_value
 from repro.core.experiment import Scenario, ScenarioConfig
 from repro.core.kernel import Simulator
 from repro.runner import (
@@ -95,12 +95,13 @@ class TestArtifactStore:
 
     @staticmethod
     def fingerprinted(store, config):
-        """A cell as older stores wrote it for a custom CPU profile: a
-        sha1 fingerprint in the ``profiles`` slot."""
+        """A cell whose stored config carries a key no config field
+        holds: the sha1 fingerprint older stores wrote in a ``profiles``
+        slot for a custom CPU profile."""
         path = store.save("cell", Scenario(config).run())
         data = json.loads(path.read_text())
-        data["config"]["profiles"] = "0123456789abcdef0123456789abcdef01234567"
-        data["result"]["config"] = data["config"]
+        fingerprint = "0123456789abcdef0123456789abcdef01234567"
+        data["result"]["config"]["profiles"] = fingerprint
         path.write_text(json.dumps(data))
 
     def test_fingerprinted_artifact_is_rerun(self, tmp_path):
@@ -113,20 +114,19 @@ class TestArtifactStore:
         ).cells
         assert (cell.source, cell.status) == ("in-process", "ok")
 
-    def test_fingerprinted_artifact_still_loads_for_analysis(self, tmp_path):
-        config = tiny_config()
-        self.fingerprinted(ArtifactStore(tmp_path), config)
-        (cell,) = ResultSet.from_artifacts(tmp_path).cells
-        assert cell.label == "cell"
-        assert cell.result.config == config
+    def test_fingerprinted_artifact_is_refused_by_analysis(self, tmp_path):
+        self.fingerprinted(ArtifactStore(tmp_path), tiny_config())
+        with pytest.raises(AnalysisError, match="no readable cell artifacts"):
+            ResultSet.from_artifacts(tmp_path)
 
     def test_artifact_is_plain_json(self, tmp_path):
         store = ArtifactStore(tmp_path)
         config = tiny_config()
         path = store.save("cell", Scenario(config).run())
         data = json.loads(path.read_text())
+        assert set(data) == {"label", "result"}
         assert data["label"] == "cell"
-        assert data["config"]["seed"] == config.seed
+        assert data["result"]["config"]["seed"] == config.seed
 
 
 class TestArtifactCollisions:

@@ -91,7 +91,7 @@ def test_recover_after_the_run_needs_no_rejoin(clean):
     def edit(payload):
         lose_rejoin(payload)
         plan = payload["config"]["faults"]["2"]
-        plan["recover_at"] = payload["sim_time"] + 1.0
+        plan["actions"][-1][0] = payload["sim_time"] + 1.0
 
     assert judged(clean, edit) == "ok"
 
