@@ -107,21 +107,18 @@ def metric_value(result: ScenarioResult, name: str) -> float:
 # ----------------------------------------------------------------------
 def commit_latencies(result: ScenarioResult) -> List[float]:
     """End-to-end latencies of the committed transactions, in log order."""
+    log = result.metrics
     return [
-        r.end_time - r.submit_time
-        for r in result.metrics.records
-        if r.outcome == "commit"
+        end - submit
+        for end, submit, outcome in zip(log.end_time, log.submit_time, log.outcome)
+        if outcome == "commit"
     ]
 
 
 def cert_latencies(result: ScenarioResult) -> List[float]:
     """Certification latencies of the transactions that were certified
     (a record of one that never was holds ``0.0``), in log order."""
-    return [
-        r.certification_latency
-        for r in result.metrics.records
-        if r.certification_latency > 0
-    ]
+    return [c for c in result.metrics.certification_latency if c > 0]
 
 
 def _mean_ms(values: List[float]) -> float:
@@ -143,27 +140,24 @@ def _throughput(result: ScenarioResult) -> float:
     """Commits per minute over the span from the first submission to the
     last completion (aborted transactions are not resubmitted, §5.1, so
     they simply don't count)."""
-    records = result.metrics.records
-    if not records:
+    log = result.metrics
+    if not log.outcome:
         return math.nan
-    commits = [r.outcome for r in records].count("commit")
-    start = min(r.submit_time for r in records)
-    end = max(r.end_time for r in records)
-    elapsed = end - start
+    elapsed = max(log.end_time) - min(log.submit_time)
     if elapsed <= 0:
         return math.nan
-    return commits * 60.0 / elapsed
+    return log.outcome.count("commit") * 60.0 / elapsed
 
 
-def _aborted_percent(records: Sequence) -> float:
-    if not records:
+def _aborted_percent(outcomes: Sequence[str]) -> float:
+    if not outcomes:
         return math.nan
-    aborted = len(records) - [r.outcome for r in records].count("commit")
-    return 100.0 * aborted / len(records)
+    aborted = len(outcomes) - outcomes.count("commit")
+    return 100.0 * aborted / len(outcomes)
 
 
 def _abort_rate(result: ScenarioResult) -> float:
-    return _aborted_percent(result.metrics.records)
+    return _aborted_percent(result.metrics.outcome)
 
 
 def _abort_rate_for(tx_class: str) -> Callable[[ScenarioResult], float]:
@@ -171,8 +165,9 @@ def _abort_rate_for(tx_class: str) -> Callable[[ScenarioResult], float]:
         return _abort_rate
 
     def extract(result: ScenarioResult) -> float:
+        log = result.metrics
         return _aborted_percent(
-            [r for r in result.metrics.records if r.tx_class == tx_class]
+            [o for o, c in zip(log.outcome, log.tx_class) if c == tx_class]
         )
 
     return extract
@@ -357,7 +352,7 @@ _METRICS: Dict[str, Metric] = {
             "records",
             "txs",
             "transactions completed (commit + abort)",
-            lambda r: float(len(r.metrics.records)),
+            lambda r: float(len(r.metrics.outcome)),
             "{:.0f}",
         ),
         Metric(

@@ -29,6 +29,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..campaigns.spec import CampaignSpec
 from ..core.experiment import ScenarioConfig, ScenarioResult
+from ..core.gcpause import paused_gc
 from ..core.safety import verdict
 from ..runner.store import (
     MANIFEST_NAME,
@@ -231,6 +232,7 @@ class ResultSet:
         return cls(cells, name=name, spec_hash=spec_hash)
 
     @classmethod
+    @paused_gc()
     def from_artifacts(cls, root: Union[str, Path]) -> "ResultSet":
         """Load a campaign artifact directory.
 

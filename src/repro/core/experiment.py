@@ -47,6 +47,7 @@ from ..tpcc.workload import TpccWorkload
 from .cpu import CpuPool
 from .csrt import MODELED, SiteRuntime
 from .faults import FaultInjector, FaultPlan
+from .gcpause import paused_gc
 from .kernel import Simulator
 from .metrics import MetricsCollector, ResourceSampler, SampleSeries
 from .rng import derive_rng
@@ -588,25 +589,13 @@ class Scenario:
             if site.gcs is not None:
                 site.gcs.start()
         self.sim.call(self.config.probe_interval, self._probe)
-        # Collector policy: the event loop's garbage is acyclic, so the
-        # cyclic collector's periodic scans are pure overhead and it is
-        # paused for the run; whoever owns the graph's lifetime reclaims
-        # it afterwards.  Called directly that is this method — the
-        # caller keeps the live result, and one full sweep clears what
-        # earlier runs dropped.  A caller that has paused the collector
-        # itself (the campaign runner, which drops the graph as soon as
-        # it holds the payload) has taken that job over: nothing is
-        # swept here, because a full sweep per campaign cell walks the
-        # whole process heap each time — quadratic in the cells.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
+        # Collector policy: ``core/gcpause.py``.  Called directly, this
+        # method owns the graph it returns and sweeps once, fully; under
+        # the campaign runner's pause it sweeps nothing.
+        with paused_gc() as paused:
             self.sim.run(until=self.config.max_sim_time)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-                gc.collect()
+        if paused:
+            gc.collect()
         return ScenarioResult(
             self.config,
             self.metrics,
@@ -620,7 +609,7 @@ class Scenario:
         )
 
     def _probe(self) -> None:
-        if len(self.metrics.records) >= self.config.transactions:
+        if len(self.metrics.outcome) >= self.config.transactions:
             if not self._done:
                 self._done = True
                 for site in self.sites:

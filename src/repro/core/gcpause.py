@@ -1,0 +1,36 @@
+"""The one policy for the cyclic garbage collector.
+
+A simulation run and an artifact read allocate many objects and no
+reference cycles, so the collector's passes over them free nothing:
+:func:`paused_gc` switches it off around them, and back on only if it
+was the one that switched it off, so a nested pause, or a concurrent
+``serve`` thread's, never leaves it off.  Whoever owns a paused graph's
+lifetime reclaims it: ``Scenario.run`` called directly sweeps once,
+fully; the campaign runner drops each cell's graph and collects the
+young generation alone (a full sweep per cell would walk the whole
+process heap, quadratic in the cells).  A reader stays paused from an
+artifact's JSON to its decoded result, so the JSON dies by reference
+count before the collector is back, never walked.
+"""
+
+from __future__ import annotations
+
+import gc
+from contextlib import contextmanager
+from typing import Iterator
+
+__all__ = ["paused_gc"]
+
+
+@contextmanager
+def paused_gc() -> Iterator[bool]:
+    """Pause the cyclic collector for the block; yields whether this
+    call paused it (``False``: it was already off)."""
+    paused = gc.isenabled()
+    if paused:  # a thread that saw it off must not switch it off later
+        gc.disable()
+    try:
+        yield paused
+    finally:
+        if paused:
+            gc.enable()

@@ -8,10 +8,14 @@ transactions.  The simulation runtime additionally logs the usage and
 queue lengths of every resource (§3.1), which is how Figures 6 and 7(c)
 are produced.
 
-Every reported number is a re-read of that log, so a logged record *is*
-the row an artifact stores for it (:class:`TxRecord`,
-:class:`ResourceSample`: tuples in stored column order) and reading a
-log back validates it by column, not by cell (:func:`_decode_rows`).
+Every reported number is a re-read of that log.  In memory the
+transaction log is columns (:class:`MetricsCollector`: one list per
+field), on disk it is rows (:class:`TxRecord` and
+:class:`ResourceSample` name the stored column order), and reading rows
+back validates them by column, not by cell (:func:`_decode_columns`).
+Loading one is allocation without reference cycles, so the artifact
+store decodes with the cyclic collector paused: the one policy for
+that is :func:`repro.core.gcpause.paused_gc`.
 """
 
 from __future__ import annotations
@@ -38,11 +42,11 @@ __all__ = [
 class TxRecord(NamedTuple):
     """One finished transaction as seen by its issuing client.
 
-    The record *is* the row a result artifact stores for it: the field
-    order below is the stored column order, ``list(record)`` encodes it
-    and ``TxRecord._make(row)`` decodes it, with nothing coerced either
-    way (one row per record keeps artifacts small — grids log many
-    thousands of transactions — and reading them back cheap)."""
+    A record is the row a result artifact stores for it: the field
+    order below is the stored column order, and nothing is coerced
+    either way (one row per transaction keeps artifacts small — grids
+    log many thousands of transactions).  The live log keeps the same
+    fields as columns; :attr:`MetricsCollector.records` derives the rows."""
 
     tx_id: int
     tx_class: str
@@ -77,32 +81,85 @@ def _column_types(record_type) -> Tuple[set, ...]:
     return tuple(_STORED_TYPES[t] for t in get_type_hints(record_type).values())
 
 
-def _decode_rows(record_type, rows: Iterable[Sequence]) -> list:
-    """Stored ``rows`` as ``record_type`` records, validated by column
-    rather than by cell: ``_make`` checks each row's arity and every
-    column is checked once for the types it holds, so a malformed
-    artifact fails here, never later inside a metric."""
-    records = list(map(record_type._make, rows))
-    columns = zip(record_type._fields, _column_types(record_type), zip(*records))
-    for name, stored, column in columns:
+def _decode_columns(record_type, rows: Sequence[Sequence]) -> List[list]:
+    """Stored ``rows`` of ``record_type`` as one list per field,
+    validated by column rather than by cell: every row's arity first
+    (``zip`` would truncate a ragged row), then every column once for
+    the types it holds, so a malformed artifact fails here, never later
+    inside a metric.  No row is built."""
+    width = len(record_type._fields)
+    ragged = set(map(len, rows)) - {width}
+    if ragged:
+        raise ValueError(
+            f"{record_type.__name__} rows of {sorted(ragged)} fields "
+            f"(expected {width})"
+        )
+    columns = list(map(list, zip(*rows))) or [[] for _ in range(width)]
+    for name, stored, column in zip(
+        record_type._fields, _column_types(record_type), columns
+    ):
         found = set(map(type, column))
         if not found <= stored:
             raise ValueError(
                 f"{record_type.__name__} column {name!r} holds "
                 f"{sorted(t.__name__ for t in found - stored)}"
             )
-    return records
+    return columns
+
+
+def _stored(owner: str, data: Dict[str, object], keys: Tuple[str, ...]) -> list:
+    """``data``'s values at ``keys``, its one stored form: a missing key
+    is a KeyError, an unknown one a ValueError."""
+    unknown = set(data) - set(keys)
+    if unknown:
+        raise ValueError(f"unknown {owner} keys {sorted(unknown)}")
+    return [data[key] for key in keys]
 
 
 class MetricsCollector:
-    """The run's transaction log.  Every number derived from it is an
-    extractor of :mod:`repro.analysis.metrics`."""
+    """The run's transaction log, kept as columns: one list per
+    :data:`TX_RECORD_FIELDS` entry, under the field's name
+    (``collector.outcome``).  Recording a transaction appends its fields
+    and builds no row; an extractor of :mod:`repro.analysis.metrics`
+    scans a column with C-level ``count`` / ``min`` / ``max`` / ``zip``.
+    Artifacts store the same log as rows (:meth:`to_dict`)."""
 
     def __init__(self) -> None:
-        self.records: List[TxRecord] = []
+        for name in TX_RECORD_FIELDS:
+            setattr(self, name, [])
 
-    def record(self, record: TxRecord) -> None:
-        self.records.append(record)
+    def record(
+        self,
+        tx_id: int,
+        tx_class: str,
+        site: str,
+        submit_time: float,
+        end_time: float,
+        outcome: str,
+        readonly: bool,
+        certification_latency: float = 0.0,
+        abort_reason: str = "",
+    ) -> None:
+        """Log one finished transaction (the fields of a :class:`TxRecord`)."""
+        self.tx_id.append(tx_id)
+        self.tx_class.append(tx_class)
+        self.site.append(site)
+        self.submit_time.append(submit_time)
+        self.end_time.append(end_time)
+        self.outcome.append(outcome)
+        self.readonly.append(readonly)
+        self.certification_latency.append(certification_latency)
+        self.abort_reason.append(abort_reason)
+
+    def columns(self) -> List[list]:
+        """The columns in :data:`TX_RECORD_FIELDS` order."""
+        return [getattr(self, name) for name in TX_RECORD_FIELDS]
+
+    @property
+    def records(self) -> List[TxRecord]:
+        """The log as rows, derived on each read: for tests and tools
+        outside the package, which reads the columns."""
+        return list(map(TxRecord._make, zip(*self.columns())))
 
     # ------------------------------------------------------------------
     # serialization (runner artifacts, cross-process result transfer)
@@ -111,16 +168,17 @@ class MetricsCollector:
         return {
             "fields": list(TX_RECORD_FIELDS),
             # lists, so the payload equals its own JSON round trip
-            "records": list(map(list, self.records)),
+            "records": list(map(list, zip(*self.columns()))),
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "MetricsCollector":
-        fields = tuple(data.get("fields", TX_RECORD_FIELDS))
-        if fields != TX_RECORD_FIELDS:
+        fields, rows = _stored("MetricsCollector", data, ("fields", "records"))
+        if tuple(fields) != TX_RECORD_FIELDS:
             raise ValueError(f"unknown record encoding: {fields}")
-        collector = cls()
-        collector.records = _decode_rows(TxRecord, data["records"])
+        collector = cls.__new__(cls)
+        for name, column in zip(TX_RECORD_FIELDS, _decode_columns(TxRecord, rows)):
+            setattr(collector, name, column)
         return collector
 
 
@@ -175,8 +233,7 @@ def qq_points(
 # ----------------------------------------------------------------------
 class ResourceSample(NamedTuple):
     """Per-interval resource usage (not cumulative): each sample covers
-    the window ending at ``time``.  Like :class:`TxRecord`, the sample
-    is its own stored row."""
+    the window ending at ``time``.  The sample is its own stored row."""
 
     time: float
     cpu_total: float  # mean across sampled CPU pools, 0..1
@@ -243,8 +300,9 @@ class SampleSeries:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "SampleSeries":
-        samples = _decode_rows(ResourceSample, data["samples"])
-        return cls(samples, float(data["interval"]))
+        interval, rows = _stored("SampleSeries", data, ("interval", "samples"))
+        columns = _decode_columns(ResourceSample, rows)
+        return cls(map(ResourceSample._make, zip(*columns)), float(interval))
 
 
 class ResourceSampler(Entity):

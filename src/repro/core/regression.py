@@ -154,7 +154,7 @@ class RegressionSuite:
         return ScenarioBaseline(
             name=name,
             metrics=metrics,
-            completed=len(result.metrics.records),
+            completed=len(result.metrics.outcome),
         )
 
     def _run_all(

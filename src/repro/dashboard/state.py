@@ -37,6 +37,7 @@ from ..analysis.resultset import (
     artifact_cell,
     manifest_cells,
 )
+from ..core.gcpause import paused_gc
 from ..core.safety import VERDICTS
 from ..runner.store import MANIFEST_NAME, ArtifactError, ArtifactStore
 from .journal import JournalReader, journal_path
@@ -212,6 +213,7 @@ class CampaignView:
             self._progress["eta"] = 0.0
             self._progress["elapsed"] = event.get("elapsed")
 
+    @paused_gc()
     def _scan_artifacts(self) -> None:
         """Absorb new/changed cell artifacts: metrics, axes, violations."""
         for path, mtime_ns, size in self._store.list_cells():

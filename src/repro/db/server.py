@@ -21,7 +21,7 @@ from typing import Callable, Dict, Optional
 
 from ..core.cpu import CpuPool
 from ..core.kernel import Entity, Signal, Simulator
-from ..core.metrics import MetricsCollector, TxRecord
+from ..core.metrics import MetricsCollector
 from .lock import GRANTED, PREEMPTED, WW_ABORTED, LockManager, LockRequest
 from .storage import Storage
 from .transactions import (
@@ -316,17 +316,15 @@ class DatabaseServer(Entity):
         submitted, ended = tx.certify_submit_time, tx.certify_end_time
         certification = 0.0 if submitted < 0 or ended < 0 else ended - submitted
         self.metrics.record(
-            TxRecord(
-                tx_id=tx.tx_id,
-                tx_class=tx.spec.tx_class,
-                site=self.name,
-                submit_time=tx.submit_time,
-                end_time=tx.end_time,
-                outcome=outcome,
-                readonly=not tx.spec.write_set,
-                certification_latency=certification,
-                abort_reason=tx.abort_reason,
-            )
+            tx_id=tx.tx_id,
+            tx_class=tx.spec.tx_class,
+            site=self.name,
+            submit_time=tx.submit_time,
+            end_time=tx.end_time,
+            outcome=outcome,
+            readonly=not tx.spec.write_set,
+            certification_latency=certification,
+            abort_reason=tx.abort_reason,
         )
         if on_done is not None:
             on_done(tx)

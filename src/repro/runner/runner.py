@@ -48,6 +48,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Un
 
 from ..core.env import env_int, env_str
 from ..core.experiment import Scenario, ScenarioConfig, ScenarioResult
+from ..core.gcpause import paused_gc
 from ..core.safety import verdict
 from .progress import CampaignProgress, ProgressEvent
 from .store import ARTIFACT_DIR_ENV, ArtifactStore
@@ -156,12 +157,11 @@ def _execute_cell(label: str, config: ScenarioConfig) -> CellOutcome:
     Live results hold simulator entities that must neither cross a
     process boundary nor outlive the cell, so only the ``to_dict()``
     payload leaves this function.  That makes the runner the owner of
-    the graph's lifetime, hence of the collector: it is paused while the
-    cell is assembled, run and serialised (so ``Scenario.run`` sees it
-    disabled and sweeps nothing), then restored, and the graph — dead by
-    now, and wholly in the young generation because nothing was
-    collected since it was built — is reclaimed by a young-generation
-    collection whose cost is the cell's size, not the process heap's.
+    the graph's lifetime, hence of the collector (``paused_gc``): it is
+    paused while the cell is assembled, run and serialised, and the
+    graph — dead by now, and wholly in the young generation — is
+    reclaimed by a young-generation collection whose cost is the cell's
+    size, not the process heap's.
 
     An exception becomes a failed outcome carrying its traceback.
     ``KeyboardInterrupt`` and ``SystemExit`` propagate, so an in-process
@@ -171,16 +171,12 @@ def _execute_cell(label: str, config: ScenarioConfig) -> CellOutcome:
     """
     started = time.perf_counter()
     payload = error = None
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        payload = Scenario(config).run().to_dict()
-    except Exception:
-        error = traceback.format_exc()
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-        gc.collect(0)
+    with paused_gc():
+        try:
+            payload = Scenario(config).run().to_dict()
+        except Exception:
+            error = traceback.format_exc()
+    gc.collect(0)
     return label, payload, error, time.perf_counter() - started, os.getpid()
 
 

@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from ..core.env import env_str
 from ..core.experiment import ScenarioConfig, ScenarioResult
+from ..core.gcpause import paused_gc
 
 __all__ = [
     "ARTIFACT_DIR_ENV",
@@ -141,6 +142,7 @@ class ArtifactStore:
         return out
 
     @staticmethod
+    @paused_gc()
     def read_cell(path: Union[str, Path]) -> dict:
         """The JSON envelope of one cell artifact (``label``, ``result``,
         optional ``spec_hash``); :class:`ArtifactError` when
@@ -156,6 +158,7 @@ class ArtifactStore:
         return data
 
     @staticmethod
+    @paused_gc()
     def decode(path: Union[str, Path], payload: dict) -> ScenarioResult:
         """The result inside an envelope :meth:`read_cell` returned.
         The file came from outside the program, so any structural
@@ -211,6 +214,7 @@ class ArtifactStore:
         return data if isinstance(data, dict) else None
 
     # ------------------------------------------------------------------
+    @paused_gc()
     def load(self, label: str, config: ScenarioConfig) -> Optional[ScenarioResult]:
         """The stored result for ``label``, or None if absent, unusable,
         or recorded under a different configuration (each of which is

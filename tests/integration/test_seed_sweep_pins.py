@@ -8,11 +8,19 @@ looks like.  They are ``xfail(strict=True)``: a fix that turns a cell
 ``ok`` fails the suite until its case is deleted here.
 ``test_seed_1007_pin.py`` pins the view-id collision behind the
 ``partition-heal-sequencer`` cells at 300 transactions.
+
+Beside each verdict case, a passing case pins why the cell ends that
+way (the triage behind ROADMAP item 10(b)): all but three end with a
+fault episode still open at ``sim_time`` — a heal or recover of the
+cell's fault plan falls after the run's end, or a rejoin
+(``RecoveryEvent``) never completed.  Each cell runs once per module.
 """
+
+import math
 
 import pytest
 
-from repro import Scenario, get_campaign
+from repro import Scenario, ScenarioResult, get_campaign
 from repro.core.safety import verdict
 
 BAD_CELLS = {
@@ -29,7 +37,20 @@ BAD_CELLS = {
     ("crash-recover-sequencer", "no-rejoin"): (1018,),
 }
 
-CASES = [
+OPEN = "an episode is still open"
+#: The cells whose cause is not an open episode.
+CAUSES = {
+    # F5: the sequencer crashes for good, so no episode is left to close.
+    ("crash-sequencer", 1001): "every episode is closed",
+    # The run stops at the very instant of the heal: no rejoin begins.
+    ("partition-heal-member", 1011): "an episode closes at the end",
+    ("partition-heal-sequencer", 1014): "an episode closes at the end",
+}
+
+CELLS = [
+    (fault, seed, seen) for (fault, seen), seeds in BAD_CELLS.items() for seed in seeds
+]
+VERDICT_CASES = [
     pytest.param(
         fault,
         seed,
@@ -38,18 +59,60 @@ CASES = [
             strict=True, raises=AssertionError, reason=f"verdict is {seen}"
         ),
     )
-    for (fault, seen), seeds in BAD_CELLS.items()
-    for seed in seeds
+    for fault, seed, seen in CELLS
+]
+CAUSE_CASES = [
+    pytest.param(fault, seed, id=f"{fault}-seed-{seed}") for fault, seed, _ in CELLS
 ]
 
 
-@pytest.mark.parametrize("fault,seed", CASES)
-def test_sweep_cell_is_ok(fault, seed):
-    spec = (
-        get_campaign("safety-monitored")
-        .with_axis("seed", (seed,))
-        .with_axis("fault", (fault,))
-        .with_axis("transactions", (150,))
-    )
-    ((_, config),) = spec.expand()
-    assert verdict(Scenario(config).run()) == "ok"
+@pytest.fixture(scope="module")
+def run_cell():
+    """``run_cell(fault, seed)``: the cell's config and its result as a
+    campaign stores it, each cell run once per module."""
+    cache = {}
+
+    def run(fault, seed):
+        if (fault, seed) not in cache:
+            spec = (
+                get_campaign("safety-monitored")
+                .with_axis("seed", (seed,))
+                .with_axis("fault", (fault,))
+                .with_axis("transactions", (150,))
+            )
+            ((_, config),) = spec.expand()
+            stored = ScenarioResult.from_dict(Scenario(config).run().to_dict())
+            cache[fault, seed] = config, stored
+        return cache[fault, seed]
+
+    return run
+
+
+def triage(config, result) -> str:
+    """How the run's fault episodes stand at ``sim_time``."""
+    closing = [
+        end
+        for plan in config.faults.values()
+        for kind in ("crash", "partition")
+        for _start, end in plan.episodes(kind)
+        if end < math.inf
+    ]
+    if any(end > result.sim_time for end in closing) or any(
+        event.live_at < 0 for event in result.recovery_events
+    ):
+        return OPEN
+    if result.sim_time in closing and not result.recovery_events:
+        return "an episode closes at the end"
+    return "every episode is closed"
+
+
+@pytest.mark.parametrize("fault,seed", VERDICT_CASES)
+def test_sweep_cell_is_ok(run_cell, fault, seed):
+    _config, result = run_cell(fault, seed)
+    assert verdict(result) == "ok"
+
+
+@pytest.mark.parametrize("fault,seed", CAUSE_CASES)
+def test_sweep_cell_states_its_cause(run_cell, fault, seed):
+    config, result = run_cell(fault, seed)
+    assert triage(config, result) == CAUSES.get((fault, seed), OPEN)

@@ -72,7 +72,7 @@ def check_identity(cls, original):
 def test_collector_round_trip_is_the_identity_on_bytes(rows):
     collector = MetricsCollector()
     for row in rows:
-        collector.record(row)
+        collector.record(*row)
     for clone in check_identity(MetricsCollector, collector):
         assert all(type(r) is TxRecord for r in clone.records)
         # the same values, compared as bytes: ``nan != nan``

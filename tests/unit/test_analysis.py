@@ -171,22 +171,28 @@ class TestRegistry:
         assert metric.fmt.format(1.25) == "1.2"
 
 
+#: Every metric derived from the transaction log, one family member included.
+LOG_METRICS = (
+    "throughput_tpm",
+    "mean_latency_ms",
+    "p50_latency_ms",
+    "p95_latency_ms",
+    "p99_latency_ms",
+    "abort_rate",
+    "abort_rate[payment-long]",
+    "cert_latency_ms",
+    "cert_p50_ms",
+    "cert_p99_ms",
+)
+
+
 class TestNanPropagation:
     def test_empty_result_yields_nan_not_zero(self):
-        empty = make_result()
-        for name in (
-            "throughput_tpm",
-            "mean_latency_ms",
-            "p99_latency_ms",
-            "abort_rate",
-            "abort_rate[payment-long]",
-            "cert_latency_ms",
-            "cpu_total",
-            "disk",
-            "net_kbps",
-            "time_to_rejoin",
-        ):
+        empty = make_result()  # decoded from a stored zero-record log
+        assert empty.metrics.columns() == [[]] * len(TX_RECORD_FIELDS)
+        for name in (*LOG_METRICS, "cpu_total", "disk", "net_kbps", "time_to_rejoin"):
             assert math.isnan(metric_value(empty, name)), name
+        assert metric_value(empty, "records") == 0.0
 
     def test_nan_renders_as_dash_and_empty_csv(self):
         rs = ResultSet.from_results([("empty", make_result(), {})])

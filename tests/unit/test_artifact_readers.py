@@ -141,6 +141,23 @@ def _add_unknown_key(owner):
     return _edit_result(lambda result: where(result["config"]).__setitem__(key, None))
 
 
+#: A stored log in another form than the one its decoder reads, and what
+#: the decode error names.
+LOG_FORMS = {
+    "no-fields-header": (
+        lambda result: result["metrics"].pop("fields"), "KeyError: 'fields'"
+    ),
+    "unknown-MetricsCollector-key": (
+        lambda result: result["metrics"].__setitem__("columns", []),
+        "unknown MetricsCollector keys ['columns']",
+    ),
+    "unknown-SampleSeries-key": (
+        lambda result: result["samples"].__setitem__("bucket_seconds", 1.0),
+        "unknown SampleSeries keys ['bucket_seconds']",
+    ),
+}
+
+
 #: What is done to the victim cell's file.
 CASES = {
     "truncated-json": lambda path: path.write_text(path.read_text()[:40]),
@@ -163,6 +180,7 @@ CASES = {
     ),
     "format-1": _as_format_1,
     **{f"unknown-{owner}-key": _add_unknown_key(owner) for owner in UNKNOWN_KEYS},
+    **{name: _edit_result(edit) for name, (edit, _) in LOG_FORMS.items()},
     "foreign-label": _rewrite(label=FOREIGN),
     "foreign-spec-hash": _rewrite(spec_hash="f" * 16),
 }
@@ -280,6 +298,17 @@ def test_an_unknown_config_key_is_an_artifact_error(pristine, owner):
     with pytest.raises(ArtifactError, match=re.escape(str(path))) as info:
         ArtifactStore.decode(path, payload)
     assert f"unknown {owner} keys ['{key}']" in str(info.value)
+
+
+@pytest.mark.parametrize("form", list(LOG_FORMS))
+def test_a_log_in_another_form_is_an_artifact_error(pristine, form):
+    path = ArtifactStore(pristine).path_for(VICTIM)
+    payload = ArtifactStore.read_cell(path)
+    edit, message = LOG_FORMS[form]
+    edit(payload["result"])
+    with pytest.raises(ArtifactError, match=re.escape(str(path))) as info:
+        ArtifactStore.decode(path, payload)
+    assert message in str(info.value)
 
 
 def test_a_format_1_directory_reruns_every_cell(pristine, tmp_path, capsys):

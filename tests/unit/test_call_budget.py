@@ -3,11 +3,12 @@ generator's draws: stopwatch-free gates.
 
 In the spirit of ``test_event_budget.py``: the number of Python
 function calls a decode or a scan makes is a pure function of the code,
-so it compares two commits on any host.  A stored row becomes a record
-in one ``_make`` call and the metric extractors' scans compare fields
-inside one comprehension, so decoding N rows makes about N calls and
-scanning them makes a handful — not one ``from_list`` + ``__init__`` per
-row or one ``committed`` / ``latency`` property call per record per scan.
+so it compares two commits on any host.  The transaction log is
+columns: decoding N stored rows transposes and checks them with C-level
+``zip`` / ``map`` and the metric extractors scan a column with
+``count`` / ``min`` / ``max`` or one comprehension, so neither makes a
+call per row — no ``_make`` per row, no ``committed`` / ``latency``
+property call per record per scan — and no run builds the row view.
 
 The datagram path has the same kind of gate: a real job that queues
 schedules no kernel ``Event``, the fabric asks about the partition cut
@@ -45,13 +46,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "property"))
 from helpers import make_group
 from test_prop_cpu_lazy import GRID, EagerCpu, drive
 
-from repro.analysis.metrics import commit_latencies, metric_value
+from repro.analysis.metrics import available_metrics, commit_latencies, metric_value
 from repro.core.cpu import CpuPool, SimulatedCpu
 from repro.core.csrt import SiteRuntime
-from repro.core.experiment import Scenario, ScenarioConfig
+from repro.core.experiment import Scenario, ScenarioConfig, ScenarioResult
 from repro.core.faults import FaultInjector, clock_drift
+from repro.core.gcpause import paused_gc
 from repro.core.kernel import Entity, Signal, Simulator
-from repro.core.metrics import MetricsCollector, TxRecord
+from repro.core.metrics import MetricsCollector
 from repro.db.lock import LockManager
 from repro.db.server import DatabaseServer, LocalTermination
 from repro.db.transactions import Operation, Transaction, TransactionSpec
@@ -114,33 +116,55 @@ def entries_of(fn, *functions):
     return result, entered
 
 
-def stored_rows():
+def stored_rows(n=N):
     collector = MetricsCollector()
-    for i in range(N):
+    for i in range(n):
         collector.record(
-            TxRecord(
-                tx_id=i,
-                tx_class=("neworder", "payment-long", "delivery")[i % 3],
-                site=f"site{i % 2}",
-                submit_time=i * 0.5,
-                end_time=i * 0.5 + 0.25,
-                outcome="abort" if i % 10 == 0 else "commit",
-                readonly=i % 4 == 0,
-                certification_latency=0.001 * (i % 5),
-                abort_reason="ww-conflict" if i % 10 == 0 else "",
-            )
+            tx_id=i,
+            tx_class=("neworder", "payment-long", "delivery")[i % 3],
+            site=f"site{i % 2}",
+            submit_time=i * 0.5,
+            end_time=i * 0.5 + 0.25,
+            outcome="abort" if i % 10 == 0 else "commit",
+            readonly=i % 4 == 0,
+            certification_latency=0.001 * (i % 5),
+            abort_reason="ww-conflict" if i % 10 == 0 else "",
         )
     return collector.to_dict()
 
 
-def test_decoding_rows_costs_one_call_per_row():
-    data = stored_rows()
+def test_decoding_rows_costs_no_call_per_row():
     # steady state: a record class's column types are resolved from its
     # annotations once per process, on the first decode
-    MetricsCollector.from_dict({**data, "records": data["records"][:1]})
-    collector, calls = calls_made_by(lambda: MetricsCollector.from_dict(data))
-    assert len(collector.records) == N
-    assert calls <= N + 20, calls
+    MetricsCollector.from_dict(stored_rows(1))
+    counts = []
+    for n in (N, 2 * N):
+        data = stored_rows(n)
+        # as the store decodes: no collector pass runs an earlier test's
+        # finalizers inside the count
+        with paused_gc():
+            collector, calls = calls_made_by(lambda: MetricsCollector.from_dict(data))
+        assert len(collector.outcome) == n
+        counts.append(calls)
+    assert counts[0] == counts[1] < 10, counts
+
+
+def test_a_run_never_builds_the_row_view():
+    """The live log is columns from the recording call to the artifact:
+    running a cell, storing it, decoding it and deriving every metric
+    never enters ``MetricsCollector.records``."""
+
+    def run_store_and_report():
+        result = Scenario(ScenarioConfig(sites=3, clients=30, transactions=60)).run()
+        clone = ScenarioResult.from_dict(result.to_dict())
+        return clone, [metric_value(clone, name) for name in available_metrics()]
+
+    (clone, _values), entered = entries_of(
+        run_store_and_report, MetricsCollector.records.fget
+    )
+    assert entered == {"records": 0}
+    assert len(clone.metrics.outcome) >= 60
+    assert len(clone.metrics.records) == len(clone.metrics.outcome)
 
 
 def test_headline_scans_cost_no_call_per_record():

@@ -40,7 +40,7 @@ def log_of(*records):
     record extractors read nothing else."""
     collector = MetricsCollector()
     for r in records:
-        collector.record(r)
+        collector.record(*r)
     return SimpleNamespace(metrics=collector)
 
 
@@ -135,7 +135,7 @@ class TestRecordIsTheStoredRow:
     def test_a_malformed_row_fails_at_decode(self, damage):
         collector = MetricsCollector()
         for i in range(3):
-            collector.record(record(tx_id=i))
+            collector.record(*record(tx_id=i))
         data = collector.to_dict()
         damage(data["records"][1])
         with pytest.raises((TypeError, ValueError)):
@@ -143,7 +143,7 @@ class TestRecordIsTheStoredRow:
 
     def test_nothing_is_coerced(self):
         collector = MetricsCollector()
-        collector.record(record(submit=0, end=2))  # ints in float columns
+        collector.record(*record(submit=0, end=2))  # ints in float columns
         clone = MetricsCollector.from_dict(collector.to_dict())
         assert [type(v) for v in clone.records[0]] == [
             type(v) for v in collector.records[0]

@@ -20,7 +20,9 @@ config is *stored* moves ``sha256`` alone, a change to what a run
 *produced* moves both.  And each entry pins the value of every plain metric and of
 ``abort_rate[<class>]`` for each class the cell logs (``null`` for
 NaN), so a change to how a number is *derived* from the stored result
-shows even when the result itself is untouched.
+shows even when the result itself is untouched.  The metric pins hold
+for the live result and for its JSON round trip alike, and the round
+trip re-encodes to the live result's bytes.
 """
 
 import hashlib
@@ -31,7 +33,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.metrics import metric_value
-from repro.core.experiment import Scenario, ScenarioConfig
+from repro.core.experiment import Scenario, ScenarioConfig, ScenarioResult
 from repro.core.scenarios import safety_fault_plans
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden" / "result_digests.json"
@@ -78,11 +80,17 @@ def test_result_digest_matches_golden(cell):
         f"the model itself changed and the PR says how — re-baseline by setting "
         f"\"sha256\": \"{new}\" for \"{cell}\" in tests/golden/result_digests.json."
     )
-    values = {}
-    for name in entry["metrics"]:
-        value = metric_value(result, name)
-        values[name] = None if math.isnan(value) else value
-    assert values == entry["metrics"]
+    # The same numbers from the stored result: the log decoded from its
+    # JSON rows into columns, and encoded back to the same bytes.
+    stored = json.dumps(result.to_dict())
+    loaded = ScenarioResult.from_dict(json.loads(stored))
+    assert json.dumps(loaded.to_dict()) == stored
+    for source in (result, loaded):
+        values = {}
+        for name in entry["metrics"]:
+            value = metric_value(source, name)
+            values[name] = None if math.isnan(value) else value
+        assert values == entry["metrics"]
 
 
 def test_cpu_accounting_when_the_run_stops_inside_a_real_job():

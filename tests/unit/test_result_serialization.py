@@ -58,9 +58,7 @@ class TestPieceRoundTrips:
 
     def test_metrics_collector(self):
         collector = MetricsCollector()
-        collector.record(
-            TxRecord(1, "payment-short", "site1", 0.0, 0.5, "commit", False)
-        )
+        collector.record(1, "payment-short", "site1", 0.0, 0.5, "commit", False)
         clone = MetricsCollector.from_dict(collector.to_dict())
         assert clone.records == collector.records
 

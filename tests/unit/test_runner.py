@@ -2,18 +2,24 @@
 
 import gc
 import json
+import re
 import sys
 import weakref
 from pathlib import Path
 
 import pytest
 
+import repro
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from helpers import raising_run
 
 from repro.analysis import AnalysisError, ResultSet, metric_value
 from repro.core.experiment import Scenario, ScenarioConfig
+from repro.core import gcpause
+from repro.core.gcpause import paused_gc
 from repro.core.kernel import Simulator
+from repro.dashboard import CampaignView
 from repro.runner import (
     ETA_WINDOW,
     ArtifactCollisionError,
@@ -310,7 +316,9 @@ class TestInProcessInterrupts:
 
 class TestCollectorOwnership:
     """The runner pauses the collector per cell and hands it back as it
-    found it; each cell's simulation graph is gone before the next."""
+    found it; each cell's simulation graph is gone before the next.  The
+    readers of a campaign directory pause it too (``paused_gc``, the one
+    policy) and hand it back the same way."""
 
     GRID = [(f"cell{i}", tiny_config(seed=3 + i)) for i in range(4)]
 
@@ -329,6 +337,65 @@ class TestCollectorOwnership:
             run_campaign(self.GRID, workers=1)
         except KeyboardInterrupt:
             assert raised is KeyboardInterrupt
+        assert gc.isenabled() == collector
+
+    def test_only_the_pause_that_switched_it_off_switches_it_on(self, collector):
+        outer, inner = paused_gc(), paused_gc()
+        assert outer.__enter__() is collector
+        assert inner.__enter__() is False
+        assert not gc.isenabled()
+        # out of order, as two ``serve`` threads may leave
+        outer.__exit__(None, None, None)
+        assert gc.isenabled() == collector
+        inner.__exit__(None, None, None)
+        assert gc.isenabled() == collector
+
+    def test_a_thread_that_saw_it_off_never_switches_it_off(self, monkeypatch):
+        """Thread B reads the collector off under thread A's pause, then
+        A's pause ends before B acts on what it read."""
+
+        class Collector:
+            enabled = True
+            between_read_and_act = None
+
+            def isenabled(self):
+                seen = self.enabled
+                if self.between_read_and_act is not None:
+                    self.between_read_and_act()
+                return seen
+
+            def disable(self):
+                self.enabled = False
+
+            def enable(self):
+                self.enabled = True
+
+        fake = Collector()
+        monkeypatch.setattr(gcpause, "gc", fake)
+        a, b = paused_gc(), paused_gc()
+        a.__enter__()
+        fake.between_read_and_act = lambda: a.__exit__(None, None, None)
+        assert b.__enter__() is False
+        b.__exit__(None, None, None)
+        assert fake.enabled
+
+    def test_only_the_helper_switches_the_collector(self):
+        src = Path(repro.__file__).parent
+        callers = sorted(
+            str(path.relative_to(src))
+            for path in src.rglob("*.py")
+            if re.search(r"\bgc\.(disable|enable)\(", path.read_text())
+        )
+        assert callers == ["core/gcpause.py"]
+
+    def test_readers_leave_the_collector_as_they_found_it(self, collector, tmp_path):
+        label, config = self.GRID[0]
+        run_campaign([(label, config)], workers=1, artifact_dir=tmp_path)
+        assert ArtifactStore(tmp_path).load(label, config) is not None
+        assert ResultSet.from_artifacts(tmp_path).labels() == [label]
+        view = CampaignView(tmp_path)
+        view.refresh()
+        assert [cell["label"] for cell in view.cells_payload()["cells"]] == [label]
         assert gc.isenabled() == collector
 
     def test_graph_reclaimed_before_each_progress_event(self, monkeypatch):
