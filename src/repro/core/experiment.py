@@ -193,16 +193,15 @@ class Site:
 
 
 class ScenarioResult:
-    """Run outputs: metrics, resource samples, capture, commit logs.
+    """Run outputs, by value: metrics, resource samples, capture totals,
+    commit logs, protocol counters, rejoin timelines and violations.
 
-    The result of a ``Scenario(config).run()`` you call yourself is
-    *live*: ``sites`` holds the assembled :class:`Site` objects, and
-    with them the whole simulation graph.  A result reconstructed with
-    :meth:`from_dict` — every ``run_campaign`` cell, whether it ran
-    in-process, in a worker or was loaded from an artifact — is a
-    *value*: ``sites == []``, but it answers every metric, commit-log
-    and safety question identically, because the commit logs and
-    resource samples are captured by value at construction.
+    ``Scenario.run`` and :meth:`from_dict` build it through this one
+    constructor, so the result of a run you call yourself and every
+    ``run_campaign`` cell — in-process, worker or artifact — carry the
+    same attributes and answer every metric, commit-log and safety
+    question identically.  No result holds the simulation graph; its
+    live state stays on the :class:`Scenario` (``scenario.sites``).
     """
 
     def __init__(
@@ -211,39 +210,28 @@ class ScenarioResult:
         metrics: MetricsCollector,
         sampler: SampleSeries,
         capture: PacketCapture,
-        sites: List[Site],
         sim_time: float,
-        violations: Optional[List[InvariantViolation]] = None,
+        commit_logs: List[CommitLog],
+        site_stats: Dict[str, Dict[str, int]],
+        recovery_events: List[RecoveryEvent],
+        violations: List[InvariantViolation],
     ):
         self.config = config
         self.metrics = metrics
         self.sampler = sampler
         self.capture = capture
-        self.sites = sites
         self.sim_time = sim_time
+        self._commit_logs = commit_logs
+        #: Per-site protocol counters (protocol-specific; e.g. the
+        #: certifier's for "dbsm").
+        self.site_stats = site_stats
+        #: Rejoin timelines (recovery-time metrics): one event per
+        #: crash→recover or partition→heal rejoin across all sites.
+        self.recovery_events = recovery_events
         #: Invariant breaches recorded by the run's monitors (empty when
         #: monitoring is off *or* every enabled monitor stayed quiet —
         #: the ``violations`` metric distinguishes the two).
-        self.violations: List[InvariantViolation] = list(violations or [])
-        self._commit_logs: List[CommitLog] = [
-            s.replica.commit_log for s in sites if s.replica is not None
-        ]
-        #: Per-site protocol counters (protocol-specific; e.g. the
-        #: certifier's for "dbsm"), kept by value so they survive
-        #: serialization.
-        self.site_stats: Dict[str, Dict[str, int]] = {
-            s.server.name: s.replica.protocol_stats()
-            for s in sites
-            if s.replica is not None
-        }
-        #: Rejoin timelines (recovery-time metrics): one event per
-        #: crash→recover or partition→heal rejoin across all sites.
-        self.recovery_events: List[RecoveryEvent] = [
-            event
-            for s in sites
-            if s.gcs is not None
-            for event in s.gcs.transfer.events
-        ]
+        self.violations = violations
 
     def commit_logs(self) -> List[CommitLog]:
         return list(self._commit_logs)
@@ -307,30 +295,23 @@ class ScenarioResult:
                 f"unsupported result format {data.get('format')!r} "
                 f"(expected {RESULT_FORMAT!r})"
             )
-        result = cls.__new__(cls)
-        result.config = ScenarioConfig.from_dict(data["config"])
-        result.metrics = MetricsCollector.from_dict(data["metrics"])
-        result.sampler = SampleSeries.from_dict(data["samples"])
         capture = PacketCapture(keep_entries=False)
         capture.total_bytes = int(data["capture"]["total_bytes"])
         capture.total_packets = int(data["capture"]["total_packets"])
-        result.capture = capture
-        result.sites = []
-        result.sim_time = float(data["sim_time"])
-        result._commit_logs = [
-            CommitLog.from_dict(log) for log in data["commit_logs"]
-        ]
-        result.site_stats = {
-            site: {k: int(v) for k, v in stats.items()}
-            for site, stats in data["site_stats"].items()
-        }
-        result.recovery_events = [
-            RecoveryEvent.from_dict(event) for event in data["recovery"]
-        ]
-        result.violations = [
-            InvariantViolation.from_dict(v) for v in data["violations"]
-        ]
-        return result
+        return cls(
+            ScenarioConfig.from_dict(data["config"]),
+            MetricsCollector.from_dict(data["metrics"]),
+            SampleSeries.from_dict(data["samples"]),
+            capture,
+            float(data["sim_time"]),
+            [CommitLog.from_dict(log) for log in data["commit_logs"]],
+            {
+                site: {k: int(v) for k, v in stats.items()}
+                for site, stats in data["site_stats"].items()
+            },
+            [RecoveryEvent.from_dict(event) for event in data["recovery"]],
+            [InvariantViolation.from_dict(v) for v in data["violations"]],
+        )
 
 
 class Scenario:
@@ -590,22 +571,30 @@ class Scenario:
                 site.gcs.start()
         self.sim.call(self.config.probe_interval, self._probe)
         # Collector policy: ``core/gcpause.py``.  Called directly, this
-        # method owns the graph it returns and sweeps once, fully; under
-        # the campaign runner's pause it sweeps nothing.
+        # method sweeps once, fully, after the run; under the campaign
+        # runner's pause it sweeps nothing.  The sweep is for memory: it
+        # reclaims the cyclic graphs of earlier direct runs, which a
+        # paused run never frees (numbers in ``core/gcpause.py``).
         with paused_gc() as paused:
             self.sim.run(until=self.config.max_sim_time)
         if paused:
             gc.collect()
+        replicated = [s for s in self.sites if s.replica is not None]
         return ScenarioResult(
             self.config,
             self.metrics,
             self.sampler.series(),
             self.capture,
-            self.sites,
             self.sim.now,
-            violations=(
-                self.monitors.finish() if self.monitors is not None else None
-            ),
+            [s.replica.commit_log for s in replicated],
+            {s.server.name: s.replica.protocol_stats() for s in replicated},
+            [
+                event
+                for s in self.sites
+                if s.gcs is not None
+                for event in s.gcs.transfer.events
+            ],
+            self.monitors.finish() if self.monitors is not None else [],
         )
 
     def _probe(self) -> None:

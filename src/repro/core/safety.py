@@ -130,7 +130,7 @@ def verdict(result: Any) -> str:
     strict-minority cut (the sites cut at one instant; an equal split
     resumes in place), came before the run ended and no completed rejoin
     at that site went live at or after it.  It reads only what an
-    artifact stores, so a live result, its ``from_dict`` copy and its
+    artifact stores, so a run's result, its ``from_dict`` copy and its
     artifact get the same verdict."""
     try:
         result.check_safety()

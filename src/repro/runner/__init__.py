@@ -13,10 +13,11 @@ aborting the campaign.
 **Invariants.**
 
 * *Results are values* — on every source a cell's result is its
-  ``ScenarioResult.to_dict()`` payload rebuilt with ``from_dict``:
-  ``result.sites == []``, and the live simulation graph is reclaimed
-  before the next cell starts (campaign time linear in cells, memory
-  flat).  Live ``sites`` exist only on a ``Scenario`` you run yourself;
+  ``ScenarioResult.to_dict()`` payload rebuilt with ``from_dict``, and
+  the cell's simulation graph is reclaimed before the next cell starts
+  (campaign time linear in cells, memory flat).  Live sites are on a
+  ``Scenario`` you run yourself: ``scenario = Scenario(config);
+  scenario.run(); scenario.sites``;
 * *Execution-path equivalence* — that payload is identical whether the
   cell ran directly, with ``workers=1``, in a pool, or was resumed from
   an artifact (results serialize losslessly for everything the figures

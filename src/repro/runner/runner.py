@@ -12,15 +12,14 @@
 * **worker** — ``workers>1``: cells are farmed to a
   ``ProcessPoolExecutor``.
 
-A campaign result is a *value* on every source: the cell's
-``ScenarioResult.to_dict()`` payload, rebuilt with
-``ScenarioResult.from_dict`` — the same payload ``Scenario(config).run()``
-produces when you call it yourself, answering every metric, commit-log
-and safety question identically, but with ``result.sites == []``.  The
-live simulation graph (sites, kernel, client generators) is dropped and
-reclaimed as soon as the payload exists, so a campaign's time is linear
-in its cells and its memory flat; to inspect live ``sites``, run the
-``Scenario`` directly.
+A cell's result is the ``ScenarioResult.to_dict()`` payload of its
+run, rebuilt with ``ScenarioResult.from_dict`` — the same value
+``Scenario(config).run()`` returns when you call it yourself.  The
+simulation graph (sites, kernel, client generators) stays on the
+``Scenario``, which is dropped and reclaimed as soon as the payload
+exists, so a campaign's time is linear in its cells and its memory
+flat; to inspect live sites, run the ``Scenario`` yourself and read
+``scenario.sites``.
 
 Determinism: every scenario is seeded solely by its config, and
 :class:`~repro.core.experiment.Scenario` restarts the transaction-id
@@ -154,14 +153,15 @@ def _execute_cell(label: str, config: ScenarioConfig) -> CellOutcome:
     """Run one cell and hand its outcome back by value — the one
     cell-execution path, for the in-process loop and pool workers alike.
 
-    Live results hold simulator entities that must neither cross a
-    process boundary nor outlive the cell, so only the ``to_dict()``
-    payload leaves this function.  That makes the runner the owner of
-    the graph's lifetime, hence of the collector (``paused_gc``): it is
-    paused while the cell is assembled, run and serialised, and the
-    graph — dead by now, and wholly in the young generation — is
-    reclaimed by a young-generation collection whose cost is the cell's
-    size, not the process heap's.
+    Only the result's ``to_dict()`` payload leaves this function: it is
+    what a pool worker sends back and what the artifact store writes,
+    so every source rebuilds its result from the same payload.  The
+    ``Scenario``, with its simulation graph, dies here, which makes the
+    runner the owner of the graph's lifetime, hence of the collector
+    (``paused_gc``): it is paused while the cell is assembled, run and
+    serialised, and the graph — dead by now, and wholly in the young
+    generation — is reclaimed by a young-generation collection whose
+    cost is the cell's size, not the process heap's.
 
     An exception becomes a failed outcome carrying its traceback.
     ``KeyboardInterrupt`` and ``SystemExit`` propagate, so an in-process

@@ -33,19 +33,20 @@ def batching_sweep():
             sample_interval=2.0,
             drain_time=8.0,
         )
-        result = Scenario(config).run()
+        scenario = Scenario(config)
+        result = scenario.run()
         result.check_safety()
-        results[window] = result
+        results[window] = scenario, result
     return results
 
 
 def test_ablation_sequence_batching(batching_sweep):
     stats = {
         window: (
-            result.sites[0].gcs.total_order.stats["sequence_msgs"],
+            scenario.sites[0].gcs.total_order.stats["sequence_msgs"],
             statistics.median(cert_latencies(result)),
         )
-        for window, result in batching_sweep.items()
+        for window, (scenario, result) in batching_sweep.items()
     }
     rows = [
         (f"{window*1000:.0f} ms", stats[window][0], f"{stats[window][1]*1000:6.2f}")

@@ -32,20 +32,21 @@ def share_sweep():
             sample_interval=2.0,
             drain_time=8.0,
         )
-        result = Scenario(config).run()
+        scenario = Scenario(config)
+        result = scenario.run()
         result.check_safety()
-        results[share] = result
+        results[share] = scenario, result
     return results
 
 
 def test_ablation_buffer_share_mitigates_blocking(share_sweep):
     stats = {
         share: (
-            sum(s.gcs.reliable.stats["blocked_time"] for s in r.sites),
-            sum(s.gcs.reliable.stats["blocked_events"] for s in r.sites),
-            metric_value(r, "mean_latency_ms"),
+            sum(s.gcs.reliable.stats["blocked_time"] for s in scenario.sites),
+            sum(s.gcs.reliable.stats["blocked_events"] for s in scenario.sites),
+            metric_value(result, "mean_latency_ms"),
         )
-        for share, r in share_sweep.items()
+        for share, (scenario, result) in share_sweep.items()
     }
     rows = [
         (share, f"{stats[share][0]:7.2f}", stats[share][1], f"{stats[share][2]:7.1f}")

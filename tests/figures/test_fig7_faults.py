@@ -24,7 +24,9 @@ FAULT_KINDS = ("none", "random", "bursty")
 
 
 @pytest.fixture(scope="module")
-def fault_runs():
+def fault_scenarios():
+    """Fault kind -> (Scenario, result); the Scenario holds the live
+    sites whose GCS counters the backlog diagnosis reads."""
     runs = {}
     for kind in FAULT_KINDS:
         config = fault_config(
@@ -36,9 +38,16 @@ def fault_runs():
             sample_interval=2.0,
             drain_time=8.0,
         )
-        runs[kind] = Scenario(config).run()
-        runs[kind].check_safety()  # §5.3: safety holds under every load
+        scenario = Scenario(config)
+        result = scenario.run()
+        result.check_safety()  # §5.3: safety holds under every load
+        runs[kind] = scenario, result
     return runs
+
+
+@pytest.fixture(scope="module")
+def fault_runs(fault_scenarios):
+    return {kind: result for kind, (_, result) in fault_scenarios.items()}
 
 
 @pytest.fixture(scope="module")
@@ -101,21 +110,23 @@ def test_fig7c_protocol_cpu(fault_rs):
     assert usage["random"] < 10.0
 
 
-def test_fig7_stability_backlog_diagnosis(fault_runs):
+def test_fig7_stability_backlog_diagnosis(fault_scenarios):
     """§5.3's diagnosis: loss injected independently at each participant
     shortens the stable common prefix, so garbage collection lags and
     unstable-message backlogs grow toward the buffer shares — the
     precondition of the sequencer blocking the paper observes (its
     mitigation, a larger share, is the ablation bench)."""
     peaks = {
-        kind: max(s.gcs.reliable.pool.stats["peak_occupancy"] for s in run.sites)
-        for kind, run in fault_runs.items()
+        kind: max(
+            s.gcs.reliable.pool.stats["peak_occupancy"] for s in scenario.sites
+        )
+        for kind, (scenario, _) in fault_scenarios.items()
     }
     assert peaks["random"] > 1.3 * peaks["none"]
     assert peaks["bursty"] > peaks["none"]
     # blocking time under loss is at least never better than fault-free
     blocked = {
-        kind: sum(s.gcs.reliable.stats["blocked_time"] for s in run.sites)
-        for kind, run in fault_runs.items()
+        kind: sum(s.gcs.reliable.stats["blocked_time"] for s in scenario.sites)
+        for kind, (scenario, _) in fault_scenarios.items()
     }
     assert blocked["random"] >= blocked["none"]

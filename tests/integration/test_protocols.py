@@ -127,13 +127,14 @@ class TestPrimaryCopy:
             faults={0: FaultPlan(actions=((25.0, "crash"),))},
             max_sim_time=600.0,
         )
-        result = Scenario(config).run()
+        scenario = Scenario(config)
+        result = scenario.run()
         result.check_safety()  # crashed primary's log is a prefix
         stats = result.site_stats
         # both survivors observed exactly one failover, to site 1
         assert stats["site1"]["failovers"] == 1
         assert stats["site2"]["failovers"] == 1
-        for site in result.sites[1:]:
+        for site in scenario.sites[1:]:
             assert isinstance(site.replica, PrimaryCopyReplica)
             assert site.replica.primary_id == 1
         # the new primary took over write-set broadcasting
@@ -163,13 +164,14 @@ class TestPrimaryCopy:
             faults={2: FaultPlan(actions=((25.0, "crash"),))},
             max_sim_time=600.0,
         )
-        result = Scenario(config).run()
+        scenario = Scenario(config)
+        result = scenario.run()
         result.check_safety()
         stats = result.site_stats
         # no failover: the primary survived
         assert stats["site0"]["failovers"] == 0
         assert stats["site1"]["failovers"] == 0
-        assert result.sites[0].replica.primary_id == 0
+        assert scenario.sites[0].replica.primary_id == 0
         survivor_commits = [
             len(log.entries) for log in result.commit_logs()[:2]
         ]

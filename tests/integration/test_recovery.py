@@ -46,7 +46,8 @@ class TestCrashRecover:
             protocol=protocol,
             faults={crashed_site: crash_recover(20.0, 35.0)},
         )
-        result = Scenario(config).run()
+        scenario = Scenario(config)
+        result = scenario.run()
         result.check_safety()
         sequences = [log.sequence() for log in result.commit_logs()]
         assert sequences[0] == sequences[1] == sequences[2]
@@ -57,8 +58,8 @@ class TestCrashRecover:
         assert event.snapshot_bytes > 0
         assert metric_value(result, "time_to_rejoin") > 0.0
         # the group is whole again
-        assert all(s.gcs.members == (0, 1, 2) for s in result.sites)
-        assert all(s.replica.live for s in result.sites)
+        assert all(s.gcs.members == (0, 1, 2) for s in scenario.sites)
+        assert all(s.replica.live for s in scenario.sites)
 
     def test_commits_resume_at_recovered_site(self):
         """The recovered site's clients commit new work after rejoin."""
@@ -103,14 +104,15 @@ class TestPartitionHeal:
         config = recovery_config(
             faults={0: partition_heal(20.0, 40.0)}, seed=43
         )
-        result = Scenario(config).run()
+        scenario = Scenario(config)
+        result = scenario.run()
         result.check_safety()
         sequences = [log.sequence() for log in result.commit_logs()]
         assert sequences[0] == sequences[1] == sequences[2]
         (event,) = result.recovery_events
         assert event.orphaned_commits >= 0
         # the minority member blocked instead of committing solo forever
-        blocked = result.sites[0].gcs.views.stats["blocked_periods"]
+        blocked = scenario.sites[0].gcs.views.stats["blocked_periods"]
         assert blocked >= 1
 
     def test_majority_side_keeps_committing_through_partition(self):
@@ -175,7 +177,8 @@ class TestPartitionHeal:
             },
             seed=53,
         )
-        result = Scenario(config).run()
+        scenario = Scenario(config)
+        result = scenario.run()
         result.check_safety()
         sequences = [log.sequence() for log in result.commit_logs()]
         assert sequences[0] == sequences[1] == sequences[2]
@@ -190,7 +193,7 @@ class TestPartitionHeal:
         # the early-excluded site detected its exclusion and rejoined
         events = [e for e in result.recovery_events if e.site == 1]
         assert events and events[-1].live_at > 0
-        assert all(s.gcs.members == (0, 1, 2) for s in result.sites)
+        assert all(s.gcs.members == (0, 1, 2) for s in scenario.sites)
 
 
 class TestTransferEdgeCases:
@@ -230,7 +233,7 @@ class TestTransferEdgeCases:
         result = scenario.run()
         counts = result.check_safety()
         assert counts["site0"] == counts["site1"] > 0
-        survivors = [result.sites[0], result.sites[1]]
+        survivors = [scenario.sites[0], scenario.sites[1]]
         assert all(s.gcs.members == (0, 1) for s in survivors)
 
     def test_immediate_recrash_and_second_rejoin(self):

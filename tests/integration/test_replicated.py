@@ -15,11 +15,24 @@ def class_latencies(result, tx_class):
 
 
 @pytest.fixture(scope="module")
-def result():
+def run():
+    """One 3-site run: its Scenario, which holds the live sites, and
+    its result."""
     config = ScenarioConfig(
         sites=3, cpus_per_site=1, clients=90, transactions=500, seed=21
     )
-    return Scenario(config).run()
+    scenario = Scenario(config)
+    return scenario, scenario.run()
+
+
+@pytest.fixture(scope="module")
+def result(run):
+    return run[1]
+
+
+@pytest.fixture(scope="module")
+def sites(run):
+    return run[0].sites
 
 
 class TestReplicatedRun:
@@ -31,8 +44,8 @@ class TestReplicatedRun:
         assert len(counts) == 3
         assert len(set(counts.values())) == 1
 
-    def test_every_site_served_clients(self, result):
-        for site in result.sites:
+    def test_every_site_served_clients(self, sites):
+        for site in sites:
             assert site.server.stats["local_committed"] > 0
 
     def test_update_transactions_certified(self, result):
@@ -40,8 +53,8 @@ class TestReplicatedRun:
         assert len(certs) > 100
         assert all(c > 0 for c in certs)
 
-    def test_remote_applies_happened(self, result):
-        for site in result.sites:
+    def test_remote_applies_happened(self, sites):
+        for site in sites:
             assert site.server.stats["remote_applied"] > 0
 
     def test_network_carried_protocol_traffic(self, result):
@@ -51,8 +64,8 @@ class TestReplicatedRun:
     def test_protocol_cpu_charged(self, result):
         assert metric_value(result, "cpu_protocol") > 0.0
 
-    def test_view_stayed_stable(self, result):
-        for site in result.sites:
+    def test_view_stayed_stable(self, sites):
+        for site in sites:
             assert site.gcs.view_id == 1
 
     def test_readonly_latency_unaffected_by_replication(self, result):
@@ -68,8 +81,8 @@ class TestReplicatedRun:
             class_latencies(result, "payment-short")
         )
 
-    def test_commit_watermark_advances_everywhere(self, result):
-        for site in result.sites:
+    def test_commit_watermark_advances_everywhere(self, sites):
+        for site in sites:
             assert site.replica.applied_watermark() > 0
 
 

@@ -34,10 +34,11 @@ def test_same_commit_sequence_under_fault(fault_name, protocol):
         faults=PLANS[fault_name],
         max_sim_time=600.0,
     )
-    result = Scenario(config).run()
+    scenario = Scenario(config)
+    result = scenario.run()
     assert verdict(result) == "ok"
     operational = [
-        site for site in result.sites if not site.replica.crashed
+        site for site in scenario.sites if not site.replica.crashed
     ]
     assert len(operational) >= 2
     assert all(s.replica.commit_log.entries for s in operational)
@@ -57,10 +58,11 @@ def test_crash_blocks_only_faulty_sites_clients():
         faults={2: FaultPlan(actions=((25.0, "crash"),))},
         max_sim_time=600.0,
     )
-    result = Scenario(config).run()
-    crashed_site = result.sites[2]
+    scenario = Scenario(config)
+    result = scenario.run()
+    crashed_site = scenario.sites[2]
     survivor_commits = [
-        len(s.replica.commit_log.entries) for s in result.sites[:2]
+        len(s.replica.commit_log.entries) for s in scenario.sites[:2]
     ]
     crashed_commits = len(crashed_site.replica.commit_log.entries)
     assert all(c > crashed_commits for c in survivor_commits)
@@ -80,9 +82,10 @@ def test_sequencer_crash_survivors_commit_new_work():
         faults={0: FaultPlan(actions=((25.0, "crash"),))},
         max_sim_time=600.0,
     )
-    result = Scenario(config).run()
+    scenario = Scenario(config)
+    result = scenario.run()
     assert verdict(result) == "ok"
-    survivors = result.sites[1:]
+    survivors = scenario.sites[1:]
     assert all(s.gcs.view_id >= 2 for s in survivors)
     assert all(s.gcs.members == (1, 2) for s in survivors)
     # commits continued after the crash instant at survivors

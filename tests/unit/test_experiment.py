@@ -57,10 +57,11 @@ class TestAssembly:
             faults={2: FaultPlan(actions=((2.0, "crash"),))},
             max_sim_time=5.0,
         )
-        result = Scenario(config).run()
-        assert result.sites[2].replica.crashed
-        assert result.sites[2].replica.commit_log.crashed
-        assert not result.sites[0].replica.crashed
+        scenario = Scenario(config)
+        scenario.run()
+        assert scenario.sites[2].replica.crashed
+        assert scenario.sites[2].replica.commit_log.crashed
+        assert not scenario.sites[0].replica.crashed
 
     def test_workloads_use_shared_warehouse_space(self):
         scenario = Scenario(ScenarioConfig(sites=2, clients=40, transactions=5))

@@ -2,16 +2,19 @@
 survive the artifact store with every log and derived metric intact."""
 
 import dataclasses
+import gc
 import json
 import math
+import types
 
 import pytest
 
 from repro.analysis import available_metrics, metric_value
 from repro.analysis.metrics import cert_latencies
 from repro.campaigns import available_campaigns, get_campaign
-from repro.core.experiment import Scenario, ScenarioConfig, ScenarioResult
+from repro.core.experiment import Scenario, ScenarioConfig, ScenarioResult, Site
 from repro.core.faults import FaultPlan, bursty_loss, crash_recover, random_loss
+from repro.core.kernel import Simulator
 from repro.core.metrics import (
     MetricsCollector,
     ResourceSample,
@@ -39,6 +42,23 @@ def small_result(sites=3, transactions=150, seed=9, **overrides):
 def roundtrip(result):
     """to_dict -> JSON text -> from_dict, as the artifact store does."""
     return ScenarioResult.from_dict(json.loads(json.dumps(result.to_dict())))
+
+
+def reaches(root, kinds):
+    """Whether an instance of ``kinds`` is reachable from ``root``
+    through instance data (classes, modules and functions not followed)."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(
+            obj, (type, types.ModuleType, types.FunctionType)
+        ):
+            continue
+        if isinstance(obj, kinds):
+            return True
+        seen.add(id(obj))
+        stack.extend(gc.get_referents(obj))
+    return False
 
 
 class TestPieceRoundTrips:
@@ -194,6 +214,22 @@ class TestResultRoundTrip:
     def pair(self):
         result = small_result()
         return result, roundtrip(result)
+
+    def test_a_run_and_its_copy_are_one_form(self, pair):
+        """A run returns a value: the result ``Scenario.run`` builds and
+        its ``from_dict`` copy — which every ``run_campaign`` cell is, on
+        every source — carry the same attributes, and neither holds the
+        simulation graph; live sites stay on the ``Scenario``."""
+        result, clone = pair
+        public = lambda r: {
+            name: type(value)
+            for name, value in vars(r).items()
+            if not name.startswith("_")
+        }
+        assert public(result) == public(clone)
+        for value in pair:
+            assert not hasattr(value, "sites")
+            assert not reaches(value, (Scenario, Site, Simulator))
 
     def test_derived_metrics_exact(self, pair):
         result, clone = pair
