@@ -25,7 +25,6 @@ MESSAGES = 12
 def main() -> None:
     runtimes = [NativeProtocolRuntime(("127.0.0.1", 0)) for _ in range(MEMBERS)]
     addresses = {i: rt.local_address() for i, rt in enumerate(runtimes)}
-    endpoint_ids = {addr: i for i, addr in addresses.items()}
     # loopback has no IP multicast group here: the stack sends to a
     # destination list instead, one unicast per other member
     config = GcsConfig(heartbeat_interval=0.2, stability_interval=0.2)
@@ -33,10 +32,7 @@ def main() -> None:
     delivered = {i: [] for i in range(MEMBERS)}
     for i, runtime in enumerate(runtimes):
         fan_out = [addr for j, addr in addresses.items() if j != i]
-        stack = GroupCommunication(
-            runtime, i, addresses, fan_out, config=config,
-            endpoint_ids=endpoint_ids,
-        )
+        stack = GroupCommunication(runtime, i, addresses, fan_out, config=config)
         stack.on_deliver = (
             lambda gseq, origin, payload, member=i:
             delivered[member].append((gseq, origin, payload.decode()))

@@ -85,27 +85,26 @@ class Figure:
 def ecdf_quantile_table(
     rs: ResultSet,
     col_axis: str = "fault",
-    probs: Tuple[float, ...] = ECDF_PROBS,
     source: str = "latency",
 ) -> Table:
-    """Latency-distribution quantiles: one row per prob (``p50`` style
-    labels), one column per ``col_axis`` value.  ``source`` picks the
-    sample list: ``"latency"`` (committed transactions) or
-    ``"certification"``."""
+    """Latency-distribution quantiles: one row per :data:`ECDF_PROBS`
+    entry (``p50`` style labels), one column per ``col_axis`` value.
+    ``source`` picks the sample list: ``"latency"`` (committed
+    transactions) or ``"certification"``."""
     if source == "latency":
         samples = commit_latencies
     elif source == "certification":
         samples = cert_latencies
     else:
         raise AnalysisError(f"unknown ECDF source {source!r}")
-    rows = tuple(f"p{int(p * 100):02d}" for p in probs)
+    rows = tuple(f"p{int(p * 100):02d}" for p in ECDF_PROBS)
     cols = tuple(rs.axis_values(col_axis))
     cells: Dict[Tuple[object, object], Stat] = {}
     for col in cols:
         values: list = []
         for cell in rs.select(**{col_axis: col}):
             values.extend(samples(cell.result))
-        qs = quantiles(values, probs)
+        qs = quantiles(values, ECDF_PROBS)
         for row, q in zip(rows, qs):
             cells[(row, col)] = summarize([q])
     return Table(
@@ -118,18 +117,14 @@ def ecdf_quantile_table(
     )
 
 
-def class_abort_table(
-    rs: ResultSet,
-    col_axis: str,
-    classes: Tuple[str, ...] = TX_CLASSES,
-) -> Table:
+def class_abort_table(rs: ResultSet, col_axis: str) -> Table:
     """Per-class abort rates (the Tables 1/2 shape): one row per
     transaction class plus ``All``, one column per ``col_axis`` value."""
     cols = tuple(rs.axis_values(col_axis))
     cells: Dict[Tuple[object, object], Stat] = {}
     for col in cols:
         sub = rs.select(**{col_axis: col})
-        for tx_class in classes:
+        for tx_class in TX_CLASSES:
             cells[(tx_class, col)] = summarize(
                 cell.value(f"abort_rate[{tx_class}]") for cell in sub
             )
@@ -137,7 +132,7 @@ def class_abort_table(
         metric="abort_rate",
         row_axis="transaction",
         col_axis=col_axis,
-        rows=tuple(classes),
+        rows=TX_CLASSES,
         cols=cols,
         cells=cells,
     )

@@ -176,9 +176,9 @@ def _abort_rate_for(tx_class: str) -> Callable[[ScenarioResult], float]:
 def _violations(result: ScenarioResult) -> float:
     # NaN (not 0) when the cell ran without any armed monitor: "nothing
     # was checked" must render as a dash, never as a clean zero.  The
-    # applicability rules (centralized baselines, monitors that don't
-    # understand per-fragment groups) live in ``applicable_monitors``,
-    # the same decision that armed — or skipped — them during the run.
+    # applicability rule (centralized baselines and unmonitored runs arm
+    # nothing) lives in ``applicable_monitors``, the same decision that
+    # armed — or skipped — them during the run.
     if not applicable_monitors(result.config):
         return math.nan
     return float(len(result.violations))

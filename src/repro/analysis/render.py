@@ -206,11 +206,7 @@ def table_payload(table: Table) -> Dict[str, object]:
     }
 
 
-def render_comparison(
-    comparison: "Comparison",
-    title: Optional[str] = None,
-    markdown: bool = False,
-) -> str:
+def render_comparison(comparison: "Comparison", markdown: bool = False) -> str:
     """Baseline / candidate / Δ% columns per metric."""
     headers = ("cell",)
     for metric in comparison.metrics:
@@ -230,7 +226,7 @@ def render_comparison(
         f"candidate {_sel_text(comparison.candidate_sel)}"
     )
     if markdown:
-        lines = [f"### {title or sel}", ""]
+        lines = [f"### {sel}", ""]
         lines.append("| " + " | ".join(headers) + " |")
         lines.append("|" + "|".join(" --- " for _ in headers) + "|")
         for row in rows:
@@ -239,7 +235,7 @@ def render_comparison(
             lines += ["", f"unmatched baseline cells: "
                           f"{', '.join(comparison.unmatched)}"]
         return "\n".join(lines)
-    text = format_table(title or sel, headers, rows)
+    text = format_table(sel, headers, rows)
     if comparison.unmatched:
         text += (
             f"\n\nunmatched baseline cells: {', '.join(comparison.unmatched)}"

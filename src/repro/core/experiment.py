@@ -243,25 +243,21 @@ class ScenarioResult:
     def check_safety(self) -> Dict[str, int]:
         """All operational sites committed the same sequence (§5.3).
 
-        Under partial replication one-copy equivalence holds *per
-        fragment group*: sites replicating different fragments
-        legitimately hold disjoint logs, so each group is checked
-        against its own reference log.  Commit logs are stored in site
-        order, which makes the site→group mapping recoverable from the
-        config without any artifact-format change.
+        One-copy equivalence holds *per fragment group*: sites
+        replicating different fragments legitimately hold disjoint logs,
+        so each group is checked against its own reference log (full
+        replication is the one group of every site).  Commit logs are
+        stored in site order, which makes the site→group mapping
+        recoverable from the config without any artifact-format change.
+        Centralized runs keep no commit log and check nothing.
         """
-        logs = self.commit_logs()
-        if not logs:
-            return {}
-        fragments = self.config.fragments
-        if fragments <= 1 or len(logs) != self.config.sites:
-            return check_consistency(logs)
+        config = self.config
+        groups: Dict[int, List[CommitLog]] = {}
+        for site, log in enumerate(self._commit_logs):
+            fragment = fragment_of_site(site, config.sites, config.fragments)
+            groups.setdefault(fragment, []).append(log)
         divergences: Dict[str, int] = {}
-        for fragment in range(fragments):
-            group_logs = [
-                logs[i]
-                for i in sites_of_fragment(fragment, self.config.sites, fragments)
-            ]
+        for group_logs in groups.values():
             divergences.update(check_consistency(group_logs))
         return divergences
 
@@ -329,31 +325,21 @@ class Scenario:
         self.metrics = MetricsCollector()
         self.sites: List[Site] = []
         # One GCS group per fragment, each with its own address/port,
-        # sequencer, views and state transfer.  The single-fragment
-        # layout is byte-for-byte the historical one ("dbsm" at port
-        # 7000, all sites members), which keeps full-replication runs
-        # bit-identical through the multi-group refactor.
+        # sequencer, views and state transfer.  Full replication is the
+        # one-fragment case: group "frag0" at port 7000, every site a
+        # member.
         self._groups: List[GroupAddress] = [
-            GroupAddress(
-                "dbsm" if config.fragments == 1 else f"frag{g}",
-                _GROUP_PORT + g,
-            )
+            GroupAddress(f"frag{g}", _GROUP_PORT + g)
             for g in range(config.fragments)
         ]
         self._site_fragment: List[int] = [
             fragment_of_site(i, config.sites, config.fragments)
-            if config.fragments > 1
-            else 0
             for i in range(config.sites)
         ]
         self._members_of: List[Dict[int, Endpoint]] = [
             {
                 i: Endpoint(f"site{i}", _GROUP_PORT + g)
-                for i in (
-                    sites_of_fragment(g, config.sites, config.fragments)
-                    if config.fragments > 1
-                    else range(config.sites)
-                )
+                for i in sites_of_fragment(g, config.sites, config.fragments)
             }
             for g in range(config.fragments)
         ]
@@ -399,11 +385,7 @@ class Scenario:
 
         name = f"site{index}"
         cpus = CpuPool(self.sim, config.cpus_per_site, name=f"{name}.cpu")
-        storage = Storage(
-            self.sim,
-            name=f"{name}.disk",
-            rng=derive_rng(config.seed, "storage", index),
-        )
+        storage = Storage(self.sim, name=f"{name}.disk")
         locks = LockManager(self.sim, f"{name}.locks")
         server = DatabaseServer(
             self.sim, name, cpus, storage, locks, metrics=self.metrics
@@ -441,7 +423,6 @@ class Scenario:
         fragment = self._site_fragment[index]
         group_address = self._groups[fragment]
         members = self._members_of[fragment]
-        endpoint_ids = {addr: i for i, addr in members.items()}
         host = self.network.add_host(f"site{index}")
         socket = UdpSocket(host, group_address.port)
         socket.join(group_address)
@@ -461,7 +442,6 @@ class Scenario:
             members,
             group_address,
             config=config.gcs,
-            endpoint_ids=endpoint_ids,
         )
         replica = build_protocol(
             config.protocol,

@@ -144,8 +144,8 @@ class FaultInjector:
     """The hooks on the boundary crossings of one faulty site's runtime
     (its ``interceptor``), realizing a :class:`FaultPlan`."""
 
-    def __init__(self, plan: Optional[FaultPlan] = None):
-        self.plan = plan or FaultPlan()
+    def __init__(self, plan: FaultPlan):
+        self.plan = plan
         self.rng = random.Random(self.plan.seed)
         #: The loss process, or None when the plan loses nothing.
         self.loss: Optional[LossProcess] = None

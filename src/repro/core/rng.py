@@ -1,7 +1,7 @@
 """Deterministic seed-stream derivation for scenario assembly.
 
 Every component that needs randomness derives it from the scenario seed
-through a *named stream*: ``derive_rng(seed, "storage", site_index)``.
+through a *named stream*: ``derive_rng(seed, "workload", site_index)``.
 Each stream owns a multiplier in the :data:`_STREAMS` table; a new
 component — a new replication protocol in particular — adds one entry
 there, and a unit test rejects a multiplier two streams share, so no
@@ -21,7 +21,6 @@ __all__ = ["derive_seed", "derive_rng", "stream_multiplier"]
 
 #: stream name -> multiplier; seeds derive as ``seed * multiplier + index``.
 _STREAMS: Dict[str, int] = {
-    "storage": 1000,  # per-site read cache-hit draws (Storage.read)
     "workload": 77,  # per-site TPC-C generation and client think times
     "faults": 31,  # per-site fault-plan (loss model) seeds
 }

@@ -75,8 +75,8 @@ def scale() -> float:
     return env_float("REPRO_SCALE", 0.3, 0.01, 1.0)
 
 
-def scaled_transactions(base: int = PAPER_TRANSACTIONS) -> int:
-    return max(300, int(base * scale()))
+def scaled_transactions() -> int:
+    return max(300, int(PAPER_TRANSACTIONS * scale()))
 
 
 def performance_config(

@@ -3,24 +3,23 @@
 A storage device is defined by its per-request latency and the number of
 concurrent requests it can serve; each request moves a single sector, so
 peak bandwidth is configured indirectly as
-``concurrency * SECTOR_BYTES / sector_latency``.  A cache-hit ratio
-decides the probability that a read is served instantaneously without
-consuming storage resources.
+``concurrency * SECTOR_BYTES / sector_latency``.
 
 The paper's testbed — a fibre-channel RAID-5 box — measured 9.486 MB/s
 of synchronous 4 KB writes under IOzone, and PostgreSQL showed a ≥ 98 %
 cache-hit ratio, so the model was configured with a 100 % hit ratio
-(reads free) and the write path sized to 9.486 MB/s.  Those are the
-module constants below, and the defaults of :class:`Storage`.
+and the write path sized to 9.486 MB/s.  Every read is therefore a
+cache hit, served at its own instant without touching the device, and
+only writes occupy sectors.  The write calibration is the module
+constants below, and the defaults of :class:`Storage`.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from collections import deque
 from heapq import heappush as _heappush
-from typing import Deque, Optional
+from typing import Deque
 
 from ..core.kernel import Entity, Signal, Simulator
 
@@ -32,11 +31,12 @@ __all__ = ["Storage", "StorageStats"]
 SECTOR_LATENCY = 1.727e-3
 SECTOR_CONCURRENCY = 4
 SECTOR_BYTES = 4096
-CACHE_HIT_RATIO = 1.0
 
 
 class StorageStats:
-    """Counters for bandwidth and utilization reporting (Figure 6(b))."""
+    """Counters for bandwidth and utilization reporting (Figure 6(b)).
+
+    ``sectors_read`` stays 0: every read is a cache hit."""
 
     __slots__ = (
         "sectors_read",
@@ -93,18 +93,12 @@ class Storage(Entity):
         name: str = "disk",
         sector_latency: float = SECTOR_LATENCY,
         concurrency: int = SECTOR_CONCURRENCY,
-        cache_hit_ratio: float = CACHE_HIT_RATIO,
-        rng: Optional[random.Random] = None,
     ):
         super().__init__(sim, name)
         if sector_latency <= 0 or concurrency < 1:
             raise ValueError("invalid storage parameters")
-        if not 0.0 <= cache_hit_ratio <= 1.0:
-            raise ValueError("cache_hit_ratio must be in [0, 1]")
         self.sector_latency = sector_latency
         self.concurrency = concurrency
-        self.cache_hit_ratio = cache_hit_ratio
-        self.rng = rng or random.Random(0)
         self._stats = StorageStats()
         #: Finish instants of the last ``concurrency`` sectors submitted,
         #: oldest first: ``_finish[0]`` is when the next sector's slot
@@ -113,9 +107,8 @@ class Storage(Entity):
         #: Per slot, in the same order, the sequence number its
         #: completions run under (see "Order at equal instants").
         self._order: Deque[int] = deque([0] * concurrency, maxlen=concurrency)
-        #: Start instants of the read and written sectors not yet counted
-        #: in ``_stats``; each ascending, because service is FIFO.
-        self._reads: Deque[float] = deque()
+        #: Start instants of the written sectors not yet counted in
+        #: ``_stats``; ascending, because service is FIFO.
         self._writes: Deque[float] = deque()
 
     # ------------------------------------------------------------------
@@ -133,14 +126,11 @@ class Storage(Entity):
     def read(self, nbytes: int) -> Signal:
         """Fetch ``nbytes``; returns a signal fired on completion.
 
-        With probability ``cache_hit_ratio`` the read is a cache hit and
-        completes at this instant, on a zero-delay hop, without touching
-        the device.
+        Every read is a cache hit (§4.1): it completes at this instant,
+        on a zero-delay hop, without touching the device.
         """
-        if nbytes <= 0 or self.rng.random() < self.cache_hit_ratio:
-            self._stats.cache_hits += 1
-            return self.sim.fired_signal()
-        return self._submit_sectors(self._sectors_for(nbytes), self._reads)
+        self._stats.cache_hits += 1
+        return self.sim.fired_signal()
 
     def write(self, nbytes: int) -> Signal:
         """Write ``nbytes`` through to the device (never cached — the
@@ -151,7 +141,7 @@ class Storage(Entity):
         """Write ``sectors`` whole sectors (commit-time page flushes)."""
         if sectors <= 0:
             return self.sim.fired_signal()
-        return self._submit_sectors(sectors, self._writes)
+        return self._submit_sectors(sectors)
 
     # ------------------------------------------------------------------
     # observation
@@ -172,7 +162,7 @@ class Storage(Entity):
     def queue_depth(self) -> int:
         """Sectors waiting for a free slot."""
         self._settle()
-        return len(self._reads) + len(self._writes)
+        return len(self._writes)
 
     # ------------------------------------------------------------------
     # internals
@@ -180,12 +170,12 @@ class Storage(Entity):
     def _sectors_for(self, nbytes: int) -> int:
         return max(1, math.ceil(nbytes / SECTOR_BYTES))
 
-    def _submit_sectors(self, sectors: int, uncounted: Deque[float]) -> Signal:
+    def _submit_sectors(self, sectors: int) -> Signal:
         self._settle()  # keeps the uncounted no longer than the queue
         sim = self.sim
         now = sim._now
         lat = self.sector_latency
-        finish, order = self._finish, self._order
+        finish, order, uncounted = self._finish, self._order, self._writes
         for _ in range(sectors):
             start = finish[0]
             if start > now:
@@ -209,14 +199,10 @@ class Storage(Entity):
 
     def _settle(self) -> None:
         """Count the sectors whose start instant has been reached."""
-        now = self.sim._now
         stats = self._stats
-        read = _pop_until(self._reads, now)
-        written = _pop_until(self._writes, now)
-        started = read + written
+        started = _pop_until(self._writes, self.sim._now)
         if started:
-            stats.sectors_read += read
-            stats.sectors_written += written
+            stats.sectors_written += started
             stats.bytes_transferred += SECTOR_BYTES * started
             # One latency at a time on purpose: ``busy_time`` is reported
             # in resource samples, and ``lat * started`` rounds

@@ -57,12 +57,12 @@ class ReliableMulticast:
         member_id: int,
         members: Dict[int, object],
         group_dest: object,
-        config: Optional[GcsConfig] = None,
+        config: GcsConfig,
     ):
         self.runtime = runtime
         self.member_id = member_id
         self.group_dest = group_dest
-        self.config = config or GcsConfig()
+        self.config = config
         self.pool = BufferPool(share=self.config.buffer_share)
         self.bucket = TokenBucket(SEND_RATE, SEND_BURST)
         self.windows: Dict[int, ReceiveWindow] = {}

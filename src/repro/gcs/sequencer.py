@@ -40,13 +40,13 @@ class TotalOrder:
         member_id: int,
         members: Tuple[int, ...],
         reliable: ReliableMulticast,
-        config: Optional[GcsConfig] = None,
+        config: GcsConfig,
     ):
         self.runtime = runtime
         self.member_id = member_id
         self.members = tuple(sorted(members))
         self.reliable = reliable
-        self.config = config or GcsConfig()
+        self.config = config
         reliable.on_fifo_deliver = self._on_fifo
         #: Callback: (global_seq, origin, origin_seq, app_payload).
         self.on_to_deliver: Optional[ToDeliver] = None

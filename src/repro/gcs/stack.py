@@ -69,7 +69,6 @@ class GroupCommunication:
         members: Dict[int, object],
         group_dest: object,
         config: Optional[GcsConfig] = None,
-        endpoint_ids: Optional[Dict[object, int]] = None,
     ):
         self.runtime = runtime
         self.member_id = member_id
@@ -120,7 +119,8 @@ class GroupCommunication:
         #: ``rejoin(silent=False)``.
         self.on_excluded: Optional[Callable[[], None]] = None
         self._outdated_since: Optional[float] = None
-        self._endpoint_ids = dict(endpoint_ids or {})
+        #: Wire source address -> member id: whom a datagram was heard from.
+        self._endpoint_ids = {addr: i for i, addr in members.items()}
         self._frag_group = 0
         self._reassembly: Dict[Tuple[int, int], list] = {}
         self._started = False

@@ -84,12 +84,12 @@ class StateTransfer:
         runtime: ProtocolRuntime,
         member_id: int,
         addresses: Dict[int, object],
-        config: Optional[GcsConfig] = None,
+        config: GcsConfig,
     ):
         self.runtime = runtime
         self.member_id = member_id
         self.addresses = dict(addresses)
-        self.config = config or GcsConfig()
+        self.config = config
         #: Donor side: returns the marshaled snapshot blob (None while
         #: we are not established — a joiner must refuse to donate).
         self.capture: Optional[Callable[[], Optional[bytes]]] = None

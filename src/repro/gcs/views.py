@@ -82,8 +82,8 @@ class ViewManager:
         reliable: ReliableMulticast,
         total_order: TotalOrder,
         group_dest: object,
-        config: Optional[GcsConfig] = None,
-        on_view_change: Optional[ViewChange] = None,
+        config: GcsConfig,
+        on_view_change: ViewChange,
     ):
         self.runtime = runtime
         self.member_id = member_id
@@ -91,7 +91,7 @@ class ViewManager:
         self.reliable = reliable
         self.total_order = total_order
         self.group_dest = group_dest
-        self.config = config or GcsConfig()
+        self.config = config
         self.on_view_change = on_view_change
         self.view_id = 1
         self.members: Tuple[int, ...] = tuple(sorted(members))
@@ -491,8 +491,7 @@ class ViewManager:
                 targets,
                 self.reliable.contiguous_vector(),
             )
-        if self.on_view_change is not None:
-            self.on_view_change(self.view_id, self.members, joined)
+        self.on_view_change(self.view_id, self.members, joined)
 
     @staticmethod
     def _resume_points(

@@ -100,17 +100,12 @@ def applicable_monitors(config) -> tuple:
 
     This is the single arming decision shared by :func:`build_hub` and
     the ``violations`` metrics: centralized baselines arm nothing, and
-    fragmented (partial-replication) runs arm only fragment-aware
-    monitors — one whose invariant is not meaningful across per-fragment
-    groups is *excluded*, so its metric reads NaN there rather than a
-    fake-clean zero.
+    every replicated run — full or partial replication — arms every
+    selected monitor.
     """
     if not config.monitors or config.sites < 2:
         return ()
-    names = resolve_monitors(config.monitors)
-    if config.fragments > 1:
-        names = tuple(name for name in names if MONITORS[name].fragment_aware)
-    return names
+    return resolve_monitors(config.monitors)
 
 
 def build_hub(config, clock) -> "MonitorHub | None":
@@ -118,24 +113,22 @@ def build_hub(config, clock) -> "MonitorHub | None":
 
     Centralized baselines (``sites == 1``) have no replication layer to
     observe and run without a hub whatever ``config.monitors`` says —
-    mirroring how they ignore ``config.protocol``.  Fragmented runs get
-    a hub that knows the site→group mapping, so monitors scope their
-    cross-site comparisons to each replica group.
+    mirroring how they ignore ``config.protocol``.  The hub knows the
+    site→group mapping, so monitors scope their cross-site comparisons
+    to each replica group (full replication is the one group of every
+    site).
     """
     names = applicable_monitors(config)
     if not names:
         return None
-    site_groups = None
-    if config.fragments > 1:
-        from ..placement import fragment_of_site
+    from ..placement import fragment_of_site
 
-        site_groups = {
-            site: fragment_of_site(site, config.sites, config.fragments)
-            for site in range(config.sites)
-        }
     return MonitorHub(
         [MONITORS[name]() for name in names],
         config.sites,
         clock,
-        site_groups=site_groups,
+        site_groups={
+            site: fragment_of_site(site, config.sites, config.fragments)
+            for site in range(config.sites)
+        },
     )

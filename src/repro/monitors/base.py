@@ -101,18 +101,13 @@ class Monitor:
     monitor entirely on hot paths whose hooks it left untouched.
     Monitors are usable standalone (no hub) — property tests drive the
     hooks directly; ``sim_time`` then falls back to an event counter.
+    Every cross-site comparison is scoped to one replica group through
+    :meth:`group_of`.
     """
 
     #: Table name (subclasses set it; it keys ``MONITORS``, the docs
     #: table and the ``violations[monitor]`` metric family).
     name: str = "?"
-    #: Whether the monitor understands per-fragment replica groups
-    #: (partial replication): its invariants hold *within* a GCS group,
-    #: and it scopes every cross-site comparison through
-    #: :meth:`group_of`.  Monitors that leave this False are excluded
-    #: from fragmented runs by ``build_hub`` — their metrics read NaN
-    #: there, never a fake-clean zero.
-    fragment_aware: bool = False
 
     def __init__(self) -> None:
         self.violations: List[InvariantViolation] = []
@@ -284,8 +279,8 @@ class MonitorHub:
         self.total_sites = total_sites
         self._clock = clock
         self._views: Dict[int, object] = {}
-        #: site -> replica group (fragment); empty under full
-        #: replication, where every site is in group 0.
+        #: site -> replica group (fragment); a site it does not name
+        #: is in group 0.
         self._site_groups: Dict[int, int] = dict(site_groups or {})
         for monitor in self.monitors:
             monitor.attach(self)

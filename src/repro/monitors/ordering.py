@@ -36,13 +36,13 @@ __all__ = ["GcsOrdering"]
 
 
 class GcsOrdering(Monitor):
-    """FIFO / total-order delivery invariants of the GCS stack."""
+    """FIFO / total-order delivery invariants of the GCS stack.
+
+    Each fragment group runs its own total-order session with its own
+    global-sequence space, so cross-site agreement is checked within
+    the group; per-site FIFO/monotonicity need no scoping."""
 
     name = "gcs-ordering"
-    #: Each fragment group runs its own total-order session with its
-    #: own global-sequence space, so cross-site agreement is checked
-    #: within the group; per-site FIFO/monotonicity need no scoping.
-    fragment_aware = True
 
     def __init__(self) -> None:
         super().__init__()

@@ -26,13 +26,13 @@ __all__ = ["PrimaryComponent"]
 
 
 class PrimaryComponent(Monitor):
-    """No minority view installs; no commits outside the primary."""
+    """No minority view installs; no commits outside the primary.
+
+    Majority chains are per replica group: a fragment group's views
+    draw from its own member set, so the initial-view fallback is the
+    group's members, not all sites."""
 
     name = "primary-component"
-    #: Majority chains are per replica group: a fragment group's views
-    #: draw from its own member set, so the initial-view fallback is the
-    #: group's members, not all sites.
-    fragment_aware = True
 
     def __init__(self) -> None:
         super().__init__()

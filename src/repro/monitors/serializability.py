@@ -33,13 +33,13 @@ __all__ = ["OneCopySerializability"]
 
 
 class OneCopySerializability(Monitor):
-    """Cross-site commit-sequence agreement, crash-prefix aware."""
+    """Cross-site commit-sequence agreement, crash-prefix aware.
+
+    One-copy equivalence holds per replica group: sites of different
+    fragments legitimately commit disjoint sequences, so every
+    comparison is scoped to the group."""
 
     name = "one-copy-sr"
-    #: One-copy equivalence holds per replica group under partial
-    #: replication: sites of different fragments legitimately commit
-    #: disjoint sequences, so every comparison is scoped to the group.
-    fragment_aware = True
 
     def __init__(self) -> None:
         super().__init__()

@@ -32,12 +32,12 @@ __all__ = ["ViewSynchrony"]
 
 
 class ViewSynchrony(Monitor):
-    """Same-view agreement, flush completeness, departed-origin fence."""
+    """Same-view agreement, flush completeness, departed-origin fence.
+
+    View ids are per replica group (each fragment group runs its own
+    view manager), so the agreement anchor is keyed by group too."""
 
     name = "view-synchrony"
-    #: View ids are per replica group (each fragment group runs its own
-    #: view manager), so the agreement anchor is keyed by group too.
-    fragment_aware = True
 
     def __init__(self) -> None:
         super().__init__()

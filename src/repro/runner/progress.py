@@ -56,7 +56,6 @@ class CampaignProgress:
         workers: int = 1,
         stream: Optional[TextIO] = None,
         clock: Callable[[], float] = time.perf_counter,
-        window: int = ETA_WINDOW,
     ):
         self.total = total
         self.workers = max(1, workers)
@@ -64,7 +63,7 @@ class CampaignProgress:
         self._clock = clock
         self._started = clock()
         self._done = 0
-        self._window: Deque[float] = deque(maxlen=max(1, window))
+        self._window: Deque[float] = deque(maxlen=ETA_WINDOW)
 
     # ------------------------------------------------------------------
     def event(self, label: str, status: str, source: str, duration: float) -> ProgressEvent:

@@ -119,13 +119,13 @@ class TpccWorkload:
     def __init__(
         self,
         warehouses: int,
-        rng: Optional[random.Random] = None,
+        rng: random.Random,
         site_index: int = 0,
         site_count: int = 1,
         readset_escalation_threshold: Optional[int] = None,
     ):
         self.layout = schema.TpccLayout(warehouses, site_index, site_count)
-        self.rng = rng or random.Random(20050628)
+        self.rng = rng
         #: Read-sets larger than this (per table) are escalated to a
         #: single table lock before multicast (paper §3.3); ``None``
         #: disables escalation, the default configuration.

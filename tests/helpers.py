@@ -85,7 +85,6 @@ def make_group(
     network = Network(sim)
     group = GroupAddress("test", 9000)
     members = {i: Endpoint(f"m{i}", 9000) for i in range(n)}
-    endpoint_ids = {addr: i for i, addr in members.items()}
     stacks: List[GroupCommunication] = []
     runtimes: List[SiteRuntime] = []
     injectors: Dict[int, FaultInjector] = {}
@@ -104,14 +103,7 @@ def make_group(
             interceptor=injector,
             name=f"m{i}.rt",
         )
-        stack = GroupCommunication(
-            runtime,
-            i,
-            members,
-            group,
-            config=config,
-            endpoint_ids=endpoint_ids,
-        )
+        stack = GroupCommunication(runtime, i, members, group, config=config)
         stacks.append(stack)
         runtimes.append(runtime)
     return GroupHarness(sim, network, stacks, runtimes, injectors)

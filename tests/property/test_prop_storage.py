@@ -5,16 +5,16 @@ submission and one kernel event at its end.  :class:`PerSectorStorage`
 below is the model it replaces — every sector occupies a slot from a
 start event to its own completion event — kept as the reference.
 Hypothesis drives three devices of each kind, sharing a simulator
-as the disks of a cell's sites do, with the same arrivals (gaps of zero,
-of exact chains of ``+ latency`` so that arrivals land *on* sector
-completions and the devices run in lock-step, and of odd fractions) and
-every observable must agree exactly: completion instants (``==`` on
+as the disks of a cell's sites do, with the same write arrivals (reads
+are cache hits and never reach the device; gaps of zero, of exact
+chains of ``+ latency`` so that arrivals land *on* sector completions
+and the devices run in lock-step, and of odd fractions) and every
+observable must agree exactly: completion instants (``==`` on
 floats), completion order — across devices too, where only the kernel's
 sequence numbers decide — and the counters and queue depth read
 mid-queue, after ``sim.stop()`` and after the drain.
 """
 
-import random
 from collections import deque
 
 from hypothesis import example, given, settings
@@ -33,26 +33,23 @@ class PerSectorStorage(Entity):
         self.sector_latency, self.concurrency = sector_latency, concurrency
         self.stats = StorageStats()
         self._busy_slots = 0
-        self._queue = deque()  # one (kind, request) per waiting sector
+        self._queue = deque()  # one request per waiting sector
 
-    def submit(self, sectors, kind):
+    def submit(self, sectors):
         done = Signal(self.sim)
         request = [sectors, done]
         for _ in range(sectors):
             if self._busy_slots < self.concurrency:
-                self._start(kind, request)
+                self._start(request)
             else:
-                self._queue.append((kind, request))
+                self._queue.append(request)
         return done
 
-    def _start(self, kind, request):
+    def _start(self, request):
         self._busy_slots += 1
         self.stats.busy_time += self.sector_latency
         self.stats.bytes_transferred += SECTOR_BYTES
-        if kind == "read":
-            self.stats.sectors_read += 1
-        else:
-            self.stats.sectors_written += 1
+        self.stats.sectors_written += 1
         self.call(self.sector_latency, self._finish, request)
 
     def _finish(self, request):
@@ -61,19 +58,13 @@ class PerSectorStorage(Entity):
         if request[0] == 0:
             request[1].fire(None)
         if self._queue:
-            self._start(*self._queue.popleft())
+            self._start(self._queue.popleft())
 
     def queue_depth(self):
         return len(self._queue)
 
     def utilization(self, elapsed):
         return min(1.0, self.stats.busy_time / (self.concurrency * elapsed))
-
-
-def closed_form_submit(storage, sectors, kind):
-    if kind == "read":
-        return storage.read(sectors * SECTOR_BYTES - 1)
-    return storage.write_sectors(sectors)
 
 
 def observe(devices):
@@ -118,15 +109,15 @@ def drive(make_device, submit, latency, arrivals, reads, stop_at):
     devices = [make_device(sim) for _ in range(3)]
     completions, seen, signals = [], [], []
 
-    def arrive(index, target, sectors, kind):
-        done = submit(devices[target], sectors, kind)
+    def arrive(index, target, sectors):
+        done = submit(devices[target], sectors)
         done._add_waiter(lambda _value: completions.append((index, sim.now)))
         signals.append(done)
 
     # The clock is still at 0: each delay is the absolute ``time``.
-    times = instants([gap for gap, _, _, _ in arrivals], latency)
-    for index, (time, (_, target, sectors, kind)) in enumerate(zip(times, arrivals)):
-        sim.schedule(time, sim.call, 0.0, arrive, index, target, sectors, kind)
+    times = instants([gap for gap, _, _ in arrivals], latency)
+    for index, (time, (_, target, sectors)) in enumerate(zip(times, arrivals)):
+        sim.schedule(time, sim.call, 0.0, arrive, index, target, sectors)
     for time in instants(reads, latency):
         sim.schedule(time, sim.call, 0.0, lambda: seen.append(observe(devices)))
     sim.schedule(instants([stop_at], latency)[0], sim.call, 0.0, sim.stop)
@@ -150,7 +141,6 @@ programs = st.lists(
         gaps,
         st.integers(min_value=0, max_value=2),  # which device
         st.integers(min_value=1, max_value=30),
-        st.sampled_from(["write", "write", "read"]),
     ),
     min_size=1,
     max_size=14,
@@ -170,9 +160,9 @@ programs = st.lists(
     latency=1.727e-3,
     concurrency=2,
     arrivals=[
-        ((0, 0.0), 0, 3, "write"),
-        ((1, 0.0), 0, 2, "read"),
-        ((0, 0.0), 0, 1, "write"),
+        ((0, 0.0), 0, 3),
+        ((1, 0.0), 0, 2),
+        ((0, 0.0), 0, 1),
     ],
     reads=[(1, 0.0), (0, 0.37), (1, 0.0)],
     stop_at=(2, 0.0),
@@ -184,10 +174,10 @@ programs = st.lists(
     latency=1.727e-3,
     concurrency=1,
     arrivals=[
-        ((0, 0.0), 1, 1, "write"),
-        ((0, 0.0), 0, 3, "write"),
-        ((0, 0.37), 0, 1, "write"),
-        ((0, 0.37), 1, 3, "write"),
+        ((0, 0.0), 1, 1),
+        ((0, 0.0), 0, 3),
+        ((0, 0.37), 0, 1),
+        ((0, 0.37), 1, 3),
     ],
     reads=[],
     stop_at=(9, 0.0),
@@ -198,18 +188,12 @@ def test_closed_form_equals_per_sector_events(
 ):
     reference = drive(
         lambda sim: PerSectorStorage(sim, latency, concurrency),
-        lambda device, sectors, kind: device.submit(sectors, kind),
+        lambda device, sectors: device.submit(sectors),
         latency, arrivals, reads, stop_at,
     )
     closed_form = drive(
-        lambda sim: Storage(
-            sim,
-            sector_latency=latency,
-            concurrency=concurrency,
-            cache_hit_ratio=0.0,
-            rng=random.Random(0),
-        ),
-        closed_form_submit,
+        lambda sim: Storage(sim, sector_latency=latency, concurrency=concurrency),
+        lambda device, sectors: device.write_sectors(sectors),
         latency, arrivals, reads, stop_at,
     )
     assert closed_form == reference

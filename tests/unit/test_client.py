@@ -25,7 +25,7 @@ def build(monkeypatch):
             sim,
             "site0",
             CpuPool(sim, 1),
-            Storage(sim, rng=random.Random(0)),
+            Storage(sim),
         )
         workload = TpccWorkload(1, rng=random.Random(seed))
         pool = ClientPool(

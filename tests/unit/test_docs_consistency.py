@@ -259,6 +259,9 @@ RETIRED_CALL_FORMS = (
     r"\b_STORED_AFTER\b",
     r"\"profiles\"",
     r"\b(crash|recover|partition|heal)_at\b",
+    r"\bfragment_aware\b",
+    r"\bcache_hit_ratio\b",
+    r"\bendpoint_ids\b",
 )
 
 

@@ -54,28 +54,23 @@ class TestRegistry:
         assert ALL_MONITORS not in MONITORS
         assert resolve_monitors(ALL_MONITORS) == tuple(MONITORS)
 
-    def test_applicability_reads_the_class_without_building_it(
-        self, monkeypatch
-    ):
-        """Arming decisions read ``fragment_aware`` off the table's class;
-        only the hub builds monitors."""
+    def test_arming_builds_no_monitor(self, monkeypatch):
+        """Arming decisions read the table's names; only the hub builds
+        monitors."""
 
         class Unbuildable:
             def __init__(self):
                 raise AssertionError("applicability built a monitor")
 
-        aware = type("Aware", (Unbuildable,), {"fragment_aware": True})
-        unaware = type("Unaware", (Unbuildable,), {"fragment_aware": False})
-        monkeypatch.setitem(MONITORS, "test-aware", aware)
-        monkeypatch.setitem(MONITORS, "test-unaware", unaware)
+        monkeypatch.setitem(MONITORS, "test-unbuildable", Unbuildable)
         config = ScenarioConfig(
             sites=4,
             clients=120,
             protocol="partial",
             fragments=2,
-            monitors=("test-unaware", "test-aware"),
+            monitors=("test-unbuildable",),
         )
-        assert applicable_monitors(config) == ("test-aware",)
+        assert applicable_monitors(config) == ("test-unbuildable",)
 
     def test_each_hub_builds_fresh_monitors(self):
         """The table holds classes: two runs never share monitor state."""

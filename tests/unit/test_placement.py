@@ -206,8 +206,8 @@ class TestMonitorApplicability:
             ScenarioConfig(sites=3, clients=30, monitors=())
         ) == ()
 
-    def test_fragmented_runs_arm_only_fragment_aware_monitors(self):
-        from repro.monitors import MONITORS, resolve_monitors
+    def test_fragmented_runs_arm_every_selected_monitor(self):
+        from repro.monitors import MONITORS, build_hub
 
         config = ScenarioConfig(
             sites=4,
@@ -216,10 +216,10 @@ class TestMonitorApplicability:
             fragments=2,
             monitors=("all",),
         )
-        armed = applicable_monitors(config)
-        assert armed  # the built-ins are all fragment-aware today
-        for name in resolve_monitors(("all",)):
-            assert (name in armed) == MONITORS[name].fragment_aware
+        assert applicable_monitors(config) == tuple(MONITORS)
+        hub = build_hub(config, None)
+        assert [m.name for m in hub.monitors] == list(MONITORS)
+        assert [hub.group_of(site) for site in range(4)] == [0, 0, 1, 1]
 
     def test_violations_metric_nan_when_nothing_armed(self):
         from repro.analysis.metrics import get_metric

@@ -22,7 +22,7 @@ from repro.core.metrics import (
     TxRecord,
 )
 from repro.core.safety import CommitLog
-from repro.db.storage import CACHE_HIT_RATIO, SECTOR_CONCURRENCY, SECTOR_LATENCY
+from repro.db.storage import SECTOR_CONCURRENCY, SECTOR_LATENCY
 from repro.gcs.config import SEND_BURST, SEND_RATE, GcsConfig
 from repro.net.network import LAN_BANDWIDTH_BPS, LAN_LINK_LATENCY
 
@@ -168,9 +168,10 @@ class TestConfigRoundTrip:
         assert len(scenario.sites) == 3
         for site in scenario.sites:
             storage = site.storage
-            assert (
-                storage.sector_latency, storage.concurrency, storage.cache_hit_ratio
-            ) == (SECTOR_LATENCY, SECTOR_CONCURRENCY, CACHE_HIT_RATIO)
+            assert (storage.sector_latency, storage.concurrency) == (
+                SECTOR_LATENCY,
+                SECTOR_CONCURRENCY,
+            )
             bucket = site.gcs.reliable.bucket
             assert (bucket.rate, bucket.burst) == (SEND_RATE, SEND_BURST)
 

@@ -1,7 +1,5 @@
 """Unit tests for the database server's transaction lifecycle."""
 
-import random
-
 import pytest
 
 from repro.core.cpu import CpuPool
@@ -21,7 +19,7 @@ from repro.db.transactions import (
 def build_server(cpus=1):
     sim = Simulator()
     pool = CpuPool(sim, cpus)
-    storage = Storage(sim, cache_hit_ratio=1.0, rng=random.Random(0))
+    storage = Storage(sim)
     server = DatabaseServer(sim, "site0", pool, storage)
     return sim, server
 
@@ -179,7 +177,7 @@ class TestCustomTermination:
 
         sim = Simulator()
         pool = CpuPool(sim, 1)
-        storage = Storage(sim, rng=random.Random(0))
+        storage = Storage(sim)
         server = DatabaseServer(
             sim, "s", pool, storage, termination=AbortAll(sim)
         )

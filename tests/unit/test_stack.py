@@ -70,3 +70,30 @@ class TestDispatch:
         harness.sim.run(until=1.0)
         assert harness.stacks[0].stats["delivered"] == 2
         assert harness.stacks[0].stats["messages_multicast"] == 1
+
+
+class TestFailureDetection:
+    """A stack maps a datagram's source to its member from ``members``
+    alone, so every peer's heartbeats reach the failure detector."""
+
+    def test_heard_peers_are_never_suspected(self):
+        harness = make_group(3)
+        harness.start()
+        config = harness.stacks[0].config
+        harness.sim.run(until=5 * config.suspect_after)
+        for stack in harness.stacks:
+            assert stack.views.alive_members() == (0, 1, 2)
+            assert stack.reliable.suspected == set()
+            assert stack.view_id == 1 and stack.members == (0, 1, 2)
+            assert stack.views.stats["view_changes"] == 0
+
+    def test_a_silenced_member_is_still_suspected(self):
+        harness = make_group(3)
+        harness.start()
+        harness.runtimes[2].crash()
+        config = harness.stacks[0].config
+        harness.sim.run(until=5 * config.suspect_after)
+        for stack in harness.stacks[:2]:
+            assert stack.members == (0, 1)
+            assert stack.view_id > 1
+            assert stack.views.stats["view_changes"] >= 1

@@ -1,50 +1,25 @@
 """Unit tests for the storage element (paper §3.1, §4.1)."""
 
-import random
-
 import pytest
 
 from repro.core.kernel import Simulator
 from repro.db.storage import Storage
 
 
-def make_storage(sim, hit_ratio=0.0, concurrency=4, latency=1e-3):
-    return Storage(
-        sim,
-        sector_latency=latency,
-        concurrency=concurrency,
-        cache_hit_ratio=hit_ratio,
-        rng=random.Random(0),
-    )
+def make_storage(sim, concurrency=4, latency=1e-3):
+    return Storage(sim, sector_latency=latency, concurrency=concurrency)
 
 
 class TestReads:
     def test_cache_hit_is_instant_and_free(self):
         sim = Simulator()
-        storage = make_storage(sim, hit_ratio=1.0)
+        storage = make_storage(sim)
         done = []
         storage.read(4096)._add_waiter(lambda v: done.append(sim.now))
         sim.run()
         assert done == [0.0]
         assert storage.stats.sectors_read == 0
         assert storage.stats.cache_hits == 1
-
-    def test_cache_miss_takes_sector_latency(self):
-        sim = Simulator()
-        storage = make_storage(sim, hit_ratio=0.0, latency=2e-3)
-        done = []
-        storage.read(100)._add_waiter(lambda v: done.append(sim.now))
-        sim.run()
-        assert done == [pytest.approx(2e-3)]
-        assert storage.stats.sectors_read == 1
-
-    def test_multi_sector_read(self):
-        sim = Simulator()
-        storage = make_storage(sim, hit_ratio=0.0, latency=1e-3, concurrency=1)
-        done = []
-        storage.read(3 * 4096)._add_waiter(lambda v: done.append(sim.now))
-        sim.run()
-        assert done == [pytest.approx(3e-3)]
 
     def test_zero_byte_read_completes(self):
         sim = Simulator()
@@ -58,7 +33,7 @@ class TestReads:
 class TestWrites:
     def test_writes_never_cached(self):
         sim = Simulator()
-        storage = make_storage(sim, hit_ratio=1.0, latency=1e-3)
+        storage = make_storage(sim, latency=1e-3)
         done = []
         storage.write(100)._add_waiter(lambda v: done.append(sim.now))
         sim.run()
@@ -103,8 +78,6 @@ class TestConfiguration:
             Storage(sim, sector_latency=0.0)
         with pytest.raises(ValueError):
             Storage(sim, concurrency=0)
-        with pytest.raises(ValueError):
-            Storage(sim, cache_hit_ratio=1.5)
 
     def test_queue_depth_visible(self):
         sim = Simulator()
