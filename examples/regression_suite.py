@@ -48,18 +48,17 @@ def main() -> None:
 
         print("recording baselines ...")
         baselines = suite.record(path)
-        metric_names = sorted(
-            next(iter(baselines.values())).metrics
-        )
+        metric_names = sorted(next(iter(baselines.values())))
         print(format_table(
             "recorded baselines",
             ("scenario",) + tuple(metric_names),
             [
                 (name,)
                 + tuple(
-                    f"{baseline.metrics[m]:.4g}" for m in metric_names
+                    "null" if values[m] is None else f"{values[m]:.4g}"
+                    for m in metric_names
                 )
-                for name, baseline in sorted(baselines.items())
+                for name, values in sorted(baselines.items())
             ],
         ))
 
@@ -70,7 +69,7 @@ def main() -> None:
         print("\ninjecting a fake 2x-throughput baseline (simulating a "
               "code change that halved throughput) ...")
         data = json.loads(path.read_text())
-        data["loss=none"]["metrics"]["throughput_tpm"] *= 2.0
+        data["loss=none"]["throughput_tpm"] *= 2.0
         path.write_text(json.dumps(data))
         findings = suite.check(path)
         for finding in findings:

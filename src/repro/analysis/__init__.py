@@ -48,6 +48,7 @@ from .metrics import (
     available_metrics,
     get_metric,
     metric_value,
+    metric_values,
 )
 from .render import (
     comparison_payload,
@@ -89,6 +90,7 @@ __all__ = [
     "table_payload",
     "get_metric",
     "metric_value",
+    "metric_values",
     "render_csv",
     "render_figure",
     "render_markdown",

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.experiment import ScenarioResult
 from ..core.metrics import quantiles
@@ -40,6 +40,8 @@ __all__ = [
     "commit_latencies",
     "get_metric",
     "metric_value",
+    "metric_values",
+    "nan_to_none",
 ]
 
 
@@ -100,6 +102,25 @@ def available_metric_families() -> Tuple[str, ...]:
 def metric_value(result: ScenarioResult, name: str) -> float:
     """``get_metric(name)(result)`` — the one-call form."""
     return get_metric(name)(result)
+
+
+def nan_to_none(value: object) -> object:
+    """NaN is unrepresentable in JSON — serve ``null``, never a fake 0.
+    The one rule behind every JSON payload (tables, ``report --format
+    json``, the HTML report, ``repro.dashboard/1``, regression
+    baselines)."""
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    return value
+
+
+def metric_values(
+    result: ScenarioResult, names: Iterable[str]
+) -> Dict[str, Optional[float]]:
+    """``{name: value}``, JSON-ready (NaN -> ``None``): the one snapshot
+    of a result that the JSON report, the dashboard, the golden pins and
+    the regression baselines all hold."""
+    return {name: nan_to_none(metric_value(result, name)) for name in names}
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ import math
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from .aggregate import Table
-from .metrics import get_metric, metric_value
+from .metrics import get_metric, metric_value, nan_to_none
 
 if TYPE_CHECKING:  # Comparison lives with ResultSet; avoid a cycle
     from .resultset import Comparison
@@ -27,7 +27,6 @@ if TYPE_CHECKING:  # Comparison lives with ResultSet; avoid a cycle
 __all__ = [
     "NO_DATA",
     "format_table",
-    "nan_to_none",
     "render_csv",
     "render_markdown",
     "render_text",
@@ -172,15 +171,6 @@ def render_csv(
             )
         )
     return "\n".join(lines)
-
-
-def nan_to_none(value: object) -> object:
-    """NaN is unrepresentable in JSON — serve ``null``, never a fake 0.
-    The one rule behind every JSON payload (tables, ``report --format
-    json``, the HTML report, ``repro.dashboard/1``)."""
-    if isinstance(value, float) and math.isnan(value):
-        return None
-    return value
 
 
 def table_payload(table: Table) -> Dict[str, object]:

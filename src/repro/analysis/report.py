@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
 from ..runner.store import campaign_dir
 from .figures import FIGURES, figure_table, render_figure
-from .metrics import HEADLINE_METRICS, available_metrics
+from .metrics import HEADLINE_METRICS, available_metrics, metric_values
 from .render import (
     comparison_payload,
     render_comparison,
@@ -71,7 +71,7 @@ def _json(rs: ResultSet, metrics: Sequence[str], **view: object) -> str:
                 "status": cell.status,
                 "source": cell.source,
                 "axes": dict(cell.axes),
-                "metrics": cell.metrics_payload(metrics),
+                "metrics": metric_values(cell.result, metrics),
             }
             for cell in rs.cells
         ],

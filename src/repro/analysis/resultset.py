@@ -37,9 +37,8 @@ from ..runner.store import (
     ArtifactError,
     ArtifactStore,
 )
-from .aggregate import Delta, Series, Stat, Table, summarize
+from .aggregate import Delta, Series, Table, summarize
 from .metrics import metric_value
-from .render import nan_to_none
 
 __all__ = [
     "AnalysisError",
@@ -87,12 +86,6 @@ class ResultCell:
 
     def value(self, metric: str) -> float:
         return metric_value(self.result, metric)
-
-    def metrics_payload(self, metrics: Iterable[str]) -> Dict[str, object]:
-        """``{metric: value}``, JSON-ready (NaN -> ``None``): the one
-        dict ``report --format json`` and the dashboard cell record
-        both serve."""
-        return {name: nan_to_none(self.value(name)) for name in metrics}
 
 
 def artifact_cell(

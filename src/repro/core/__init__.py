@@ -50,7 +50,7 @@ from .metrics import (
     qq_points,
     quantiles,
 )
-from .regression import Regression, RegressionSuite, ScenarioBaseline
+from .regression import Regression, RegressionSuite
 from .runtime_api import NativeProtocolRuntime, ProtocolRuntime
 from .safety import CommitLog, SafetyViolation, check_consistency
 
@@ -98,5 +98,4 @@ __all__ = [
     "check_consistency",
     "Regression",
     "RegressionSuite",
-    "ScenarioBaseline",
 ]

@@ -49,7 +49,7 @@ from .csrt import MODELED, SiteRuntime
 from .faults import FaultInjector, FaultPlan
 from .gcpause import paused_gc
 from .kernel import Simulator
-from .metrics import MetricsCollector, ResourceSampler, SampleSeries
+from .metrics import MetricsCollector, ResourceSampler, SampleSeries, stored_fields
 from .rng import derive_rng
 from .safety import CommitLog, check_consistency
 
@@ -161,18 +161,13 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ScenarioConfig":
-        """Read :meth:`to_dict`'s encoding; an unknown key is a ValueError."""
-        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown ScenarioConfig keys {sorted(unknown)}")
-        kwargs = dict(data)
-        if "gcs" in kwargs:
-            kwargs["gcs"] = GcsConfig.from_dict(kwargs["gcs"])
-        if "faults" in kwargs:
-            kwargs["faults"] = {
-                int(site): FaultPlan.from_dict(plan)
-                for site, plan in kwargs["faults"].items()
-            }
+        """Read :meth:`to_dict`'s encoding: exactly its keys."""
+        kwargs = stored_fields(cls, data)
+        kwargs["gcs"] = GcsConfig.from_dict(kwargs["gcs"])
+        kwargs["faults"] = {
+            int(site): FaultPlan.from_dict(plan)
+            for site, plan in kwargs["faults"].items()
+        }
         return cls(**kwargs)
 
 

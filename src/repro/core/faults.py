@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
 from ..net.lossmodels import BurstyLoss, LossProcess, RandomLoss
+from .metrics import stored_fields
 
 __all__ = [
     "FAULT_ACTIONS",
@@ -133,11 +134,8 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
-        """Read :meth:`to_dict`'s encoding; an unknown key is a ValueError."""
-        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown FaultPlan keys {sorted(unknown)}")
-        return cls(**data)
+        """Read :meth:`to_dict`'s encoding: exactly its keys."""
+        return cls(**stored_fields(cls, data))
 
 
 class FaultInjector:

@@ -20,6 +20,7 @@ that is :func:`repro.core.gcpause.paused_gc`.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
@@ -36,6 +37,7 @@ __all__ = [
     "ecdf",
     "quantiles",
     "qq_points",
+    "stored_fields",
 ]
 
 
@@ -107,13 +109,20 @@ def _decode_columns(record_type, rows: Sequence[Sequence]) -> List[list]:
     return columns
 
 
-def _stored(owner: str, data: Dict[str, object], keys: Tuple[str, ...]) -> list:
-    """``data``'s values at ``keys``, its one stored form: a missing key
-    is a KeyError, an unknown one a ValueError."""
+def stored_fields(
+    owner: type, data: Dict[str, object], keys: Optional[Sequence[str]] = None
+) -> Dict[str, object]:
+    """``data`` read as ``owner``'s one stored form, ``{key: value}`` in
+    ``keys`` order (default: ``owner``'s dataclass fields): a missing key
+    is a KeyError, an unknown one a ValueError.  Every stored record's
+    decoder reads through it, so a damaged file never decodes to
+    defaults."""
+    if keys is None:
+        keys = [f.name for f in dataclasses.fields(owner)]
     unknown = set(data) - set(keys)
     if unknown:
-        raise ValueError(f"unknown {owner} keys {sorted(unknown)}")
-    return [data[key] for key in keys]
+        raise ValueError(f"unknown {owner.__name__} keys {sorted(unknown)}")
+    return {key: data[key] for key in keys}
 
 
 class MetricsCollector:
@@ -173,7 +182,7 @@ class MetricsCollector:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "MetricsCollector":
-        fields, rows = _stored("MetricsCollector", data, ("fields", "records"))
+        fields, rows = stored_fields(cls, data, ("fields", "records")).values()
         if tuple(fields) != TX_RECORD_FIELDS:
             raise ValueError(f"unknown record encoding: {fields}")
         collector = cls.__new__(cls)
@@ -300,7 +309,7 @@ class SampleSeries:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "SampleSeries":
-        interval, rows = _stored("SampleSeries", data, ("interval", "samples"))
+        interval, rows = stored_fields(cls, data, ("interval", "samples")).values()
         columns = _decode_columns(ResourceSample, rows)
         return cls(map(ResourceSample._make, zip(*columns)), float(interval))
 

@@ -8,10 +8,18 @@ module is that harness: a :class:`RegressionSuite` owns a set of named
 scenarios, records baseline metrics to JSON, and on later runs replays
 the same scenarios and flags
 
-* **reliability regressions** — a verdict other than ``ok``, or a
-  scenario that no longer completes its transactions; these always fail;
+* **reliability regressions** — a verdict other than ``ok``, a scenario
+  that no longer completes its transactions, or a metric with data on
+  one side only; these always fail;
 * **performance regressions** — headline metrics drifting past a
   per-metric relative tolerance against the recorded baseline.
+
+A baseline file is ``{scenario: {metric: value | null}}``: per scenario,
+:func:`repro.analysis.metrics.metric_values` of ``records`` and every
+toleranced metric — the snapshot the golden pins and ``report --format
+json`` hold, by metric-table name, in each metric's own unit, with
+``null`` where the table has no data.  :meth:`RegressionSuite.check`
+refuses an entry of any other form.
 
 Determinism of the cost-model clock makes the comparison sharp: a clean
 tree reproduces its baseline bit-for-bit, so any drift is a real change.
@@ -20,84 +28,56 @@ tree reproduces its baseline bit-for-bit, so any drift is a real change.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-import math
-
-from .experiment import ScenarioConfig, ScenarioResult
+from .experiment import ScenarioConfig
 from .safety import SafetyViolation
 
-__all__ = ["RegressionSuite", "Regression", "ScenarioBaseline"]
+__all__ = ["RegressionSuite", "Regression"]
 
-#: Metrics captured per scenario and their default relative tolerances.
+#: Metric-table name -> default relative tolerance.
 DEFAULT_TOLERANCES: Dict[str, float] = {
     "throughput_tpm": 0.10,
-    "mean_latency": 0.15,
+    "mean_latency_ms": 0.15,
     "abort_rate": 0.25,
-    "cert_p99": 0.35,
-    "protocol_cpu": 0.30,
-}
-#: Baseline key -> (registered metric name, unit conversion into the
-#: historical baseline-file unit).  Extraction goes through the
-#: :mod:`repro.analysis` metric table; the keys (and units: seconds,
-#: fractions) are unchanged so recorded baseline files stay comparable.
-_BASELINE_SOURCES: Dict[str, Tuple[str, float]] = {
-    "throughput_tpm": ("throughput_tpm", 1.0),
-    "mean_latency": ("mean_latency_ms", 1e-3),
-    "abort_rate": ("abort_rate", 1.0),
-    "cert_p99": ("cert_p99_ms", 1e-3),
-    "protocol_cpu": ("cpu_protocol", 1.0),
+    "cert_p99_ms": 0.35,
+    "cpu_protocol": 0.30,
 }
 #: Metrics where only growth (resp. shrinkage) is a regression.
 _HIGHER_IS_BETTER = {"throughput_tpm"}
 _ABSOLUTE_FLOOR = {
     # ignore drift below these absolute values (noise around zero)
     "abort_rate": 0.5,  # percentage points
-    "cert_p99": 0.002,  # seconds
-    "protocol_cpu": 0.002,  # fraction
+    "cert_p99_ms": 2.0,  # ms
+    "cpu_protocol": 0.002,  # fraction
 }
+#: A replay completing fewer than this share of the recorded
+#: transactions (the ``records`` metric) is a reliability regression.
+_MIN_COMPLETED = 0.9
+
+Values = Dict[str, Optional[float]]
 
 
 @dataclass(frozen=True)
 class Regression:
-    """One detected regression."""
+    """One detected regression (``None``: that side has no data)."""
 
     scenario: str
     metric: str
-    baseline: float
-    measured: float
+    baseline: Optional[float]
+    measured: Optional[float]
     kind: str  # "performance" | "reliability"
 
     def __str__(self) -> str:
+        base, now = (
+            "null" if v is None else f"{v:.4g}"
+            for v in (self.baseline, self.measured)
+        )
         return (
             f"[{self.kind}] {self.scenario}.{self.metric}: "
-            f"baseline {self.baseline:.4g}, measured {self.measured:.4g}"
-        )
-
-
-@dataclass
-class ScenarioBaseline:
-    """Recorded metrics of one scenario run."""
-
-    name: str
-    metrics: Dict[str, float]
-    completed: int
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "metrics": self.metrics,
-            "completed": self.completed,
-        }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "ScenarioBaseline":
-        return cls(
-            name=str(data["name"]),
-            metrics={k: float(v) for k, v in dict(data["metrics"]).items()},
-            completed=int(data["completed"]),
+            f"baseline {base}, measured {now}"
         )
 
 
@@ -133,36 +113,22 @@ class RegressionSuite:
         declared (and persisted/diffed) the same way campaigns are."""
         return cls(dict(spec.expand()), tolerances=tolerances, workers=workers)
 
+    @property
+    def _recorded(self) -> Tuple[str, ...]:
+        """The metrics a baseline entry holds."""
+        return ("records",) + tuple(self.tolerances)
+
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    @staticmethod
-    def baseline_from(name: str, result: ScenarioResult) -> ScenarioBaseline:
-        """Extract the recorded metric set from a finished run.
-
-        Values come from the :mod:`repro.analysis` metric table (the
-        one derivation every consumer shares); NaN — the table's
-        "no data" marker, e.g. no certifications in a centralized run —
-        is stored as the historical ``0.0`` so baseline files stay
-        valid JSON and keep comparing exactly as before."""
-        from ..analysis.metrics import metric_value  # analysis sits above core
-
-        metrics = {}
-        for key, (metric, factor) in _BASELINE_SOURCES.items():
-            value = metric_value(result, metric) * factor
-            metrics[key] = 0.0 if math.isnan(value) else value
-        return ScenarioBaseline(
-            name=name,
-            metrics=metrics,
-            completed=len(result.metrics.outcome),
-        )
-
     def _run_all(
         self, names: Optional[List[str]] = None
-    ) -> Dict[str, Tuple[ScenarioBaseline, str]]:
+    ) -> Dict[str, Tuple[Values, str]]:
         """Run the named scenarios (default: all, possibly in parallel),
-        in sorted name order: ``{name: (baseline, verdict)}``."""
-        from ..runner import run_campaign  # local: avoids an import cycle
+        in sorted name order: ``{name: (metric values, verdict)}``."""
+        # local: analysis sits above core, and the runner imports core
+        from ..analysis.metrics import metric_values
+        from ..runner import run_campaign
 
         if names is None:
             names = sorted(self.scenarios)
@@ -170,19 +136,18 @@ class RegressionSuite:
         campaign = run_campaign(labelled, workers=self.workers)
         campaign.pairs()  # a scenario that raised raises here
         return {
-            cell.label: (self.baseline_from(cell.label, cell.result), cell.status)
+            cell.label: (metric_values(cell.result, self._recorded), cell.status)
             for cell in campaign.cells
         }
 
-    def record(self, path: Union[str, Path]) -> Dict[str, ScenarioBaseline]:
+    def record(self, path: Union[str, Path]) -> Dict[str, Values]:
         """Run every scenario and write the baseline file (``ok`` only)."""
         baselines = {}
-        for name, (baseline, status) in self._run_all().items():
+        for name, (values, status) in self._run_all().items():
             if status != "ok":
                 raise SafetyViolation(f"{name}: verdict {status!r}, not recorded")
-            baselines[name] = baseline
-        payload = {name: b.to_json() for name, b in baselines.items()}
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
+            baselines[name] = values
+        Path(path).write_text(json.dumps(baselines, indent=2, sort_keys=True))
         return baselines
 
     def check(self, path: Union[str, Path]) -> List[Regression]:
@@ -190,12 +155,12 @@ class RegressionSuite:
 
         Returns the list of regressions (empty = clean).  Reliability
         problems — a bad verdict (named as the metric), incomplete runs,
-        scenarios missing from the baseline — are ``kind="reliability"``.
+        a metric with data on one side only, scenarios missing from the
+        baseline — are ``kind="reliability"``.  A baseline entry of any
+        form but ``{metric: value | null}`` holding ``records`` and every
+        toleranced metric raises :class:`ValueError`.
         """
-        stored = {
-            name: ScenarioBaseline.from_json(data)
-            for name, data in json.loads(Path(path).read_text()).items()
-        }
+        stored = self._load(path)
         findings: List[Regression] = []
         # scenarios missing from the baseline file are findings, not
         # runs — only replay what there is a baseline to compare against
@@ -213,32 +178,50 @@ class RegressionSuite:
             if status != "ok":
                 findings.append(Regression(name, status, 1.0, 0.0, "reliability"))
                 continue
-            if measured.completed < baseline.completed * 0.9:
-                findings.append(
-                    Regression(
-                        name,
-                        "completed",
-                        baseline.completed,
-                        measured.completed,
-                        "reliability",
-                    )
-                )
+            base, now = baseline["records"], measured["records"]
+            if now < base * _MIN_COMPLETED:
+                findings.append(Regression(name, "records", base, now, "reliability"))
             findings.extend(self._compare(name, baseline, measured))
         return findings
 
+    def _load(self, path: Union[str, Path]) -> Dict[str, Values]:
+        """The baseline file at ``path``, every entry checked for the one
+        form :meth:`record` writes."""
+        from ..analysis.metrics import MetricError, get_metric
+
+        stored = json.loads(Path(path).read_text())
+        for name, entry in stored.items():
+            if not isinstance(entry, dict):
+                raise ValueError(f"{path}: baseline of {name!r} is not a dict")
+            missing = [m for m in self._recorded if m not in entry]
+            unknown = []
+            for key in entry:
+                try:
+                    get_metric(key)
+                except MetricError:
+                    unknown.append(key)
+            if missing or unknown or entry.get("records") is None:
+                raise ValueError(
+                    f"{path}: baseline of {name!r} is not "
+                    f"{{metric: value | null}} with a records count "
+                    f"(missing {missing}, unknown {unknown})"
+                )
+        return stored
+
     # ------------------------------------------------------------------
     def _compare(
-        self,
-        name: str,
-        baseline: ScenarioBaseline,
-        measured: ScenarioBaseline,
+        self, name: str, baseline: Values, measured: Values
     ) -> List[Regression]:
         findings = []
         for metric, tolerance in self.tolerances.items():
-            if metric not in baseline.metrics or metric not in measured.metrics:
+            base = baseline[metric]
+            now = measured[metric]
+            if base is None or now is None:
+                if base is not now:  # data on one side only
+                    findings.append(
+                        Regression(name, metric, base, now, "reliability")
+                    )
                 continue
-            base = baseline.metrics[metric]
-            now = measured.metrics[metric]
             floor = _ABSOLUTE_FLOOR.get(metric, 0.0)
             if abs(now - base) <= floor:
                 continue

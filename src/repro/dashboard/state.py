@@ -30,7 +30,7 @@ import threading
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
 
-from ..analysis.metrics import HEADLINE_METRICS, available_metrics
+from ..analysis.metrics import HEADLINE_METRICS, available_metrics, metric_values
 from ..analysis.resultset import (
     AnalysisError,
     ResultCell,
@@ -84,7 +84,7 @@ def absorb_result(record: Dict[str, object], cell: ResultCell) -> None:
         (cell.status, record["status"]) != ("ok", "cached")
     ):
         record["status"] = cell.status
-    record["metrics"] = cell.metrics_payload(HEADLINE_METRICS)
+    record["metrics"] = metric_values(cell.result, HEADLINE_METRICS)
     record["axes"] = dict(cell.axes)
     tagged = [v.tagged(cell.label) for v in cell.result.violations]
     record["violations"] = len(tagged)
@@ -300,7 +300,7 @@ class CampaignView:
         for path, _mtime, _size in self._store.list_cells():
             cell = self._read(path)
             if cell is not None:
-                out[cell.label] = cell.metrics_payload((name,))[name]
+                out[cell.label] = metric_values(cell.result, (name,))[name]
         return out
 
     def violations_payload(self) -> Dict[str, object]:

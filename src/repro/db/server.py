@@ -17,7 +17,7 @@ certification anyway.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 from ..core.cpu import CpuPool
 from ..core.kernel import Entity, Signal, Simulator

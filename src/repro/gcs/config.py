@@ -13,6 +13,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+from ..core.metrics import stored_fields
+
 __all__ = ["GcsConfig"]
 
 #: Retransmission request ceiling per NACK message.
@@ -69,8 +71,5 @@ class GcsConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GcsConfig":
-        """Read :meth:`to_dict`'s encoding; an unknown key is a ValueError."""
-        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown GcsConfig keys {sorted(unknown)}")
-        return cls(**data)
+        """Read :meth:`to_dict`'s encoding: exactly its keys."""
+        return cls(**stored_fields(cls, data))

@@ -21,7 +21,7 @@ and is the bottleneck the paper exposes under random loss (§5.3).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Optional
 
 from ..core.runtime_api import ProtocolRuntime
 from .config import (

@@ -36,7 +36,6 @@ from .messages import (
     HEARTBEAT,
     NACK,
     PROPOSE,
-    SEQUENCE,
     STABILITY,
     STATE,
     STATE_REQ,
@@ -68,11 +67,11 @@ class GroupCommunication:
         member_id: int,
         members: Dict[int, object],
         group_dest: object,
-        config: Optional[GcsConfig] = None,
+        config: GcsConfig,
     ):
         self.runtime = runtime
         self.member_id = member_id
-        self.config = config or GcsConfig()
+        self.config = config
         self.reliable = ReliableMulticast(
             runtime, member_id, members, group_dest, self.config
         )
@@ -312,8 +311,8 @@ class GroupCommunication:
     # ------------------------------------------------------------------
     # stability gossip
     # ------------------------------------------------------------------
-    def _stability_tick(self, epoch: int = 0) -> None:
-        if epoch and epoch != self._epoch:
+    def _stability_tick(self, epoch: int) -> None:
+        if epoch != self._epoch:
             return  # superseded incarnation's chain
         self.runtime.schedule(
             self.config.stability_interval, self._stability_tick, epoch

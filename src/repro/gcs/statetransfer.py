@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..core.metrics import stored_fields
 from ..core.runtime_api import ProtocolRuntime
 from .config import STATE_RETRY, GcsConfig
 from .messages import StateMsg, StateReqMsg, marshal
@@ -73,7 +74,7 @@ class RecoveryEvent:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "RecoveryEvent":
-        return cls(**data)
+        return cls(**stored_fields(cls, data))
 
 
 class StateTransfer:

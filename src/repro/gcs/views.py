@@ -227,8 +227,8 @@ class ViewManager:
     # ------------------------------------------------------------------
     # failure detection
     # ------------------------------------------------------------------
-    def _heartbeat_tick(self, epoch: int = 0) -> None:
-        if epoch and epoch != self._epoch:
+    def _heartbeat_tick(self, epoch: int) -> None:
+        if epoch != self._epoch:
             return  # superseded incarnation's chain
         if self.runtime.now() >= self._silent_until:
             beat = HeartbeatMsg(self.member_id, self.view_id)
@@ -237,8 +237,8 @@ class ViewManager:
             self.config.heartbeat_interval, self._heartbeat_tick, epoch
         )
 
-    def _suspicion_tick(self, epoch: int = 0) -> None:
-        if epoch and epoch != self._epoch:
+    def _suspicion_tick(self, epoch: int) -> None:
+        if epoch != self._epoch:
             return  # superseded incarnation's chain
         self.runtime.schedule(
             self.config.heartbeat_interval, self._suspicion_tick, epoch

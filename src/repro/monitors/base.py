@@ -37,6 +37,8 @@ from typing import (
     Tuple,
 )
 
+from ..core.metrics import stored_fields
+
 __all__ = [
     "ALL_MONITORS",
     "InvariantViolation",
@@ -85,13 +87,8 @@ class InvariantViolation:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "InvariantViolation":
-        return cls(
-            monitor=str(data["monitor"]),
-            site=str(data["site"]),
-            sim_time=float(data["sim_time"]),
-            detail=str(data["detail"]),
-            seq=int(data.get("seq", -1)),
-        )
+        monitor, site, sim_time, detail, seq = stored_fields(cls, data).values()
+        return cls(str(monitor), str(site), float(sim_time), str(detail), int(seq))
 
 
 class Monitor:

@@ -42,7 +42,7 @@ campaign's baseline cell.
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..core.kernel import Signal
 from ..db.server import DatabaseServer

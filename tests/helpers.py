@@ -103,7 +103,9 @@ def make_group(
             interceptor=injector,
             name=f"m{i}.rt",
         )
-        stack = GroupCommunication(runtime, i, members, group, config=config)
+        stack = GroupCommunication(
+            runtime, i, members, group, config=config or GcsConfig()
+        )
         stacks.append(stack)
         runtimes.append(runtime)
     return GroupHarness(sim, network, stacks, runtimes, injectors)

@@ -6,7 +6,7 @@ import pytest
 
 from repro import CampaignSpec
 from repro.core.experiment import ScenarioConfig
-from repro.core.regression import Regression, RegressionSuite
+from repro.core.regression import DEFAULT_TOLERANCES, Regression, RegressionSuite
 from repro.core.safety import SafetyViolation
 
 from test_seed_1007_pin import SPEC as F2_SPEC
@@ -39,8 +39,8 @@ class TestRecordCheckCycle:
         small_suite().record(path)
         data = json.loads(path.read_text())
         entry = data["replicated-light"]
-        assert entry["metrics"]["throughput_tpm"] > 0
-        assert entry["completed"] >= 200
+        assert entry["throughput_tpm"] > 0
+        assert entry["records"] >= 200
 
     def test_throughput_regression_detected(self, tmp_path):
         path = tmp_path / "baselines.json"
@@ -49,7 +49,7 @@ class TestRecordCheckCycle:
         # simulate a performance regression: inflate the baseline so the
         # (unchanged) measured run looks slow
         data = json.loads(path.read_text())
-        data["replicated-light"]["metrics"]["throughput_tpm"] *= 2.0
+        data["replicated-light"]["throughput_tpm"] *= 2.0
         path.write_text(json.dumps(data))
         findings = suite.check(path)
         assert any(
@@ -62,10 +62,10 @@ class TestRecordCheckCycle:
         suite = small_suite()
         suite.record(path)
         data = json.loads(path.read_text())
-        data["centralized-light"]["metrics"]["mean_latency"] /= 3.0
+        data["centralized-light"]["mean_latency_ms"] /= 3.0
         path.write_text(json.dumps(data))
         findings = suite.check(path)
-        assert any(f.metric == "mean_latency" for f in findings)
+        assert any(f.metric == "mean_latency_ms" for f in findings)
 
     def test_missing_scenario_is_reliability_finding(self, tmp_path):
         path = tmp_path / "baselines.json"
@@ -85,7 +85,7 @@ class TestRecordCheckCycle:
         suite = small_suite(tolerances={"throughput_tpm": 0.9})
         suite.record(path)
         data = json.loads(path.read_text())
-        data["replicated-light"]["metrics"]["throughput_tpm"] *= 1.5
+        data["replicated-light"]["throughput_tpm"] *= 1.5
         path.write_text(json.dumps(data))
         # 50% drop tolerated at 90% tolerance
         assert not any(
@@ -129,7 +129,7 @@ class TestVerdicts:
 
     def test_check_names_the_verdict(self, f2_suite, tmp_path):
         path = tmp_path / "baselines.json"
-        baseline = {"name": "f2", "metrics": {}, "completed": 0}
+        baseline = {"records": 0, **dict.fromkeys(DEFAULT_TOLERANCES)}
         path.write_text(json.dumps({"f2": baseline}))
         assert f2_suite.check(path) == [
             Regression("f2", "diverged", 1.0, 0.0, "reliability")

@@ -7,7 +7,6 @@ on every release.  Hypothesis drives both with the same program and
 every observable must agree, step by step.
 """
 
-import random as stdlib_random
 from typing import Callable, Dict, List, Optional, Tuple
 
 from hypothesis import example, given, settings

@@ -27,6 +27,8 @@ from repro.core.experiment import RESULT_FORMAT
 from repro.core.faults import FaultPlan
 from repro.core.metrics import TX_RECORD_FIELDS
 from repro.dashboard import JOURNAL_NAME, CampaignView
+from repro.gcs import RecoveryEvent
+from repro.monitors import InvariantViolation
 from repro.dashboard.page import render_report_html
 from repro.runner import (
     MANIFEST_NAME,
@@ -141,6 +143,31 @@ def _add_unknown_key(owner):
     return _edit_result(lambda result: where(result["config"]).__setitem__(key, None))
 
 
+#: A stored record slipped into a result with one of its keys missing:
+#: owner -> (result list, the record, the key dropped).  A decoder that
+#: filled the key with its default would report on a damaged file (a
+#: rejoin without ``live_at`` reads as one that never went live).
+MISSING_KEYS = {
+    "RecoveryEvent": (
+        "recovery",
+        RecoveryEvent(site=0, started_at=1.0, view_installed_at=2.0, live_at=3.0),
+        "live_at",
+    ),
+    "InvariantViolation": (
+        "violations",
+        InvariantViolation("one-copy-sr", "site0", 1.0, "synthetic", 7),
+        "seq",
+    ),
+}
+
+
+def _add_record_without_key(owner):
+    where, record, key = MISSING_KEYS[owner]
+    data = record.to_dict()
+    del data[key]
+    return _edit_result(lambda result: result[where].append(data))
+
+
 #: A stored log in another form than the one its decoder reads, and what
 #: the decode error names.
 LOG_FORMS = {
@@ -180,6 +207,10 @@ CASES = {
     ),
     "format-1": _as_format_1,
     **{f"unknown-{owner}-key": _add_unknown_key(owner) for owner in UNKNOWN_KEYS},
+    **{
+        f"{owner}-without-{MISSING_KEYS[owner][2]}": _add_record_without_key(owner)
+        for owner in MISSING_KEYS
+    },
     **{name: _edit_result(edit) for name, (edit, _) in LOG_FORMS.items()},
     "foreign-label": _rewrite(label=FOREIGN),
     "foreign-spec-hash": _rewrite(spec_hash="f" * 16),
@@ -298,6 +329,16 @@ def test_an_unknown_config_key_is_an_artifact_error(pristine, owner):
     with pytest.raises(ArtifactError, match=re.escape(str(path))) as info:
         ArtifactStore.decode(path, payload)
     assert f"unknown {owner} keys ['{key}']" in str(info.value)
+
+
+@pytest.mark.parametrize("owner", list(MISSING_KEYS))
+def test_a_record_missing_a_key_is_an_artifact_error(pristine, tmp_path, owner):
+    path = tmp_path / "cell.json"
+    shutil.copy(ArtifactStore(pristine).path_for(VICTIM), path)
+    _add_record_without_key(owner)(path)
+    with pytest.raises(ArtifactError, match=re.escape(str(path))) as info:
+        ArtifactStore.decode(path, ArtifactStore.read_cell(path))
+    assert f"KeyError: '{MISSING_KEYS[owner][2]}'" in str(info.value)
 
 
 @pytest.mark.parametrize("form", list(LOG_FORMS))

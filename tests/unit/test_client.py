@@ -9,7 +9,7 @@ from repro.core.kernel import Simulator
 from repro.db.server import DatabaseServer
 from repro.db.storage import Storage
 from repro.tpcc import workload as workload_module
-from repro.tpcc.client import Client, ClientPool
+from repro.tpcc.client import ClientPool
 from repro.tpcc.workload import TpccWorkload
 
 

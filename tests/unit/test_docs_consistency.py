@@ -238,8 +238,10 @@ class TestProtocolRuntime:
 #: Call forms of deleted APIs: the statistics results and the collector
 #: used to compute beside the metric table (every reported number is a
 #: metric of ``repro.analysis.metrics``), the CPU-profile objects the
-#: §4.1 constants replaced, the protocol runtime's unused RNG, and the
-#: slots ``repro.scenario_result/1`` kept in every stored config.
+#: §4.1 constants replaced, the protocol runtime's unused RNG, the
+#: slots ``repro.scenario_result/1`` kept in every stored config, and the
+#: regression harness's own baseline vocabulary (a baseline is now the
+#: metric table's values by name).
 RETIRED_CALL_FORMS = (
     r"\.throughput_tpm\(",
     r"\.mean_latency\(",
@@ -262,6 +264,9 @@ RETIRED_CALL_FORMS = (
     r"\bfragment_aware\b",
     r"\bcache_hit_ratio\b",
     r"\bendpoint_ids\b",
+    r"\bScenarioBaseline\b",
+    r"\bbaseline_from\b",
+    r"\b_BASELINE_SOURCES\b",
 )
 
 

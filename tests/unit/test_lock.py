@@ -1,7 +1,5 @@
 """Unit tests for the multi-version locking policy (paper §3.1)."""
 
-import pytest
-
 from repro.core.kernel import Simulator
 from repro.db.lock import GRANTED, PREEMPTED, WW_ABORTED, LockManager
 from repro.db.transactions import Operation, OpKind, Transaction, TransactionSpec, TxStatus

@@ -130,14 +130,21 @@ class TestViolationRoundTrip:
         clone = InvariantViolation.from_dict(violation.to_dict())
         assert clone == violation
 
-    def test_seq_defaults_when_absent(self):
+    def test_seq_is_required(self):
         data = {
             "monitor": "gcs-ordering",
             "site": "site0",
             "sim_time": 1.0,
             "detail": "x",
         }
-        assert InvariantViolation.from_dict(data).seq == -1
+        with pytest.raises(KeyError, match="seq"):
+            InvariantViolation.from_dict(data)
+
+    def test_unknown_key_is_refused(self):
+        data = InvariantViolation("gcs-ordering", "site0", 1.0, "x", 3).to_dict()
+        data["label"] = "c1"
+        with pytest.raises(ValueError, match="label"):
+            InvariantViolation.from_dict(data)
 
     def test_result_round_trips_violations(self):
         result = small_result(monitors=("all",))

@@ -105,10 +105,11 @@ class TestConfigThreading:
         assert data["protocol"] == "primary-copy"
         assert ScenarioConfig.from_dict(data) == config
 
-    def test_from_dict_without_protocol_defaults_to_dbsm(self):
+    def test_from_dict_without_protocol_is_refused(self):
         data = ScenarioConfig(sites=3).to_dict()
         del data["protocol"]
-        assert ScenarioConfig.from_dict(data).protocol == "dbsm"
+        with pytest.raises(KeyError, match="protocol"):
+            ScenarioConfig.from_dict(data)
 
     def test_protocol_changes_artifact_match_key(self):
         a = ScenarioConfig(sites=3, protocol="dbsm").to_dict()

@@ -27,12 +27,11 @@ trip re-encodes to the live result's bytes.
 
 import hashlib
 import json
-import math
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.metrics import metric_value
+from repro.analysis.metrics import metric_value, metric_values
 from repro.core.experiment import Scenario, ScenarioConfig, ScenarioResult
 from repro.core.scenarios import safety_fault_plans
 
@@ -86,11 +85,7 @@ def test_result_digest_matches_golden(cell):
     loaded = ScenarioResult.from_dict(json.loads(stored))
     assert json.dumps(loaded.to_dict()) == stored
     for source in (result, loaded):
-        values = {}
-        for name in entry["metrics"]:
-            value = metric_value(source, name)
-            values[name] = None if math.isnan(value) else value
-        assert values == entry["metrics"]
+        assert metric_values(source, entry["metrics"]) == entry["metrics"]
 
 
 def test_cpu_accounting_when_the_run_stops_inside_a_real_job():

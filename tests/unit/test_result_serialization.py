@@ -156,6 +156,16 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError, match="profiles"):
             cls.from_dict(data)
 
+    @pytest.mark.parametrize("cls", [ScenarioConfig, GcsConfig, FaultPlan])
+    def test_missing_key_is_refused_by_name(self, cls):
+        """A stored config holds every field: none is filled from its
+        default."""
+        data = cls().to_dict()
+        last = list(data)[-1]
+        del data[last]
+        with pytest.raises(KeyError, match=last):
+            cls.from_dict(data)
+
     def test_scenario_runs_with_the_fixed_calibration(self):
         """The §4.1 calibration is module constants, not settings: every
         site of a scenario is built with them."""

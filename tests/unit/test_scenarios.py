@@ -1,12 +1,10 @@
 """Unit tests for the canonical scenario presets."""
 
-import os
 import warnings
 from math import inf, nan
 
 import pytest
 
-from repro.core.faults import FaultPlan
 from repro.core.scenarios import (
     CLIENT_LEVELS,
     PAPER_TRANSACTIONS,
