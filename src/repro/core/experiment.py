@@ -46,7 +46,7 @@ from ..tpcc.schema import warehouses_for_clients
 from ..tpcc.workload import TpccWorkload
 from .cpu import CpuPool
 from .csrt import MODELED, SiteRuntime
-from .faults import FaultInjector, FaultPlan
+from .faults import FaultInjector, FaultPlan, FaultSchedule
 from .gcpause import paused_gc
 from .kernel import Simulator
 from .metrics import MetricsCollector, ResourceSampler, SampleSeries, stored_fields
@@ -286,9 +286,14 @@ class ScenarioResult:
                 f"unsupported result format {data.get('format')!r} "
                 f"(expected {RESULT_FORMAT!r})"
             )
+        data = stored_fields(cls, data, (
+            "format", "config", "sim_time", "metrics", "samples", "capture",
+            "commit_logs", "site_stats", "recovery", "violations",
+        ))
         capture = PacketCapture(keep_entries=False)
-        capture.total_bytes = int(data["capture"]["total_bytes"])
-        capture.total_packets = int(data["capture"]["total_packets"])
+        capture.total_bytes, capture.total_packets = map(int, stored_fields(
+            PacketCapture, data["capture"], ("total_bytes", "total_packets")
+        ).values())
         return cls(
             ScenarioConfig.from_dict(data["config"]),
             MetricsCollector.from_dict(data["metrics"]),
@@ -500,35 +505,20 @@ class Scenario:
         site.clients.restart()
 
     def _schedule_partitions(self) -> None:
-        """Schedule the network cut/heal boundaries.  Which sites must
-        rejoin afterwards is not inferred from the topology: an excluded
-        member discovers its exclusion itself once it hears the primary
+        """Schedule each change of the network cut
+        (:meth:`FaultSchedule.cut_changes`).  Which sites must rejoin
+        afterwards is not inferred from the topology: an excluded member
+        discovers its exclusion itself once it hears the primary
         component's higher-view traffic (see
         :meth:`repro.gcs.stack.GroupCommunication._detect_exclusion`)
         and re-enters through the state-transfer path."""
-        config = self.config
-        boundaries = {t for plan in config.faults.values()
-                      for t, action in plan.actions if action in ("partition", "heal")}
-        if not boundaries or config.sites < 2:
+        if self.config.sites < 2:
             return
-        for t in sorted(boundaries):
-            self.sim.call(t, self._apply_partition_state)
+        schedule = FaultSchedule(self.config.faults, self.config.sites)
+        for t, components in schedule.cut_changes():
+            self.sim.call(t, self._apply_partition_state, components)
 
-    def _partition_components_now(self) -> List[set]:
-        """Active partition components: the sites whose cut is open now,
-        grouped by its start.  Sites cut at the *same instant* share a
-        component and keep talking to each other; sites cut at different
-        instants do not (the documented ``partition`` semantics)."""
-        now = self.sim.now
-        groups: Dict[float, set] = {}
-        for index, plan in self.config.faults.items():
-            for start, end in plan.episodes("partition"):
-                if start <= now < end:
-                    groups.setdefault(start, set()).add(index)
-        return [groups[t] for t in sorted(groups)]
-
-    def _apply_partition_state(self) -> None:
-        components = self._partition_components_now()
+    def _apply_partition_state(self, components: List[set]) -> None:
         if components:
             self.network.partition(
                 [{f"site{i}" for i in component} for component in components]

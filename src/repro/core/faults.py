@@ -15,17 +15,10 @@ paper's campaign:
 * **crash** — a node is stopped at a specified time, ending all
   interaction with other nodes.
 
-Beyond the paper's campaign, the plan supports the *recovery* fault
-actions that exercise the view-synchronous state-transfer subsystem
-(see ARCHITECTURE.md):
-
-* **recover** — a previously crashed node restarts with empty volatile
-  state and rejoins the group via state transfer;
-* **partition** — the node is cut off from the rest of the network
-  fabric (nodes partitioned at the same instant form one component and
-  keep talking to each other);
-* **heal** — the network cut is removed; nodes that sat in a minority
-  component rejoin the primary component via state transfer.
+Beyond the paper's campaign, a plan schedules the *recover*, *partition*
+and *heal* actions that exercise view-synchronous state transfer
+(:data:`FAULT_ACTIONS`; ARCHITECTURE.md); :class:`FaultSchedule` reads
+what each site's fault is doing at a time t.
 
 All of them compose: one :class:`FaultInjector` guards one site and can
 carry any combination.
@@ -36,8 +29,9 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
 from ..net.lossmodels import BurstyLoss, LossProcess, RandomLoss
 from .metrics import stored_fields
@@ -46,6 +40,7 @@ __all__ = [
     "FAULT_ACTIONS",
     "FaultInjector",
     "FaultPlan",
+    "FaultSchedule",
     "clock_drift",
     "scheduling_latency",
     "random_loss",
@@ -69,9 +64,9 @@ class FaultPlan:
     The rates act for the whole run; ``actions`` are the point-in-time
     faults, ``(time, action)`` sorted by time.  Crash/recover and
     partition/heal each alternate, opening first, at strictly increasing
-    times, so episodes repeat, nest and overlap.  A ``recover``, and the
-    ``heal`` of a strict-minority cut, close with a rejoin via state
-    transfer; a ``recover`` must leave the site down a few
+    times, so episodes repeat, nest and overlap.  Which closing owes a
+    rejoin via state transfer is :class:`FaultSchedule`'s to say; a
+    ``recover`` must leave the site down a few
     ``GcsConfig.suspect_after`` periods, so the survivors exclude it."""
 
     #: Rate r: delays become delay*(1+r), measured durations duration/(1+r).
@@ -136,6 +131,54 @@ class FaultPlan:
     def from_dict(cls, data: dict) -> "FaultPlan":
         """Read :meth:`to_dict`'s encoding: exactly its keys."""
         return cls(**stored_fields(cls, data))
+
+
+class FaultSchedule:
+    """What each site's fault is doing at time t: the one reading of a
+    run's plans (``config.faults`` on ``config.sites`` sites) that
+    partition scheduling, :func:`repro.core.safety.verdict` and the
+    tests share.  Sites cut at the same instant form one component."""
+
+    def __init__(self, faults: Mapping[int, FaultPlan], sites: int):
+        #: ``(kind, site, start, end)`` of every episode, site by site.
+        self._episodes = [
+            (kind, site, *episode) for site, plan in faults.items()
+            for kind in _CLOSING for episode in plan.episodes(kind)
+        ]
+        cut = Counter(e[2] for e in self._episodes if e[0] == "partition")
+        self._minority = {start for start, size in cut.items() if 2 * size < sites}
+
+    def components_at(self, t: float) -> List[Set[int]]:
+        """The sites whose cut is open at ``t``, grouped by its start, in
+        start order (a cut is closed at its heal's instant)."""
+        groups: Dict[float, Set[int]] = {}
+        for kind, site, start, end in self._episodes:
+            if kind == "partition" and start <= t < end:
+                groups.setdefault(start, set()).add(site)
+        return [groups[start] for start in sorted(groups)]
+
+    def cut_changes(self) -> List[Tuple[float, List[Set[int]]]]:
+        """``(t, components_at(t))`` at each partition or heal instant."""
+        instants = {t for e in self._episodes if e[0] == "partition" for t in e[2:]}
+        return [(t, self.components_at(t)) for t in sorted(instants - {math.inf})]
+
+    def rejoins(self, site: int) -> List[float]:
+        """The instants after which ``site`` owes a live rejoin, in
+        order: each ``recover``, and each ``heal`` of a strict-minority
+        component.  An equal split resumes in place; a crash with no
+        ``recover`` owes nothing."""
+        return sorted(
+            end for kind, s, start, end in self._episodes
+            if s == site and end < math.inf
+            and (kind == "crash" or start in self._minority)
+        )
+
+    def open_at(self, t: float) -> bool:
+        """Whether an episode has begun by ``t`` and its closing action
+        falls after ``t`` *or at it*: a heal at the run's last instant
+        has not had its effect yet.  A crash with no ``recover`` never
+        closes, so it is not open."""
+        return any(start <= t <= end < math.inf for _, _, start, end in self._episodes)
 
 
 class FaultInjector:

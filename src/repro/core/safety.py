@@ -10,10 +10,12 @@ the run, tolerating only a *prefix* relationship for sites that crashed.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple
+
+from .faults import FaultSchedule
+from .metrics import stored_fields
 
 __all__ = [
     "VERDICTS",
@@ -59,13 +61,14 @@ class CommitLog:
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "CommitLog":
         # validated by column, as metrics rows are: nothing is coerced
-        entries = list(map(tuple, data["entries"]))
+        site, entries, crashed = stored_fields(cls, data).values()
+        entries = list(map(tuple, entries))
         if not (
             set(map(len, entries)) <= {2}
             and set(map(type, chain.from_iterable(entries))) <= {int}
         ):
-            raise ValueError(f"{data['site']}: commit log entries must be int pairs")
-        return cls(str(data["site"]), entries, bool(data["crashed"]))
+            raise ValueError(f"{site}: commit log entries must be int pairs")
+        return cls(str(site), entries, bool(crashed))
 
 
 class SafetyViolation(AssertionError):
@@ -126,27 +129,22 @@ def verdict(result: Any) -> str:
     """Whether a run was correct, as one word of :data:`VERDICTS`; the
     first check that fails names it.  ``diverged``: ``check_safety()``
     raises (§5.3's criterion).  ``violated``: a monitor fired.
-    ``no-rejoin``: a site's last ``recover``, or ``heal`` of a
-    strict-minority cut (the sites cut at one instant; an equal split
-    resumes in place), came before the run ended and no completed rejoin
-    at that site went live at or after it.  It reads only what an
-    artifact stores, so a run's result, its ``from_dict`` copy and its
-    artifact get the same verdict."""
+    ``no-rejoin``: a site's last closing that owes a rejoin
+    (:meth:`FaultSchedule.rejoins`) came before the run ended, and no
+    completed rejoin at that site went live at or after it.  It reads
+    only what an artifact stores, so a run's result, its ``from_dict``
+    copy and its artifact get the same verdict."""
     try:
         result.check_safety()
     except SafetyViolation:
         return "diverged"
     if result.violations:
         return "violated"
-    faults, end = result.config.faults, result.sim_time
-    cuts = Counter(s for plan in faults.values() for s, _ in plan.episodes("partition"))
+    schedule = FaultSchedule(result.config.faults, result.config.sites)
     live = result.completed_rejoins()
-    for site, plan in faults.items():
-        due = [t for _, t in plan.episodes("crash") if t < end] + [
-            t for s, t in plan.episodes("partition")
-            if t < end and 2 * cuts[s] < result.config.sites
-        ]
-        if due and not any(e.site == site and e.live_at >= max(due) for e in live):
+    for site in result.config.faults:
+        due = [t for t in schedule.rejoins(site) if t < result.sim_time]
+        if due and not any(e.site == site and e.live_at >= due[-1] for e in live):
             return "no-rejoin"
     return "ok"
 

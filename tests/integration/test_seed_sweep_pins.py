@@ -10,10 +10,11 @@ looks like.  They are ``xfail(strict=True)``: a fix that turns a cell
 ``partition-heal-sequencer`` cells at 300 transactions.
 
 Beside each verdict case, a passing case pins why the cell ends that
-way (the triage behind ROADMAP item 10(b)): all but three end with a
-fault episode still open at ``sim_time`` — a heal or recover of the
-cell's fault plan falls after the run's end, or a rejoin
-(``RecoveryEvent``) never completed.  Each cell runs once per module.
+way (the triage behind ROADMAP item 10(b)), read off the cell's
+``FaultSchedule``: all but three have an episode still open just past
+``sim_time``, or a rejoin (``RecoveryEvent``) that never completed.  Two
+end at a heal's own instant, which ``open_at(sim_time)`` counts as open.
+Each cell runs once per module.
 """
 
 import math
@@ -21,6 +22,7 @@ import math
 import pytest
 
 from repro import Scenario, ScenarioResult, get_campaign
+from repro.core.faults import FaultSchedule
 from repro.core.safety import verdict
 
 BAD_CELLS = {
@@ -90,18 +92,13 @@ def run_cell():
 
 def triage(config, result) -> str:
     """How the run's fault episodes stand at ``sim_time``."""
-    closing = [
-        end
-        for plan in config.faults.values()
-        for kind in ("crash", "partition")
-        for _start, end in plan.episodes(kind)
-        if end < math.inf
-    ]
-    if any(end > result.sim_time for end in closing) or any(
+    schedule = FaultSchedule(config.faults, config.sites)
+    end = result.sim_time
+    if schedule.open_at(math.nextafter(end, math.inf)) or any(
         event.live_at < 0 for event in result.recovery_events
     ):
         return OPEN
-    if result.sim_time in closing and not result.recovery_events:
+    if schedule.open_at(end) and not result.recovery_events:
         return "an episode closes at the end"
     return "every episode is closed"
 

@@ -8,7 +8,9 @@ unfiltered (any order, any action string, any time, and valid lists
 with one entry broken), ``FaultPlan`` either builds a well-formed plan
 or raises ``ValueError``, never another exception.  The last tests pin
 the stored encoding of every built-in plan to its literal: the rates,
-``actions`` as ``[time, action]`` lists and ``seed``, in one form.
+``actions`` as ``[time, action]`` lists and ``seed``, in one form.  On
+maps of such plans, ``FaultSchedule`` groups the open cuts as partition
+scheduling did before it existed.
 """
 
 import dataclasses
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.faults import FAULT_ACTIONS, FaultPlan
+from repro.core.faults import FAULT_ACTIONS, FaultPlan, FaultSchedule
 from repro.core.scenarios import fault_config, safety_fault_plans
 
 KINDS = {"crash": "recover", "partition": "heal"}
@@ -70,6 +72,39 @@ def test_valid_plan_constructs_and_round_trips(drawn):
         assert all(end < math.inf for _, end in episodes[:-1])
     assert list(stored) == [f.name for f in dataclasses.fields(FaultPlan)]
     assert stored["actions"] == [list(entry) for entry in plan.actions]
+
+
+def grouped_by_start(faults, now):
+    """Reference copy of the per-instant grouping that partition
+    scheduling read before ``FaultSchedule``: the sites whose cut is open
+    at ``now``, grouped by its start, in start order."""
+    groups = {}
+    for index, plan in faults.items():
+        for start, end in plan.episodes("partition"):
+            if start <= now < end:
+                groups.setdefault(start, set()).add(index)
+    return [groups[t] for t in sorted(groups)]
+
+
+@st.composite
+def site_plans(draw):
+    """``{site: plan}`` on six sites, drawn from a pool of up to three
+    plans, so that sites often share a cut's start."""
+    pool = draw(st.lists(
+        fault_plans().map(lambda drawn: FaultPlan(**drawn[0])), min_size=1, max_size=3
+    ))
+    return draw(st.dictionaries(st.integers(0, 5), st.sampled_from(pool), max_size=6))
+
+
+@given(site_plans())
+@settings(max_examples=100)
+def test_schedule_components_match_the_per_instant_grouping(faults):
+    schedule = FaultSchedule(faults, 6)
+    for t in sorted({t for plan in faults.values() for t, _ in plan.actions}):
+        assert schedule.components_at(t) == grouped_by_start(faults, t)
+    cuts = {t for plan in faults.values() for t, a in plan.actions
+            if a in ("partition", "heal")}
+    assert [t for t, _ in schedule.cut_changes()] == sorted(cuts)
 
 
 any_time = st.one_of(

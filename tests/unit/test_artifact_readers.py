@@ -26,6 +26,7 @@ from repro.campaigns import CampaignSpec
 from repro.core.experiment import RESULT_FORMAT
 from repro.core.faults import FaultPlan
 from repro.core.metrics import TX_RECORD_FIELDS
+from repro.core.safety import CommitLog
 from repro.dashboard import JOURNAL_NAME, CampaignView
 from repro.gcs import RecoveryEvent
 from repro.monitors import InvariantViolation
@@ -168,8 +169,15 @@ def _add_record_without_key(owner):
     return _edit_result(lambda result: result[where].append(data))
 
 
-#: A stored log in another form than the one its decoder reads, and what
-#: the decode error names.
+def _add_commit_log_with_a_digest(result):
+    """The matrix's cells are centralized and keep no commit log: slip
+    one in, with a key its decoder does not know."""
+    log = CommitLog("site0", [(1, 1)]).to_dict()
+    result["commit_logs"].append({**log, "digest": None})
+
+
+#: A stored log or record in another form than the one its decoder
+#: reads, and what the decode error names.
 LOG_FORMS = {
     "no-fields-header": (
         lambda result: result["metrics"].pop("fields"), "KeyError: 'fields'"
@@ -181,6 +189,17 @@ LOG_FORMS = {
     "unknown-SampleSeries-key": (
         lambda result: result["samples"].__setitem__("bucket_seconds", 1.0),
         "unknown SampleSeries keys ['bucket_seconds']",
+    ),
+    "unknown-CommitLog-key": (
+        _add_commit_log_with_a_digest, "unknown CommitLog keys ['digest']"
+    ),
+    "unknown-ScenarioResult-key": (
+        lambda result: result.__setitem__("profiles", None),
+        "unknown ScenarioResult keys ['profiles']",
+    ),
+    "unknown-capture-key": (
+        lambda result: result["capture"].__setitem__("entries", []),
+        "unknown PacketCapture keys ['entries']",
     ),
 }
 

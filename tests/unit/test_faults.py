@@ -1,10 +1,15 @@
 """Unit tests for fault injection (paper §5.3)."""
 
+import ast
+import math
+from pathlib import Path
+
 import pytest
 
 from repro.core.faults import (
     FaultInjector,
     FaultPlan,
+    FaultSchedule,
     bursty_loss,
     clock_drift,
     crash_recover,
@@ -60,6 +65,42 @@ class TestFaultPlan:
             clock_drift_rate=-0.5, actions=((0.0, "crash"), (0.0, "partition"))
         )
         assert plan.has_faults()
+
+
+class TestFaultSchedule:
+    """The edge rules of the one reading of a run's plans."""
+
+    def test_a_heal_is_open_at_its_own_instant_and_not_after(self):
+        # sweep pins partition-heal-member 1011 and -sequencer 1014 stop
+        # at the heal's instant: the heal fires, no rejoin begins
+        schedule = FaultSchedule({2: partition_heal(20.0, 40.0)}, 3)
+        assert schedule.open_at(40.0)
+        assert not schedule.open_at(math.nextafter(40.0, math.inf))
+        assert not schedule.open_at(19.5)  # not begun yet
+
+    def test_a_strict_minority_heal_owes_a_rejoin_an_equal_split_none(self):
+        minority = FaultSchedule({2: partition_heal(20.0, 40.0)}, 3)
+        assert minority.rejoins(2) == [40.0]
+        cut = {2: partition_heal(20.0, 40.0), 3: partition_heal(20.0, 40.0)}
+        split = FaultSchedule(cut, 4)
+        assert split.rejoins(2) == split.rejoins(3) == []
+
+    def test_a_crash_with_no_recover_owes_nothing_and_never_closes(self):
+        for_good = FaultSchedule({0: FaultPlan(actions=((20.0, "crash"),))}, 3)
+        assert for_good.rejoins(0) == []
+        assert not for_good.open_at(20.0) and not for_good.open_at(1e9)
+        recovered = FaultSchedule({0: crash_recover(20.0, 35.0)}, 3)
+        assert recovered.rejoins(0) == [35.0] and recovered.open_at(35.0)
+
+    def test_sites_cut_at_one_instant_form_one_component(self):
+        cut = {1: partition_heal(20.0, 40.0), 2: partition_heal(20.0, 40.0)}
+        assert FaultSchedule(cut, 5).components_at(30.0) == [{1, 2}]
+        cut[2] = partition_heal(25.0, 40.0)
+        apart = FaultSchedule(cut, 5)
+        assert apart.components_at(30.0) == [{1}, {2}]
+        assert apart.cut_changes() == [
+            (20.0, [{1}]), (25.0, [{1}, {2}]), (40.0, []),
+        ]
 
 
 class TestClockDrift:
@@ -131,3 +172,33 @@ class TestLossInjection:
         outcomes_a = [a.drop_incoming("s", b"") for _ in range(100)]
         outcomes_b = [b.drop_incoming("s", b"") for _ in range(100)]
         assert outcomes_a == outcomes_b
+
+
+# ----------------------------------------------------------------------
+# structural guard: one derivation of what a fault is doing at time t
+# ----------------------------------------------------------------------
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+def episode_readers(root):
+    """The modules under ``root`` that call ``.episodes(``, by ``ast``."""
+    return sorted(
+        str(path.relative_to(root))
+        for path in root.rglob("*.py")
+        if any(
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "episodes"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        )
+    )
+
+
+def test_only_the_schedule_reads_episodes():
+    assert episode_readers(SRC) == ["repro/core/faults.py"]
+
+
+def test_the_scan_sees_an_episodes_call(tmp_path):
+    (tmp_path / "reader.py").write_text("ends = plan.episodes('crash')\n")
+    (tmp_path / "prose.py").write_text("# plan.episodes('crash')\nepisodes = 1\n")
+    assert episode_readers(tmp_path) == ["reader.py"]
