@@ -200,10 +200,7 @@ class FaultInjector:
                 mean_burst=self.plan.bursty_loss_burst,
                 rng=random.Random(self.plan.seed + 1),
             )
-        self.stats = {
-            "delays_stretched": 0,
-            "messages_dropped": 0,
-        }
+        self.stats = {"messages_dropped": 0}
 
     # ------------------------------------------------------------------
     # runtime hooks
@@ -213,10 +210,8 @@ class FaultInjector:
         plan = self.plan
         if plan.clock_drift_rate:
             delay *= 1.0 + plan.clock_drift_rate
-            self.stats["delays_stretched"] += 1
         if plan.scheduling_latency_max > 0 and delay > 0:
             delay += self.rng.uniform(0.0, plan.scheduling_latency_max)
-            self.stats["delays_stretched"] += 1
         return delay
 
     def transform_elapsed(self, elapsed: float) -> float:

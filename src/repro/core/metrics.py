@@ -8,14 +8,13 @@ transactions.  The simulation runtime additionally logs the usage and
 queue lengths of every resource (§3.1), which is how Figures 6 and 7(c)
 are produced.
 
-Every reported number is a re-read of that log.  In memory the
-transaction log is columns (:class:`MetricsCollector`: one list per
-field), on disk it is rows (:class:`TxRecord` and
-:class:`ResourceSample` name the stored column order), and reading rows
-back validates them by column, not by cell (:func:`_decode_columns`).
-Loading one is allocation without reference cycles, so the artifact
-store decodes with the cyclic collector paused: the one policy for
-that is :func:`repro.core.gcpause.paused_gc`.
+Every reported number is a re-read of that log.  It is columns in
+memory and on disk (:class:`MetricsCollector`: one list per
+:class:`TxRecord` field), and a load checks each column once, never a
+cell (:func:`_check_columns`; resource samples are rows, transposed
+first).  Loading is allocation without reference cycles, so the
+artifact store decodes with the cyclic collector paused: the one
+policy for that is :func:`repro.core.gcpause.paused_gc`.
 """
 
 from __future__ import annotations
@@ -44,11 +43,9 @@ __all__ = [
 class TxRecord(NamedTuple):
     """One finished transaction as seen by its issuing client.
 
-    A record is the row a result artifact stores for it: the field
-    order below is the stored column order, and nothing is coerced
-    either way (one row per transaction keeps artifacts small — grids
-    log many thousands of transactions).  The live log keeps the same
-    fields as columns; :attr:`MetricsCollector.records` derives the rows."""
+    The field order below is the stored column order, named in an
+    artifact's ``fields``.  The log keeps, and stores, the fields as
+    columns; :attr:`MetricsCollector.records` derives the rows."""
 
     tx_id: int
     tx_class: str
@@ -69,11 +66,11 @@ class TxRecord(NamedTuple):
         return self.outcome == "commit"
 
 
-#: Column order of the stored rows, named in an artifact's ``fields``.
+#: Order of the stored columns, named in an artifact's ``fields``.
 TX_RECORD_FIELDS = TxRecord._fields
 
-#: Types a stored column may hold, by its field's annotation.  Rows are
-#: never coerced, so an ``int`` the simulation left in a float column is
+#: Types a stored column may hold, by its field's annotation.  Nothing
+#: is coerced, so an ``int`` the simulation left in a float column is
 #: written, and read back, as that ``int``.
 _STORED_TYPES = {int: {int}, str: {str}, bool: {bool}, float: {float, int}}
 
@@ -83,30 +80,37 @@ def _column_types(record_type) -> Tuple[set, ...]:
     return tuple(_STORED_TYPES[t] for t in get_type_hints(record_type).values())
 
 
-def _decode_columns(record_type, rows: Sequence[Sequence]) -> List[list]:
-    """Stored ``rows`` of ``record_type`` as one list per field,
-    validated by column rather than by cell: every row's arity first
-    (``zip`` would truncate a ragged row), then every column once for
-    the types it holds, so a malformed artifact fails here, never later
-    inside a metric.  No row is built."""
+def _check_columns(record_type, columns: Sequence[list]) -> Sequence[list]:
+    """Stored ``columns`` of ``record_type``, one list per field, checked
+    by column rather than by cell: the width, equal lengths (``zip``
+    would truncate a ragged column), then every column once for the
+    types it holds, so a malformed artifact fails here, never later
+    inside a metric.  Nothing is coerced or copied."""
+    name = record_type.__name__
     width = len(record_type._fields)
-    ragged = set(map(len, rows)) - {width}
-    if ragged:
-        raise ValueError(
-            f"{record_type.__name__} rows of {sorted(ragged)} fields "
-            f"(expected {width})"
-        )
-    columns = list(map(list, zip(*rows))) or [[] for _ in range(width)]
-    for name, stored, column in zip(
+    if len(columns) != width or set(map(type, columns)) - {list}:
+        raise ValueError(f"{name} needs {width} list columns")
+    lengths = set(map(len, columns))
+    if len(lengths) > 1:
+        raise ValueError(f"ragged {name} columns of {sorted(lengths)} entries")
+    for field, stored, column in zip(
         record_type._fields, _column_types(record_type), columns
     ):
         found = set(map(type, column))
         if not found <= stored:
             raise ValueError(
-                f"{record_type.__name__} column {name!r} holds "
+                f"{name} column {field!r} holds "
                 f"{sorted(t.__name__ for t in found - stored)}"
             )
     return columns
+
+
+def _decode_columns(record_type, rows: Sequence[Sequence]) -> List[list]:
+    """Stored ``rows`` of ``record_type`` as checked columns
+    (:func:`_check_columns`).  The transpose is a strict ``zip``, so a
+    ragged row fails rather than truncating the others.  No row is built."""
+    columns = list(map(list, zip(*rows, strict=True)))
+    return _check_columns(record_type, columns or [[] for _ in record_type._fields])
 
 
 def stored_fields(
@@ -131,7 +135,7 @@ class MetricsCollector:
     (``collector.outcome``).  Recording a transaction appends its fields
     and builds no row; an extractor of :mod:`repro.analysis.metrics`
     scans a column with C-level ``count`` / ``min`` / ``max`` / ``zip``.
-    Artifacts store the same log as rows (:meth:`to_dict`)."""
+    Artifacts store the same columns (:meth:`to_dict`)."""
 
     def __init__(self) -> None:
         for name in TX_RECORD_FIELDS:
@@ -174,19 +178,18 @@ class MetricsCollector:
     # serialization (runner artifacts, cross-process result transfer)
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "fields": list(TX_RECORD_FIELDS),
-            # lists, so the payload equals its own JSON round trip
-            "records": list(map(list, zip(*self.columns()))),
-        }
+        """The stored log: the field names and the column lists
+        themselves, uncopied (a log is stored once it is finished)."""
+        return {"fields": list(TX_RECORD_FIELDS), "columns": self.columns()}
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "MetricsCollector":
-        fields, rows = stored_fields(cls, data, ("fields", "records")).values()
+        """The log ``data`` stores; the collector keeps its column lists."""
+        fields, columns = stored_fields(cls, data, ("fields", "columns")).values()
         if tuple(fields) != TX_RECORD_FIELDS:
             raise ValueError(f"unknown record encoding: {fields}")
         collector = cls.__new__(cls)
-        for name, column in zip(TX_RECORD_FIELDS, _decode_columns(TxRecord, rows)):
+        for name, column in zip(TX_RECORD_FIELDS, _check_columns(TxRecord, columns)):
             setattr(collector, name, column)
         return collector
 

@@ -1,8 +1,8 @@
 """Seeded-bug efficacy: each runtime monitor catches exactly the class
 of protocol bug it was built for, and none fires on correct code.
 
-Three bugs are seeded by patching one site's protocol object after
-``Scenario`` construction (the production source stays correct):
+Four bugs are seeded by patching protocol objects after ``Scenario``
+construction (the production source stays correct):
 
 * a *leaky certifier* that skips one genuine conflict check — only the
   ``one-copy-sr`` monitor may flag it;
@@ -11,7 +11,11 @@ Three bugs are seeded by patching one site's protocol object after
   agree) — only the ``gcs-ordering`` FIFO check may flag it;
 * a *minority primary* whose view-majority rule is weakened so a
   partitioned singleton keeps committing — the ``primary-component``
-  monitor must flag it.
+  monitor must flag it;
+* a *never-aborting certifier* at every replica (F3) — the replicas
+  agree on a history that is not serialisable, so no monitor and no
+  consistency check can flag it: it is pinned for a serialisability
+  oracle to catch.
 
 The determinism guard at the bottom asserts monitors are provably free
 when disabled: monitors-on and monitors-off runs produce bit-identical
@@ -23,8 +27,10 @@ import json
 
 import pytest
 
+from repro.analysis.metrics import metric_value
 from repro.core.experiment import Scenario, ScenarioConfig
 from repro.core.faults import FaultPlan, crash_recover
+from repro.core.safety import verdict
 from repro.runner.runner import run_campaign
 
 MONITORS = ("one-copy-sr", "view-synchrony", "primary-component", "gcs-ordering")
@@ -115,6 +121,46 @@ class TestLeakyCertifier:
         assert "diverg" in violation.detail or "sequence" in violation.detail
         data = json.loads(json.dumps(result.to_dict()))
         assert data["violations"][0]["monitor"] == "one-copy-sr"
+
+
+@pytest.fixture(scope="module")
+def never_aborting():
+    """F3's cell: ``Certifier._conflicts`` returns ``False`` at every
+    replica.  ``(result, genuine conflicts it ignored)``."""
+    scenario = Scenario(config(readset_escalation_threshold=20))
+    ignored = []
+    for site in scenario.sites:
+        certifier = site.replica.certifier
+
+        def never(request, genuine=certifier._conflicts):
+            if genuine(request):
+                ignored.append(request)
+            return False
+
+        certifier._conflicts = never
+    return scenario.run(), len(ignored)
+
+
+class TestNeverAbortingCertifier:
+    """The same bug at every replica keeps the commit logs in agreement,
+    and agreement is all that the monitors and the consistency check
+    compare: the history stops being serialisable and the run reads
+    ``ok``."""
+
+    def test_genuine_conflicts_commit_unnoticed(self, never_aborting):
+        result, ignored = never_aborting
+        assert ignored == 27  # 9 requests, each at all three replicas
+        # 4.914 % with the genuine certifier
+        assert metric_value(result, "abort_rate") == pytest.approx(2.494, abs=1e-3)
+        assert result.violations == []
+        assert result.check_safety()
+
+    @pytest.mark.xfail(
+        strict=True, reason="F3: no serialisability oracle, ROADMAP item 3(a)"
+    )
+    def test_the_verdict_catches_it(self, never_aborting):
+        result, _ = never_aborting
+        assert verdict(result) != "ok"
 
 
 class TestSwappingSequencer:

@@ -62,7 +62,7 @@ def test_deliverys_order_lines_are_the_largest_read_count():
 def test_the_largest_read_count_as_threshold_is_no_threshold(unescalated, protocol):
     config = replace(CELLS[protocol], readset_escalation_threshold=LARGEST)
     result = observed(config)
-    assert result["metrics"]["records"] and all(result["commit_logs"])
+    assert result["metrics"]["columns"][0] and all(result["commit_logs"])
     assert result == unescalated[protocol]
 
 
@@ -70,7 +70,6 @@ def test_the_largest_read_count_as_threshold_is_no_threshold(unescalated, protoc
 def test_one_below_it_escalates(unescalated, protocol):
     config = replace(CELLS[protocol], readset_escalation_threshold=LARGEST - 1)
     result = observed(config)
-    column = TX_RECORD_FIELDS.index("tx_class")
-    classes = {record[column] for record in result["metrics"]["records"]}
+    classes = set(result["metrics"]["columns"][TX_RECORD_FIELDS.index("tx_class")])
     assert "delivery" in classes
     assert result != unescalated[protocol]

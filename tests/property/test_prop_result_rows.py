@@ -1,5 +1,6 @@
-"""Property test: a record is its own stored row, so the round trip is
-the identity on bytes.
+"""Property test: the transaction log is stored as its own columns and
+a resource sample as its own row, so the round trip is the identity on
+bytes.
 
 ``bench/run.py``'s ``result_digest`` and the golden digests are sha256s
 of ``to_dict()`` as JSON, taken before and after the artifact round

@@ -52,21 +52,24 @@ def make_result(
     """A synthetic deserialized result: one committed record per latency
     (unless ``outcomes`` overrides), no resource samples."""
     outcomes = outcomes or ["commit"] * len(latencies)
-    records = [
-        [i, "payment-short", "site0", 10.0, 10.0 + lat, outcome, False, 0.0, ""]
-        for i, (lat, outcome) in enumerate(zip(latencies, outcomes))
+    pairs = list(zip(latencies, outcomes))
+    n = len(pairs)
+    columns = [
+        list(range(n)), ["payment-short"] * n, ["site0"] * n, [10.0] * n,
+        [10.0 + lat for lat, _ in pairs], [outcome for _, outcome in pairs],
+        [False] * n, [0.0] * n, [""] * n,
     ]
     payload = {
         "format": RESULT_FORMAT,
         "config": ScenarioConfig(
             sites=sites,
             clients=clients,
-            transactions=max(1, len(records)),
+            transactions=max(1, n),
             protocol=protocol,
             seed=seed,
         ).to_dict(),
         "sim_time": 30.0,
-        "metrics": {"fields": list(TX_RECORD_FIELDS), "records": records},
+        "metrics": {"fields": list(TX_RECORD_FIELDS), "columns": columns},
         "samples": {"interval": 1.0, "samples": []},
         "capture": {"total_bytes": 0, "total_packets": 0},
         "commit_logs": [],

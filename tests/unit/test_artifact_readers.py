@@ -12,6 +12,7 @@ serving the same records.
 
 import gc
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -102,27 +103,35 @@ def _nest_past_the_recursion_limit(path):
 HUGE = 10**400
 
 
-def _edit_first_record(edit):
-    """Damage one stored transaction row; the other rows stay good."""
+def _edit_columns(edit):
+    """Damage the stored transaction columns; the other parts stay good."""
 
     def apply(path):
         payload = json.loads(path.read_text())
-        edit(payload["result"]["metrics"]["records"][0])
+        edit(payload["result"]["metrics"]["columns"])
         path.write_text(json.dumps(payload))
 
     return apply
 
 
-def _as_format_1(path):
-    """The cell as a ``repro.scenario_result/1`` store wrote it: the
-    format tag, a null ``profiles`` slot in the stored config, and the
-    config again at the top of the envelope."""
-    payload = json.loads(path.read_text())
-    result = payload["result"]
-    result["format"] = "repro.scenario_result/1"
-    result["config"]["profiles"] = None
-    payload["config"] = result["config"]
-    path.write_text(json.dumps(payload))
+def _as_older_format(version):
+    """The cell as a ``repro.scenario_result/<version>`` store wrote it:
+    that format tag and the transaction log as rows under ``records``.
+    A ``/1`` store also wrote a null ``profiles`` slot in the stored
+    config, and the config again at the top of the envelope."""
+
+    def rewrite(path):
+        payload = json.loads(path.read_text())
+        result = payload["result"]
+        metrics = result["metrics"]
+        result["format"] = f"repro.scenario_result/{version}"
+        metrics["records"] = list(map(list, zip(*metrics.pop("columns"))))
+        if version == 1:
+            result["config"]["profiles"] = None
+            payload["config"] = result["config"]
+        path.write_text(json.dumps(payload))
+
+    return rewrite
 
 
 def _new_fault_plan(config):
@@ -183,8 +192,8 @@ LOG_FORMS = {
         lambda result: result["metrics"].pop("fields"), "KeyError: 'fields'"
     ),
     "unknown-MetricsCollector-key": (
-        lambda result: result["metrics"].__setitem__("columns", []),
-        "unknown MetricsCollector keys ['columns']",
+        lambda result: result["metrics"].__setitem__("records", []),
+        "unknown MetricsCollector keys ['records']",
     ),
     "unknown-SampleSeries-key": (
         lambda result: result["samples"].__setitem__("bucket_seconds", 1.0),
@@ -212,11 +221,14 @@ CASES = {
     "empty-result": _rewrite(result={}),
     "format-only-result": _rewrite(result={"format": RESULT_FORMAT}),
     "list-result": _rewrite(result=[]),
-    "short-record-row": _edit_first_record(lambda row: row.pop()),
-    "long-record-row": _edit_first_record(lambda row: row.append(0)),
-    "text-in-time-column": _edit_first_record(
-        lambda row: row.__setitem__(TX_RECORD_FIELDS.index("submit_time"), "x")
+    "missing-column": _edit_columns(lambda columns: columns.pop()),
+    "extra-column": _edit_columns(lambda columns: columns.append(columns[0])),
+    "text-in-time-column": _edit_columns(
+        lambda columns: columns[TX_RECORD_FIELDS.index("submit_time")].__setitem__(
+            0, "x"
+        )
     ),
+    "ragged-columns": _edit_columns(lambda columns: columns[-1].pop()),
     "nested-past-the-recursion-limit": _nest_past_the_recursion_limit,
     "sim-time-past-float-range": _edit_result(
         lambda result: result.__setitem__("sim_time", HUGE)
@@ -224,7 +236,8 @@ CASES = {
     "sample-interval-past-float-range": _edit_result(
         lambda result: result["samples"].__setitem__("interval", HUGE)
     ),
-    "format-1": _as_format_1,
+    "format-1": _as_older_format(1),
+    "format-2": _as_older_format(2),
     **{f"unknown-{owner}-key": _add_unknown_key(owner) for owner in UNKNOWN_KEYS},
     **{
         f"{owner}-without-{MISSING_KEYS[owner][2]}": _add_record_without_key(owner)
@@ -371,14 +384,18 @@ def test_a_log_in_another_form_is_an_artifact_error(pristine, form):
     assert message in str(info.value)
 
 
-def test_a_format_1_directory_reruns_every_cell(pristine, tmp_path, capsys):
-    """Resume re-runs every cell of a ``/1`` directory; ``report`` on it
-    fails and names the first cell instead of showing a traceback."""
+@pytest.mark.parametrize("version", [1, 2])
+def test_an_older_format_directory_reruns_every_cell(
+    pristine, tmp_path, capsys, version
+):
+    """Resume re-runs every cell of a ``/1`` or ``/2`` directory;
+    ``report`` on it fails and names the first cell instead of showing a
+    traceback."""
     root = tmp_path / "store"
     shutil.copytree(pristine, root)
     store = ArtifactStore(root)
     for label in LABELS:
-        _as_format_1(store.path_for(label))
+        _as_older_format(version)(store.path_for(label))
     first = store.path_for(LABELS[0])
     with pytest.raises(ArtifactError, match=re.escape(str(first))):
         ResultSet.from_artifacts(root)
@@ -567,7 +584,13 @@ def test_list_does_not_import_the_http_server():
     )
     done = subprocess.run(
         [sys.executable, "-c", code],
-        env={"PYTHONPATH": str(SRC.parent), "PATH": ""},
+        env={
+            "PYTHONPATH": str(SRC.parent),
+            "PATH": "",
+            # the child writes bytecode into the checkout only where
+            # this process would
+            **{k: v for k, v in os.environ.items() if k == "PYTHONDONTWRITEBYTECODE"},
+        },
         capture_output=True,
         text=True,
         timeout=120,

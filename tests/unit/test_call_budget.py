@@ -4,11 +4,12 @@ generator's draws: stopwatch-free gates.
 In the spirit of ``test_event_budget.py``: the number of Python
 function calls a decode or a scan makes is a pure function of the code,
 so it compares two commits on any host.  The transaction log is
-columns: decoding N stored rows transposes and checks them with C-level
-``zip`` / ``map`` and the metric extractors scan a column with
-``count`` / ``min`` / ``max`` or one comprehension, so neither makes a
-call per row — no ``_make`` per row, no ``committed`` / ``latency``
-property call per record per scan — and no run builds the row view.
+columns, in memory and stored: decoding N stored transactions checks
+each column with C-level ``map`` / ``set`` and the metric extractors
+scan a column with ``count`` / ``min`` / ``max`` or one comprehension,
+so neither makes a call per transaction — no ``_make`` per row, no
+``committed`` / ``latency`` property call per record per scan — and no
+run, store or load builds the row view.
 
 The datagram path has the same kind of gate: a real job that queues
 schedules no kernel ``Event``, the fabric asks about the partition cut
@@ -32,6 +33,7 @@ read the clock, the write set, a signal's and a CPU's state as fields.
 
 import ast
 import inspect
+import operator
 import random
 import sys
 import textwrap
@@ -116,7 +118,7 @@ def entries_of(fn, *functions):
     return result, entered
 
 
-def stored_rows(n=N):
+def stored_log(n=N):
     collector = MetricsCollector()
     for i in range(n):
         collector.record(
@@ -133,13 +135,13 @@ def stored_rows(n=N):
     return collector.to_dict()
 
 
-def test_decoding_rows_costs_no_call_per_row():
+def test_decoding_stored_transactions_costs_no_call_per_transaction():
     # steady state: a record class's column types are resolved from its
     # annotations once per process, on the first decode
-    MetricsCollector.from_dict(stored_rows(1))
+    MetricsCollector.from_dict(stored_log(1))
     counts = []
     for n in (N, 2 * N):
-        data = stored_rows(n)
+        data = stored_log(n)
         # as the store decodes: no collector pass runs an earlier test's
         # finalizers inside the count
         with paused_gc():
@@ -150,25 +152,32 @@ def test_decoding_rows_costs_no_call_per_row():
 
 
 def test_a_run_never_builds_the_row_view():
-    """The live log is columns from the recording call to the artifact:
-    running a cell, storing it, decoding it and deriving every metric
-    never enters ``MetricsCollector.records``."""
+    """The log is columns from the recording call to the artifact and
+    back: running a cell, storing it (``to_dict``), decoding it
+    (``from_dict``) and deriving every metric never enters
+    ``MetricsCollector.records``: the stored columns are the live ones,
+    and the decoded log keeps the very lists it was handed."""
 
     def run_store_and_report():
         result = Scenario(ScenarioConfig(sites=3, clients=30, transactions=60)).run()
-        clone = ScenarioResult.from_dict(result.to_dict())
-        return clone, [metric_value(clone, name) for name in available_metrics()]
+        stored = result.to_dict()
+        clone = ScenarioResult.from_dict(stored)
+        values = [metric_value(clone, name) for name in available_metrics()]
+        return result, stored, clone, values
 
-    (clone, _values), entered = entries_of(
+    (result, stored, clone, _values), entered = entries_of(
         run_store_and_report, MetricsCollector.records.fget
     )
     assert entered == {"records": 0}
+    columns = stored["metrics"]["columns"]
+    assert all(map(operator.is_, result.metrics.columns(), columns))
+    assert all(map(operator.is_, clone.metrics.columns(), columns))
     assert len(clone.metrics.outcome) >= 60
     assert len(clone.metrics.records) == len(clone.metrics.outcome)
 
 
 def test_headline_scans_cost_no_call_per_record():
-    collector = MetricsCollector.from_dict(stored_rows())
+    collector = MetricsCollector.from_dict(stored_log())
     result = types.SimpleNamespace(metrics=collector)
 
     def scans():

@@ -15,6 +15,7 @@ changed; labels, cell counts and spec hashes never were).
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -106,7 +107,14 @@ class TestDeterminism:
                 [sys.executable, "-c", script],
                 capture_output=True,
                 text=True,
-                env={"PYTHONPATH": str(SRC), "PYTHONHASHSEED": "random"},
+                env={
+                    "PYTHONPATH": str(SRC),
+                    "PYTHONHASHSEED": "random",
+                    # the child writes bytecode into the checkout only
+                    # where this process would
+                    **{k: v for k, v in os.environ.items()
+                       if k == "PYTHONDONTWRITEBYTECODE"},
+                },
             )
             assert proc.returncode == 0, proc.stderr
             runs.append(json.loads(proc.stdout))

@@ -99,10 +99,18 @@ class TestRecordExtractors:
 COLUMN = TX_RECORD_FIELDS.index
 
 
-class TestRecordIsTheStoredRow:
+class TestRecordFieldsAreTheStoredColumns:
     def test_fields_are_the_artifact_header(self):
         assert TxRecord._fields == TX_RECORD_FIELDS
         assert MetricsCollector().to_dict()["fields"] == list(TX_RECORD_FIELDS)
+
+    def test_the_stored_columns_are_the_live_ones(self):
+        collector = MetricsCollector()
+        collector.record(*record(tx_id=1))
+        collector.record(*record(tx_id=2, outcome="abort"))
+        stored = collector.to_dict()["columns"]
+        assert all(map(lambda a, b: a is b, stored, collector.columns()))
+        assert stored[COLUMN("outcome")] == ["commit", "abort"]
 
     def test_keyword_construction_with_the_two_defaults(self):
         r = TxRecord(
@@ -124,20 +132,25 @@ class TestRecordIsTheStoredRow:
     @pytest.mark.parametrize(
         "damage",
         [
-            lambda row: row.pop(),
-            lambda row: row.append(0),
-            lambda row: row.__setitem__(COLUMN("submit_time"), "x"),
-            lambda row: row.__setitem__(COLUMN("tx_id"), True),
-            lambda row: row.__setitem__(COLUMN("readonly"), 1),
+            lambda columns: columns.pop(),
+            lambda columns: columns.append([0, 0, 0]),
+            lambda columns: columns[COLUMN("end_time")].pop(),
+            lambda columns: columns.__setitem__(COLUMN("tx_class"), "abc"),
+            lambda columns: columns[COLUMN("submit_time")].__setitem__(1, "x"),
+            lambda columns: columns[COLUMN("tx_id")].__setitem__(1, True),
+            lambda columns: columns[COLUMN("readonly")].__setitem__(1, 1),
         ],
-        ids=["short", "long", "text-time", "bool-id", "int-flag"],
+        ids=[
+            "missing", "extra", "ragged", "text-not-a-list", "text-time",
+            "bool-id", "int-flag",
+        ],
     )
-    def test_a_malformed_row_fails_at_decode(self, damage):
+    def test_a_malformed_column_fails_at_decode(self, damage):
         collector = MetricsCollector()
         for i in range(3):
             collector.record(*record(tx_id=i))
         data = collector.to_dict()
-        damage(data["records"][1])
+        damage(data["columns"])
         with pytest.raises((TypeError, ValueError)):
             MetricsCollector.from_dict(data)
 

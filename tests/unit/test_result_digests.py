@@ -16,8 +16,9 @@ moves simulated results re-baselines them and says why in the PR.
 
 Each entry also pins ``payload_sha256``, the same digest taken without
 the ``format`` tag and the ``config`` encoding: a change to how a
-config is *stored* moves ``sha256`` alone, a change to what a run
-*produced* moves both.  And each entry pins the value of every plain metric and of
+config is *stored* moves ``sha256`` alone; a change to how the log is
+stored, or to what a run *produced*, moves both, and the metric pins
+tell those two apart.  And each entry pins the value of every plain metric and of
 ``abort_rate[<class>]`` for each class the cell logs (``null`` for
 NaN), so a change to how a number is *derived* from the stored result
 shows even when the result itself is untouched.  The metric pins hold
@@ -80,7 +81,7 @@ def test_result_digest_matches_golden(cell):
         f"\"sha256\": \"{new}\" for \"{cell}\" in tests/golden/result_digests.json."
     )
     # The same numbers from the stored result: the log decoded from its
-    # JSON rows into columns, and encoded back to the same bytes.
+    # JSON columns, and encoded back to the same bytes.
     stored = json.dumps(result.to_dict())
     loaded = ScenarioResult.from_dict(json.loads(stored))
     assert json.dumps(loaded.to_dict()) == stored

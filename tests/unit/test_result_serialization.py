@@ -84,7 +84,7 @@ class TestPieceRoundTrips:
 
     def test_metrics_collector_rejects_unknown_encoding(self):
         with pytest.raises(ValueError):
-            MetricsCollector.from_dict({"fields": ["bogus"], "records": []})
+            MetricsCollector.from_dict({"fields": ["bogus"], "columns": []})
 
     def test_sample_series(self):
         series = SampleSeries(
