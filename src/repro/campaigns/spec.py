@@ -86,6 +86,10 @@ __all__ = [
 
 #: Serialization format tag; bump when the spec layout changes.
 SPEC_FORMAT = "repro.campaign_spec/1"
+#: A stored spec node's keys, all optional but ``name``: ``to_dict``'s,
+#: and the ``spec_hash`` that ``export`` stamps (recomputed, never read).
+_SPEC_KEYS = {"format", "name", "description", "axes", "template", "children",
+              "kind", "label", "spec_hash"}
 
 #: The protocol whose lone sweeps keep protocol-free labels.
 DEFAULT_PROTOCOL = "dbsm"
@@ -396,6 +400,9 @@ class CampaignSpec:
                 f"unsupported campaign-spec format {data.get('format')!r} "
                 f"(expected {SPEC_FORMAT!r})"
             )
+        unknown = set(data) - _SPEC_KEYS
+        if unknown:
+            raise CampaignSpecError(f"unknown campaign-spec keys {sorted(unknown)}")
         try:
             return cls(
                 name=data["name"],

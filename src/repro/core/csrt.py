@@ -160,21 +160,16 @@ class SiteRuntime(Entity, ProtocolRuntime):
         fn: Callable[..., None],
         tag: str = CpuCostModel.TIMER,
         nbytes: int = 0,
-        delay: float = 0.0,
         on_complete: Optional[Callable[[], None]] = None,
         args: tuple = (),
     ) -> None:
-        """Run real code ``fn(*args)`` as a job ``delay`` seconds from now.
+        """Run real code ``fn(*args)`` as a job submitted now.
 
         The code runs when a CPU takes it — at once if one is idle; its
         measured (or modeled) duration then occupies that CPU, during
         which modeled jobs wait.
         """
-        job = (fn, args, _cost(tag, nbytes))
-        if delay <= 0:
-            self._submit(self._run, job, on_complete)
-        else:
-            self.call(delay, self._submit, self._run, job, on_complete)
+        self._submit(self._run, (fn, args, _cost(tag, nbytes)), on_complete)
 
     def _run(self, fn: Callable[..., None], args: tuple, entry_cost: float) -> float:
         """The one runner of real jobs (both clock modes): execute

@@ -49,7 +49,8 @@ from .csrt import MODELED, SiteRuntime
 from .faults import FaultInjector, FaultPlan, FaultSchedule
 from .gcpause import paused_gc
 from .kernel import Simulator
-from .metrics import MetricsCollector, ResourceSampler, SampleSeries, stored_fields
+from .metrics import MetricsCollector, ResourceSampler, SampleSeries
+from .metrics import stored_fields, stored_value
 from .rng import derive_rng
 from .safety import CommitLog, check_consistency
 
@@ -291,18 +292,21 @@ class ScenarioResult:
             "commit_logs", "site_stats", "recovery", "violations",
         ))
         capture = PacketCapture(keep_entries=False)
-        capture.total_bytes, capture.total_packets = map(int, stored_fields(
+        for key, value in stored_fields(
             PacketCapture, data["capture"], ("total_bytes", "total_packets")
-        ).values())
+        ).items():
+            setattr(capture, key, stored_value(int, value, f"capture {key}"))
         return cls(
             ScenarioConfig.from_dict(data["config"]),
             MetricsCollector.from_dict(data["metrics"]),
             SampleSeries.from_dict(data["samples"]),
             capture,
-            float(data["sim_time"]),
+            float(stored_value(float, data["sim_time"], "sim_time")),
             [CommitLog.from_dict(log) for log in data["commit_logs"]],
             {
-                site: {k: int(v) for k, v in stats.items()}
+                site: {
+                    k: stored_value(int, v, f"{site} {k}") for k, v in stats.items()
+                }
                 for site, stats in data["site_stats"].items()
             },
             [RecoveryEvent.from_dict(event) for event in data["recovery"]],

@@ -37,6 +37,7 @@ __all__ = [
     "quantiles",
     "qq_points",
     "stored_fields",
+    "stored_value",
 ]
 
 
@@ -69,15 +70,16 @@ class TxRecord(NamedTuple):
 #: Order of the stored columns, named in an artifact's ``fields``.
 TX_RECORD_FIELDS = TxRecord._fields
 
-#: Types a stored column may hold, by its field's annotation.  Nothing
-#: is coerced, so an ``int`` the simulation left in a float column is
-#: written, and read back, as that ``int``.
+#: Types a stored column or value may hold, by its field's annotation.
+#: Nothing is coerced, so an ``int`` the simulation left in a float
+#: column is written, and read back, as that ``int``.
 _STORED_TYPES = {int: {int}, str: {str}, bool: {bool}, float: {float, int}}
 
 
 @functools.cache
-def _column_types(record_type) -> Tuple[set, ...]:
-    return tuple(_STORED_TYPES[t] for t in get_type_hints(record_type).values())
+def _stored_types(owner: type) -> Dict[str, type]:
+    """``owner``'s fields annotated with a :data:`_STORED_TYPES` type."""
+    return {name: t for name, t in get_type_hints(owner).items() if t in _STORED_TYPES}
 
 
 def _check_columns(record_type, columns: Sequence[list]) -> Sequence[list]:
@@ -93,9 +95,9 @@ def _check_columns(record_type, columns: Sequence[list]) -> Sequence[list]:
     lengths = set(map(len, columns))
     if len(lengths) > 1:
         raise ValueError(f"ragged {name} columns of {sorted(lengths)} entries")
-    for field, stored, column in zip(
-        record_type._fields, _column_types(record_type), columns
-    ):
+    types = _stored_types(record_type)
+    for field, column in zip(record_type._fields, columns):
+        stored = _STORED_TYPES[types[field]]
         found = set(map(type, column))
         if not found <= stored:
             raise ValueError(
@@ -113,20 +115,33 @@ def _decode_columns(record_type, rows: Sequence[Sequence]) -> List[list]:
     return _check_columns(record_type, columns or [[] for _ in record_type._fields])
 
 
+def stored_value(declared: type, value: object, what: str) -> object:
+    """``value``, if :data:`_STORED_TYPES` allows its type for a field
+    declared ``declared``; else a ValueError naming ``what``."""
+    if type(value) not in _STORED_TYPES[declared]:
+        raise ValueError(f"{what} must be {declared.__name__}, not {value!r}")
+    return value
+
+
 def stored_fields(
     owner: type, data: Dict[str, object], keys: Optional[Sequence[str]] = None
 ) -> Dict[str, object]:
     """``data`` read as ``owner``'s one stored form, ``{key: value}`` in
-    ``keys`` order (default: ``owner``'s dataclass fields): a missing key
-    is a KeyError, an unknown one a ValueError.  Every stored record's
-    decoder reads through it, so a damaged file never decodes to
-    defaults."""
+    ``keys`` order (default: ``owner``'s dataclass fields, the scalar
+    ones checked by :func:`stored_value`): a missing key is a KeyError,
+    an unknown one or a value of the wrong type a ValueError.  Every
+    stored record's decoder reads through it, so a damaged file never
+    decodes to defaults or to coerced values."""
+    checked = _stored_types(owner).items() if keys is None else ()
     if keys is None:
         keys = [f.name for f in dataclasses.fields(owner)]
     unknown = set(data) - set(keys)
     if unknown:
         raise ValueError(f"unknown {owner.__name__} keys {sorted(unknown)}")
-    return {key: data[key] for key in keys}
+    fields = {key: data[key] for key in keys}
+    for key, declared in checked:
+        stored_value(declared, fields[key], f"{owner.__name__} {key}")
+    return fields
 
 
 class MetricsCollector:
@@ -314,7 +329,8 @@ class SampleSeries:
     def from_dict(cls, data: Dict[str, object]) -> "SampleSeries":
         interval, rows = stored_fields(cls, data, ("interval", "samples")).values()
         columns = _decode_columns(ResourceSample, rows)
-        return cls(map(ResourceSample._make, zip(*columns)), float(interval))
+        interval = float(stored_value(float, interval, "SampleSeries interval"))
+        return cls(map(ResourceSample._make, zip(*columns)), interval)
 
 
 class ResourceSampler(Entity):

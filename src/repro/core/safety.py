@@ -68,7 +68,7 @@ class CommitLog:
             and set(map(type, chain.from_iterable(entries))) <= {int}
         ):
             raise ValueError(f"{site}: commit log entries must be int pairs")
-        return cls(str(site), entries, bool(crashed))
+        return cls(site, entries, crashed)
 
 
 class SafetyViolation(AssertionError):

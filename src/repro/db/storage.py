@@ -16,7 +16,6 @@ constants below, and the defaults of :class:`Storage`.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from heapq import heappush as _heappush
 from typing import Deque
@@ -132,45 +131,10 @@ class Storage(Entity):
         self._stats.cache_hits += 1
         return self.sim.fired_signal()
 
-    def write(self, nbytes: int) -> Signal:
-        """Write ``nbytes`` through to the device (never cached — the
-        paper's workload uses synchronous commit writes)."""
-        return self.write_sectors(self._sectors_for(nbytes) if nbytes > 0 else 0)
-
     def write_sectors(self, sectors: int) -> Signal:
-        """Write ``sectors`` whole sectors (commit-time page flushes)."""
-        if sectors <= 0:
-            return self.sim.fired_signal()
-        return self._submit_sectors(sectors)
-
-    # ------------------------------------------------------------------
-    # observation
-    # ------------------------------------------------------------------
-    @property
-    def stats(self) -> StorageStats:
-        """The counters as of now (read them through this attribute:
-        a reference kept across simulated time goes stale)."""
-        self._settle()
-        return self._stats
-
-    def utilization(self, elapsed: float) -> float:
-        """Fraction of the device's total slot-time spent busy."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.stats.busy_time / (self.concurrency * elapsed))
-
-    def queue_depth(self) -> int:
-        """Sectors waiting for a free slot."""
-        self._settle()
-        return len(self._writes)
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _sectors_for(self, nbytes: int) -> int:
-        return max(1, math.ceil(nbytes / SECTOR_BYTES))
-
-    def _submit_sectors(self, sectors: int) -> Signal:
+        """Write ``sectors`` (at least one) whole sectors through to the
+        device: the commit-time page flushes, never cached (the paper's
+        workload uses synchronous commit writes)."""
         self._settle()  # keeps the uncounted no longer than the queue
         sim = self.sim
         now = sim._now
@@ -197,6 +161,30 @@ class Storage(Entity):
         _heappush(sim._queue, (end, seq, done.fire, (None,)))
         return done
 
+    # ------------------------------------------------------------------
+    # observation
+    # ------------------------------------------------------------------
+    @property
+    def stats(self) -> StorageStats:
+        """The counters as of now (read them through this attribute:
+        a reference kept across simulated time goes stale)."""
+        self._settle()
+        return self._stats
+
+    def utilization(self, elapsed: float) -> float:
+        """Fraction of the device's total slot-time spent busy."""
+        if elapsed <= 0:
+            return 0.0
+        return min(1.0, self.stats.busy_time / (self.concurrency * elapsed))
+
+    def queue_depth(self) -> int:
+        """Sectors waiting for a free slot."""
+        self._settle()
+        return len(self._writes)
+
+    # ------------------------------------------------------------------
+    # internals
+    # ------------------------------------------------------------------
     def _settle(self) -> None:
         """Count the sectors whose start instant has been reached."""
         stats = self._stats

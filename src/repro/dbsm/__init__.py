@@ -18,18 +18,16 @@ log (the state-transfer hook).
 * *1-copy serializability* — commit sequence numbers are consecutive
   over commits and every operational replica commits the same sequence
   (§5.3);
-* *Certification horizon* — the pruned write-set log always reaches
-  back past the oldest ``start_seq`` still in flight (violations raise
-  ``CertificationError`` rather than certify wrongly).
+* *Whole log* — the committed write-set log is never pruned, so every
+  ``start_seq`` still in flight is decidable.
 """
 
-from .certification import Certifier, CertificationError, sets_conflict
+from .certification import Certifier, sets_conflict
 from .marshal import CommitRequest, marshal_request, unmarshal_request
 from .replica import Replica
 
 __all__ = [
     "Certifier",
-    "CertificationError",
     "sets_conflict",
     "CommitRequest",
     "marshal_request",

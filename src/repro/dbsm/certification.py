@@ -6,6 +6,8 @@ origin had committed locally determines which committed transactions
 were *concurrent*; the incoming read-set is compared with the write-sets
 of all those transactions, and any intersection aborts it.  Total order
 makes the decision identical at every replica — no coordination needed.
+The log keeps every committed write set: no run commits enough for a
+bound on it to matter (fig5's largest cell runs 10 000 transactions).
 
 Identifier comparison covers both individual tuples and whole-table
 locks: the table id lives in the high-order bits, so a table lock (row
@@ -23,17 +25,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..db.tuples import ROW_BITS, ROW_MASK
 from .marshal import CommitRequest
 
-__all__ = ["Certifier", "CertificationError", "sets_conflict"]
+__all__ = ["Certifier", "sets_conflict"]
 
 #: CPU cost charged per identifier visited during the merge traversal —
 #: the sorted lists make this a couple of comparisons per id, tens of
 #: cycles on the reference 1 GHz CPU.  Calibrated so protocol CPU usage
 #: lands near the paper's Figure 7(c) values (~1.2 % at 3 sites).
 PER_ITEM_COST = 0.12e-6
-
-
-class CertificationError(RuntimeError):
-    """The committed-write-set log was pruned past a request's horizon."""
 
 
 # The id layout (``ROW_BITS`` / ``ROW_MASK``: a zero row part marks a
@@ -64,14 +62,10 @@ def sets_conflict(reads: Tuple[int, ...], writes: Tuple[int, ...]) -> bool:
     return False
 
 
-def _forget(index: Dict[int, int], key: int, commit_seq: int) -> None:
-    if index.get(key) == commit_seq:
-        del index[key]
-
-
 class Certifier:
-    """Per-replica certification state: the committed write-set log and
-    an item index over it.
+    """Per-replica certification state: the whole committed write-set
+    log and an item index over it.  ``charge(seconds)`` is told the CPU
+    time each conflict test costs.
 
     A request conflicts iff some commit newer than its ``start_seq``
     wrote an id it read, wrote into a table it read-locked whole, or
@@ -84,27 +78,19 @@ class Certifier:
     computed from — are one ``bisect`` and two subtractions away.
     """
 
-    def __init__(
-        self,
-        charge: Optional[Callable[[float], None]] = None,
-        log_limit: int = 50_000,
-    ):
+    def __init__(self, charge: Optional[Callable[[float], None]] = None):
         #: Commit sequence numbers (ascending, gaps where a commit wrote
-        #: nothing) and write sets of the committed update transactions;
-        #: entries before ``_first`` are pruned (the trailing
-        #: ``log_limit`` are live) and dropped from the lists in bulk.
+        #: nothing) and write sets of the committed update transactions.
         self._seqs: List[int] = []
         self._write_sets: List[Tuple[int, ...]] = []
         #: ``_ids_before[i]``: ids in the write sets of entries ``< i``.
         self._ids_before: List[int] = [0]
-        self._first = 0
-        #: id -> newest live commit that wrote it; table -> newest live
-        #: commit that wrote into it / that locked it whole.
+        #: id -> newest commit that wrote it; table -> newest commit that
+        #: wrote into it / that locked it whole.
         self._last_write: Dict[int, int] = {}
         self._table_written: Dict[int, int] = {}
         self._table_locked: Dict[int, int] = {}
         self._charge = charge or (lambda seconds: None)
-        self.log_limit = log_limit
         self.next_commit_seq = 0
         self.stats = {"certified": 0, "committed": 0, "aborted": 0}
 
@@ -130,12 +116,6 @@ class Certifier:
         has agreed, so the test must not mutate certification state.
         """
         self.stats["certified"] += 1
-        seqs, first = self._seqs, self._first
-        if len(seqs) > first and request.start_seq < seqs[first] - 1:
-            raise CertificationError(
-                f"request started at seq {request.start_seq} but the log "
-                f"begins at {self.log_horizon()} — raise log_limit"
-            )
         if self._conflicts(request):
             self.stats["aborted"] += 1
             return False
@@ -150,8 +130,6 @@ class Certifier:
         commit_seq = self.next_commit_seq
         if request.write_set:
             self._append(commit_seq, request.write_set)
-            if len(self._seqs) - self._first > self.log_limit:
-                self._prune()
         self.stats["committed"] += 1
         return commit_seq
 
@@ -170,25 +148,6 @@ class Certifier:
                 self._table_written[table] = commit_seq
                 if not w & ROW_MASK:
                     self._table_locked[table] = commit_seq
-
-    def _prune(self) -> None:
-        """Keep the trailing ``log_limit`` entries live."""
-        seqs, first = self._seqs, self._first
-        while len(seqs) - first > self.log_limit:
-            # Forget what only the pruned entry did, so the index stays
-            # as small as the live log.  (A stale probe would be harmless:
-            # nothing older than the horizon is ever concurrent.)
-            seq = seqs[first]
-            for w in self._write_sets[first]:
-                _forget(self._last_write, w, seq)
-                _forget(self._table_written, w >> ROW_BITS, seq)
-                _forget(self._table_locked, w >> ROW_BITS, seq)
-            first += 1
-        if first * 2 > len(seqs):
-            # Drop the pruned prefix in bulk: amortised O(1) per commit.
-            del seqs[:first], self._write_sets[:first], self._ids_before[:first]
-            first = 0
-        self._first = first
 
     def _conflicts(self, request: CommitRequest) -> bool:
         reads = request.read_set
@@ -209,7 +168,7 @@ class Certifier:
         # The charge is that of a walk over the concurrent entries, newest
         # first, that stops at the first conflicting one: each entry costs
         # a merge traversal of its write set and the read set.
-        oldest_visited = bisect_left(seqs, max(newest, start_seq + 1), self._first)
+        oldest_visited = bisect_left(seqs, max(newest, start_seq + 1))
         visited = (
             self._ids_before[-1]
             - self._ids_before[oldest_visited]
@@ -223,16 +182,14 @@ class Certifier:
     # ------------------------------------------------------------------
     def snapshot_state(self) -> Dict[str, object]:
         """JSON-ready certification position for a state-transfer
-        snapshot: the commit counter plus the trailing committed
-        write-set log a joiner certifies replayed (and later local)
-        transactions against.  The format is owned here, next to the
-        log's layout."""
-        first = self._first
+        snapshot: the commit counter plus the committed write-set log a
+        joiner certifies replayed (and later local) transactions against.
+        The format is owned here, next to the log's layout."""
         return {
             "next_commit_seq": self.next_commit_seq,
             "log": [
                 [seq, list(write_set)]
-                for seq, write_set in zip(self._seqs[first:], self._write_sets[first:])
+                for seq, write_set in zip(self._seqs, self._write_sets)
             ],
         }
 
@@ -240,21 +197,11 @@ class Certifier:
         """Adopt a donor's :meth:`snapshot_state`."""
         self.next_commit_seq = int(state["next_commit_seq"])
         self._seqs, self._write_sets, self._ids_before = [], [], [0]
-        self._first = 0
         self._last_write, self._table_written, self._table_locked = {}, {}, {}
         for seq, write_set in state["log"]:
             self._append(int(seq), tuple(write_set))
 
     # ------------------------------------------------------------------
-    def log_size(self) -> int:
-        return len(self._seqs) - self._first
-
-    def log_horizon(self) -> Optional[int]:
-        """Commit sequence number of the oldest write set still in the
-        log (``None`` while it is empty): a request is decidable iff it
-        started at ``log_horizon() - 1`` or later."""
-        return self._seqs[self._first] if len(self._seqs) > self._first else None
-
     def abort_ratio(self) -> float:
         if self.stats["certified"] == 0:
             return 0.0

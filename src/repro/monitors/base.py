@@ -87,8 +87,7 @@ class InvariantViolation:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "InvariantViolation":
-        monitor, site, sim_time, detail, seq = stored_fields(cls, data).values()
-        return cls(str(monitor), str(site), float(sim_time), str(detail), int(seq))
+        return cls(**stored_fields(cls, data))
 
 
 class Monitor:

@@ -27,23 +27,16 @@ SubmitFn = Callable[[TransactionSpec, Callable[[Transaction], None]], None]
 
 
 class Client(Entity):
-    """One emulated terminal in a closed loop with its server."""
+    """One emulated terminal in a closed loop: it hands each request to
+    ``submit`` and waits for the reply."""
 
     def __init__(
-        self,
-        sim: Simulator,
-        client_id: int,
-        server: DatabaseServer,
-        workload: TpccWorkload,
-        max_transactions: Optional[int] = None,
-        submit: Optional[SubmitFn] = None,
+        self, sim: Simulator, client_id: int, workload: TpccWorkload, submit: SubmitFn
     ):
         super().__init__(sim, f"client{client_id}")
         self.client_id = client_id
-        self.server = server
         self.workload = workload
-        self.max_transactions = max_transactions
-        self._submit: SubmitFn = submit or server.submit
+        self._submit = submit
         self.issued = 0
         self.completed = 0
         self._stopped = False
@@ -58,11 +51,6 @@ class Client(Entity):
         # ramp-up does not arrive as a thundering herd.
         yield self.workload.think_time()
         while not self._stopped:
-            if (
-                self.max_transactions is not None
-                and self.issued >= self.max_transactions
-            ):
-                return
             spec = self.workload.next_transaction(self.client_id)
             done = Signal(self.sim)
             self.issued += 1
@@ -82,31 +70,18 @@ class ClientPool:
         workload: TpccWorkload,
         count: int,
         first_id: int = 0,
-        max_transactions_per_client: Optional[int] = None,
         submit: Optional[SubmitFn] = None,
     ):
         self._sim = sim
-        self._server = server
         self._workload = workload
         self._first_id = first_id
-        self._max_per_client = max_transactions_per_client
-        self._submit = submit
+        self._submit: SubmitFn = submit or server.submit
         #: Stopped generations from before a restart: a retired client
         #: blocked on an in-flight request may still complete it later
         #: (e.g. a parked primary-copy update re-routed after a heal),
         #: so its counters keep contributing to the pool totals live.
         self._retired: list = []
-        self.clients = [
-            Client(
-                sim,
-                first_id + i,
-                server,
-                workload,
-                max_transactions=max_transactions_per_client,
-                submit=submit,
-            )
-            for i in range(count)
-        ]
+        self.clients = self._spawn(count)
 
     def stop_all(self) -> None:
         for client in self.clients:
@@ -124,15 +99,11 @@ class ClientPool:
         count = len(self.clients)
         self.stop_all()
         self._retired.extend(self.clients)
-        self.clients = [
-            Client(
-                self._sim,
-                self._first_id + i,
-                self._server,
-                self._workload,
-                max_transactions=self._max_per_client,
-                submit=self._submit,
-            )
+        self.clients = self._spawn(count)
+
+    def _spawn(self, count: int) -> list:
+        return [
+            Client(self._sim, self._first_id + i, self._workload, self._submit)
             for i in range(count)
         ]
 

@@ -7,7 +7,10 @@ verdict; each case here runs one of them and states what a correct run
 looks like.  They are ``xfail(strict=True)``: a fix that turns a cell
 ``ok`` fails the suite until its case is deleted here.
 ``test_seed_1007_pin.py`` pins the view-id collision behind the
-``partition-heal-sequencer`` cells at 300 transactions.
+``partition-heal-sequencer`` cells at 300 transactions.  F5, the
+sequencer crashing inside its batch window, has a second reproduction
+below: the benchmark's ``faults-monitored`` ``crash-sequencer`` cell at
+seed 982, with its config written out.
 
 Beside each verdict case, a passing case pins why the cell ends that
 way (the triage behind ROADMAP item 10(b)), read off the cell's
@@ -21,8 +24,8 @@ import math
 
 import pytest
 
-from repro import Scenario, ScenarioResult, get_campaign
-from repro.core.faults import FaultSchedule
+from repro import Scenario, ScenarioConfig, ScenarioResult, get_campaign
+from repro.core.faults import FaultPlan, FaultSchedule
 from repro.core.safety import verdict
 
 BAD_CELLS = {
@@ -48,6 +51,22 @@ CAUSES = {
     ("partition-heal-member", 1011): "an episode closes at the end",
     ("partition-heal-sequencer", 1014): "an episode closes at the end",
 }
+
+#: F5's second reproduction: site0, the sequencer, crashes at 20.0 and
+#: the last of its 148 commits is ``(148, 460)`` where the survivors
+#: agreed on ``(148, 471)``; ``gcs-ordering`` sees global 374 as
+#: ``(2, 140)`` at site0 and ``(1, 99)`` at the survivors.
+SEED_982 = ScenarioConfig(
+    sites=3,
+    clients=90,
+    transactions=300,
+    seed=982,
+    protocol="dbsm",
+    faults={0: FaultPlan(actions=((20.0, "crash"),), seed=7)},
+    monitors=("all",),
+    max_sim_time=600.0,
+    probe_interval=0.1,
+)
 
 CELLS = [
     (fault, seed, seen) for (fault, seen), seeds in BAD_CELLS.items() for seed in seeds
@@ -113,3 +132,17 @@ def test_sweep_cell_is_ok(run_cell, fault, seed):
 def test_sweep_cell_states_its_cause(run_cell, fault, seed):
     config, result = run_cell(fault, seed)
     assert triage(config, result) == CAUSES.get((fault, seed), OPEN)
+
+
+@pytest.fixture(scope="module")
+def seed_982():
+    return ScenarioResult.from_dict(Scenario(SEED_982).run().to_dict())
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="verdict is diverged")
+def test_crash_sequencer_seed_982_is_ok(seed_982):
+    assert verdict(seed_982) == "ok"
+
+
+def test_crash_sequencer_seed_982_states_its_cause(seed_982):
+    assert triage(SEED_982, seed_982) == "every episode is closed"

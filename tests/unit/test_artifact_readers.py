@@ -178,11 +178,18 @@ def _add_record_without_key(owner):
     return _edit_result(lambda result: result[where].append(data))
 
 
-def _add_commit_log_with_a_digest(result):
+def _add_record(where, **changes):
+    """Slip the ``MISSING_KEYS`` record stored under ``where`` into a
+    result, with ``changes`` made to its stored form."""
+    (record,) = (record for key, record, _ in MISSING_KEYS.values() if key == where)
+    return lambda result: result[where].append({**record.to_dict(), **changes})
+
+
+def _add_commit_log(**changes):
     """The matrix's cells are centralized and keep no commit log: slip
-    one in, with a key its decoder does not know."""
+    one in, with ``changes`` made to its stored form."""
     log = CommitLog("site0", [(1, 1)]).to_dict()
-    result["commit_logs"].append({**log, "digest": None})
+    return lambda result: result["commit_logs"].append({**log, **changes})
 
 
 #: A stored log or record in another form than the one its decoder
@@ -200,7 +207,7 @@ LOG_FORMS = {
         "unknown SampleSeries keys ['bucket_seconds']",
     ),
     "unknown-CommitLog-key": (
-        _add_commit_log_with_a_digest, "unknown CommitLog keys ['digest']"
+        _add_commit_log(digest=None), "unknown CommitLog keys ['digest']"
     ),
     "unknown-ScenarioResult-key": (
         lambda result: result.__setitem__("profiles", None),
@@ -209,6 +216,34 @@ LOG_FORMS = {
     "unknown-capture-key": (
         lambda result: result["capture"].__setitem__("entries", []),
         "unknown PacketCapture keys ['entries']",
+    ),
+    # Values of the wrong type are refused, never coerced: ``bool("false")``
+    # would turn a site's §5.3 check from equality into prefix.
+    "text-crashed-flag": (
+        _add_commit_log(crashed="false"), "CommitLog crashed must be bool"
+    ),
+    "int-commit-log-site": (
+        _add_commit_log(site=7), "CommitLog site must be str, not 7"
+    ),
+    "text-sim-time": (
+        lambda result: result.__setitem__("sim_time", "38.0"),
+        "sim_time must be float, not '38.0'",
+    ),
+    "text-capture-total": (
+        lambda result: result["capture"].__setitem__("total_bytes", "512"),
+        "capture total_bytes must be int, not '512'",
+    ),
+    "fractional-site-count": (
+        lambda result: result["site_stats"].__setitem__("site0", {"committed": 2.9}),
+        "site0 committed must be int, not 2.9",
+    ),
+    "text-violation-seq": (
+        _add_record("violations", seq="7"),
+        "InvariantViolation seq must be int, not '7'",
+    ),
+    "text-rejoin-instant": (
+        _add_record("recovery", live_at="3.0"),
+        "RecoveryEvent live_at must be float, not '3.0'",
     ),
 }
 

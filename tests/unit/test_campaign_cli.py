@@ -131,6 +131,14 @@ class TestRun:
         assert main(["run", "fig7", "--spec", str(spec_file), "--quiet"]) == 2
         assert "not both" in capsys.readouterr().err
 
+    def test_spec_file_with_an_unknown_key_is_a_usage_error(self, tmp_path, capsys):
+        data = get_campaign("fig7").to_dict()
+        data["axis"] = data.pop("axes")
+        spec_file = tmp_path / "s.json"
+        spec_file.write_text(json.dumps(data))
+        assert main(["run", "--spec", str(spec_file), "--quiet"]) == 2
+        assert "unknown campaign-spec keys ['axis']" in capsys.readouterr().err
+
     def test_run_without_name_or_spec_fails_cleanly(self, capsys):
         assert main(["run", "--quiet"]) == 2
         assert "campaign name" in capsys.readouterr().err

@@ -155,6 +155,31 @@ class TestRoundTrip:
         with pytest.raises(CampaignSpecError, match="unsupported"):
             CampaignSpec.from_dict(data)
 
+    def test_unknown_key_rejected(self):
+        """A typo is refused, not ignored: ``"axis"`` for ``"axes"``
+        would otherwise expand to one cell."""
+        data = {"name": "typo", "kind": "performance", "label": "x"}
+        data["axis"] = [["seed", [1, 2]]]
+        with pytest.raises(CampaignSpecError, match=r"spec keys \['axis'\]"):
+            CampaignSpec.from_dict(data)
+        parent = get_campaign("smoke").to_dict()
+        parent["children"][0]["lable"] = "x"
+        with pytest.raises(CampaignSpecError, match="lable"):
+            CampaignSpec.from_dict(parent)
+
+    def test_optional_keys_stay_optional(self):
+        spec = CampaignSpec.from_dict({"name": "bare", "kind": "performance", "label": "x"})
+        assert [label for label, _ in spec.expand()] == ["x"]
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted((SRC.parent / "bench" / "workloads").glob("*.json")),
+        ids=lambda path: path.stem,
+    )
+    def test_benchmark_workloads_load(self, path):
+        data = json.loads(path.read_text())
+        assert CampaignSpec.from_dict(data).to_dict() == data
+
     def test_hash_tracks_content(self):
         spec = get_campaign("fig7")
         widened = spec.with_axis("seed", (42, 43))

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.db.tuples import make_tuple_id, table_lock_id
-from repro.dbsm.certification import (
-    Certifier,
-    CertificationError,
-    sets_conflict,
-)
+from repro.dbsm.certification import Certifier, sets_conflict
 from repro.dbsm.marshal import CommitRequest
 
 
@@ -119,15 +115,6 @@ class TestCertifier:
         outcomes_b = [b.certify(r) for r in requests]
         assert outcomes_a == outcomes_b
 
-    def test_log_pruning_raises_past_horizon(self):
-        certifier = Certifier(log_limit=2)
-        for i in range(5):
-            certifier.certify(
-                request(reads=(100 + i,), writes=(100 + i,), start_seq=i)
-            )
-        with pytest.raises(CertificationError):
-            certifier.certify(request(reads=(1,), writes=(1,), start_seq=0))
-
     def test_charge_accounting(self):
         charged = []
         certifier = Certifier(charge=charged.append)
@@ -172,7 +159,7 @@ class TestCertifierEdgeCases:
         the log — later readers have to certify against them."""
         certifier = Certifier()
         certifier.certify(request(reads=(), writes=(7,), start_seq=0))
-        assert certifier.log_size() == 1
+        assert certifier.snapshot_state()["log"] == [[1, [7]]]
         committed, _ = certifier.certify(
             request(reads=(7,), writes=(), start_seq=0)
         )
@@ -215,34 +202,6 @@ class TestCertifierEdgeCases:
         ]
         a, b = Certifier(), Certifier()
         assert [a.certify(r) for r in stream] == [b.certify(r) for r in stream]
-
-    def test_horizon_boundary_is_inclusive(self):
-        """A request that started exactly one commit before the pruned
-        log's first entry is still decidable; one earlier is not."""
-        certifier = Certifier(log_limit=3)
-        for i in range(6):
-            certifier.certify(
-                request(reads=(100 + i,), writes=(100 + i,), start_seq=i)
-            )
-        horizon = certifier.log_horizon()
-        committed, _ = certifier.certify(
-            request(reads=(999,), writes=(), start_seq=horizon - 1)
-        )
-        assert committed
-        with pytest.raises(CertificationError):
-            certifier.certify(
-                request(reads=(999,), writes=(), start_seq=horizon - 2)
-            )
-
-    def test_log_horizon_follows_the_oldest_live_write_set(self):
-        certifier = Certifier(log_limit=2)
-        assert certifier.log_horizon() is None
-        certifier.certify(request(reads=(), writes=()))  # seq 1, no entry
-        assert certifier.log_horizon() is None
-        for i in range(3):
-            certifier.certify(request(reads=(), writes=(10 + i,), start_seq=i))
-        assert certifier.log_size() == 2
-        assert certifier.log_horizon() == 3  # seqs 2, 3, 4; 2 was pruned
 
     def test_table_lock_readset_vs_unrelated_writes(self):
         """A whole-table read lock conflicts with any concurrent write

@@ -121,13 +121,6 @@ class TestRealJobExecution:
         sim.run()
         assert runtime.now() == sim.now
 
-    def test_delayed_submission(self):
-        sim, _, runtime = make_runtime()
-        fired = []
-        runtime.submit_real(lambda: fired.append(sim.now), delay=0.5)
-        sim.run()
-        assert fired and fired[0] >= 0.5
-
     def test_on_complete_called_after_duration(self):
         sim, _, runtime = make_runtime()
         completions = []
@@ -156,7 +149,7 @@ class TestRealJobExecution:
         by_job = runtime.schedule(0.5, fired.append, "job")
         kept = runtime.schedule(0.5, fired.append, "kept")
         sim.schedule(0.3, by_event.cancel)
-        runtime.submit_real(by_job.cancel, delay=0.4)
+        sim.schedule(0.4, runtime.submit_real, by_job.cancel)
         sim.run()
         assert fired == ["kept"]
         # The cancelled timers never became jobs: the canceller and the
@@ -357,7 +350,7 @@ class TestModeledJobClock:
             runtime.charge(0.3)
             observed.append(runtime.now())
 
-        runtime.submit_real(job, tag=CpuCostModel.NOOP, delay=1.0)
+        sim.schedule(1.0, runtime.submit_real, job, CpuCostModel.NOOP)
         sim.run()
         assert observed == [1.0 + 0.3]
 

@@ -267,6 +267,11 @@ RETIRED_CALL_FORMS = (
     r"\bScenarioBaseline\b",
     r"\bbaseline_from\b",
     r"\b_BASELINE_SOURCES\b",
+    r"\blog_limit\b",
+    r"\bCertificationError\b",
+    r"\blog_horizon\b",
+    r"\bmax_transactions_per_client\b",
+    r"\b_sectors_for\b",
 )
 
 

@@ -35,7 +35,7 @@ class TestWrites:
         sim = Simulator()
         storage = make_storage(sim, latency=1e-3)
         done = []
-        storage.write(100)._add_waiter(lambda v: done.append(sim.now))
+        storage.write_sectors(1)._add_waiter(lambda v: done.append(sim.now))
         sim.run()
         assert done == [pytest.approx(1e-3)]
         assert storage.stats.sectors_written == 1
@@ -54,7 +54,7 @@ class TestWrites:
         storage = make_storage(sim, latency=1e-3, concurrency=2)
         finish = []
         for _ in range(4):
-            storage.write(10)._add_waiter(lambda v: finish.append(sim.now))
+            storage.write_sectors(1)._add_waiter(lambda v: finish.append(sim.now))
         sim.run()
         assert finish == pytest.approx([1e-3, 1e-3, 2e-3, 2e-3])
 
@@ -68,7 +68,7 @@ class TestConfiguration:
     def test_utilization(self):
         sim = Simulator()
         storage = make_storage(sim, latency=1e-3, concurrency=2)
-        storage.write(10)
+        storage.write_sectors(1)
         sim.run()
         assert storage.utilization(1e-3) == pytest.approx(0.5)
 
@@ -82,8 +82,8 @@ class TestConfiguration:
     def test_queue_depth_visible(self):
         sim = Simulator()
         storage = make_storage(sim, latency=1e-3, concurrency=1)
-        storage.write(10)
-        storage.write(10)
+        storage.write_sectors(1)
+        storage.write_sectors(1)
         assert storage.queue_depth() == 1
 
     def test_counters_follow_the_clock_not_the_submission(self):
