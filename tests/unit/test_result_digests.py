@@ -3,8 +3,11 @@
 ``test_event_budget.py`` pins the *work* a cell costs; this file pins
 what the cell *produces*: the sha256 of the canonical
 ``ScenarioResult.to_dict()`` JSON (the benchmark's ``result_digest``)
-of six small cells covering the centralized baseline, all three
-registered protocols and two fault-loads with every monitor armed, and
+of eight small cells covering the centralized baseline, all three
+registered protocols and four fault-loads with every monitor armed
+(two of them, ``crash-recover-member`` and ``partition-heal-member``,
+complete a rejoin, so the state-transfer snapshot's bytes are pinned
+through ``snapshot_bytes``), and
 of two saturated 6-site cells (2 000 clients: a deep disk queue and a
 30-entry certification window, which 30 clients never build), and of
 two 600-client ``partial`` cells with cross-fragment histories
