@@ -59,7 +59,7 @@ __all__ = ["ScenarioConfig", "Scenario", "ScenarioResult", "Site"]
 _GROUP_PORT = 7000
 
 #: Artifact format tag; bump when the serialized layout changes.
-RESULT_FORMAT = "repro.scenario_result/3"
+RESULT_FORMAT = "repro.scenario_result/4"
 
 
 @dataclass

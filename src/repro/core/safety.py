@@ -4,14 +4,14 @@ After a simulation finishes, all operational sites must have committed
 **exactly the same sequence of transactions**; this is the consistency
 condition the DBSM approach guarantees and the property the fault
 campaigns verify.  Each replica appends every certified-commit decision
-to a :class:`CommitLog`; :func:`check_consistency` compares logs after
-the run, tolerating only a *prefix* relationship for sites that crashed.
+to a :class:`CommitLog`, two int columns in memory and on disk alike;
+:func:`check_consistency` compares the logs' pairs after the run,
+tolerating only a *prefix* relationship for sites that crashed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .faults import FaultSchedule
@@ -33,42 +33,51 @@ VERDICTS = ("ok", "diverged", "violated", "no-rejoin")
 
 @dataclass
 class CommitLog:
-    """The ordered commit decisions taken at one site."""
+    """One site's commit decisions, in order: ``(commit_seq[i], tx_id[i])``."""
 
     site: str
-    #: (global sequence number, transaction id) in decision order.
-    entries: List[Tuple[int, int]] = field(default_factory=list)
+    #: global sequence numbers (increasing) and transaction ids.
+    commit_seq: List[int] = field(default_factory=list)
+    tx_id: List[int] = field(default_factory=list)
     crashed: bool = False
 
     def append(self, global_seq: int, tx_id: int) -> None:
-        if self.entries and global_seq <= self.entries[-1][0]:
+        if self.commit_seq and global_seq <= self.commit_seq[-1]:
             raise SafetyViolation(
                 f"{self.site}: commit sequence not monotonic "
-                f"({global_seq} after {self.entries[-1][0]})"
+                f"({global_seq} after {self.commit_seq[-1]})"
             )
-        self.entries.append((global_seq, tx_id))
+        self.commit_seq.append(global_seq)
+        self.tx_id.append(tx_id)
+
+    @property
+    def entries(self) -> List[Tuple[int, int]]:
+        """The log as ``(commit_seq, tx_id)`` pairs, derived on each read."""
+        return list(zip(self.commit_seq, self.tx_id))
 
     def sequence(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(self.entries)
+        return tuple(zip(self.commit_seq, self.tx_id))
 
     def to_dict(self) -> Dict[str, object]:
+        """The stored log; the column lists go out uncopied."""
         return {
             "site": self.site,
-            "entries": [list(entry) for entry in self.entries],
+            "commit_seq": self.commit_seq,
+            "tx_id": self.tx_id,
             "crashed": self.crashed,
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "CommitLog":
-        # validated by column, as metrics rows are: nothing is coerced
-        site, entries, crashed = stored_fields(cls, data).values()
-        entries = list(map(tuple, entries))
+        # kept as stored, checked by column: nothing is coerced
+        site, commit_seq, tx_id, crashed = stored_fields(cls, data).values()
         if not (
-            set(map(len, entries)) <= {2}
-            and set(map(type, chain.from_iterable(entries))) <= {int}
+            type(commit_seq) is type(tx_id) is list
+            and len(commit_seq) == len(tx_id)
+            and set(map(type, commit_seq)) | set(map(type, tx_id)) <= {int}
         ):
-            raise ValueError(f"{site}: commit log entries must be int pairs")
-        return cls(site, entries, crashed)
+            raise ValueError(f"{site}: commit log needs two int columns of one length")
+        return cls(site, commit_seq, tx_id, crashed)
 
 
 class SafetyViolation(AssertionError):
@@ -122,7 +131,7 @@ def check_consistency(logs: Sequence[CommitLog]) -> Dict[str, int]:
         raise SafetyViolation(
             f"crashed site {site} is not a prefix of the agreed sequence: {diff}"
         )
-    return {log.site: len(log.entries) for log in logs}
+    return {log.site: len(log.commit_seq) for log in logs}
 
 
 def verdict(result: Any) -> str:
@@ -149,9 +158,7 @@ def verdict(result: Any) -> str:
     return "ok"
 
 
-def describe_divergence(
-    a: Tuple[Tuple[int, int], ...], b: Tuple[Tuple[int, int], ...]
-) -> str:
+def describe_divergence(a: CommitSequence, b: CommitSequence) -> str:
     """Human-readable first divergence between two commit sequences.
 
     Shared by the post-hoc check above and the streaming

@@ -251,14 +251,15 @@ class ReplicationProtocol(TerminationProtocol):
         the adopted sequence (a minority partition's divergence window)
         are counted and returned as *orphaned commits*."""
         adopted = [tuple(entry) for entry in snap["commit_log"]]
-        old = list(self.commit_log.entries)
+        old = self.commit_log.entries
         common = 0
         for mine, theirs in zip(old, adopted):
             if mine != theirs:
                 break
             common += 1
         orphans = len(old) - common
-        self.commit_log.entries[:] = adopted
+        self.commit_log.commit_seq[:] = [seq for seq, _ in adopted]
+        self.commit_log.tx_id[:] = [tx for _, tx in adopted]
         self.commit_log.crashed = False
         # Everything in the adopted commit log counts as applied: the
         # snapshot *is* the applied state.

@@ -1,7 +1,7 @@
 """Seeded-bug efficacy: each runtime monitor catches exactly the class
 of protocol bug it was built for, and none fires on correct code.
 
-Four bugs are seeded by patching protocol objects after ``Scenario``
+Five bugs are seeded by patching protocol objects after ``Scenario``
 construction (the production source stays correct):
 
 * a *leaky certifier* that skips one genuine conflict check — only the
@@ -12,10 +12,11 @@ construction (the production source stays correct):
 * a *minority primary* whose view-majority rule is weakened so a
   partitioned singleton keeps committing — the ``primary-component``
   monitor must flag it;
-* a *never-aborting certifier* at every replica (F3) — the replicas
-  agree on a history that is not serialisable, so no monitor and no
-  consistency check can flag it: it is pinned for a serialisability
-  oracle to catch.
+* a *never-aborting certifier* at every replica (F3), and an
+  *off-by-one certifier* that reads every ``start_seq`` one too high —
+  the replicas agree on a history that is not serialisable, so no
+  monitor and no consistency check can flag either: they are pinned
+  for a serialisability oracle to catch.
 
 The determinism guard at the bottom asserts monitors are provably free
 when disabled: monitors-on and monitors-off runs produce bit-identical
@@ -160,6 +161,55 @@ class TestNeverAbortingCertifier:
     )
     def test_the_verdict_catches_it(self, never_aborting):
         result, _ = never_aborting
+        assert verdict(result) != "ok"
+
+
+@pytest.fixture(scope="module")
+def off_by_one():
+    """F3's cell, with every replica's certifier deciding each request as
+    if its ``start_seq`` were one higher: a conflict with the commit
+    right after the transaction's snapshot goes unseen.  ``(result,
+    genuine conflicts it ignored)``.  The genuine test runs only where
+    the shifted one passes, and charges no CPU, so the run pays the
+    shifted test alone."""
+    scenario = Scenario(config(readset_escalation_threshold=20))
+    ignored = []
+    for site in scenario.sites:
+        certifier = site.replica.certifier
+
+        def shifted(request, certifier=certifier, genuine=certifier._conflicts):
+            late = dataclasses.replace(request, start_seq=request.start_seq + 1)
+            if genuine(late):
+                return True
+            charge, certifier._charge = certifier._charge, lambda seconds: None
+            try:
+                if genuine(request):
+                    ignored.append(request)
+            finally:
+                certifier._charge = charge
+            return False
+
+        certifier._conflicts = shifted
+    return scenario.run(), len(ignored)
+
+
+class TestOffByOneCertifier:
+    """Item 3(b)'s second seeded bug: the same off-by-one at every
+    replica, so the logs agree on a history that is not serialisable."""
+
+    def test_genuine_conflicts_commit_unnoticed(self, off_by_one):
+        result, ignored = off_by_one
+        assert ignored == 18  # 6 requests, each at all three replicas
+        # 4.914 % with the genuine certifier
+        assert metric_value(result, "abort_rate") == pytest.approx(3.440, abs=1e-3)
+        assert result.violations == []
+        assert result.check_safety()
+
+    @pytest.mark.xfail(
+        strict=True, reason="no serialisability oracle, ROADMAP item 3(a)"
+    )
+    def test_the_verdict_catches_it(self, off_by_one):
+        result, _ = off_by_one
         assert verdict(result) != "ok"
 
 

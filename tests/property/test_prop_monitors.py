@@ -74,7 +74,12 @@ def commit_histories(draw):
             final = list(snapshot) + list(tail)
         per_site_events.append(events)
         final_logs.append(
-            CommitLog(site=f"site{site}", entries=list(final), crashed=crashed)
+            CommitLog(
+                site=f"site{site}",
+                commit_seq=[seq for seq, _ in final],
+                tx_id=[tx for _, tx in final],
+                crashed=crashed,
+            )
         )
 
     return n_sites, per_site_events, final_logs

@@ -116,16 +116,22 @@ def _edit_columns(edit):
 
 def _as_older_format(version):
     """The cell as a ``repro.scenario_result/<version>`` store wrote it:
-    that format tag and the transaction log as rows under ``records``.
-    A ``/1`` store also wrote a null ``profiles`` slot in the stored
-    config, and the config again at the top of the envelope."""
+    that format tag and each commit log as ``[commit_seq, tx_id]`` pairs
+    under ``entries``.  A ``/1`` or ``/2`` store also wrote the
+    transaction log as rows under ``records``, and a ``/1`` store a null
+    ``profiles`` slot in the stored config and the config again at the
+    top of the envelope."""
 
     def rewrite(path):
         payload = json.loads(path.read_text())
         result = payload["result"]
         metrics = result["metrics"]
         result["format"] = f"repro.scenario_result/{version}"
-        metrics["records"] = list(map(list, zip(*metrics.pop("columns"))))
+        for log in result["commit_logs"]:
+            pairs = zip(log.pop("commit_seq"), log.pop("tx_id"))
+            log["entries"] = list(map(list, pairs))
+        if version < 3:
+            metrics["records"] = list(map(list, zip(*metrics.pop("columns"))))
         if version == 1:
             result["config"]["profiles"] = None
             payload["config"] = result["config"]
@@ -188,7 +194,7 @@ def _add_record(where, **changes):
 def _add_commit_log(**changes):
     """The matrix's cells are centralized and keep no commit log: slip
     one in, with ``changes`` made to its stored form."""
-    log = CommitLog("site0", [(1, 1)]).to_dict()
+    log = CommitLog("site0", [1], [1]).to_dict()
     return lambda result: result["commit_logs"].append({**log, **changes})
 
 
@@ -224,6 +230,23 @@ LOG_FORMS = {
     ),
     "int-commit-log-site": (
         _add_commit_log(site=7), "CommitLog site must be str, not 7"
+    ),
+    # The commit log is two int columns of one length, checked by column.
+    "ragged-commit-log": (
+        _add_commit_log(commit_seq=[1, 2]), "site0: commit log needs two int columns"
+    ),
+    "bool-in-commit-log": (
+        _add_commit_log(tx_id=[True]), "site0: commit log needs two int columns"
+    ),
+    "float-in-commit-log": (
+        _add_commit_log(commit_seq=[1.0]), "site0: commit log needs two int columns"
+    ),
+    # A ``repro.scenario_result/3`` commit log: the pairs are not read.
+    "commit-log-as-pairs": (
+        lambda result: result["commit_logs"].append(
+            {"site": "site0", "entries": [[1, 1]], "crashed": False}
+        ),
+        "unknown CommitLog keys ['entries']",
     ),
     "text-sim-time": (
         lambda result: result.__setitem__("sim_time", "38.0"),
@@ -273,6 +296,7 @@ CASES = {
     ),
     "format-1": _as_older_format(1),
     "format-2": _as_older_format(2),
+    "format-3": _as_older_format(3),
     **{f"unknown-{owner}-key": _add_unknown_key(owner) for owner in UNKNOWN_KEYS},
     **{
         f"{owner}-without-{MISSING_KEYS[owner][2]}": _add_record_without_key(owner)
@@ -419,11 +443,11 @@ def test_a_log_in_another_form_is_an_artifact_error(pristine, form):
     assert message in str(info.value)
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_an_older_format_directory_reruns_every_cell(
     pristine, tmp_path, capsys, version
 ):
-    """Resume re-runs every cell of a ``/1`` or ``/2`` directory;
+    """Resume re-runs every cell of a ``/1``, ``/2`` or ``/3`` directory;
     ``report`` on it fails and names the first cell instead of showing a
     traceback."""
     root = tmp_path / "store"
@@ -442,6 +466,29 @@ def test_an_older_format_directory_reruns_every_cell(
     assert campaign.ok
     assert [cell.source for cell in campaign.cells] == ["in-process"] * len(LABELS)
     assert ResultSet.from_artifacts(root).labels() == LABELS
+
+
+def test_a_format_3_replicated_directory_reruns_its_cells(tmp_path):
+    """The matrix's cells keep no commit log; a replicated ``/3`` cell
+    stores its logs as pairs, and resume re-runs it into columns."""
+    spec = CampaignSpec(
+        name="pairs",
+        description="one replicated cell",
+        kind="performance",
+        label="c{clients}",
+        template={"sites": 3, "protocol": "dbsm", "transactions": 40},
+        axes=[("clients", (10,))],
+    )
+    root = tmp_path / "store"
+    assert run_campaign(spec.expand(), artifact_dir=root).ok
+    path = ArtifactStore(root).path_for("c10")
+    _as_older_format(3)(path)
+    (log, *_) = json.loads(path.read_text())["result"]["commit_logs"]
+    assert sorted(log) == ["crashed", "entries", "site"] and log["entries"]
+    campaign = run_campaign(spec.expand(), artifact_dir=root)
+    assert [cell.source for cell in campaign.cells] == ["in-process"]
+    (log, *_) = json.loads(path.read_text())["result"]["commit_logs"]
+    assert sorted(log) == ["commit_seq", "crashed", "site", "tx_id"]
 
 
 def test_a_malformed_sample_row_is_the_same_artifact_error(pristine):

@@ -9,7 +9,9 @@ each column with C-level ``map`` / ``set`` and the metric extractors
 scan a column with ``count`` / ``min`` / ``max`` or one comprehension,
 so neither makes a call per transaction — no ``_make`` per row, no
 ``committed`` / ``latency`` property call per record per scan — and no
-run, store or load builds the row view.
+run, store or load builds the row view.  A site's commit log is two
+columns too, decoded with no call per commit; only the state-transfer
+snapshot, which is simulated traffic, ships it as pairs.
 
 The datagram path has the same kind of gate: a real job that queues
 schedules no kernel ``Event``, the fabric asks about the partition cut
@@ -34,6 +36,7 @@ read the clock, the write set, a signal's and a CPU's state as fields.
 import ast
 import inspect
 import operator
+import pickle
 import random
 import sys
 import textwrap
@@ -56,6 +59,7 @@ from repro.core.faults import FaultInjector, clock_drift
 from repro.core.gcpause import paused_gc
 from repro.core.kernel import Entity, Signal, Simulator
 from repro.core.metrics import MetricsCollector
+from repro.core.safety import CommitLog
 from repro.db.lock import LockManager
 from repro.db.server import DatabaseServer, LocalTermination
 from repro.db.transactions import Operation, Transaction, TransactionSpec
@@ -149,6 +153,41 @@ def test_decoding_stored_transactions_costs_no_call_per_transaction():
         assert len(collector.outcome) == n
         counts.append(calls)
     assert counts[0] == counts[1] < 10, counts
+
+
+def stored_commit_log(n=N):
+    log = CommitLog("site0")
+    for i in range(n):
+        log.append(i + 1, 3 * i)
+    return log.to_dict()
+
+
+def test_decoding_a_stored_commit_log_costs_no_call_per_commit():
+    CommitLog.from_dict(stored_commit_log(1))  # resolves the field types once
+    counts = []
+    for n in (N, 2 * N):
+        data = stored_commit_log(n)
+        with paused_gc():
+            log, calls = calls_made_by(lambda: CommitLog.from_dict(data))
+        assert len(log.commit_seq) == len(log.tx_id) == n
+        counts.append(calls)
+    assert counts[0] == counts[1] < 10, counts
+
+
+def test_a_donor_ships_its_commit_log_as_pairs():
+    """The log is columns, but the state-transfer snapshot is simulated
+    traffic: its pickled bytes (``snapshot_bytes``, and the transfer
+    time they cost) are those of the ``[commit_seq, tx_id]`` pairs."""
+    scenario = Scenario(ScenarioConfig(sites=3, protocol="dbsm", transactions=60))
+    scenario.run()
+    for site in scenario.sites:
+        snap = site.replica.state_snapshot()
+        log = site.replica.commit_log
+        pairs = {**snap, "commit_log": [list(pair) for pair in log.entries]}
+        assert snap["commit_log"] and snap == pairs
+        assert pickle.dumps(snap, protocol=pickle.HIGHEST_PROTOCOL) == pickle.dumps(
+            pairs, protocol=pickle.HIGHEST_PROTOCOL
+        )
 
 
 def test_a_run_never_builds_the_row_view():

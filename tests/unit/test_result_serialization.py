@@ -111,11 +111,15 @@ class TestPieceRoundTrips:
             SampleSeries.from_dict({"interval": 5.0, "samples": [good, row]})
 
     @pytest.mark.parametrize(
-        "entry", [[1], [1, 2, 3], [1, "x"], [1.0, 2]], ids=str
+        "commit_seq, tx_id",
+        [([1, 2], [10]), ([1], [10, 11]), ([1, 2], [10, "x"]), ([1, 2.0], [10, 11]),
+         ([1, 2], [10, True]), ((1, 2), [10, 11]), ([1, 2], {"10": 11})],
+        ids=["short-tx", "short-seq", "text", "float", "bool", "tuple", "dict"],
     )
-    def test_commit_log_rejects_a_malformed_entry(self, entry):
-        data = {"site": "site0", "entries": [[1, 10], entry], "crashed": False}
-        with pytest.raises((TypeError, ValueError)):
+    def test_commit_log_rejects_malformed_columns(self, commit_seq, tx_id):
+        data = {"site": "site0", "commit_seq": commit_seq, "tx_id": tx_id,
+                "crashed": False}
+        with pytest.raises(ValueError, match="site0: commit log needs two int"):
             CommitLog.from_dict(data)
 
     def test_commit_log(self):

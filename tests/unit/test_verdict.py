@@ -52,7 +52,9 @@ def judged(payload, edit=None):
 
 
 def drop_entry(payload):
-    payload["commit_logs"][1]["entries"].pop()  # site1 stays operational
+    log = payload["commit_logs"][1]  # site1 stays operational
+    log["commit_seq"].pop()
+    log["tx_id"].pop()
 
 
 def add_violation(payload):
