@@ -112,13 +112,19 @@ class TestPieceRoundTrips:
 
     @pytest.mark.parametrize(
         "commit_seq, tx_id",
-        [([1, 2], [10]), ([1], [10, 11]), ([1, 2], [10, "x"]), ([1, 2.0], [10, 11]),
-         ([1, 2], [10, True]), ((1, 2), [10, 11]), ([1, 2], {"10": 11})],
+        [
+            ([1, 2], [10]),
+            ([1], [10, 11]),
+            ([1, 2], [10, "x"]),
+            ([1, 2.0], [10, 11]),
+            ([1, 2], [10, True]),
+            ((1, 2), [10, 11]),
+            ([1, 2], {"10": 11}),
+        ],
         ids=["short-tx", "short-seq", "text", "float", "bool", "tuple", "dict"],
     )
     def test_commit_log_rejects_malformed_columns(self, commit_seq, tx_id):
-        data = {"site": "site0", "commit_seq": commit_seq, "tx_id": tx_id,
-                "crashed": False}
+        data = dict(site="site0", commit_seq=commit_seq, tx_id=tx_id, crashed=False)
         with pytest.raises(ValueError, match="site0: commit log needs two int"):
             CommitLog.from_dict(data)
 
